@@ -6,14 +6,14 @@ plus the Kullback-Leibler divergence in closed form, and ships the
 independent quadrature/series oracles used to validate every formula.
 """
 
-from .closed_form import (EntropySpec, evaluate, generalized_renyi1,
-                          generalized_renyi2, kl_divergence, lognormal_moment,
-                          modified_shannon, renyi, shannon, sharma_mittal, tsallis)
-from .distributions import (Binomial, ChiSquared, DensityBound, Distribution,
-                            Exponential, Gamma, Laplace, Logarithmic, LogNormal,
-                            NegBinomialConditional, Normal, Poisson, Uniform,
-                            density_sup, format_spec, logpdf, logpmf, parse_spec,
-                            pdf, pmf)
+from .closed_form import (DensityBound, EntropySpec, density_sup, evaluate,
+                          generalized_renyi1, generalized_renyi2, kl_divergence,
+                          lognormal_moment, modified_shannon, renyi, shannon,
+                          sharma_mittal, tsallis)
+from .distributions import (Binomial, ChiSquared, Distribution, Exponential, Gamma,
+                            Laplace, Logarithmic, LogNormal, NegBinomialConditional,
+                            Normal, Poisson, Uniform, format_spec, logpdf, logpmf,
+                            parse_spec, pdf, pmf)
 from .gaussian import (CovMatrix, DetResult, FgnSweepRow, cholesky_pivots,
                        det_psd, fgn_covariance, fgn_det_sweep, gaussian_entropy,
                        hadamard_gap, rank1_extremal_vector)
@@ -43,5 +43,5 @@ __all__ = [
     "lognormal_moment", "logpdf", "logpmf", "modified_shannon",
     "nb_to_logarithmic", "parse_spec", "pdf", "pmf", "poisson_entropy",
     "poisson_entropy_derivative", "rank1_extremal_vector", "renyi", "shannon",
-    "sharma_mittal", "trigamma",
+    "sharma_mittal", "trigamma", "tsallis",
 ]

@@ -8,25 +8,19 @@ violations (the message names the violated inequality).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 import numpy as np
 
 from . import closed_form as cf
 from . import gaussian, limits, oracle, verification
-from .distributions import Distribution, Logarithmic, density_sup, parse_spec
+from .distributions import Distribution, Logarithmic, parse_spec
 from .errors import (EntrokitError, ParameterError, UnboundedDensityError,
                      ValidityDomainError)
 
 _EXIT_MALFORMED = 1
 _EXIT_VALIDITY = 2
-
-# which parameter a sweep varies when --param is not given
-_DEFAULT_SWEEP_PARAM = {
-    "gamma": "lambda", "exp": "lambda", "chisq": "nu", "laplace": "lambda",
-    "lognormal": "m", "normal": "sigma2", "uniform": "b", "poisson": "lambda",
-    "binomial": "p", "nbcond": "r", "logarithmic": "p",
-}
 
 
 def _fmt(x: float) -> str:
@@ -79,7 +73,7 @@ def _emit(lines, out_path):
 
 def _oracle_value(spec: cf.EntropySpec, d: Distribution, cfg: oracle.OracleConfig) -> float:
     if spec.measure == "modified":
-        m = density_sup(d).M
+        m = cf.density_sup(d).M
         shannon = oracle.entropy_estimate(d, "shannon", None, None, cfg)
         return (shannon + np.log(m)) / m
     return oracle.entropy_estimate(d, spec.measure, spec.alpha, spec.beta, cfg)
@@ -119,28 +113,23 @@ def _cmd_modified(args) -> int:
     return _cmd_entropy(args)
 
 
-def _replace_param(spec_text: str, param: str, value: float) -> Distribution:
-    family = spec_text.split(":", 1)[0].strip().lower()
-    base = dict(item.split("=") for item in spec_text.split(":", 1)[1].split(","))
-    if param not in base:
+def _replace_param(d: Distribution, param: str, value: float) -> Distribution:
+    fields = {key: (attr, conv) for key, attr, conv in d.spec_fields}
+    if param not in fields:
         raise ParameterError(
-            f"family {family!r} has no parameter {param!r} to sweep")
-    if param in ("nu", "n"):
+            f"family {d.spec_name!r} has no parameter {param!r} to sweep")
+    attr, conv = fields[param]
+    if conv is int:
         if abs(value - round(value)) > 1e-9:
             raise ParameterError(f"parameter {param!r} needs integer grid values, got {value}")
-        base[param] = str(int(round(value)))
-    else:
-        base[param] = repr(float(value))
-    return parse_spec(family + ":" + ",".join(f"{k}={v}" for k, v in base.items()))
+        value = round(value)
+    return dataclasses.replace(d, **{attr: conv(value)})
 
 
 def _cmd_sweep(args) -> int:
-    parse_spec(args.dist)  # validate the base spec eagerly
+    base = parse_spec(args.dist)
     spec = _measure_spec(args)
-    family = args.dist.split(":", 1)[0].strip().lower()
-    param = args.param or _DEFAULT_SWEEP_PARAM.get(family)
-    if param is None:
-        raise ParameterError(f"no sweep parameter known for family {family!r}")
+    param = args.param or base.sweep_param
     grid = _parse_grid(args.grid)
     cfg = oracle.OracleConfig()
     header = f"{param},{spec.measure}"
@@ -148,7 +137,7 @@ def _cmd_sweep(args) -> int:
         header += ",oracle,abs_error"
     lines = [header]
     for value in grid:
-        d = _replace_param(args.dist, param, value)
+        d = _replace_param(base, param, value)
         closed = cf.evaluate(spec, d)
         line = f"{_fmt(value)},{_fmt(closed)}"
         if args.verify:

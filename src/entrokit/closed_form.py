@@ -14,11 +14,12 @@ closed log-form:
     gr2     = (log J(alpha) - log J(beta)) / (beta - alpha)
     sm      = (J(alpha)**((1-beta)/(1-alpha)) - 1) / (1 - beta)
 
-Chi-squared is evaluated by delegation to Gamma(1/2, nu/2) rather than
-by its own formula table; the printed chi-squared formulas serve as test
-assertions instead.  Shannon entropies of the discrete families have no
-closed form and are computed by the certified series engine, sharing one
-code path with the oracle.
+Each continuous family has one row in _ROWS (log J(alpha) with its
+order-domain check, Shannon, GR1, KL, density supremum) where the
+measures look their entry up.  Chi-squared is looked up as Gamma(1/2,
+nu/2); its printed formulas serve as test assertions instead.  Discrete
+Shannon entropies have no closed form and are computed by the certified
+series engine, sharing one code path with the oracle.
 
 Order-parameter domains are enforced eagerly: a Gamma or chi-squared
 power integral only exists for alpha*(mu-1) > -1, and violations raise
@@ -31,10 +32,10 @@ import math
 from dataclasses import dataclass
 
 from . import oracle
-from .distributions import (ChiSquared, DensityBound, Distribution, Exponential,
-                            Gamma, Laplace, LogNormal, Normal, Uniform,
-                            density_sup)
-from .errors import ParameterError, UnsupportedFamilyError, ValidityDomainError
+from .distributions import (ChiSquared, Distribution, Exponential, Gamma, Laplace,
+                            LogNormal, Normal, Uniform)
+from .errors import (FamilyMismatchError, ParameterError, UnboundedDensityError,
+                     UnsupportedFamilyError, ValidityDomainError)
 from .special import digamma, log_gamma
 
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -89,38 +90,136 @@ def _check_order(name, value, exclude_one):
         raise ParameterError(f"{name} must differ from 1, got {value}")
 
 
-def _gamma_order_domain(alpha: float, mu: float, label: str):
+@dataclass(frozen=True)
+class DensityBound:
+    """Supremum M of a bounded density and where it is attained (None if everywhere)."""
+
+    M: float
+    attained_at: float | None
+
+
+# --- the family table ----------------------------------------------------------
+
+def _gamma_order(alpha: float, mu: float, label: str) -> float:
+    """alpha*(mu-1), once the power integral of the gamma density is known to exist."""
     v = alpha * (mu - 1.0)
     if v <= -1.0:
         raise ValidityDomainError(
             f"{label}*(mu-1) = {v:.6g} <= -1: the power integral of the "
             f"gamma density diverges for {label}={alpha:.6g}, mu={mu:.6g}")
+    return v
 
 
-def _log_power_integral(d: Distribution, alpha: float, label: str = "alpha") -> float:
-    """log of J(alpha) = integral p**alpha, per family."""
+def _gamma_log_j(d, alpha, label):
+    a = _gamma_order(alpha, d.mu, label)
+    return ((alpha - 1.0) * math.log(d.lam) - (a + 1.0) * math.log(alpha)
+            + log_gamma(a + 1.0) - alpha * log_gamma(d.mu))
+
+
+def _gamma_gr1(d, alpha):
+    a = _gamma_order(alpha, d.mu, "alpha")
+    return (-math.log(d.lam) + log_gamma(d.mu) + (d.mu - 1.0) * math.log(alpha)
+            - (d.mu - 1.0) * digamma(a + 1.0) + d.mu - 1.0 + 1.0 / alpha)
+
+
+def _gamma_sup(d):
+    if d.mu < 1.0:
+        raise UnboundedDensityError(
+            f"gamma density with mu = {d.mu} < 1 is unbounded at 0; "
+            "the modified Shannon entropy does not exist")
+    if d.mu == 1.0:
+        return DensityBound(d.lam, 0.0)
+    mode = (d.mu - 1.0) / d.lam
+    log_m = (d.mu * math.log(d.lam) - log_gamma(d.mu)
+             + (d.mu - 1.0) * math.log(mode) - (d.mu - 1.0))
+    return DensityBound(math.exp(log_m), mode)
+
+
+# One row per continuous family: shannon(d); log_j(d, alpha, label), which
+# raises ValidityDomainError naming the order `label` outside its domain;
+# gr1(d, alpha); kl(p, q) for a same-family pair; sup(d) -> DensityBound.
+# A missing entry means the family has no such closed form.
+_ROWS = {
+    Gamma: dict(
+        shannon=lambda d: (-math.log(d.lam) + log_gamma(d.mu) + d.mu
+                           - digamma(d.mu) * (d.mu - 1.0)),
+        log_j=_gamma_log_j,
+        gr1=_gamma_gr1,
+        kl=lambda p, q: (q.mu * math.log(p.lam / q.lam) + p.mu * (q.lam / p.lam - 1.0)
+                         + log_gamma(q.mu) - log_gamma(p.mu)
+                         + (p.mu - q.mu) * digamma(p.mu)),
+        sup=_gamma_sup),
+    Exponential: dict(
+        shannon=lambda d: 1.0 - math.log(d.lam),
+        log_j=lambda d, alpha, label: (alpha - 1.0) * math.log(d.lam) - math.log(alpha),
+        gr1=lambda d, alpha: -math.log(d.lam) + 1.0 / alpha,
+        kl=lambda p, q: math.log(p.lam / q.lam) + q.lam / p.lam - 1.0,
+        sup=lambda d: DensityBound(d.lam, 0.0)),
+    Laplace: dict(
+        shannon=lambda d: 1.0 - math.log(d.lam / 2.0),
+        log_j=lambda d, alpha, label: (alpha - 1.0) * math.log(d.lam / 2.0) - math.log(alpha),
+        gr1=lambda d, alpha: -math.log(d.lam / 2.0) + 1.0 / alpha,
+        kl=lambda p, q: (math.log(p.lam / q.lam)
+                         + (q.lam / p.lam) * (p.lam * abs(p.mu - q.mu)
+                                              + math.exp(-p.lam * abs(p.mu - q.mu))) - 1.0),
+        sup=lambda d: DensityBound(d.lam / 2.0, d.mu)),
+    LogNormal: dict(
+        shannon=lambda d: 0.5 * math.log(d.sigma2) + 0.5 * _LOG_2PI + d.m + 0.5,
+        log_j=lambda d, alpha, label: (
+            (1.0 - alpha) * (0.5 * math.log(d.sigma2) + 0.5 * _LOG_2PI + d.m)
+            - 0.5 * math.log(alpha) + d.sigma2 * (1.0 - alpha) ** 2 / (2.0 * alpha)),
+        gr1=lambda d, alpha: (0.5 * math.log(d.sigma2) + 0.5 * _LOG_2PI + d.m
+                              + 1.0 / (2.0 * alpha)
+                              + d.sigma2 * (1.0 - alpha**2) / (2.0 * alpha**2)),
+        kl=lambda p, q: (0.5 * math.log(q.sigma2 / p.sigma2)
+                         + (p.sigma2 - q.sigma2 + (p.m - q.m) ** 2) / (2.0 * q.sigma2)),
+        sup=lambda d: DensityBound(
+            math.exp(0.5 * d.sigma2 - d.m) / (math.sqrt(d.sigma2) * math.sqrt(2.0 * math.pi)),
+            math.exp(d.m - d.sigma2))),
+    Normal: dict(
+        shannon=lambda d: 0.5 * (1.0 + _LOG_2PI) + 0.5 * math.log(d.sigma2),
+        log_j=lambda d, alpha, label: ((1.0 - alpha) * (0.5 * math.log(d.sigma2) + 0.5 * _LOG_2PI)
+                                       - 0.5 * math.log(alpha)),
+        gr1=lambda d, alpha: 0.5 * math.log(d.sigma2) + 0.5 * _LOG_2PI + 1.0 / (2.0 * alpha),
+        sup=lambda d: DensityBound(1.0 / math.sqrt(2.0 * math.pi * d.sigma2), d.mean)),
+    Uniform: dict(
+        shannon=lambda d: math.log(d.b - d.a),
+        log_j=lambda d, alpha, label: (1.0 - alpha) * math.log(d.b - d.a),
+        gr1=lambda d, alpha: math.log(d.b - d.a),
+        sup=lambda d: DensityBound(1.0 / (d.b - d.a), None)),
+}
+
+_ENTRY_NAMES = {"shannon": "Shannon entropy", "log_j": "power integral", "gr1": "GR1",
+                "kl": "KL divergence", "sup": "density supremum"}
+
+
+def _closed_form(name: str, d: Distribution, *args):
+    """The `name` entry of d's family row, evaluated at (d, *args).
+
+    This is the one place chi-squared records become Gamma(1/2, nu/2).
+    """
     if isinstance(d, ChiSquared):
-        return _log_power_integral(d.as_gamma(), alpha, label)
-    if isinstance(d, Gamma):
-        _gamma_order_domain(alpha, d.mu, label)
-        a = alpha * (d.mu - 1.0)
-        return ((alpha - 1.0) * math.log(d.lam) - (a + 1.0) * math.log(alpha)
-                + log_gamma(a + 1.0) - alpha * log_gamma(d.mu))
-    if isinstance(d, Exponential):
-        return (alpha - 1.0) * math.log(d.lam) - math.log(alpha)
-    if isinstance(d, Laplace):
-        return (alpha - 1.0) * math.log(d.lam / 2.0) - math.log(alpha)
-    if isinstance(d, LogNormal):
-        return ((1.0 - alpha) * (0.5 * math.log(d.sigma2) + 0.5 * _LOG_2PI + d.m)
-                - 0.5 * math.log(alpha)
-                + d.sigma2 * (1.0 - alpha) ** 2 / (2.0 * alpha))
-    if isinstance(d, Normal):
-        return ((1.0 - alpha) * (0.5 * math.log(d.sigma2) + 0.5 * _LOG_2PI)
-                - 0.5 * math.log(alpha))
-    if isinstance(d, Uniform):
-        return (1.0 - alpha) * math.log(d.b - d.a)
-    raise UnsupportedFamilyError(
-        f"no closed-form power integral for {type(d).__name__}")
+        d = d.as_gamma()
+        args = [a.as_gamma() if isinstance(a, ChiSquared) else a for a in args]
+    try:
+        fn = _ROWS[type(d)][name]
+    except KeyError:
+        raise UnsupportedFamilyError(
+            f"no closed-form {_ENTRY_NAMES[name]} for {type(d).__name__}") from None
+    return fn(d, *args)
+
+
+# --- measures -----------------------------------------------------------------
+
+def density_sup(d: Distribution) -> DensityBound:
+    """Exact supremum of the density of a bounded continuous family.
+
+    Raises UnboundedDensityError for Gamma with mu < 1 (equivalently
+    chi-squared with nu = 1), whose density blows up at 0.
+    """
+    if d.is_discrete:
+        raise FamilyMismatchError(f"{type(d).__name__} is discrete; densities only")
+    return _closed_form("sup", d)
 
 
 def shannon(d: Distribution) -> float:
@@ -131,58 +230,25 @@ def shannon(d: Distribution) -> float:
     """
     if d.is_discrete:
         return -oracle.discrete_entropy_sum(d, "p_log_p", 1.0, _DEFAULT_SERIES_CFG).value
-    if isinstance(d, ChiSquared):
-        return shannon(d.as_gamma())
-    if isinstance(d, Gamma):
-        return (-math.log(d.lam) + log_gamma(d.mu) + d.mu
-                - digamma(d.mu) * (d.mu - 1.0))
-    if isinstance(d, Exponential):
-        return 1.0 - math.log(d.lam)
-    if isinstance(d, Laplace):
-        return 1.0 - math.log(d.lam / 2.0)
-    if isinstance(d, LogNormal):
-        return 0.5 * math.log(d.sigma2) + 0.5 * _LOG_2PI + d.m + 0.5
-    if isinstance(d, Normal):
-        return 0.5 * (1.0 + _LOG_2PI) + 0.5 * math.log(d.sigma2)
-    if isinstance(d, Uniform):
-        return math.log(d.b - d.a)
-    raise UnsupportedFamilyError(f"no Shannon entropy for {type(d).__name__}")
+    return _closed_form("shannon", d)
 
 
 def renyi(alpha: float, d: Distribution) -> float:
     """Renyi entropy of order alpha (alpha > 0, alpha != 1)."""
     _check_order("alpha", alpha, exclude_one=True)
-    return _log_power_integral(d, alpha) / (1.0 - alpha)
+    return _closed_form("log_j", d, alpha, "alpha") / (1.0 - alpha)
 
 
 def generalized_renyi1(alpha: float, d: Distribution) -> float:
     """One-parameter generalized Renyi entropy: -int p**a log p / int p**a."""
     _check_order("alpha", alpha, exclude_one=False)
-    if isinstance(d, ChiSquared):
-        return generalized_renyi1(alpha, d.as_gamma())
-    if isinstance(d, Gamma):
-        _gamma_order_domain(alpha, d.mu, "alpha")
-        a = alpha * (d.mu - 1.0)
-        return (-math.log(d.lam) + log_gamma(d.mu) + (d.mu - 1.0) * math.log(alpha)
-                - (d.mu - 1.0) * digamma(a + 1.0) + d.mu - 1.0 + 1.0 / alpha)
-    if isinstance(d, Exponential):
-        return -math.log(d.lam) + 1.0 / alpha
-    if isinstance(d, Laplace):
-        return -math.log(d.lam / 2.0) + 1.0 / alpha
-    if isinstance(d, LogNormal):
-        return (0.5 * math.log(d.sigma2) + 0.5 * _LOG_2PI + d.m + 1.0 / (2.0 * alpha)
-                + d.sigma2 * (1.0 - alpha**2) / (2.0 * alpha**2))
-    if isinstance(d, Normal):
-        return 0.5 * math.log(d.sigma2) + 0.5 * _LOG_2PI + 1.0 / (2.0 * alpha)
-    if isinstance(d, Uniform):
-        return math.log(d.b - d.a)
-    raise UnsupportedFamilyError(f"no GR1 closed form for {type(d).__name__}")
+    return _closed_form("gr1", d, alpha)
 
 
 def tsallis(alpha: float, d: Distribution) -> float:
     """Tsallis entropy of order alpha (alpha > 0, alpha != 1)."""
     _check_order("alpha", alpha, exclude_one=True)
-    return math.expm1(_log_power_integral(d, alpha)) / (1.0 - alpha)
+    return math.expm1(_closed_form("log_j", d, alpha, "alpha")) / (1.0 - alpha)
 
 
 def generalized_renyi2(alpha: float, beta: float, d: Distribution) -> float:
@@ -191,8 +257,8 @@ def generalized_renyi2(alpha: float, beta: float, d: Distribution) -> float:
     _check_order("beta", beta, exclude_one=False)
     if abs(alpha - beta) < _ORDER_EPS:
         raise ParameterError(f"gr2 requires alpha != beta, got {alpha} and {beta}")
-    log_ja = _log_power_integral(d, alpha, "alpha")
-    log_jb = _log_power_integral(d, beta, "beta")
+    log_ja = _closed_form("log_j", d, alpha, "alpha")
+    log_jb = _closed_form("log_j", d, beta, "beta")
     return (log_ja - log_jb) / (beta - alpha)
 
 
@@ -200,7 +266,7 @@ def sharma_mittal(alpha: float, beta: float, d: Distribution) -> float:
     """Sharma-Mittal entropy (alpha, beta > 0, both != 1)."""
     _check_order("alpha", alpha, exclude_one=True)
     _check_order("beta", beta, exclude_one=True)
-    log_j = _log_power_integral(d, alpha)
+    log_j = _closed_form("log_j", d, alpha, "alpha")
     return math.expm1(log_j * (1.0 - beta) / (1.0 - alpha)) / (1.0 - beta)
 
 
@@ -229,23 +295,7 @@ def kl_divergence(p: Distribution, q: Distribution) -> float:
         raise UnsupportedFamilyError(
             f"kl_divergence needs a same-family pair, got "
             f"{type(p).__name__} and {type(q).__name__}")
-    if isinstance(p, ChiSquared):
-        return kl_divergence(p.as_gamma(), q.as_gamma())
-    if isinstance(p, Gamma):
-        return (q.mu * math.log(p.lam / q.lam) + p.mu * (q.lam / p.lam - 1.0)
-                + log_gamma(q.mu) - log_gamma(p.mu)
-                + (p.mu - q.mu) * digamma(p.mu))
-    if isinstance(p, Exponential):
-        return math.log(p.lam / q.lam) + q.lam / p.lam - 1.0
-    if isinstance(p, Laplace):
-        gap = abs(p.mu - q.mu)
-        return (math.log(p.lam / q.lam)
-                + (q.lam / p.lam) * (p.lam * gap + math.exp(-p.lam * gap)) - 1.0)
-    if isinstance(p, LogNormal):
-        return (0.5 * math.log(q.sigma2 / p.sigma2)
-                + (p.sigma2 - q.sigma2 + (p.m - q.m) ** 2) / (2.0 * q.sigma2))
-    raise UnsupportedFamilyError(
-        f"no closed-form KL divergence for family {type(p).__name__}")
+    return _closed_form("kl", p, q)
 
 
 _MOMENT_KINDS = ("plain", "times_log", "times_centered_sq")
@@ -265,18 +315,17 @@ def lognormal_moment(p: float, m: float, sigma2: float, kind: str = "plain") -> 
     return sigma2 * (sigma2 * p * p + 1.0) * base
 
 
+_BY_MEASURE = {
+    "shannon": lambda s, d: shannon(d),
+    "renyi": lambda s, d: renyi(s.alpha, d),
+    "gr1": lambda s, d: generalized_renyi1(s.alpha, d),
+    "tsallis": lambda s, d: tsallis(s.alpha, d),
+    "gr2": lambda s, d: generalized_renyi2(s.alpha, s.beta, d),
+    "sm": lambda s, d: sharma_mittal(s.alpha, s.beta, d),
+    "modified": lambda s, d: modified_shannon(d),
+}
+
+
 def evaluate(spec: EntropySpec, d: Distribution) -> float:
     """Dispatch a measure spec against a distribution."""
-    if spec.measure == "shannon":
-        return shannon(d)
-    if spec.measure == "renyi":
-        return renyi(spec.alpha, d)
-    if spec.measure == "gr1":
-        return generalized_renyi1(spec.alpha, d)
-    if spec.measure == "tsallis":
-        return tsallis(spec.alpha, d)
-    if spec.measure == "gr2":
-        return generalized_renyi2(spec.alpha, spec.beta, d)
-    if spec.measure == "sm":
-        return sharma_mittal(spec.alpha, spec.beta, d)
-    return modified_shannon(d)
+    return _BY_MEASURE[spec.measure](spec, d)

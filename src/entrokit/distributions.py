@@ -1,11 +1,14 @@
-"""Parameter records, validation, density/pmf evaluation and density suprema.
+"""Parameter records, validation, density/pmf evaluation and the spec syntax.
 
 Eleven families are supported.  Records are immutable; constructing one
 with out-of-range parameters raises ParameterError, never silently
 adjusts.  All logarithms throughout the toolkit are natural logs.
 
-Density and mass evaluation is done in log space and vectorizes over
-numpy arrays, which is what the quadrature and series oracles consume.
+Each family class carries its own record facts: its spec name and
+fields, the parameter a sweep varies by default, whether it is discrete,
+and its log-density or log-mass.  Density and mass evaluation is done in
+log space and vectorizes over numpy arrays, which is what the quadrature
+and series oracles consume.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FamilyMismatchError, ParameterError, UnboundedDensityError
+from .errors import FamilyMismatchError, ParameterError
 from .special import log_gamma
 
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -30,17 +33,30 @@ def _finite(*vals):
     return all(isinstance(v, (int, float)) and math.isfinite(v) for v in vals)
 
 
+_FAMILIES = {}  # spec name -> record class, filled as the classes are defined
+
+
 @dataclass(frozen=True)
 class Distribution:
-    """Base record; concrete families subclass this."""
+    """Base record; concrete families subclass this.
 
-    @property
-    def is_discrete(self) -> bool:
-        return isinstance(self, _DISCRETE)
+    A family's class line gives its spec syntax 'spec:key=value,...' (one
+    key per field, converted by the field's int or float annotation), the
+    key a sweep varies by default, and whether it is discrete, in which
+    case it defines _logpmf instead of _logpdf (both on float arrays).
+    """
+
+    def __init_subclass__(cls, spec, keys, sweep, discrete=False, **kwargs):
+        super().__init_subclass__(**kwargs)
+        fields = cls.__annotations__.items()  # types are strings: postponed annotations
+        cls.spec_fields = tuple((key, attr, int if ann == "int" else float)
+                                for key, (attr, ann) in zip(keys, fields, strict=True))
+        cls.spec_name, cls.sweep_param, cls.is_discrete = spec, sweep, discrete
+        _FAMILIES[spec] = cls
 
 
 @dataclass(frozen=True)
-class Gamma(Distribution):
+class Gamma(Distribution, spec="gamma", keys=("lambda", "mu"), sweep="lambda"):
     lam: float
     mu: float
 
@@ -48,18 +64,28 @@ class Gamma(Distribution):
         _check(_finite(self.lam, self.mu) and self.lam > 0 and self.mu > 0,
                f"gamma requires lambda > 0 and mu > 0, got lambda={self.lam}, mu={self.mu}")
 
+    def _logpdf(self, x):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            lx = np.log(np.where(x > 0, x, 1.0))
+            out = (self.mu * math.log(self.lam) - log_gamma(self.mu)
+                   + (self.mu - 1.0) * lx - self.lam * x)
+        return np.where(x > 0, out, -np.inf)
+
 
 @dataclass(frozen=True)
-class Exponential(Distribution):
+class Exponential(Distribution, spec="exp", keys=("lambda",), sweep="lambda"):
     lam: float
 
     def __post_init__(self):
         _check(_finite(self.lam) and self.lam > 0,
                f"exponential requires lambda > 0, got {self.lam}")
 
+    def _logpdf(self, x):
+        return np.where(x > 0, math.log(self.lam) - self.lam * x, -np.inf)
+
 
 @dataclass(frozen=True)
-class ChiSquared(Distribution):
+class ChiSquared(Distribution, spec="chisq", keys=("nu",), sweep="nu"):
     nu: int
 
     def __post_init__(self):
@@ -70,9 +96,12 @@ class ChiSquared(Distribution):
         """The equivalent Gamma(lambda=1/2, mu=nu/2) record."""
         return Gamma(0.5, self.nu / 2.0)
 
+    def _logpdf(self, x):
+        return self.as_gamma()._logpdf(x)
+
 
 @dataclass(frozen=True)
-class Laplace(Distribution):
+class Laplace(Distribution, spec="laplace", keys=("mu", "lambda"), sweep="lambda"):
     mu: float
     lam: float
 
@@ -80,9 +109,12 @@ class Laplace(Distribution):
         _check(_finite(self.mu, self.lam) and self.lam > 0,
                f"laplace requires finite mu and lambda > 0, got mu={self.mu}, lambda={self.lam}")
 
+    def _logpdf(self, x):
+        return math.log(self.lam / 2.0) - self.lam * np.abs(x - self.mu)
+
 
 @dataclass(frozen=True)
-class LogNormal(Distribution):
+class LogNormal(Distribution, spec="lognormal", keys=("m", "sigma2"), sweep="m"):
     m: float
     sigma2: float
 
@@ -90,9 +122,16 @@ class LogNormal(Distribution):
         _check(_finite(self.m, self.sigma2) and self.sigma2 > 0,
                f"log-normal requires finite m and sigma2 > 0, got m={self.m}, sigma2={self.sigma2}")
 
+    def _logpdf(self, x):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            lx = np.log(np.where(x > 0, x, 1.0))
+            out = (-lx - 0.5 * math.log(self.sigma2) - 0.5 * _LOG_2PI
+                   - (lx - self.m) ** 2 / (2.0 * self.sigma2))
+        return np.where(x > 0, out, -np.inf)
+
 
 @dataclass(frozen=True)
-class Normal(Distribution):
+class Normal(Distribution, spec="normal", keys=("mean", "sigma2"), sweep="sigma2"):
     mean: float
     sigma2: float
 
@@ -100,9 +139,13 @@ class Normal(Distribution):
         _check(_finite(self.mean, self.sigma2) and self.sigma2 > 0,
                f"normal requires finite mean and sigma2 > 0, got mean={self.mean}, sigma2={self.sigma2}")
 
+    def _logpdf(self, x):
+        return (-0.5 * (_LOG_2PI + math.log(self.sigma2))
+                - (x - self.mean) ** 2 / (2.0 * self.sigma2))
+
 
 @dataclass(frozen=True)
-class Uniform(Distribution):
+class Uniform(Distribution, spec="uniform", keys=("a", "b"), sweep="b"):
     a: float
     b: float
 
@@ -110,18 +153,28 @@ class Uniform(Distribution):
         _check(_finite(self.a, self.b) and self.a < self.b,
                f"uniform requires a < b, got a={self.a}, b={self.b}")
 
+    def _logpdf(self, x):
+        inside = (x >= self.a) & (x <= self.b)
+        return np.where(inside, -math.log(self.b - self.a), -np.inf)
+
 
 @dataclass(frozen=True)
-class Poisson(Distribution):
+class Poisson(Distribution, spec="poisson", keys=("lambda",), sweep="lambda", discrete=True):
     lam: float
 
     def __post_init__(self):
         _check(_finite(self.lam) and self.lam > 0,
                f"poisson requires lambda > 0, got {self.lam}")
 
+    def _logpmf(self, k):
+        ok = (k >= 0) & (k == np.floor(k))
+        ks = np.where(ok, k, 0.0)
+        out = ks * math.log(self.lam) - self.lam - log_gamma(ks + 1.0)
+        return np.where(ok, out, -np.inf)
+
 
 @dataclass(frozen=True)
-class Binomial(Distribution):
+class Binomial(Distribution, spec="binomial", keys=("n", "p"), sweep="p", discrete=True):
     n: int
     p: float
 
@@ -131,9 +184,17 @@ class Binomial(Distribution):
         _check(_finite(self.p) and 0.0 < self.p < 1.0,
                f"binomial requires p in (0, 1), got p={self.p}")
 
+    def _logpmf(self, k):
+        ok = (k >= 0) & (k <= self.n) & (k == np.floor(k))
+        ks = np.where(ok, k, 0.0)
+        out = (log_gamma(self.n + 1.0) - log_gamma(ks + 1.0) - log_gamma(self.n - ks + 1.0)
+               + ks * math.log(self.p) + (self.n - ks) * math.log1p(-self.p))
+        return np.where(ok, out, -np.inf)
+
 
 @dataclass(frozen=True)
-class NegBinomialConditional(Distribution):
+class NegBinomialConditional(Distribution, spec="nbcond", keys=("p", "r"), sweep="r",
+                             discrete=True):
     """Negative binomial conditioned on a strictly positive outcome.
 
     Only the conditional law P{X = k | X > 0}, k >= 1, is exposed; it is
@@ -149,55 +210,36 @@ class NegBinomialConditional(Distribution):
         _check(_finite(self.r) and self.r > 0,
                f"nbcond requires r > 0, got r={self.r}")
 
+    def _logpmf(self, k):
+        ok = (k >= 1) & (k == np.floor(k))
+        ks = np.where(ok, k, 1.0)
+        # log(1 - p^r) via expm1 keeps precision for r near 0
+        log_one_minus_pr = math.log(-math.expm1(self.r * math.log(self.p)))
+        out = (log_gamma(ks + self.r) - log_gamma(self.r) - log_gamma(ks + 1.0)
+               + ks * math.log1p(-self.p) + self.r * math.log(self.p) - log_one_minus_pr)
+        return np.where(ok, out, -np.inf)
+
 
 @dataclass(frozen=True)
-class Logarithmic(Distribution):
+class Logarithmic(Distribution, spec="logarithmic", keys=("p",), sweep="p", discrete=True):
     p: float
 
     def __post_init__(self):
         _check(_finite(self.p) and 0.0 < self.p < 1.0,
                f"logarithmic requires p in (0, 1), got p={self.p}")
 
-
-_DISCRETE = (Poisson, Binomial, NegBinomialConditional, Logarithmic)
-
-
-@dataclass(frozen=True)
-class DensityBound:
-    """Supremum M of a bounded density and where it is attained (None if everywhere)."""
-
-    M: float
-    attained_at: float | None
+    def _logpmf(self, k):
+        ok = (k >= 1) & (k == np.floor(k))
+        ks = np.where(ok, k, 1.0)
+        out = ks * math.log1p(-self.p) - np.log(ks) - math.log(-math.log(self.p))
+        return np.where(ok, out, -np.inf)
 
 
 def logpdf(d: Distribution, x):
     """Log-density at x (scalar or array); -inf outside the support."""
     if d.is_discrete:
         raise FamilyMismatchError(f"{type(d).__name__} is discrete; use pmf/logpmf")
-    x = np.asarray(x, dtype=float)
-    if isinstance(d, ChiSquared):
-        return logpdf(d.as_gamma(), x)
-    if isinstance(d, Gamma):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            lx = np.log(np.where(x > 0, x, 1.0))
-            out = d.mu * math.log(d.lam) - log_gamma(d.mu) + (d.mu - 1.0) * lx - d.lam * x
-        return np.where(x > 0, out, -np.inf)
-    if isinstance(d, Exponential):
-        return np.where(x > 0, math.log(d.lam) - d.lam * x, -np.inf)
-    if isinstance(d, Laplace):
-        return math.log(d.lam / 2.0) - d.lam * np.abs(x - d.mu)
-    if isinstance(d, LogNormal):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            lx = np.log(np.where(x > 0, x, 1.0))
-            out = (-lx - 0.5 * math.log(d.sigma2) - 0.5 * _LOG_2PI
-                   - (lx - d.m) ** 2 / (2.0 * d.sigma2))
-        return np.where(x > 0, out, -np.inf)
-    if isinstance(d, Normal):
-        return -0.5 * (_LOG_2PI + math.log(d.sigma2)) - (x - d.mean) ** 2 / (2.0 * d.sigma2)
-    if isinstance(d, Uniform):
-        inside = (x >= d.a) & (x <= d.b)
-        return np.where(inside, -math.log(d.b - d.a), -np.inf)
-    raise FamilyMismatchError(f"unknown family {type(d).__name__}")
+    return d._logpdf(np.asarray(x, dtype=float))
 
 
 def pdf(d: Distribution, x):
@@ -210,32 +252,7 @@ def logpmf(d: Distribution, k):
     """Log-probability at integer k (scalar or array); -inf outside the support."""
     if not d.is_discrete:
         raise FamilyMismatchError(f"{type(d).__name__} is continuous; use pdf/logpdf")
-    k = np.asarray(k, dtype=float)
-    if isinstance(d, Poisson):
-        ok = (k >= 0) & (k == np.floor(k))
-        ks = np.where(ok, k, 0.0)
-        out = ks * math.log(d.lam) - d.lam - log_gamma(ks + 1.0)
-        return np.where(ok, out, -np.inf)
-    if isinstance(d, Binomial):
-        ok = (k >= 0) & (k <= d.n) & (k == np.floor(k))
-        ks = np.where(ok, k, 0.0)
-        out = (log_gamma(d.n + 1.0) - log_gamma(ks + 1.0) - log_gamma(d.n - ks + 1.0)
-               + ks * math.log(d.p) + (d.n - ks) * math.log1p(-d.p))
-        return np.where(ok, out, -np.inf)
-    if isinstance(d, NegBinomialConditional):
-        ok = (k >= 1) & (k == np.floor(k))
-        ks = np.where(ok, k, 1.0)
-        # log(1 - p^r) via expm1 keeps precision for r near 0
-        log_one_minus_pr = math.log(-math.expm1(d.r * math.log(d.p)))
-        out = (log_gamma(ks + d.r) - log_gamma(d.r) - log_gamma(ks + 1.0)
-               + ks * math.log1p(-d.p) + d.r * math.log(d.p) - log_one_minus_pr)
-        return np.where(ok, out, -np.inf)
-    if isinstance(d, Logarithmic):
-        ok = (k >= 1) & (k == np.floor(k))
-        ks = np.where(ok, k, 1.0)
-        out = ks * math.log1p(-d.p) - np.log(ks) - math.log(-math.log(d.p))
-        return np.where(ok, out, -np.inf)
-    raise FamilyMismatchError(f"unknown family {type(d).__name__}")
+    return d._logpmf(np.asarray(k, dtype=float))
 
 
 def pmf(d: Distribution, k):
@@ -244,71 +261,19 @@ def pmf(d: Distribution, k):
     return float(out) if np.ndim(out) == 0 else out
 
 
-def density_sup(d: Distribution) -> DensityBound:
-    """Exact supremum of the density of a bounded continuous family.
-
-    Raises UnboundedDensityError for Gamma with mu < 1 (equivalently
-    chi-squared with nu = 1), whose density blows up at 0.
-    """
-    if d.is_discrete:
-        raise FamilyMismatchError(f"{type(d).__name__} is discrete; densities only")
-    if isinstance(d, ChiSquared):
-        bound = density_sup(d.as_gamma())
-        return bound
-    if isinstance(d, Gamma):
-        if d.mu < 1.0:
-            raise UnboundedDensityError(
-                f"gamma density with mu = {d.mu} < 1 is unbounded at 0; "
-                "the modified Shannon entropy does not exist")
-        if d.mu == 1.0:
-            return DensityBound(d.lam, 0.0)
-        mode = (d.mu - 1.0) / d.lam
-        log_m = (d.mu * math.log(d.lam) - log_gamma(d.mu)
-                 + (d.mu - 1.0) * math.log(mode) - (d.mu - 1.0))
-        return DensityBound(math.exp(log_m), mode)
-    if isinstance(d, Exponential):
-        return DensityBound(d.lam, 0.0)
-    if isinstance(d, Laplace):
-        return DensityBound(d.lam / 2.0, d.mu)
-    if isinstance(d, LogNormal):
-        sigma = math.sqrt(d.sigma2)
-        m_val = math.exp(0.5 * d.sigma2 - d.m) / (sigma * math.sqrt(2.0 * math.pi))
-        return DensityBound(m_val, math.exp(d.m - d.sigma2))
-    if isinstance(d, Normal):
-        return DensityBound(1.0 / math.sqrt(2.0 * math.pi * d.sigma2), d.mean)
-    if isinstance(d, Uniform):
-        return DensityBound(1.0 / (d.b - d.a), None)
-    raise FamilyMismatchError(f"unknown family {type(d).__name__}")
-
-
 # --- textual parameter syntax used by the CLI -------------------------------
-
-_SPEC_TABLE = {
-    "gamma": (Gamma, (("lambda", "lam", float), ("mu", "mu", float))),
-    "exp": (Exponential, (("lambda", "lam", float),)),
-    "chisq": (ChiSquared, (("nu", "nu", int),)),
-    "laplace": (Laplace, (("mu", "mu", float), ("lambda", "lam", float))),
-    "lognormal": (LogNormal, (("m", "m", float), ("sigma2", "sigma2", float))),
-    "normal": (Normal, (("mean", "mean", float), ("sigma2", "sigma2", float))),
-    "uniform": (Uniform, (("a", "a", float), ("b", "b", float))),
-    "poisson": (Poisson, (("lambda", "lam", float),)),
-    "binomial": (Binomial, (("n", "n", int), ("p", "p", float))),
-    "nbcond": (NegBinomialConditional, (("p", "p", float), ("r", "r", float))),
-    "logarithmic": (Logarithmic, (("p", "p", float),)),
-}
-
 
 def parse_spec(text: str) -> Distribution:
     """Parse 'family:key=val,key=val' into a Distribution, e.g. 'gamma:lambda=1,mu=2'."""
     head, sep, rest = text.strip().partition(":")
     family = head.strip().lower()
-    if family not in _SPEC_TABLE:
+    if family not in _FAMILIES:
         raise ParameterError(
-            f"unknown family {family!r}; expected one of {', '.join(sorted(_SPEC_TABLE))}")
-    cls, fields = _SPEC_TABLE[family]
+            f"unknown family {family!r}; expected one of {', '.join(sorted(_FAMILIES))}")
+    cls = _FAMILIES[family]
     if not sep or not rest.strip():
         raise ParameterError(f"family {family!r} needs parameters, e.g. "
-                             + family + ":" + ",".join(f"{k}=..." for k, _, _ in fields))
+                             + family + ":" + ",".join(f"{k}=..." for k, _, _ in cls.spec_fields))
     given = {}
     for item in rest.split(","):
         key, eq, val = item.partition("=")
@@ -316,7 +281,7 @@ def parse_spec(text: str) -> Distribution:
             raise ParameterError(f"malformed parameter {item!r}; expected key=value")
         given[key.strip().lower()] = val.strip()
     kwargs = {}
-    for key, attr, conv in fields:
+    for key, attr, conv in cls.spec_fields:
         if key not in given:
             raise ParameterError(f"family {family!r} is missing parameter {key!r}")
         raw = given.pop(key)
@@ -330,9 +295,6 @@ def parse_spec(text: str) -> Distribution:
 
 
 def format_spec(d: Distribution) -> str:
-    """Inverse of parse_spec, used for CSV headers and error messages."""
-    for name, (cls, fields) in _SPEC_TABLE.items():
-        if type(d) is cls:
-            parts = ",".join(f"{key}={getattr(d, attr):g}" for key, attr, _ in fields)
-            return f"{name}:{parts}"
-    raise ParameterError(f"unknown family {type(d).__name__}")
+    """Inverse of parse_spec: parse_spec(format_spec(d)) == d."""
+    parts = ",".join(f"{key}={conv(getattr(d, attr))!r}" for key, attr, conv in d.spec_fields)
+    return f"{d.spec_name}:{parts}"

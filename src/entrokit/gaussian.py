@@ -42,7 +42,8 @@ class CovMatrix:
             raise ParameterError("covariance diagonal entries must be strictly positive")
         a.setflags(write=False)
         object.__setattr__(self, "entries", a)
-        _pivoted_factor(a)  # raises NotPSDError on a negative pivot
+        # (pivots, singular), kept so each matrix is factored once; NotPSDError if not PSD
+        object.__setattr__(self, "_factor", _pivoted_factor(a))
 
     @property
     def n(self) -> int:
@@ -94,8 +95,7 @@ def cholesky_pivots(a: CovMatrix) -> np.ndarray:
     All pivots strictly positive certifies positive definiteness even
     when the determinant itself underflows the reporting floor.
     """
-    pivots, _ = _pivoted_factor(a.entries)
-    return pivots
+    return a._factor[0].copy()
 
 
 def det_psd(a: CovMatrix) -> DetResult:
@@ -105,7 +105,7 @@ def det_psd(a: CovMatrix) -> DetResult:
     singular flag set; the flag marks the categorical det = 0 case
     (Gaussian entropy -inf), not a tiny-but-meaningful value.
     """
-    pivots, singular = _pivoted_factor(a.entries)
+    pivots, singular = a._factor
     if singular:
         return DetResult(0.0, True)
     log_det = float(np.sum(np.log(pivots)))
@@ -124,12 +124,10 @@ def gaussian_entropy(a: CovMatrix) -> float:
     (n/2)(1 + log 2 pi) + (1/2) log det; raises SingularCovarianceError
     when the determinant is flagged zero.
     """
-    pivots, singular = _pivoted_factor(a.entries)
-    det = det_psd(a)
-    if singular or det.singular:
+    if det_psd(a).singular:
         raise SingularCovarianceError(
             "covariance determinant is 0; the entropy is -inf and not representable")
-    log_det = float(np.sum(np.log(pivots)))
+    log_det = float(np.sum(np.log(a._factor[0])))
     n = a.n
     return 0.5 * n * (1.0 + math.log(2.0 * math.pi)) + 0.5 * log_det
 

@@ -8,7 +8,8 @@ and its derivative through
 
     H'(lam) = exp(-lam) * sum_{i>=1} lam**i log(i+1) / i!  -  log(lam),
 
-both with the same certified geometric tail used by the oracle engine.
+both summed by the oracle's certified series engine; this module only
+supplies the terms and their ratio bound.
 The convergence experiments produce tables: binomial entropies with
 p_n = lam/n approaching the Poisson entropy, and conditional negative
 binomial entropies approaching the logarithmic entropy as r -> 0.
@@ -23,7 +24,7 @@ import numpy as np
 
 from . import oracle
 from .distributions import Binomial, Logarithmic, NegBinomialConditional
-from .errors import ParameterError, SeriesBudgetError
+from .errors import ParameterError
 from .special import log_gamma
 
 
@@ -59,37 +60,24 @@ class ConvergenceTable:
         return [r.abs_error for r in self.rows]
 
 
-def _certified_poisson_sum(lam: float, weight, weight_name: str, k0: int,
-                           tail_tol: float, max_terms: int) -> float:
-    """Sum of pois_pmf(lam, k) * weight(k) for k >= k0 with a certified tail.
+def _poisson_series(lam: float, weight, start: int, cfg: oracle.OracleConfig) -> float:
+    """Sum of pois_pmf(lam, k) * weight(k) for k >= start with a certified tail.
 
     weight must be positive and increasing with decreasing successive
-    ratios weight(k+1)/weight(k) on k >= k0 (true for log(k!) from k = 2
-    and log(k+1) from k = 1), so that the transformed term ratio is
-    bounded by its value at the current index.
+    ratios weight(k+1)/weight(k) on k >= start (true for log(k!) from
+    k = 2 and log(k+1) from k = 1), so that the transformed term ratio
+    is bounded by its value at the current index.
     """
-    total = 0.0
-    k = k0
-    block = 64
     log_lam = math.log(lam)
-    while k <= max_terms:
-        ks = np.arange(k, min(k + block, max_terms + 1), dtype=float)
+
+    def block(ks):
+        ks = ks.astype(float)
         w = weight(ks)
-        terms = np.exp(ks * log_lam - lam - log_gamma(ks + 1.0)) * w
-        total += float(terms.sum())
-        k_last = ks[-1]
-        w_last = float(w[-1])
-        w_next = float(weight(np.array([k_last + 1.0]))[0])
-        q = lam / (k_last + 1.0) * (w_next / w_last)
-        if q < 1.0:
-            t_last = float(terms[-1])
-            tail = 2.0 * t_last * q / (1.0 - q)
-            if tail <= tail_tol:
-                return total
-        k = int(k_last) + 1
-        block = min(2 * block, 65536)
-    raise SeriesBudgetError(
-        f"poisson series ({weight_name}) tail not certified within {max_terms} terms")
+        w_next = float(weight(np.array([ks[-1] + 1.0]))[0])
+        q = lam / (ks[-1] + 1.0) * (w_next / float(w[-1]))
+        return ks * log_lam - lam - log_gamma(ks + 1.0), w, q
+
+    return oracle._certified_series(block, start, 1.0, cfg).value
 
 
 def poisson_entropy(lam: float, cfg: oracle.OracleConfig | None = None) -> float:
@@ -97,8 +85,7 @@ def poisson_entropy(lam: float, cfg: oracle.OracleConfig | None = None) -> float
     if not (isinstance(lam, (int, float)) and lam > 0 and math.isfinite(lam)):
         raise ParameterError(f"lambda must be a positive real, got {lam}")
     cfg = cfg or oracle.OracleConfig()
-    series = _certified_poisson_sum(lam, lambda k: log_gamma(k + 1.0), "log k!",
-                                    2, cfg.series_tail_tol, cfg.max_terms)
+    series = _poisson_series(lam, lambda k: log_gamma(k + 1.0), 2, cfg)
     return -lam * (math.log(lam) - 1.0) + series
 
 
@@ -107,9 +94,7 @@ def poisson_entropy_derivative(lam: float, cfg: oracle.OracleConfig | None = Non
     if not (isinstance(lam, (int, float)) and lam > 0 and math.isfinite(lam)):
         raise ParameterError(f"lambda must be a positive real, got {lam}")
     cfg = cfg or oracle.OracleConfig()
-    series = _certified_poisson_sum(lam, lambda k: np.log(k + 1.0), "log(i+1)",
-                                    1, cfg.series_tail_tol, cfg.max_terms)
-    return series - math.log(lam)
+    return _poisson_series(lam, lambda k: np.log(k + 1.0), 1, cfg) - math.log(lam)
 
 
 def appendix_series_growth(lam_grid, cfg: oracle.OracleConfig | None = None):
@@ -122,12 +107,7 @@ def appendix_series_growth(lam_grid, cfg: oracle.OracleConfig | None = None):
     if not lams or any(b <= a for a, b in zip(lams, lams[1:])):
         raise ParameterError("lambda grid must be strictly increasing")
     cfg = cfg or oracle.OracleConfig()
-    out = []
-    for lam in lams:
-        series = _certified_poisson_sum(lam, lambda k: np.log(k + 1.0), "log(i+1)",
-                                        1, cfg.series_tail_tol, cfg.max_terms)
-        out.append((lam, series))
-    return out
+    return [(lam, _poisson_series(lam, lambda k: np.log(k + 1.0), 1, cfg)) for lam in lams]
 
 
 def binomial_to_poisson(lam: float, n_grid, perturb: float = 0.0,

@@ -1,7 +1,9 @@
 """Independent numerical ground truth for the closed forms.
 
 Two engines live here and deliberately share nothing with the formula
-code they are used to check:
+code they are used to check; what they need to know of a family (support,
+map scale, split points, singular endpoint, ratio bound) is one row of
+_PLANS:
 
 * adaptive panel quadrature with an embedded Gauss(7)/Kronrod(15) pair
   for the error estimate.  Half-line integrals are mapped onto (0, 1)
@@ -11,10 +13,11 @@ code they are used to check:
   mesh is graded geometrically toward the singular endpoint so the
   error estimate stays trustworthy.
 
-* series summation for the discrete laws with a certified geometric
-  tail: once the uniform one-step ratio bound q of the transformed
-  terms is below 1, the remaining tail is at most term * q / (1 - q),
-  reported with an extra factor-2 safety margin.
+* one series engine, for the discrete laws and the Poisson series of
+  limits, with a certified geometric tail: once the uniform one-step
+  ratio bound q of the transformed terms is below 1, the remaining tail
+  is at most term * q / (1 - q), reported with an extra factor-2 safety
+  margin plus an a-priori rounding bound.
 
 Every public routine returns its error estimate alongside the value.
 """
@@ -27,11 +30,11 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import distributions as dist
+from .distributions import (Binomial, ChiSquared, Distribution, Exponential, Gamma,
+                            Laplace, Logarithmic, LogNormal, NegBinomialConditional,
+                            Normal, Poisson, Uniform, logpdf, logpmf)
 from .errors import (FamilyMismatchError, NonConvergenceError, ParameterError,
                      SeriesBudgetError, UnsupportedFamilyError, ValidityDomainError)
-from .distributions import (ChiSquared, Distribution, Exponential, Gamma, Laplace,
-                            LogNormal, Normal, Uniform, logpdf, logpmf)
 
 
 @dataclass(frozen=True)
@@ -217,24 +220,61 @@ def _power_weight(d: Distribution, alpha: float, with_log: bool) -> Callable:
     return g
 
 
-def _halfline_plan(d: Distribution, alpha: float):
-    """(scale, singular_at_zero) for the alpha-power integrand of d."""
-    if isinstance(d, ChiSquared):
-        return _halfline_plan(d.as_gamma(), alpha)
-    if isinstance(d, Gamma):
-        a = alpha * (d.mu - 1.0)
-        if a <= -1.0:
-            raise ValidityDomainError(
-                f"integral of p**alpha diverges: alpha*(mu-1) = {a:.6g} <= -1")
-        escort_mean = (a + 1.0) / (alpha * d.lam)
-        return max(escort_mean, d.mu / d.lam), a < 0.0
-    if isinstance(d, Exponential):
-        return 1.0 / d.lam, False
-    if isinstance(d, LogNormal):
-        # location of the mass of p**alpha (escort is a lognormal itself)
-        center = d.m + (1.0 - alpha) * d.sigma2 / alpha
-        return math.exp(center), False
-    raise UnsupportedFamilyError(f"{type(d).__name__} is not a half-line family")
+# --- per-family plans ---------------------------------------------------------
+
+class _Plan(NamedTuple):
+    """How the engines cover the support of one record."""
+
+    support: str                   # "halfline", "realline", "interval[a,b]" or "discrete"
+    scale: float = 1.0             # of the x = scale*t/(1-t) tail map
+    splits: tuple = ()             # real-line split points, or the interval's ends
+    singular: bool = False         # integrand unbounded at x = 0
+    start: int = 0                 # first index of a discrete support
+    stop: int | None = None        # last index of a finite support
+    ratio: Callable | None = None  # ratio(k) >= p_{j+1}/p_j for every j >= k
+
+
+def _gamma_plan(d: Gamma, alpha: float) -> _Plan:
+    a = alpha * (d.mu - 1.0)
+    if a <= -1.0:
+        raise ValidityDomainError(
+            f"integral of p**alpha diverges: alpha*(mu-1) = {a:.6g} <= -1")
+    escort_mean = (a + 1.0) / (alpha * d.lam)
+    return _Plan("halfline", scale=max(escort_mean, d.mu / d.lam), singular=a < 0.0)
+
+
+# plan(d, alpha) for the alpha-power integrand of d (alpha = 1 for KL)
+_PLANS = {
+    Gamma: _gamma_plan,
+    ChiSquared: lambda d, alpha: _gamma_plan(d.as_gamma(), alpha),
+    Exponential: lambda d, alpha: _Plan("halfline", scale=1.0 / d.lam),
+    # centred on the mass of p**alpha (the escort is a lognormal itself)
+    LogNormal: lambda d, alpha: _Plan(
+        "halfline", scale=math.exp(d.m + (1.0 - alpha) * d.sigma2 / alpha)),
+    Laplace: lambda d, alpha: _Plan("realline", scale=1.0 / d.lam, splits=(d.mu,)),
+    Normal: lambda d, alpha: _Plan("realline", scale=math.sqrt(d.sigma2), splits=(d.mean,)),
+    Uniform: lambda d, alpha: _Plan(f"interval[{d.a},{d.b}]", splits=(d.a, d.b)),
+    Poisson: lambda d, alpha: _Plan("discrete", ratio=lambda k: d.lam / (k + 1.0)),
+    Binomial: lambda d, alpha: _Plan("discrete", stop=d.n),
+    NegBinomialConditional: lambda d, alpha: _Plan(
+        "discrete", start=1, ratio=lambda k: (1.0 - d.p) * max(1.0, (k + d.r) / (k + 1.0))),
+    Logarithmic: lambda d, alpha: _Plan("discrete", start=1, ratio=lambda k: 1.0 - d.p),
+}
+
+
+def _plan(d: Distribution, alpha: float) -> _Plan:
+    make = _PLANS.get(type(d))
+    if make is None:
+        raise UnsupportedFamilyError(f"no oracle plan for {type(d).__name__}")
+    return make(d, alpha)
+
+
+def _integrate(g: Callable, plan: _Plan, cfg: OracleConfig) -> QuadResult:
+    if plan.support == "halfline":
+        return integrate_halfline(g, cfg, scale=plan.scale, singular_at_zero=plan.singular)
+    if plan.support == "realline":
+        return integrate_realline(g, cfg, plan.splits, scale=plan.scale)
+    return integrate_interval(g, np.linspace(*plan.splits, 17), cfg)
 
 
 def _density_power_integral(d: Distribution, alpha: float, cfg: OracleConfig,
@@ -243,17 +283,7 @@ def _density_power_integral(d: Distribution, alpha: float, cfg: OracleConfig,
         raise FamilyMismatchError("power integrals are defined for continuous families")
     if not (alpha > 0):
         raise ParameterError(f"alpha must be positive, got {alpha}")
-    g = _power_weight(d, alpha, with_log)
-    if isinstance(d, (Gamma, ChiSquared, Exponential, LogNormal)):
-        scale, singular = _halfline_plan(d, alpha)
-        return integrate_halfline(g, cfg, scale=scale, singular_at_zero=singular)
-    if isinstance(d, Laplace):
-        return integrate_realline(g, cfg, [d.mu], scale=1.0 / d.lam)
-    if isinstance(d, Normal):
-        return integrate_realline(g, cfg, [d.mean], scale=math.sqrt(d.sigma2))
-    if isinstance(d, Uniform):
-        return integrate_interval(g, np.linspace(d.a, d.b, 17), cfg)
-    raise UnsupportedFamilyError(f"unknown continuous family {type(d).__name__}")
+    return _integrate(_power_weight(d, alpha, with_log), _plan(d, alpha), cfg)
 
 
 def integral_p_alpha(d: Distribution, alpha: float, cfg: OracleConfig) -> QuadResult:
@@ -266,23 +296,14 @@ def integral_p_alpha_log_p(d: Distribution, alpha: float, cfg: OracleConfig) -> 
     return _density_power_integral(d, alpha, cfg, with_log=True)
 
 
-def _support_tag(d: Distribution) -> str:
-    if isinstance(d, (Gamma, ChiSquared, Exponential, LogNormal)):
-        return "halfline"
-    if isinstance(d, (Laplace, Normal)):
-        return "realline"
-    if isinstance(d, Uniform):
-        return f"interval[{d.a},{d.b}]"
-    return "discrete"
-
-
 def kl_integral(p: Distribution, q: Distribution, cfg: OracleConfig) -> QuadResult:
     """Numerical Kullback-Leibler divergence of p from q (continuous pairs)."""
     if p.is_discrete or q.is_discrete:
         raise FamilyMismatchError("kl_integral handles continuous pairs only")
-    if _support_tag(p) != _support_tag(q):
+    plan_p, plan_q = _plan(p, 1.0), _plan(q, 1.0)
+    if plan_p.support != plan_q.support:
         raise UnsupportedFamilyError(
-            f"supports differ: {_support_tag(p)} vs {_support_tag(q)}")
+            f"supports differ: {plan_p.support} vs {plan_q.support}")
 
     def g(x):
         lp = logpdf(p, x)
@@ -291,45 +312,69 @@ def kl_integral(p: Distribution, q: Distribution, cfg: OracleConfig) -> QuadResu
             out = np.exp(lp) * (lp - lq)
         return np.where(np.isneginf(lp), 0.0, out)
 
-    tag = _support_tag(p)
-    if tag == "halfline":
-        scale, singular = _halfline_plan(p, 1.0)
-        if isinstance(q, (Gamma, ChiSquared)):
-            gq = q.as_gamma() if isinstance(q, ChiSquared) else q
-            singular = singular or gq.mu < 1.0
-        return integrate_halfline(g, cfg, scale=scale, singular_at_zero=singular)
-    if tag == "realline":
-        pts = {p.mu if isinstance(p, Laplace) else p.mean,
-               q.mu if isinstance(q, Laplace) else q.mean}
-        scale = 1.0 / p.lam if isinstance(p, Laplace) else math.sqrt(p.sigma2)
-        return integrate_realline(g, cfg, sorted(pts), scale=scale)
-    return integrate_interval(g, np.linspace(p.a, p.b, 17), cfg)
+    plan = plan_p._replace(splits=tuple(sorted(set(plan_p.splits) | set(plan_q.splits))),
+                           singular=plan_p.singular or plan_q.singular)
+    return _integrate(g, plan, cfg)
 
 
-# --- discrete series with certified truncation ------------------------------
+# --- series with certified truncation -------------------------------------------
 
 _TRANSFORMS = ("p_log_p", "p_alpha", "p_alpha_log_p")
+_U = 2.0**-53  # unit roundoff
+_TERM_ULPS = 4.0  # rounding in one term, in units of _U * (1 + |alpha log p_k|)
 
 
-def _ratio_bound(d: Distribution, k: int) -> float:
-    """Upper bound on p_{j+1}/p_j valid for every j >= k."""
-    if isinstance(d, dist.Poisson):
-        return d.lam / (k + 1.0)
-    if isinstance(d, dist.NegBinomialConditional):
-        return (1.0 - d.p) * max(1.0, (k + d.r) / (k + 1.0))
-    if isinstance(d, dist.Logarithmic):
-        return 1.0 - d.p
-    raise UnsupportedFamilyError(f"no ratio bound for {type(d).__name__}")
+def _weighted(lp, alpha: float, w):
+    """Terms exp(alpha * lp) * w, where w None means all ones."""
+    with np.errstate(all="ignore"):
+        t = np.exp(alpha * lp)
+        return t if w is None else t * w
+
+
+def _certified_series(block: Callable, start: int, alpha: float,
+                      cfg: OracleConfig) -> SeriesResult:
+    """Sum of exp(alpha * lp_k) * w_k over k >= start with a certified tail.
+
+    block(ks) returns (lp, w, q) on an index array: log p_k, the weights
+    (None for ones) and q >= |t_{j+1} / t_j| for every j >= ks[-1] (inf
+    while none holds).  The terms share one sign.  Blocks grow from 64
+    to 65536 terms until the tail 2 t_last q / (1 - q) is at most
+    cfg.series_tail_tol, or SeriesBudgetError at max_terms.  tail_bound
+    adds an a-priori rounding bound (Higham 2002, section 4): a few ulp
+    times 1 + |alpha lp_k| per term, gamma_{m-1} sum |t| per m-term block
+    summed in any order, and one rounding of the running total per block;
+    with one sign, a block's sum |t| is its |sum|.
+    """
+    total = rounding = 0.0
+    k, size = start, 64
+    while k <= cfg.max_terms:
+        ks = np.arange(k, min(k + size, cfg.max_terms + 1))
+        lp, w, q = block(ks)
+        t = _weighted(lp, alpha, w)
+        s = float(t.sum())
+        total += s
+        m = len(ks)
+        term_err = _TERM_ULPS * _U * (1.0 + alpha * float(np.max(np.abs(lp))))
+        rounding += (term_err + (m - 1) * _U / (1.0 - (m - 1) * _U)) * abs(s) + _U * abs(total)
+        if q < 1.0:
+            tail = 2.0 * abs(float(t[-1])) * q / (1.0 - q)
+            if tail <= cfg.series_tail_tol:
+                return SeriesResult(total, tail + rounding, int(ks[-1]))
+        k = int(ks[-1]) + 1
+        size = min(2 * size, 65536)
+    raise SeriesBudgetError(
+        f"series tail not certified below {cfg.series_tail_tol:g} within "
+        f"max_terms={cfg.max_terms}")
 
 
 def discrete_entropy_sum(d: Distribution, transform: str, alpha: float,
                          cfg: OracleConfig) -> SeriesResult:
     """Sum of p_k log p_k, p_k**alpha, or p_k**alpha log p_k over the support.
 
-    Binomial sums are exact (finite support).  For the infinite laws the
-    summation stops once the geometric tail certificate is below
-    cfg.series_tail_tol; SeriesBudgetError is raised if max_terms is hit
-    before the certificate activates.
+    Binomial sums are exact (finite support, tail_bound 0).  For the
+    infinite laws the summation stops once the geometric tail
+    certificate is below cfg.series_tail_tol; SeriesBudgetError is
+    raised if max_terms is hit before the certificate activates.
     """
     if not d.is_discrete:
         raise FamilyMismatchError("discrete_entropy_sum needs a discrete family")
@@ -340,44 +385,26 @@ def discrete_entropy_sum(d: Distribution, transform: str, alpha: float,
     elif not (alpha > 0):
         raise ParameterError(f"alpha must be positive, got {alpha}")
     with_log = transform in ("p_log_p", "p_alpha_log_p")
+    plan = _plan(d, alpha)
 
-    if isinstance(d, dist.Binomial):
-        ks = np.arange(0, d.n + 1)
-        lp = logpmf(d, ks)
-        w = np.exp(alpha * lp)
-        if with_log:
-            w = w * lp
-        return SeriesResult(float(w.sum()), 0.0, d.n)
+    if plan.stop is not None:
+        lp = logpmf(d, np.arange(plan.start, plan.stop + 1))
+        return SeriesResult(float(_weighted(lp, alpha, lp if with_log else None).sum()),
+                            0.0, plan.stop)
 
-    k = 0 if isinstance(d, dist.Poisson) else 1
-    total = 0.0
-    block = 64
-    while k <= cfg.max_terms:
-        ks = np.arange(k, min(k + block, cfg.max_terms + 1))
+    def block(ks):
         lp = np.asarray(logpmf(d, ks), dtype=float)
-        with np.errstate(all="ignore"):
-            w = np.exp(alpha * lp)
-            if with_log:
-                w = w * lp
-        total += float(w.sum())
-        k_last = int(ks[-1])
         lp_last = float(lp[-1])
-        rho = _ratio_bound(d, k_last)
+        rho = plan.ratio(int(ks[-1]))
+        q = math.inf
         if rho < 1.0 and lp_last < 0.0:
             q = rho**alpha
             if with_log:
                 # x**alpha * log(1/x) <= 1/(alpha*e) on (0,1)
                 q += (1.0 / (alpha * math.e)) / (-lp_last)
-            if q < 1.0:
-                t_last = math.exp(alpha * lp_last) * ((-lp_last) if with_log else 1.0)
-                tail = 2.0 * t_last * q / (1.0 - q)
-                if tail <= cfg.series_tail_tol:
-                    return SeriesResult(total, tail, k_last)
-        k = k_last + 1
-        block = min(2 * block, 65536)
-    raise SeriesBudgetError(
-        f"series tail not certified below {cfg.series_tail_tol:g} within "
-        f"max_terms={cfg.max_terms}")
+        return lp, (lp if with_log else None), q
+
+    return _certified_series(block, plan.start, alpha, cfg)
 
 
 def entropy_estimate(d: Distribution, measure: str, alpha: float | None,

@@ -22,32 +22,26 @@ CORE_FAMILIES = ("gamma", "exp", "chisq", "laplace", "lognormal")
 ORACLE_MEASURES = ("shannon", "renyi", "gr1", "tsallis", "gr2", "sm")
 
 
+# one admissible draw per family, kept at desk scale; arguments are drawn left to right
+_DRAWS = {
+    "gamma": lambda rng: Gamma(10 ** rng.uniform(-1.0, 0.9), 10 ** rng.uniform(-0.8, 0.9)),
+    "exp": lambda rng: Exponential(10 ** rng.uniform(-1.0, 1.0)),
+    "chisq": lambda rng: ChiSquared(int(rng.integers(1, 13))),
+    "laplace": lambda rng: Laplace(rng.uniform(-3.0, 3.0), 10 ** rng.uniform(-1.0, 1.0)),
+    "lognormal": lambda rng: LogNormal(rng.uniform(-2.0, 2.0), 10 ** rng.uniform(-0.8, 0.4)),
+    "normal": lambda rng: Normal(rng.uniform(-3.0, 3.0), 10 ** rng.uniform(-1.0, 1.0)),
+    "uniform": lambda rng: Uniform(a := rng.uniform(-3.0, 1.0),
+                                   a + 10 ** rng.uniform(-1.0, 1.0)),
+}
+
+_GAMMA_SHAPE = {Gamma: lambda d: d.mu, ChiSquared: lambda d: d.nu / 2.0}
+
+
 def random_distribution(family: str, rng: np.random.Generator) -> Distribution:
     """One admissible parameter draw, kept at desk scale."""
-    if family == "gamma":
-        return Gamma(10 ** rng.uniform(-1.0, 0.9), 10 ** rng.uniform(-0.8, 0.9))
-    if family == "exp":
-        return Exponential(10 ** rng.uniform(-1.0, 1.0))
-    if family == "chisq":
-        return ChiSquared(int(rng.integers(1, 13)))
-    if family == "laplace":
-        return Laplace(rng.uniform(-3.0, 3.0), 10 ** rng.uniform(-1.0, 1.0))
-    if family == "lognormal":
-        return LogNormal(rng.uniform(-2.0, 2.0), 10 ** rng.uniform(-0.8, 0.4))
-    if family == "normal":
-        return Normal(rng.uniform(-3.0, 3.0), 10 ** rng.uniform(-1.0, 1.0))
-    if family == "uniform":
-        a = rng.uniform(-3.0, 1.0)
-        return Uniform(a, a + 10 ** rng.uniform(-1.0, 1.0))
-    raise ValueError(f"unknown family {family!r}")
-
-
-def _gamma_mu(d: Distribution) -> float | None:
-    if isinstance(d, ChiSquared):
-        return d.nu / 2.0
-    if isinstance(d, Gamma):
-        return d.mu
-    return None
+    if family not in _DRAWS:
+        raise ValueError(f"unknown family {family!r}")
+    return _DRAWS[family](rng)
 
 
 def random_order(d: Distribution, rng: np.random.Generator,
@@ -58,10 +52,10 @@ def random_order(d: Distribution, rng: np.random.Generator,
     alpha*(mu-1) >= -0.7, inside the validity domain with enough margin
     that the singular quadrature stays comfortably certified.
     """
-    mu = _gamma_mu(d)
+    shape = _GAMMA_SHAPE.get(type(d))
     hi = 3.5
-    if mu is not None and mu < 1.0:
-        hi = min(hi, 0.7 / (1.0 - mu))
+    if shape and shape(d) < 1.0:
+        hi = min(hi, 0.7 / (1.0 - shape(d)))
     for _ in range(1000):
         alpha = rng.uniform(0.3, hi)
         if abs(alpha - 1.0) < 0.05:

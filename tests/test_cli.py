@@ -201,3 +201,24 @@ class TestSelftestVerb:
     def test_unknown_family_exit_1(self, capsys):
         code, _, _ = run(capsys, "selftest", "--families", "weibull")
         assert code == 1
+
+
+class TestSweepRecords:
+    def test_spaced_spec_prints_same_bytes(self, capsys):
+        grid = ("--measure", "shannon", "--grid", "1,2")
+        code, spaced, err = run(capsys, "sweep", "--dist", "gamma: lambda=1, mu=2", *grid)
+        assert code == 0, err
+        code, plain, _ = run(capsys, "sweep", "--dist", "gamma:lambda=1,mu=2", *grid)
+        assert code == 0
+        assert spaced == plain
+
+    def test_integer_fields_need_integer_grid_values(self, capsys):
+        code, out, _ = run(capsys, "sweep", "--dist", "chisq:nu=3", "--measure", "shannon",
+                           "--grid", "1,2")
+        assert code == 0
+        assert out.splitlines()[0] == "nu,shannon"
+        for dist, param in (("chisq:nu=3", "nu"), ("binomial:n=10,p=0.3", "n")):
+            code, _, err = run(capsys, "sweep", "--dist", dist, "--measure", "shannon",
+                               "--param", param, "--grid", "2,2.5")
+            assert code == 1
+            assert "integer grid values" in err

@@ -188,3 +188,21 @@ def test_logpdf_vectorizes():
     out = logpdf(Gamma(1.0, 2.0), np.array([-1.0, 1.0, 2.0]))
     assert out.shape == (3,)
     assert out[0] == -math.inf
+
+
+@pytest.mark.parametrize("d", [
+    Gamma(1.23456789, 2), Exponential(0.1), ChiSquared(7), Laplace(-0.3, 1e-7),
+    LogNormal(1.0 / 3.0, 2.5), Normal(-1e300, 0.1), Uniform(-2.0, 1.0 / 7.0),
+    Poisson(12.345678901234), Binomial(100, 0.123456789),
+    NegBinomialConditional(0.3, 1e-6), Logarithmic(0.999),
+])
+def test_format_spec_inverts_parse_spec(d):
+    assert parse_spec(format_spec(d)) == d
+
+
+def test_format_spec_keeps_every_digit():
+    assert format_spec(Gamma(1.23456789, 2)) == "gamma:lambda=1.23456789,mu=2.0"
+    rng = np.random.default_rng(3)
+    for family in CONTINUOUS:  # numpy-float parameters format as plain numbers
+        d = random_distribution(family, rng)
+        assert parse_spec(format_spec(d)) == d

@@ -176,3 +176,21 @@ class TestRank1Extremal:
             rank1_extremal_vector([1.0, -2.0], [1, 1])
         with pytest.raises(ParameterError):
             rank1_extremal_vector([1.0, 2.0], [1, 2])
+
+
+def test_each_matrix_is_factored_once(monkeypatch):
+    from entrokit import gaussian
+
+    calls = []
+    factor = gaussian._pivoted_factor
+    monkeypatch.setattr(gaussian, "_pivoted_factor", lambda a: calls.append(1) or factor(a))
+    fgn_det_sweep(6, [0.2, 0.5, 0.8, 1.0])
+    assert len(calls) == 4
+    a = fgn_covariance(6, 0.7)
+    before = det_psd(a)
+    pivots = cholesky_pivots(a)
+    pivots[:] = 0.0  # a copy: the kept factorization is unaffected
+    gaussian_entropy(a)
+    hadamard_gap(a)
+    assert det_psd(a) == before
+    assert len(calls) == 5

@@ -161,3 +161,15 @@ class TestTableTypes:
         rows = (ExperimentRow(1.0, 1.0, 1.0, 0.0), ExperimentRow(1.0, 1.0, 1.0, 0.0))
         with pytest.raises(ParameterError):
             ConvergenceTable("n", rows)
+
+
+def test_poisson_series_share_the_oracle_budget():
+    from entrokit import OracleConfig  # noqa: PLC0415
+    from entrokit.errors import SeriesBudgetError  # noqa: PLC0415
+
+    tight = OracleConfig(max_terms=20)
+    for fn in (poisson_entropy, poisson_entropy_derivative):
+        with pytest.raises(SeriesBudgetError):
+            fn(50.0, tight)
+    with pytest.raises(SeriesBudgetError):
+        appendix_series_growth([50.0], tight)

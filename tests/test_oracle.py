@@ -208,3 +208,35 @@ def test_poisson_derivative_matches_finite_differences(lam, cfg):
 
     fd = (entropy(lam + h) - entropy(lam - h)) / (2.0 * h)
     assert poisson_entropy_derivative(lam) == pytest.approx(fd, abs=1e-6)
+
+
+@pytest.mark.parametrize("d,transform,alpha", [
+    (Logarithmic(0.01), "p_log_p", 1.0),
+    (Logarithmic(0.3), "p_alpha", 0.7),
+    (Poisson(30.0), "p_log_p", 1.0),
+    (Poisson(4.0), "p_alpha_log_p", 1.4),
+    (NegBinomialConditional(0.05, 0.3), "p_log_p", 1.0),
+])
+def test_tail_bound_covers_error_against_mpmath(d, transform, alpha, cfg):
+    """tail_bound bounds |value - true sum|, rounding included."""
+    mpmath = pytest.importorskip("mpmath")
+    res = discrete_entropy_sum(d, transform, alpha, cfg)
+    with mpmath.workdps(30):
+        if isinstance(d, Poisson):
+            lam = mpmath.mpf(d.lam)
+            log_p = lambda k: k * mpmath.log(lam) - lam - mpmath.loggamma(k + 1)  # noqa: E731
+        elif isinstance(d, Logarithmic):
+            p = mpmath.mpf(d.p)
+            log_p = lambda k: (k * mpmath.log1p(-p) - mpmath.log(k)  # noqa: E731
+                               - mpmath.log(-mpmath.log(p)))
+        else:
+            p, r = mpmath.mpf(d.p), mpmath.mpf(d.r)
+            log_p = lambda k: (mpmath.loggamma(k + r) - mpmath.loggamma(r)  # noqa: E731
+                               - mpmath.loggamma(k + 1) + k * mpmath.log1p(-p)
+                               + r * mpmath.log(p) - mpmath.log(1 - p**r))
+        k0 = 0 if isinstance(d, Poisson) else 1
+        exact = mpmath.fsum(mpmath.exp(alpha * lp) * (lp if transform != "p_alpha" else 1)
+                            for lp in map(log_p, range(k0, 2 * res.last_k + 50)))
+        assert abs(res.value - exact) <= res.tail_bound
+    # the rounding part alone exceeds one ulp of the sum
+    assert res.tail_bound > 2.0**-52 * abs(res.value)
