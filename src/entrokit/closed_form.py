@@ -33,9 +33,9 @@ from dataclasses import dataclass
 
 from . import oracle
 from .distributions import (ChiSquared, Distribution, Exponential, Gamma, Laplace,
-                            LogNormal, Normal, Uniform)
-from .errors import (FamilyMismatchError, ParameterError, UnboundedDensityError,
-                     UnsupportedFamilyError, ValidityDomainError)
+                            LogNormal, Normal, Uniform, format_spec)
+from .errors import (EntrokitError, FamilyMismatchError, ParameterError,
+                     UnboundedDensityError, UnsupportedFamilyError, ValidityDomainError)
 from .special import digamma, log_gamma
 
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -290,12 +290,24 @@ def kl_divergence(p: Distribution, q: Distribution) -> float:
 
     Supported families: Gamma, Exponential, ChiSquared, Laplace,
     LogNormal.  Nonnegative, and exactly zero iff the parameters agree.
+    Raises ParameterError when the divergence is not a finite float, as
+    for rates whose ratio leaves the floating-point range.
     """
     if type(p) is not type(q):
         raise UnsupportedFamilyError(
             f"kl_divergence needs a same-family pair, got "
             f"{type(p).__name__} and {type(q).__name__}")
-    return _closed_form("kl", p, q)
+    try:
+        value = _closed_form("kl", p, q)
+    except EntrokitError:
+        raise
+    except ValueError:  # math domain error: a parameter ratio left the float range
+        value = math.nan
+    if not math.isfinite(value):
+        raise ParameterError(
+            f"KL divergence of {format_spec(p)} from {format_spec(q)} is not a finite "
+            "float: the parameter ratio leaves the floating-point range")
+    return value
 
 
 _MOMENT_KINDS = ("plain", "times_log", "times_centered_sq")

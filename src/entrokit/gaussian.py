@@ -1,17 +1,26 @@
 """Gaussian-vector Shannon entropy, Hadamard extremes and fGn covariances.
 
-Determinants of covariance matrices are computed by symmetric Cholesky
-factorization with diagonal pivoting.  Pivots below the relative floor
-1e-12 * max(a_ii) terminate the factorization as rank-deficient, and a
-pivot below -1e-12 * max(a_ii) raises NotPSDError.  Determinant values
-under 1e-13 * prod(a_ii) are reported as 0 with a singular flag; near
-H = 1 the fractional-Gaussian-noise matrix is close enough to singular
-that naive elimination would otherwise return noise.
+Each covariance matrix is factored once, at construction, into its
+pivots: log det = sum log pivots.  A Toeplitz matrix (every diagonal
+exactly constant, as for fractional Gaussian noise) is factored by the
+Durbin-Levinson recursion on its first row in O(n^2) time and O(n)
+memory; its pivots are the prediction-error variances.  Any other matrix
+goes through a symmetric Cholesky factorization with diagonal pivoting
+in O(n^3).  The two routines share no code, so the tests use the
+pivoted one as the reference for the recursion.
+
+Singularity is decided by rank alone.  A pivot at or below the relative
+floor 1e-12 * max(a_ii) ends the factorization: the matrix is singular
+(det 0, entropy -inf) if what remains is consistent with rank
+deficiency, and NotPSDError is raised otherwise or for a pivot below
+-1e-12 * max(a_ii).  A positive-definite matrix whose determinant
+underflows is not singular; its entropy comes from the log pivots.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -20,7 +29,6 @@ import numpy as np
 from .errors import NotPSDError, ParameterError, SingularCovarianceError
 
 _PIVOT_REL_FLOOR = 1e-12
-_DET_REL_FLOOR = 1e-13
 _SYM_TOL = 1e-14
 
 
@@ -43,7 +51,8 @@ class CovMatrix:
         a.setflags(write=False)
         object.__setattr__(self, "entries", a)
         # (pivots, singular), kept so each matrix is factored once; NotPSDError if not PSD
-        object.__setattr__(self, "_factor", _pivoted_factor(a))
+        toeplitz = np.array_equal(a[1:, 1:], a[:-1, :-1])
+        object.__setattr__(self, "_factor", _levinson(a[0]) if toeplitz else _pivoted_factor(a))
 
     @property
     def n(self) -> int:
@@ -89,47 +98,88 @@ def _pivoted_factor(a: np.ndarray):
     return pivots, False
 
 
+def _levinson(r: np.ndarray):
+    """Durbin-Levinson factorization of the symmetric Toeplitz matrix with first row r.
+
+    Returns (pivots, singular) like _pivoted_factor.  The pivots are the
+    prediction-error variances v_k of the order-k predictors, in natural
+    order (the unpivoted factorization); a rank-deficient stop pads the
+    remainder with zeros.
+    """
+    n = r.shape[0]
+    floor = _PIVOT_REL_FLOOR * float(r[0])
+    pivots = np.zeros(n)
+    pivots[0] = v = float(r[0])
+    phi = np.zeros(n)  # phi[i - 1] is the coefficient of lag i in the current predictor
+    for k in range(1, n):
+        kappa = (float(r[k]) - float(phi[:k - 1] @ r[k - 1:0:-1])) / v
+        phi[:k - 1] -= kappa * phi[:k - 1][::-1]
+        phi[k - 1] = kappa
+        v *= (1.0 - kappa) * (1.0 + kappa)
+        if v < -floor:
+            raise NotPSDError(
+                f"prediction-error variance {v:.3e} < -{floor:.3e} at order {k}: "
+                "matrix is not PSD")
+        if v <= floor:
+            # rank k: the order-k predictor must reproduce every later r_j.  In a PSD
+            # matrix its miss on r_j is cov(error_j, x_0), at most sqrt(v * r_0) <=
+            # sqrt(floor * r_0) by Cauchy-Schwarz; the factor 2 absorbs rounding in v
+            resid = r[k + 1:] - np.convolve(r, phi[:k])[k:n - 1]
+            if resid.size and float(np.max(np.abs(resid))) > 2.0 * math.sqrt(floor * r[0]):
+                raise NotPSDError(
+                    "tiny prediction error but later covariances not reproduced: "
+                    "matrix is not PSD")
+            return pivots, True
+        pivots[k] = v
+    return pivots, False
+
+
 def cholesky_pivots(a: CovMatrix) -> np.ndarray:
     """Factorization pivots in elimination order (zeros past a rank-deficient stop).
 
-    All pivots strictly positive certifies positive definiteness even
-    when the determinant itself underflows the reporting floor.
+    For Toeplitz input these are the unpivoted prediction-error variances
+    in natural order.  All pivots strictly positive certifies positive
+    definiteness even when the determinant itself underflows.
     """
     return a._factor[0].copy()
 
 
-def det_psd(a: CovMatrix) -> DetResult:
-    """Determinant of a PSD covariance via the pivoted factorization.
-
-    Values below 1e-13 * prod(a_ii) are reported as 0.0 with the
-    singular flag set; the flag marks the categorical det = 0 case
-    (Gaussian entropy -inf), not a tiny-but-meaningful value.
-    """
-    pivots, singular = a._factor
+def _det_and_entropy(factor) -> tuple[DetResult, float | None]:
+    """Determinant and Gaussian entropy (None if singular) from (pivots, singular)."""
+    pivots, singular = factor
     if singular:
-        return DetResult(0.0, True)
+        return DetResult(0.0, True), None
     log_det = float(np.sum(np.log(pivots)))
-    log_floor = math.log(_DET_REL_FLOOR) + float(np.sum(np.log(np.diag(a.entries))))
-    if log_det < log_floor:
-        return DetResult(0.0, True)
     value = float(np.prod(pivots))
-    if value == 0.0 or math.isinf(value):
-        value = math.exp(log_det)  # product under/overflowed; log route is safe here
-    return DetResult(value, False)
+    if not sys.float_info.min <= value < math.inf:
+        # the product under/overflowed, or went subnormal and lost digits: the
+        # log route rounds once (to 0.0 below e**-745)
+        value = math.exp(log_det)
+    n = pivots.shape[0]
+    return DetResult(value, False), 0.5 * n * (1.0 + math.log(2.0 * math.pi)) + 0.5 * log_det
+
+
+def det_psd(a: CovMatrix) -> DetResult:
+    """Determinant of a PSD covariance from its factorization pivots.
+
+    The singular flag marks a rank-deficient matrix (det = 0, Gaussian
+    entropy -inf); a positive-definite matrix whose determinant
+    underflows reports 0.0 with the flag clear.
+    """
+    return _det_and_entropy(a._factor)[0]
 
 
 def gaussian_entropy(a: CovMatrix) -> float:
     """Shannon entropy of a centered Gaussian vector with covariance a.
 
-    (n/2)(1 + log 2 pi) + (1/2) log det; raises SingularCovarianceError
-    when the determinant is flagged zero.
+    (n/2)(1 + log 2 pi) + (1/2) sum log pivots; raises
+    SingularCovarianceError when the matrix is rank-deficient.
     """
-    if det_psd(a).singular:
+    entropy = _det_and_entropy(a._factor)[1]
+    if entropy is None:
         raise SingularCovarianceError(
             "covariance determinant is 0; the entropy is -inf and not representable")
-    log_det = float(np.sum(np.log(a._factor[0])))
-    n = a.n
-    return 0.5 * n * (1.0 + math.log(2.0 * math.pi)) + 0.5 * log_det
+    return entropy
 
 
 def hadamard_gap(a: CovMatrix) -> float:
@@ -144,13 +194,8 @@ def _pow_keep_zero(base: float, exponent: float) -> float:
     return 0.0 if base == 0.0 else base**exponent
 
 
-def fgn_covariance(n: int, hurst: float) -> CovMatrix:
-    """Covariance of n successive fractional-Gaussian-noise increments.
-
-    Unit diagonal, Toeplitz, lag-j covariance
-    ((j+1)**2H - 2 j**2H + (j-1)**2H) / 2.  H = 1/2 yields the identity
-    and H = 1 the all-ones matrix; both endpoints of [0, 1] are allowed.
-    """
+def _fgn_autocovariance(n: int, hurst: float) -> np.ndarray:
+    """Lag-0..n-1 autocovariance of unit-variance fractional Gaussian noise."""
     if not (isinstance(n, int) and n >= 1):
         raise ParameterError(f"n must be an integer >= 1, got {n}")
     if not (isinstance(hurst, (int, float)) and 0.0 <= hurst <= 1.0):
@@ -161,8 +206,20 @@ def fgn_covariance(n: int, hurst: float) -> CovMatrix:
     for j in range(1, n):
         rho[j] = 0.5 * (_pow_keep_zero(j + 1.0, two_h) - 2.0 * _pow_keep_zero(float(j), two_h)
                         + _pow_keep_zero(j - 1.0, two_h))
-    idx = np.abs(np.arange(n)[:, None] - np.arange(n)[None, :])
-    return CovMatrix(rho[idx])
+    return rho
+
+
+def fgn_covariance(n: int, hurst: float) -> CovMatrix:
+    """Covariance of n successive fractional-Gaussian-noise increments.
+
+    Unit diagonal, Toeplitz, lag-j covariance
+    ((j+1)**2H - 2 j**2H + (j-1)**2H) / 2.  H = 1/2 yields the identity
+    and H = 1 the all-ones matrix; both endpoints of [0, 1] are allowed.
+    """
+    rho = _fgn_autocovariance(n, hurst)
+    # row i of the Toeplitz matrix is the window [rho_i, ..., rho_1, rho_0, ..., rho_{n-1-i}]
+    lags = np.concatenate((rho[:0:-1], rho))
+    return CovMatrix(np.lib.stride_tricks.sliding_window_view(lags, n)[::-1])
 
 
 @dataclass(frozen=True)
@@ -183,9 +240,8 @@ def fgn_det_sweep(n: int, hurst_grid) -> list[FgnSweepRow]:
     """
     rows = []
     for h in hurst_grid:
-        a = fgn_covariance(n, float(h))
-        det = det_psd(a)
-        entropy = None if det.singular else gaussian_entropy(a)
+        # the Levinson recursion needs only the first row: no n x n matrix is built
+        det, entropy = _det_and_entropy(_levinson(_fgn_autocovariance(n, float(h))))
         rows.append(FgnSweepRow(float(h), det.value, det.singular, entropy))
     return rows
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from entrokit import (Binomial, ChiSquared, EntropySpec, Exponential, Gamma,
                       Laplace, Logarithmic, LogNormal, Normal, OracleConfig,
-                      Poisson, Uniform, density_sup, digamma, evaluate,
+                      Poisson, Uniform, density_sup, digamma, evaluate, format_spec,
                       generalized_renyi1, generalized_renyi2, integral_p_alpha,
                       integral_p_alpha_log_p, kl_divergence, kl_integral,
                       log_gamma, lognormal_moment, modified_shannon, renyi,
@@ -295,6 +295,21 @@ class TestKLDivergence:
                 if p == q:
                     assert v <= 1e-12
                 assert kl_divergence(p, p) <= 1e-12
+
+
+    @pytest.mark.parametrize("p, q", [
+        (Gamma(1e-300, 1.0), Gamma(1e300, 1.0)), (Gamma(1e300, 1.0), Gamma(1e-300, 1.0)),
+        (Exponential(1e-300), Exponential(1e300)), (Exponential(1e300), Exponential(1e-300))])
+    def test_rate_ratio_beyond_float_range_raises_parameter_error(self, p, q):
+        with pytest.raises(ParameterError) as err:
+            kl_divergence(p, q)
+        assert format_spec(p) in str(err.value) and format_spec(q) in str(err.value)
+
+    def test_finite_extremes_unchanged(self):
+        # still finite: the guard must not touch these values
+        p, q = Exponential(1e-150), Exponential(1e150)
+        assert kl_divergence(p, q) == math.log(p.lam / q.lam) + q.lam / p.lam - 1.0
+        assert kl_divergence(q, p) == math.log(q.lam / p.lam) + p.lam / q.lam - 1.0
 
 
 class TestChiSquaredFormulaTable:

@@ -1,9 +1,11 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from entrokit import gaussian
 from entrokit import (CovMatrix, cholesky_pivots, det_psd, fgn_covariance,
                       fgn_det_sweep, gaussian_entropy, hadamard_gap,
                       rank1_extremal_vector, shannon, Normal)
@@ -182,8 +184,9 @@ def test_each_matrix_is_factored_once(monkeypatch):
     from entrokit import gaussian
 
     calls = []
-    factor = gaussian._pivoted_factor
-    monkeypatch.setattr(gaussian, "_pivoted_factor", lambda a: calls.append(1) or factor(a))
+    for name in ("_pivoted_factor", "_levinson"):
+        factor = getattr(gaussian, name)
+        monkeypatch.setattr(gaussian, name, lambda a, factor=factor: calls.append(1) or factor(a))
     fgn_det_sweep(6, [0.2, 0.5, 0.8, 1.0])
     assert len(calls) == 4
     a = fgn_covariance(6, 0.7)
@@ -194,3 +197,127 @@ def test_each_matrix_is_factored_once(monkeypatch):
     hadamard_gap(a)
     assert det_psd(a) == before
     assert len(calls) == 5
+
+
+def toeplitz(r):
+    r = np.asarray(r, dtype=float)
+    n = r.size
+    return r[np.abs(np.arange(n)[:, None] - np.arange(n)[None, :])]
+
+
+class TestRankOnlySingularity:
+    """Positive-definite matrices with a tiny determinant are not singular."""
+
+    @pytest.mark.parametrize("h, n", [(0.9, 50), (0.7, 400), (0.99, 20), (0.0, 64)])
+    def test_fgn_positive_definite(self, h, n):
+        a = fgn_covariance(n, h)
+        assert det_psd(a).singular is False
+        assert math.isfinite(gaussian_entropy(a))
+
+    def test_rescaled_fgn_positive_definite(self, rng):
+        sd = np.sqrt(10.0 ** rng.uniform(-1.0, 1.0, 50))
+        a = CovMatrix(sd[:, None] * fgn_covariance(50, 0.9).entries * sd[None, :])
+        assert not np.array_equal(a.entries[1:, 1:], a.entries[:-1, :-1])
+        assert det_psd(a).singular is False
+        assert math.isfinite(gaussian_entropy(a))
+
+    def test_h_zero_entropy_matches_exact_det(self):
+        n = 64  # det = (n + 1) / 2**n
+        want = 0.5 * n * (1.0 + math.log(2.0 * math.pi)) + 0.5 * (math.log(n + 1.0) - n * math.log(2.0))
+        assert gaussian_entropy(fgn_covariance(n, 0.0)) == pytest.approx(want, rel=1e-13)
+
+    @pytest.mark.parametrize("n", [1050, 1100])
+    def test_underflowing_det_is_rounded_once(self, n):
+        # H = 0: det = (n + 1) / 2**n, subnormal at n = 1050 and 0.0 at n = 1100; a
+        # running product of the pivots would stop at the smallest subnormal
+        row = fgn_det_sweep(n, [0.0])[0]
+        assert row.singular is False
+        assert row.det == pytest.approx((n + 1) / 2**n, rel=1e-9, abs=0.0)
+        assert row.entropy == pytest.approx(
+            0.5 * n * (1.0 + math.log(2.0 * math.pi)) + 0.5 * (math.log(n + 1.0) - n * math.log(2.0)),
+            rel=1e-13)
+
+    def test_h_one_still_singular(self):
+        for n in (2, 5, 64):
+            a = fgn_covariance(n, 1.0)
+            assert det_psd(a) == (0.0, True)
+            with pytest.raises(SingularCovarianceError):
+                gaussian_entropy(a)
+        row = fgn_det_sweep(64, [1.0])[0]
+        assert row.singular and row.det == 0.0 and row.entropy is None
+
+
+class TestLevinsonAgainstPivoted:
+    """The Toeplitz recursion against the pivoted factorization, which shares no code."""
+
+    @staticmethod
+    def both(r):
+        return gaussian._levinson(np.asarray(r, dtype=float)), gaussian._pivoted_factor(toeplitz(r))
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 50, 200, 500])
+    @pytest.mark.parametrize("h", [0.0, 0.05, 0.3, 0.5, 0.7, 0.9, 0.99, 0.9999])
+    def test_fgn_log_det(self, n, h):
+        (lev, lev_singular), (piv, piv_singular) = self.both(gaussian._fgn_autocovariance(n, h))
+        assert lev_singular is False and piv_singular is False
+        want = float(np.sum(np.log(piv)))
+        assert abs(float(np.sum(np.log(lev))) - want) <= 1e-12 * (1.0 + abs(want))
+
+    @pytest.mark.parametrize("phi", [0.9, 0.999])
+    def test_ar1_log_det(self, phi):
+        (lev, lev_singular), (piv, piv_singular) = self.both(phi ** np.arange(300.0))
+        assert lev_singular is False and piv_singular is False
+        want = float(np.sum(np.log(piv)))
+        assert abs(float(np.sum(np.log(lev))) - want) <= 1e-12 * (1.0 + abs(want))
+        # AR(1): every prediction error past the first is 1 - phi**2
+        assert lev[1:] == pytest.approx(1.0 - phi**2, rel=1e-12)
+
+    def test_rank_two_cosine_is_singular_on_both(self):
+        (lev, lev_singular), (piv, piv_singular) = self.both(np.cos(0.7 * np.arange(40.0)))
+        assert lev_singular is True and piv_singular is True
+        assert np.count_nonzero(lev) == 2 and np.count_nonzero(piv) == 2
+        assert det_psd(CovMatrix(toeplitz(np.cos(0.7 * np.arange(40.0))))) == (0.0, True)
+
+    def test_indefinite_row_raises_on_both(self):
+        r = np.array([1.0, 0.9, -0.9])
+        with pytest.raises(NotPSDError):
+            gaussian._levinson(r)
+        with pytest.raises(NotPSDError):
+            gaussian._pivoted_factor(toeplitz(r))
+        with pytest.raises(NotPSDError):
+            CovMatrix(toeplitz(r))
+
+    def test_tiny_error_with_unreproduced_row_raises(self):
+        # order-1 predictor is exact (r_1 = r_0) but r_2 breaks it: not PSD
+        with pytest.raises(NotPSDError):
+            gaussian._levinson(np.array([1.0, 1.0, 0.5]))
+        with pytest.raises(NotPSDError):
+            gaussian._pivoted_factor(toeplitz([1.0, 1.0, 0.5]))
+
+    def test_covmatrix_picks_levinson_for_toeplitz_only(self, monkeypatch):
+        calls = []
+        for name in ("_pivoted_factor", "_levinson"):
+            factor = getattr(gaussian, name)
+            monkeypatch.setattr(gaussian, name,
+                                lambda a, name=name, factor=factor: calls.append(name) or factor(a))
+        fgn_covariance(8, 0.7)
+        CovMatrix(np.diag([1.0, 2.0, 3.0]))
+        assert calls == ["_levinson", "_pivoted_factor"]
+
+    def test_sweep_matches_matrix_path(self):
+        grid = [0.0, 0.2, 0.5, 0.8, 0.95, 1.0]
+        for row, h in zip(fgn_det_sweep(30, grid), grid):
+            a = fgn_covariance(30, h)
+            det = det_psd(a)
+            assert (row.det, row.singular) == (det.value, det.singular)
+            assert row.entropy == (None if det.singular else gaussian_entropy(a))
+
+    def test_large_sweep_builds_no_matrix(self):
+        tracemalloc.start()
+        try:
+            rows = fgn_det_sweep(4000, [0.3, 0.7, 1.0])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20  # the dense 4000 x 4000 matrix alone is 128 MB
+        assert [r.singular for r in rows] == [False, False, True]
+        assert all(math.isfinite(r.entropy) for r in rows[:2])
