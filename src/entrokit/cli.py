@@ -106,13 +106,6 @@ def _cmd_kl(args) -> int:
     return 0
 
 
-def _cmd_modified(args) -> int:
-    args.measure = "modified"
-    args.alpha = None
-    args.beta = None
-    return _cmd_entropy(args)
-
-
 def _replace_param(d: Distribution, param: str, value: float) -> Distribution:
     fields = {key: (attr, conv) for key, attr, conv in d.spec_fields}
     if param not in fields:
@@ -215,8 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="verb", required=True)
 
     def add_measure_flags(p):
-        p.add_argument("--measure", required=True,
-                       choices=["shannon", "renyi", "gr1", "tsallis", "gr2", "sm", "modified"])
+        p.add_argument("--measure", required=True, choices=cf.MEASURES)
         p.add_argument("--alpha", type=float, default=None)
         p.add_argument("--beta", type=float, default=None)
 
@@ -240,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("modified", help="modified Shannon entropy")
     p.add_argument("--dist", required=True)
     add_common(p)
-    p.set_defaults(fn=_cmd_modified)
+    p.set_defaults(fn=_cmd_entropy, measure="modified", alpha=None, beta=None)
 
     p = sub.add_parser("sweep", help="measure along a parameter grid, CSV")
     p.add_argument("--dist", required=True)

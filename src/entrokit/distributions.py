@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -44,6 +45,8 @@ class Distribution:
     key per field, converted by the field's int or float annotation), the
     key a sweep varies by default, and whether it is discrete, in which
     case it defines _logpmf instead of _logpdf (both on float arrays).
+    Normalizing constants are cached properties, computed on the first
+    evaluation: building a record costs no special-function call.
     """
 
     def __init_subclass__(cls, spec, keys, sweep, discrete=False, **kwargs):
@@ -64,11 +67,14 @@ class Gamma(Distribution, spec="gamma", keys=("lambda", "mu"), sweep="lambda"):
         _check(_finite(self.lam, self.mu) and self.lam > 0 and self.mu > 0,
                f"gamma requires lambda > 0 and mu > 0, got lambda={self.lam}, mu={self.mu}")
 
+    @cached_property
+    def _log_norm(self):
+        return self.mu * math.log(self.lam) - log_gamma(self.mu)
+
     def _logpdf(self, x):
         with np.errstate(divide="ignore", invalid="ignore"):
             lx = np.log(np.where(x > 0, x, 1.0))
-            out = (self.mu * math.log(self.lam) - log_gamma(self.mu)
-                   + (self.mu - 1.0) * lx - self.lam * x)
+            out = self._log_norm + (self.mu - 1.0) * lx - self.lam * x
         return np.where(x > 0, out, -np.inf)
 
 
@@ -96,8 +102,12 @@ class ChiSquared(Distribution, spec="chisq", keys=("nu",), sweep="nu"):
         """The equivalent Gamma(lambda=1/2, mu=nu/2) record."""
         return Gamma(0.5, self.nu / 2.0)
 
+    @cached_property
+    def _gamma(self):
+        return self.as_gamma()
+
     def _logpdf(self, x):
-        return self.as_gamma()._logpdf(x)
+        return self._gamma._logpdf(x)
 
 
 @dataclass(frozen=True)
@@ -184,10 +194,14 @@ class Binomial(Distribution, spec="binomial", keys=("n", "p"), sweep="p", discre
         _check(_finite(self.p) and 0.0 < self.p < 1.0,
                f"binomial requires p in (0, 1), got p={self.p}")
 
+    @cached_property
+    def _log_n_factorial(self):
+        return log_gamma(self.n + 1.0)
+
     def _logpmf(self, k):
         ok = (k >= 0) & (k <= self.n) & (k == np.floor(k))
         ks = np.where(ok, k, 0.0)
-        out = (log_gamma(self.n + 1.0) - log_gamma(ks + 1.0) - log_gamma(self.n - ks + 1.0)
+        out = (self._log_n_factorial - log_gamma(ks + 1.0) - log_gamma(self.n - ks + 1.0)
                + ks * math.log(self.p) + (self.n - ks) * math.log1p(-self.p))
         return np.where(ok, out, -np.inf)
 
@@ -210,13 +224,20 @@ class NegBinomialConditional(Distribution, spec="nbcond", keys=("p", "r"), sweep
         _check(_finite(self.r) and self.r > 0,
                f"nbcond requires r > 0, got r={self.r}")
 
+    @cached_property
+    def _log_gamma_r(self):
+        return log_gamma(self.r)
+
+    @cached_property
+    def _log_one_minus_pr(self):
+        # log(1 - p^r) via expm1 keeps precision for r near 0
+        return math.log(-math.expm1(self.r * math.log(self.p)))
+
     def _logpmf(self, k):
         ok = (k >= 1) & (k == np.floor(k))
         ks = np.where(ok, k, 1.0)
-        # log(1 - p^r) via expm1 keeps precision for r near 0
-        log_one_minus_pr = math.log(-math.expm1(self.r * math.log(self.p)))
-        out = (log_gamma(ks + self.r) - log_gamma(self.r) - log_gamma(ks + 1.0)
-               + ks * math.log1p(-self.p) + self.r * math.log(self.p) - log_one_minus_pr)
+        out = (log_gamma(ks + self.r) - self._log_gamma_r - log_gamma(ks + 1.0)
+               + ks * math.log1p(-self.p) + self.r * math.log(self.p) - self._log_one_minus_pr)
         return np.where(ok, out, -np.inf)
 
 

@@ -43,9 +43,11 @@ class CovMatrix:
         if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
             raise ParameterError(f"covariance must be square with n >= 1, got shape {a.shape}")
         scale = float(np.max(np.abs(a))) or 1.0
-        if float(np.max(np.abs(a - a.T))) > _SYM_TOL * max(1.0, scale):
+        asym = a - a.T
+        if float(np.max(np.abs(asym))) > _SYM_TOL * max(1.0, scale):
             raise ParameterError("covariance must be symmetric to 1e-14")
-        a = 0.5 * (a + a.T)
+        if asym.any():  # exactly symmetric input keeps its entries
+            a = 0.5 * (a + a.T)
         if np.any(np.diag(a) <= 0.0):
             raise ParameterError("covariance diagonal entries must be strictly positive")
         a.setflags(write=False)

@@ -17,7 +17,8 @@ _PLANS:
   limits, with a certified geometric tail: once the uniform one-step
   ratio bound q of the transformed terms is below 1, the remaining tail
   is at most term * q / (1 - q), reported with an extra factor-2 safety
-  margin plus an a-priori rounding bound.
+  margin plus an a-priori rounding bound.  A finite support (Binomial)
+  ends at its last index at the latest; memory is one block of terms.
 
 Every public routine returns its error estimate alongside the value.
 """
@@ -25,7 +26,7 @@ Every public routine returns its error estimate alongside the value.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -185,9 +186,7 @@ def integrate_realline(g: Callable, cfg: OracleConfig, interior, scale: float = 
     pts = sorted(float(p) for p in interior)
     if not pts:
         raise ParameterError("need at least one interior split point")
-    sub = OracleConfig(abs_tol=cfg.abs_tol / (len(pts) + 1), rel_tol=cfg.rel_tol,
-                       max_subdivisions=cfg.max_subdivisions,
-                       series_tail_tol=cfg.series_tail_tol, max_terms=cfg.max_terms)
+    sub = replace(cfg, abs_tol=cfg.abs_tol / (len(pts) + 1))
 
     def left(t):
         u = 1.0 - t
@@ -255,7 +254,8 @@ _PLANS = {
     Normal: lambda d, alpha: _Plan("realline", scale=math.sqrt(d.sigma2), splits=(d.mean,)),
     Uniform: lambda d, alpha: _Plan(f"interval[{d.a},{d.b}]", splits=(d.a, d.b)),
     Poisson: lambda d, alpha: _Plan("discrete", ratio=lambda k: d.lam / (k + 1.0)),
-    Binomial: lambda d, alpha: _Plan("discrete", stop=d.n),
+    Binomial: lambda d, alpha: _Plan(
+        "discrete", stop=d.n, ratio=lambda k: max(0, d.n - k) / (k + 1.0) * d.p / (1.0 - d.p)),
     NegBinomialConditional: lambda d, alpha: _Plan(
         "discrete", start=1, ratio=lambda k: (1.0 - d.p) * max(1.0, (k + d.r) / (k + 1.0))),
     Logarithmic: lambda d, alpha: _Plan("discrete", start=1, ratio=lambda k: 1.0 - d.p),
@@ -332,23 +332,24 @@ def _weighted(lp, alpha: float, w):
 
 
 def _certified_series(block: Callable, start: int, alpha: float,
-                      cfg: OracleConfig) -> SeriesResult:
-    """Sum of exp(alpha * lp_k) * w_k over k >= start with a certified tail.
+                      cfg: OracleConfig, stop: int | None = None) -> SeriesResult:
+    """Sum of exp(alpha * lp_k) * w_k over start <= k (<= stop) with a certified tail.
 
     block(ks) returns (lp, w, q) on an index array: log p_k, the weights
     (None for ones) and q >= |t_{j+1} / t_j| for every j >= ks[-1] (inf
     while none holds).  The terms share one sign.  Blocks grow from 64
     to 65536 terms until the tail 2 t_last q / (1 - q) is at most
-    cfg.series_tail_tol, or SeriesBudgetError at max_terms.  tail_bound
-    adds an a-priori rounding bound (Higham 2002, section 4): a few ulp
-    times 1 + |alpha lp_k| per term, gamma_{m-1} sum |t| per m-term block
-    summed in any order, and one rounding of the running total per block;
-    with one sign, a block's sum |t| is its |sum|.
+    cfg.series_tail_tol or k = stop is summed (tail 0), or SeriesBudgetError
+    at max_terms.  tail_bound adds an a-priori rounding bound (Higham
+    2002, section 4): a few ulp times 1 + |alpha lp_k| per term, gamma_{m-1}
+    sum |t| per m-term block summed in any order, and one rounding of the
+    running total per block; with one sign, a block's sum |t| is its |sum|.
     """
+    last = cfg.max_terms if stop is None else min(stop, cfg.max_terms)
     total = rounding = 0.0
     k, size = start, 64
-    while k <= cfg.max_terms:
-        ks = np.arange(k, min(k + size, cfg.max_terms + 1))
+    while k <= last:
+        ks = np.arange(k, min(k + size, last + 1))
         lp, w, q = block(ks)
         t = _weighted(lp, alpha, w)
         s = float(t.sum())
@@ -356,11 +357,14 @@ def _certified_series(block: Callable, start: int, alpha: float,
         m = len(ks)
         term_err = _TERM_ULPS * _U * (1.0 + alpha * float(np.max(np.abs(lp))))
         rounding += (term_err + (m - 1) * _U / (1.0 - (m - 1) * _U)) * abs(s) + _U * abs(total)
+        end = int(ks[-1])
+        if end == stop:
+            return SeriesResult(total, rounding, end)
         if q < 1.0:
             tail = 2.0 * abs(float(t[-1])) * q / (1.0 - q)
             if tail <= cfg.series_tail_tol:
-                return SeriesResult(total, tail + rounding, int(ks[-1]))
-        k = int(ks[-1]) + 1
+                return SeriesResult(total, tail + rounding, end)
+        k = end + 1
         size = min(2 * size, 65536)
     raise SeriesBudgetError(
         f"series tail not certified below {cfg.series_tail_tol:g} within "
@@ -371,10 +375,10 @@ def discrete_entropy_sum(d: Distribution, transform: str, alpha: float,
                          cfg: OracleConfig) -> SeriesResult:
     """Sum of p_k log p_k, p_k**alpha, or p_k**alpha log p_k over the support.
 
-    Binomial sums are exact (finite support, tail_bound 0).  For the
-    infinite laws the summation stops once the geometric tail
-    certificate is below cfg.series_tail_tol; SeriesBudgetError is
-    raised if max_terms is hit before the certificate activates.
+    Summation stops once the geometric tail certificate is below
+    cfg.series_tail_tol or, for Binomial, at k = n; last_k is the last
+    index summed and tail_bound includes rounding.  SeriesBudgetError is
+    raised if max_terms is hit first.
     """
     if not d.is_discrete:
         raise FamilyMismatchError("discrete_entropy_sum needs a discrete family")
@@ -386,11 +390,6 @@ def discrete_entropy_sum(d: Distribution, transform: str, alpha: float,
         raise ParameterError(f"alpha must be positive, got {alpha}")
     with_log = transform in ("p_log_p", "p_alpha_log_p")
     plan = _plan(d, alpha)
-
-    if plan.stop is not None:
-        lp = logpmf(d, np.arange(plan.start, plan.stop + 1))
-        return SeriesResult(float(_weighted(lp, alpha, lp if with_log else None).sum()),
-                            0.0, plan.stop)
 
     def block(ks):
         lp = np.asarray(logpmf(d, ks), dtype=float)
@@ -404,7 +403,7 @@ def discrete_entropy_sum(d: Distribution, transform: str, alpha: float,
                 q += (1.0 / (alpha * math.e)) / (-lp_last)
         return lp, (lp if with_log else None), q
 
-    return _certified_series(block, plan.start, alpha, cfg)
+    return _certified_series(block, plan.start, alpha, cfg, plan.stop)
 
 
 def entropy_estimate(d: Distribution, measure: str, alpha: float | None,

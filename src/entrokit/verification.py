@@ -16,6 +16,7 @@ from . import closed_form as cf
 from . import limits, oracle
 from .distributions import (ChiSquared, Distribution, Exponential, Gamma, Laplace,
                             LogNormal, Normal, Uniform)
+from .errors import ParameterError
 
 ORACLE_FAMILIES = ("gamma", "exp", "chisq", "laplace", "lognormal", "normal", "uniform")
 CORE_FAMILIES = ("gamma", "exp", "chisq", "laplace", "lognormal")
@@ -40,7 +41,7 @@ _GAMMA_SHAPE = {Gamma: lambda d: d.mu, ChiSquared: lambda d: d.nu / 2.0}
 def random_distribution(family: str, rng: np.random.Generator) -> Distribution:
     """One admissible parameter draw, kept at desk scale."""
     if family not in _DRAWS:
-        raise ValueError(f"unknown family {family!r}")
+        raise ParameterError(f"unknown family {family!r}")
     return _DRAWS[family](rng)
 
 

@@ -7,7 +7,7 @@ from entrokit import (Binomial, ChiSquared, Exponential, Gamma, Laplace,
                       Logarithmic, LogNormal, NegBinomialConditional, Normal,
                       OracleConfig, Poisson, Uniform, density_sup,
                       discrete_entropy_sum, format_spec, integral_p_alpha,
-                      logpdf, parse_spec, pdf, pmf)
+                      log_gamma, logpdf, logpmf, parse_spec, pdf, pmf)
 from entrokit.errors import (FamilyMismatchError, ParameterError,
                              UnboundedDensityError)
 from entrokit.verification import random_distribution
@@ -206,3 +206,26 @@ def test_format_spec_keeps_every_digit():
     for family in CONTINUOUS:  # numpy-float parameters format as plain numbers
         d = random_distribution(family, rng)
         assert parse_spec(format_spec(d)) == d
+
+
+def gamma_logpdf(d, x):
+    return d.mu * math.log(d.lam) - log_gamma(d.mu) + (d.mu - 1.0) * np.log(x) - d.lam * x
+
+
+@pytest.mark.parametrize("d, constants, inline", [
+    (Gamma(1.3, 2.2), ("_log_norm",), gamma_logpdf),
+    (ChiSquared(3), ("_gamma",), lambda d, x: gamma_logpdf(Gamma(0.5, 1.5), x)),
+    (Binomial(30, 0.3), ("_log_n_factorial",), lambda d, k: (
+        log_gamma(d.n + 1.0) - log_gamma(k + 1.0) - log_gamma(d.n - k + 1.0)
+        + k * math.log(d.p) + (d.n - k) * math.log1p(-d.p))),
+    (NegBinomialConditional(0.35, 0.2), ("_log_gamma_r", "_log_one_minus_pr"), lambda d, k: (
+        log_gamma(k + d.r) - log_gamma(d.r) - log_gamma(k + 1.0) + k * math.log1p(-d.p)
+        + d.r * math.log(d.p) - math.log(-math.expm1(d.r * math.log(d.p))))),
+])
+def test_normalizing_constants_are_lazy_and_exact(d, constants, inline):
+    """A record computes its constants on first evaluation, to the same bits."""
+    assert not any(name in vars(d) for name in constants)
+    x = np.arange(1.0, 25.0)
+    got = logpdf(d, x) if not d.is_discrete else logpmf(d, x)
+    assert all(name in vars(d) for name in constants)
+    assert np.array_equal(got, inline(d, x))

@@ -47,6 +47,16 @@ class TestCovMatrix:
         with pytest.raises(NotPSDError):
             CovMatrix(np.array([[1.0, 2.0], [2.0, 1.0]]))
 
+    def test_within_tolerance_asymmetry_is_symmetrized(self):
+        a = CovMatrix(np.array([[2.0, 1.0 + 4e-15], [1.0, 2.0]]))
+        assert a.entries[0, 1] == a.entries[1, 0] == 0.5 * ((1.0 + 4e-15) + 1.0)
+
+    def test_symmetric_entries_kept_bit_for_bit(self, rng):
+        for m in (random_psd(rng, 6), fgn_covariance(50, 0.7).entries,
+                  rank1_extremal_vector([1.0, 2.0, 3.0], [1, -1, 1]).entries,
+                  np.diag([1e308, 0.5e308])):  # 0.5 * (a + a.T) would overflow here
+            assert np.array_equal(CovMatrix(np.array(m)).entries, m)
+
     def test_entries_read_only(self):
         a = CovMatrix(np.eye(2))
         with pytest.raises(ValueError):

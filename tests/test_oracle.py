@@ -1,4 +1,6 @@
 import math
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ from entrokit import (Binomial, ChiSquared, Exponential, Gamma, Laplace,
                       OracleConfig, Poisson, Uniform, discrete_entropy_sum,
                       integral_p_alpha, integral_p_alpha_log_p,
                       integrate_halfline, integrate_interval, kl_integral,
-                      logpdf, logpmf, poisson_entropy_derivative)
+                      logpdf, logpmf, poisson_entropy_derivative, shannon)
 from entrokit.errors import (FamilyMismatchError, NonConvergenceError,
                              ParameterError, SeriesBudgetError,
                              UnsupportedFamilyError, ValidityDomainError)
@@ -18,6 +20,12 @@ def gamma_power_integral(lam, mu, alpha):
     a = alpha * (mu - 1.0)
     return (lam ** (alpha - 1.0) * alpha ** (-a - 1.0)
             * math.exp(math.lgamma(a + 1.0) - alpha * math.lgamma(mu)))
+
+
+def binomial_log_p(mpmath, d, k):
+    n, p = d.n, mpmath.mpf(d.p)
+    return (mpmath.loggamma(n + 1) - mpmath.loggamma(k + 1) - mpmath.loggamma(n - k + 1)
+            + k * mpmath.log(p) + (n - k) * mpmath.log1p(-p))
 
 
 def laplace_power_integral(lam, alpha):
@@ -153,7 +161,8 @@ class TestDiscreteSeries:
     def test_binomial_exact(self, cfg):
         res = discrete_entropy_sum(Binomial(2, 0.5), "p_log_p", 1.0, cfg)
         assert res.value == pytest.approx(-1.5 * math.log(2.0), abs=1e-13)
-        assert res.tail_bound == 0.0
+        assert 0.0 < res.tail_bound
+        assert abs(res.value + 1.5 * math.log(2.0)) <= res.tail_bound
 
     def test_poisson_entropy_pin(self, cfg):
         res = discrete_entropy_sum(Poisson(1.0), "p_log_p", 1.0, cfg)
@@ -216,6 +225,9 @@ def test_poisson_derivative_matches_finite_differences(lam, cfg):
     (Poisson(30.0), "p_log_p", 1.0),
     (Poisson(4.0), "p_alpha_log_p", 1.4),
     (NegBinomialConditional(0.05, 0.3), "p_log_p", 1.0),
+    (Binomial(12, 0.25), "p_log_p", 1.0),
+    (Binomial(40, 0.3), "p_log_p", 1.0),
+    (Binomial(25, 0.6), "p_alpha", 0.7),
 ])
 def test_tail_bound_covers_error_against_mpmath(d, transform, alpha, cfg):
     """tail_bound bounds |value - true sum|, rounding included."""
@@ -229,14 +241,62 @@ def test_tail_bound_covers_error_against_mpmath(d, transform, alpha, cfg):
             p = mpmath.mpf(d.p)
             log_p = lambda k: (k * mpmath.log1p(-p) - mpmath.log(k)  # noqa: E731
                                - mpmath.log(-mpmath.log(p)))
+        elif isinstance(d, Binomial):
+            log_p = lambda k: binomial_log_p(mpmath, d, k)  # noqa: E731
         else:
             p, r = mpmath.mpf(d.p), mpmath.mpf(d.r)
             log_p = lambda k: (mpmath.loggamma(k + r) - mpmath.loggamma(r)  # noqa: E731
                                - mpmath.loggamma(k + 1) + k * mpmath.log1p(-p)
                                + r * mpmath.log(p) - mpmath.log(1 - p**r))
-        k0 = 0 if isinstance(d, Poisson) else 1
+        k0 = 1 if isinstance(d, (Logarithmic, NegBinomialConditional)) else 0
+        k1 = d.n + 1 if isinstance(d, Binomial) else 2 * res.last_k + 50
         exact = mpmath.fsum(mpmath.exp(alpha * lp) * (lp if transform != "p_alpha" else 1)
-                            for lp in map(log_p, range(k0, 2 * res.last_k + 50)))
+                            for lp in map(log_p, range(k0, k1)))
         assert abs(res.value - exact) <= res.tail_bound
     # the rounding part alone exceeds one ulp of the sum
     assert res.tail_bound > 2.0**-52 * abs(res.value)
+
+
+class TestBinomialSeries:
+    """Binomial runs the block engine: memory is one block, not the support."""
+
+    def test_huge_n_small_p_is_cheap(self):
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            h = shannon(Binomial(10**8, 1e-8))
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert math.isfinite(h) and h > 0.0
+        assert elapsed < 1.0
+        assert peak < 5e6
+
+    def test_large_mean_memory_is_one_block(self):
+        tracemalloc.start()
+        try:
+            shannon(Binomial(10**7, 0.3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10e6
+
+    def test_budget_applies_to_binomial(self):
+        with pytest.raises(SeriesBudgetError):
+            discrete_entropy_sum(Binomial(10**8, 0.5), "p_log_p", 1.0,
+                                 OracleConfig(max_terms=10**5))
+
+    def test_stops_before_n_once_the_tail_certifies(self, cfg):
+        res = discrete_entropy_sum(Binomial(10**6, 0.02), "p_log_p", 1.0, cfg)
+        assert res.last_k < 10**6
+        assert 0.0 < res.tail_bound < 1e-9
+
+    def test_huge_n_against_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        d = Binomial(10**7, 1e-7)
+        h = shannon(d)
+        with mpmath.workdps(40):
+            exact = -mpmath.fsum(mpmath.exp(lp) * lp
+                                 for lp in (binomial_log_p(mpmath, d, k) for k in range(120)))
+        assert abs(h - float(exact)) <= 1e-8 * (1.0 + h)

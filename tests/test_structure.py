@@ -1,6 +1,7 @@
 """Package structure: the closed-form/oracle wall and the public name list."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import entrokit
@@ -42,3 +43,18 @@ def test_every_public_import_is_exported():
     assert {name for name in imported if not name.startswith("_")} <= set(entrokit.__all__)
     assert all(hasattr(entrokit, name) for name in entrokit.__all__)
     assert "tsallis" in entrokit.__all__
+
+
+def test_bench_trace_targets_exist():
+    """Every entrokit attribute the benchmark's tracer wraps still exists."""
+    spans = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+    tree = ast.parse(spans.read_text())
+    targets = next(node.value for node in tree.body if isinstance(node, ast.Assign)
+                   and any(getattr(t, "id", None) == "TARGETS" for t in node.targets))
+    named = [(entry.elts[0].attr, entry.elts[1].value) for entry in targets.elts
+             if isinstance(entry.elts[0], ast.Attribute)
+             and getattr(entry.elts[0].value, "id", None) == "entrokit"]
+    assert len(named) >= 20
+    missing = [f"{module}.{attr}" for module, attr in named
+               if not hasattr(importlib.import_module(f"entrokit.{module}"), attr)]
+    assert missing == []
