@@ -5,9 +5,10 @@ pivots: log det = sum log pivots.  A Toeplitz matrix (every diagonal
 exactly constant, as for fractional Gaussian noise) is factored by the
 Durbin-Levinson recursion on its first row in O(n^2) time and O(n)
 memory; its pivots are the prediction-error variances.  Any other matrix
-goes through a symmetric Cholesky factorization with diagonal pivoting
-in O(n^3).  The two routines share no code, so the tests use the
-pivoted one as the reference for the recursion.
+goes through a left-looking Cholesky factorization with diagonal
+pivoting (LAPACK's dpstf2 scheme): O(n^3) flops, one matrix-vector
+product per step, O(n^2) memory.  The two routines share no code, so
+the tests use the pivoted one as the reference for the recursion.
 
 Singularity is decided by rank alone.  A pivot at or below the relative
 floor 1e-12 * max(a_ii) ends the factorization: the matrix is singular
@@ -20,6 +21,7 @@ underflows is not singular; its entropy comes from the log pivots.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -39,10 +41,19 @@ class CovMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        a = np.array(self.entries, dtype=float)
+        try:
+            a = np.asarray(self.entries)
+            # complex entries would lose their imaginary part, strings would be parsed
+            if a.dtype.kind not in "biufO":
+                raise TypeError(f"dtype {a.dtype}")
+            a = np.array(a, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise ParameterError(f"covariance entries must be real numbers ({exc})") from None
         if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
             raise ParameterError(f"covariance must be square with n >= 1, got shape {a.shape}")
         scale = float(np.max(np.abs(a))) or 1.0
+        if not math.isfinite(scale):
+            raise ParameterError(f"covariance entries must be finite, got max |a_ij| = {scale}")
         asym = a - a.T
         if float(np.max(np.abs(asym))) > _SYM_TOL * max(1.0, scale):
             raise ParameterError("covariance must be symmetric to 1e-14")
@@ -67,36 +78,51 @@ class DetResult(NamedTuple):
 
 
 def _pivoted_factor(a: np.ndarray):
-    """Pivots of the diagonally pivoted symmetric factorization of a.
+    """Pivots of the diagonally pivoted Cholesky factorization of a.
+
+    Left-looking (Crout) order, as in LAPACK's dpstf2: the Schur-complement
+    diagonal d is kept as a vector, step k pivots on the largest d (first
+    index on ties), builds column k of L from the original entries minus
+    one matrix-vector product with the columns already factored, and
+    lowers d by its squares.  Only the permutation, d and the factored
+    rows of L are swapped.  d never increases, so the pivots come out
+    non-increasing.
 
     Returns (pivots, singular).  The pivot list is in elimination order;
     a rank-deficient stop pads the remainder with zeros.
     """
-    m = np.array(a, dtype=float)
-    n = m.shape[0]
-    scale = float(np.max(np.diag(m)))
-    floor = _PIVOT_REL_FLOOR * scale
+    n = a.shape[0]
+    d = np.array(np.diag(a), dtype=float)
+    floor = _PIVOT_REL_FLOOR * float(np.max(d))
+    perm = np.arange(n)
+    low = np.zeros((n, n))  # row i: the factored part of L's row for index perm[i]
     pivots = np.zeros(n)
     for k in range(n):
-        j = k + int(np.argmax(np.diag(m)[k:]))
+        j = k + int(np.argmax(d[k:]))
         if j != k:
-            m[[k, j], :] = m[[j, k], :]
-            m[:, [k, j]] = m[:, [j, k]]
-        piv = m[k, k]
+            # element and slice swaps (fancy-indexed ones cost several times more per
+            # step); the copy keeps row k's values until row j has taken its place
+            perm[k], perm[j] = perm[j], perm[k]
+            d[k], d[j] = d[j], d[k]
+            low[k, :k], low[j, :k] = low[j, :k], low[k, :k].copy()
+        piv = float(d[k])
         if piv < -floor:
             raise NotPSDError(
                 f"pivot {piv:.3e} < -{floor:.3e} at step {k}: matrix is not PSD")
         if piv <= floor:
-            # PSD forces the remaining block to vanish with its diagonal
-            rem = m[k:, k:]
-            if rem.size and float(np.max(np.abs(rem))) > 1e4 * max(floor, 1e-300):
+            # PSD forces the remaining block a[rest, rest] - L L^T to vanish with its diagonal
+            rest, done = perm[k:], low[k:, :k]
+            rem = a[np.ix_(rest, rest)]
+            rem -= done @ done.T
+            if float(np.max(np.abs(rem))) > 1e4 * max(floor, 1e-300):
                 raise NotPSDError(
                     "tiny pivots but non-negligible remaining block: matrix is not PSD")
             return pivots, True
         pivots[k] = piv
-        if k + 1 < n:
-            col = m[k + 1:, k].copy()
-            m[k + 1:, k + 1:] -= np.outer(col, col) / piv
+        col = a[perm[k], perm[k + 1:]] - low[k + 1:, :k] @ low[k, :k]
+        col /= math.sqrt(piv)
+        low[k + 1:, k] = col
+        d[k + 1:] -= col * col
     return pivots, False
 
 
@@ -198,11 +224,11 @@ def _pow_keep_zero(base: float, exponent: float) -> float:
 
 def _fgn_autocovariance(n: int, hurst: float) -> np.ndarray:
     """Lag-0..n-1 autocovariance of unit-variance fractional Gaussian noise."""
-    if not (isinstance(n, int) and n >= 1):
-        raise ParameterError(f"n must be an integer >= 1, got {n}")
-    if not (isinstance(hurst, (int, float)) and 0.0 <= hurst <= 1.0):
-        raise ParameterError(f"hurst index must lie in [0, 1], got {hurst}")
-    two_h = 2.0 * float(hurst)
+    if not (isinstance(n, numbers.Integral) and not isinstance(n, bool) and n >= 1):
+        raise ParameterError(f"n must be an integer >= 1, got {n!r}")
+    if not (isinstance(hurst, numbers.Real) and 0.0 <= hurst <= 1.0):
+        raise ParameterError(f"hurst index must lie in [0, 1], got {hurst!r}")
+    n, two_h = int(n), 2.0 * float(hurst)
     rho = np.empty(n)
     rho[0] = 1.0
     for j in range(1, n):

@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -56,6 +57,25 @@ class TestCovMatrix:
                   rank1_extremal_vector([1.0, 2.0, 3.0], [1, -1, 1]).entries,
                   np.diag([1e308, 0.5e308])):  # 0.5 * (a + a.T) would overflow here
             assert np.array_equal(CovMatrix(np.array(m)).entries, m)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_entries_rejected(self, bad):
+        with pytest.raises(ParameterError, match="finite"):
+            CovMatrix(np.array([[1.0, bad], [bad, 1.0]]))
+        with pytest.raises(ParameterError, match="finite"):
+            CovMatrix(np.diag([bad, 1.0]))
+
+    def test_string_entries_rejected(self):
+        for entries in ([["a", "0"], ["0", "1"]], [["1", "0"], ["0", "1"]]):
+            with pytest.raises(ParameterError, match="real numbers"):
+                CovMatrix(entries)
+
+    def test_complex_entries_rejected(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no ComplexWarning from a silent cast
+            for entries in (np.array([[1.0, 0.5j], [-0.5j, 1.0]]), [[1.0 + 0j, 0.0], [0.0, 1.0]]):
+                with pytest.raises(ParameterError, match="real numbers"):
+                    CovMatrix(entries)
 
     def test_entries_read_only(self):
         a = CovMatrix(np.eye(2))
@@ -147,6 +167,22 @@ class TestFgn:
             fgn_covariance(0, 0.5)
         with pytest.raises(ParameterError):
             fgn_covariance(3, 1.5)
+
+    def test_numpy_scalar_arguments(self):
+        want = fgn_det_sweep(8, [0.3, 0.5])
+        assert fgn_det_sweep(np.int64(8), [0.3, 0.5]) == want
+        assert fgn_det_sweep(np.uint8(8), [np.float64(0.3), np.float32(0.5)]) == want
+        assert np.array_equal(fgn_covariance(np.int32(5), np.float32(0.5)).entries, np.eye(5))
+        assert np.array_equal(fgn_covariance(np.int64(5), np.float32(0.25)).entries,
+                              fgn_covariance(5, float(np.float32(0.25))).entries)
+
+    @pytest.mark.parametrize("n, h", [(True, 0.5), (False, 0.5), (2.0, 0.5), (np.int64(0), 0.5),
+                                      (3, np.float32(1.5)), (3, float("nan"))])
+    def test_bad_arguments_are_parameter_errors(self, n, h):
+        with pytest.raises(ParameterError):
+            fgn_covariance(n, h)
+        with pytest.raises(ParameterError):
+            fgn_det_sweep(n, [h])
 
     def test_nondegenerate_inside_open_interval(self):
         # positive definiteness checked through the factorization pivots,
@@ -331,3 +367,64 @@ class TestLevinsonAgainstPivoted:
         assert peak < 10 * 2**20  # the dense 4000 x 4000 matrix alone is 128 MB
         assert [r.singular for r in rows] == [False, False, True]
         assert all(math.isfinite(r.entropy) for r in rows[:2])
+
+
+def rescaled_fgn(rng, n, h):
+    """D^1/2 R D^1/2: fGn correlations with unequal variances, not Toeplitz."""
+    sd = np.sqrt(10.0 ** rng.uniform(-1.0, 1.0, n))
+    m = sd[:, None] * fgn_covariance(n, h).entries * sd[None, :]
+    return 0.5 * (m + m.T)
+
+
+class TestPivotedFactor:
+    """The general (non-Toeplitz) path against LAPACK's LU log determinant."""
+
+    @staticmethod
+    def assert_log_det_matches_slogdet(m):
+        pivots, singular = gaussian._pivoted_factor(m)
+        sign, want = np.linalg.slogdet(m)
+        assert singular is False and sign == 1.0
+        got = float(np.sum(np.log(pivots)))
+        assert abs(got - want) <= 1e-12 * (1.0 + abs(want))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 17, 100, 300])
+    def test_random_spd_log_det(self, rng, n):
+        self.assert_log_det_matches_slogdet(random_psd(rng, n))
+
+    @pytest.mark.parametrize("n", [256, 1000])
+    @pytest.mark.parametrize("h", [0.0, 0.5, 0.9, 0.99])
+    def test_rescaled_fgn_log_det(self, rng, n, h):
+        self.assert_log_det_matches_slogdet(rescaled_fgn(rng, n, h))
+
+    def test_pivots_non_increasing(self, rng):
+        # the Schur-complement diagonal only ever decreases, so this holds exactly
+        for m in (random_psd(rng, 40), rescaled_fgn(rng, 120, 0.8), np.diag([1.0, 3.0, 2.0, 3.0])):
+            pivots = cholesky_pivots(CovMatrix(m))
+            assert np.all(np.diff(pivots) <= 0.0)
+        assert np.array_equal(cholesky_pivots(CovMatrix(np.diag([1.0, 3.0, 2.0, 3.0]))),
+                              [3.0, 3.0, 2.0, 1.0])
+
+    def test_rank_deficient_is_singular_with_rank_pivots(self, rng):
+        b = rng.normal(size=(60, 7))
+        m = b @ b.T
+        m = 0.5 * (m + m.T)
+        a = CovMatrix(m)
+        assert not np.array_equal(a.entries[1:, 1:], a.entries[:-1, :-1])
+        pivots, singular = gaussian._pivoted_factor(a.entries)
+        assert singular is True and np.count_nonzero(pivots) == 7
+        assert det_psd(a) == (0.0, True)
+
+    def test_negative_pivot_raises(self):
+        m = np.array([[2.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 0.5]])
+        with pytest.raises(NotPSDError, match="pivot"):
+            gaussian._pivoted_factor(m)
+        with pytest.raises(NotPSDError):
+            CovMatrix(m)
+
+    def test_tiny_pivot_with_remaining_block_raises(self):
+        # step 0 leaves a zero diagonal but off-diagonal 0.3 - 0.5 = -0.2
+        m = np.array([[1.0, 1.0, 0.5], [1.0, 1.0, 0.3], [0.5, 0.3, 0.25]])
+        with pytest.raises(NotPSDError, match="remaining block"):
+            gaussian._pivoted_factor(m)
+        with pytest.raises(NotPSDError):
+            CovMatrix(m)
