@@ -8,7 +8,10 @@ Each family class carries its own record facts: its spec name and
 fields, the parameter a sweep varies by default, whether it is discrete,
 and its log-density or log-mass.  Density and mass evaluation is done in
 log space and vectorizes over numpy arrays, which is what the quadrature
-and series oracles consume.
+and series oracles consume.  Poisson and Binomial use Loader's
+saddle-point form (stirlerr and bd0 from special), whose pieces are
+small and of one sign, so log p_k is good to a few ulp of |log p_k| plus
+u |k - mean| at any scale: no log-gammas of size k log k cancel.
 """
 
 from __future__ import annotations
@@ -20,9 +23,10 @@ from functools import cached_property
 import numpy as np
 
 from .errors import FamilyMismatchError, ParameterError
-from .special import log_gamma
+from .special import bd0, log_gamma, stirlerr
 
-_LOG_2PI = math.log(2.0 * math.pi)
+_TWO_PI = 2.0 * math.pi
+_LOG_2PI = math.log(_TWO_PI)
 
 
 def _check(cond, msg):
@@ -179,7 +183,9 @@ class Poisson(Distribution, spec="poisson", keys=("lambda",), sweep="lambda", di
     def _logpmf(self, k):
         ok = (k >= 0) & (k == np.floor(k))
         ks = np.where(ok, k, 0.0)
-        out = ks * math.log(self.lam) - self.lam - log_gamma(ks + 1.0)
+        with np.errstate(divide="ignore", invalid="ignore"):  # k = 0 is replaced below
+            out = -stirlerr(ks) - bd0(ks, self.lam) - 0.5 * (_LOG_2PI + np.log(ks))
+        out = np.where(ks == 0.0, -self.lam, out)
         return np.where(ok, out, -np.inf)
 
 
@@ -195,14 +201,19 @@ class Binomial(Distribution, spec="binomial", keys=("n", "p"), sweep="p", discre
                f"binomial requires p in (0, 1), got p={self.p}")
 
     @cached_property
-    def _log_n_factorial(self):
-        return log_gamma(self.n + 1.0)
+    def _stirlerr_n(self):
+        return float(stirlerr(self.n))
 
     def _logpmf(self, k):
-        ok = (k >= 0) & (k <= self.n) & (k == np.floor(k))
+        n, p = self.n, self.p
+        ok = (k >= 0) & (k <= n) & (k == np.floor(k))
         ks = np.where(ok, k, 0.0)
-        out = (self._log_n_factorial - log_gamma(ks + 1.0) - log_gamma(self.n - ks + 1.0)
-               + ks * math.log(self.p) + (self.n - ks) * math.log1p(-self.p))
+        rest = n - ks
+        with np.errstate(divide="ignore", invalid="ignore"):  # k = 0, n are replaced below
+            out = (self._stirlerr_n - stirlerr(ks) - stirlerr(rest)
+                   - bd0(ks, n * p) - bd0(rest, n * (1.0 - p))
+                   + 0.5 * np.log(n / (_TWO_PI * ks * rest)))
+        out = np.where(ks == 0.0, n * math.log1p(-p), np.where(rest == 0.0, n * math.log(p), out))
         return np.where(ok, out, -np.inf)
 
 

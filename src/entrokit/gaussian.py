@@ -226,7 +226,8 @@ def _fgn_autocovariance(n: int, hurst: float) -> np.ndarray:
     """Lag-0..n-1 autocovariance of unit-variance fractional Gaussian noise."""
     if not (isinstance(n, numbers.Integral) and not isinstance(n, bool) and n >= 1):
         raise ParameterError(f"n must be an integer >= 1, got {n!r}")
-    if not (isinstance(hurst, numbers.Real) and 0.0 <= hurst <= 1.0):
+    if not (isinstance(hurst, numbers.Real) and not isinstance(hurst, bool)
+            and 0.0 <= hurst <= 1.0):
         raise ParameterError(f"hurst index must lie in [0, 1], got {hurst!r}")
     n, two_h = int(n), 2.0 * float(hurst)
     rho = np.empty(n)
@@ -269,7 +270,7 @@ def fgn_det_sweep(n: int, hurst_grid) -> list[FgnSweepRow]:
     rows = []
     for h in hurst_grid:
         # the Levinson recursion needs only the first row: no n x n matrix is built
-        det, entropy = _det_and_entropy(_levinson(_fgn_autocovariance(n, float(h))))
+        det, entropy = _det_and_entropy(_levinson(_fgn_autocovariance(n, h)))
         rows.append(FgnSweepRow(float(h), det.value, det.singular, entropy))
     return rows
 

@@ -75,9 +75,12 @@ def _poisson_series(lam: float, weight, start: int, cfg: oracle.OracleConfig) ->
         w = weight(ks)
         w_next = float(weight(np.array([ks[-1] + 1.0]))[0])
         q = lam / (ks[-1] + 1.0) * (w_next / float(w[-1]))
-        return ks * log_lam - lam - log_gamma(ks + 1.0), w, q
+        lp = ks * log_lam - lam - log_gamma(ks + 1.0)
+        t = np.exp(lp) * w
+        # log p_k taken as good to a few ulp of 1 + |log p_k|: only the value is used here
+        return t, q, 4.0 * oracle._U * (1.0 + float(np.max(np.abs(lp)))) * float(t.sum())
 
-    return oracle._certified_series(block, start, 1.0, cfg).value
+    return oracle._certified_series(block, start, cfg).value
 
 
 def poisson_entropy(lam: float, cfg: oracle.OracleConfig | None = None) -> float:

@@ -19,6 +19,9 @@ _PLANS:
   is at most term * q / (1 - q), reported with an extra factor-2 safety
   margin plus an a-priori rounding bound.  A finite support (Binomial)
   ends at its last index at the latest; memory is one block of terms.
+  Poisson and Binomial start at the mode and sum both tails, each with
+  its own certificate, so they take O(sigma) terms rather than
+  O(mean); max_terms counts the terms summed.
 
 Every public routine returns its error estimate alongside the value.
 """
@@ -26,6 +29,7 @@ Every public routine returns its error estimate alongside the value.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
 
@@ -49,10 +53,18 @@ class OracleConfig:
     max_terms: int = 10**7
 
     def __post_init__(self):
-        if not (self.abs_tol > 0 and self.rel_tol > 0 and self.series_tail_tol > 0):
-            raise ParameterError("oracle tolerances must be positive")
-        if self.max_subdivisions < 1 or self.max_terms < 1:
-            raise ParameterError("oracle budgets must be >= 1")
+        for name in ("abs_tol", "rel_tol", "series_tail_tol"):
+            tol = getattr(self, name)
+            if isinstance(tol, bool) or not (
+                    isinstance(tol, numbers.Real) and math.isfinite(tol) and tol > 0):
+                raise ParameterError(f"oracle tolerance {name} must be positive and finite, "
+                                     f"got {tol!r}")
+        for name in ("max_subdivisions", "max_terms"):
+            budget = getattr(self, name)
+            if not (isinstance(budget, numbers.Integral) and not isinstance(budget, bool)
+                    and budget >= 1):
+                raise ParameterError(f"oracle budget {name} must be an integer >= 1, "
+                                     f"got {budget!r}")
 
 
 class QuadResult(NamedTuple):
@@ -231,6 +243,9 @@ class _Plan(NamedTuple):
     start: int = 0                 # first index of a discrete support
     stop: int | None = None        # last index of a finite support
     ratio: Callable | None = None  # ratio(k) >= p_{j+1}/p_j for every j >= k
+    mode: int = 0                  # index of the largest p_k; summation starts next to it
+    down: Callable | None = None   # down(k) >= p_{j-1}/p_j for every j <= k
+    mean: float | None = None      # log p_k is off by a few ulp of |k - mean| too
 
 
 def _gamma_plan(d: Gamma, alpha: float) -> _Plan:
@@ -253,9 +268,13 @@ _PLANS = {
     Laplace: lambda d, alpha: _Plan("realline", scale=1.0 / d.lam, splits=(d.mu,)),
     Normal: lambda d, alpha: _Plan("realline", scale=math.sqrt(d.sigma2), splits=(d.mean,)),
     Uniform: lambda d, alpha: _Plan(f"interval[{d.a},{d.b}]", splits=(d.a, d.b)),
-    Poisson: lambda d, alpha: _Plan("discrete", ratio=lambda k: d.lam / (k + 1.0)),
+    Poisson: lambda d, alpha: _Plan(
+        "discrete", ratio=lambda k: d.lam / (k + 1.0), mode=math.floor(d.lam),
+        down=lambda k: k / d.lam, mean=d.lam),
     Binomial: lambda d, alpha: _Plan(
-        "discrete", stop=d.n, ratio=lambda k: max(0, d.n - k) / (k + 1.0) * d.p / (1.0 - d.p)),
+        "discrete", stop=d.n, ratio=lambda k: max(0, d.n - k) / (k + 1.0) * d.p / (1.0 - d.p),
+        mode=math.floor((d.n + 1) * d.p),
+        down=lambda k: k * (1.0 - d.p) / ((d.n - k + 1.0) * d.p), mean=d.n * d.p),
     NegBinomialConditional: lambda d, alpha: _Plan(
         "discrete", start=1, ratio=lambda k: (1.0 - d.p) * max(1.0, (k + d.r) / (k + 1.0))),
     Logarithmic: lambda d, alpha: _Plan("discrete", start=1, ratio=lambda k: 1.0 - d.p),
@@ -281,8 +300,8 @@ def _density_power_integral(d: Distribution, alpha: float, cfg: OracleConfig,
                             with_log: bool) -> QuadResult:
     if d.is_discrete:
         raise FamilyMismatchError("power integrals are defined for continuous families")
-    if not (alpha > 0):
-        raise ParameterError(f"alpha must be positive, got {alpha}")
+    if not (alpha > 0 and math.isfinite(alpha)):
+        raise ParameterError(f"alpha must be positive and finite, got {alpha}")
     return _integrate(_power_weight(d, alpha, with_log), _plan(d, alpha), cfg)
 
 
@@ -321,42 +340,41 @@ def kl_integral(p: Distribution, q: Distribution, cfg: OracleConfig) -> QuadResu
 
 _TRANSFORMS = ("p_log_p", "p_alpha", "p_alpha_log_p")
 _U = 2.0**-53  # unit roundoff
-_TERM_ULPS = 4.0  # rounding in one term, in units of _U * (1 + |alpha log p_k|)
+_LP_ULPS = 8.0  # rounding in one log p_k, in units of _U * |log p_k|
+_SHIFT_ULPS = 4.0  # and of _U * |k - mean|, from the rounded mean in Loader's log-pmf
+_FIRST_BLOCK = 64
+_EXACT_INDEX = 2**53  # integer indices are exact floats up to here
 
 
-def _weighted(lp, alpha: float, w):
-    """Terms exp(alpha * lp) * w, where w None means all ones."""
-    with np.errstate(all="ignore"):
-        t = np.exp(alpha * lp)
-        return t if w is None else t * w
+def _certified_series(block: Callable, start: int, cfg: OracleConfig,
+                      stop: int | None = None, budget: int | None = None) -> SeriesResult:
+    """Sum of the terms t_k over start <= k (<= stop) with a certified tail.
 
-
-def _certified_series(block: Callable, start: int, alpha: float,
-                      cfg: OracleConfig, stop: int | None = None) -> SeriesResult:
-    """Sum of exp(alpha * lp_k) * w_k over start <= k (<= stop) with a certified tail.
-
-    block(ks) returns (lp, w, q) on an index array: log p_k, the weights
-    (None for ones) and q >= |t_{j+1} / t_j| for every j >= ks[-1] (inf
-    while none holds).  The terms share one sign.  Blocks grow from 64
-    to 65536 terms until the tail 2 t_last q / (1 - q) is at most
-    cfg.series_tail_tol or k = stop is summed (tail 0), or SeriesBudgetError
-    at max_terms.  tail_bound adds an a-priori rounding bound (Higham
-    2002, section 4): a few ulp times 1 + |alpha lp_k| per term, gamma_{m-1}
-    sum |t| per m-term block summed in any order, and one rounding of the
-    running total per block; with one sign, a block's sum |t| is its |sum|.
+    block(ks) returns (t, q, err) on an index array: the terms, q >=
+    |t_{j+1} / t_j| for every j >= ks[-1] (inf while none holds), and a
+    bound on the summed error the terms inherit from their inputs (log
+    p_k).  The terms share one sign.  Blocks grow from 64 to 65536 terms
+    until the tail 2 t_last q / (1 - q) is at most cfg.series_tail_tol or
+    k = stop is summed (tail 0), or SeriesBudgetError once budget terms
+    (default cfg.max_terms) are summed.  tail_bound adds err, two
+    roundings per term (its exp and its product), gamma_{m-1} sum |t|
+    per m-term block summed in any order (Higham 2002, section 4) and
+    one rounding of the running total per block; with one sign, a
+    block's sum |t| is its |sum|.
     """
-    last = cfg.max_terms if stop is None else min(stop, cfg.max_terms)
+    last = start + (cfg.max_terms if budget is None else budget) - 1
+    if stop is not None:
+        last = min(stop, last)
     total = rounding = 0.0
-    k, size = start, 64
+    k, size = start, _FIRST_BLOCK
     while k <= last:
         ks = np.arange(k, min(k + size, last + 1))
-        lp, w, q = block(ks)
-        t = _weighted(lp, alpha, w)
+        t, q, err = block(ks)
         s = float(t.sum())
         total += s
         m = len(ks)
-        term_err = _TERM_ULPS * _U * (1.0 + alpha * float(np.max(np.abs(lp))))
-        rounding += (term_err + (m - 1) * _U / (1.0 - (m - 1) * _U)) * abs(s) + _U * abs(total)
+        gamma = (m - 1) * _U / (1.0 - (m - 1) * _U)
+        rounding += err + (2.0 * _U + gamma) * abs(s) + _U * abs(total)
         end = int(ks[-1])
         if end == stop:
             return SeriesResult(total, rounding, end)
@@ -371,14 +389,37 @@ def _certified_series(block: Callable, start: int, alpha: float,
         f"max_terms={cfg.max_terms}")
 
 
+def _tail_ratio(rho: float, lp_last: float, alpha: float, with_log: bool) -> float:
+    """q >= t_{j+1}/t_j past a term with log p = lp_last, given p_{j+1}/p_j <= rho < 1.
+
+    With the log weight the ratio is r**alpha (1 + log(1/r)/L), L = -log p_j.
+    It increases in r and decreases in L once alpha L > 1; below that,
+    x**alpha log(1/x) <= 1/(alpha e) on (0, 1) gives an additive bound.
+    """
+    if not (rho < 1.0 and lp_last < 0.0):
+        return math.inf
+    if rho == 0.0:
+        return 0.0
+    if not with_log:
+        return rho**alpha
+    big_l = -lp_last
+    if alpha * big_l > 1.0:
+        return rho**alpha * (1.0 + math.log(1.0 / rho) / big_l)
+    return rho**alpha + 1.0 / (alpha * math.e * big_l)
+
+
 def discrete_entropy_sum(d: Distribution, transform: str, alpha: float,
                          cfg: OracleConfig) -> SeriesResult:
     """Sum of p_k log p_k, p_k**alpha, or p_k**alpha log p_k over the support.
 
-    Summation stops once the geometric tail certificate is below
-    cfg.series_tail_tol or, for Binomial, at k = n; last_k is the last
-    index summed and tail_bound includes rounding.  SeriesBudgetError is
-    raised if max_terms is hit first.
+    Summation starts next to the mode: upward from k0 = max(start,
+    mode - 64) and, when k0 is above the first index, downward from
+    k0 - 1 over the mirrored index, each direction with its own ratio
+    bound and its own tail certificate below cfg.series_tail_tol.  A
+    direction also ends at the end of a finite support.  last_k is the
+    last index summed upward and tail_bound includes rounding.
+    SeriesBudgetError is raised once max_terms terms (both directions
+    together) are summed without a certificate.
     """
     if not d.is_discrete:
         raise FamilyMismatchError("discrete_entropy_sum needs a discrete family")
@@ -386,24 +427,42 @@ def discrete_entropy_sum(d: Distribution, transform: str, alpha: float,
         raise ParameterError(f"transform must be one of {_TRANSFORMS}, got {transform!r}")
     if transform == "p_log_p":
         alpha = 1.0
-    elif not (alpha > 0):
-        raise ParameterError(f"alpha must be positive, got {alpha}")
+    elif not (alpha > 0 and math.isfinite(alpha)):
+        raise ParameterError(f"alpha must be positive and finite, got {alpha}")
     with_log = transform in ("p_log_p", "p_alpha_log_p")
     plan = _plan(d, alpha)
+    if plan.mode > _EXACT_INDEX:
+        raise SeriesBudgetError(
+            f"the mass lies near index {plan.mode}, beyond 2**53 where indices are "
+            "not exact floats")
 
-    def block(ks):
-        lp = np.asarray(logpmf(d, ks), dtype=float)
-        lp_last = float(lp[-1])
-        rho = plan.ratio(int(ks[-1]))
-        q = math.inf
-        if rho < 1.0 and lp_last < 0.0:
-            q = rho**alpha
+    def block_for(index: Callable, ratio: Callable) -> Callable:
+        def block(js):
+            ks = index(js)
+            lp = np.asarray(logpmf(d, ks), dtype=float)
+            # |error of log p_k|; the transformed term moves by t_k (alpha + 1/log p_k) per unit
+            lp_err = _LP_ULPS * _U * np.abs(lp)
+            if plan.mean is not None:
+                lp_err += _SHIFT_ULPS * _U * np.abs(ks - plan.mean)
+            e = np.exp(alpha * lp)
             if with_log:
-                # x**alpha * log(1/x) <= 1/(alpha*e) on (0,1)
-                q += (1.0 / (alpha * math.e)) / (-lp_last)
-        return lp, (lp if with_log else None), q
+                t = e * lp
+                err = float(np.dot(lp_err, e - alpha * t))  # e (1 + alpha |lp|)
+            else:
+                t = e
+                err = alpha * float(np.dot(lp_err, e))
+            q = _tail_ratio(ratio(int(ks[-1])), float(lp[-1]), alpha, with_log)
+            return t, q, err
+        return block
 
-    return _certified_series(block, plan.start, alpha, cfg, plan.stop)
+    k0 = max(plan.start, plan.mode - _FIRST_BLOCK)
+    up = _certified_series(block_for(lambda js: js, plan.ratio), k0, cfg, plan.stop)
+    if k0 == plan.start:
+        return up
+    down = _certified_series(block_for(lambda js: (k0 - 1) - js, plan.down), 0, cfg,
+                             k0 - 1 - plan.start, cfg.max_terms - (up.last_k - k0 + 1))
+    total = up.value + down.value
+    return SeriesResult(total, up.tail_bound + down.tail_bound + _U * abs(total), up.last_k)
 
 
 def entropy_estimate(d: Distribution, measure: str, alpha: float | None,

@@ -14,6 +14,13 @@ the input rounding; no clamping is performed.
 
 All three functions accept scalars or numpy arrays and are pure and
 reentrant.
+
+Two array kernels serve the saddle-point log-pmfs of Poisson and Binomial
+(C. Loader, *Fast and accurate computation of binomial probabilities*,
+2000): stirlerr, the Stirling remainder of log k!, and bd0, the deviance
+x log(x/m) + m - x.  Both are nonnegative, so the log-pmfs add terms of
+one sign and no O(k log k) quantities cancel.  They skip the argument
+checks.
 """
 
 from __future__ import annotations
@@ -61,6 +68,19 @@ _TRIGAMMA_COEF = (
 )
 
 _SHIFT_THRESHOLD = 10.0
+
+# stirlerr(k) = log k! - [(k + 1/2) log k - k + log(2 pi)/2] for k = 0..15, from 40-digit
+# mpmath; k = 0 is a placeholder (the log-pmfs evaluate their endpoints exactly)
+_STIRLERR_TABLE = np.array([
+    0.0, 0.08106146679532726, 0.0413406959554093, 0.02767792568499834,
+    0.020790672103765093, 0.016644691189821193, 0.013876128823070748,
+    0.01189670994589177, 0.010411265261972096, 0.009255462182712733,
+    0.00833056343336287, 0.007573675487951841, 0.00694284010720953,
+    0.006408994188004207, 0.0059513701127588475, 0.005554733551962801,
+])
+# k above which the first j coefficients of _LGAMMA_COEF leave a term below 1e-19 out
+_STIRLERR_CUTS = tuple(
+    (abs(_LGAMMA_COEF[j]) / 1e-19) ** (1.0 / (2 * j + 1)) for j in range(1, 8))
 
 
 def _prepare(x):
@@ -133,3 +153,61 @@ def trigamma(x):
     for mask, vals in shifts:
         out[mask] += 1.0 / (vals * vals)
     return float(out[0]) if scalar else out
+
+
+def stirlerr(k):
+    """log k! - [(k + 1/2) log k - k + log(2 pi)/2] for integers k >= 1 (scalar or array).
+
+    A table for k <= 15; above it the _LGAMMA_COEF series, cut at the
+    first term below 1e-19 for the smallest k.
+    """
+    k = np.asarray(k, dtype=float)
+    if k.ndim == 0:
+        return stirlerr(k.reshape(1)).reshape(())
+    small = k <= 15.0
+    any_small = bool(small.any())
+    z = np.where(small, 16.0, k) if any_small else k
+    zmin = float(z.min())
+    terms = next((j for j, cut in enumerate(_STIRLERR_CUTS, 1) if zmin > cut), 8)
+    series = _LGAMMA_COEF[terms - 1]
+    if terms > 1:
+        rz2 = 1.0 / (z * z)
+        for c in _LGAMMA_COEF[terms - 2::-1]:
+            series = series * rz2 + c
+    out = series / z
+    if any_small:
+        out[small] = _STIRLERR_TABLE[k[small].astype(np.intp)]
+    return out
+
+
+def bd0(x, m):
+    """Deviance x log(x/m) + m - x >= 0 for x > 0 (scalar or array) and a scalar m > 0.
+
+    Where |x - m| < 0.1 (x + m) Loader's series in v = (x - m)/(x + m),
+    bd0 = (x - m) v + 2x (v^3/3 + v^5/5 + ...), keeps a few ulp of
+    relative accuracy; it is cut where the rest is below 2**-56 of the
+    sum.  Elsewhere x log1p((x - m)/m) - (x - m) is good to about
+    2u (bd0 + |x - m|), where |x - m| is at most ten times bd0.
+    """
+    x = np.asarray(x, dtype=float)
+    d = x - m
+    v = d / (x + m)
+    near = np.abs(v) < 0.1
+    all_near = bool(near.all())
+    out = None
+    if not all_near:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out = x * np.log1p(d / m) - d
+    if all_near or near.any():
+        vmax = float(np.abs(v).max() if all_near else np.abs(v[near]).max())
+        # the terms after the j-th sum to at most 2.2 vmax**(2j+1) / (2j+3) of bd0
+        j = 1
+        while j < 8 and 2.2 * vmax ** (2 * j + 1) > 2.0**-56 * (2 * j + 3):
+            j += 1
+        v2 = v * v
+        s = 1.0 / (2 * j + 1)
+        for i in range(j - 1, 0, -1):
+            s = s * v2 + 1.0 / (2 * i + 1)
+        series = d * v + 2.0 * x * v * v2 * s
+        out = series if all_near else np.where(near, series, out)
+    return out

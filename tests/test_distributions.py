@@ -10,6 +10,7 @@ from entrokit import (Binomial, ChiSquared, Exponential, Gamma, Laplace,
                       log_gamma, logpdf, logpmf, parse_spec, pdf, pmf)
 from entrokit.errors import (FamilyMismatchError, ParameterError,
                              UnboundedDensityError)
+from entrokit.special import bd0, stirlerr
 from entrokit.verification import random_distribution
 
 CONTINUOUS = ("gamma", "exp", "chisq", "laplace", "lognormal", "normal", "uniform")
@@ -215,9 +216,9 @@ def gamma_logpdf(d, x):
 @pytest.mark.parametrize("d, constants, inline", [
     (Gamma(1.3, 2.2), ("_log_norm",), gamma_logpdf),
     (ChiSquared(3), ("_gamma",), lambda d, x: gamma_logpdf(Gamma(0.5, 1.5), x)),
-    (Binomial(30, 0.3), ("_log_n_factorial",), lambda d, k: (
-        log_gamma(d.n + 1.0) - log_gamma(k + 1.0) - log_gamma(d.n - k + 1.0)
-        + k * math.log(d.p) + (d.n - k) * math.log1p(-d.p))),
+    (Binomial(30, 0.3), ("_stirlerr_n",), lambda d, k: (
+        stirlerr(d.n) - stirlerr(k) - stirlerr(d.n - k) - bd0(k, d.n * d.p)
+        - bd0(d.n - k, d.n * (1.0 - d.p)) + 0.5 * np.log(d.n / (2.0 * math.pi * k * (d.n - k))))),
     (NegBinomialConditional(0.35, 0.2), ("_log_gamma_r", "_log_one_minus_pr"), lambda d, k: (
         log_gamma(k + d.r) - log_gamma(d.r) - log_gamma(k + 1.0) + k * math.log1p(-d.p)
         + d.r * math.log(d.p) - math.log(-math.expm1(d.r * math.log(d.p))))),

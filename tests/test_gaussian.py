@@ -177,7 +177,8 @@ class TestFgn:
                               fgn_covariance(5, float(np.float32(0.25))).entries)
 
     @pytest.mark.parametrize("n, h", [(True, 0.5), (False, 0.5), (2.0, 0.5), (np.int64(0), 0.5),
-                                      (3, np.float32(1.5)), (3, float("nan"))])
+                                      (3, np.float32(1.5)), (3, float("nan")), (3, "0.5"),
+                                      (3, True), (3, False)])
     def test_bad_arguments_are_parameter_errors(self, n, h):
         with pytest.raises(ParameterError):
             fgn_covariance(n, h)

@@ -4,14 +4,16 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from entrokit import oracle
 from entrokit import (Binomial, ChiSquared, Exponential, Gamma, Laplace,
                       Logarithmic, LogNormal, NegBinomialConditional, Normal,
                       OracleConfig, Poisson, Uniform, discrete_entropy_sum,
                       integral_p_alpha, integral_p_alpha_log_p,
                       integrate_halfline, integrate_interval, kl_integral,
                       logpdf, logpmf, poisson_entropy_derivative, shannon)
-from entrokit.errors import (FamilyMismatchError, NonConvergenceError,
+from entrokit.errors import (EntrokitError, FamilyMismatchError, NonConvergenceError,
                              ParameterError, SeriesBudgetError,
                              UnsupportedFamilyError, ValidityDomainError)
 
@@ -26,6 +28,45 @@ def binomial_log_p(mpmath, d, k):
     n, p = d.n, mpmath.mpf(d.p)
     return (mpmath.loggamma(n + 1) - mpmath.loggamma(k + 1) - mpmath.loggamma(n - k + 1)
             + k * mpmath.log(p) + (n - k) * mpmath.log1p(-p))
+
+
+def poisson_log_p(mpmath, d, k):
+    lam = mpmath.mpf(d.lam)
+    return k * mpmath.log(lam) - lam - mpmath.loggamma(k + 1)
+
+
+def mpmath_series(mpmath, d, transform="p_log_p", alpha=1.0):
+    """Sum of the transformed Poisson or Binomial pmf at the working precision.
+
+    A direct sum over mean +- (50 sigma + 50), walked by the pmf ratio,
+    while the +-50 sigma window holds at most 1e4 terms or reaches an end
+    of the support.  Otherwise the integral of the continuous extension
+    (log-gammas at real x) over +-50 sigma: by Poisson summation it
+    differs from the sum by O(exp(-2 pi^2 sigma^2)), and sigma > 100 there.
+    """
+    if isinstance(d, Poisson):
+        mean, sd, top, log_p = d.lam, math.sqrt(d.lam), math.inf, poisson_log_p
+        log_ratio = lambda k: mpmath.log(mpmath.mpf(d.lam) / (k + 1))  # noqa: E731
+    else:
+        mean, sd, top, log_p = d.n * d.p, math.sqrt(d.n * d.p * (1 - d.p)), d.n, binomial_log_p
+        odds = mpmath.mpf(d.p) / (1 - mpmath.mpf(d.p))
+        log_ratio = lambda k: mpmath.log(odds * (d.n - k) / (k + 1))  # noqa: E731
+    lo, hi = mean - 50 * sd, mean + 50 * sd
+
+    def term(lp):
+        return mpmath.exp(alpha * lp) * (1 if transform == "p_alpha" else lp)
+
+    if lo <= 0 or hi >= top or hi - lo <= 1e4:
+        first = max(0, math.floor(lo) - 50)
+        last = int(min(top, math.ceil(hi) + 50))
+        lp, total = log_p(mpmath, d, first), 0
+        for k in range(first, last + 1):
+            total += term(lp)
+            if k < last:
+                lp += log_ratio(k)
+        return total
+    return mpmath.quad(lambda x: term(log_p(mpmath, d, x)),
+                       [mean + j * sd for j in range(-50, 51, 5)], method="gauss-legendre")
 
 
 def laplace_power_integral(lam, alpha):
@@ -139,6 +180,27 @@ class TestQuadratureContracts:
         with pytest.raises(ParameterError):
             OracleConfig(max_subdivisions=0)
 
+    @pytest.mark.parametrize("kwargs", [
+        {"max_terms": 1.5}, {"max_terms": True}, {"max_terms": 10.0}, {"max_terms": "10"},
+        {"max_subdivisions": 2.5}, {"max_subdivisions": True},
+        {"abs_tol": math.inf}, {"rel_tol": math.nan}, {"series_tail_tol": math.inf},
+        {"abs_tol": True}, {"rel_tol": "1e-10"},
+    ])
+    def test_config_rejects_wrong_types_and_non_finite_tolerances(self, kwargs):
+        with pytest.raises(ParameterError):
+            OracleConfig(**kwargs)
+
+    def test_config_accepts_numpy_integers(self):
+        assert OracleConfig(max_terms=np.int64(10), max_subdivisions=np.int32(8)).max_terms == 10
+
+    @pytest.mark.parametrize("alpha", [math.inf, math.nan])
+    @pytest.mark.parametrize("d", [Exponential(1.0), Exponential(5.0)])
+    def test_non_finite_alpha_is_a_parameter_error(self, d, alpha, cfg):
+        with pytest.raises(ParameterError):
+            integral_p_alpha(d, alpha, cfg)
+        with pytest.raises(ParameterError):
+            integral_p_alpha_log_p(d, alpha, cfg)
+
 
 class TestKLIntegral:
     def test_identical_pair_is_zero(self, cfg):
@@ -179,6 +241,12 @@ class TestDiscreteSeries:
             discrete_entropy_sum(Poisson(1.0), "p_alpha", -1.0, cfg)
         with pytest.raises(FamilyMismatchError):
             discrete_entropy_sum(Exponential(1.0), "p_log_p", 1.0, cfg)
+
+    @pytest.mark.parametrize("alpha", [math.inf, math.nan])
+    @pytest.mark.parametrize("transform", ["p_alpha", "p_alpha_log_p"])
+    def test_non_finite_alpha_is_a_parameter_error(self, transform, alpha, cfg):
+        with pytest.raises(ParameterError):
+            discrete_entropy_sum(Poisson(3.0), transform, alpha, cfg)
 
     def test_budget_exhausted(self):
         cfg = OracleConfig(max_terms=10)
@@ -228,6 +296,10 @@ def test_poisson_derivative_matches_finite_differences(lam, cfg):
     (Binomial(12, 0.25), "p_log_p", 1.0),
     (Binomial(40, 0.3), "p_log_p", 1.0),
     (Binomial(25, 0.6), "p_alpha", 0.7),
+    (Poisson(300.0), "p_log_p", 1.0),
+    (Binomial(1000, 0.5), "p_log_p", 1.0),
+    (Poisson(1e-8), "p_log_p", 1.0),
+    (Binomial(3, 1e-10), "p_log_p", 1.0),
 ])
 def test_tail_bound_covers_error_against_mpmath(d, transform, alpha, cfg):
     """tail_bound bounds |value - true sum|, rounding included."""
@@ -300,3 +372,78 @@ class TestBinomialSeries:
             exact = -mpmath.fsum(mpmath.exp(lp) * lp
                                  for lp in (binomial_log_p(mpmath, d, k) for k in range(120)))
         assert abs(h - float(exact)) <= 1e-8 * (1.0 + h)
+
+
+class TestSeriesFromTheMode:
+    """Poisson and Binomial are summed outward from the mode in O(sigma) terms."""
+
+    @pytest.mark.parametrize("d,transform,alpha", [
+        (Binomial(10**6, 0.5), "p_log_p", 1.0),
+        (Binomial(10**6, 0.5), "p_alpha", 0.6),
+        (Poisson(1e4), "p_alpha_log_p", 2.5),
+        (Binomial(10**9, 1.0 - 1e-8), "p_log_p", 1.0),
+    ])
+    def test_tail_bound_covers_error_against_mpmath(self, d, transform, alpha, cfg):
+        mpmath = pytest.importorskip("mpmath")
+        res = discrete_entropy_sum(d, transform, alpha, cfg)
+        with mpmath.workdps(40):
+            exact = mpmath_series(mpmath, d, transform, alpha)
+        assert abs(res.value - exact) <= res.tail_bound
+
+    def test_terms_grow_with_sigma_not_with_the_mean(self, cfg, monkeypatch):
+        summed = []
+        monkeypatch.setattr(oracle, "logpmf", lambda d, ks: summed.append(len(ks)) or logpmf(d, ks))
+        res = discrete_entropy_sum(Poisson(1e6), "p_log_p", 1.0, cfg)
+        assert 10**6 < res.last_k < 10**6 + 20 * 1000
+        assert sum(summed) < 40 * 1000
+
+    def test_max_terms_counts_terms_not_indices(self):
+        res = discrete_entropy_sum(Poisson(2e7), "p_log_p", 1.0, OracleConfig(max_terms=10**6))
+        assert res.last_k > 2 * 10**7
+        with pytest.raises(SeriesBudgetError):
+            discrete_entropy_sum(Poisson(2e7), "p_log_p", 1.0, OracleConfig(max_terms=10**4))
+
+    @pytest.mark.parametrize("d", [Poisson(1e300), Binomial(10**20, 0.5)])
+    def test_mass_beyond_exact_float_indices_is_a_budget_error(self, d, cfg):
+        with pytest.raises(SeriesBudgetError):
+            discrete_entropy_sum(d, "p_log_p", 1.0, cfg)
+
+    def test_shannon_beyond_the_old_index_budget(self):
+        h = shannon(Poisson(2e7))
+        assert h == pytest.approx(0.5 * math.log(2 * math.pi * math.e * 2e7), abs=1e-8)
+
+    @pytest.mark.parametrize("d,want", [
+        (Poisson(1e10), None),
+        (Binomial(10**12, 0.3), "14.454125217036549157"),
+    ])
+    def test_shannon_at_scale_against_mpmath(self, d, want):
+        mpmath = pytest.importorskip("mpmath")
+        h = shannon(d)
+        with mpmath.workdps(40):
+            exact = -mpmath_series(mpmath, d)
+            if want is not None:  # the integral agrees with an independent value
+                assert abs(exact - mpmath.mpf(want)) < 1e-17
+        assert abs(h - exact) <= 1e-12 * (1.0 + h)
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_random_scales_within_tail_bound(self, data):
+        """log-uniform lambda in [1e-8, 1e8], n in [1, 1e9], p in [1e-8, 1 - 1e-8]."""
+        mpmath = pytest.importorskip("mpmath")
+        # hypothesis' own float and integer draws crowd the ends of a range
+        rnd = data.draw(st.randoms(use_true_random=False))
+        if rnd.random() < 0.5:
+            d = Poisson(10.0 ** rnd.uniform(-8.0, 8.0))
+        else:
+            t = 10.0 ** rnd.uniform(-8.0, math.log10(0.5))
+            d = Binomial(round(10.0 ** rnd.uniform(0.0, 9.0)), 1.0 - t if rnd.random() < 0.5 else t)
+        transform, alpha = data.draw(st.sampled_from(
+            [("p_log_p", 1.0), ("p_alpha", 0.6), ("p_alpha", 2.0), ("p_alpha_log_p", 1.5)]))
+        try:
+            res = discrete_entropy_sum(d, transform, alpha, OracleConfig())
+        except EntrokitError:
+            return  # documented: the budget or the index range ran out
+        with mpmath.workdps(40):
+            exact = mpmath_series(mpmath, d, transform, alpha)
+        assert math.isfinite(res.value)
+        assert abs(res.value - exact) <= res.tail_bound

@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from entrokit import digamma, log_gamma, trigamma
 from entrokit.errors import DomainError
+from entrokit.special import _STIRLERR_TABLE, bd0, stirlerr
 
 EULER_GAMMA = 0.5772156649015328606
 PI2_6 = math.pi**2 / 6.0
@@ -105,6 +106,44 @@ class TestAccuracyRange:
             assert scaled_err(log_gamma(x), float(mp.loggamma(x))) <= 1e-13
             assert scaled_err(digamma(x), float(mp.digamma(x))) <= 1e-12
             assert scaled_err(trigamma(x), float(mp.polygamma(1, x))) <= 1e-12
+
+
+class TestLoaderKernels:
+    """stirlerr and bd0, the pieces of the Poisson and Binomial log-pmfs."""
+
+    @staticmethod
+    def mp_stirlerr(mp, k):
+        return mp.loggamma(k + 1) - ((k + mp.mpf(1) / 2) * mp.log(k) - k + mp.log(2 * mp.pi) / 2)
+
+    def test_stirlerr_table_is_correctly_rounded(self):
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(40):
+            assert [float(self.mp_stirlerr(mp, k)) for k in range(1, 16)] == list(
+                _STIRLERR_TABLE[1:])
+
+    def test_stirlerr_series_against_mpmath(self):
+        mp = pytest.importorskip("mpmath")
+        # every cut of the series sits between two of these k
+        ks = np.array([*range(1, 40), 58, 59, 179, 180, 1513, 1514, 302853, 302854, 1e8, 1e12])
+        with mp.workdps(60):
+            for k, got in zip(ks, stirlerr(ks)):
+                want = self.mp_stirlerr(mp, int(k))
+                assert abs(got - want) <= 3 * 2.0**-53 * want
+        assert stirlerr(7) == stirlerr(np.array([7.0]))[0] == _STIRLERR_TABLE[7]
+
+    @pytest.mark.parametrize("m", [1e-8, 0.3, 7.5, 1000.0, 12345.678, 1e10])
+    def test_bd0_against_mpmath(self, m):
+        mp = pytest.importorskip("mpmath")
+        near = np.round(m + np.sqrt(m) * np.linspace(-20.0, 20.0, 81))
+        x = np.unique(np.clip(np.concatenate([near, np.linspace(1.0, 3.0 * m + 5.0, 81).round()]),
+                              1.0, None))
+        with mp.workdps(40):
+            for xi, got in zip(x, bd0(x, m)):
+                xm, mm = mp.mpf(int(xi)), mp.mpf(m)
+                want = xm * mp.log(xm / mm) + mm - xm
+                # series: a few ulp of bd0; log1p branch: about u (bd0 + |x - m|)
+                scale = want if abs(xi - m) < 0.1 * (xi + m) else want + abs(xm - mm)
+                assert abs(got - want) <= 4 * 2.0**-53 * scale
 
 
 class TestDomain:
