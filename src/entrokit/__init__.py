@@ -21,9 +21,9 @@ from .limits import (ConvergenceTable, ExperimentRow, appendix_series_growth,
                      binomial_to_poisson, nb_to_logarithmic, poisson_entropy,
                      poisson_entropy_derivative)
 from .oracle import (OracleConfig, QuadResult, SeriesResult, discrete_entropy_sum,
-                     entropy_estimate, integral_p_alpha, integral_p_alpha_log_p,
-                     integrate_halfline, integrate_interval, integrate_realline,
-                     kl_integral)
+                     discrete_expectation, entropy_estimate, integral_p_alpha,
+                     integral_p_alpha_log_p, integrate_halfline, integrate_interval,
+                     integrate_realline, kl_integral)
 from .special import digamma, log_gamma, trigamma
 
 __version__ = "0.1.0"
@@ -34,14 +34,13 @@ __all__ = [
     "FgnSweepRow", "Gamma", "Laplace", "Logarithmic", "LogNormal",
     "NegBinomialConditional", "Normal", "OracleConfig", "Poisson", "QuadResult",
     "SeriesResult", "Uniform", "appendix_series_growth", "binomial_to_poisson",
-    "cholesky_pivots", "density_sup", "det_psd", "digamma",
-    "discrete_entropy_sum", "entropy_estimate", "evaluate", "fgn_covariance",
+    "cholesky_pivots", "density_sup", "det_psd", "digamma", "discrete_entropy_sum",
+    "discrete_expectation", "entropy_estimate", "evaluate", "fgn_covariance",
     "fgn_det_sweep", "format_spec", "gaussian_entropy", "generalized_renyi1",
-    "generalized_renyi2", "hadamard_gap", "integral_p_alpha",
-    "integral_p_alpha_log_p", "integrate_halfline", "integrate_interval",
-    "integrate_realline", "kl_divergence", "kl_integral", "log_gamma",
-    "lognormal_moment", "logpdf", "logpmf", "modified_shannon",
-    "nb_to_logarithmic", "parse_spec", "pdf", "pmf", "poisson_entropy",
-    "poisson_entropy_derivative", "rank1_extremal_vector", "renyi", "shannon",
-    "sharma_mittal", "trigamma", "tsallis",
+    "generalized_renyi2", "hadamard_gap", "integral_p_alpha", "integral_p_alpha_log_p",
+    "integrate_halfline", "integrate_interval", "integrate_realline", "kl_divergence",
+    "kl_integral", "log_gamma", "lognormal_moment", "logpdf", "logpmf",
+    "modified_shannon", "nb_to_logarithmic", "parse_spec", "pdf", "pmf",
+    "poisson_entropy", "poisson_entropy_derivative", "rank1_extremal_vector", "renyi",
+    "shannon", "sharma_mittal", "trigamma", "tsallis",
 ]

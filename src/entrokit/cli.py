@@ -148,8 +148,8 @@ def _cmd_converge(args) -> int:
     if args.n_grid is not None:
         if args.lam is None:
             raise ParameterError("binomial experiment needs --lambda")
-        ns = [int(round(v)) for v in _parse_grid(args.n_grid)]
-        table = limits.binomial_to_poisson(args.lam, ns, perturb=args.perturb)
+        table = limits.binomial_to_poisson(args.lam, _parse_grid(args.n_grid),
+                                           perturb=args.perturb)
     else:
         if not args.dist:
             raise ParameterError("nb experiment needs --dist logarithmic:p=...")

@@ -2,14 +2,15 @@
 
 The Poisson entropy is evaluated through its series form
 
-    H(lam) = -lam*log(lam/e) + exp(-lam) * sum_{k>=2} lam**k log(k!) / k!
+    H(lam) = -lam*log(lam/e) + sum_{k>=0} p_k log(k!)
 
 and its derivative through
 
-    H'(lam) = exp(-lam) * sum_{i>=1} lam**i log(i+1) / i!  -  log(lam),
+    H'(lam) = sum_{k>=0} p_k log(k+1)  -  log(lam),
 
-both summed by the oracle's certified series engine; this module only
-supplies the terms and their ratio bound.
+with p_k the Poisson(lam) probabilities; each series is summed by the
+oracle's engine from the mode on the record's log-pmf, and this module
+only supplies the weights.
 The convergence experiments produce tables: binomial entropies with
 p_n = lam/n approaching the Poisson entropy, and conditional negative
 binomial entropies approaching the logarithmic entropy as r -> 0.
@@ -18,12 +19,13 @@ binomial entropies approaching the logarithmic entropy as r -> 0.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import oracle
-from .distributions import Binomial, Logarithmic, NegBinomialConditional
+from .distributions import Binomial, Logarithmic, NegBinomialConditional, Poisson
 from .errors import ParameterError
 from .special import log_gamma
 
@@ -60,44 +62,41 @@ class ConvergenceTable:
         return [r.abs_error for r in self.rows]
 
 
-def _poisson_series(lam: float, weight, start: int, cfg: oracle.OracleConfig) -> float:
-    """Sum of pois_pmf(lam, k) * weight(k) for k >= start with a certified tail.
+def _intensity(lam) -> float:
+    if isinstance(lam, bool) or not (
+            isinstance(lam, numbers.Real) and math.isfinite(lam) and lam > 0):
+        raise ParameterError(f"lambda must be a positive real, got {lam!r}")
+    return float(lam)
 
-    weight must be positive and increasing with decreasing successive
-    ratios weight(k+1)/weight(k) on k >= start (true for log(k!) from
-    k = 2 and log(k+1) from k = 1), so that the transformed term ratio
-    is bounded by its value at the current index.
-    """
-    log_lam = math.log(lam)
 
-    def block(ks):
-        ks = ks.astype(float)
-        w = weight(ks)
-        w_next = float(weight(np.array([ks[-1] + 1.0]))[0])
-        q = lam / (ks[-1] + 1.0) * (w_next / float(w[-1]))
-        lp = ks * log_lam - lam - log_gamma(ks + 1.0)
-        t = np.exp(lp) * w
-        # log p_k taken as good to a few ulp of 1 + |log p_k|: only the value is used here
-        return t, q, 4.0 * oracle._U * (1.0 + float(np.max(np.abs(lp)))) * float(t.sum())
+def _log_factorial(k):
+    # exactly 0 at k = 0, 1, where log_gamma is off by a few ulp of 1
+    return np.where(k < 2, 0.0, log_gamma(k + 1.0))
 
-    return oracle._certified_series(block, start, cfg).value
+
+def _log_next(k):
+    return np.log(k + 1.0)
 
 
 def poisson_entropy(lam: float, cfg: oracle.OracleConfig | None = None) -> float:
-    """Shannon entropy of Poisson(lam); strictly positive and increasing in lam."""
-    if not (isinstance(lam, (int, float)) and lam > 0 and math.isfinite(lam)):
-        raise ParameterError(f"lambda must be a positive real, got {lam}")
-    cfg = cfg or oracle.OracleConfig()
-    series = _poisson_series(lam, lambda k: log_gamma(k + 1.0), 2, cfg)
-    return -lam * (math.log(lam) - 1.0) + series
+    """Shannon entropy of Poisson(lam); strictly positive and increasing in lam.
+
+    The paper's form cancels lam*log(lam) against the series, so the
+    result is off by a few ulp of lam*log(lam): 3.5e-12 at lam = 1e4 and
+    3.4e-9 at 1e6 against mpmath.  For large lam use
+    shannon(Poisson(lam)), which sums -p_k log p_k directly.
+    """
+    lam = _intensity(lam)
+    series = oracle.discrete_expectation(Poisson(lam), _log_factorial,
+                                         cfg or oracle.OracleConfig())
+    return -lam * (math.log(lam) - 1.0) + series.value
 
 
 def poisson_entropy_derivative(lam: float, cfg: oracle.OracleConfig | None = None) -> float:
     """d/dlam of the Poisson entropy; positive, decreasing, and -> 0 at infinity."""
-    if not (isinstance(lam, (int, float)) and lam > 0 and math.isfinite(lam)):
-        raise ParameterError(f"lambda must be a positive real, got {lam}")
-    cfg = cfg or oracle.OracleConfig()
-    return _poisson_series(lam, lambda k: np.log(k + 1.0), 1, cfg) - math.log(lam)
+    lam = _intensity(lam)
+    series = oracle.discrete_expectation(Poisson(lam), _log_next, cfg or oracle.OracleConfig())
+    return series.value - math.log(lam)
 
 
 def appendix_series_growth(lam_grid, cfg: oracle.OracleConfig | None = None):
@@ -106,11 +105,20 @@ def appendix_series_growth(lam_grid, cfg: oracle.OracleConfig | None = None):
     The sequence diverges to infinity, eventually exceeding log(N+1) for
     every N; the grid values make that concrete.
     """
-    lams = [float(v) for v in lam_grid]
+    lams = [_intensity(v) for v in lam_grid]
     if not lams or any(b <= a for a, b in zip(lams, lams[1:])):
         raise ParameterError("lambda grid must be strictly increasing")
     cfg = cfg or oracle.OracleConfig()
-    return [(lam, _poisson_series(lam, lambda k: np.log(k + 1.0), 1, cfg)) for lam in lams]
+    return [(lam, oracle.discrete_expectation(Poisson(lam), _log_next, cfg).value)
+            for lam in lams]
+
+
+def _integer(v) -> int:
+    """v as an int, if it is a real within 1e-9 of one."""
+    if isinstance(v, bool) or not (
+            isinstance(v, numbers.Real) and math.isfinite(v) and abs(v - round(v)) <= 1e-9):
+        raise ParameterError(f"n grid needs integer values, got {v!r}")
+    return int(round(v))
 
 
 def binomial_to_poisson(lam: float, n_grid, perturb: float = 0.0,
@@ -118,13 +126,15 @@ def binomial_to_poisson(lam: float, n_grid, perturb: float = 0.0,
     """Binomial(n, p_n) Shannon entropies against the Poisson(lam) limit.
 
     p_n = (lam/n) * (1 + perturb/n); the default perturb = 0 is the plain
-    scheme, the knob demonstrates that only n * p_n -> lam matters.
+    scheme, the knob demonstrates that only n * p_n -> lam matters.  Both
+    columns are summed by the oracle's engine.
     """
     cfg = cfg or oracle.OracleConfig()
-    ns = [int(n) for n in n_grid]
+    lam = _intensity(lam)
+    ns = [_integer(n) for n in n_grid]
     if not ns or any(b <= a for a, b in zip(ns, ns[1:])):
         raise ParameterError("n grid must be strictly increasing")
-    limit = poisson_entropy(lam, cfg)
+    limit = -oracle.discrete_entropy_sum(Poisson(lam), "p_log_p", 1.0, cfg).value
     rows = []
     for n in ns:
         p_n = (lam / n) * (1.0 + perturb / n)

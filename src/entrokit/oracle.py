@@ -13,15 +13,17 @@ _PLANS:
   mesh is graded geometrically toward the singular endpoint so the
   error estimate stays trustworthy.
 
-* one series engine, for the discrete laws and the Poisson series of
-  limits, with a certified geometric tail: once the uniform one-step
-  ratio bound q of the transformed terms is below 1, the remaining tail
-  is at most term * q / (1 - q), reported with an extra factor-2 safety
+* one series engine with a certified geometric tail: once the uniform
+  one-step ratio bound q of the terms is below 1, the remaining tail is
+  at most term * q / (1 - q), reported with an extra factor-2 safety
   margin plus an a-priori rounding bound.  A finite support (Binomial)
   ends at its last index at the latest; memory is one block of terms.
-  Poisson and Binomial start at the mode and sum both tails, each with
-  its own certificate, so they take O(sigma) terms rather than
-  O(mean); max_terms counts the terms summed.
+  One driver sums from the mode outward on the record's log-pmf, both
+  tails each with its own certificate, so Poisson and Binomial take
+  O(sigma) terms rather than O(mean); max_terms counts the terms
+  summed.  It has two callers: discrete_entropy_sum (p log p, p**alpha,
+  p**alpha log p) and discrete_expectation (p_k w(k), which the Poisson
+  series of limits use).
 
 Every public routine returns its error estimate alongside the value.
 """
@@ -180,17 +182,20 @@ _GRADED_MESH = np.unique(np.concatenate([
 ]))
 
 
-def integrate_halfline(g: Callable, cfg: OracleConfig, scale: float = 1.0,
-                       singular_at_zero: bool = False) -> QuadResult:
-    """Integral of g over (0, inf) via the x = scale*t/(1-t) substitution."""
+def _tail(g: Callable, origin: float, sign: float, scale: float) -> Callable:
+    """g on x = origin + sign * scale*t/(1-t), times the Jacobian, as a function of t in (0, 1)."""
 
     def f(t):
         u = 1.0 - t
-        x = scale * t / u
-        return g(x) * (scale / (u * u))
+        return g(origin + sign * (scale * t / u)) * (scale / (u * u))
+    return f
 
+
+def integrate_halfline(g: Callable, cfg: OracleConfig, scale: float = 1.0,
+                       singular_at_zero: bool = False) -> QuadResult:
+    """Integral of g over (0, inf) via the x = scale*t/(1-t) substitution."""
     mesh = _GRADED_MESH if singular_at_zero else _PLAIN_MESH
-    return integrate_interval(f, mesh, cfg)
+    return integrate_interval(_tail(g, 0.0, 1.0, scale), mesh, cfg)
 
 
 def integrate_realline(g: Callable, cfg: OracleConfig, interior, scale: float = 1.0) -> QuadResult:
@@ -199,18 +204,9 @@ def integrate_realline(g: Callable, cfg: OracleConfig, interior, scale: float = 
     if not pts:
         raise ParameterError("need at least one interior split point")
     sub = replace(cfg, abs_tol=cfg.abs_tol / (len(pts) + 1))
-
-    def left(t):
-        u = 1.0 - t
-        return g(pts[0] - scale * t / u) * (scale / (u * u))
-
-    def right(t):
-        u = 1.0 - t
-        return g(pts[-1] + scale * t / u) * (scale / (u * u))
-
     total, err = 0.0, 0.0
-    for piece in (integrate_interval(left, _PLAIN_MESH, sub),
-                  integrate_interval(right, _PLAIN_MESH, sub)):
+    for piece in (integrate_interval(_tail(g, pts[0], -1.0, scale), _PLAIN_MESH, sub),
+                  integrate_interval(_tail(g, pts[-1], 1.0, scale), _PLAIN_MESH, sub)):
         total += piece.value
         err += piece.error
     for a, b in zip(pts[:-1], pts[1:]):
@@ -408,18 +404,54 @@ def _tail_ratio(rho: float, lp_last: float, alpha: float, with_log: bool) -> flo
     return rho**alpha + 1.0 / (alpha * math.e * big_l)
 
 
-def discrete_entropy_sum(d: Distribution, transform: str, alpha: float,
-                         cfg: OracleConfig) -> SeriesResult:
-    """Sum of p_k log p_k, p_k**alpha, or p_k**alpha log p_k over the support.
+def _mode_sum(d: Distribution, plan: _Plan, terms: Callable, cfg: OracleConfig) -> SeriesResult:
+    """Certified sum over the support of d, from next to the mode outward.
 
-    Summation starts next to the mode: upward from k0 = max(start,
-    mode - 64) and, when k0 is above the first index, downward from
-    k0 - 1 over the mirrored index, each direction with its own ratio
-    bound and its own tail certificate below cfg.series_tail_tol.  A
+    terms(ks, lp, lp_err, rho, step) returns (t, q, err) for one block:
+    ks the indices, lp = log p_k and lp_err its rounding bound, rho the
+    plan's bound on p_{j+step}/p_j for every j past ks[-1], step +1 on
+    the upward pass and -1 on the downward one.  Summation runs upward
+    from k0 = max(start, mode - 64) and, when k0 is above the first
+    index, downward from k0 - 1 over the mirrored index, each direction
+    with its own tail certificate below cfg.series_tail_tol.  A
     direction also ends at the end of a finite support.  last_k is the
     last index summed upward and tail_bound includes rounding.
     SeriesBudgetError is raised once max_terms terms (both directions
     together) are summed without a certificate.
+    """
+    if plan.mode > _EXACT_INDEX:
+        raise SeriesBudgetError(
+            f"the mass lies near index {plan.mode}, beyond 2**53 where indices are "
+            "not exact floats")
+
+    def block_for(index: Callable, ratio: Callable, step: int) -> Callable:
+        def block(js):
+            ks = index(js)
+            lp = np.asarray(logpmf(d, ks), dtype=float)
+            lp_err = _LP_ULPS * _U * np.abs(lp)
+            if plan.mean is not None:
+                lp_err += _SHIFT_ULPS * _U * np.abs(ks - plan.mean)
+            return terms(ks, lp, lp_err, ratio(int(ks[-1])), step)
+        return block
+
+    k0 = max(plan.start, plan.mode - _FIRST_BLOCK)
+    up = _certified_series(block_for(lambda js: js, plan.ratio, 1), k0, cfg, plan.stop)
+    if k0 == plan.start:
+        return up
+    down = _certified_series(block_for(lambda js: (k0 - 1) - js, plan.down, -1), 0, cfg,
+                             k0 - 1 - plan.start, cfg.max_terms - (up.last_k - k0 + 1))
+    total = up.value + down.value
+    return SeriesResult(total, up.tail_bound + down.tail_bound + _U * abs(total), up.last_k)
+
+
+def discrete_entropy_sum(d: Distribution, transform: str, alpha: float,
+                         cfg: OracleConfig) -> SeriesResult:
+    """Sum of p_k log p_k, p_k**alpha, or p_k**alpha log p_k over the support.
+
+    Summed from the mode outward by the driver shared with
+    discrete_expectation; last_k is the last index summed upward and
+    tail_bound covers truncation and rounding.  SeriesBudgetError is
+    raised once max_terms terms are summed without a certificate.
     """
     if not d.is_discrete:
         raise FamilyMismatchError("discrete_entropy_sum needs a discrete family")
@@ -430,39 +462,43 @@ def discrete_entropy_sum(d: Distribution, transform: str, alpha: float,
     elif not (alpha > 0 and math.isfinite(alpha)):
         raise ParameterError(f"alpha must be positive and finite, got {alpha}")
     with_log = transform in ("p_log_p", "p_alpha_log_p")
-    plan = _plan(d, alpha)
-    if plan.mode > _EXACT_INDEX:
-        raise SeriesBudgetError(
-            f"the mass lies near index {plan.mode}, beyond 2**53 where indices are "
-            "not exact floats")
 
-    def block_for(index: Callable, ratio: Callable) -> Callable:
-        def block(js):
-            ks = index(js)
-            lp = np.asarray(logpmf(d, ks), dtype=float)
-            # |error of log p_k|; the transformed term moves by t_k (alpha + 1/log p_k) per unit
-            lp_err = _LP_ULPS * _U * np.abs(lp)
-            if plan.mean is not None:
-                lp_err += _SHIFT_ULPS * _U * np.abs(ks - plan.mean)
-            e = np.exp(alpha * lp)
-            if with_log:
-                t = e * lp
-                err = float(np.dot(lp_err, e - alpha * t))  # e (1 + alpha |lp|)
-            else:
-                t = e
-                err = alpha * float(np.dot(lp_err, e))
-            q = _tail_ratio(ratio(int(ks[-1])), float(lp[-1]), alpha, with_log)
-            return t, q, err
-        return block
+    def terms(ks, lp, lp_err, rho, step):
+        # the transformed term moves by t_k (alpha + 1/log p_k) per unit of log p_k
+        e = np.exp(alpha * lp)
+        if with_log:
+            t = e * lp
+            err = float(np.dot(lp_err, e - alpha * t))  # e (1 + alpha |lp|)
+        else:
+            t = e
+            err = alpha * float(np.dot(lp_err, e))
+        return t, _tail_ratio(rho, float(lp[-1]), alpha, with_log), err
 
-    k0 = max(plan.start, plan.mode - _FIRST_BLOCK)
-    up = _certified_series(block_for(lambda js: js, plan.ratio), k0, cfg, plan.stop)
-    if k0 == plan.start:
-        return up
-    down = _certified_series(block_for(lambda js: (k0 - 1) - js, plan.down), 0, cfg,
-                             k0 - 1 - plan.start, cfg.max_terms - (up.last_k - k0 + 1))
-    total = up.value + down.value
-    return SeriesResult(total, up.tail_bound + down.tail_bound + _U * abs(total), up.last_k)
+    return _mode_sum(d, _plan(d, alpha), terms, cfg)
+
+
+def discrete_expectation(d: Distribution, weight: Callable, cfg: OracleConfig) -> SeriesResult:
+    """Sum of p_k w(k) over the support of d, with a certified tail.
+
+    weight maps an index array to w(k) >= 0, nondecreasing in k, with
+    w(k+1)/w(k) nonincreasing where w > 0 (log k! and log(k+1) qualify).
+    Then t_{j+1}/t_j <= rho w(k+1)/w(k) upward and <= rho downward past
+    an index k.  A block that ends on a zero weight gives no certificate
+    yet.  Summed from the mode outward like discrete_entropy_sum;
+    tail_bound covers truncation and the rounding of log p_k and of the
+    sum, not the error of w.
+    """
+    if not d.is_discrete:
+        raise FamilyMismatchError("discrete_expectation needs a discrete family")
+
+    def terms(ks, lp, lp_err, rho, step):
+        w = np.asarray(weight(np.append(ks, ks[-1] + 1)), dtype=float)
+        t = np.exp(lp) * w[:-1]
+        # upward w(k+1)/w(k) joins rho; downward w does not increase
+        q = math.inf if w[-2] == 0.0 else rho * float(w[-1] / w[-2] if step > 0 else 1.0)
+        return t, q, float(np.dot(lp_err, t))
+
+    return _mode_sum(d, _plan(d, 1.0), terms, cfg)
 
 
 def entropy_estimate(d: Distribution, measure: str, alpha: float | None,

@@ -162,6 +162,16 @@ class TestConvergeVerb:
         code, _, _ = run(capsys, "converge", "--lambda", "2", "--n", "10",
                          "--r-grid", "0.4,0.1")
         assert code == 1
+        code, out, err = run(capsys, "converge", "--lambda", "2", "--n", "10.5,100")
+        assert code == 1
+        assert out == ""
+        assert "integer values" in err
+
+    def test_log_grid_of_sizes(self, capsys):
+        code, out, _ = run(capsys, "converge", "--lambda", "2", "--n", "10:10000:4:log")
+        assert code == 0
+        _, plain, _ = run(capsys, "converge", "--lambda", "2", "--n", "10,100,1000,10000")
+        assert out == plain
 
 
 class TestGaussVerb:

@@ -4,11 +4,24 @@ import numpy as np
 import pytest
 
 from entrokit import (ConvergenceTable, ExperimentRow, Logarithmic,
-                      NegBinomialConditional, appendix_series_growth,
+                      NegBinomialConditional, Poisson, appendix_series_growth,
                       binomial_to_poisson, discrete_entropy_sum,
                       nb_to_logarithmic, pmf, poisson_entropy,
                       poisson_entropy_derivative, shannon)
 from entrokit.errors import ParameterError
+
+
+def mpmath_poisson_sum(mpmath, lam, weight):
+    """Sum of p_k weight(k, log p_k) over mean +- (50 sigma + 50), walked by the pmf ratio."""
+    sd = math.sqrt(lam)
+    first, last = max(0, math.floor(lam - 50 * sd) - 50), math.ceil(lam + 50 * sd) + 50
+    big_lam = mpmath.mpf(lam)
+    lp = first * mpmath.log(big_lam) - big_lam - mpmath.loggamma(first + 1)
+    total = 0
+    for k in range(first, last + 1):
+        total += mpmath.exp(lp) * weight(k, lp)
+        lp += mpmath.log(big_lam / (k + 1))
+    return total
 
 
 class TestPoissonEntropy:
@@ -17,7 +30,6 @@ class TestPoissonEntropy:
 
     def test_matches_direct_pmf_summation(self, cfg):
         for lam in (0.3, 2.0, 17.0):
-            from entrokit import Poisson  # noqa: PLC0415
             direct = -discrete_entropy_sum(Poisson(lam), "p_log_p", 1.0, cfg).value
             assert poisson_entropy(lam) == pytest.approx(direct, abs=1e-11)
 
@@ -42,6 +54,24 @@ class TestPoissonEntropy:
             poisson_entropy(0.0)
         with pytest.raises(ParameterError):
             poisson_entropy(-2.0)
+        for bad in (True, math.inf, math.nan, "2.0", None):
+            for fn in (poisson_entropy, poisson_entropy_derivative):
+                with pytest.raises(ParameterError):
+                    fn(bad)
+
+    def test_numpy_scalars_are_accepted(self):
+        for fn in (poisson_entropy, poisson_entropy_derivative):
+            assert fn(np.int64(3)) == fn(3) == fn(3.0)
+            assert fn(np.float32(0.5)) == fn(0.5)
+            assert type(fn(np.float32(0.5))) is float
+
+    @pytest.mark.parametrize("lam", [300.0, 1e3, 1e4])
+    def test_against_mpmath(self, lam):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            exact = mpmath_poisson_sum(mpmath, lam, lambda k, lp: -lp)
+        got = poisson_entropy(lam)
+        assert abs(got - exact) <= 1e-10 * (1.0 + got)
 
 
 class TestPoissonDerivative:
@@ -71,6 +101,14 @@ class TestPoissonDerivative:
         second = vals[2:] - 2.0 * vals[1:-1] + vals[:-2]
         assert np.all(second < 0.0)
 
+    @pytest.mark.parametrize("lam", [1e3, 1e4])
+    def test_against_mpmath(self, lam):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            exact = (mpmath_poisson_sum(mpmath, lam, lambda k, lp: mpmath.log(k + 1))
+                     - mpmath.log(lam))
+        assert abs(poisson_entropy_derivative(lam) - exact) <= 1e-12
+
     @pytest.mark.parametrize("lam", [100.0, 300.0, 1000.0])
     def test_jensen_ceiling(self, lam):
         assert poisson_entropy_derivative(lam) <= math.log((lam + 1.0) / lam) + 1e-3
@@ -93,6 +131,10 @@ class TestAppendixGrowth:
             appendix_series_growth([2.0, 1.0])
         with pytest.raises(ParameterError):
             appendix_series_growth([])
+        with pytest.raises(ParameterError):
+            appendix_series_growth([-1.0, 1.0])
+        with pytest.raises(ParameterError):
+            appendix_series_growth([True, 2.0])
 
 
 class TestBinomialToPoisson:
@@ -123,6 +165,16 @@ class TestBinomialToPoisson:
             binomial_to_poisson(20.0, [10, 100])  # p_n > 1 at n = 10
         with pytest.raises(ParameterError):
             binomial_to_poisson(2.0, [])
+        for grid in ([10.7, 100], [10, 100.5], [True, 10], ["10", "100"], [10, math.inf]):
+            with pytest.raises(ParameterError):
+                binomial_to_poisson(2.0, grid)
+        with pytest.raises(ParameterError):
+            binomial_to_poisson(True, [10, 100])
+
+    def test_integer_valued_grids_are_accepted(self):
+        want = binomial_to_poisson(2.0, [10, 100, 1000])
+        assert binomial_to_poisson(2.0, [10.0, np.int64(100), 1000 + 1e-12]) == want
+        assert binomial_to_poisson(np.float32(2.0), list(np.geomspace(10, 1000, 3))) == want
 
 
 class TestNbToLogarithmic:

@@ -10,7 +10,7 @@ from entrokit import oracle
 from entrokit import (Binomial, ChiSquared, Exponential, Gamma, Laplace,
                       Logarithmic, LogNormal, NegBinomialConditional, Normal,
                       OracleConfig, Poisson, Uniform, discrete_entropy_sum,
-                      integral_p_alpha, integral_p_alpha_log_p,
+                      discrete_expectation, integral_p_alpha, integral_p_alpha_log_p,
                       integrate_halfline, integrate_interval, kl_integral,
                       logpdf, logpmf, poisson_entropy_derivative, shannon)
 from entrokit.errors import (EntrokitError, FamilyMismatchError, NonConvergenceError,
@@ -274,6 +274,41 @@ class TestDiscreteSeries:
         dense = float(w.sum())
         assert abs(dense - coarse.value) <= coarse.tail_bound
         assert coarse.tail_bound > 0.0
+
+
+class TestDiscreteExpectation:
+    """Sum of p_k w(k), on the driver that discrete_entropy_sum uses."""
+
+    @pytest.mark.parametrize("d,pmf_k,ks", [
+        (Binomial(40, 0.3), lambda k: math.comb(40, k) * 0.3**k * 0.7**(40 - k), range(41)),
+        (Logarithmic(0.2), lambda k: -0.8**k / (k * math.log(0.2)), range(1, 400)),
+    ])
+    def test_log_weight_matches_a_direct_fsum(self, d, pmf_k, ks, cfg):
+        res = discrete_expectation(d, lambda k: np.log(k + 1.0), cfg)
+        direct = math.fsum(pmf_k(k) * math.log(k + 1) for k in ks)
+        assert abs(res.value - direct) <= res.tail_bound < 1e-12 * direct
+
+    @pytest.mark.parametrize("lam", [3.5, 200.0])
+    def test_weight_zero_at_the_start(self, lam, cfg):
+        res = discrete_expectation(Poisson(lam), lambda k: k.astype(float), cfg)
+        assert abs(res.value - lam) <= res.tail_bound
+
+    def test_block_ending_on_a_zero_weight_is_not_a_certificate(self, cfg):
+        p = 0.001
+        res = discrete_expectation(Logarithmic(p), lambda k: np.maximum(k - 100.0, 0.0), cfg)
+        direct = math.fsum(-(1 - p)**k / (k * math.log(p)) * max(k - 100, 0)
+                           for k in range(101, 80000))
+        assert res.last_k > 64
+        assert abs(res.value - direct) <= res.tail_bound < 1e-12 * direct
+
+    def test_budget_exhausted(self):
+        with pytest.raises(SeriesBudgetError):
+            discrete_expectation(Logarithmic(0.01), lambda k: np.log(k + 1.0),
+                                 OracleConfig(max_terms=10))
+
+    def test_rejects_continuous(self, cfg):
+        with pytest.raises(FamilyMismatchError):
+            discrete_expectation(Exponential(1.0), lambda k: np.log(k + 1.0), cfg)
 
 
 @pytest.mark.parametrize("lam", [0.5, 1.0, 2.0, 5.0, 10.0])

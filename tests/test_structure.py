@@ -36,6 +36,39 @@ def test_oracle_imports_nothing_from_closed_form():
     assert "closed_form" not in seen
 
 
+def private_reaches(path: Path) -> list[str]:
+    """`<sibling module>._name` attributes and `from .module import _name` imports in a file."""
+    siblings = {p.stem for p in SRC.glob("*.py")}
+    tree = ast.parse(path.read_text())
+    aliases, found = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 0 and not module.startswith("entrokit"):
+                continue
+            inside = module.split(".")[node.level == 0:] if module else []
+            for alias in node.names:
+                if not inside and alias.name in siblings:
+                    aliases.add(alias.asname or alias.name)
+                elif inside and alias.name.startswith("_"):
+                    found.append(f"{path.name}:{node.lineno} from {module} import {alias.name}")
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                parts = alias.name.split(".")
+                if parts[0] == "entrokit" and len(parts) > 1 and parts[1] in siblings:
+                    aliases.add(alias.asname or alias.name)
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr.startswith("_")
+                and not node.attr.startswith("__") and ast.unparse(node.value) in aliases):
+            found.append(f"{path.name}:{node.lineno} {ast.unparse(node)}")
+    return found
+
+
+def test_no_module_uses_another_modules_private_names():
+    found = [hit for path in sorted(SRC.glob("*.py")) for hit in private_reaches(path)]
+    assert found == []
+
+
 def test_every_public_import_is_exported():
     tree = ast.parse((SRC / "__init__.py").read_text())
     imported = {alias.asname or alias.name for node in tree.body
