@@ -105,6 +105,16 @@ class TestDetPsd:
             got = det_psd(CovMatrix(a)).value
             assert got == pytest.approx(want, rel=1e-10, abs=1e-12)
 
+    def test_determinant_past_float_range(self):
+        # det = 1e400: inf with the flag clear, the entropy from the log pivots
+        a = CovMatrix(np.diag([10.0] * 400))
+        assert det_psd(a) == (math.inf, False)
+        assert gaussian_entropy(a) == pytest.approx(
+            200.0 * (1.0 + math.log(2.0 * math.pi)) + 200.0 * math.log(10.0), rel=1e-14)
+        # the running product overflows part-way, and no RuntimeWarning escapes
+        a = CovMatrix(np.diag([10.0] * 310 + [2e-11] * 30))
+        assert det_psd(a) == (pytest.approx(2.0**30 * 1e-20, rel=1e-12), False)
+
 
 class TestGaussianEntropy:
     def test_scalar_matches_normal_formula(self):
@@ -129,7 +139,18 @@ class TestGaussianEntropy:
 
 class TestHadamard:
     def test_diagonal_gap_zero(self):
-        assert hadamard_gap(CovMatrix(np.diag([2.0, 3.0]))) == 0.0
+        # at any scale: det subnormal, past the float range, or its product overflowing part-way
+        for diag in ([2.0, 3.0], [8.6, 5.5, 3.1, 4.3], [0.1] * 320, [10.0] * 400,
+                     [10.0] * 310 + [2e-11] * 30):
+            assert hadamard_gap(CovMatrix(np.diag(diag))) == 0.0
+
+    def test_gap_past_float_range(self):
+        # prod(a_ii) = 1e400 and det past the range or 0: the gap is inf, not NaN
+        sd = np.full(400, math.sqrt(10.0))
+        rescaled = CovMatrix(sd[:, None] * fgn_covariance(400, 0.7).entries * sd[None, :])
+        assert det_psd(rescaled) == (math.inf, False)
+        assert hadamard_gap(rescaled) == math.inf
+        assert hadamard_gap(rank1_extremal_vector([10.0] * 400, [1] * 400)) == math.inf
 
     def test_rank_one_gap_is_full_product(self):
         a = rank1_extremal_vector([1.0, 4.0, 9.0], [1, 1, 1])
@@ -167,6 +188,9 @@ class TestFgn:
             fgn_covariance(0, 0.5)
         with pytest.raises(ParameterError):
             fgn_covariance(3, 1.5)
+        for grid in (0.5, None, "0.5", np.float64(0.5)):
+            with pytest.raises(ParameterError, match="hurst_grid"):
+                fgn_det_sweep(3, grid)
 
     def test_numpy_scalar_arguments(self):
         want = fgn_det_sweep(8, [0.3, 0.5])
@@ -225,6 +249,11 @@ class TestRank1Extremal:
             rank1_extremal_vector([1.0, -2.0], [1, 1])
         with pytest.raises(ParameterError):
             rank1_extremal_vector([1.0, 2.0], [1, 2])
+        # real numbers only, signs not bool: CovMatrix's rule
+        for diag, signs in ((["1", "4"], [1, -1]), ([1.0, 4.0], ["1", "-1"]),
+                            ([1.0, 4.0], [True, True]), ([1.0 + 0j, 4.0], [1, -1])):
+            with pytest.raises(ParameterError):
+                rank1_extremal_vector(diag, signs)
 
 
 def test_each_matrix_is_factored_once(monkeypatch):
@@ -369,6 +398,20 @@ class TestLevinsonAgainstPivoted:
         assert [r.singular for r in rows] == [False, False, True]
         assert all(math.isfinite(r.entropy) for r in rows[:2])
 
+    def test_fgn_covariance_is_built_from_its_lags(self):
+        tracemalloc.start()
+        try:
+            a = fgn_covariance(2000, 0.7)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20  # the dense 2000 x 2000 matrix alone is 32 MB
+        assert np.array_equal(a.entries, toeplitz(gaussian._fgn_autocovariance(2000, 0.7)))
+        with pytest.raises(ValueError):
+            a.entries[0, 0] = 5.0
+        row = fgn_det_sweep(2000, [0.7])[0]
+        assert (det_psd(a), gaussian_entropy(a)) == ((row.det, row.singular), row.entropy)
+
 
 def rescaled_fgn(rng, n, h):
     """D^1/2 R D^1/2: fGn correlations with unequal variances, not Toeplitz."""
@@ -388,7 +431,7 @@ class TestPivotedFactor:
         got = float(np.sum(np.log(pivots)))
         assert abs(got - want) <= 1e-12 * (1.0 + abs(want))
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 17, 100, 300])
+    @pytest.mark.parametrize("n", [1, 2, 3, 17, 63, 64, 65, 100, 129, 300])
     def test_random_spd_log_det(self, rng, n):
         self.assert_log_det_matches_slogdet(random_psd(rng, n))
 
@@ -406,21 +449,28 @@ class TestPivotedFactor:
                               [3.0, 3.0, 2.0, 1.0])
 
     def test_rank_deficient_is_singular_with_rank_pivots(self, rng):
-        b = rng.normal(size=(60, 7))
-        m = b @ b.T
-        m = 0.5 * (m + m.T)
-        a = CovMatrix(m)
-        assert not np.array_equal(a.entries[1:, 1:], a.entries[:-1, :-1])
-        pivots, singular = gaussian._pivoted_factor(a.entries)
-        assert singular is True and np.count_nonzero(pivots) == 7
-        assert det_psd(a) == (0.0, True)
+        # ranks on both sides of the 64-step panel edges
+        for n, rank in ((60, 7), (100, 63), (100, 64), (100, 65), (200, 128), (200, 129)):
+            b = rng.normal(size=(n, rank))
+            m = b @ b.T
+            m = 0.5 * (m + m.T)
+            a = CovMatrix(m)
+            assert not np.array_equal(a.entries[1:, 1:], a.entries[:-1, :-1])
+            pivots, singular = gaussian._pivoted_factor(a.entries)
+            assert singular is True and np.count_nonzero(pivots) == rank
+            assert det_psd(a) == (0.0, True)
 
     def test_negative_pivot_raises(self):
-        m = np.array([[2.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 0.5]])
-        with pytest.raises(NotPSDError, match="pivot"):
-            gaussian._pivoted_factor(m)
-        with pytest.raises(NotPSDError):
-            CovMatrix(m)
+        # the second matrix is a 70 x 70 SPD block (pivots >= 1/3) beside the indefinite
+        # [[s, 2s], [2s, s]], s = 1e-3: its negative pivot comes at step 71, in the second panel
+        second_panel = np.zeros((72, 72))
+        second_panel[:70, :70] = toeplitz(0.5 ** np.arange(70.0))
+        second_panel[70:, 70:] = [[1e-3, 2e-3], [2e-3, 1e-3]]
+        for m in (np.array([[2.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 0.5]]), second_panel):
+            with pytest.raises(NotPSDError, match="pivot"):
+                gaussian._pivoted_factor(m)
+            with pytest.raises(NotPSDError):
+                CovMatrix(m)
 
     def test_tiny_pivot_with_remaining_block_raises(self):
         # step 0 leaves a zero diagonal but off-diagonal 0.3 - 0.5 = -0.2

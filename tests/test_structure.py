@@ -4,6 +4,8 @@ import ast
 import importlib
 from pathlib import Path
 
+import numpy as np
+
 import entrokit
 
 SRC = Path(entrokit.__file__).parent
@@ -78,16 +80,58 @@ def test_every_public_import_is_exported():
     assert "tsallis" in entrokit.__all__
 
 
-def test_bench_trace_targets_exist():
-    """Every entrokit attribute the benchmark's tracer wraps still exists."""
+def bench_trace_targets() -> list[tuple[str, str]]:
+    """(module, attribute) of each entrokit attribute in `bench/spans.py`'s TARGETS."""
     spans = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
     tree = ast.parse(spans.read_text())
     targets = next(node.value for node in tree.body if isinstance(node, ast.Assign)
                    and any(getattr(t, "id", None) == "TARGETS" for t in node.targets))
-    named = [(entry.elts[0].attr, entry.elts[1].value) for entry in targets.elts
-             if isinstance(entry.elts[0], ast.Attribute)
-             and getattr(entry.elts[0].value, "id", None) == "entrokit"]
+    return [(entry.elts[0].attr, entry.elts[1].value) for entry in targets.elts
+            if isinstance(entry.elts[0], ast.Attribute)
+            and getattr(entry.elts[0].value, "id", None) == "entrokit"]
+
+
+def test_bench_trace_targets_exist():
+    """Every entrokit attribute the benchmark's tracer wraps still exists."""
+    named = bench_trace_targets()
     assert len(named) >= 20
     missing = [f"{module}.{attr}" for module, attr in named
                if not hasattr(importlib.import_module(f"entrokit.{module}"), attr)]
     assert missing == []
+
+
+def test_public_paths_unchanged_under_the_bench_tracer(monkeypatch):
+    """The tracer rebinds every target, classes included, to a plain function.
+
+    Code that reaches a target through its module's namespace (say
+    `CovMatrix._toeplitz`) then meets the function, so each module's
+    public paths must give the same results with every target wrapped.
+    """
+    from entrokit import (EntropySpec, Exponential, Normal, OracleConfig, Poisson,
+                          closed_form, gaussian, limits, oracle)
+
+    cfg = OracleConfig()
+
+    def run():
+        toeplitz = gaussian.fgn_covariance(8, 0.7)
+        general = gaussian.CovMatrix(np.diag([1.0, 2.0, 3.0]) + 0.1)
+        return [
+            [(a.entries.tolist(), gaussian.cholesky_pivots(a).tolist()) for a in (toeplitz, general)],
+            gaussian.det_psd(toeplitz), gaussian.gaussian_entropy(general),
+            gaussian.fgn_det_sweep(8, [0.3, 1.0]),
+            closed_form.shannon(Normal(0.0, 2.0)),
+            closed_form.evaluate(EntropySpec("renyi", 2.0), Exponential(1.5)),
+            oracle.entropy_estimate(Exponential(1.5), "shannon", None, None, cfg),
+            oracle.kl_integral(Normal(0.0, 1.0), Normal(1.0, 2.0), cfg),
+            oracle.discrete_entropy_sum(Poisson(3.0), "p_log_p", 1.0, cfg),
+            limits.poisson_entropy(3.0),
+            limits.binomial_to_poisson(2.0, [10, 100]),
+        ]
+
+    want = run()
+    for module, attr in bench_trace_targets():
+        namespace = importlib.import_module(f"entrokit.{module}")
+        target = getattr(namespace, attr)
+        monkeypatch.setattr(namespace, attr,
+                            lambda *args, _target=target, **kwargs: _target(*args, **kwargs))
+    assert run() == want
