@@ -3,6 +3,12 @@
 Numbers are printed with 17 significant digits so CSV output is exactly
 reproducible.  Exit codes: 0 success, 1 malformed input, 2 validity-domain
 violations (the message names the violated inequality).
+
+Each verb imports the modules it runs inside its handler.  The parser,
+--help and usage errors load neither numpy nor any numeric module; gauss
+loads gaussian; entropy, kl, modified and sweep load closed_form and its
+distributions, plus oracle under --verify; converge loads limits and the
+series engine; selftest loads verification.
 """
 
 from __future__ import annotations
@@ -11,16 +17,15 @@ import argparse
 import dataclasses
 import sys
 
-import numpy as np
-
-from . import closed_form as cf
-from . import gaussian, limits, oracle, verification
-from .distributions import Distribution, Logarithmic, parse_spec
 from .errors import (EntrokitError, ParameterError, UnboundedDensityError,
                      ValidityDomainError)
+from .measures import MEASURES, EntropySpec
 
 _EXIT_MALFORMED = 1
 _EXIT_VALIDITY = 2
+
+# the largest start:stop:steps grid; ROADMAP's largest sweep has 10**6 points
+_MAX_GRID_POINTS = 10**6
 
 
 def _fmt(x: float) -> str:
@@ -47,6 +52,10 @@ def _parse_grid(text: str) -> list[float]:
             raise ParameterError(f"malformed grid {text!r}") from exc
         if steps < 1:
             raise ParameterError("grid needs at least one step")
+        if steps > _MAX_GRID_POINTS:
+            raise ParameterError(
+                f"grid of {steps} points exceeds the limit of {_MAX_GRID_POINTS} points")
+        import numpy as np
         if len(parts) == 4:
             if start <= 0 or stop <= 0:
                 raise ParameterError("log grids need positive endpoints")
@@ -58,8 +67,8 @@ def _parse_grid(text: str) -> list[float]:
         raise ParameterError(f"malformed grid {text!r}") from exc
 
 
-def _measure_spec(args) -> cf.EntropySpec:
-    return cf.EntropySpec(args.measure, args.alpha, args.beta)
+def _measure_spec(args) -> EntropySpec:
+    return EntropySpec(args.measure, args.alpha, args.beta)
 
 
 def _emit(lines, out_path):
@@ -71,7 +80,11 @@ def _emit(lines, out_path):
         sys.stdout.write(text)
 
 
-def _oracle_value(spec: cf.EntropySpec, d: Distribution, cfg: oracle.OracleConfig) -> float:
+def _oracle_value(spec: EntropySpec, d, cfg) -> float:
+    import numpy as np
+
+    from . import closed_form as cf
+    from . import oracle
     if spec.measure == "modified":
         m = cf.density_sup(d).M
         shannon = oracle.entropy_estimate(d, "shannon", None, None, cfg)
@@ -80,12 +93,14 @@ def _oracle_value(spec: cf.EntropySpec, d: Distribution, cfg: oracle.OracleConfi
 
 
 def _cmd_entropy(args) -> int:
+    from . import closed_form as cf
+    from .distributions import parse_spec
     d = parse_spec(args.dist)
     spec = _measure_spec(args)
     value = cf.evaluate(spec, d)
     if args.verify:
-        cfg = oracle.OracleConfig()
-        est = _oracle_value(spec, d, cfg)
+        from . import oracle
+        est = _oracle_value(spec, d, oracle.OracleConfig())
         _emit(["closed_form,oracle,abs_error",
                f"{_fmt(value)},{_fmt(est)},{_fmt(abs(value - est))}"], args.out)
     else:
@@ -94,10 +109,13 @@ def _cmd_entropy(args) -> int:
 
 
 def _cmd_kl(args) -> int:
+    from . import closed_form as cf
+    from .distributions import parse_spec
     p = parse_spec(args.p)
     q = parse_spec(args.q)
     value = cf.kl_divergence(p, q)
     if args.verify:
+        from . import oracle
         est = oracle.kl_integral(p, q, oracle.OracleConfig()).value
         _emit(["closed_form,oracle,abs_error",
                f"{_fmt(value)},{_fmt(est)},{_fmt(abs(value - est))}"], args.out)
@@ -106,7 +124,7 @@ def _cmd_kl(args) -> int:
     return 0
 
 
-def _replace_param(d: Distribution, param: str, value: float) -> Distribution:
+def _replace_param(d, param: str, value: float):
     fields = {key: (attr, conv) for key, attr, conv in d.spec_fields}
     if param not in fields:
         raise ParameterError(
@@ -120,13 +138,16 @@ def _replace_param(d: Distribution, param: str, value: float) -> Distribution:
 
 
 def _cmd_sweep(args) -> int:
+    from . import closed_form as cf
+    from .distributions import parse_spec
     base = parse_spec(args.dist)
     spec = _measure_spec(args)
     param = args.param or base.sweep_param
     grid = _parse_grid(args.grid)
-    cfg = oracle.OracleConfig()
     header = f"{param},{spec.measure}"
     if args.verify:
+        from . import oracle
+        cfg = oracle.OracleConfig()
         header += ",oracle,abs_error"
     lines = [header]
     for value in grid:
@@ -142,6 +163,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_converge(args) -> int:
+    from . import limits
+    from .distributions import Logarithmic, parse_spec
     if (args.n_grid is None) == (args.r_grid is None):
         raise ParameterError("converge needs exactly one of --n (binomial to poisson) "
                              "or --r-grid (conditional negative binomial to logarithmic)")
@@ -166,6 +189,7 @@ def _cmd_converge(args) -> int:
 
 
 def _cmd_gauss(args) -> int:
+    from . import gaussian
     grid = _parse_grid(args.hurst_grid)
     rows = gaussian.fgn_det_sweep(args.n, grid)
     lines = ["hurst,det,entropy"]
@@ -177,6 +201,9 @@ def _cmd_gauss(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
+    if not 0.0 < args.tolerance < float("inf"):
+        raise ParameterError(f"tolerance must be finite and > 0, got {args.tolerance}")
+    from . import verification
     families = verification.ORACLE_FAMILIES
     if args.families:
         requested = tuple(f.strip() for f in args.families.split(",") if f.strip())
@@ -208,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="verb", required=True)
 
     def add_measure_flags(p):
-        p.add_argument("--measure", required=True, choices=cf.MEASURES)
+        p.add_argument("--measure", required=True, choices=MEASURES)
         p.add_argument("--alpha", type=float, default=None)
         p.add_argument("--beta", type=float, default=None)
 

@@ -28,66 +28,20 @@ ValidityDomainError carrying the violated inequality, never NaN.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
-from . import oracle
 from .distributions import (ChiSquared, Distribution, Exponential, Gamma, Laplace,
                             LogNormal, Normal, Uniform, format_spec)
 from .errors import (EntrokitError, FamilyMismatchError, ParameterError,
                      UnboundedDensityError, UnsupportedFamilyError, ValidityDomainError)
+# the spec and its checks live apart so the CLI parser loads them without numpy;
+# closed_form.MEASURES and closed_form.EntropySpec are the same objects
+from .measures import MEASURES, ORDER_EPS, EntropySpec, check_order  # noqa: F401
 from .special import digamma, log_gamma
 
 _LOG_2PI = math.log(2.0 * math.pi)
-_ORDER_EPS = 1e-10
-
-MEASURES = ("shannon", "renyi", "gr1", "tsallis", "gr2", "sm", "modified")
-
-_DEFAULT_SERIES_CFG = oracle.OracleConfig()
-
-
-@dataclass(frozen=True)
-class EntropySpec:
-    """Which measure to evaluate plus its order parameters.
-
-    measure is one of MEASURES.  alpha is required for renyi, gr1,
-    tsallis, gr2 and sm; beta for gr2 and sm.  Orders within 1e-10 of a
-    forbidden value (1 for renyi/tsallis/sm, alpha == beta for gr2) are
-    rejected outright instead of being silently nudged.
-    """
-
-    measure: str
-    alpha: float | None = None
-    beta: float | None = None
-
-    def __post_init__(self):
-        if self.measure not in MEASURES:
-            raise ParameterError(
-                f"unknown measure {self.measure!r}; expected one of {MEASURES}")
-        needs_alpha = self.measure in ("renyi", "gr1", "tsallis", "gr2", "sm")
-        needs_beta = self.measure in ("gr2", "sm")
-        if needs_alpha:
-            _check_order("alpha", self.alpha,
-                         exclude_one=self.measure in ("renyi", "tsallis", "sm"))
-        elif self.alpha is not None:
-            raise ParameterError(f"measure {self.measure!r} takes no alpha")
-        if needs_beta:
-            _check_order("beta", self.beta, exclude_one=self.measure == "sm")
-            if abs(self.alpha - self.beta) < _ORDER_EPS:
-                raise ParameterError(
-                    f"measure {self.measure!r} requires alpha != beta, "
-                    f"got alpha={self.alpha}, beta={self.beta}")
-        elif self.beta is not None:
-            raise ParameterError(f"measure {self.measure!r} takes no beta")
-
-
-def _check_order(name, value, exclude_one):
-    if value is None or not (isinstance(value, (int, float)) and math.isfinite(value)):
-        raise ParameterError(f"{name} must be a finite positive real, got {value}")
-    if value <= 0:
-        raise ParameterError(f"{name} must be positive, got {value}")
-    if exclude_one and abs(value - 1.0) < _ORDER_EPS:
-        raise ParameterError(f"{name} must differ from 1, got {value}")
 
 
 @dataclass(frozen=True)
@@ -222,6 +176,12 @@ def density_sup(d: Distribution) -> DensityBound:
     return _closed_form("sup", d)
 
 
+@functools.cache
+def _series_config():
+    from . import oracle
+    return oracle.OracleConfig()
+
+
 def shannon(d: Distribution) -> float:
     """Shannon entropy; may be negative for continuous families.
 
@@ -229,33 +189,34 @@ def shannon(d: Distribution) -> float:
     their entropies have no finite closed form.
     """
     if d.is_discrete:
-        return -oracle.discrete_entropy_sum(d, "p_log_p", 1.0, _DEFAULT_SERIES_CFG).value
+        from . import oracle  # only discrete records need the series engine
+        return -oracle.discrete_entropy_sum(d, "p_log_p", 1.0, _series_config()).value
     return _closed_form("shannon", d)
 
 
 def renyi(alpha: float, d: Distribution) -> float:
     """Renyi entropy of order alpha (alpha > 0, alpha != 1)."""
-    _check_order("alpha", alpha, exclude_one=True)
+    check_order("alpha", alpha, exclude_one=True)
     return _closed_form("log_j", d, alpha, "alpha") / (1.0 - alpha)
 
 
 def generalized_renyi1(alpha: float, d: Distribution) -> float:
     """One-parameter generalized Renyi entropy: -int p**a log p / int p**a."""
-    _check_order("alpha", alpha, exclude_one=False)
+    check_order("alpha", alpha, exclude_one=False)
     return _closed_form("gr1", d, alpha)
 
 
 def tsallis(alpha: float, d: Distribution) -> float:
     """Tsallis entropy of order alpha (alpha > 0, alpha != 1)."""
-    _check_order("alpha", alpha, exclude_one=True)
+    check_order("alpha", alpha, exclude_one=True)
     return math.expm1(_closed_form("log_j", d, alpha, "alpha")) / (1.0 - alpha)
 
 
 def generalized_renyi2(alpha: float, beta: float, d: Distribution) -> float:
     """Two-parameter generalized Renyi entropy; symmetric in (alpha, beta)."""
-    _check_order("alpha", alpha, exclude_one=False)
-    _check_order("beta", beta, exclude_one=False)
-    if abs(alpha - beta) < _ORDER_EPS:
+    check_order("alpha", alpha, exclude_one=False)
+    check_order("beta", beta, exclude_one=False)
+    if abs(alpha - beta) < ORDER_EPS:
         raise ParameterError(f"gr2 requires alpha != beta, got {alpha} and {beta}")
     log_ja = _closed_form("log_j", d, alpha, "alpha")
     log_jb = _closed_form("log_j", d, beta, "beta")
@@ -264,8 +225,8 @@ def generalized_renyi2(alpha: float, beta: float, d: Distribution) -> float:
 
 def sharma_mittal(alpha: float, beta: float, d: Distribution) -> float:
     """Sharma-Mittal entropy (alpha, beta > 0, both != 1)."""
-    _check_order("alpha", alpha, exclude_one=True)
-    _check_order("beta", beta, exclude_one=True)
+    check_order("alpha", alpha, exclude_one=True)
+    check_order("beta", beta, exclude_one=True)
     log_j = _closed_form("log_j", d, alpha, "alpha")
     return math.expm1(log_j * (1.0 - beta) / (1.0 - alpha)) / (1.0 - beta)
 

@@ -70,8 +70,7 @@ def _intensity(lam) -> float:
 
 
 def _log_factorial(k):
-    # exactly 0 at k = 0, 1, where log_gamma is off by a few ulp of 1
-    return np.where(k < 2, 0.0, log_gamma(k + 1.0))
+    return log_gamma(k + 1.0)
 
 
 def _log_next(k):

@@ -92,7 +92,17 @@ class OracleCheckRow:
 
 def oracle_equivalence(families, measures, draws: int, seed: int,
                        cfg: oracle.OracleConfig | None = None) -> list[OracleCheckRow]:
-    """Scaled closed-form vs oracle errors, max per (family, measure)."""
+    """Scaled closed-form vs oracle errors, max per (family, measure).
+
+    Raises ParameterError for an empty family list, fewer than one draw
+    or a negative seed, which would check nothing or fail in numpy.
+    """
+    if not families:
+        raise ParameterError("oracle equivalence needs at least one family")
+    if draws < 1:
+        raise ParameterError(f"oracle equivalence needs at least 1 draw, got {draws}")
+    if seed < 0:
+        raise ParameterError(f"seed must be nonnegative, got {seed}")
     cfg = cfg or oracle.OracleConfig()
     rng = np.random.default_rng(seed)
     rows = []

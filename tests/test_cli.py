@@ -212,6 +212,36 @@ class TestSelftestVerb:
         code, _, _ = run(capsys, "selftest", "--families", "weibull")
         assert code == 1
 
+    @pytest.mark.parametrize("args, message", [
+        (("--draws", "0"), "at least 1 draw"),
+        (("--draws", "-1"), "at least 1 draw"),
+        (("--families", ","), "at least one family"),
+        (("--tolerance", "inf"), "tolerance must be finite and > 0"),
+        (("--tolerance", "nan"), "tolerance must be finite and > 0"),
+        (("--tolerance", "0"), "tolerance must be finite and > 0"),
+        (("--seed", "-5"), "seed must be nonnegative"),
+    ])
+    def test_arguments_that_check_nothing_exit_1(self, capsys, args, message):
+        code, out, err = run(capsys, "selftest", *args)
+        assert code == 1
+        assert out == ""
+        assert message in err
+
+
+class TestGridBound:
+    @pytest.mark.parametrize("argv", [
+        ("gauss", "--n", "5", "--hurst-grid", "0:1:100000000000000"),
+        ("gauss", "--n", "5", "--hurst-grid", "0:1:1000001"),
+        ("sweep", "--dist", "exp:lambda=1", "--measure", "shannon",
+         "--grid", "0.1:1:100000000000000"),
+        ("converge", "--lambda", "2", "--n", "10:1e9:1000001:log"),
+    ])
+    def test_more_than_a_million_points_exit_1(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert "exceeds the limit of 1000000 points" in err
+
 
 class TestSweepRecords:
     def test_spaced_spec_prints_same_bytes(self, capsys):

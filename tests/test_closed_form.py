@@ -39,6 +39,9 @@ class TestShannon:
         want = 0.5 * math.log(2 * math.pi) + 0.5
         assert shannon(LogNormal(0.0, 1.0)) == pytest.approx(want, abs=1e-12)
 
+    def test_gamma_shape_one_is_the_exponential_exactly(self):
+        assert shannon(Gamma(1.0, 1.0)) == 1.0 == shannon(Exponential(1.0))
+
     def test_normal_matches_scalar_formula(self):
         assert shannon(Normal(2.0, 4.0)) == pytest.approx(
             0.5 * (1 + math.log(2 * math.pi)) + 0.5 * math.log(4.0), abs=1e-13)

@@ -21,6 +21,15 @@ class TestPins:
         assert abs(log_gamma(1.0)) <= 1e-13
         assert abs(log_gamma(2.0)) <= 1e-13
 
+    def test_log_gamma_exact_at_its_zeros(self):
+        mp = pytest.importorskip("mpmath")
+        assert mp.loggamma(1) == 0 and mp.loggamma(2) == 0
+        assert log_gamma(1.0) == 0.0 and log_gamma(2.0) == 0.0
+        got = log_gamma(np.array([0.5, 1.0, 1.5, 2.0, 12.0]))
+        assert got[1] == 0.0 and got[3] == 0.0
+        for x, value in zip([0.5, 1.5, 12.0], got[[0, 2, 4]]):
+            assert scaled_err(value, float(mp.loggamma(x))) <= 1e-13
+
     def test_log_gamma_half(self):
         # Gamma(1/2) = sqrt(pi); value cross-checked by high-precision
         # quadrature of the defining integral

@@ -72,11 +72,15 @@ def test_no_module_uses_another_modules_private_names():
 
 
 def test_every_public_import_is_exported():
-    tree = ast.parse((SRC / "__init__.py").read_text())
-    imported = {alias.asname or alias.name for node in tree.body
-                if isinstance(node, ast.ImportFrom) for alias in node.names}
-    assert {name for name in imported if not name.startswith("_")} <= set(entrokit.__all__)
+    """Each name of the package's export table is in __all__ and is its home's object."""
+    table = {name: module for module, names in entrokit._EXPORTS.items() for name in names}
+    assert sum(map(len, entrokit._EXPORTS.values())) == len(table)  # one home per name
+    assert set(table) <= set(entrokit.__all__)
     assert all(hasattr(entrokit, name) for name in entrokit.__all__)
+    for name, module in table.items():
+        home = importlib.import_module(f"entrokit.{module}")
+        assert getattr(entrokit, name) is getattr(home, name), name
+        assert getattr(home, name).__module__ == home.__name__, name
     assert "tsallis" in entrokit.__all__
 
 
