@@ -1,8 +1,9 @@
 """Command-line surface: entropy, kl, modified, sweep, converge, gauss, selftest.
 
 Numbers are printed with 17 significant digits so CSV output is exactly
-reproducible.  Exit codes: 0 success, 1 malformed input, 2 validity-domain
-violations (the message names the violated inequality).
+reproducible.  Exit codes: 0 success, 1 malformed input or a failed check
+(a selftest cell, or a --verify row off by more than 1e-8 (1 + |closed|)),
+2 validity-domain violations (the message names the violated inequality).
 
 Each verb imports the modules it runs inside its handler.  The parser,
 --help and usage errors load neither numpy nor any numeric module; gauss
@@ -26,6 +27,8 @@ _EXIT_VALIDITY = 2
 
 # the largest start:stop:steps grid; ROADMAP's largest sweep has 10**6 points
 _MAX_GRID_POINTS = 10**6
+# --verify and selftest's default: |closed - oracle| <= _TOLERANCE (1 + |closed|)
+_TOLERANCE = 1e-8
 
 
 def _fmt(x: float) -> str:
@@ -67,24 +70,27 @@ def _parse_grid(text: str) -> list[float]:
         raise ParameterError(f"malformed grid {text!r}") from exc
 
 
-def _measure_spec(args) -> EntropySpec:
-    return EntropySpec(args.measure, args.alpha, args.beta)
-
-
-def _emit(lines, out_path):
+def _emit(lines, out_path, verified=()) -> int:
+    """Write the lines; exit status 1, and a line on stderr, if a verified pair is off."""
     text = "\n".join(lines) + "\n"
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+    off = sum(not abs(c - e) <= _TOLERANCE * (1.0 + abs(c)) for c, e in verified)
+    if off:
+        print(f"entrokit: verify: {off} of {len(verified)} rows differ from the oracle by "
+              f"more than {_TOLERANCE:g} (1 + |closed_form|)", file=sys.stderr)
+    return 1 if off else 0
 
 
-def _oracle_value(spec: EntropySpec, d, cfg) -> float:
+def _oracle_value(spec: EntropySpec, d) -> float:
     import numpy as np
 
     from . import closed_form as cf
     from . import oracle
+    cfg = oracle.OracleConfig()
     if spec.measure == "modified":
         m = cf.density_sup(d).M
         shannon = oracle.entropy_estimate(d, "shannon", None, None, cfg)
@@ -92,20 +98,21 @@ def _oracle_value(spec: EntropySpec, d, cfg) -> float:
     return oracle.entropy_estimate(d, spec.measure, spec.alpha, spec.beta, cfg)
 
 
+def _emit_value(value: float, est: float | None, out_path) -> int:
+    """One value, or under --verify the closed form against its oracle estimate."""
+    if est is None:
+        return _emit([_fmt(value)], out_path)
+    return _emit(["closed_form,oracle,abs_error",
+                  f"{_fmt(value)},{_fmt(est)},{_fmt(abs(value - est))}"], out_path, [(value, est)])
+
+
 def _cmd_entropy(args) -> int:
     from . import closed_form as cf
     from .distributions import parse_spec
     d = parse_spec(args.dist)
-    spec = _measure_spec(args)
+    spec = EntropySpec(args.measure, args.alpha, args.beta)
     value = cf.evaluate(spec, d)
-    if args.verify:
-        from . import oracle
-        est = _oracle_value(spec, d, oracle.OracleConfig())
-        _emit(["closed_form,oracle,abs_error",
-               f"{_fmt(value)},{_fmt(est)},{_fmt(abs(value - est))}"], args.out)
-    else:
-        _emit([_fmt(value)], args.out)
-    return 0
+    return _emit_value(value, _oracle_value(spec, d) if args.verify else None, args.out)
 
 
 def _cmd_kl(args) -> int:
@@ -114,14 +121,11 @@ def _cmd_kl(args) -> int:
     p = parse_spec(args.p)
     q = parse_spec(args.q)
     value = cf.kl_divergence(p, q)
+    est = None
     if args.verify:
         from . import oracle
         est = oracle.kl_integral(p, q, oracle.OracleConfig()).value
-        _emit(["closed_form,oracle,abs_error",
-               f"{_fmt(value)},{_fmt(est)},{_fmt(abs(value - est))}"], args.out)
-    else:
-        _emit([_fmt(value)], args.out)
-    return 0
+    return _emit_value(value, est, args.out)
 
 
 def _replace_param(d, param: str, value: float):
@@ -141,25 +145,23 @@ def _cmd_sweep(args) -> int:
     from . import closed_form as cf
     from .distributions import parse_spec
     base = parse_spec(args.dist)
-    spec = _measure_spec(args)
+    spec = EntropySpec(args.measure, args.alpha, args.beta)
     param = args.param or base.sweep_param
     grid = _parse_grid(args.grid)
     header = f"{param},{spec.measure}"
     if args.verify:
-        from . import oracle
-        cfg = oracle.OracleConfig()
         header += ",oracle,abs_error"
-    lines = [header]
+    lines, pairs = [header], []
     for value in grid:
         d = _replace_param(base, param, value)
         closed = cf.evaluate(spec, d)
         line = f"{_fmt(value)},{_fmt(closed)}"
         if args.verify:
-            est = _oracle_value(spec, d, cfg)
+            est = _oracle_value(spec, d)
+            pairs.append((closed, est))
             line += f",{_fmt(est)},{_fmt(abs(closed - est))}"
         lines.append(line)
-    _emit(lines, args.out)
-    return 0
+    return _emit(lines, args.out, pairs)
 
 
 def _cmd_converge(args) -> int:
@@ -184,8 +186,7 @@ def _cmd_converge(args) -> int:
     for row in table.rows:
         lines.append(f"{_fmt(row.driver)},{_fmt(row.approx)},"
                      f"{_fmt(row.limit)},{_fmt(row.abs_error)}")
-    _emit(lines, args.out)
-    return 0
+    return _emit(lines, args.out)
 
 
 def _cmd_gauss(args) -> int:
@@ -196,8 +197,7 @@ def _cmd_gauss(args) -> int:
     for row in rows:
         entropy = "singular" if row.singular else _fmt(row.entropy)
         lines.append(f"{_fmt(row.hurst)},{_fmt(row.det)},{entropy}")
-    _emit(lines, args.out)
-    return 0
+    return _emit(lines, args.out)
 
 
 def _cmd_selftest(args) -> int:
@@ -295,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma list, e.g. exp,gamma (default: all)")
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--draws", type=int, default=60)
-    p.add_argument("--tolerance", type=float, default=1e-8)
+    p.add_argument("--tolerance", type=float, default=_TOLERANCE)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=_cmd_selftest)
 
@@ -308,7 +308,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         return args.fn(args)
     except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else _EXIT_MALFORMED
+        return exc.code  # argparse exits with an int status: 0 for --help, 1 on errors
     except (ValidityDomainError, UnboundedDensityError) as exc:
         print(f"entrokit: validity domain: {exc}", file=sys.stderr)
         return _EXIT_VALIDITY

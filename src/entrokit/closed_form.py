@@ -21,9 +21,10 @@ nu/2); its printed formulas serve as test assertions instead.  Discrete
 Shannon entropies have no closed form and are computed by the certified
 series engine, sharing one code path with the oracle.
 
-Order-parameter domains are enforced eagerly: a Gamma or chi-squared
-power integral only exists for alpha*(mu-1) > -1, and violations raise
-ValidityDomainError carrying the violated inequality, never NaN.
+Orders are checked by EntropySpec and their domains eagerly: a Gamma or
+chi-squared power integral only exists for alpha*(mu-1) > -1, and
+violations raise ValidityDomainError carrying the violated inequality,
+never NaN.  Values past the float range raise ParameterError.
 """
 
 from __future__ import annotations
@@ -35,10 +36,11 @@ from dataclasses import dataclass
 from .distributions import (ChiSquared, Distribution, Exponential, Gamma, Laplace,
                             LogNormal, Normal, Uniform, format_spec)
 from .errors import (EntrokitError, FamilyMismatchError, ParameterError,
-                     UnboundedDensityError, UnsupportedFamilyError, ValidityDomainError)
+                     UnboundedDensityError, UnsupportedFamilyError, ValidityDomainError,
+                     as_real)
 # the spec and its checks live apart so the CLI parser loads them without numpy;
 # closed_form.MEASURES and closed_form.EntropySpec are the same objects
-from .measures import MEASURES, ORDER_EPS, EntropySpec, check_order  # noqa: F401
+from .measures import MEASURES, EntropySpec  # noqa: F401
 from .special import digamma, log_gamma
 
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -147,20 +149,34 @@ _ENTRY_NAMES = {"shannon": "Shannon entropy", "log_j": "power integral", "gr1": 
                 "kl": "KL divergence", "sup": "density supremum"}
 
 
+def _out_of_range(what: str, *records: Distribution) -> ParameterError:
+    return ParameterError(
+        f"{what} of {' and '.join(map(format_spec, records))} is not a finite float: "
+        "the parameters leave the floating-point range")
+
+
 def _closed_form(name: str, d: Distribution, *args):
     """The `name` entry of d's family row, evaluated at (d, *args).
 
-    This is the one place chi-squared records become Gamma(1/2, nu/2).
+    This is the one place chi-squared records become Gamma(1/2, nu/2), and
+    where a math range or domain error becomes a ParameterError naming them.
     """
+    row_d, row_args = d, args
     if isinstance(d, ChiSquared):
-        d = d.as_gamma()
-        args = [a.as_gamma() if isinstance(a, ChiSquared) else a for a in args]
+        row_d = d.as_gamma()
+        row_args = [a.as_gamma() if isinstance(a, ChiSquared) else a for a in args]
     try:
-        fn = _ROWS[type(d)][name]
+        fn = _ROWS[type(row_d)][name]
     except KeyError:
         raise UnsupportedFamilyError(
             f"no closed-form {_ENTRY_NAMES[name]} for {type(d).__name__}") from None
-    return fn(d, *args)
+    try:
+        return fn(row_d, *row_args)
+    except EntrokitError:
+        raise
+    except (ArithmeticError, ValueError):  # OverflowError or math domain error
+        records = [d] + [a for a in args if isinstance(a, Distribution)]
+        raise _out_of_range(_ENTRY_NAMES[name], *records) from None
 
 
 # --- measures -----------------------------------------------------------------
@@ -169,17 +185,15 @@ def density_sup(d: Distribution) -> DensityBound:
     """Exact supremum of the density of a bounded continuous family.
 
     Raises UnboundedDensityError for Gamma with mu < 1 (equivalently
-    chi-squared with nu = 1), whose density blows up at 0.
+    chi-squared with nu = 1), whose density blows up at 0, and
+    ParameterError when M or its location leaves the float range.
     """
     if d.is_discrete:
         raise FamilyMismatchError(f"{type(d).__name__} is discrete; densities only")
-    return _closed_form("sup", d)
-
-
-@functools.cache
-def _series_config():
-    from . import oracle
-    return oracle.OracleConfig()
+    bound = _closed_form("sup", d)
+    if not 0.0 < bound.M < math.inf:
+        raise _out_of_range("density supremum", d)
+    return bound
 
 
 def shannon(d: Distribution) -> float:
@@ -188,47 +202,32 @@ def shannon(d: Distribution) -> float:
     Discrete families are summed by the certified series engine, since
     their entropies have no finite closed form.
     """
-    if d.is_discrete:
-        from . import oracle  # only discrete records need the series engine
-        return -oracle.discrete_entropy_sum(d, "p_log_p", 1.0, _series_config()).value
-    return _closed_form("shannon", d)
+    return evaluate(EntropySpec("shannon"), d)
 
 
 def renyi(alpha: float, d: Distribution) -> float:
     """Renyi entropy of order alpha (alpha > 0, alpha != 1)."""
-    check_order("alpha", alpha, exclude_one=True)
-    return _closed_form("log_j", d, alpha, "alpha") / (1.0 - alpha)
+    return evaluate(EntropySpec("renyi", alpha), d)
 
 
 def generalized_renyi1(alpha: float, d: Distribution) -> float:
     """One-parameter generalized Renyi entropy: -int p**a log p / int p**a."""
-    check_order("alpha", alpha, exclude_one=False)
-    return _closed_form("gr1", d, alpha)
+    return evaluate(EntropySpec("gr1", alpha), d)
 
 
 def tsallis(alpha: float, d: Distribution) -> float:
     """Tsallis entropy of order alpha (alpha > 0, alpha != 1)."""
-    check_order("alpha", alpha, exclude_one=True)
-    return math.expm1(_closed_form("log_j", d, alpha, "alpha")) / (1.0 - alpha)
+    return evaluate(EntropySpec("tsallis", alpha), d)
 
 
 def generalized_renyi2(alpha: float, beta: float, d: Distribution) -> float:
-    """Two-parameter generalized Renyi entropy; symmetric in (alpha, beta)."""
-    check_order("alpha", alpha, exclude_one=False)
-    check_order("beta", beta, exclude_one=False)
-    if abs(alpha - beta) < ORDER_EPS:
-        raise ParameterError(f"gr2 requires alpha != beta, got {alpha} and {beta}")
-    log_ja = _closed_form("log_j", d, alpha, "alpha")
-    log_jb = _closed_form("log_j", d, beta, "beta")
-    return (log_ja - log_jb) / (beta - alpha)
+    """Two-parameter generalized Renyi entropy; symmetric in (alpha, beta != alpha)."""
+    return evaluate(EntropySpec("gr2", alpha, beta), d)
 
 
 def sharma_mittal(alpha: float, beta: float, d: Distribution) -> float:
     """Sharma-Mittal entropy (alpha, beta > 0, both != 1)."""
-    check_order("alpha", alpha, exclude_one=True)
-    check_order("beta", beta, exclude_one=True)
-    log_j = _closed_form("log_j", d, alpha, "alpha")
-    return math.expm1(log_j * (1.0 - beta) / (1.0 - alpha)) / (1.0 - beta)
+    return evaluate(EntropySpec("sm", alpha, beta), d)
 
 
 def modified_shannon(d: Distribution) -> float:
@@ -237,13 +236,7 @@ def modified_shannon(d: Distribution) -> float:
     Requires a bounded density; propagates UnboundedDensityError from
     density_sup for Gamma with mu < 1 / chi-squared with nu = 1.
     """
-    bound: DensityBound = density_sup(d)
-    m = bound.M
-    value = (shannon(d) + math.log(m)) / m
-    # mathematically >= 0; rounding noise (uniform: log(w) + log(1/w)) is clipped
-    if -1e-10 < value < 0.0:
-        return 0.0
-    return value
+    return evaluate(EntropySpec("modified"), d)
 
 
 def kl_divergence(p: Distribution, q: Distribution) -> float:
@@ -258,16 +251,9 @@ def kl_divergence(p: Distribution, q: Distribution) -> float:
         raise UnsupportedFamilyError(
             f"kl_divergence needs a same-family pair, got "
             f"{type(p).__name__} and {type(q).__name__}")
-    try:
-        value = _closed_form("kl", p, q)
-    except EntrokitError:
-        raise
-    except ValueError:  # math domain error: a parameter ratio left the float range
-        value = math.nan
+    value = _closed_form("kl", p, q)
     if not math.isfinite(value):
-        raise ParameterError(
-            f"KL divergence of {format_spec(p)} from {format_spec(q)} is not a finite "
-            "float: the parameter ratio leaves the floating-point range")
+        raise _out_of_range("KL divergence", p, q)
     return value
 
 
@@ -275,30 +261,70 @@ _MOMENT_KINDS = ("plain", "times_log", "times_centered_sq")
 
 
 def lognormal_moment(p: float, m: float, sigma2: float, kind: str = "plain") -> float:
-    """Closed-form lognormal expectations E X**p, E[X**p log X], E[X**p (log X - m)**2]."""
-    if not (isinstance(sigma2, (int, float)) and sigma2 > 0):
-        raise ParameterError(f"sigma2 must be positive, got {sigma2}")
+    """Closed-form lognormal expectations E X**p, E[X**p log X], E[X**p (log X - m)**2].
+
+    Raises ParameterError when the expectation leaves the float range.
+    """
+    d, p = LogNormal(m, sigma2), as_real(p, "p")  # the record checks m and sigma2
     if kind not in _MOMENT_KINDS:
         raise ParameterError(f"kind must be one of {_MOMENT_KINDS}, got {kind!r}")
-    base = math.exp(m * p + sigma2 * p * p / 2.0)
-    if kind == "plain":
-        return base
+    try:
+        value = math.exp(d.m * p + d.sigma2 * p * p / 2.0)
+    except OverflowError:
+        value = math.inf
     if kind == "times_log":
-        return (sigma2 * p + m) * base
-    return sigma2 * (sigma2 * p * p + 1.0) * base
+        value *= d.sigma2 * p + d.m
+    elif kind == "times_centered_sq":
+        value *= d.sigma2 * (d.sigma2 * p * p + 1.0)
+    if not math.isfinite(value):
+        raise _out_of_range(f"E[X**{p}] ({kind})", d)
+    return value
 
 
+@functools.cache
+def _series_config():
+    from . import oracle
+    return oracle.OracleConfig()
+
+
+def _shannon(s: EntropySpec, d: Distribution) -> float:
+    if d.is_discrete:
+        from . import oracle  # only discrete records need the series engine
+        return -oracle.discrete_entropy_sum(d, "p_log_p", 1.0, _series_config()).value
+    return _closed_form("shannon", d)
+
+
+def _modified(s: EntropySpec, d: Distribution) -> float:
+    m = density_sup(d).M
+    value = (_closed_form("shannon", d) + math.log(m)) / m
+    # mathematically >= 0; rounding noise (uniform: log(w) + log(1/w)) is clipped
+    return 0.0 if -1e-10 < value < 0.0 else value
+
+
+# each measure from a checked spec: its orders are floats inside their domains
 _BY_MEASURE = {
-    "shannon": lambda s, d: shannon(d),
-    "renyi": lambda s, d: renyi(s.alpha, d),
-    "gr1": lambda s, d: generalized_renyi1(s.alpha, d),
-    "tsallis": lambda s, d: tsallis(s.alpha, d),
-    "gr2": lambda s, d: generalized_renyi2(s.alpha, s.beta, d),
-    "sm": lambda s, d: sharma_mittal(s.alpha, s.beta, d),
-    "modified": lambda s, d: modified_shannon(d),
+    "shannon": _shannon,
+    "renyi": lambda s, d: _closed_form("log_j", d, s.alpha, "alpha") / (1.0 - s.alpha),
+    "gr1": lambda s, d: _closed_form("gr1", d, s.alpha),
+    "tsallis": lambda s, d: (math.expm1(_closed_form("log_j", d, s.alpha, "alpha"))
+                             / (1.0 - s.alpha)),
+    "gr2": lambda s, d: ((_closed_form("log_j", d, s.alpha, "alpha")
+                          - _closed_form("log_j", d, s.beta, "beta")) / (s.beta - s.alpha)),
+    "sm": lambda s, d: (math.expm1(_closed_form("log_j", d, s.alpha, "alpha")
+                                   * (1.0 - s.beta) / (1.0 - s.alpha)) / (1.0 - s.beta)),
+    "modified": _modified,
 }
 
 
 def evaluate(spec: EntropySpec, d: Distribution) -> float:
-    """Dispatch a measure spec against a distribution."""
-    return _BY_MEASURE[spec.measure](spec, d)
+    """Dispatch a measure spec against a distribution; every measure function comes here.
+
+    A value past the float range raises ParameterError naming d.
+    """
+    try:
+        value = _BY_MEASURE[spec.measure](spec, d)
+    except OverflowError:  # an expm1 past the float range; the rows raise ParameterError
+        value = math.inf
+    if not math.isfinite(value):
+        raise _out_of_range(f"{spec.measure} entropy", d)
+    return value

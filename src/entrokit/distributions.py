@@ -1,8 +1,10 @@
 """Parameter records, validation, density/pmf evaluation and the spec syntax.
 
-Eleven families are supported.  Records are immutable; constructing one
-with out-of-range parameters raises ParameterError, never silently
-adjusts.  All logarithms throughout the toolkit are natural logs.
+Eleven families are supported.  Records are immutable.  Each field is
+stored as errors.as_integer (n, nu) or as_real (the rest) returns it, so
+numpy scalars become Python numbers; values they reject, and values out
+of the family's range, raise ParameterError and are never adjusted.  All
+logarithms throughout the toolkit are natural logs.
 
 Each family class carries its own record facts: its spec name and
 fields, the parameter a sweep varies by default, whether it is discrete,
@@ -22,20 +24,11 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import FamilyMismatchError, ParameterError
+from .errors import FamilyMismatchError, ParameterError, as_integer, as_real
 from .special import bd0, log_gamma, stirlerr
 
 _TWO_PI = 2.0 * math.pi
 _LOG_2PI = math.log(_TWO_PI)
-
-
-def _check(cond, msg):
-    if not cond:
-        raise ParameterError(msg)
-
-
-def _finite(*vals):
-    return all(isinstance(v, (int, float)) and math.isfinite(v) for v in vals)
 
 
 _FAMILIES = {}  # spec name -> record class, filled as the classes are defined
@@ -46,30 +39,39 @@ class Distribution:
     """Base record; concrete families subclass this.
 
     A family's class line gives its spec syntax 'spec:key=value,...' (one
-    key per field, converted by the field's int or float annotation), the
-    key a sweep varies by default, and whether it is discrete, in which
-    case it defines _logpmf instead of _logpdf (both on float arrays).
-    Normalizing constants are cached properties, computed on the first
-    evaluation: building a record costs no special-function call.
+    key per field, converted and checked by the field's int or float
+    annotation), the key a sweep varies by default, whether it is discrete,
+    in which case it defines _logpmf instead of _logpdf (both on float
+    arrays), and its range rule as (text, test).  Normalizing constants are
+    cached properties, computed on the first evaluation: building a record
+    costs no special-function call.
     """
 
-    def __init_subclass__(cls, spec, keys, sweep, discrete=False, **kwargs):
+    def __init_subclass__(cls, spec, keys, sweep, rule, discrete=False, **kwargs):
         super().__init_subclass__(**kwargs)
         fields = cls.__annotations__.items()  # types are strings: postponed annotations
         cls.spec_fields = tuple((key, attr, int if ann == "int" else float)
                                 for key, (attr, ann) in zip(keys, fields, strict=True))
-        cls.spec_name, cls.sweep_param, cls.is_discrete = spec, sweep, discrete
+        cls.spec_name, cls.sweep_param, cls.is_discrete, cls.rule = spec, sweep, discrete, rule
         _FAMILIES[spec] = cls
+
+    def __post_init__(self):
+        for key, attr, conv in self.spec_fields:
+            value = getattr(self, attr)
+            checked = as_integer(value, key) if conv is int else as_real(value, key)
+            if checked is not value:
+                object.__setattr__(self, attr, checked)
+        text, holds = self.rule
+        if not holds(self):
+            got = ", ".join(f"{key}={getattr(self, attr)}" for key, attr, _ in self.spec_fields)
+            raise ParameterError(f"{self.spec_name} requires {text}, got {got}")
 
 
 @dataclass(frozen=True)
-class Gamma(Distribution, spec="gamma", keys=("lambda", "mu"), sweep="lambda"):
+class Gamma(Distribution, spec="gamma", keys=("lambda", "mu"), sweep="lambda",
+            rule=("lambda > 0 and mu > 0", lambda d: d.lam > 0 and d.mu > 0)):
     lam: float
     mu: float
-
-    def __post_init__(self):
-        _check(_finite(self.lam, self.mu) and self.lam > 0 and self.mu > 0,
-               f"gamma requires lambda > 0 and mu > 0, got lambda={self.lam}, mu={self.mu}")
 
     @cached_property
     def _log_norm(self):
@@ -83,24 +85,18 @@ class Gamma(Distribution, spec="gamma", keys=("lambda", "mu"), sweep="lambda"):
 
 
 @dataclass(frozen=True)
-class Exponential(Distribution, spec="exp", keys=("lambda",), sweep="lambda"):
+class Exponential(Distribution, spec="exp", keys=("lambda",), sweep="lambda",
+                  rule=("lambda > 0", lambda d: d.lam > 0)):
     lam: float
-
-    def __post_init__(self):
-        _check(_finite(self.lam) and self.lam > 0,
-               f"exponential requires lambda > 0, got {self.lam}")
 
     def _logpdf(self, x):
         return np.where(x > 0, math.log(self.lam) - self.lam * x, -np.inf)
 
 
 @dataclass(frozen=True)
-class ChiSquared(Distribution, spec="chisq", keys=("nu",), sweep="nu"):
+class ChiSquared(Distribution, spec="chisq", keys=("nu",), sweep="nu",
+                 rule=("nu >= 1", lambda d: d.nu >= 1)):
     nu: int
-
-    def __post_init__(self):
-        _check(isinstance(self.nu, int) and self.nu >= 1,
-               f"chi-squared requires integer nu >= 1, got {self.nu}")
 
     def as_gamma(self) -> Gamma:
         """The equivalent Gamma(lambda=1/2, mu=nu/2) record."""
@@ -115,26 +111,20 @@ class ChiSquared(Distribution, spec="chisq", keys=("nu",), sweep="nu"):
 
 
 @dataclass(frozen=True)
-class Laplace(Distribution, spec="laplace", keys=("mu", "lambda"), sweep="lambda"):
+class Laplace(Distribution, spec="laplace", keys=("mu", "lambda"), sweep="lambda",
+              rule=("lambda > 0", lambda d: d.lam > 0)):
     mu: float
     lam: float
-
-    def __post_init__(self):
-        _check(_finite(self.mu, self.lam) and self.lam > 0,
-               f"laplace requires finite mu and lambda > 0, got mu={self.mu}, lambda={self.lam}")
 
     def _logpdf(self, x):
         return math.log(self.lam / 2.0) - self.lam * np.abs(x - self.mu)
 
 
 @dataclass(frozen=True)
-class LogNormal(Distribution, spec="lognormal", keys=("m", "sigma2"), sweep="m"):
+class LogNormal(Distribution, spec="lognormal", keys=("m", "sigma2"), sweep="m",
+                rule=("sigma2 > 0", lambda d: d.sigma2 > 0)):
     m: float
     sigma2: float
-
-    def __post_init__(self):
-        _check(_finite(self.m, self.sigma2) and self.sigma2 > 0,
-               f"log-normal requires finite m and sigma2 > 0, got m={self.m}, sigma2={self.sigma2}")
 
     def _logpdf(self, x):
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -145,13 +135,10 @@ class LogNormal(Distribution, spec="lognormal", keys=("m", "sigma2"), sweep="m")
 
 
 @dataclass(frozen=True)
-class Normal(Distribution, spec="normal", keys=("mean", "sigma2"), sweep="sigma2"):
+class Normal(Distribution, spec="normal", keys=("mean", "sigma2"), sweep="sigma2",
+             rule=("sigma2 > 0", lambda d: d.sigma2 > 0)):
     mean: float
     sigma2: float
-
-    def __post_init__(self):
-        _check(_finite(self.mean, self.sigma2) and self.sigma2 > 0,
-               f"normal requires finite mean and sigma2 > 0, got mean={self.mean}, sigma2={self.sigma2}")
 
     def _logpdf(self, x):
         return (-0.5 * (_LOG_2PI + math.log(self.sigma2))
@@ -159,13 +146,10 @@ class Normal(Distribution, spec="normal", keys=("mean", "sigma2"), sweep="sigma2
 
 
 @dataclass(frozen=True)
-class Uniform(Distribution, spec="uniform", keys=("a", "b"), sweep="b"):
+class Uniform(Distribution, spec="uniform", keys=("a", "b"), sweep="b",
+              rule=("a < b", lambda d: d.a < d.b)):
     a: float
     b: float
-
-    def __post_init__(self):
-        _check(_finite(self.a, self.b) and self.a < self.b,
-               f"uniform requires a < b, got a={self.a}, b={self.b}")
 
     def _logpdf(self, x):
         inside = (x >= self.a) & (x <= self.b)
@@ -173,12 +157,9 @@ class Uniform(Distribution, spec="uniform", keys=("a", "b"), sweep="b"):
 
 
 @dataclass(frozen=True)
-class Poisson(Distribution, spec="poisson", keys=("lambda",), sweep="lambda", discrete=True):
+class Poisson(Distribution, spec="poisson", keys=("lambda",), sweep="lambda", discrete=True,
+              rule=("lambda > 0", lambda d: d.lam > 0)):
     lam: float
-
-    def __post_init__(self):
-        _check(_finite(self.lam) and self.lam > 0,
-               f"poisson requires lambda > 0, got {self.lam}")
 
     def _logpmf(self, k):
         ok = (k >= 0) & (k == np.floor(k))
@@ -190,15 +171,10 @@ class Poisson(Distribution, spec="poisson", keys=("lambda",), sweep="lambda", di
 
 
 @dataclass(frozen=True)
-class Binomial(Distribution, spec="binomial", keys=("n", "p"), sweep="p", discrete=True):
+class Binomial(Distribution, spec="binomial", keys=("n", "p"), sweep="p", discrete=True,
+               rule=("n >= 1 and 0 < p < 1", lambda d: d.n >= 1 and 0.0 < d.p < 1.0)):
     n: int
     p: float
-
-    def __post_init__(self):
-        _check(isinstance(self.n, int) and self.n >= 1,
-               f"binomial requires integer n >= 1, got n={self.n}")
-        _check(_finite(self.p) and 0.0 < self.p < 1.0,
-               f"binomial requires p in (0, 1), got p={self.p}")
 
     @cached_property
     def _stirlerr_n(self):
@@ -219,7 +195,8 @@ class Binomial(Distribution, spec="binomial", keys=("n", "p"), sweep="p", discre
 
 @dataclass(frozen=True)
 class NegBinomialConditional(Distribution, spec="nbcond", keys=("p", "r"), sweep="r",
-                             discrete=True):
+                             discrete=True,
+                             rule=("0 < p < 1 and r > 0", lambda d: 0.0 < d.p < 1.0 and d.r > 0)):
     """Negative binomial conditioned on a strictly positive outcome.
 
     Only the conditional law P{X = k | X > 0}, k >= 1, is exposed; it is
@@ -228,12 +205,6 @@ class NegBinomialConditional(Distribution, spec="nbcond", keys=("p", "r"), sweep
 
     p: float
     r: float
-
-    def __post_init__(self):
-        _check(_finite(self.p) and 0.0 < self.p < 1.0,
-               f"nbcond requires p in (0, 1), got p={self.p}")
-        _check(_finite(self.r) and self.r > 0,
-               f"nbcond requires r > 0, got r={self.r}")
 
     @cached_property
     def _log_gamma_r(self):
@@ -253,12 +224,9 @@ class NegBinomialConditional(Distribution, spec="nbcond", keys=("p", "r"), sweep
 
 
 @dataclass(frozen=True)
-class Logarithmic(Distribution, spec="logarithmic", keys=("p",), sweep="p", discrete=True):
+class Logarithmic(Distribution, spec="logarithmic", keys=("p",), sweep="p", discrete=True,
+                  rule=("0 < p < 1", lambda d: 0.0 < d.p < 1.0)):
     p: float
-
-    def __post_init__(self):
-        _check(_finite(self.p) and 0.0 < self.p < 1.0,
-               f"logarithmic requires p in (0, 1), got p={self.p}")
 
     def _logpmf(self, k):
         ok = (k >= 1) & (k == np.floor(k))

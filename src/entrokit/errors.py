@@ -1,8 +1,17 @@
-"""Exception hierarchy for the toolkit.
+"""Exception hierarchy for the toolkit, and the one check of numeric parameters.
 
 Every failure mode callers are expected to branch on gets its own class;
 messages always name the violated constraint with actual values filled in.
+as_real and as_integer check every numeric argument of the public entry
+points: any real or integer, numpy scalars and Fractions included, comes
+back as a Python float or int; bool, strings, None, NaN, +-inf and ints
+past the float range raise ParameterError.  Range rules stay with callers.
 """
+
+import contextlib
+import math
+import numbers
+import sys
 
 
 class EntrokitError(Exception):
@@ -50,3 +59,23 @@ class NotPSDError(EntrokitError):
 
 class SingularCovarianceError(EntrokitError):
     """Covariance determinant is zero; Gaussian entropy is -inf and not representable."""
+
+
+
+
+def as_real(value, name: str) -> float:
+    """value as a finite Python float, or ParameterError naming the parameter `name`."""
+    # float first: it covers numpy's float64 too and is far cheaper than the ABC
+    if isinstance(value, float) or isinstance(value, numbers.Real) and not isinstance(value, bool):
+        with contextlib.suppress(OverflowError):  # an int or Fraction past the float range
+            if math.isfinite(float(value)):
+                return float(value)
+    raise ParameterError(f"{name} must be a finite real number, got {value!r}")
+
+
+def as_integer(value, name: str) -> int:
+    """value as a Python int within the float range, or ParameterError naming `name`."""
+    if ((isinstance(value, int) or isinstance(value, numbers.Integral))
+            and not isinstance(value, bool) and abs(value) <= sys.float_info.max):
+        return int(value)
+    raise ParameterError(f"{name} must be an integer within the float range, got {value!r}")

@@ -28,14 +28,14 @@ pivots.
 from __future__ import annotations
 
 import math
-import numbers
 import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NotPSDError, ParameterError, SingularCovarianceError
+from .errors import (NotPSDError, ParameterError, SingularCovarianceError, as_integer,
+                     as_real)
 
 _PIVOT_REL_FLOOR = 1e-12
 _SYM_TOL = 1e-14
@@ -302,12 +302,12 @@ def _pow_keep_zero(base: float, exponent: float) -> float:
 
 def _fgn_autocovariance(n: int, hurst: float) -> np.ndarray:
     """Lag-0..n-1 autocovariance of unit-variance fractional Gaussian noise."""
-    if not (isinstance(n, numbers.Integral) and not isinstance(n, bool) and n >= 1):
-        raise ParameterError(f"n must be an integer >= 1, got {n!r}")
-    if not (isinstance(hurst, numbers.Real) and not isinstance(hurst, bool)
-            and 0.0 <= hurst <= 1.0):
-        raise ParameterError(f"hurst index must lie in [0, 1], got {hurst!r}")
-    n, two_h = int(n), 2.0 * float(hurst)
+    n, hurst = as_integer(n, "n"), as_real(hurst, "hurst index")
+    if n < 1:
+        raise ParameterError(f"n must be an integer >= 1, got {n}")
+    if not 0.0 <= hurst <= 1.0:
+        raise ParameterError(f"hurst index must lie in [0, 1], got {hurst}")
+    two_h = 2.0 * hurst
     # j**2H for j = 0..n, one pow each; np.power can differ from pow by an ulp
     pows = np.array([_pow_keep_zero(float(j), two_h) for j in range(n + 1)])
     rho = np.empty(n)

@@ -19,14 +19,13 @@ binomial entropies approaching the logarithmic entropy as r -> 0.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import oracle
 from .distributions import Binomial, Logarithmic, NegBinomialConditional, Poisson
-from .errors import ParameterError
+from .errors import ParameterError, as_real
 from .special import log_gamma
 
 
@@ -62,13 +61,6 @@ class ConvergenceTable:
         return [r.abs_error for r in self.rows]
 
 
-def _intensity(lam) -> float:
-    if isinstance(lam, bool) or not (
-            isinstance(lam, numbers.Real) and math.isfinite(lam) and lam > 0):
-        raise ParameterError(f"lambda must be a positive real, got {lam!r}")
-    return float(lam)
-
-
 def _log_factorial(k):
     return log_gamma(k + 1.0)
 
@@ -85,17 +77,16 @@ def poisson_entropy(lam: float, cfg: oracle.OracleConfig | None = None) -> float
     3.4e-9 at 1e6 against mpmath.  For large lam use
     shannon(Poisson(lam)), which sums -p_k log p_k directly.
     """
-    lam = _intensity(lam)
-    series = oracle.discrete_expectation(Poisson(lam), _log_factorial,
-                                         cfg or oracle.OracleConfig())
-    return -lam * (math.log(lam) - 1.0) + series.value
+    d = Poisson(lam)  # checks lam and stores it as a float
+    series = oracle.discrete_expectation(d, _log_factorial, cfg or oracle.OracleConfig())
+    return -d.lam * (math.log(d.lam) - 1.0) + series.value
 
 
 def poisson_entropy_derivative(lam: float, cfg: oracle.OracleConfig | None = None) -> float:
     """d/dlam of the Poisson entropy; positive, decreasing, and -> 0 at infinity."""
-    lam = _intensity(lam)
-    series = oracle.discrete_expectation(Poisson(lam), _log_next, cfg or oracle.OracleConfig())
-    return series.value - math.log(lam)
+    d = Poisson(lam)
+    series = oracle.discrete_expectation(d, _log_next, cfg or oracle.OracleConfig())
+    return series.value - math.log(d.lam)
 
 
 def appendix_series_growth(lam_grid, cfg: oracle.OracleConfig | None = None):
@@ -104,20 +95,29 @@ def appendix_series_growth(lam_grid, cfg: oracle.OracleConfig | None = None):
     The sequence diverges to infinity, eventually exceeding log(N+1) for
     every N; the grid values make that concrete.
     """
-    lams = [_intensity(v) for v in lam_grid]
-    if not lams or any(b <= a for a, b in zip(lams, lams[1:])):
+    records = [Poisson(v) for v in lam_grid]
+    if not records or any(b.lam <= a.lam for a, b in zip(records, records[1:])):
         raise ParameterError("lambda grid must be strictly increasing")
     cfg = cfg or oracle.OracleConfig()
-    return [(lam, oracle.discrete_expectation(Poisson(lam), _log_next, cfg).value)
-            for lam in lams]
+    return [(d.lam, oracle.discrete_expectation(d, _log_next, cfg).value) for d in records]
 
 
 def _integer(v) -> int:
     """v as an int, if it is a real within 1e-9 of one."""
-    if isinstance(v, bool) or not (
-            isinstance(v, numbers.Real) and math.isfinite(v) and abs(v - round(v)) <= 1e-9):
+    v = as_real(v, "n grid value")
+    if abs(v - round(v)) > 1e-9:
         raise ParameterError(f"n grid needs integer values, got {v!r}")
-    return int(round(v))
+    return round(v)
+
+
+def _table(driver_name: str, drivers, limit_d, record, cfg) -> ConvergenceTable:
+    """Shannon entropies of record(x) over the drivers x against that of limit_d."""
+    limit = -oracle.discrete_entropy_sum(limit_d, "p_log_p", 1.0, cfg).value
+    rows = []
+    for x in drivers:
+        approx = -oracle.discrete_entropy_sum(record(x), "p_log_p", 1.0, cfg).value
+        rows.append(ExperimentRow(float(x), approx, limit, abs(approx - limit)))
+    return ConvergenceTable(driver_name, tuple(rows))
 
 
 def binomial_to_poisson(lam: float, n_grid, perturb: float = 0.0,
@@ -126,23 +126,15 @@ def binomial_to_poisson(lam: float, n_grid, perturb: float = 0.0,
 
     p_n = (lam/n) * (1 + perturb/n); the default perturb = 0 is the plain
     scheme, the knob demonstrates that only n * p_n -> lam matters.  Both
-    columns are summed by the oracle's engine.
+    columns are summed by the oracle's engine; a p_n outside (0, 1) is a
+    ParameterError of its Binomial record.
     """
-    cfg = cfg or oracle.OracleConfig()
-    lam = _intensity(lam)
+    target, perturb = Poisson(lam), as_real(perturb, "perturb")
     ns = [_integer(n) for n in n_grid]
     if not ns or any(b <= a for a, b in zip(ns, ns[1:])):
         raise ParameterError("n grid must be strictly increasing")
-    limit = -oracle.discrete_entropy_sum(Poisson(lam), "p_log_p", 1.0, cfg).value
-    rows = []
-    for n in ns:
-        p_n = (lam / n) * (1.0 + perturb / n)
-        if not 0.0 < p_n < 1.0:
-            raise ParameterError(
-                f"invalid grid: p_n = {p_n:.6g} outside (0, 1) at n = {n}")
-        approx = -oracle.discrete_entropy_sum(Binomial(n, p_n), "p_log_p", 1.0, cfg).value
-        rows.append(ExperimentRow(float(n), approx, limit, abs(approx - limit)))
-    return ConvergenceTable("n", tuple(rows))
+    return _table("n", ns, target, lambda n: Binomial(n, (target.lam / n) * (1.0 + perturb / n)),
+                  cfg or oracle.OracleConfig())
 
 
 def nb_to_logarithmic(p: float, r_grid,
@@ -152,16 +144,11 @@ def nb_to_logarithmic(p: float, r_grid,
     The r grid must decrease within (0, 1/2), the region where the
     dominated-convergence construction behind the limit applies.
     """
-    cfg = cfg or oracle.OracleConfig()
-    rs = [float(r) for r in r_grid]
+    target = Logarithmic(p)
+    rs = [as_real(r, "r grid value") for r in r_grid]
     if not rs or any(b >= a for a, b in zip(rs, rs[1:])):
         raise ParameterError("r grid must be strictly decreasing")
     if any(not 0.0 < r < 0.5 for r in rs):
         raise ParameterError("invalid grid: r values must lie in (0, 1/2)")
-    limit = -oracle.discrete_entropy_sum(Logarithmic(p), "p_log_p", 1.0, cfg).value
-    rows = []
-    for r in rs:
-        approx = -oracle.discrete_entropy_sum(
-            NegBinomialConditional(p, r), "p_log_p", 1.0, cfg).value
-        rows.append(ExperimentRow(r, approx, limit, abs(approx - limit)))
-    return ConvergenceTable("r", tuple(rows))
+    return _table("r", rs, target, lambda r: NegBinomialConditional(target.p, r),
+                  cfg or oracle.OracleConfig())

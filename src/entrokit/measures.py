@@ -6,25 +6,27 @@ parser can offer the measure names without loading any numeric module.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-from .errors import ParameterError
+from .errors import ParameterError, as_real
 
-MEASURES = ("shannon", "renyi", "gr1", "tsallis", "gr2", "sm", "modified")
+# measure -> the orders it takes, each as check_order's exclude_one (alpha first)
+_ORDERS = {"shannon": (), "renyi": (True,), "gr1": (False,), "tsallis": (True,),
+           "gr2": (False, False), "sm": (True, True), "modified": ()}
+MEASURES = tuple(_ORDERS)
 
 # orders closer than this to a forbidden value are rejected, never nudged
 ORDER_EPS = 1e-10
 
 
-def check_order(name, value, exclude_one):
-    """Raise ParameterError unless value is a finite positive order (and not 1 if excluded)."""
-    if value is None or not (isinstance(value, (int, float)) and math.isfinite(value)):
-        raise ParameterError(f"{name} must be a finite positive real, got {value}")
+def check_order(name, value, exclude_one) -> float:
+    """value as a float, once it is a positive order, not within ORDER_EPS of 1 if excluded."""
+    value = as_real(value, name)
     if value <= 0:
         raise ParameterError(f"{name} must be positive, got {value}")
     if exclude_one and abs(value - 1.0) < ORDER_EPS:
         raise ParameterError(f"{name} must differ from 1, got {value}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -32,9 +34,10 @@ class EntropySpec:
     """Which measure to evaluate plus its order parameters.
 
     measure is one of MEASURES.  alpha is required for renyi, gr1,
-    tsallis, gr2 and sm; beta for gr2 and sm.  Orders within 1e-10 of a
-    forbidden value (1 for renyi/tsallis/sm, alpha == beta for gr2) are
-    rejected outright instead of being silently nudged.
+    tsallis, gr2 and sm; beta for gr2 and sm; both are stored as
+    floats.  Orders within 1e-10 of a forbidden value (1 for
+    renyi/tsallis/sm, alpha == beta for gr2) are rejected outright
+    instead of being silently nudged.
     """
 
     measure: str
@@ -42,21 +45,15 @@ class EntropySpec:
     beta: float | None = None
 
     def __post_init__(self):
-        if self.measure not in MEASURES:
+        if self.measure not in _ORDERS:
             raise ParameterError(
                 f"unknown measure {self.measure!r}; expected one of {MEASURES}")
-        needs_alpha = self.measure in ("renyi", "gr1", "tsallis", "gr2", "sm")
-        needs_beta = self.measure in ("gr2", "sm")
-        if needs_alpha:
-            check_order("alpha", self.alpha,
-                        exclude_one=self.measure in ("renyi", "tsallis", "sm"))
-        elif self.alpha is not None:
-            raise ParameterError(f"measure {self.measure!r} takes no alpha")
-        if needs_beta:
-            check_order("beta", self.beta, exclude_one=self.measure == "sm")
-            if abs(self.alpha - self.beta) < ORDER_EPS:
-                raise ParameterError(
-                    f"measure {self.measure!r} requires alpha != beta, "
-                    f"got alpha={self.alpha}, beta={self.beta}")
-        elif self.beta is not None:
-            raise ParameterError(f"measure {self.measure!r} takes no beta")
+        excludes = _ORDERS[self.measure]
+        for name, exclude_one in zip(("alpha", "beta"), excludes):
+            object.__setattr__(self, name, check_order(name, getattr(self, name), exclude_one))
+        for name in ("alpha", "beta")[len(excludes):]:
+            if getattr(self, name) is not None:
+                raise ParameterError(f"measure {self.measure!r} takes no {name}")
+        if self.measure == "gr2" and abs(self.alpha - self.beta) < ORDER_EPS:
+            raise ParameterError(f"measure 'gr2' requires alpha != beta, "
+                                 f"got alpha={self.alpha}, beta={self.beta}")

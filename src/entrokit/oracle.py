@@ -31,8 +31,7 @@ Every public routine returns its error estimate alongside the value.
 from __future__ import annotations
 
 import math
-import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -41,12 +40,14 @@ from .distributions import (Binomial, ChiSquared, Distribution, Exponential, Gam
                             Laplace, Logarithmic, LogNormal, NegBinomialConditional,
                             Normal, Poisson, Uniform, logpdf, logpmf)
 from .errors import (FamilyMismatchError, NonConvergenceError, ParameterError,
-                     SeriesBudgetError, UnsupportedFamilyError, ValidityDomainError)
+                     SeriesBudgetError, UnsupportedFamilyError, ValidityDomainError,
+                     as_integer, as_real)
+from .measures import EntropySpec, check_order
 
 
 @dataclass(frozen=True)
 class OracleConfig:
-    """Tolerances and budgets for the quadrature and series oracles."""
+    """Tolerances and budgets for the quadrature and series oracles: positive floats and ints."""
 
     abs_tol: float = 1e-10
     rel_tol: float = 1e-10
@@ -55,18 +56,12 @@ class OracleConfig:
     max_terms: int = 10**7
 
     def __post_init__(self):
-        for name in ("abs_tol", "rel_tol", "series_tail_tol"):
-            tol = getattr(self, name)
-            if isinstance(tol, bool) or not (
-                    isinstance(tol, numbers.Real) and math.isfinite(tol) and tol > 0):
-                raise ParameterError(f"oracle tolerance {name} must be positive and finite, "
-                                     f"got {tol!r}")
-        for name in ("max_subdivisions", "max_terms"):
-            budget = getattr(self, name)
-            if not (isinstance(budget, numbers.Integral) and not isinstance(budget, bool)
-                    and budget >= 1):
-                raise ParameterError(f"oracle budget {name} must be an integer >= 1, "
-                                     f"got {budget!r}")
+        for field in fields(self):
+            value = getattr(self, field.name)
+            value = (as_integer if field.type == "int" else as_real)(value, field.name)
+            if value <= 0:
+                raise ParameterError(f"oracle setting {field.name} must be positive, got {value}")
+            object.__setattr__(self, field.name, value)
 
 
 class QuadResult(NamedTuple):
@@ -296,8 +291,7 @@ def _density_power_integral(d: Distribution, alpha: float, cfg: OracleConfig,
                             with_log: bool) -> QuadResult:
     if d.is_discrete:
         raise FamilyMismatchError("power integrals are defined for continuous families")
-    if not (alpha > 0 and math.isfinite(alpha)):
-        raise ParameterError(f"alpha must be positive and finite, got {alpha}")
+    alpha = check_order("alpha", alpha, exclude_one=False)
     return _integrate(_power_weight(d, alpha, with_log), _plan(d, alpha), cfg)
 
 
@@ -457,10 +451,7 @@ def discrete_entropy_sum(d: Distribution, transform: str, alpha: float,
         raise FamilyMismatchError("discrete_entropy_sum needs a discrete family")
     if transform not in _TRANSFORMS:
         raise ParameterError(f"transform must be one of {_TRANSFORMS}, got {transform!r}")
-    if transform == "p_log_p":
-        alpha = 1.0
-    elif not (alpha > 0 and math.isfinite(alpha)):
-        raise ParameterError(f"alpha must be positive and finite, got {alpha}")
+    alpha = 1.0 if transform == "p_log_p" else check_order("alpha", alpha, exclude_one=False)
     with_log = transform in ("p_log_p", "p_alpha_log_p")
 
     def terms(ks, lp, lp_err, rho, step):
@@ -505,9 +496,14 @@ def entropy_estimate(d: Distribution, measure: str, alpha: float | None,
                      beta: float | None, cfg: OracleConfig) -> float:
     """Oracle value of a measure, assembled purely from the numeric engines.
 
-    measure is one of shannon, renyi, gr1, tsallis, gr2, sm.  Discrete
-    families support shannon only.
+    measure and its orders are checked as an EntropySpec; the measures
+    are shannon, renyi, gr1, tsallis, gr2 and sm (the oracle has no
+    modified entropy).  Discrete families support shannon only.
     """
+    spec = EntropySpec(measure, alpha, beta)
+    if measure == "modified":
+        raise ParameterError("the oracle has no modified entropy (it needs a density sup)")
+    alpha, beta = spec.alpha, spec.beta
     if d.is_discrete:
         if measure != "shannon":
             raise UnsupportedFamilyError(
@@ -515,19 +511,13 @@ def entropy_estimate(d: Distribution, measure: str, alpha: float | None,
         return -discrete_entropy_sum(d, "p_log_p", 1.0, cfg).value
     if measure == "shannon":
         return -integral_p_alpha_log_p(d, 1.0, cfg).value
+    j = integral_p_alpha(d, alpha, cfg).value
     if measure == "renyi":
-        return math.log(integral_p_alpha(d, alpha, cfg).value) / (1.0 - alpha)
+        return math.log(j) / (1.0 - alpha)
     if measure == "gr1":
-        j1 = integral_p_alpha_log_p(d, alpha, cfg).value
-        j = integral_p_alpha(d, alpha, cfg).value
-        return -j1 / j
+        return -integral_p_alpha_log_p(d, alpha, cfg).value / j
     if measure == "tsallis":
-        return (integral_p_alpha(d, alpha, cfg).value - 1.0) / (1.0 - alpha)
+        return (j - 1.0) / (1.0 - alpha)
     if measure == "gr2":
-        ja = integral_p_alpha(d, alpha, cfg).value
-        jb = integral_p_alpha(d, beta, cfg).value
-        return (math.log(ja) - math.log(jb)) / (beta - alpha)
-    if measure == "sm":
-        j = integral_p_alpha(d, alpha, cfg).value
-        return (j ** ((1.0 - beta) / (1.0 - alpha)) - 1.0) / (1.0 - beta)
-    raise ParameterError(f"unknown measure {measure!r}")
+        return (math.log(j) - math.log(integral_p_alpha(d, beta, cfg).value)) / (beta - alpha)
+    return (j ** ((1.0 - beta) / (1.0 - alpha)) - 1.0) / (1.0 - beta)  # sm

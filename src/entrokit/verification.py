@@ -16,7 +16,7 @@ from . import closed_form as cf
 from . import limits, oracle
 from .distributions import (ChiSquared, Distribution, Exponential, Gamma, Laplace,
                             LogNormal, Normal, Uniform)
-from .errors import ParameterError
+from .errors import ParameterError, as_integer
 
 ORACLE_FAMILIES = ("gamma", "exp", "chisq", "laplace", "lognormal", "normal", "uniform")
 CORE_FAMILIES = ("gamma", "exp", "chisq", "laplace", "lognormal")
@@ -99,6 +99,7 @@ def oracle_equivalence(families, measures, draws: int, seed: int,
     """
     if not families:
         raise ParameterError("oracle equivalence needs at least one family")
+    draws, seed = as_integer(draws, "draws"), as_integer(seed, "seed")
     if draws < 1:
         raise ParameterError(f"oracle equivalence needs at least 1 draw, got {draws}")
     if seed < 0:

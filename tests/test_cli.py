@@ -1,8 +1,12 @@
 import math
+import shlex
+from pathlib import Path
 
 import pytest
 
 from entrokit.cli import main
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run(capsys, *argv):
@@ -262,3 +266,118 @@ class TestSweepRecords:
                                "--param", param, "--grid", "2,2.5")
             assert code == 1
             assert "integer grid values" in err
+
+
+class TestVerifyContract:
+    """--verify exits 1 when a row misses |closed - oracle| <= 1e-8 (1 + |closed|)."""
+
+    def test_modified_verify(self, capsys):
+        code, out, err = run(capsys, "modified", "--dist", "normal:mean=0,sigma2=1", "--verify")
+        assert code == 0, err
+        header, row = out.strip().splitlines()
+        assert header == "closed_form,oracle,abs_error"
+        closed, est, _ = (float(v) for v in row.split(","))
+        assert closed == pytest.approx(math.sqrt(math.pi / 2.0), abs=1e-10)
+        assert est == pytest.approx(closed, abs=1e-8)
+
+    def test_oracle_miss_exits_1_and_keeps_stdout(self, capsys):
+        argv = ("entropy", "--dist", "gamma:lambda=1,mu=1e8", "--measure", "shannon")
+        _, value, _ = run(capsys, *argv)
+        code, out, err = run(capsys, *argv, "--verify")
+        assert code == 1
+        header, row = out.strip().splitlines()
+        assert row.split(",")[0] == value.strip()
+        assert len(err.strip().splitlines()) == 1
+        assert "1 of 1 rows" in err
+
+    def test_sweep_counts_the_rows_that_miss(self, capsys):
+        code, out, err = run(capsys, "sweep", "--dist", "gamma:lambda=1,mu=2",
+                             "--measure", "shannon", "--param", "mu",
+                             "--grid", "2,1e8", "--verify")
+        assert code == 1
+        assert len(out.strip().splitlines()) == 3
+        assert "1 of 2 rows" in err
+
+
+class TestMalformedArguments:
+    @pytest.mark.parametrize("grid, message", [
+        ("1:2", "expected start:stop:steps[:log]"),
+        ("1:2:3:lin", "expected start:stop:steps[:log]"),
+        ("a:2:3", "malformed grid"),
+        ("1:2:0", "at least one step"),
+        ("0:2:3:log", "positive endpoints"),
+        ("1,a", "malformed grid"),
+    ])
+    def test_malformed_grid_exit_1(self, capsys, grid, message):
+        code, out, err = run(capsys, "sweep", "--dist", "exp:lambda=1", "--measure", "shannon",
+                             "--grid", grid)
+        assert code == 1
+        assert out == ""
+        assert message in err
+
+    @pytest.mark.parametrize("argv, message", [
+        (("--n", "10,100"), "needs --lambda"),
+        (("--r-grid", "0.4,0.1"), "needs --dist"),
+        (("--dist", "poisson:lambda=2", "--r-grid", "0.4,0.1"), "must be logarithmic"),
+    ])
+    def test_converge_needs_its_inputs(self, capsys, argv, message):
+        code, out, err = run(capsys, "converge", *argv)
+        assert code == 1
+        assert out == ""
+        assert message in err
+
+
+def readme_commands() -> list[list[str]]:
+    """The `entrokit ...` lines of README's "Command line" block, as argument lists."""
+    section = README.read_text().split("## Command line", 1)[1]
+    block = section.split("```sh", 1)[1].split("```", 1)[0]
+    return [shlex.split(line)[1:] for line in block.splitlines()
+            if line.startswith("entrokit ")]
+
+
+# the first line each README command prints (None: one bare value), and how README documents it
+HEADERS = {
+    "entropy": (None, "print one bare value"),
+    "entropy --verify": ("closed_form,oracle,abs_error", "`closed_form,oracle,abs_error`"),
+    "kl": (None, "print one bare value"),
+    "modified": (None, "print one bare value"),
+    "sweep": ("lambda,shannon", "`<param>,<measure>`"),
+    "converge --n": ("n,approx,limit,abs_error", "`n,approx,limit,abs_error`"),
+    "converge --r-grid": ("r,approx,limit,abs_error", "`r,approx,limit,abs_error`"),
+    "gauss": ("hurst,det,entropy", "`hurst,det,entropy`"),
+    "selftest": ("family,measure,draws,max_scaled_error,status",
+                 "`family,measure,draws,max_scaled_error,status`"),
+}
+
+
+def header_key(argv) -> str:
+    verb = argv[0]
+    for flag in ("--verify", "--n", "--r-grid"):
+        if f"{verb} {flag}" in HEADERS and flag in argv:
+            return f"{verb} {flag}"
+    return verb
+
+
+@pytest.mark.parametrize("argv", readme_commands(), ids=lambda argv: " ".join(argv[:3]))
+def test_readme_command_line_block_runs(argv, capsys, monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *argv)
+    assert code == 0, err
+    if "--out" in argv:
+        assert out == ""
+        out = (tmp_path / argv[argv.index("--out") + 1]).read_text()
+    lines = out.splitlines()
+    want, _ = HEADERS[header_key(argv)]
+    if want is None:
+        assert len(lines) == 1
+        assert math.isfinite(float(lines[0]))
+    else:
+        assert lines[0] == want
+        assert len(lines) >= 2
+
+
+def test_readme_documents_each_header():
+    readme = " ".join(README.read_text().split())
+    assert {argv[0] for argv in readme_commands()} == {key.split()[0] for key in HEADERS}
+    for key, (_, documented) in HEADERS.items():
+        assert documented in readme, key

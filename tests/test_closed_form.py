@@ -11,7 +11,7 @@ from entrokit import (Binomial, ChiSquared, EntropySpec, Exponential, Gamma,
                       integral_p_alpha_log_p, kl_divergence, kl_integral,
                       log_gamma, lognormal_moment, modified_shannon, renyi,
                       shannon, sharma_mittal, tsallis)
-from entrokit.errors import (ParameterError, UnboundedDensityError,
+from entrokit.errors import (FamilyMismatchError, ParameterError, UnboundedDensityError,
                              UnsupportedFamilyError, ValidityDomainError)
 from entrokit.verification import random_distribution
 
@@ -465,3 +465,33 @@ class TestEntropySpec:
             renyi(2.0, Poisson(1.0))
         with pytest.raises(UnsupportedFamilyError):
             tsallis(2.0, Binomial(3, 0.5))
+
+
+class TestFloatRange:
+    """Closed forms whose value leaves the float range name the record."""
+
+    @pytest.mark.parametrize("d", [LogNormal(0.0, 2000.0), LogNormal(800.0, 1.0),
+                                   LogNormal(800.0, 100.0)])
+    def test_density_sup_out_of_range(self, d):
+        for fn in (density_sup, modified_shannon):
+            with pytest.raises(ParameterError, match=format_spec(d)):
+                fn(d)
+
+    def test_modified_of_a_subnormal_rate(self):
+        with pytest.raises(ParameterError, match="exp:lambda=1e-320"):
+            modified_shannon(Exponential(1e-320))
+
+    @pytest.mark.parametrize("args", [(40.0, 0.0, 1.0), (1.0, 0.0, math.inf),
+                                      (1.0, math.nan, 1.0), ("a", 0.0, 1.0)])
+    def test_lognormal_moment_out_of_range(self, args):
+        with pytest.raises(ParameterError):
+            lognormal_moment(*args)
+
+    def test_density_sup_of_a_discrete_record(self):
+        with pytest.raises(FamilyMismatchError):
+            density_sup(Poisson(3.0))
+
+
+def test_sharma_mittal_with_equal_orders_is_tsallis():
+    d = Exponential(1.5)
+    assert evaluate(EntropySpec("sm", 2.0, 2.0), d) == pytest.approx(tsallis(2.0, d), rel=1e-14)

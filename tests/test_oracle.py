@@ -12,7 +12,8 @@ from entrokit import (Binomial, ChiSquared, Exponential, Gamma, Laplace,
                       OracleConfig, Poisson, Uniform, discrete_entropy_sum,
                       discrete_expectation, integral_p_alpha, integral_p_alpha_log_p,
                       integrate_halfline, integrate_interval, kl_integral,
-                      logpdf, logpmf, poisson_entropy_derivative, shannon)
+                      entropy_estimate, logpdf, logpmf, poisson_entropy_derivative,
+                      shannon)
 from entrokit.errors import (EntrokitError, FamilyMismatchError, NonConvergenceError,
                              ParameterError, SeriesBudgetError,
                              UnsupportedFamilyError, ValidityDomainError)
@@ -482,3 +483,27 @@ class TestSeriesFromTheMode:
             exact = mpmath_series(mpmath, d, transform, alpha)
         assert math.isfinite(res.value)
         assert abs(res.value - exact) <= res.tail_bound
+
+
+class TestEntropyEstimateArguments:
+    @pytest.mark.parametrize("measure, alpha, beta", [
+        ("renyi", 1.0, None), ("gr2", 2.0, 2.0), ("sm", 2.0, 1.0), ("renyi", None, None),
+        ("entropy", None, None)])
+    def test_orders_are_checked_as_a_spec(self, measure, alpha, beta, cfg):
+        with pytest.raises(ParameterError):
+            entropy_estimate(Exponential(1.0), measure, alpha, beta, cfg)
+
+    def test_modified_is_named(self, cfg):
+        with pytest.raises(ParameterError, match="no modified entropy"):
+            entropy_estimate(Exponential(1.0), "modified", None, None, cfg)
+
+    def test_power_integral_needs_an_order(self, cfg):
+        with pytest.raises(ParameterError):
+            integral_p_alpha(Exponential(1.0), None, cfg)
+
+    def test_discrete_records(self, cfg):
+        d = Poisson(3.0)
+        want = -discrete_entropy_sum(d, "p_log_p", 1.0, cfg).value
+        assert entropy_estimate(d, "shannon", None, None, cfg) == want
+        with pytest.raises(UnsupportedFamilyError):
+            entropy_estimate(d, "renyi", 2.0, None, cfg)

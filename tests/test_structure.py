@@ -139,3 +139,29 @@ def test_public_paths_unchanged_under_the_bench_tracer(monkeypatch):
         monkeypatch.setattr(namespace, attr,
                             lambda *args, _target=target, **kwargs: _target(*args, **kwargs))
     assert run() == want
+
+
+NUMERIC_TYPES = {"int", "float", "bool", "complex", "Real", "Integral", "Number", "Rational"}
+
+
+def numeric_type_tests(path: Path) -> list[str]:
+    """`numbers.Real`/`numbers.Integral` references and isinstance tests against numeric types."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if (isinstance(node, ast.Attribute) and node.attr in NUMERIC_TYPES
+                and ast.unparse(node.value) == "numbers"):
+            found.append(f"{path.name}:{node.lineno} {ast.unparse(node)}")
+        elif (isinstance(node, ast.Call) and ast.unparse(node.func) == "isinstance"
+              and len(node.args) == 2):
+            classes = node.args[1].elts if isinstance(node.args[1], ast.Tuple) else [node.args[1]]
+            if any(ast.unparse(c).split(".")[-1] in NUMERIC_TYPES for c in classes):
+                found.append(f"{path.name}:{node.lineno} {ast.unparse(node)}")
+    return found
+
+
+def test_numeric_parameters_have_one_check():
+    """Only errors.as_real and errors.as_integer decide what counts as a number."""
+    found = [hit for path in sorted(SRC.glob("*.py")) if path.name != "errors.py"
+             for hit in numeric_type_tests(path)]
+    assert found == []
+    assert numeric_type_tests(SRC / "errors.py")  # the check sees the shared checks' own tests
