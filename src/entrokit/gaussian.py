@@ -41,6 +41,8 @@ _PIVOT_REL_FLOOR = 1e-12
 _SYM_TOL = 1e-14
 _PANEL = 64  # pivoting steps per BLAS-3 update; at n = 256, 16-48 are slower, 96-128 no faster
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
+# the largest fGn size; checked before anything of size n is allocated
+_MAX_FGN_N = 10**6
 
 
 def _real_array(values, what: str, kinds: str = "biufO") -> np.ndarray:
@@ -305,6 +307,8 @@ def _fgn_autocovariance(n: int, hurst: float) -> np.ndarray:
     n, hurst = as_integer(n, "n"), as_real(hurst, "hurst index")
     if n < 1:
         raise ParameterError(f"n must be an integer >= 1, got {n}")
+    if n > _MAX_FGN_N:
+        raise ParameterError(f"fGn size n = {n} exceeds the limit of {_MAX_FGN_N}")
     if not 0.0 <= hurst <= 1.0:
         raise ParameterError(f"hurst index must lie in [0, 1], got {hurst}")
     two_h = 2.0 * hurst
@@ -325,6 +329,7 @@ def fgn_covariance(n: int, hurst: float) -> CovMatrix:
     Built from the n lags alone: `entries` is a read-only view over the
     2n - 1 lags and the factorization is the Levinson recursion, so time
     is O(n^2) and memory O(n) (n = 10**4 takes well under a second).
+    n above 10**6 raises ParameterError before anything is allocated.
     """
     return _toeplitz_cov(_fgn_autocovariance(n, hurst))
 

@@ -6,12 +6,20 @@ map scale, split points, singular endpoint, ratio bound) is one row of
 _PLANS:
 
 * adaptive panel quadrature with an embedded Gauss(7)/Kronrod(15) pair
-  for the error estimate.  Half-line integrals are mapped onto (0, 1)
-  by x = scale * t / (1 - t); whole-line integrands are split at the
-  density mode and each tail mapped the same way.  When the integrand
-  is unbounded at 0 (gamma-type x**a with a in (-1, 0)) the initial
-  mesh is graded geometrically toward the singular endpoint so the
-  error estimate stays trustworthy.
+  for the error estimate (QUADPACK's dqk15 rule and estimate), one run
+  per oracle value.  An integrand may return several rows on one mesh
+  (GR1's integrals of p**alpha and p**alpha log p, GR2's J(alpha) and
+  J(beta)), each row refined until it meets its own tolerance, with one
+  log-density call per batch of nodes.  Half-line integrals are mapped
+  onto (0, 1) by x = scale * t / (1 - t).  The real line is one t-mesh
+  under one piecewise map: both tails x = p + scale * u/(1 - |u|) and
+  linear pieces between the split points (the density modes), every
+  split point a breakpoint.  A flagged panel is split in four, at 1/64,
+  1/16 and 1/4 of its width where it touches the lower end of the
+  domain, so refinement reaches an x**a or x**a log x endpoint in a few
+  passes; when the integrand is unbounded at 0 (gamma-type x**a with a
+  in (-1, 0)) the initial mesh is already graded geometrically toward
+  that endpoint so the error estimate stays trustworthy.
 
 * one series engine with a certified geometric tail: once the uniform
   one-step ratio bound q of the terms is below 1, the remaining tail is
@@ -31,7 +39,7 @@ Every public routine returns its error estimate alongside the value.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -104,66 +112,88 @@ _WG = np.array([
 ])
 
 
-def _gk_apply(f, lo, hi):
-    """Kronrod value and QUADPACK-style error estimate per panel."""
-    c = 0.5 * (lo + hi)
+# one product gives the Kronrod sum and its difference from the Gauss sum
+_W = np.stack([_WK, _WK - _WG], axis=1)
+# the edges of the four parts of a split panel, as fractions of its width: evenly,
+# or graded toward the lower end of the domain
+_SPLITS = np.array([[0.0, 0.25, 0.5, 0.75, 1.0], [0.0, 1.0 / 64.0, 1.0 / 16.0, 0.25, 1.0]])
+
+
+def _gk_apply(f, ends):
+    """Kronrod values and QUADPACK-style error estimates of the panels ends = (lo, hi).
+
+    Returns shape (2, components, panels), values first, and True when f
+    returns one value per point.  The sums run on the unit panel and are
+    scaled by the half-width h at the end; the error ratio
+    200 |K - G| / resasc has h cancelled.
+    """
+    lo, hi = ends
     h = 0.5 * (hi - lo)
-    x = c[:, None] + h[:, None] * _XK[None, :]
+    x = (lo + h)[:, None] + h[:, None] * _XK
     with np.errstate(all="ignore"):
-        y = np.asarray(f(x.reshape(-1)), dtype=float).reshape(x.shape)
-    k = (y * _WK).sum(axis=1) * h
-    g = (y * _WG).sum(axis=1) * h
-    d = np.abs(k - g)
-    mean = k / np.where(h != 0.0, 2.0 * h, 1.0)
-    resasc = (np.abs(y - mean[:, None]) * _WK).sum(axis=1) * h
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(resasc > 0.0, 200.0 * d / np.where(resasc > 0, resasc, 1.0), 0.0)
-        err = np.where(resasc > 0.0, resasc * np.minimum(1.0, ratio**1.5), d)
-    err = np.maximum(err, np.abs(k) * 5e-16)
-    return k, err
+        y = np.asarray(f(x.reshape(-1)), dtype=float)
+        scalar = y.ndim == 1
+        y = y.reshape(-1, 15)
+        kd = y @ _W
+        k = kd[:, 0]
+        resasc = np.abs(y - 0.5 * k[:, None]) @ _WK  # the mean is K / 2
+        # QUADPACK's resasc * min(1, (200 |K - G| / resasc)**1.5); 0 for a constant y
+        err = resasc * np.fmin(1.0, (200.0 * np.abs(kd[:, 1]) / resasc) ** 1.5)
+    est = np.stack([k, err]).reshape(2, -1, len(h)) * h
+    est[1] = np.maximum(est[1], np.abs(est[0]) * 5e-16)
+    return est, scalar
 
 
 def integrate_interval(f: Callable, breakpoints, cfg: OracleConfig) -> QuadResult:
     """Adaptive quadrature of f over the panels defined by breakpoints.
 
-    Panels above their equidistributed error share are bisected until the
-    summed estimate is under max(abs_tol, rel_tol * |integral|).
+    f maps an array of points to as many values, or to shape (c, points)
+    for c integrals on one mesh; a QuadResult of floats, or of length-c
+    arrays, comes back.  Each pass splits every panel above its
+    equidistributed share of an unmet tolerance in four, at 1/64, 1/16
+    and 1/4 of its width when it touches the lower end of the domain
+    (where the half-line map puts x**a and x**a log x singularities),
+    evenly otherwise, until each component's summed error estimate is
+    under max(abs_tol, rel_tol * |its integral|).  NonConvergenceError
+    once a split would take the mesh past max_subdivisions panels.
     """
     bp = np.asarray(breakpoints, dtype=float)
-    lo, hi = bp[:-1], bp[1:]
-    vals, errs = _gk_apply(f, lo, hi)
+    ends = np.stack([bp[:-1], bp[1:]])
+    est, scalar = _gk_apply(f, ends)
     while True:
-        total = float(vals.sum())
-        total_err = float(errs.sum())
-        tol = max(cfg.abs_tol, cfg.rel_tol * abs(total))
-        if total_err <= tol or not np.isfinite(total_err):
-            if not np.isfinite(total) or not np.isfinite(total_err):
-                raise NonConvergenceError("non-finite quadrature result; integrand invalid")
-            return QuadResult(total, total_err)
-        n = len(vals)
-        if n >= cfg.max_subdivisions:
+        totals, errors = est.sum(axis=2).tolist()
+        if not all(map(math.isfinite, totals + errors)):
+            raise NonConvergenceError("non-finite quadrature result; integrand invalid")
+        tols = [max(cfg.abs_tol, cfg.rel_tol * abs(v)) for v in totals]
+        unmet = [i for i, (e, t) in enumerate(zip(errors, tols)) if e > t]
+        if not unmet:
+            totals = [math.fsum(row) for row in est[0]]  # the reported sums correctly rounded
+            if scalar:
+                return QuadResult(totals[0], errors[0])
+            return QuadResult(np.array(totals), np.array(errors))
+        n = ends.shape[1]
+        room = (cfg.max_subdivisions - n) // 3  # panels that can still be split in four
+        if room < 1:
+            i = unmet[0]
             raise NonConvergenceError(
-                f"error estimate {total_err:.3e} still above tolerance {tol:.3e} "
+                f"error estimate {errors[i]:.3e} still above tolerance {tols[i]:.3e} "
                 f"after {n} panels (max_subdivisions={cfg.max_subdivisions})")
-        mask = errs > tol / (2.0 * n)
-        if not mask.any():
-            mask[np.argmax(errs)] = True
-        # respect the panel budget: split only the worst offenders if needed
-        room = cfg.max_subdivisions - n
-        if int(mask.sum()) > room:
-            order = np.argsort(errs)[::-1][:room]
-            keep_mask = np.zeros(n, dtype=bool)
-            keep_mask[order] = True
-            mask = keep_mask
-        s_lo, s_hi = lo[mask], hi[mask]
-        mid = 0.5 * (s_lo + s_hi)
-        new_lo = np.concatenate([lo[~mask], s_lo, mid])
-        new_hi = np.concatenate([hi[~mask], mid, s_hi])
-        new_vals, new_errs = _gk_apply(f, np.concatenate([s_lo, mid]),
-                                       np.concatenate([mid, s_hi]))
-        vals = np.concatenate([vals[~mask], new_vals])
-        errs = np.concatenate([errs[~mask], new_errs])
-        lo, hi = new_lo, new_hi
+        share = np.max([est[1, i] / tols[i] for i in unmet], axis=0)  # of the unmet tolerances
+        split = share > 0.5 / n
+        flagged = np.count_nonzero(split)
+        if flagged == 0:
+            split[np.argmax(share)] = True
+        elif flagged > room:  # the panel budget: only the worst offenders
+            split[:] = False
+            split[np.argpartition(share, -room)[-room:]] = True
+        lo, hi = ends[:, split]
+        edges = lo[:, None] + (hi - lo)[:, None] * _SPLITS[(lo == bp[0]).astype(np.intp)]
+        edges[:, 4] = hi
+        new_ends = np.stack([edges[:, :-1].reshape(-1), edges[:, 1:].reshape(-1)])
+        new_est, _ = _gk_apply(f, new_ends)
+        keep = ~split
+        ends = np.concatenate([ends[:, keep], new_ends], axis=1)
+        est = np.concatenate([est[:, :, keep], new_est], axis=2)
 
 
 _PLAIN_MESH = np.unique(np.concatenate([
@@ -175,51 +205,51 @@ _PLAIN_MESH = np.unique(np.concatenate([
 _GRADED_MESH = np.unique(np.concatenate([
     [0.0], np.geomspace(1e-120, 1e-2, 119), _PLAIN_MESH[_PLAIN_MESH > 1e-2],
 ]))
-
-
-def _tail(g: Callable, origin: float, sign: float, scale: float) -> Callable:
-    """g on x = origin + sign * scale*t/(1-t), times the Jacobian, as a function of t in (0, 1)."""
-
-    def f(t):
-        u = 1.0 - t
-        return g(origin + sign * (scale * t / u)) * (scale / (u * u))
-    return f
+# each linear piece between two real-line split points starts as 8 panels
+_PIECE_MESH = np.linspace(0.0, 1.0, 9)
 
 
 def integrate_halfline(g: Callable, cfg: OracleConfig, scale: float = 1.0,
                        singular_at_zero: bool = False) -> QuadResult:
     """Integral of g over (0, inf) via the x = scale*t/(1-t) substitution."""
     mesh = _GRADED_MESH if singular_at_zero else _PLAIN_MESH
-    return integrate_interval(_tail(g, 0.0, 1.0, scale), mesh, cfg)
+
+    def f(t):
+        u = 1.0 - t
+        return g(scale * t / u) * (scale / (u * u))
+
+    return integrate_interval(f, mesh, cfg)
 
 
 def integrate_realline(g: Callable, cfg: OracleConfig, interior, scale: float = 1.0) -> QuadResult:
-    """Integral of g over the real line, split at the given interior points."""
-    pts = sorted(float(p) for p in interior)
-    if not pts:
+    """Integral of g over the real line in one run, split at the interior points.
+
+    With split points p_0 < ... < p_m, t runs over (-1, m + 1): below 0
+    x = p_0 + scale*t/(1+t), above m x = p_m + scale*u/(1-u) with
+    u = t - m, and on [j, j + 1] the linear piece from p_j to p_{j+1}.
+    One split point c gives x = c + scale*t/(1-|t|).  Every integer t is
+    a breakpoint.
+    """
+    pts = np.unique(np.array([float(p) for p in interior]))
+    if not len(pts):
         raise ParameterError("need at least one interior split point")
-    sub = replace(cfg, abs_tol=cfg.abs_tol / (len(pts) + 1))
-    total, err = 0.0, 0.0
-    for piece in (integrate_interval(_tail(g, pts[0], -1.0, scale), _PLAIN_MESH, sub),
-                  integrate_interval(_tail(g, pts[-1], 1.0, scale), _PLAIN_MESH, sub)):
-        total += piece.value
-        err += piece.error
-    for a, b in zip(pts[:-1], pts[1:]):
-        piece = integrate_interval(g, np.linspace(a, b, 9), sub)
-        total += piece.value
-        err += piece.error
-    return QuadResult(total, err)
+    m = len(pts) - 1
+    knots = np.arange(m + 1.0)
+    widths = np.diff(pts)
 
+    def f(t):
+        u = np.where(t < 0.0, t, np.maximum(t - m, 0.0))  # tail variable, 0 on the pieces
+        v = 1.0 - np.abs(u)
+        x = np.interp(t, knots, pts) + scale * (u / v)
+        jac = scale / (v * v)
+        if m:
+            jac = np.where((t < 0.0) | (t > m), jac,
+                           widths[np.clip(t.astype(int), 0, m - 1)])
+        return g(x) * jac
 
-def _power_weight(d: Distribution, alpha: float, with_log: bool) -> Callable:
-    def g(x):
-        lp = logpdf(d, x)
-        with np.errstate(all="ignore"):
-            w = np.exp(alpha * lp)
-            if with_log:
-                w = np.where(np.isneginf(lp), 0.0, w * lp)
-        return w
-    return g
+    mesh = np.concatenate([-_PLAIN_MESH[::-1], *(j + _PIECE_MESH for j in range(m)),
+                           m + _PLAIN_MESH])
+    return integrate_interval(f, np.unique(mesh), cfg)
 
 
 # --- per-family plans ---------------------------------------------------------
@@ -279,6 +309,18 @@ def _plan(d: Distribution, alpha: float) -> _Plan:
     return make(d, alpha)
 
 
+def _joint_plan(d: Distribution, orders) -> _Plan:
+    """One plan for the integrands of several orders: scales' geometric mean, any singularity."""
+    plans = [_plan(d, alpha) for alpha in dict.fromkeys(orders)]
+    if len(plans) == 1:
+        return plans[0]
+    first, second = plans
+    scale = first.scale
+    if second.scale != scale:
+        scale = math.sqrt(first.scale) * math.sqrt(second.scale)
+    return first._replace(scale=scale, singular=first.singular or second.singular)
+
+
 def _integrate(g: Callable, plan: _Plan, cfg: OracleConfig) -> QuadResult:
     if plan.support == "halfline":
         return integrate_halfline(g, cfg, scale=plan.scale, singular_at_zero=plan.singular)
@@ -287,22 +329,37 @@ def _integrate(g: Callable, plan: _Plan, cfg: OracleConfig) -> QuadResult:
     return integrate_interval(g, np.linspace(*plan.splits, 17), cfg)
 
 
-def _density_power_integral(d: Distribution, alpha: float, cfg: OracleConfig,
-                            with_log: bool) -> QuadResult:
+def _power_integrals(d: Distribution, terms, cfg: OracleConfig) -> QuadResult:
+    """Integrals of p**alpha, times log p where with_log, for each (alpha, with_log) of terms.
+
+    One run on one mesh, one logpdf call per batch of nodes; one term
+    gives a QuadResult of floats, more give arrays in the order of terms.
+    """
     if d.is_discrete:
         raise FamilyMismatchError("power integrals are defined for continuous families")
-    alpha = check_order("alpha", alpha, exclude_one=False)
-    return _integrate(_power_weight(d, alpha, with_log), _plan(d, alpha), cfg)
+    terms = [(check_order("alpha", alpha, exclude_one=False), with_log)
+             for alpha, with_log in terms]
+
+    def g(x):
+        lp = logpdf(d, x)
+        rows = []
+        with np.errstate(all="ignore"):
+            for alpha, with_log in terms:
+                w = np.exp(alpha * lp)
+                rows.append(np.where(np.isneginf(lp), 0.0, w * lp) if with_log else w)
+        return rows[0] if len(rows) == 1 else np.stack(rows)
+
+    return _integrate(g, _joint_plan(d, [alpha for alpha, _ in terms]), cfg)
 
 
 def integral_p_alpha(d: Distribution, alpha: float, cfg: OracleConfig) -> QuadResult:
     """Numerical integral of p(x)**alpha over the support of d."""
-    return _density_power_integral(d, alpha, cfg, with_log=False)
+    return _power_integrals(d, [(alpha, False)], cfg)
 
 
 def integral_p_alpha_log_p(d: Distribution, alpha: float, cfg: OracleConfig) -> QuadResult:
     """Numerical integral of p(x)**alpha * log p(x) over the support of d."""
-    return _density_power_integral(d, alpha, cfg, with_log=True)
+    return _power_integrals(d, [(alpha, True)], cfg)
 
 
 def kl_integral(p: Distribution, q: Distribution, cfg: OracleConfig) -> QuadResult:
@@ -510,14 +567,16 @@ def entropy_estimate(d: Distribution, measure: str, alpha: float | None,
                 f"oracle for discrete families covers shannon only, not {measure}")
         return -discrete_entropy_sum(d, "p_log_p", 1.0, cfg).value
     if measure == "shannon":
-        return -integral_p_alpha_log_p(d, 1.0, cfg).value
-    j = integral_p_alpha(d, alpha, cfg).value
+        return -_power_integrals(d, [(1.0, True)], cfg).value
+    if measure == "gr1":
+        j, j_log = _power_integrals(d, [(alpha, False), (alpha, True)], cfg).value
+        return float(-j_log / j)
+    if measure == "gr2":
+        j_alpha, j_beta = _power_integrals(d, [(alpha, False), (beta, False)], cfg).value
+        return (math.log(j_alpha) - math.log(j_beta)) / (beta - alpha)
+    j = _power_integrals(d, [(alpha, False)], cfg).value
     if measure == "renyi":
         return math.log(j) / (1.0 - alpha)
-    if measure == "gr1":
-        return -integral_p_alpha_log_p(d, alpha, cfg).value / j
     if measure == "tsallis":
         return (j - 1.0) / (1.0 - alpha)
-    if measure == "gr2":
-        return (math.log(j) - math.log(integral_p_alpha(d, beta, cfg).value)) / (beta - alpha)
     return (j ** ((1.0 - beta) / (1.0 - alpha)) - 1.0) / (1.0 - beta)  # sm

@@ -190,6 +190,12 @@ class TestGaussVerb:
         dets = [float(l.split(",")[1]) for l in lines[1:]]
         assert all(0.0 <= d <= 1.0 + 1e-12 for d in dets)
 
+    def test_size_above_the_limit_exits_1(self, capsys):
+        code, out, err = run(capsys, "gauss", "--n", "1" + "0" * 300, "--hurst-grid", "0.7")
+        assert code == 1
+        assert out == ""
+        assert "exceeds the limit of 1000000" in err
+
 
 class TestSelftestVerb:
     def test_filtered_families_pass(self, capsys):

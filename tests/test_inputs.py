@@ -159,3 +159,12 @@ def test_every_entry_point_takes_any_real_and_stores_a_python_number(name):
         if slot.stored is not None:
             assert type(slot.stored(got)) is slot.kind
             assert slot.stored(got) == plain
+
+
+@pytest.mark.parametrize("n", [10**6 + 1, 10**300], ids=["just_above", "googol_cubed"])
+@pytest.mark.parametrize("call", [lambda n: fgn_covariance(n, 0.7),
+                                  lambda n: fgn_det_sweep(n, [0.7])],
+                         ids=["fgn_covariance", "fgn_det_sweep"])
+def test_fgn_size_above_the_limit_is_rejected_before_allocating(call, n):
+    with pytest.raises(ParameterError, match=f"n = {n} exceeds the limit of 1000000"):
+        call(n)

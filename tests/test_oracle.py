@@ -507,3 +507,125 @@ class TestEntropyEstimateArguments:
         assert entropy_estimate(d, "shannon", None, None, cfg) == want
         with pytest.raises(UnsupportedFamilyError):
             entropy_estimate(d, "renyi", 2.0, None, cfg)
+
+
+class TestVectorRuns:
+    """One adaptive run per oracle value: c integrals on one mesh, one real-line t-mesh."""
+
+    @staticmethod
+    def panel_counts(monkeypatch):
+        """Panels held after each pass of every integrate_interval run, one list per run."""
+        runs = []
+        original = oracle.integrate_interval
+
+        def counted(f, breakpoints, cfg):
+            held = []
+            runs.append(held)
+
+            def g(x):
+                evaluated = np.size(x) // 15
+                # the first pass evaluates every panel; later ones the four parts of each split
+                held.append(evaluated if not held else held[-1] + 3 * evaluated // 4)
+                return f(x)
+
+            return original(g, breakpoints, cfg)
+
+        monkeypatch.setattr(oracle, "integrate_interval", counted)
+        return runs
+
+    def test_two_components_match_two_scalar_runs(self, cfg):
+        d = Gamma(0.8, 0.6)  # x**-0.4 at 0: the graded mesh and the singular refinement
+        rows = [(0.7, False), (1.9, True)]
+
+        def weight(alpha, with_log):
+            def g(x):
+                lp = logpdf(d, x)
+                with np.errstate(all="ignore"):
+                    w = np.exp(alpha * lp)
+                    return np.where(np.isneginf(lp), 0.0, w * lp) if with_log else w
+            return g
+
+        both = oracle.integrate_halfline(
+            lambda x: np.stack([weight(*row)(x) for row in rows]), cfg, scale=0.6,
+            singular_at_zero=True)
+        assert both.value.shape == both.error.shape == (2,)
+        for i, row in enumerate(rows):
+            alone = oracle.integrate_halfline(weight(*row), cfg, scale=0.6,
+                                              singular_at_zero=True)
+            assert isinstance(alone.value, float) and isinstance(alone.error, float)
+            tol = max(cfg.abs_tol, cfg.rel_tol * abs(alone.value))
+            assert both.error[i] <= max(cfg.abs_tol, cfg.rel_tol * abs(both.value[i]))
+            assert abs(both.value[i] - alone.value) <= 2.0 * tol
+
+    def test_each_component_meets_its_own_tolerance(self, cfg):
+        # a large and a small integral: the large one's tolerance would starve the small one
+        def f(x):
+            return np.stack([1e6 * np.cos(x), np.exp(-x) * np.sqrt(x)])
+
+        res = integrate_interval(f, np.linspace(0.0, 2.0, 3), cfg)
+        big = 1e6 * math.sin(2.0)
+        assert abs(res.value[0] - big) <= 2.0 * cfg.rel_tol * abs(big)
+        for value, error in zip(res.value, res.error):
+            assert error <= max(cfg.abs_tol, cfg.rel_tol * abs(value))
+        mpmath = pytest.importorskip("mpmath")
+        exact = float(mpmath.quad(lambda t: mpmath.exp(-t) * mpmath.sqrt(t), [0, 2]))
+        assert abs(res.value[1] - exact) <= 2.0 * cfg.rel_tol * exact
+
+    @pytest.mark.parametrize("budget", [16, 40, 100])
+    def test_no_run_holds_more_than_max_subdivisions_panels(self, budget, monkeypatch):
+        runs = self.panel_counts(monkeypatch)
+
+        def wild(x):
+            return np.cos(200.0 * x) * np.cos(3000.0 * x**2)
+
+        with pytest.raises(NonConvergenceError):
+            oracle.integrate_interval(wild, np.linspace(0.0, 3.0, 3),
+                                      OracleConfig(max_subdivisions=budget))
+        assert len(runs) == 1 and len(runs[0]) > 1
+        assert max(runs[0]) <= budget
+        assert max(runs[0]) > budget - 3  # the last split that fitted was made
+
+    def test_panel_budget_holds_for_the_oracle_values(self, monkeypatch):
+        runs = self.panel_counts(monkeypatch)
+        cfg = OracleConfig(max_subdivisions=300)
+        entropy_estimate(Gamma(0.5, 0.5), "gr2", 0.6, 1.3, cfg)
+        kl_integral(Laplace(0.0, 1.0), Laplace(300.0, 2.0), cfg)
+        kl_integral(Gamma(2.0, 1.05), Gamma(0.5, 3.0), cfg)
+        assert len(runs) == 3
+        assert max(max(held) for held in runs) <= 300
+
+    def test_gamma_shannon_takes_at_most_three_passes(self, cfg, monkeypatch):
+        calls = []
+        monkeypatch.setattr(oracle, "logpdf",
+                            lambda d, x: calls.append(np.size(x)) or logpdf(d, x))
+        h = entropy_estimate(Gamma(1.3, 2.2), "shannon", None, None, cfg)
+        assert 1 <= len(calls) <= 3
+        # Gamma(lambda, mu): mu - log lambda + lgamma(mu) + (1 - mu) digamma(mu)
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(30):
+            mu = mpmath.mpf(2.2)
+            want = mu - mpmath.log(1.3) + mpmath.loggamma(mu) + (1 - mu) * mpmath.digamma(mu)
+        assert abs(h - float(want)) <= 1e-10 * (1.0 + abs(h))
+
+    @pytest.mark.parametrize("lam_p, lam_q", [(0.3, 1.0), (1.0, 1.0), (4.0, 0.5)])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("distance", np.geomspace(1e-3, 1e3, 7))
+    def test_laplace_kl_over_split_distances(self, distance, sign, lam_p, lam_q, cfg):
+        """|mu_p - mu_q| from 1e-3 to 1e3 scale units 1/lam_p; the middle piece stays linear."""
+        d = distance / lam_p
+        v = kl_integral(Laplace(0.7, lam_p), Laplace(0.7 + sign * d, lam_q), cfg).value
+        want = (math.log(lam_p / lam_q) + lam_q * d + (lam_q / lam_p) * math.exp(-lam_p * d)
+                - 1.0)
+        assert abs(v - want) <= 1e-12 * (1.0 + abs(want))
+
+    def test_realline_is_one_run_at_any_number_of_split_points(self, cfg, monkeypatch):
+        runs = self.panel_counts(monkeypatch)
+        d = Normal(0.4, 2.0)
+
+        def p(x):
+            return np.exp(logpdf(d, x))
+
+        for interior in ([0.4], [-1.0, 0.4], [-3.0, -1.0, 0.4, 2.5], [0.4, 0.4]):
+            res = oracle.integrate_realline(p, cfg, interior, scale=math.sqrt(2.0))
+            assert abs(res.value - 1.0) <= 2.0 * cfg.abs_tol
+        assert len(runs) == 4

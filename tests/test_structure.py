@@ -165,3 +165,53 @@ def test_numeric_parameters_have_one_check():
              for hit in numeric_type_tests(path)]
     assert found == []
     assert numeric_type_tests(SRC / "errors.py")  # the check sees the shared checks' own tests
+
+
+def test_each_oracle_value_is_one_traced_run(monkeypatch):
+    """Counters at `oracle.integrate_interval` and `oracle.logpdf`, as the bench tracer sets them.
+
+    The tracer counts a quadrature run where `integrate_interval` is
+    entered and integrand points where the integrand it was handed is
+    called; a run made any other way would read as 0 runs and 0 points.
+    Each entropy value evaluates the density once per batch of nodes.
+    """
+    from entrokit import OracleConfig, oracle
+    from entrokit.verification import (ORACLE_FAMILIES, ORACLE_MEASURES, random_distribution,
+                                       random_spec)
+
+    counts = {}
+    integrate, logpdf = oracle.integrate_interval, oracle.logpdf
+
+    def traced_integrate(f, *args, **kwargs):
+        counts["runs"] += 1
+
+        def counted(x):
+            counts["batches"] += 1
+            counts["points"] += int(np.size(x))
+            return f(x)
+
+        return integrate(counted, *args, **kwargs)
+
+    def traced_logpdf(d, x):
+        counts["logpdf"] += 1
+        return logpdf(d, x)
+
+    monkeypatch.setattr(oracle, "integrate_interval", traced_integrate)
+    monkeypatch.setattr(oracle, "logpdf", traced_logpdf)
+
+    def one_run(value, densities):
+        counts.update(runs=0, batches=0, points=0, logpdf=0)
+        value()
+        assert counts["runs"] == 1 and counts["points"] > 0
+        assert counts["logpdf"] == densities * counts["batches"]
+
+    cfg = OracleConfig()
+    rng = np.random.default_rng(12)
+    for family in ORACLE_FAMILIES:
+        for measure in ORACLE_MEASURES:
+            d = random_distribution(family, rng)
+            spec = random_spec(measure, d, rng)
+            one_run(lambda: oracle.entropy_estimate(d, measure, spec.alpha, spec.beta, cfg), 1)
+        p = random_distribution(family, rng)
+        q = p if family == "uniform" else random_distribution(family, rng)
+        one_run(lambda: oracle.kl_integral(p, q, cfg), 2)
