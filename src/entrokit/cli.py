@@ -1,9 +1,11 @@
 """Command-line surface: entropy, kl, modified, sweep, converge, gauss, selftest.
 
 Numbers are printed with 17 significant digits so CSV output is exactly
-reproducible.  Exit codes: 0 success, 1 malformed input or a failed check
-(a selftest cell, or a --verify row off by more than 1e-8 (1 + |closed|)),
+reproducible.  Exit codes: 0 success, 1 malformed input or a failed check,
 2 validity-domain violations (the message names the violated inequality).
+A check fails when a selftest cell or a --verify row has a
+measures.oracle_error above the tolerance, 1e-8 by default; a NaN or inf
+oracle value always fails.
 
 Each verb imports the modules it runs inside its handler.  The parser,
 --help and usage errors load neither numpy nor any numeric module; gauss
@@ -20,14 +22,14 @@ import sys
 
 from .errors import (EntrokitError, ParameterError, UnboundedDensityError,
                      ValidityDomainError)
-from .measures import MEASURES, EntropySpec
+from .measures import MEASURES, EntropySpec, oracle_error
 
 _EXIT_MALFORMED = 1
 _EXIT_VALIDITY = 2
 
 # the largest start:stop:steps grid; ROADMAP's largest sweep has 10**6 points
 _MAX_GRID_POINTS = 10**6
-# --verify and selftest's default: |closed - oracle| <= _TOLERANCE (1 + |closed|)
+# --verify and selftest's default: measures.oracle_error(closed, oracle) <= _TOLERANCE
 _TOLERANCE = 1e-8
 
 
@@ -78,7 +80,7 @@ def _emit(lines, out_path, verified=()) -> int:
             fh.write(text)
     else:
         sys.stdout.write(text)
-    off = sum(not abs(c - e) <= _TOLERANCE * (1.0 + abs(c)) for c, e in verified)
+    off = sum(not oracle_error(c, e) <= _TOLERANCE for c, e in verified)
     if off:
         print(f"entrokit: verify: {off} of {len(verified)} rows differ from the oracle by "
               f"more than {_TOLERANCE:g} (1 + |closed_form|)", file=sys.stderr)
@@ -217,7 +219,7 @@ def _cmd_selftest(args) -> int:
     lines = ["family,measure,draws,max_scaled_error,status"]
     all_ok = True
     for row in rows:
-        ok = row.passes(args.tolerance)
+        ok = row.max_error <= args.tolerance
         all_ok &= ok
         lines.append(f"{row.family},{row.measure},{row.draws},"
                      f"{_fmt(row.max_error)},{'pass' if ok else 'FAIL'}")

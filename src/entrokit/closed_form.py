@@ -17,7 +17,8 @@ closed log-form:
 Each continuous family has one row in _ROWS (log J(alpha) with its
 order-domain check, Shannon, GR1, KL, density supremum) where the
 measures look their entry up.  Chi-squared is looked up as Gamma(1/2,
-nu/2); its printed formulas serve as test assertions instead.  Discrete
+nu/2): its record reads lam = 1/2 and mu = nu/2, so Gamma's row takes it
+unchanged; its printed formulas are test assertions instead.  Discrete
 Shannon entropies have no closed form and are computed by the certified
 series engine, sharing one code path with the oracle.
 
@@ -144,6 +145,7 @@ _ROWS = {
         gr1=lambda d, alpha: math.log(d.b - d.a),
         sup=lambda d: DensityBound(1.0 / (d.b - d.a), None)),
 }
+_ROWS[ChiSquared] = _ROWS[Gamma]  # its record reads lam = 1/2, mu = nu/2
 
 _ENTRY_NAMES = {"shannon": "Shannon entropy", "log_j": "power integral", "gr1": "GR1",
                 "kl": "KL divergence", "sup": "density supremum"}
@@ -158,20 +160,16 @@ def _out_of_range(what: str, *records: Distribution) -> ParameterError:
 def _closed_form(name: str, d: Distribution, *args):
     """The `name` entry of d's family row, evaluated at (d, *args).
 
-    This is the one place chi-squared records become Gamma(1/2, nu/2), and
-    where a math range or domain error becomes a ParameterError naming them.
+    This is where a math range or domain error becomes a ParameterError
+    naming the records.
     """
-    row_d, row_args = d, args
-    if isinstance(d, ChiSquared):
-        row_d = d.as_gamma()
-        row_args = [a.as_gamma() if isinstance(a, ChiSquared) else a for a in args]
     try:
-        fn = _ROWS[type(row_d)][name]
+        fn = _ROWS[type(d)][name]
     except KeyError:
         raise UnsupportedFamilyError(
             f"no closed-form {_ENTRY_NAMES[name]} for {type(d).__name__}") from None
     try:
-        return fn(row_d, *row_args)
+        return fn(d, *args)
     except EntrokitError:
         raise
     except (ArithmeticError, ValueError):  # OverflowError or math domain error

@@ -8,9 +8,12 @@ logarithms throughout the toolkit are natural logs.
 
 Each family class carries its own record facts: its spec name and
 fields, the parameter a sweep varies by default, whether it is discrete,
-and its log-density or log-mass.  Density and mass evaluation is done in
-log space and vectorizes over numpy arrays, which is what the quadrature
-and series oracles consume.  Poisson and Binomial use Loader's
+and its log-density or log-mass.  Chi-squared(nu) is the gamma law
+Gamma(1/2, nu/2): its record reads lam = 1/2 and mu = nu/2 and shares
+Gamma's log-density, so every other module looks chi-squared up as
+Gamma(1/2, nu/2) without converting it.  Density and mass evaluation
+is done in log space and vectorizes over numpy arrays, which is what the
+quadrature and series oracles consume.  Poisson and Binomial use Loader's
 saddle-point form (stirlerr and bd0 from special), whose pieces are
 small and of one sign, so log p_k is good to a few ulp of |log p_k| plus
 u |k - mean| at any scale: no log-gammas of size k log k cancel.
@@ -67,11 +70,8 @@ class Distribution:
             raise ParameterError(f"{self.spec_name} requires {text}, got {got}")
 
 
-@dataclass(frozen=True)
-class Gamma(Distribution, spec="gamma", keys=("lambda", "mu"), sweep="lambda",
-            rule=("lambda > 0 and mu > 0", lambda d: d.lam > 0 and d.mu > 0)):
-    lam: float
-    mu: float
+class _GammaShaped:
+    """The gamma density of rate lam and shape mu, for the records that read as one."""
 
     @cached_property
     def _log_norm(self):
@@ -85,6 +85,13 @@ class Gamma(Distribution, spec="gamma", keys=("lambda", "mu"), sweep="lambda",
 
 
 @dataclass(frozen=True)
+class Gamma(_GammaShaped, Distribution, spec="gamma", keys=("lambda", "mu"), sweep="lambda",
+            rule=("lambda > 0 and mu > 0", lambda d: d.lam > 0 and d.mu > 0)):
+    lam: float
+    mu: float
+
+
+@dataclass(frozen=True)
 class Exponential(Distribution, spec="exp", keys=("lambda",), sweep="lambda",
                   rule=("lambda > 0", lambda d: d.lam > 0)):
     lam: float
@@ -94,20 +101,24 @@ class Exponential(Distribution, spec="exp", keys=("lambda",), sweep="lambda",
 
 
 @dataclass(frozen=True)
-class ChiSquared(Distribution, spec="chisq", keys=("nu",), sweep="nu",
+class ChiSquared(_GammaShaped, Distribution, spec="chisq", keys=("nu",), sweep="nu",
                  rule=("nu >= 1", lambda d: d.nu >= 1)):
+    """Chi-squared with nu degrees of freedom: the gamma law of rate 1/2 and shape nu/2.
+
+    It reads as that Gamma record (lam and mu), so the closed-form rows,
+    oracle plans and draws written for Gamma serve it unchanged.
+    """
+
     nu: int
+    lam = 0.5
+
+    @property
+    def mu(self) -> float:
+        return self.nu / 2.0
 
     def as_gamma(self) -> Gamma:
         """The equivalent Gamma(lambda=1/2, mu=nu/2) record."""
-        return Gamma(0.5, self.nu / 2.0)
-
-    @cached_property
-    def _gamma(self):
-        return self.as_gamma()
-
-    def _logpdf(self, x):
-        return self._gamma._logpdf(x)
+        return Gamma(self.lam, self.mu)
 
 
 @dataclass(frozen=True)

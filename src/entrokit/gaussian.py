@@ -354,8 +354,7 @@ def fgn_det_sweep(n: int, hurst_grid) -> list[FgnSweepRow]:
         raise ParameterError(f"hurst_grid must be an iterable of numbers, got {hurst_grid!r}")
     rows = []
     for h in hurst_grid:
-        # the Levinson recursion needs only the first row: no n x n matrix is built
-        det, entropy = _det_and_entropy(_levinson(_fgn_autocovariance(n, h)))
+        det, entropy = _det_and_entropy(fgn_covariance(n, h)._factor)
         rows.append(FgnSweepRow(float(h), det.value, det.singular, entropy))
     return rows
 

@@ -1,11 +1,16 @@
-"""Measure names and the order-parameter checks every entry point shares.
+"""Measure names, the order-parameter checks and the oracle verdict every entry point shares.
 
 Kept apart from closed_form, and free of numpy, so that the command-line
 parser can offer the measure names without loading any numeric module.
+Chi-squared is looked up as Gamma(1/2, nu/2) by every measure: its
+record reads lam = 1/2 and mu = nu/2 (distributions).
+oracle_error is the one verdict on a closed form against its oracle
+value; --verify and selftest both pass a value within their tolerance.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import ParameterError, as_real
@@ -27,6 +32,12 @@ def check_order(name, value, exclude_one) -> float:
     if exclude_one and abs(value - 1.0) < ORDER_EPS:
         raise ParameterError(f"{name} must differ from 1, got {value}")
     return value
+
+
+def oracle_error(closed: float, est: float) -> float:
+    """|closed - est| / (1 + |closed|), or inf when that is not finite (a NaN or inf estimate)."""
+    error = abs(closed - est) / (1.0 + abs(closed))
+    return error if math.isfinite(error) else math.inf
 
 
 @dataclass(frozen=True)

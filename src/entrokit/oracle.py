@@ -179,11 +179,9 @@ def integrate_interval(f: Callable, breakpoints, cfg: OracleConfig) -> QuadResul
                 f"error estimate {errors[i]:.3e} still above tolerance {tols[i]:.3e} "
                 f"after {n} panels (max_subdivisions={cfg.max_subdivisions})")
         share = np.max([est[1, i] / tols[i] for i in unmet], axis=0)  # of the unmet tolerances
+        # never empty: an unmet row's shares sum to more than 1, so one is above 1/n
         split = share > 0.5 / n
-        flagged = np.count_nonzero(split)
-        if flagged == 0:
-            split[np.argmax(share)] = True
-        elif flagged > room:  # the panel budget: only the worst offenders
+        if np.count_nonzero(split) > room:  # the panel budget: only the worst offenders
             split[:] = False
             split[np.argpartition(share, -room)[-room:]] = True
         lo, hi = ends[:, split]
@@ -269,7 +267,7 @@ class _Plan(NamedTuple):
     mean: float | None = None      # log p_k is off by a few ulp of |k - mean| too
 
 
-def _gamma_plan(d: Gamma, alpha: float) -> _Plan:
+def _gamma_plan(d: Gamma | ChiSquared, alpha: float) -> _Plan:
     a = alpha * (d.mu - 1.0)
     if a <= -1.0:
         raise ValidityDomainError(
@@ -281,7 +279,7 @@ def _gamma_plan(d: Gamma, alpha: float) -> _Plan:
 # plan(d, alpha) for the alpha-power integrand of d (alpha = 1 for KL)
 _PLANS = {
     Gamma: _gamma_plan,
-    ChiSquared: lambda d, alpha: _gamma_plan(d.as_gamma(), alpha),
+    ChiSquared: _gamma_plan,  # its record reads lam = 1/2, mu = nu/2
     Exponential: lambda d, alpha: _Plan("halfline", scale=1.0 / d.lam),
     # centred on the mass of p**alpha (the escort is a lognormal itself)
     LogNormal: lambda d, alpha: _Plan(
@@ -549,13 +547,23 @@ def discrete_expectation(d: Distribution, weight: Callable, cfg: OracleConfig) -
     return _mode_sum(d, _plan(d, 1.0), terms, cfg)
 
 
+def _nonzero(j: float, alpha: float, measure: str) -> float:
+    """j, an integral of p**alpha, once it is above 0: measure takes its log or divides by it."""
+    if not j > 0.0:
+        raise NonConvergenceError(
+            f"the integral of p**{alpha:g} underflows to {j:g}: {measure} needs it above 0")
+    return j
+
+
 def entropy_estimate(d: Distribution, measure: str, alpha: float | None,
                      beta: float | None, cfg: OracleConfig) -> float:
     """Oracle value of a measure, assembled purely from the numeric engines.
 
     measure and its orders are checked as an EntropySpec; the measures
     are shannon, renyi, gr1, tsallis, gr2 and sm (the oracle has no
-    modified entropy).  Discrete families support shannon only.
+    modified entropy).  Discrete families support shannon only.  An
+    integral of p**alpha that underflows to 0 raises NonConvergenceError
+    where the measure takes its log or divides by it.
     """
     spec = EntropySpec(measure, alpha, beta)
     if measure == "modified":
@@ -570,13 +578,17 @@ def entropy_estimate(d: Distribution, measure: str, alpha: float | None,
         return -_power_integrals(d, [(1.0, True)], cfg).value
     if measure == "gr1":
         j, j_log = _power_integrals(d, [(alpha, False), (alpha, True)], cfg).value
-        return float(-j_log / j)
+        return float(-j_log / _nonzero(j, alpha, measure))
     if measure == "gr2":
         j_alpha, j_beta = _power_integrals(d, [(alpha, False), (beta, False)], cfg).value
+        j_alpha, j_beta = _nonzero(j_alpha, alpha, measure), _nonzero(j_beta, beta, measure)
         return (math.log(j_alpha) - math.log(j_beta)) / (beta - alpha)
     j = _power_integrals(d, [(alpha, False)], cfg).value
     if measure == "renyi":
-        return math.log(j) / (1.0 - alpha)
+        return math.log(_nonzero(j, alpha, measure)) / (1.0 - alpha)
     if measure == "tsallis":
         return (j - 1.0) / (1.0 - alpha)
-    return (j ** ((1.0 - beta) / (1.0 - alpha)) - 1.0) / (1.0 - beta)  # sm
+    power = (1.0 - beta) / (1.0 - alpha)
+    if power < 0.0:  # 0.0 to a positive power is 0.0, which gives the right value
+        _nonzero(j, alpha, measure)
+    return (j ** power - 1.0) / (1.0 - beta)  # sm

@@ -17,6 +17,7 @@ from . import limits, oracle
 from .distributions import (ChiSquared, Distribution, Exponential, Gamma, Laplace,
                             LogNormal, Normal, Uniform)
 from .errors import ParameterError, as_integer
+from .measures import oracle_error
 
 ORACLE_FAMILIES = ("gamma", "exp", "chisq", "laplace", "lognormal", "normal", "uniform")
 CORE_FAMILIES = ("gamma", "exp", "chisq", "laplace", "lognormal")
@@ -35,8 +36,6 @@ _DRAWS = {
                                    a + 10 ** rng.uniform(-1.0, 1.0)),
 }
 
-_GAMMA_SHAPE = {Gamma: lambda d: d.mu, ChiSquared: lambda d: d.nu / 2.0}
-
 
 def random_distribution(family: str, rng: np.random.Generator) -> Distribution:
     """One admissible parameter draw, kept at desk scale."""
@@ -53,10 +52,9 @@ def random_order(d: Distribution, rng: np.random.Generator,
     alpha*(mu-1) >= -0.7, inside the validity domain with enough margin
     that the singular quadrature stays comfortably certified.
     """
-    shape = _GAMMA_SHAPE.get(type(d))
     hi = 3.5
-    if shape and shape(d) < 1.0:
-        hi = min(hi, 0.7 / (1.0 - shape(d)))
+    if isinstance(d, (Gamma, ChiSquared)) and d.mu < 1.0:  # chi-squared reads mu = nu/2
+        hi = min(hi, 0.7 / (1.0 - d.mu))
     for _ in range(1000):
         alpha = rng.uniform(0.3, hi)
         if abs(alpha - 1.0) < 0.05:
@@ -79,20 +77,19 @@ def random_spec(measure: str, d: Distribution, rng: np.random.Generator) -> cf.E
 
 @dataclass(frozen=True)
 class OracleCheckRow:
-    """Worst scaled |closed - oracle| over the draws of one (family, measure) cell."""
+    """Worst measures.oracle_error over the draws of one (family, measure) cell."""
 
     family: str
     measure: str
     draws: int
     max_error: float
 
-    def passes(self, tolerance: float) -> bool:
-        return self.max_error <= tolerance
-
 
 def oracle_equivalence(families, measures, draws: int, seed: int,
                        cfg: oracle.OracleConfig | None = None) -> list[OracleCheckRow]:
-    """Scaled closed-form vs oracle errors, max per (family, measure).
+    """measures.oracle_error of each closed form against its oracle value, max per cell.
+
+    A NaN or inf oracle value makes its cell's max_error inf.
 
     Raises ParameterError for an empty family list, fewer than one draw
     or a negative seed, which would check nothing or fail in numpy.
@@ -115,7 +112,7 @@ def oracle_equivalence(families, measures, draws: int, seed: int,
                 spec = random_spec(measure, d, rng)
                 closed = cf.evaluate(spec, d)
                 est = oracle.entropy_estimate(d, measure, spec.alpha, spec.beta, cfg)
-                worst = max(worst, abs(closed - est) / (1.0 + abs(closed)))
+                worst = max(worst, oracle_error(closed, est))
             rows.append(OracleCheckRow(family, measure, draws, worst))
     return rows
 

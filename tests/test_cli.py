@@ -304,6 +304,28 @@ class TestVerifyContract:
         assert len(out.strip().splitlines()) == 3
         assert "1 of 2 rows" in err
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_oracle_value_fails_every_check(self, capsys, monkeypatch, bad):
+        """`--verify`, `selftest` and oracle_equivalence share one verdict."""
+        from entrokit import oracle
+        from entrokit.verification import ORACLE_MEASURES, oracle_equivalence
+
+        monkeypatch.setattr(oracle, "entropy_estimate", lambda *args: bad)
+        rows = oracle_equivalence(("exp",), ORACLE_MEASURES, 3, 0)
+        assert [row.max_error for row in rows] == [math.inf] * len(ORACLE_MEASURES)
+        code, out, _ = run(capsys, "selftest", "--families", "exp", "--draws", "3")
+        assert code == 1
+        assert "exp,shannon,3,inf,FAIL" in out and out.endswith("overall,,,,FAIL\n")
+        code, _, err = run(capsys, "entropy", "--dist", "exp:lambda=1", "--measure", "renyi",
+                           "--alpha", "2", "--verify")
+        assert code == 1 and "1 of 1 rows" in err
+
+    def test_underflowed_oracle_integral_exits_1(self, capsys):
+        code, out, err = run(capsys, "entropy", "--dist", "gamma:lambda=1e-200,mu=2",
+                             "--measure", "renyi", "--alpha", "3.5", "--verify")
+        assert (code, out) == (1, "")
+        assert err.startswith("entrokit: error: the integral of p**3.5 underflows to 0")
+
 
 class TestMalformedArguments:
     @pytest.mark.parametrize("grid, message", [

@@ -491,6 +491,11 @@ class TestFloatRange:
         with pytest.raises(FamilyMismatchError):
             density_sup(Poisson(3.0))
 
+    def test_tsallis_whose_power_integral_overflows(self):
+        # log J = 713.8 is finite; expm1 of it is past the float range
+        with pytest.raises(ParameterError, match="exp:lambda=1e-300"):
+            tsallis(1e-10, Exponential(1e-300))
+
 
 def test_sharma_mittal_with_equal_orders_is_tsallis():
     d = Exponential(1.5)

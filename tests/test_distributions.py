@@ -215,7 +215,7 @@ def gamma_logpdf(d, x):
 
 @pytest.mark.parametrize("d, constants, inline", [
     (Gamma(1.3, 2.2), ("_log_norm",), gamma_logpdf),
-    (ChiSquared(3), ("_gamma",), lambda d, x: gamma_logpdf(Gamma(0.5, 1.5), x)),
+    (ChiSquared(3), ("_log_norm",), lambda d, x: gamma_logpdf(Gamma(0.5, 1.5), x)),
     (Binomial(30, 0.3), ("_stirlerr_n",), lambda d, k: (
         stirlerr(d.n) - stirlerr(k) - stirlerr(d.n - k) - bd0(k, d.n * d.p)
         - bd0(d.n - k, d.n * (1.0 - d.p)) + 0.5 * np.log(d.n / (2.0 * math.pi * k * (d.n - k))))),

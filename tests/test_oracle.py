@@ -175,6 +175,14 @@ class TestQuadratureContracts:
         with pytest.raises(NonConvergenceError):
             integrate_interval(wild, np.linspace(0.0, 3.0, 3), tiny)
 
+    def test_non_finite_integrand(self, cfg):
+        with pytest.raises(NonConvergenceError, match="non-finite"):
+            integrate_interval(lambda x: np.where(x > 0.5, np.nan, x), [0.0, 1.0], cfg)
+
+    def test_realline_needs_a_split_point(self, cfg):
+        with pytest.raises(ParameterError, match="split point"):
+            oracle.integrate_realline(lambda x: np.exp(-x * x), cfg, [])
+
     def test_config_validation(self):
         with pytest.raises(ParameterError):
             OracleConfig(abs_tol=0.0)
@@ -218,6 +226,10 @@ class TestKLIntegral:
     def test_support_mismatch_rejected(self, cfg):
         with pytest.raises(UnsupportedFamilyError):
             kl_integral(Exponential(1.0), Normal(0.0, 1.0), cfg)
+
+    def test_rejects_discrete(self, cfg):
+        with pytest.raises(FamilyMismatchError):
+            kl_integral(Poisson(1.0), Poisson(2.0), cfg)
 
 
 class TestDiscreteSeries:
@@ -336,6 +348,9 @@ def test_poisson_derivative_matches_finite_differences(lam, cfg):
     (Binomial(1000, 0.5), "p_log_p", 1.0),
     (Poisson(1e-8), "p_log_p", 1.0),
     (Binomial(3, 1e-10), "p_log_p", 1.0),
+    # alpha (-log p) <= 1 past the mode: _tail_ratio's additive bound
+    (Poisson(4.0), "p_alpha_log_p", 0.005),
+    (Logarithmic(0.3), "p_alpha_log_p", 0.02),
 ])
 def test_tail_bound_covers_error_against_mpmath(d, transform, alpha, cfg):
     """tail_bound bounds |value - true sum|, rounding included."""
@@ -507,6 +522,21 @@ class TestEntropyEstimateArguments:
         assert entropy_estimate(d, "shannon", None, None, cfg) == want
         with pytest.raises(UnsupportedFamilyError):
             entropy_estimate(d, "renyi", 2.0, None, cfg)
+
+    @pytest.mark.parametrize("measure, alpha, beta", [
+        ("renyi", 3.5, None), ("gr1", 3.5, None), ("gr2", 3.5, 0.5), ("gr2", 0.5, 3.5),
+        ("sm", 3.5, 0.5)])
+    def test_underflowed_power_integral(self, measure, alpha, beta, cfg):
+        """A measure that takes the log of J(3.5) = 0.0, or divides by it, names the integral."""
+        d = Gamma(1e-200, 2.0)
+        assert integral_p_alpha(d, 3.5, cfg) == (0.0, 0.0)
+        with pytest.raises(NonConvergenceError, match=r"integral of p\*\*3.5 underflows"):
+            entropy_estimate(d, measure, alpha, beta, cfg)
+
+    @pytest.mark.parametrize("measure, beta, want", [("tsallis", None, 0.4), ("sm", 5.0, 0.25)])
+    def test_underflowed_power_integral_where_no_log_is_taken(self, measure, beta, want, cfg):
+        """Tsallis, and Sharma-Mittal with a positive power of J, need no log of J = 0.0."""
+        assert entropy_estimate(Gamma(1e-200, 2.0), measure, 3.5, beta, cfg) == want
 
 
 class TestVectorRuns:

@@ -141,6 +141,28 @@ def test_public_paths_unchanged_under_the_bench_tracer(monkeypatch):
     assert run() == want
 
 
+def test_chi_squared_is_converted_only_by_its_record():
+    """Chi-squared reads as Gamma(1/2, nu/2) in place.
+
+    Only distributions calls as_gamma, and closed_form tests no record
+    against a family class.
+    """
+    from entrokit.distributions import Distribution
+
+    families = {cls.__name__ for cls in Distribution.__subclasses__()}
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Attribute) and node.attr == "as_gamma"
+                    and path.name != "distributions.py"):
+                found.append(f"{path.name}:{node.lineno} {ast.unparse(node)}")
+            elif (isinstance(node, ast.Call) and ast.unparse(node.func) == "isinstance"
+                  and path.name == "closed_form.py"
+                  and families & {n.id for n in ast.walk(node.args[1]) if isinstance(n, ast.Name)}):
+                found.append(f"{path.name}:{node.lineno} {ast.unparse(node)}")
+    assert found == []
+
+
 NUMERIC_TYPES = {"int", "float", "bool", "complex", "Real", "Integral", "Number", "Rational"}
 
 
