@@ -214,7 +214,9 @@ def integrate_halfline(g: Callable, cfg: OracleConfig, scale: float = 1.0,
 
     def f(t):
         u = 1.0 - t
-        return g(scale * t / u) * (scale / (u * u))
+        gx = g(scale * t / u)
+        # a density that underflowed to 0 stays 0 where the Jacobian overflows to inf
+        return np.where(gx == 0.0, 0.0, gx * (scale / (u * u)))
 
     return integrate_interval(f, mesh, cfg)
 
@@ -243,7 +245,8 @@ def integrate_realline(g: Callable, cfg: OracleConfig, interior, scale: float = 
         if m:
             jac = np.where((t < 0.0) | (t > m), jac,
                            widths[np.clip(t.astype(int), 0, m - 1)])
-        return g(x) * jac
+        gx = g(x)
+        return np.where(gx == 0.0, 0.0, gx * jac)
 
     mesh = np.concatenate([-_PLAIN_MESH[::-1], *(j + _PIECE_MESH for j in range(m)),
                            m + _PLAIN_MESH])

@@ -1,12 +1,15 @@
 """Log-gamma, digamma and trigamma kernels on the positive half-line.
 
-Method: upward recurrence shifts the argument to z >= 10, then a
-Stirling-type asymptotic expansion is evaluated at z.  With the
-coefficient counts below the expansion truncation error at z = 10 is
-under 3e-17 for log-gamma and under 2e-15 (absolute) for digamma and
-trigamma, so the delivered accuracy is limited by rounding in the
-recurrence, comfortably inside the advertised 1e-13 relative /
-1e-12 scaled-absolute contract on x in [1e-6, 1e6].
+Method: one kernel serves all three.  Upward recurrence shifts the
+argument to z >= 10, the Stirling-type expansion (DLMF 5.11) is summed
+at z as a polynomial in 1/z**2, and the shift terms are taken back out.
+The three coefficient tuples are B_2k / (2k (2k-1)), B_2k / (2k) and
+B_2k, each derived from the one Bernoulli table below.  With these
+coefficient counts the expansion truncation error at z = 10 is under
+3e-17 for log-gamma and under 2e-15 (absolute) for digamma and trigamma,
+so the delivered accuracy is limited by rounding in the recurrence,
+comfortably inside the advertised 1e-13 relative / 1e-12
+scaled-absolute contract on x in [1e-6, 1e6].
 
 Arguments below 1e-6 are accepted but the absolute accuracy degrades,
 because the leading 1/x (digamma) and 1/x**2 (trigamma) poles amplify
@@ -33,39 +36,12 @@ from .errors import DomainError
 
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 
-# B_{2k} / (2k (2k-1)), k = 1..8
-_LGAMMA_COEF = (
-    1.0 / 12.0,
-    -1.0 / 360.0,
-    1.0 / 1260.0,
-    -1.0 / 1680.0,
-    1.0 / 1188.0,
-    -691.0 / 360360.0,
-    1.0 / 156.0,
-    -3617.0 / 122400.0,
-)
-
-# B_{2k} / (2k), k = 1..7
-_DIGAMMA_COEF = (
-    1.0 / 12.0,
-    -1.0 / 120.0,
-    1.0 / 252.0,
-    -1.0 / 240.0,
-    1.0 / 132.0,
-    -691.0 / 32760.0,
-    1.0 / 12.0,
-)
-
-# B_{2k}, k = 1..7
-_TRIGAMMA_COEF = (
-    1.0 / 6.0,
-    -1.0 / 30.0,
-    1.0 / 42.0,
-    -1.0 / 30.0,
-    5.0 / 66.0,
-    -691.0 / 2730.0,
-    7.0 / 6.0,
-)
+# Bernoulli numbers B_2k = n / d, k = 1..8
+_BERNOULLI = ((1, 6), (-1, 30), (1, 42), (-1, 30), (5, 66), (-691, 2730), (7, 6), (-3617, 510))
+# integer products, then one true division: each coefficient is its exact value correctly rounded
+_LGAMMA_COEF = tuple(n / (d * 2 * k * (2 * k - 1)) for k, (n, d) in enumerate(_BERNOULLI, 1))
+_DIGAMMA_COEF = tuple(n / (d * 2 * k) for k, (n, d) in enumerate(_BERNOULLI[:7], 1))
+_TRIGAMMA_COEF = tuple(n / d for n, d in _BERNOULLI[:7])
 
 _SHIFT_THRESHOLD = 10.0
 
@@ -83,18 +59,18 @@ _STIRLERR_CUTS = tuple(
     (abs(_LGAMMA_COEF[j]) / 1e-19) ** (1.0 / (2 * j + 1)) for j in range(1, 8))
 
 
-def _prepare(x):
+def _shifted_series(x, coef, finish, step, zeros=()):
+    """finish(z, 1/z**2, sum_k coef[k] / z**(2k+2)) at z = x + n >= 10, minus step(x + j), j < n.
+
+    Checks x; the result is exactly 0 where x is in `zeros`, and a float
+    for a scalar x.
+    """
     arr = np.asarray(x, dtype=float)
     scalar = arr.ndim == 0
     arr = np.atleast_1d(arr)
     if arr.size and (not np.all(np.isfinite(arr)) or np.any(arr <= 0.0)):
         bad = arr[~(np.isfinite(arr) & (arr > 0.0))].ravel()[0]
         raise DomainError(f"argument must be a finite positive real, got {bad}")
-    return arr, scalar
-
-
-def _shifted(arr):
-    """Return (z, js) with z = arr + k >= 10 and js the list of arr + j, j < k."""
     z = arr.copy()
     shifts = []
     # x > 0 reaches 10 in at most ceil(10) = 10 unit steps
@@ -102,7 +78,16 @@ def _shifted(arr):
         mask = z < _SHIFT_THRESHOLD
         shifts.append((mask, z[mask].copy()))
         z[mask] += 1.0
-    return z, shifts
+    rz2 = 1.0 / (z * z)
+    series = np.zeros_like(z)
+    for c in reversed(coef):
+        series = (series + c) * rz2
+    out = finish(z, rz2, series)
+    for mask, vals in shifts:
+        out[mask] -= step(vals)
+    for root in zeros:
+        out[arr == root] = 0.0
+    return float(out[0]) if scalar else out
 
 
 def log_gamma(x):
@@ -110,52 +95,25 @@ def log_gamma(x):
 
     Relative error <= 1e-13 on [1e-6, 1e6] (scaled near the zeros at
     x = 1 and x = 2, where log gamma itself vanishes); exactly 0 at the
-    zeros.
+    zeros, where the recurrence would leave 2.7e-15.
     """
-    arr, scalar = _prepare(x)
-    z, shifts = _shifted(arr)
-    rz2 = 1.0 / (z * z)
-    series = np.zeros_like(z)
-    for c in reversed(_LGAMMA_COEF):
-        series = (series + c) * rz2
-    # one factor of 1/z was folded into rz2 too many; series terms are c_k / z^(2k-1)
-    series *= z
-    out = (z - 0.5) * np.log(z) - z + _HALF_LOG_2PI + series
-    for mask, vals in shifts:
-        out[mask] -= np.log(vals)
-    # the recurrence leaves a few ulp at the zeros, 2.7e-15 at both
-    out[(arr == 1.0) | (arr == 2.0)] = 0.0
-    return float(out[0]) if scalar else out
+    # series * z: the series terms are c_k / z^(2k-1)
+    return _shifted_series(x, _LGAMMA_COEF,
+                           lambda z, rz2, s: (z - 0.5) * np.log(z) - z + _HALF_LOG_2PI + s * z,
+                           np.log, zeros=(1.0, 2.0))
 
 
 def digamma(x):
     """Digamma psi(x) for x > 0; satisfies psi(x+1) = psi(x) + 1/x."""
-    arr, scalar = _prepare(x)
-    z, shifts = _shifted(arr)
-    rz2 = 1.0 / (z * z)
-    series = np.zeros_like(z)
-    for c in reversed(_DIGAMMA_COEF):
-        series = (series + c) * rz2
-    out = np.log(z) - 0.5 / z - series
-    for mask, vals in shifts:
-        out[mask] -= 1.0 / vals
-    return float(out[0]) if scalar else out
+    return _shifted_series(x, _DIGAMMA_COEF, lambda z, rz2, s: np.log(z) - 0.5 / z - s,
+                           lambda v: 1.0 / v)
 
 
 def trigamma(x):
     """Trigamma psi'(x) for x > 0; obeys 1/x < psi'(x) < 1/x + 1/x**2."""
-    arr, scalar = _prepare(x)
-    z, shifts = _shifted(arr)
-    rz2 = 1.0 / (z * z)
-    series = np.zeros_like(z)
-    for c in reversed(_TRIGAMMA_COEF):
-        series = (series + c) * rz2
-    # series terms are B_2k / z^(2k+1)
-    series /= z
-    out = 1.0 / z + 0.5 * rz2 + series
-    for mask, vals in shifts:
-        out[mask] += 1.0 / (vals * vals)
-    return float(out[0]) if scalar else out
+    # series / z: the series terms are B_2k / z^(2k+1)
+    return _shifted_series(x, _TRIGAMMA_COEF, lambda z, rz2, s: 1.0 / z + 0.5 * rz2 + s / z,
+                           lambda v: -1.0 / (v * v))
 
 
 def stirlerr(k):

@@ -326,6 +326,21 @@ class TestVerifyContract:
         assert (code, out) == (1, "")
         assert err.startswith("entrokit: error: the integral of p**3.5 underflows to 0")
 
+    @pytest.mark.parametrize("argv, closed", [
+        ("entropy --dist exp:lambda=1e-295 --measure shannon", 1.0 - math.log(1e-295)),
+        ("entropy --dist laplace:mu=0,lambda=1e-296 --measure shannon",
+         1.0 + math.log(2.0) - math.log(1e-296)),
+        ("kl --p exp:lambda=1e-300 --q exp:lambda=2e-300", math.log(0.5) + 1.0),
+    ], ids=["exp", "laplace", "kl-exp"])
+    def test_tail_map_at_the_float_range_edge(self, capsys, argv, closed):
+        """A density that underflowed to 0 times a Jacobian that overflowed adds 0, not NaN."""
+        code, out, err = run(capsys, *argv.split(), "--verify")
+        assert code == 0, err
+        header, row = out.strip().splitlines()
+        value, est, _ = (float(v) for v in row.split(","))
+        assert value == pytest.approx(closed, rel=1e-12)
+        assert est == pytest.approx(value, abs=1e-8 * (1.0 + abs(value)))
+
 
 class TestMalformedArguments:
     @pytest.mark.parametrize("grid, message", [

@@ -6,7 +6,8 @@ from hypothesis import given, strategies as st
 
 from entrokit import digamma, log_gamma, trigamma
 from entrokit.errors import DomainError
-from entrokit.special import _STIRLERR_TABLE, bd0, stirlerr
+from entrokit.special import (_DIGAMMA_COEF, _LGAMMA_COEF, _STIRLERR_TABLE, _TRIGAMMA_COEF,
+                              bd0, stirlerr)
 
 EULER_GAMMA = 0.5772156649015328606
 PI2_6 = math.pi**2 / 6.0
@@ -115,6 +116,42 @@ class TestAccuracyRange:
             assert scaled_err(log_gamma(x), float(mp.loggamma(x))) <= 1e-13
             assert scaled_err(digamma(x), float(mp.digamma(x))) <= 1e-12
             assert scaled_err(trigamma(x), float(mp.polygamma(1, x))) <= 1e-12
+
+
+class TestCallContract:
+    """A scalar in gives a Python float; an array-like in gives an array of its shape."""
+
+    @pytest.mark.parametrize("x", [2.5, 3, np.float64(2.5), np.array(2.5)],
+                             ids=["float", "int", "float64", "0-d"])
+    @pytest.mark.parametrize("fn", [log_gamma, digamma, trigamma])
+    def test_scalar_gives_float(self, fn, x):
+        got = fn(x)
+        assert type(got) is float
+        assert got == fn(float(x))
+
+    @pytest.mark.parametrize("x", [[0.5, 1.0, 2.0, 12.0], np.array([]),
+                                   np.array([[0.5, 1.0, 3.0], [2.0, 9.99, 1e6]])],
+                             ids=["list", "empty", "2-d"])
+    @pytest.mark.parametrize("fn", [log_gamma, digamma, trigamma])
+    def test_array_keeps_shape_and_scalar_values(self, fn, x):
+        got = fn(x)
+        want = np.asarray(x, dtype=float)
+        assert isinstance(got, np.ndarray) and got.shape == want.shape
+        assert [v.hex() for v in got.ravel().tolist()] == [
+            fn(v).hex() for v in want.ravel().tolist()]
+
+
+class TestBernoulliTable:
+    """The coefficient tuples are B_2k / (2k (2k-1)), B_2k / (2k) and B_2k, correctly rounded."""
+
+    def test_against_mpmath_bernoulli(self):
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(50):
+            b = [mp.bernoulli(2 * k) for k in range(1, 9)]
+            assert _LGAMMA_COEF == tuple(
+                float(b[k - 1] / (2 * k * (2 * k - 1))) for k in range(1, 9))
+            assert _DIGAMMA_COEF == tuple(float(b[k - 1] / (2 * k)) for k in range(1, 8))
+            assert _TRIGAMMA_COEF == tuple(float(b[k - 1]) for k in range(1, 8))
 
 
 class TestLoaderKernels:

@@ -104,6 +104,22 @@ def test_bench_trace_targets_exist():
     assert missing == []
 
 
+def test_bench_traced_special_functions_are_specials_own():
+    """Each traced log_gamma or digamma is entrokit.special's function, no wrapper or copy.
+
+    Otherwise the tracer would book special's time to the importing
+    module's layer.
+    """
+    from entrokit import special
+
+    named = [(module, attr) for module, attr in bench_trace_targets()
+             if attr in ("log_gamma", "digamma")]
+    assert {module for module, _ in named} == {"closed_form", "distributions", "limits"}
+    for module, attr in named:
+        assert getattr(importlib.import_module(f"entrokit.{module}"), attr) is getattr(
+            special, attr), f"{module}.{attr}"
+
+
 def test_public_paths_unchanged_under_the_bench_tracer(monkeypatch):
     """The tracer rebinds every target, classes included, to a plain function.
 
