@@ -2,7 +2,7 @@
 
 Two engines live here and deliberately share nothing with the formula
 code they are used to check; what they need to know of a family (support,
-map scale, split points, singular endpoint, ratio bound) is one row of
+map scale, split points, power at x = 0, ratio bound) is one row of
 _PLANS:
 
 * adaptive panel quadrature with an embedded Gauss(7)/Kronrod(15) pair
@@ -11,15 +11,14 @@ _PLANS:
   (GR1's integrals of p**alpha and p**alpha log p, GR2's J(alpha) and
   J(beta)), each row refined until it meets its own tolerance, with one
   log-density call per batch of nodes.  Half-line integrals are mapped
-  onto (0, 1) by x = scale * t / (1 - t).  The real line is one t-mesh
-  under one piecewise map: both tails x = p + scale * u/(1 - |u|) and
-  linear pieces between the split points (the density modes), every
-  split point a breakpoint.  A flagged panel is split in four, at 1/64,
-  1/16 and 1/4 of its width where it touches the lower end of the
-  domain, so refinement reaches an x**a or x**a log x endpoint in a few
-  passes; when the integrand is unbounded at 0 (gamma-type x**a with a
-  in (-1, 0)) the initial mesh is already graded geometrically toward
-  that endpoint so the error estimate stays trustworthy.
+  onto (0, 1) by x = scale * s / (1 - s) with s = t**k: an integrand
+  that behaves like x**a or x**a log x at 0 gets k = max(1, 4/(a + 1)),
+  so it vanishes like t**3 (log t) at t = 0 and the error estimate holds
+  there as on a smooth integrand.  The real line is one t-mesh under one
+  piecewise map: both tails x = p + scale * u/(1 - |u|) and linear
+  pieces between the split points (the density modes), every split
+  point a breakpoint.  Every run starts from a fixed mesh, and a
+  flagged panel is split in four equal parts.
 
 * one series engine with a certified geometric tail: once the uniform
   one-step ratio bound q of the terms is below 1, the remaining tail is
@@ -114,9 +113,8 @@ _WG = np.array([
 
 # one product gives the Kronrod sum and its difference from the Gauss sum
 _W = np.stack([_WK, _WK - _WG], axis=1)
-# the edges of the four parts of a split panel, as fractions of its width: evenly,
-# or graded toward the lower end of the domain
-_SPLITS = np.array([[0.0, 0.25, 0.5, 0.75, 1.0], [0.0, 1.0 / 64.0, 1.0 / 16.0, 0.25, 1.0]])
+# the edges of the four parts of a split panel, as fractions of its width
+_SPLITS = np.linspace(0.0, 1.0, 5)
 
 
 def _gk_apply(f, ends):
@@ -150,11 +148,9 @@ def integrate_interval(f: Callable, breakpoints, cfg: OracleConfig) -> QuadResul
     f maps an array of points to as many values, or to shape (c, points)
     for c integrals on one mesh; a QuadResult of floats, or of length-c
     arrays, comes back.  Each pass splits every panel above its
-    equidistributed share of an unmet tolerance in four, at 1/64, 1/16
-    and 1/4 of its width when it touches the lower end of the domain
-    (where the half-line map puts x**a and x**a log x singularities),
-    evenly otherwise, until each component's summed error estimate is
-    under max(abs_tol, rel_tol * |its integral|).  NonConvergenceError
+    equidistributed share of an unmet tolerance in four equal parts,
+    until each component's summed error estimate is under
+    max(abs_tol, rel_tol * |its integral|).  NonConvergenceError
     once a split would take the mesh past max_subdivisions panels.
     """
     bp = np.asarray(breakpoints, dtype=float)
@@ -185,7 +181,7 @@ def integrate_interval(f: Callable, breakpoints, cfg: OracleConfig) -> QuadResul
             split[:] = False
             split[np.argpartition(share, -room)[-room:]] = True
         lo, hi = ends[:, split]
-        edges = lo[:, None] + (hi - lo)[:, None] * _SPLITS[(lo == bp[0]).astype(np.intp)]
+        edges = lo[:, None] + (hi - lo)[:, None] * _SPLITS
         edges[:, 4] = hi
         new_ends = np.stack([edges[:, :-1].reshape(-1), edges[:, 1:].reshape(-1)])
         new_est, _ = _gk_apply(f, new_ends)
@@ -199,26 +195,44 @@ _PLAIN_MESH = np.unique(np.concatenate([
     1.0 - np.geomspace(0.1, 1e-5, 6),
     [1.0],
 ]))
-# geometric grading toward t = 0 keeps an x**a endpoint singularity honest
-_GRADED_MESH = np.unique(np.concatenate([
-    [0.0], np.geomspace(1e-120, 1e-2, 119), _PLAIN_MESH[_PLAIN_MESH > 1e-2],
-]))
 # each linear piece between two real-line split points starts as 8 panels
 _PIECE_MESH = np.linspace(0.0, 1.0, 9)
 
 
 def integrate_halfline(g: Callable, cfg: OracleConfig, scale: float = 1.0,
-                       singular_at_zero: bool = False) -> QuadResult:
-    """Integral of g over (0, inf) via the x = scale*t/(1-t) substitution."""
-    mesh = _GRADED_MESH if singular_at_zero else _PLAIN_MESH
+                       power_at_zero: float = 3.0) -> QuadResult:
+    """Integral of g over (0, inf) via x = scale*s/(1-s), s = t**k, from one t-mesh.
+
+    power_at_zero is the a of an x**a or x**a log x factor of g at x = 0.
+    k = max(1, 4/(a + 1)) makes the mapped integrand vanish like
+    t**3 (log t) at t = 0, where the error estimate holds as on a smooth
+    integrand.  The default a = 3 gives k = 1, the plain map, which also
+    suits any g smooth at 0.  For a + 1 < 1/20, NonConvergenceError:
+    about exp(-744 (a + 1)) of such a mass lies below the smallest
+    double, 7e-17 at the floor and 5e-14 with the log weight.
+    """
+    scale = _positive_scale(scale)
+    a1 = as_real(power_at_zero, "power_at_zero") + 1.0
+    if a1 < 1.0 / 20.0:
+        raise NonConvergenceError(f"x**{a1 - 1:.3g} at 0 is past doubles: a + 1 = {a1:.3g} < 1/20")
+    k = max(1.0, 4.0 / a1)
 
     def f(t):
-        u = 1.0 - t
-        gx = g(scale * t / u)
-        # a density that underflowed to 0 stays 0 where the Jacobian overflows to inf
-        return np.where(gx == 0.0, 0.0, gx * (scale / (u * u)))
+        u = 1.0 - (s := t**k)
+        gx = g(x := scale * s / u)
+        # a density that underflowed to 0 stays 0 where the Jacobian overflows to inf, and
+        # so does an x**a that overflowed below the smallest normal double
+        return np.where((gx == 0.0) | np.isinf(gx) & (x < 2.0**-1022), 0.0,
+                        gx * (scale / (u * u) * (k * t ** (k - 1.0))))
 
-    return integrate_interval(f, mesh, cfg)
+    return integrate_interval(f, _PLAIN_MESH, cfg)
+
+
+def _positive_scale(scale) -> float:
+    scale = as_real(scale, "scale")
+    if not scale > 0.0:
+        raise ParameterError(f"scale must be positive, got {scale}")
+    return scale
 
 
 def integrate_realline(g: Callable, cfg: OracleConfig, interior, scale: float = 1.0) -> QuadResult:
@@ -230,7 +244,8 @@ def integrate_realline(g: Callable, cfg: OracleConfig, interior, scale: float = 
     One split point c gives x = c + scale*t/(1-|t|).  Every integer t is
     a breakpoint.
     """
-    pts = np.unique(np.array([float(p) for p in interior]))
+    scale = _positive_scale(scale)
+    pts = np.unique(np.array([as_real(p, "split point") for p in interior]))
     if not len(pts):
         raise ParameterError("need at least one interior split point")
     m = len(pts) - 1
@@ -261,7 +276,7 @@ class _Plan(NamedTuple):
     support: str                   # "halfline", "realline", "interval[a,b]" or "discrete"
     scale: float = 1.0             # of the x = scale*t/(1-t) tail map
     splits: tuple = ()             # real-line split points, or the interval's ends
-    singular: bool = False         # integrand unbounded at x = 0
+    power_at_zero: float = 3.0     # a of the integrand's x**a (log x) at 0; 3: the plain map
     start: int = 0                 # first index of a discrete support
     stop: int | None = None        # last index of a finite support
     ratio: Callable | None = None  # ratio(k) >= p_{j+1}/p_j for every j >= k
@@ -271,12 +286,13 @@ class _Plan(NamedTuple):
 
 
 def _gamma_plan(d: Gamma | ChiSquared, alpha: float) -> _Plan:
-    a = alpha * (d.mu - 1.0)
-    if a <= -1.0:
+    a1 = alpha * d.mu + (1.0 - alpha)  # a + 1 for p**alpha ~ x**a, exact at alpha = 1
+    if a1 <= 0.0:
         raise ValidityDomainError(
-            f"integral of p**alpha diverges: alpha*(mu-1) = {a:.6g} <= -1")
-    escort_mean = (a + 1.0) / (alpha * d.lam)
-    return _Plan("halfline", scale=max(escort_mean, d.mu / d.lam), singular=a < 0.0)
+            f"integral of p**alpha diverges: alpha*(mu-1) + 1 = {a1:.6g} <= 0")
+    # the scale is the escort mean (a + 1) / (alpha lam), or the mean if that is larger
+    return _Plan("halfline", scale=max(a1 / (alpha * d.lam), d.mu / d.lam),
+                 power_at_zero=alpha * (d.mu - 1.0))
 
 
 # plan(d, alpha) for the alpha-power integrand of d (alpha = 1 for KL)
@@ -311,7 +327,7 @@ def _plan(d: Distribution, alpha: float) -> _Plan:
 
 
 def _joint_plan(d: Distribution, orders) -> _Plan:
-    """One plan for the integrands of several orders: scales' geometric mean, any singularity."""
+    """One plan for the integrands of several orders: scales' geometric mean, the lower power."""
     plans = [_plan(d, alpha) for alpha in dict.fromkeys(orders)]
     if len(plans) == 1:
         return plans[0]
@@ -319,12 +335,12 @@ def _joint_plan(d: Distribution, orders) -> _Plan:
     scale = first.scale
     if second.scale != scale:
         scale = math.sqrt(first.scale) * math.sqrt(second.scale)
-    return first._replace(scale=scale, singular=first.singular or second.singular)
+    return first._replace(scale=scale, power_at_zero=min(first.power_at_zero, second.power_at_zero))
 
 
 def _integrate(g: Callable, plan: _Plan, cfg: OracleConfig) -> QuadResult:
     if plan.support == "halfline":
-        return integrate_halfline(g, cfg, scale=plan.scale, singular_at_zero=plan.singular)
+        return integrate_halfline(g, cfg, scale=plan.scale, power_at_zero=plan.power_at_zero)
     if plan.support == "realline":
         return integrate_realline(g, cfg, plan.splits, scale=plan.scale)
     return integrate_interval(g, np.linspace(*plan.splits, 17), cfg)
@@ -379,8 +395,8 @@ def kl_integral(p: Distribution, q: Distribution, cfg: OracleConfig) -> QuadResu
             out = np.exp(lp) * (lp - lq)
         return np.where(np.isneginf(lp), 0.0, out)
 
-    plan = plan_p._replace(splits=tuple(sorted(set(plan_p.splits) | set(plan_q.splits))),
-                           singular=plan_p.singular or plan_q.singular)
+    # p's power at 0 holds: log q adds only a log factor
+    plan = plan_p._replace(splits=tuple(sorted(set(plan_p.splits) | set(plan_q.splits))))
     return _integrate(g, plan, cfg)
 
 

@@ -49,8 +49,8 @@ def random_order(d: Distribution, rng: np.random.Generator,
     """An order parameter admissible for d, away from 1 and from `exclude`.
 
     For gamma-type distributions with mu < 1 the draw keeps
-    alpha*(mu-1) >= -0.7, inside the validity domain with enough margin
-    that the singular quadrature stays comfortably certified.
+    alpha*(mu-1) >= -0.7, so a + 1 >= 0.3 stays far above the oracle's
+    floor of 1/20 for an x**a endpoint at 0.
     """
     hi = 3.5
     if isinstance(d, (Gamma, ChiSquared)) and d.mu < 1.0:  # chi-squared reads mu = nu/2

@@ -326,6 +326,17 @@ class TestVerifyContract:
         assert (code, out) == (1, "")
         assert err.startswith("entrokit: error: the integral of p**3.5 underflows to 0")
 
+    @pytest.mark.parametrize("argv", [
+        "entropy --dist gamma:lambda=1,mu=1e-17 --measure shannon",
+        "kl --p gamma:lambda=1,mu=1e-17 --q gamma:lambda=1,mu=1e-16",
+        "entropy --dist gamma:lambda=1,mu=0.04 --measure shannon",
+    ], ids=["shannon-rounds-to-minus-one", "kl-rounds-to-minus-one", "shannon-0.04"])
+    def test_gamma_endpoint_past_the_floor_exits_1(self, capsys, argv):
+        """alpha (mu - 1) + 1 below 1/20 is beyond the oracle, not outside the validity domain."""
+        code, out, err = run(capsys, *argv.split(), "--verify")
+        assert (code, out) == (1, "")
+        assert err.startswith("entrokit: error: x**") and "< 1/20" in err
+
     @pytest.mark.parametrize("argv, closed", [
         ("entropy --dist exp:lambda=1e-295 --measure shannon", 1.0 - math.log(1e-295)),
         ("entropy --dist laplace:mu=0,lambda=1e-296 --measure shannon",

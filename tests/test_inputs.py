@@ -17,13 +17,18 @@ from entrokit import (Binomial, ChiSquared, EntropySpec, Exponential, Gamma, Lap
                       Poisson, Uniform, appendix_series_growth, binomial_to_poisson,
                       entropy_estimate, fgn_covariance, fgn_det_sweep, generalized_renyi1,
                       generalized_renyi2, integral_p_alpha, integral_p_alpha_log_p,
-                      lognormal_moment, nb_to_logarithmic, poisson_entropy,
-                      poisson_entropy_derivative, renyi, sharma_mittal, tsallis)
+                      integrate_halfline, integrate_realline, lognormal_moment,
+                      nb_to_logarithmic, poisson_entropy, poisson_entropy_derivative, renyi,
+                      sharma_mittal, tsallis)
 from entrokit.errors import ParameterError
 from entrokit.verification import oracle_equivalence
 
 CFG = OracleConfig()
 EXP = Exponential(1.0)
+
+
+def decay(x):
+    return np.exp(-np.abs(x))
 
 
 class Slot:
@@ -97,6 +102,14 @@ SLOTS = {
     "integral_p_alpha.alpha": Slot(lambda v: integral_p_alpha(EXP, v, CFG), float, 2.0, 2),
     "integral_p_alpha_log_p.alpha": Slot(lambda v: integral_p_alpha_log_p(EXP, v, CFG),
                                          float, 2.0, 2),
+    "integrate_halfline.scale": Slot(lambda v: integrate_halfline(decay, CFG, scale=v),
+                                     float, 2.0, 2),
+    "integrate_halfline.power_at_zero": Slot(
+        lambda v: integrate_halfline(decay, CFG, power_at_zero=v), float, 0.5, 1),
+    "integrate_realline.scale": Slot(lambda v: integrate_realline(decay, CFG, [0.0], scale=v),
+                                     float, 2.0, 2),
+    "integrate_realline.split_point": Slot(
+        lambda v: integrate_realline(decay, CFG, [-1.0, v]), float, 0.5, 1),
     "OracleConfig.abs_tol": config_slot("abs_tol", float, 1e-9, 1),
     "OracleConfig.rel_tol": config_slot("rel_tol", float, 1e-9, 1),
     "OracleConfig.series_tail_tol": config_slot("series_tail_tol", float, 1e-13, 1),
@@ -168,3 +181,15 @@ def test_every_entry_point_takes_any_real_and_stores_a_python_number(name):
 def test_fgn_size_above_the_limit_is_rejected_before_allocating(call, n):
     with pytest.raises(ParameterError, match=f"n = {n} exceeds the limit of 1000000"):
         call(n)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: integrate_halfline(decay, CFG, scale=-1.0),
+    lambda: integrate_halfline(decay, CFG, scale=0.0),
+    lambda: integrate_realline(decay, CFG, [0.0], scale=-1.0),
+    lambda: integrate_realline(decay, CFG, [0.0], scale=0.0),
+], ids=["halfline_negative", "halfline_zero", "realline_negative", "realline_zero"])
+def test_integrators_reject_a_scale_that_is_not_positive(call):
+    """A negative scale flips the sign of the integral, and 0 "converges" to 0."""
+    with pytest.raises(ParameterError, match="scale must be positive"):
+        call()

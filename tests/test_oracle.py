@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from entrokit import oracle
 from entrokit import (Binomial, ChiSquared, Exponential, Gamma, Laplace,
@@ -23,6 +23,41 @@ def gamma_power_integral(lam, mu, alpha):
     a = alpha * (mu - 1.0)
     return (lam ** (alpha - 1.0) * alpha ** (-a - 1.0)
             * math.exp(math.lgamma(a + 1.0) - alpha * math.lgamma(mu)))
+
+
+def gamma_log_j(mpmath, lam, mu, alpha):
+    """log of the integral of p**alpha for Gamma(lam, mu), at mpmath's working precision."""
+    lam, mu, alpha = mpmath.mpf(lam), mpmath.mpf(mu), mpmath.mpf(alpha)
+    a1 = alpha * (mu - 1) + 1
+    return ((alpha - 1) * mpmath.log(lam) - a1 * mpmath.log(alpha) + mpmath.loggamma(a1)
+            - alpha * mpmath.loggamma(mu))
+
+
+def gamma_log_j_slope(mpmath, lam, mu, alpha):
+    """d/d alpha of gamma_log_j: the integral of p**alpha log p over that of p**alpha."""
+    lam, mu, alpha = mpmath.mpf(lam), mpmath.mpf(mu), mpmath.mpf(alpha)
+    a1 = alpha * (mu - 1) + 1
+    return (mpmath.log(lam) - (mu - 1) * mpmath.log(alpha) - a1 / alpha
+            + (mu - 1) * mpmath.digamma(a1) - mpmath.loggamma(mu))
+
+
+def gamma_measure(mpmath, measure, lam, mu, alpha, beta):
+    if measure == "shannon":
+        return -gamma_log_j_slope(mpmath, lam, mu, 1)
+    if measure == "gr1":
+        return -gamma_log_j_slope(mpmath, lam, mu, alpha)
+    log_j = gamma_log_j(mpmath, lam, mu, alpha)
+    if measure == "renyi":
+        return log_j / (1 - mpmath.mpf(alpha))
+    if measure == "tsallis":
+        return mpmath.expm1(log_j) / (1 - mpmath.mpf(alpha))
+    return (log_j - gamma_log_j(mpmath, lam, mu, beta)) / (mpmath.mpf(beta) - alpha)  # gr2
+
+
+def gamma_kl(mpmath, lam_p, mu_p, lam_q, mu_q):
+    lp, mp, lq, mq = (mpmath.mpf(v) for v in (lam_p, mu_p, lam_q, mu_q))
+    return ((mp - mq) * mpmath.digamma(mp) - mpmath.loggamma(mp) + mpmath.loggamma(mq)
+            + mq * (mpmath.log(lp) - mpmath.log(lq)) + mp * (lq - lp) / lp)
 
 
 def binomial_log_p(mpmath, d, k):
@@ -564,7 +599,7 @@ class TestVectorRuns:
         return runs
 
     def test_two_components_match_two_scalar_runs(self, cfg):
-        d = Gamma(0.8, 0.6)  # x**-0.4 at 0: the graded mesh and the singular refinement
+        d = Gamma(0.8, 0.6)  # p**1.9 ~ x**-0.76 at 0: the power map with k = 4/0.24
         rows = [(0.7, False), (1.9, True)]
 
         def weight(alpha, with_log):
@@ -577,11 +612,11 @@ class TestVectorRuns:
 
         both = oracle.integrate_halfline(
             lambda x: np.stack([weight(*row)(x) for row in rows]), cfg, scale=0.6,
-            singular_at_zero=True)
+            power_at_zero=-0.76)
         assert both.value.shape == both.error.shape == (2,)
         for i, row in enumerate(rows):
             alone = oracle.integrate_halfline(weight(*row), cfg, scale=0.6,
-                                              singular_at_zero=True)
+                                              power_at_zero=-0.76)
             assert isinstance(alone.value, float) and isinstance(alone.error, float)
             tol = max(cfg.abs_tol, cfg.rel_tol * abs(alone.value))
             assert both.error[i] <= max(cfg.abs_tol, cfg.rel_tol * abs(both.value[i]))
@@ -659,3 +694,85 @@ class TestVectorRuns:
             res = oracle.integrate_realline(p, cfg, interior, scale=math.sqrt(2.0))
             assert abs(res.value - 1.0) <= 2.0 * cfg.abs_tol
         assert len(runs) == 4
+
+
+@st.composite
+def gamma_cases(draw):
+    """Gamma(lam, mu) with lam in [1e-6, 1e6], mu in [0.05, 30], orders keeping a + 1 >= 0.05."""
+    lam = 10.0 ** draw(st.floats(-6.0, 6.0))
+    mu = 10.0 ** draw(st.floats(math.log10(0.05), math.log10(30.0)))
+    measure = draw(st.sampled_from(("shannon", "renyi", "gr1", "gr2", "tsallis")))
+    hi = 3.5 if mu >= 1.0 else min(3.5, 0.95 / (1.0 - mu))
+    return lam, mu, measure, draw(st.floats(0.2, hi)), draw(st.floats(0.2, hi))
+
+
+class TestHalflineEndpoint:
+    """x = scale*s/(1-s), s = t**k, makes an x**a endpoint at 0 smooth; a + 1 < 1/20 raises."""
+
+    @given(case=gamma_cases())
+    @example(case=(5.5256709305484704e-06, 0.6953860627304576, "gr2",
+                   2.4299759079281533, 2.579389208642617))
+    @example(case=(0.34181289346503996, 0.05387751047566782, "shannon", 1.0, 1.0))
+    @example(case=(236896.89399523422, 0.3076637528788755, "gr1", 1.371498576458131, 1.0))
+    @settings(max_examples=200, deadline=None)
+    def test_gamma_measures_against_mpmath(self, case):
+        """Within 1e-10 (1 + |v|) of 40-digit mpmath, or NonConvergenceError."""
+        mpmath = pytest.importorskip("mpmath")
+        lam, mu, measure, alpha, beta = case
+        # the orders a measure takes, off 1 and apart as the selftest draws them
+        alpha, beta = {"shannon": (None, None), "gr2": (alpha, beta)}.get(measure, (alpha, None))
+        for order in (alpha, beta):
+            assume(order is None or abs(order - 1.0) >= 0.05)
+        assume(beta is None or abs(beta - alpha) >= 0.05)
+        try:
+            v = entropy_estimate(Gamma(lam, mu), measure, alpha, beta, OracleConfig())
+        except NonConvergenceError:
+            return
+        with mpmath.workdps(40):
+            exact = float(gamma_measure(mpmath, measure, lam, mu, alpha, beta))
+        assert abs(v - exact) <= 1e-10 * (1.0 + abs(exact))
+
+    @pytest.mark.parametrize("mu", [0.05, 0.07, 0.1])
+    def test_error_estimate_is_honest_near_the_floor(self, mu, cfg):
+        mpmath = pytest.importorskip("mpmath")
+        res = integral_p_alpha_log_p(Gamma(1.0, mu), 1.0, cfg)
+        with mpmath.workdps(40):
+            exact = float(gamma_log_j_slope(mpmath, 1.0, mu, 1.0))
+        assert abs(res.value - exact) <= res.error
+
+    def test_kl_with_p_at_the_floor(self, cfg):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            exact = float(gamma_kl(mpmath, 1.0, 0.05, 2.0, 3.0))
+        assert abs(kl_integral(Gamma(1.0, 0.05), Gamma(2.0, 3.0), cfg).value - exact) <= 1e-12
+
+    @pytest.mark.parametrize("mu_p, lam_p, lam_q", [
+        (0.2, 1.0, 1.0), (0.2, 5.0, 0.7), (1.0, 0.3, 2.0), (3.0, 0.3, 2.0), (12.0, 1.0, 1.0)])
+    def test_kl_reads_the_power_of_p_not_of_q(self, mu_p, lam_p, lam_q, cfg):
+        """q's x**(1e-6 - 1) enters only through log q, a log factor: no floor error."""
+        mpmath = pytest.importorskip("mpmath")
+        v = kl_integral(Gamma(lam_p, mu_p), Gamma(lam_q, 1e-6), cfg).value
+        with mpmath.workdps(40):
+            exact = float(gamma_kl(mpmath, lam_p, mu_p, lam_q, 1e-6))
+        assert abs(v - exact) <= 1e-13 * (1.0 + abs(exact))
+
+    @pytest.mark.parametrize("a1", np.geomspace(1e-14, 0.0499, 9))
+    def test_below_the_floor_raises(self, a1, cfg):
+        """Shannon, Renyi, GR1 and KL never return a value once a + 1 < 1/20."""
+        shape_at_two = 1.0 + (a1 - 1.0) / 2.0  # alpha (mu - 1) + 1 = a1 at alpha = 2
+        calls = [
+            lambda: entropy_estimate(Gamma(1.0, a1), "shannon", None, None, cfg),
+            lambda: entropy_estimate(Gamma(0.3, shape_at_two), "renyi", 2.0, None, cfg),
+            lambda: entropy_estimate(Gamma(40.0, shape_at_two), "gr1", 2.0, None, cfg),
+            lambda: kl_integral(Gamma(2.0, a1), Gamma(1.0, 2.0), cfg),
+        ]
+        for call in calls:
+            with pytest.raises(NonConvergenceError, match="past doubles"):
+                call()
+
+    @pytest.mark.parametrize("power", [3.0, 0.0, -0.5, -0.95, 2.5, 10.0])
+    def test_every_run_starts_from_the_plain_mesh(self, power, cfg, monkeypatch):
+        runs = TestVectorRuns.panel_counts(monkeypatch)
+        integrate_halfline(lambda x: x**power * np.exp(-x), cfg, power_at_zero=power)
+        entropy_estimate(Gamma(1.0, power + 1.0), "shannon", None, None, cfg)  # p ~ x**power
+        assert [held[0] for held in runs] == [15, 15]
