@@ -229,7 +229,8 @@ class NegBinomialConditional(Distribution, spec="nbcond", keys=("p", "r"), sweep
     def _logpmf(self, k):
         ok = (k >= 1) & (k == np.floor(k))
         ks = np.where(ok, k, 1.0)
-        out = (log_gamma(ks + self.r) - self._log_gamma_r - log_gamma(ks + 1.0)
+        lg_shifted, lg_next = log_gamma(np.stack((ks + self.r, ks + 1.0)))  # both in one call
+        out = (lg_shifted - self._log_gamma_r - lg_next
                + ks * math.log1p(-self.p) + self.r * math.log(self.p) - self._log_one_minus_pr)
         return np.where(ok, out, -np.inf)
 

@@ -23,14 +23,18 @@ _PLANS:
 * one series engine with a certified geometric tail: once the uniform
   one-step ratio bound q of the terms is below 1, the remaining tail is
   at most term * q / (1 - q), reported with an extra factor-2 safety
-  margin plus an a-priori rounding bound.  A finite support (Binomial)
-  ends at its last index at the latest; memory is one block of terms.
-  One driver sums from the mode outward on the record's log-pmf, both
-  tails each with its own certificate, so Poisson and Binomial take
-  O(sigma) terms rather than O(mean); max_terms counts the terms
-  summed.  It has two callers: discrete_entropy_sum (p log p, p**alpha,
-  p**alpha log p) and discrete_expectation (p_k w(k), which the Poisson
-  series of limits use).
+  margin plus an a-priori rounding bound.  Terms are summed and
+  certified in blocks of 64 doubling to 65536 terms, and evaluated in
+  batches of whole blocks: one log-pmf call reaches to the block where
+  the plan's ratio bound predicts the certificate, so a direction
+  mostly takes one call and memory is one batch (32768 terms, or one
+  larger block).  A finite support (Binomial) ends at its last index at
+  the latest.  One driver sums from the mode outward on the record's
+  log-pmf, both tails each with its own certificate, so Poisson and
+  Binomial take O(sigma) terms rather than O(mean); max_terms counts
+  the terms summed.  It has two callers: discrete_entropy_sum (p log p,
+  p**alpha, p**alpha log p) and discrete_expectation (p_k w(k), which
+  the Poisson series of limits use).
 
 Every public routine returns its error estimate alongside the value.
 """
@@ -39,6 +43,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from itertools import takewhile
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -295,6 +300,14 @@ def _gamma_plan(d: Gamma | ChiSquared, alpha: float) -> _Plan:
                  power_at_zero=alpha * (d.mu - 1.0))
 
 
+def _exp_or_inf(x: float) -> float:
+    """exp(x), or inf past the float range: a scale that _positive_scale rejects."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
 # plan(d, alpha) for the alpha-power integrand of d (alpha = 1 for KL)
 _PLANS = {
     Gamma: _gamma_plan,
@@ -302,7 +315,7 @@ _PLANS = {
     Exponential: lambda d, alpha: _Plan("halfline", scale=1.0 / d.lam),
     # centred on the mass of p**alpha (the escort is a lognormal itself)
     LogNormal: lambda d, alpha: _Plan(
-        "halfline", scale=math.exp(d.m + (1.0 - alpha) * d.sigma2 / alpha)),
+        "halfline", scale=_exp_or_inf(d.m + (1.0 - alpha) * d.sigma2 / alpha)),
     Laplace: lambda d, alpha: _Plan("realline", scale=1.0 / d.lam, splits=(d.mu,)),
     Normal: lambda d, alpha: _Plan("realline", scale=math.sqrt(d.sigma2), splits=(d.mean,)),
     Uniform: lambda d, alpha: _Plan(f"interval[{d.a},{d.b}]", splits=(d.a, d.b)),
@@ -407,47 +420,71 @@ _U = 2.0**-53  # unit roundoff
 _LP_ULPS = 8.0  # rounding in one log p_k, in units of _U * |log p_k|
 _SHIFT_ULPS = 4.0  # and of _U * |k - mean|, from the rounded mean in Loader's log-pmf
 _FIRST_BLOCK = 64
+_MAX_BLOCK = 65536  # the largest block
+# the most terms a batch of several blocks holds: a block this long costs far more than a
+# call, so a batch that reached further would save little and could waste a whole block
+_MAX_BATCH = 32768
+_WALK_PIECES = 4  # sub-steps per block in the walk that predicts where a batch ends
 _EXACT_INDEX = 2**53  # integer indices are exact floats up to here
 
 
-def _certified_series(block: Callable, start: int, cfg: OracleConfig,
+def _block_ends(k: int, last: int, size: int = _FIRST_BLOCK):
+    """Last index of each block from k on: size terms, doubling up to 65536, none past last."""
+    while k <= last:
+        end = min(k + size, last + 1) - 1
+        yield end
+        k, size = end + 1, min(2 * size, _MAX_BLOCK)
+
+
+def _geometric_tail(t: float, q: float) -> float:
+    """2 |t| q / (1 - q): twice the tail past t when every later step shrinks by q or more."""
+    return 2.0 * abs(t) * q / (1.0 - q) if q < 1.0 else math.inf
+
+
+def _certified_series(batch: Callable, start: int, cfg: OracleConfig,
                       stop: int | None = None, budget: int | None = None) -> SeriesResult:
     """Sum of the terms t_k over start <= k (<= stop) with a certified tail.
 
-    block(ks) returns (t, q, err) on an index array: the terms, q >=
-    |t_{j+1} / t_j| for every j >= ks[-1] (inf while none holds), and a
-    bound on the summed error the terms inherit from their inputs (log
-    p_k).  The terms share one sign.  Blocks grow from 64 to 65536 terms
-    until the tail 2 t_last q / (1 - q) is at most cfg.series_tail_tol or
-    k = stop is summed (tail 0), or SeriesBudgetError once budget terms
-    (default cfg.max_terms) are summed.  tail_bound adds err, two
-    roundings per term (its exp and its product), gamma_{m-1} sum |t|
-    per m-term block summed in any order (Higham 2002, section 4) and
-    one rounding of the running total per block; with one sign, a
-    block's sum |t| is its |sum|.
+    Terms are summed and certified in blocks that grow from 64 to 65536
+    terms, and evaluated in batches of whole blocks.  When a block is
+    not covered yet, batch(lo, ends) evaluates from its first index lo
+    to one of ends, the last indices of this block and of those after it
+    within 32768 terms of lo, and returns that end and part: part(s) is
+    (t, q, err) for the block at slice s of the batch, the terms, q >=
+    |t_{j+1} / t_j| for every j past the block (inf while none holds)
+    and a bound on the summed error the terms inherit from their inputs
+    (log p_k).  The terms share one sign.  Summation ends once a block's
+    tail 2 t_last q / (1 - q) is at most cfg.series_tail_tol or k = stop
+    is summed (tail 0), or SeriesBudgetError once budget terms (default
+    cfg.max_terms) are summed.  tail_bound adds err, two roundings per
+    term (its exp and its product), gamma_{m-1} sum |t| per m-term block
+    summed in any order (Higham 2002, section 4) and one rounding of the
+    running total per block; with one sign, a block's sum |t| is its
+    |sum|.
     """
     last = start + (cfg.max_terms if budget is None else budget) - 1
     if stop is not None:
         last = min(stop, last)
     total = rounding = 0.0
-    k, size = start, _FIRST_BLOCK
-    while k <= last:
-        ks = np.arange(k, min(k + size, last + 1))
-        t, q, err = block(ks)
+    k, covered = start, start - 1
+    for end in _block_ends(start, last):
+        if end > covered:
+            base = k
+            limit = k + max(_MAX_BATCH, end + 1 - k)
+            ahead = _block_ends(k, last, end + 1 - k)
+            covered, part = batch(k, takewhile(lambda e: e < limit, ahead))
+        t, q, err = part(slice(k - base, end + 1 - base))
         s = float(t.sum())
         total += s
-        m = len(ks)
+        m = end + 1 - k
         gamma = (m - 1) * _U / (1.0 - (m - 1) * _U)
         rounding += err + (2.0 * _U + gamma) * abs(s) + _U * abs(total)
-        end = int(ks[-1])
         if end == stop:
             return SeriesResult(total, rounding, end)
-        if q < 1.0:
-            tail = 2.0 * abs(float(t[-1])) * q / (1.0 - q)
-            if tail <= cfg.series_tail_tol:
-                return SeriesResult(total, tail + rounding, end)
+        tail = _geometric_tail(float(t[-1]), q)
+        if tail <= cfg.series_tail_tol:
+            return SeriesResult(total, tail + rounding, end)
         k = end + 1
-        size = min(2 * size, 65536)
     raise SeriesBudgetError(
         f"series tail not certified below {cfg.series_tail_tol:g} within "
         f"max_terms={cfg.max_terms}")
@@ -472,41 +509,83 @@ def _tail_ratio(rho: float, lp_last: float, alpha: float, with_log: bool) -> flo
     return rho**alpha + 1.0 / (alpha * math.e * big_l)
 
 
-def _mode_sum(d: Distribution, plan: _Plan, terms: Callable, cfg: OracleConfig) -> SeriesResult:
+def _batch_end(ends, index: Callable, ratio: Callable, step: int, k: int, lp_top: float,
+               certifies: Callable) -> int:
+    """The first of ends whose block would certify under an upper bound on log p, or the last.
+
+    lp_top bounds log p at index k.  The bound walks to each end's index
+    in _WALK_PIECES sub-steps, n steps from j adding n log ratio(j): ratio
+    (down downward) bounds every step from j on; log p <= 0 caps it.
+    certifies(lp, rho) tests the tail a block would get.
+    """
+    for end in ends:
+        k_end = index(end)
+        piece = max(1, -(-abs(k_end - k) // _WALK_PIECES))
+        for j in range(k, k_end, step * piece):
+            r = ratio(j)
+            n = min(piece, abs(k_end - j))
+            lp_top = min(0.0, lp_top + n * math.log(r)) if r > 0.0 else -math.inf
+        k = k_end
+        if lp_top == -math.inf or certifies(lp_top, ratio(k_end)):
+            break
+    return end
+
+
+def _mode_sum(d: Distribution, plan: _Plan, terms: Callable, tail: Callable,
+              cfg: OracleConfig) -> SeriesResult:
     """Certified sum over the support of d, from next to the mode outward.
 
-    terms(ks, lp, lp_err, rho, step) returns (t, q, err) for one block:
-    ks the indices, lp = log p_k and lp_err its rounding bound, rho the
-    plan's bound on p_{j+step}/p_j for every j past ks[-1], step +1 on
-    the upward pass and -1 on the downward one.  Summation runs upward
-    from k0 = max(start, mode - 64) and, when k0 is above the first
-    index, downward from k0 - 1 over the mirrored index, each direction
-    with its own tail certificate below cfg.series_tail_tol.  A
-    direction also ends at the end of a finite support.  last_k is the
-    last index summed upward and tail_bound includes rounding.
-    SeriesBudgetError is raised once max_terms terms (both directions
-    together) are summed without a certificate.
+    terms(ks, lp, lp_err, step) takes one batch: ks the indices, lp =
+    log p_k and lp_err its rounding bound, step +1 on the upward pass and
+    -1 on the downward one.  It returns part(s, rho), the (t, q, err) of
+    the block at slice s given rho, the plan's bound on p_{j+step}/p_j
+    for every j past the block.  tail(lp, rho) is the tail 2 t q / (1 -
+    q) a block would certify with log p <= lp at its last index.
+    Summation runs upward from k0 = max(start, mode - 64) and, when k0 is
+    above the first index, downward from k0 - 1 over the mirrored index,
+    each direction with its own tail certificate below
+    cfg.series_tail_tol.  A direction also ends at the end of a finite
+    support.  last_k is the last index summed upward and tail_bound
+    includes rounding.  SeriesBudgetError is raised once max_terms terms
+    (both directions together) are summed without a certificate.
+
+    Evaluation is batched, certification stays per block: a batch is one
+    logpmf call, from the block asked for to the first block end where
+    tail holds under an upper bound on log p (_batch_end).  The bound
+    starts at log p_k0 <= 0 upward and at the log p_k0 the upward pass
+    evaluated downward; a later batch of a direction starts from the
+    last term evaluated.  A wrong prediction costs one more batch or
+    unused terms, never a wrong sum.
     """
     if plan.mode > _EXACT_INDEX:
         raise SeriesBudgetError(
             f"the mass lies near index {plan.mode}, beyond 2**53 where indices are "
             "not exact floats")
+    k0 = max(plan.start, plan.mode - _FIRST_BLOCK)
+    walk_from = {1: (k0, 0.0)}  # step -> (index, bound on its log p): where the next walk starts
 
-    def block_for(index: Callable, ratio: Callable, step: int) -> Callable:
-        def block(js):
-            ks = index(js)
+    def certifies(lp, rho):
+        return tail(lp, rho) <= cfg.series_tail_tol
+
+    def batch_for(index: Callable, ratio: Callable, step: int) -> Callable:
+        def batch(lo, ends):
+            hi = _batch_end(ends, index, ratio, step, *walk_from[step], certifies)
+            ks = index(np.arange(lo, hi + 1))
             lp = np.asarray(logpmf(d, ks), dtype=float)
             lp_err = _LP_ULPS * _U * np.abs(lp)
             if plan.mean is not None:
                 lp_err += _SHIFT_ULPS * _U * np.abs(ks - plan.mean)
-            return terms(ks, lp, lp_err, ratio(int(ks[-1])), step)
-        return block
+            if ks[0] == k0:  # the downward pass starts next to k0
+                walk_from[-1] = (k0, float(lp[0]))
+            walk_from[step] = (int(ks[-1]), float(lp[-1]))
+            part = terms(ks, lp, lp_err, step)
+            return hi, lambda s: part(s, ratio(int(ks[s.stop - 1])))
+        return batch
 
-    k0 = max(plan.start, plan.mode - _FIRST_BLOCK)
-    up = _certified_series(block_for(lambda js: js, plan.ratio, 1), k0, cfg, plan.stop)
+    up = _certified_series(batch_for(lambda js: js, plan.ratio, 1), k0, cfg, plan.stop)
     if k0 == plan.start:
         return up
-    down = _certified_series(block_for(lambda js: (k0 - 1) - js, plan.down, -1), 0, cfg,
+    down = _certified_series(batch_for(lambda js: (k0 - 1) - js, plan.down, -1), 0, cfg,
                              k0 - 1 - plan.start, cfg.max_terms - (up.last_k - k0 + 1))
     total = up.value + down.value
     return SeriesResult(total, up.tail_bound + down.tail_bound + _U * abs(total), up.last_k)
@@ -528,42 +607,58 @@ def discrete_entropy_sum(d: Distribution, transform: str, alpha: float,
     alpha = 1.0 if transform == "p_log_p" else check_order("alpha", alpha, exclude_one=False)
     with_log = transform in ("p_log_p", "p_alpha_log_p")
 
-    def terms(ks, lp, lp_err, rho, step):
+    def terms(ks, lp, lp_err, step):
         # the transformed term moves by t_k (alpha + 1/log p_k) per unit of log p_k
         e = np.exp(alpha * lp)
-        if with_log:
-            t = e * lp
-            err = float(np.dot(lp_err, e - alpha * t))  # e (1 + alpha |lp|)
-        else:
-            t = e
-            err = alpha * float(np.dot(lp_err, e))
-        return t, _tail_ratio(rho, float(lp[-1]), alpha, with_log), err
+        t = e * lp if with_log else e
+        slope = e - alpha * t if with_log else e  # e (1 + alpha |lp|), or e times alpha
 
-    return _mode_sum(d, _plan(d, alpha), terms, cfg)
+        def part(s, rho):
+            err = float(np.dot(lp_err[s], slope[s]))
+            return (t[s], _tail_ratio(rho, float(lp[s.stop - 1]), alpha, with_log),
+                    err if with_log else alpha * err)
+        return part
+
+    def tail(lp, rho):
+        t = math.exp(alpha * lp) * (-lp if with_log else 1.0)
+        return _geometric_tail(t, _tail_ratio(rho, lp, alpha, with_log))
+
+    return _mode_sum(d, _plan(d, alpha), terms, tail, cfg)
 
 
 def discrete_expectation(d: Distribution, weight: Callable, cfg: OracleConfig) -> SeriesResult:
     """Sum of p_k w(k) over the support of d, with a certified tail.
 
     weight maps an index array to w(k) >= 0, nondecreasing in k, with
-    w(k+1)/w(k) nonincreasing where w > 0 (log k! and log(k+1) qualify).
-    Then t_{j+1}/t_j <= rho w(k+1)/w(k) upward and <= rho downward past
-    an index k.  A block that ends on a zero weight gives no certificate
-    yet.  Summed from the mode outward like discrete_entropy_sum;
-    tail_bound covers truncation and the rounding of log p_k and of the
-    sum, not the error of w.
+    w(k+1)/w(k) nonincreasing where w > 0 (log k! and log(k+1) qualify);
+    it is called once per batch of indices, on one more index than the
+    batch holds.  Then t_{j+1}/t_j <= rho w(k+1)/w(k) upward and <= rho
+    downward past an index k.  A block that ends on a zero weight gives
+    no certificate yet.  Summed from the mode outward like
+    discrete_entropy_sum; tail_bound covers truncation and the rounding
+    of log p_k and of the sum, not the error of w.
     """
     if not d.is_discrete:
         raise FamilyMismatchError("discrete_expectation needs a discrete family")
+    scale = 1.0  # the largest weight evaluated yet: the w the next batch's prediction assumes
 
-    def terms(ks, lp, lp_err, rho, step):
+    def terms(ks, lp, lp_err, step):
+        nonlocal scale
         w = np.asarray(weight(np.append(ks, ks[-1] + 1)), dtype=float)
         t = np.exp(lp) * w[:-1]
-        # upward w(k+1)/w(k) joins rho; downward w does not increase
-        q = math.inf if w[-2] == 0.0 else rho * float(w[-1] / w[-2] if step > 0 else 1.0)
-        return t, q, float(np.dot(lp_err, t))
+        scale = max(scale, float(w.max()))
 
-    return _mode_sum(d, _plan(d, 1.0), terms, cfg)
+        def part(s, rho):
+            end = s.stop - 1
+            # upward w(k+1)/w(k) joins rho; downward w does not increase
+            q = math.inf if w[end] == 0.0 else rho * float(w[end + 1] / w[end] if step > 0 else 1.0)
+            return t[s], q, float(np.dot(lp_err[s], t[s]))
+        return part
+
+    def tail(lp, rho):
+        return _geometric_tail(math.exp(lp) * scale, rho)
+
+    return _mode_sum(d, _plan(d, 1.0), terms, tail, cfg)
 
 
 def _nonzero(j: float, alpha: float, measure: str) -> float:

@@ -337,6 +337,21 @@ class TestVerifyContract:
         assert (code, out) == (1, "")
         assert err.startswith("entrokit: error: x**") and "< 1/20" in err
 
+    @pytest.mark.parametrize("argv, message", [
+        ("entropy --dist lognormal:m=800,sigma2=1 --measure shannon",
+         "scale must be a finite real number, got inf"),
+        ("kl --p lognormal:m=800,sigma2=1 --q lognormal:m=0,sigma2=1",
+         "scale must be a finite real number, got inf"),
+        ("entropy --dist lognormal:m=-800,sigma2=1 --measure shannon",
+         "scale must be positive, got 0.0"),
+        ("entropy --dist exp:lambda=1e-310 --measure shannon",
+         "scale must be a finite real number, got inf"),
+    ], ids=["lognormal-overflow", "kl-lognormal-overflow", "lognormal-underflow", "exp"])
+    def test_tail_map_scale_past_the_float_range_exits_1(self, capsys, argv, message):
+        """A plan scale beyond the doubles is one error line, not a traceback."""
+        code, out, err = run(capsys, *argv.split(), "--verify")
+        assert (code, out, err) == (1, "", f"entrokit: error: {message}\n")
+
     @pytest.mark.parametrize("argv, closed", [
         ("entropy --dist exp:lambda=1e-295 --measure shannon", 1.0 - math.log(1e-295)),
         ("entropy --dist laplace:mu=0,lambda=1e-296 --measure shannon",

@@ -85,6 +85,19 @@ class TestPmfPins:
         raw1 = r * (1 - p) * p**r  # Gamma(1+r)/Gamma(r) = r
         assert pmf(d, 1) == pytest.approx(raw1 / (1.0 - p**r), rel=1e-12)
 
+    def test_nbcond_makes_one_log_gamma_call(self, monkeypatch):
+        import entrokit.distributions as distributions
+
+        d = NegBinomialConditional(0.4, 0.3)
+        logpmf(d, 1.0)  # the record's cached constants
+        calls = []
+        real = distributions.log_gamma
+        monkeypatch.setattr(distributions, "log_gamma", lambda x: calls.append(1) or real(x))
+        ks = np.arange(1.0, 50.0)
+        many, one = logpmf(d, ks), logpmf(d, 7.0)
+        assert len(calls) == 2
+        assert np.ndim(one) == 0 and one == many[6]
+
 
 class TestNormalization:
     @pytest.mark.parametrize("family", CONTINUOUS)

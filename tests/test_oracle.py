@@ -535,6 +535,99 @@ class TestSeriesFromTheMode:
         assert abs(res.value - exact) <= res.tail_bound
 
 
+def per_block_shannon(d, cfg):
+    """Sum of p_k log p_k with one logpmf call per block, as the series engine summed before
+    it batched its evaluation: the same blocks (64 terms doubling to 65536, upward from
+    max(start, mode - 64), then downward) and the same certificate, without the rounding
+    bound.  Returns (value, last index summed upward, terms summed)."""
+    plan = oracle._plan(d, 1.0)
+    k0 = max(plan.start, plan.mode - 64)
+    directions = [(plan.ratio, lambda j: k0 + j, None if plan.stop is None else plan.stop - k0)]
+    if k0 > plan.start:
+        directions.append((plan.down, lambda j: k0 - 1 - j, k0 - 1 - plan.start))
+    total, summed, last_up = 0.0, 0, None
+    for ratio, index, last in directions:
+        j, size = 0, 64
+        while True:
+            end = j + size - 1 if last is None else min(j + size - 1, last)
+            ks = index(np.arange(j, end + 1))
+            lp = np.asarray(logpmf(d, ks), dtype=float)
+            t = np.exp(lp) * lp
+            total += float(t.sum())
+            summed += len(ks)
+            q = oracle._tail_ratio(ratio(int(ks[-1])), float(lp[-1]), 1.0, True)
+            certified = q < 1.0 and 2.0 * abs(float(t[-1])) * q / (1.0 - q) <= cfg.series_tail_tol
+            if end == last or certified:
+                break
+            j, size = end + 1, min(2 * size, 65536)
+        last_up = int(ks[-1]) if last_up is None else last_up
+    return total, last_up, summed
+
+
+BATCHED = [Poisson(1e4), Binomial(10**6, 0.3), Binomial(1000, 0.5),
+           NegBinomialConditional(0.05, 0.3), Logarithmic(1e-3)]
+
+
+class TestBatchedEvaluation:
+    """One logpmf call per series direction; the blocks are certified as before."""
+
+    @staticmethod
+    def logged_calls(monkeypatch):
+        calls = []
+        monkeypatch.setattr(oracle, "logpmf",
+                            lambda d, ks: calls.append(np.array(ks, dtype=float)) or logpmf(d, ks))
+        return calls
+
+    @pytest.mark.parametrize("d", BATCHED, ids=repr)
+    def test_one_call_per_direction_and_at_most_twice_the_terms(self, d, cfg, monkeypatch):
+        _, _, summed = per_block_shannon(d, cfg)
+        calls = self.logged_calls(monkeypatch)
+        discrete_entropy_sum(d, "p_log_p", 1.0, cfg)
+        k0 = max(oracle._plan(d, 1.0).start, oracle._plan(d, 1.0).mode - 64)
+        up = [ks for ks in calls if ks[0] >= k0]
+        assert len(up) == 1 and len(calls) - len(up) <= 1
+        assert sum(map(len, calls)) <= 2 * summed
+
+    @pytest.mark.parametrize("d", BATCHED + [
+        Poisson(0.1), Poisson(70.0), Poisson(2e5), Binomial(10, 0.2), Binomial(10**7, 1e-7),
+        Binomial(5000, 0.999), NegBinomialConditional(0.5, 4.0), Logarithmic(0.9),
+    ], ids=repr)
+    def test_matches_one_call_per_block(self, d, cfg):
+        value, last_up, _ = per_block_shannon(d, cfg)
+        res = discrete_entropy_sum(d, "p_log_p", 1.0, cfg)
+        assert res.last_k == last_up
+        assert abs(res.value - value) <= res.tail_bound
+
+    def test_no_batch_asks_past_the_term_budget(self, monkeypatch):
+        calls = self.logged_calls(monkeypatch)
+        with pytest.raises(SeriesBudgetError):
+            discrete_entropy_sum(Poisson(2e7), "p_log_p", 1.0, OracleConfig(max_terms=10**4))
+        assert calls and sum(map(len, calls)) <= 10**4
+
+    @pytest.mark.parametrize("d", [Poisson(5.0), Logarithmic(0.5)], ids=repr)
+    def test_a_one_term_budget_is_a_budget_error(self, d):
+        with pytest.raises(SeriesBudgetError):
+            discrete_entropy_sum(d, "p_log_p", 1.0, OracleConfig(max_terms=1))
+
+    def test_no_batch_holds_more_than_the_largest_block(self, cfg, monkeypatch):
+        calls = self.logged_calls(monkeypatch)
+        discrete_entropy_sum(Logarithmic(1e-4), "p_log_p", 1.0, cfg)
+        assert len(calls) > 1 and max(map(len, calls)) <= 65536
+
+    def test_the_weight_is_evaluated_once_per_batch(self, cfg, monkeypatch):
+        calls = self.logged_calls(monkeypatch)
+        weights = []
+
+        def weight(ks):
+            weights.append(len(ks))
+            return np.log(ks + 1.0)
+
+        discrete_expectation(Poisson(1e4), weight, cfg)
+        assert weights == [len(ks) + 1 for ks in calls]
+        # eight blocks; the first upward batch is predicted without the weight's size
+        assert len(calls) <= 3
+
+
 class TestEntropyEstimateArguments:
     @pytest.mark.parametrize("measure, alpha, beta", [
         ("renyi", 1.0, None), ("gr2", 2.0, 2.0), ("sm", 2.0, 1.0), ("renyi", None, None),
