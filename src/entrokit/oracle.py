@@ -23,18 +23,24 @@ _PLANS:
 * one series engine with a certified geometric tail: once the uniform
   one-step ratio bound q of the terms is below 1, the remaining tail is
   at most term * q / (1 - q), reported with an extra factor-2 safety
-  margin plus an a-priori rounding bound.  Terms are summed and
-  certified in blocks of 64 doubling to 65536 terms, and evaluated in
-  batches of whole blocks: one log-pmf call reaches to the block where
-  the plan's ratio bound predicts the certificate, so a direction
-  mostly takes one call and memory is one batch (32768 terms, or one
-  larger block).  A finite support (Binomial) ends at its last index at
-  the latest.  One driver sums from the mode outward on the record's
-  log-pmf, both tails each with its own certificate, so Poisson and
-  Binomial take O(sigma) terms rather than O(mean); max_terms counts
-  the terms summed.  It has two callers: discrete_entropy_sum (p log p,
-  p**alpha, p**alpha log p) and discrete_expectation (p_k w(k), which
-  the Poisson series of limits use).
+  margin plus an a-priori rounding bound.  One loop per direction sums
+  from next to the mode outward, both tails each with its own
+  certificate, so Poisson and Binomial take O(sigma) terms rather than
+  O(mean); a finite support (Binomial) ends at its last index at the
+  latest, and max_terms counts the terms summed.  The loop sums and
+  certifies blocks of 64 doubling to 65536 terms and owns its batches:
+  one log-pmf call reaches to the block where the plan's ratio bound
+  predicts the certificate, so a direction mostly takes one call and
+  memory is one batch (32768 terms, or one larger block).  The batch
+  plan decides only which call evaluates a term: a log p_k is the same
+  double in any call (but for the array-wide cut of stirlerr's series,
+  an ulp of stirlerr at most), so the blocks sum and certify alike.  A
+  caller hands the engine only what it sums (_Summand): its terms and
+  error slopes on an index array, a ratio bound past a term, and the
+  size of a term under a bound on log p.  There are two callers:
+  discrete_entropy_sum (p log p, p**alpha, p**alpha log p) and
+  discrete_expectation (p_k w(k), which the Poisson series of limits
+  use).
 
 Every public routine returns its error estimate alongside the value.
 """
@@ -43,7 +49,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from itertools import takewhile
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -428,66 +433,27 @@ _WALK_PIECES = 4  # sub-steps per block in the walk that predicts where a batch 
 _EXACT_INDEX = 2**53  # integer indices are exact floats up to here
 
 
-def _block_ends(k: int, last: int, size: int = _FIRST_BLOCK):
-    """Last index of each block from k on: size terms, doubling up to 65536, none past last."""
-    while k <= last:
-        end = min(k + size, last + 1) - 1
-        yield end
-        k, size = end + 1, min(2 * size, _MAX_BLOCK)
+class _Summand(NamedTuple):
+    """What the series engine sums, as functions of log p_k.
+
+    terms(ks, lp, step) returns three arrays on an index array ks with
+    log p_k = lp: the terms t, their slopes (|dt/d log p_k| <= gain *
+    slope) and grow.  When rho bounds p_{j+step}/p_j for every j past a
+    term with log p = lp, ratio(rho, lp) times the term's grow bounds
+    |t_{j+step}/t_j| there (grow inf: no bound yet).  size(lp) is the
+    |t_k| at log p_k <= lp that the batch prediction assumes.  step is
+    +1 upward and -1 downward.
+    """
+
+    terms: Callable
+    size: Callable
+    ratio: Callable
+    gain: float = 1.0
 
 
 def _geometric_tail(t: float, q: float) -> float:
     """2 |t| q / (1 - q): twice the tail past t when every later step shrinks by q or more."""
     return 2.0 * abs(t) * q / (1.0 - q) if q < 1.0 else math.inf
-
-
-def _certified_series(batch: Callable, start: int, cfg: OracleConfig,
-                      stop: int | None = None, budget: int | None = None) -> SeriesResult:
-    """Sum of the terms t_k over start <= k (<= stop) with a certified tail.
-
-    Terms are summed and certified in blocks that grow from 64 to 65536
-    terms, and evaluated in batches of whole blocks.  When a block is
-    not covered yet, batch(lo, ends) evaluates from its first index lo
-    to one of ends, the last indices of this block and of those after it
-    within 32768 terms of lo, and returns that end and part: part(s) is
-    (t, q, err) for the block at slice s of the batch, the terms, q >=
-    |t_{j+1} / t_j| for every j past the block (inf while none holds)
-    and a bound on the summed error the terms inherit from their inputs
-    (log p_k).  The terms share one sign.  Summation ends once a block's
-    tail 2 t_last q / (1 - q) is at most cfg.series_tail_tol or k = stop
-    is summed (tail 0), or SeriesBudgetError once budget terms (default
-    cfg.max_terms) are summed.  tail_bound adds err, two roundings per
-    term (its exp and its product), gamma_{m-1} sum |t| per m-term block
-    summed in any order (Higham 2002, section 4) and one rounding of the
-    running total per block; with one sign, a block's sum |t| is its
-    |sum|.
-    """
-    last = start + (cfg.max_terms if budget is None else budget) - 1
-    if stop is not None:
-        last = min(stop, last)
-    total = rounding = 0.0
-    k, covered = start, start - 1
-    for end in _block_ends(start, last):
-        if end > covered:
-            base = k
-            limit = k + max(_MAX_BATCH, end + 1 - k)
-            ahead = _block_ends(k, last, end + 1 - k)
-            covered, part = batch(k, takewhile(lambda e: e < limit, ahead))
-        t, q, err = part(slice(k - base, end + 1 - base))
-        s = float(t.sum())
-        total += s
-        m = end + 1 - k
-        gamma = (m - 1) * _U / (1.0 - (m - 1) * _U)
-        rounding += err + (2.0 * _U + gamma) * abs(s) + _U * abs(total)
-        if end == stop:
-            return SeriesResult(total, rounding, end)
-        tail = _geometric_tail(float(t[-1]), q)
-        if tail <= cfg.series_tail_tol:
-            return SeriesResult(total, tail + rounding, end)
-        k = end + 1
-    raise SeriesBudgetError(
-        f"series tail not certified below {cfg.series_tail_tol:g} within "
-        f"max_terms={cfg.max_terms}")
 
 
 def _tail_ratio(rho: float, lp_last: float, alpha: float, with_log: bool) -> float:
@@ -509,86 +475,117 @@ def _tail_ratio(rho: float, lp_last: float, alpha: float, with_log: bool) -> flo
     return rho**alpha + 1.0 / (alpha * math.e * big_l)
 
 
-def _batch_end(ends, index: Callable, ratio: Callable, step: int, k: int, lp_top: float,
-               certifies: Callable) -> int:
-    """The first of ends whose block would certify under an upper bound on log p, or the last.
+def _walk(rho: Callable, k: int, k_end: int, step: int, lp: float) -> float:
+    """A bound on log p at k_end from lp >= log p_k: n steps from j add n log rho(j), capped at 0.
 
-    lp_top bounds log p at index k.  The bound walks to each end's index
-    in _WALK_PIECES sub-steps, n steps from j adding n log ratio(j): ratio
-    (down downward) bounds every step from j on; log p <= 0 caps it.
-    certifies(lp, rho) tests the tail a block would get.
+    rho(j) bounds every step from j on, so the walk takes _WALK_PIECES sub-steps.
     """
-    for end in ends:
-        k_end = index(end)
-        piece = max(1, -(-abs(k_end - k) // _WALK_PIECES))
-        for j in range(k, k_end, step * piece):
-            r = ratio(j)
-            n = min(piece, abs(k_end - j))
-            lp_top = min(0.0, lp_top + n * math.log(r)) if r > 0.0 else -math.inf
-        k = k_end
-        if lp_top == -math.inf or certifies(lp_top, ratio(k_end)):
-            break
-    return end
+    piece = max(1, -(-abs(k_end - k) // _WALK_PIECES))
+    for j in range(k, k_end, step * piece):
+        r = rho(j)
+        lp = min(0.0, lp + min(piece, abs(k_end - j)) * math.log(r)) if r > 0.0 else -math.inf
+    return lp
 
 
-def _mode_sum(d: Distribution, plan: _Plan, terms: Callable, tail: Callable,
-              cfg: OracleConfig) -> SeriesResult:
-    """Certified sum over the support of d, from next to the mode outward.
+def _series(d: Distribution, plan: _Plan, s: _Summand, cfg: OracleConfig, first: int, step: int,
+            budget: int, walk: tuple[int, float]) -> tuple[float, float, int, float]:
+    """Certified sum of t_k over k = first + step i, i < budget, ending at the support's end.
 
-    terms(ks, lp, lp_err, step) takes one batch: ks the indices, lp =
-    log p_k and lp_err its rounding bound, step +1 on the upward pass and
-    -1 on the downward one.  It returns part(s, rho), the (t, q, err) of
-    the block at slice s given rho, the plan's bound on p_{j+step}/p_j
-    for every j past the block.  tail(lp, rho) is the tail 2 t q / (1 -
-    q) a block would certify with log p <= lp at its last index.
-    Summation runs upward from k0 = max(start, mode - 64) and, when k0 is
-    above the first index, downward from k0 - 1 over the mirrored index,
-    each direction with its own tail certificate below
-    cfg.series_tail_tol.  A direction also ends at the end of a finite
-    support.  last_k is the last index summed upward and tail_bound
-    includes rounding.  SeriesBudgetError is raised once max_terms terms
-    (both directions together) are summed without a certificate.
+    Returns the sum, its bound (tail plus rounding), the number of terms
+    summed and log p_first.  Terms are summed and certified in blocks
+    that grow from 64 to 65536 terms.  A block ends the sum once its
+    tail 2 |t_last| q / (1 - q) is at most cfg.series_tail_tol, with q =
+    s.ratio(rho, log p_last) times grow_last and rho the plan's bound on
+    p_{j+step}/p_j for every j past the block, or once it reaches the
+    end of the support (plan.stop upward, plan.start downward; tail 0).
+    SeriesBudgetError once budget terms are summed without either.  The
+    terms share one sign.  The bound adds the error they inherit from
+    log p_k (gain times the dot product of slope and the bound on the
+    rounding of log p_k), two roundings per term (its exp and its
+    product), gamma_{m-1} sum |t| per m-term block summed in any order
+    (Higham 2002, section 4) and one rounding of the running total per
+    block; with one sign, a block's sum |t| is its |sum|.
 
-    Evaluation is batched, certification stays per block: a batch is one
-    logpmf call, from the block asked for to the first block end where
-    tail holds under an upper bound on log p (_batch_end).  The bound
-    starts at log p_k0 <= 0 upward and at the log p_k0 the upward pass
-    evaluated downward; a later batch of a direction starts from the
-    last term evaluated.  A wrong prediction costs one more batch or
-    unused terms, never a wrong sum.
+    Evaluation runs in batches of whole blocks, one logpmf call each, and
+    s.terms(ks, lp, step) sees each batch once.  A batch reaches from
+    its first block to the first block end, within 32768 terms (or the
+    first block), where the tail would certify under a bound on log p
+    that walks from walk = (index, bound on its log p) by the plan's
+    ratio bound (_walk).  A later batch walks from the last term
+    evaluated.  Where a batch ends changes no block: a wrong prediction
+    costs one more batch or unused terms, never a different sum.
     """
-    if plan.mode > _EXACT_INDEX:
-        raise SeriesBudgetError(
-            f"the mass lies near index {plan.mode}, beyond 2**53 where indices are "
-            "not exact floats")
-    k0 = max(plan.start, plan.mode - _FIRST_BLOCK)
-    walk_from = {1: (k0, 0.0)}  # step -> (index, bound on its log p): where the next walk starts
-
-    def certifies(lp, rho):
-        return tail(lp, rho) <= cfg.series_tail_tol
-
-    def batch_for(index: Callable, ratio: Callable, step: int) -> Callable:
-        def batch(lo, ends):
-            hi = _batch_end(ends, index, ratio, step, *walk_from[step], certifies)
-            ks = index(np.arange(lo, hi + 1))
+    rho, stop = (plan.ratio, plan.stop) if step > 0 else (plan.down, plan.start)
+    last = None if stop is None else (stop - first) * step
+    n = budget if last is None else min(budget, last + 1)
+    total = rounding = 0.0
+    i = have = base = 0  # positions: this block's start, past the batch, the batch's start
+    size = _FIRST_BLOCK
+    while i < n:
+        end = min(i + size, n)
+        if i == have:  # a batch to the first block end where the tail is predicted to hold
+            have, grown, (k, lp_top) = end, size, walk
+            while True:
+                k_end = first + step * (have - 1)
+                lp_top, k = _walk(rho, k, k_end, step, lp_top), k_end
+                if lp_top == -math.inf or _geometric_tail(
+                        s.size(lp_top), s.ratio(rho(k_end), lp_top)) <= cfg.series_tail_tol:
+                    break
+                grown = min(2 * grown, _MAX_BLOCK)
+                if have == n or min(have + grown, n) > i + max(_MAX_BATCH, end - i):
+                    break
+                have = min(have + grown, n)
+            ks = first + step * np.arange(i, have)
             lp = np.asarray(logpmf(d, ks), dtype=float)
             lp_err = _LP_ULPS * _U * np.abs(lp)
             if plan.mean is not None:
                 lp_err += _SHIFT_ULPS * _U * np.abs(ks - plan.mean)
-            if ks[0] == k0:  # the downward pass starts next to k0
-                walk_from[-1] = (k0, float(lp[0]))
-            walk_from[step] = (int(ks[-1]), float(lp[-1]))
-            part = terms(ks, lp, lp_err, step)
-            return hi, lambda s: part(s, ratio(int(ks[s.stop - 1])))
-        return batch
+            t, slope, grow = s.terms(ks, lp, step)
+            base, walk = i, (int(ks[-1]), float(lp[-1]))
+            if i == 0:
+                lp_first = float(lp[0])
+        a, b = i - base, end - base
+        block = float(t[a:b].sum())
+        total += block
+        gamma = (end - i - 1) * _U / (1.0 - (end - i - 1) * _U)
+        err = s.gain * float(np.dot(lp_err[a:b], slope[a:b]))
+        rounding += err + (2.0 * _U + gamma) * abs(block) + _U * abs(total)
+        if end - 1 == last:
+            return total, rounding, end, lp_first
+        q = s.ratio(rho(first + step * (end - 1)), float(lp[b - 1])) * float(grow[b - 1])
+        tail = _geometric_tail(float(t[b - 1]), q)
+        if tail <= cfg.series_tail_tol:
+            return total, tail + rounding, end, lp_first
+        i, size = end, min(2 * size, _MAX_BLOCK)
+    raise SeriesBudgetError(
+        f"series tail not certified below {cfg.series_tail_tol:g} within "
+        f"max_terms={cfg.max_terms}")
 
-    up = _certified_series(batch_for(lambda js: js, plan.ratio, 1), k0, cfg, plan.stop)
+
+def _mode_sum(d: Distribution, plan: _Plan, s: _Summand, cfg: OracleConfig) -> SeriesResult:
+    """Certified sum of s over the support of d, from next to the mode outward.
+
+    Summation runs upward from k0 = max(start, mode - 64) and, when k0 is
+    above the first index, downward from k0 - 1, each direction with its
+    own tail certificate below cfg.series_tail_tol (_series).  A
+    direction also ends at the end of a finite support.  The upward
+    batch prediction starts from log p_k0 <= 0, the downward one from
+    the log p_k0 the upward pass evaluated.  last_k is the last index
+    summed upward and tail_bound includes rounding.  SeriesBudgetError
+    is raised once max_terms terms (both directions together) are
+    summed without a certificate.
+    """
+    if plan.mode > _EXACT_INDEX:
+        raise SeriesBudgetError(
+            f"the mass lies near index {float(plan.mode):g}, beyond 2**53 where indices are "
+            "not exact floats")
+    k0 = max(plan.start, plan.mode - _FIRST_BLOCK)
+    up, up_bound, n, lp0 = _series(d, plan, s, cfg, k0, 1, cfg.max_terms, (k0, 0.0))
     if k0 == plan.start:
-        return up
-    down = _certified_series(batch_for(lambda js: (k0 - 1) - js, plan.down, -1), 0, cfg,
-                             k0 - 1 - plan.start, cfg.max_terms - (up.last_k - k0 + 1))
-    total = up.value + down.value
-    return SeriesResult(total, up.tail_bound + down.tail_bound + _U * abs(total), up.last_k)
+        return SeriesResult(up, up_bound, k0 + n - 1)
+    down, down_bound, _, _ = _series(d, plan, s, cfg, k0 - 1, -1, cfg.max_terms - n, (k0, lp0))
+    total = up + down
+    return SeriesResult(total, up_bound + down_bound + _U * abs(total), k0 + n - 1)
 
 
 def discrete_entropy_sum(d: Distribution, transform: str, alpha: float,
@@ -607,23 +604,16 @@ def discrete_entropy_sum(d: Distribution, transform: str, alpha: float,
     alpha = 1.0 if transform == "p_log_p" else check_order("alpha", alpha, exclude_one=False)
     with_log = transform in ("p_log_p", "p_alpha_log_p")
 
-    def terms(ks, lp, lp_err, step):
-        # the transformed term moves by t_k (alpha + 1/log p_k) per unit of log p_k
+    def terms(ks, lp, step):
+        # the transformed term moves by t_k (alpha + 1/log p_k) per unit of log p_k: its
+        # slope is e (1 + alpha |lp|), or e with gain alpha
         e = np.exp(alpha * lp)
         t = e * lp if with_log else e
-        slope = e - alpha * t if with_log else e  # e (1 + alpha |lp|), or e times alpha
+        return t, (e - alpha * t if with_log else e), np.ones_like(t)
 
-        def part(s, rho):
-            err = float(np.dot(lp_err[s], slope[s]))
-            return (t[s], _tail_ratio(rho, float(lp[s.stop - 1]), alpha, with_log),
-                    err if with_log else alpha * err)
-        return part
-
-    def tail(lp, rho):
-        t = math.exp(alpha * lp) * (-lp if with_log else 1.0)
-        return _geometric_tail(t, _tail_ratio(rho, lp, alpha, with_log))
-
-    return _mode_sum(d, _plan(d, alpha), terms, tail, cfg)
+    return _mode_sum(d, _plan(d, alpha), _Summand(
+        terms, lambda lp: math.exp(alpha * lp) * (-lp if with_log else 1.0),
+        lambda rho, lp: _tail_ratio(rho, lp, alpha, with_log), 1.0 if with_log else alpha), cfg)
 
 
 def discrete_expectation(d: Distribution, weight: Callable, cfg: OracleConfig) -> SeriesResult:
@@ -642,23 +632,18 @@ def discrete_expectation(d: Distribution, weight: Callable, cfg: OracleConfig) -
         raise FamilyMismatchError("discrete_expectation needs a discrete family")
     scale = 1.0  # the largest weight evaluated yet: the w the next batch's prediction assumes
 
-    def terms(ks, lp, lp_err, step):
+    def terms(ks, lp, step):
         nonlocal scale
         w = np.asarray(weight(np.append(ks, ks[-1] + 1)), dtype=float)
-        t = np.exp(lp) * w[:-1]
         scale = max(scale, float(w.max()))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # upward w(k+1)/w(k) joins the ratio; downward w does not increase
+            grow = np.where(w[:-1] == 0.0, math.inf, w[1:] / w[:-1] if step > 0 else 1.0)
+        t = np.exp(lp) * w[:-1]
+        return t, t, grow
 
-        def part(s, rho):
-            end = s.stop - 1
-            # upward w(k+1)/w(k) joins rho; downward w does not increase
-            q = math.inf if w[end] == 0.0 else rho * float(w[end + 1] / w[end] if step > 0 else 1.0)
-            return t[s], q, float(np.dot(lp_err[s], t[s]))
-        return part
-
-    def tail(lp, rho):
-        return _geometric_tail(math.exp(lp) * scale, rho)
-
-    return _mode_sum(d, _plan(d, 1.0), terms, tail, cfg)
+    return _mode_sum(d, _plan(d, 1.0), _Summand(
+        terms, lambda lp: math.exp(lp) * scale, lambda rho, lp: rho), cfg)
 
 
 def _nonzero(j: float, alpha: float, measure: str) -> float:

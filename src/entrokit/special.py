@@ -23,7 +23,10 @@ Two array kernels serve the saddle-point log-pmfs of Poisson and Binomial
 2000): stirlerr, the Stirling remainder of log k!, and bd0, the deviance
 x log(x/m) + m - x.  Both are nonnegative, so the log-pmfs add terms of
 one sign and no O(k log k) quantities cancel.  They skip the argument
-checks.
+checks.  bd0 is elementwise: one expression, whatever else the array
+holds.  stirlerr cuts its series for the whole array at its smallest
+argument, which can move a value by an ulp of stirlerr (1e-18 or less
+absolute) against the same k alone.
 """
 
 from __future__ import annotations
@@ -120,7 +123,9 @@ def stirlerr(k):
     """log k! - [(k + 1/2) log k - k + log(2 pi)/2] for integers k >= 1 (scalar or array).
 
     A table for k <= 15; above it the _LGAMMA_COEF series, cut at the
-    first term below 1e-19 for the smallest k.
+    first term below 1e-19 for the smallest k of the array.  The cut is
+    one for the whole array: eight terms everywhere, or a count per
+    element, cost several times as much at large k.
     """
     k = np.asarray(k, dtype=float)
     if k.ndim == 0:
@@ -144,31 +149,20 @@ def stirlerr(k):
 def bd0(x, m):
     """Deviance x log(x/m) + m - x >= 0 for x > 0 (scalar or array) and a scalar m > 0.
 
+    Elementwise, so a value does not depend on the rest of the array.
     Where |x - m| < 0.1 (x + m) Loader's series in v = (x - m)/(x + m),
-    bd0 = (x - m) v + 2x (v^3/3 + v^5/5 + ...), keeps a few ulp of
-    relative accuracy; it is cut where the rest is below 2**-56 of the
-    sum.  Elsewhere x log1p((x - m)/m) - (x - m) is good to about
+    bd0 = (x - m) v + 2x (v^3/3 + v^5/5 + ... + v^17/17), keeps a few ulp
+    of relative accuracy: the terms past v^17/17 sum to under 2**-56 of
+    it.  Elsewhere x log1p((x - m)/m) - (x - m) is good to about
     2u (bd0 + |x - m|), where |x - m| is at most ten times bd0.
     """
     x = np.asarray(x, dtype=float)
     d = x - m
     v = d / (x + m)
-    near = np.abs(v) < 0.1
-    all_near = bool(near.all())
-    out = None
-    if not all_near:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = x * np.log1p(d / m) - d
-    if all_near or near.any():
-        vmax = float(np.abs(v).max() if all_near else np.abs(v[near]).max())
-        # the terms after the j-th sum to at most 2.2 vmax**(2j+1) / (2j+3) of bd0
-        j = 1
-        while j < 8 and 2.2 * vmax ** (2 * j + 1) > 2.0**-56 * (2 * j + 3):
-            j += 1
-        v2 = v * v
-        s = 1.0 / (2 * j + 1)
-        for i in range(j - 1, 0, -1):
-            s = s * v2 + 1.0 / (2 * i + 1)
-        series = d * v + 2.0 * x * v * v2 * s
-        out = series if all_near else np.where(near, series, out)
-    return out
+    v2 = v * v
+    s = np.full_like(v, 1.0 / 17.0)
+    for i in range(7, 0, -1):  # Horner in v**2, in place
+        s *= v2
+        s += 1.0 / (2 * i + 1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(np.abs(v) < 0.1, d * v + 2.0 * x * v * v2 * s, x * np.log1p(d / m) - d)

@@ -367,6 +367,16 @@ class TestVerifyContract:
         assert value == pytest.approx(closed, rel=1e-12)
         assert est == pytest.approx(value, abs=1e-8 * (1.0 + abs(value)))
 
+    @pytest.mark.parametrize("argv", [
+        "entropy --dist poisson:lambda=1e300 --measure shannon", "converge --lambda 1e300 --n 10",
+    ], ids=["entropy", "converge"])
+    def test_mass_past_exact_float_indices_is_one_short_line(self, capsys, argv):
+        """The index of a mode past 2**53 prints as a float, not as a 301-digit integer."""
+        code, out, err = run(capsys, *argv.split())
+        assert (code, out) == (1, "")
+        assert err.count("\n") == 1 and len(err) < 150
+        assert "index 1e+300, beyond 2**53" in err
+
 
 class TestMalformedArguments:
     @pytest.mark.parametrize("grid, message", [

@@ -99,6 +99,36 @@ class TestPmfPins:
         assert np.ndim(one) == 0 and one == many[6]
 
 
+def elementwise_records():
+    rng = np.random.default_rng(1818)
+    poisson = [Poisson(float(lam)) for lam in 10.0 ** rng.uniform(0.0, 7.0, 16)]
+    binomial = [Binomial(int(n), float(p)) for n, p in zip(10.0 ** rng.uniform(1.0, 11.0, 16),
+                                                           rng.uniform(1e-3, 0.999, 16))]
+    return [Poisson(1.0), Poisson(1e7), Binomial(10, 0.5), Binomial(10**11, 0.3)] + poisson + binomial
+
+
+class TestLogPmfIsElementwise:
+    """log p_k is a function of k alone: the same double in any index array."""
+
+    @pytest.mark.parametrize("d", elementwise_records(), ids=repr)
+    def test_array_matches_each_index_alone(self, d):
+        mean, var = (d.lam, d.lam) if isinstance(d, Poisson) else (d.n * d.p, d.n * d.p * (1 - d.p))
+        top = math.inf if isinstance(d, Poisson) else d.n
+        reach = 12.0 * math.sqrt(var)
+        ks = np.unique(np.clip(np.round(np.linspace(mean - reach, mean + reach, 257)), 0, top))
+        together = logpmf(d, ks)
+        alone = np.array([logpmf(d, k) for k in ks])
+        assert np.array_equal(together, alone)
+
+    def test_a_value_once_moved_by_its_batch(self):
+        # k = 54291 alone, in the 256-index block of the downward series that holds it, and in
+        # the 1984-index batch that evaluates that block with its neighbours
+        d = Poisson(54759.61245759474)
+        alone = logpmf(d, 54291.0)
+        for ks in (np.arange(54502.0, 54246.0, -1.0), np.arange(54694.0, 52710.0, -1.0)):
+            assert logpmf(d, ks)[ks == 54291.0][0] == alone
+
+
 class TestNormalization:
     @pytest.mark.parametrize("family", CONTINUOUS)
     def test_continuous_normalization(self, family, cfg, rng):

@@ -628,6 +628,36 @@ class TestBatchedEvaluation:
         assert len(calls) <= 3
 
 
+UNBATCHED = [Poisson(0.1), Poisson(70.0), Poisson(1e4), Poisson(436416.00320465304),
+             Binomial(10, 0.2), Binomial(1000, 0.5), Binomial(10**6, 0.3), Binomial(10**7, 1e-7),
+             NegBinomialConditional(0.05, 0.3), NegBinomialConditional(0.5, 4.0),
+             Logarithmic(1e-3), Logarithmic(0.9)]
+
+
+class TestBatchesDoNotChangeValues:
+    """The batch plan decides which terms one logpmf call evaluates, never what they sum to."""
+
+    @staticmethod
+    def runs(monkeypatch, run):
+        batched = run()
+        monkeypatch.setattr(oracle, "_MAX_BATCH", 1)  # every batch is one block
+        return batched, run()
+
+    @pytest.mark.parametrize("transform, alpha", [
+        ("p_log_p", 1.0), ("p_alpha", 0.7), ("p_alpha_log_p", 1.6)])
+    @pytest.mark.parametrize("d", UNBATCHED, ids=repr)
+    def test_entropy_sums(self, d, transform, alpha, cfg, monkeypatch):
+        batched, blocks = self.runs(monkeypatch,
+                                    lambda: discrete_entropy_sum(d, transform, alpha, cfg))
+        assert batched == blocks
+
+    @pytest.mark.parametrize("d", UNBATCHED, ids=repr)
+    def test_expectations(self, d, cfg, monkeypatch):
+        batched, blocks = self.runs(monkeypatch, lambda: discrete_expectation(
+            d, lambda ks: np.log(np.asarray(ks, dtype=float) + 1.0), cfg))
+        assert batched == blocks
+
+
 class TestEntropyEstimateArguments:
     @pytest.mark.parametrize("measure, alpha, beta", [
         ("renyi", 1.0, None), ("gr2", 2.0, 2.0), ("sm", 2.0, 1.0), ("renyi", None, None),
