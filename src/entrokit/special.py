@@ -1,8 +1,13 @@
 """Log-gamma, digamma and trigamma kernels on the positive half-line.
 
-Method: one kernel serves all three.  Upward recurrence shifts the
-argument to z >= 10, the Stirling-type expansion (DLMF 5.11) is summed
-at z as a polynomial in 1/z**2, and the shift terms are taken back out.
+Method: one kernel serves all three.  Each argument x below 10 walks up
+the recurrence on its own, x, x + 1, (x + 1) + 1, ..., to the first
+z >= 10; the walks of the whole array are one block of at most ten
+steps per row.  The Stirling-type expansion (DLMF 5.11) is summed at z
+as a polynomial in 1/z**2, and each row's shift terms are taken back
+out in the order of its walk, so a value does not depend on the rest
+of the array.  Overflow at the ends of the float range gives the limit
+(psi(1e-320) = -inf, log gamma(1e308) = inf) without a warning.
 The three coefficient tuples are B_2k / (2k (2k-1)), B_2k / (2k) and
 B_2k, each derived from the one Bernoulli table below.  With these
 coefficient counts the expansion truncation error at z = 10 is under
@@ -23,7 +28,8 @@ Two array kernels serve the saddle-point log-pmfs of Poisson and Binomial
 2000): stirlerr, the Stirling remainder of log k!, and bd0, the deviance
 x log(x/m) + m - x.  Both are nonnegative, so the log-pmfs add terms of
 one sign and no O(k log k) quantities cancel.  They skip the argument
-checks.  bd0 is elementwise: one expression, whatever else the array
+checks.  bd0 is elementwise: it evaluates a branch only if some element
+takes it, and an element's value is the same whatever else the array
 holds.  stirlerr cuts its series for the whole array at its smallest
 argument, which can move a value by an ulp of stirlerr (1e-18 or less
 absolute) against the same k alone.
@@ -47,6 +53,7 @@ _DIGAMMA_COEF = tuple(n / (d * 2 * k) for k, (n, d) in enumerate(_BERNOULLI[:7],
 _TRIGAMMA_COEF = tuple(n / d for n, d in _BERNOULLI[:7])
 
 _SHIFT_THRESHOLD = 10.0
+_WALK_COLUMNS = np.arange(12)  # a placeholder, then x and up to 10 unit steps
 
 # stirlerr(k) = log k! - [(k + 1/2) log k - k + log(2 pi)/2] for k = 0..15, from 40-digit
 # mpmath; k = 0 is a placeholder (the log-pmfs evaluate their endpoints exactly)
@@ -69,28 +76,36 @@ def _shifted_series(x, coef, finish, step, zeros=()):
     for a scalar x.
     """
     arr = np.asarray(x, dtype=float)
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
-    if arr.size and (not np.all(np.isfinite(arr)) or np.any(arr <= 0.0)):
-        bad = arr[~(np.isfinite(arr) & (arr > 0.0))].ravel()[0]
-        raise DomainError(f"argument must be a finite positive real, got {bad}")
-    z = arr.copy()
-    shifts = []
-    # x > 0 reaches 10 in at most ceil(10) = 10 unit steps
-    while np.any(z < _SHIFT_THRESHOLD):
-        mask = z < _SHIFT_THRESHOLD
-        shifts.append((mask, z[mask].copy()))
-        z[mask] += 1.0
-    rz2 = 1.0 / (z * z)
-    series = np.zeros_like(z)
-    for c in reversed(coef):
-        series = (series + c) * rz2
-    out = finish(z, rz2, series)
-    for mask, vals in shifts:
-        out[mask] -= step(vals)
+    ok = (arr > 0.0) & (arr < np.inf)
+    if not ok.all():
+        raise DomainError(f"argument must be a finite positive real, got {arr[~ok].ravel()[0]}")
+    flat = arr.reshape(-1)
+    z = flat.copy()
+    low = np.flatnonzero(z < _SHIFT_THRESHOLD)
+    # 1/x overflows below 1e-308 and z*z above 1e154; the limits they give are the values
+    with np.errstate(over="ignore", divide="ignore"):
+        if low.size:
+            # row i is [placeholder, x, x + 1, (x + 1) + 1, ...], rounded as the recurrence
+            # rounds; x > 0 reaches 10 in at most 10 unit steps, so column 11 is >= 10
+            walk = np.ones((low.size, _WALK_COLUMNS.size))
+            walk[:, 1] = z[low]
+            np.add.accumulate(walk[:, 1:], axis=1, out=walk[:, 1:])
+            n = np.argmax(walk >= _SHIFT_THRESHOLD, axis=1)
+            z[low] = walk[np.arange(low.size), n]
+        rz2 = 1.0 / (z * z)
+        series = np.zeros_like(z)
+        for c in reversed(coef):
+            series = (series + c) * rz2
+        out = finish(z, rz2, series)
+        if low.size:
+            # finish - step(x) - step(x + 1) - ..., in that order, then - 0 past the row's steps
+            terms = step(walk)
+            terms[_WALK_COLUMNS >= n[:, None]] = 0.0
+            terms[:, 0] = out[low]
+            out[low] = np.subtract.reduce(terms, axis=1)
     for root in zeros:
-        out[arr == root] = 0.0
-    return float(out[0]) if scalar else out
+        out[flat == root] = 0.0
+    return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
 
 def log_gamma(x):
@@ -133,7 +148,7 @@ def stirlerr(k):
     small = k <= 15.0
     any_small = bool(small.any())
     z = np.where(small, 16.0, k) if any_small else k
-    zmin = float(z.min())
+    zmin = float(z.min(initial=np.inf))  # inf for an empty k: the one-term cut
     terms = next((j for j, cut in enumerate(_STIRLERR_CUTS, 1) if zmin > cut), 8)
     series = _LGAMMA_COEF[terms - 1]
     if terms > 1:
@@ -159,10 +174,17 @@ def bd0(x, m):
     x = np.asarray(x, dtype=float)
     d = x - m
     v = d / (x + m)
-    v2 = v * v
-    s = np.full_like(v, 1.0 / 17.0)
-    for i in range(7, 0, -1):  # Horner in v**2, in place
-        s *= v2
-        s += 1.0 / (2 * i + 1)
+    near = np.abs(v) < 0.1
+    series = None
+    if near.any():
+        v2 = v * v
+        s = np.full_like(v, 1.0 / 17.0)
+        for i in range(7, 0, -1):  # Horner in v**2, in place
+            s *= v2
+            s += 1.0 / (2 * i + 1)
+        series = d * v + 2.0 * x * v * v2 * s
+        if near.all():
+            return series
     with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(np.abs(v) < 0.1, d * v + 2.0 * x * v * v2 * s, x * np.log1p(d / m) - d)
+        far = x * np.log1p(d / m) - d
+    return far if series is None else np.where(near, series, far)

@@ -337,6 +337,13 @@ class TestVerifyContract:
         assert (code, out) == (1, "")
         assert err.startswith("entrokit: error: x**") and "< 1/20" in err
 
+    def test_gamma_shape_below_the_normal_range_is_one_error_line(self, capsys):
+        """psi(1e-320) = -inf: the error line comes alone, with no numpy warning before it."""
+        code, out, err = run(capsys, "entropy", "--dist", "gamma:lambda=1,mu=1e-320",
+                             "--measure", "shannon")
+        assert (code, out) == (1, "")
+        assert err.startswith("entrokit: error: shannon entropy of gamma") and err.count("\n") == 1
+
     @pytest.mark.parametrize("argv, message", [
         ("entropy --dist lognormal:m=800,sigma2=1 --measure shannon",
          "scale must be a finite real number, got inf"),

@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 from entrokit import digamma, log_gamma, trigamma
 from entrokit.errors import DomainError
 from entrokit.special import (_DIGAMMA_COEF, _LGAMMA_COEF, _STIRLERR_TABLE, _TRIGAMMA_COEF,
-                              bd0, stirlerr)
+                              _shifted_series, bd0, stirlerr)
 
 EULER_GAMMA = 0.5772156649015328606
 PI2_6 = math.pi**2 / 6.0
@@ -129,9 +129,10 @@ class TestCallContract:
         assert type(got) is float
         assert got == fn(float(x))
 
-    @pytest.mark.parametrize("x", [[0.5, 1.0, 2.0, 12.0], np.array([]),
-                                   np.array([[0.5, 1.0, 3.0], [2.0, 9.99, 1e6]])],
-                             ids=["list", "empty", "2-d"])
+    @pytest.mark.parametrize("x", [[0.5, 1.0, 2.0, 12.0], np.array([]), np.empty((0, 3)),
+                                   np.array([[0.5, 1.0, 3.0], [2.0, 9.99, 1e6]]),
+                                   np.geomspace(1e-3, 1e3, 24).reshape(2, 3, 4)],
+                             ids=["list", "empty", "empty 2-d", "2-d", "3-d"])
     @pytest.mark.parametrize("fn", [log_gamma, digamma, trigamma])
     def test_array_keeps_shape_and_scalar_values(self, fn, x):
         got = fn(x)
@@ -139,6 +140,96 @@ class TestCallContract:
         assert isinstance(got, np.ndarray) and got.shape == want.shape
         assert [v.hex() for v in got.ravel().tolist()] == [
             fn(v).hex() for v in want.ravel().tolist()]
+
+
+def recurrence_reference(x, coef, finish, step, zeros=()):
+    """The kernel as a masked loop: shift every x < 10 up by 1 until all are >= 10, sum the
+    series there, then take the shifts back out one step at a time, first shift first."""
+    arr = np.atleast_1d(np.asarray(x, dtype=float))
+    z = arr.copy()
+    shifts = []
+    while np.any(z < 10.0):
+        mask = z < 10.0
+        shifts.append((mask, z[mask].copy()))
+        z[mask] += 1.0
+    rz2 = 1.0 / (z * z)
+    series = np.zeros_like(z)
+    for c in reversed(coef):
+        series = (series + c) * rz2
+    out = finish(z, rz2, series)
+    for mask, vals in shifts:
+        out[mask] -= step(vals)
+    for root in zeros:
+        out[arr == root] = 0.0
+    return out
+
+
+class TestKernelMatchesRecurrence:
+    """log_gamma, digamma and trigamma give the masked recurrence's doubles, bit for bit.
+
+    The kernel walks only the arguments below 10, in one block, so this also fails where
+    numpy's log or division rounds differently between array layouts.
+    """
+
+    @pytest.fixture(autouse=True)
+    def spy(self, monkeypatch):
+        calls = []
+
+        def spied(x, coef, finish, step, zeros=()):
+            calls.append((coef, finish, step, zeros))
+            return _shifted_series(x, coef, finish, step, zeros)
+
+        monkeypatch.setattr("entrokit.special._shifted_series", spied)
+        self.calls = calls
+
+    def check(self, x):
+        for fn in (log_gamma, digamma, trigamma):
+            got = fn(x)
+            assert np.shape(got) == np.shape(x)
+            with np.errstate(over="ignore", divide="ignore"):
+                want = recurrence_reference(x, *self.calls[-1]).reshape(np.shape(x))
+            assert np.array_equal(np.asarray(got).view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("x", [1.0, 2.0, 10.0, float(np.nextafter(10.0, 0.0)), 5e-324,
+                                   1e-8, 0.37, 2.2, 9.5, 12.0, 1e7, 1e308])
+    def test_scalars(self, x):
+        self.check(x)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_log_uniform_draws(self, seed):
+        x = 10 ** np.random.default_rng(seed).uniform(-8, 7, 20_000)
+        self.check(np.concatenate([x, [1.0, 2.0, 10.0, np.nextafter(10.0, 0.0), 5e-324]]))
+
+    def test_shapes(self):
+        rng = np.random.default_rng(2)
+        r = 10 ** rng.uniform(-8, 1, 300)
+        # NBcond's log-pmf stacks k + r and the index row into one (2, n) call
+        self.check(np.stack([np.arange(300.0) + r, np.arange(1.0, 301.0)]))
+        self.check(10 ** rng.uniform(-8, 7, (3, 4, 5)))
+        self.check(np.array([]))
+        self.check(np.empty((0, 3)))
+
+
+class TestNoWarnings:
+    """The kernel's 1/x and z*z overflow at the ends of the float range without a warning;
+    pytest's filterwarnings = error turns a leak into a failure."""
+
+    @pytest.mark.parametrize("x", [5e-324, 1e-320, 1e-309])
+    def test_tiny_end(self, x):
+        assert log_gamma(x) == pytest.approx(-math.log(x), rel=1e-15)
+        assert digamma(x) == -math.inf
+        assert trigamma(x) == math.inf
+
+    @pytest.mark.parametrize("x", [1e200, 1e308, 1.7e308])
+    def test_huge_end(self, x):
+        # (x - 1/2) log x - x overflows from about 2.6e305
+        assert log_gamma(x) == pytest.approx(x * (math.log(x) - 1.0), rel=1e-12)
+        assert digamma(x) == pytest.approx(math.log(x), rel=1e-15)
+        assert trigamma(x) == pytest.approx(1.0 / x, rel=1e-15)
+
+    def test_arrays_at_both_ends(self):
+        got = digamma(np.array([5e-324, 1.0, 1e308]))
+        assert got[0] == -math.inf and np.isfinite(got[1:]).all()
 
 
 class TestBernoulliTable:
@@ -176,6 +267,16 @@ class TestLoaderKernels:
                 want = self.mp_stirlerr(mp, int(k))
                 assert abs(got - want) <= 3 * 2.0**-53 * want
         assert stirlerr(7) == stirlerr(np.array([7.0]))[0] == _STIRLERR_TABLE[7]
+
+    def test_empty_arrays(self):
+        for got in (stirlerr(np.array([])), bd0(np.array([]), 3.0)):
+            assert isinstance(got, np.ndarray) and got.shape == (0,)
+
+    @pytest.mark.parametrize("x", [np.arange(95.0, 106.0), np.arange(1.0, 11.0),
+                                   np.arange(1.0, 301.0)], ids=["all-series", "all-log1p", "mixed"])
+    def test_bd0_branches_are_elementwise(self, x):
+        assert [v.hex() for v in bd0(x, 100.0).tolist()] == [
+            float(bd0(np.array([v]), 100.0)[0]).hex() for v in x]
 
     @pytest.mark.parametrize("m", [1e-8, 0.3, 7.5, 1000.0, 12345.678, 1e10])
     def test_bd0_against_mpmath(self, m):
