@@ -28,8 +28,7 @@ Two array kernels serve the saddle-point log-pmfs of Poisson and Binomial
 2000): stirlerr, the Stirling remainder of log k!, and bd0, the deviance
 x log(x/m) + m - x.  Both are nonnegative, so the log-pmfs add terms of
 one sign and no O(k log k) quantities cancel.  They skip the argument
-checks.  bd0 is elementwise: it evaluates a branch only if some element
-takes it, and an element's value is the same whatever else the array
+checks.  bd0 is elementwise: one expression, whatever else the array
 holds.  stirlerr cuts its series for the whole array at its smallest
 argument, which can move a value by an ulp of stirlerr (1e-18 or less
 absolute) against the same k alone.
@@ -174,17 +173,10 @@ def bd0(x, m):
     x = np.asarray(x, dtype=float)
     d = x - m
     v = d / (x + m)
-    near = np.abs(v) < 0.1
-    series = None
-    if near.any():
-        v2 = v * v
-        s = np.full_like(v, 1.0 / 17.0)
-        for i in range(7, 0, -1):  # Horner in v**2, in place
-            s *= v2
-            s += 1.0 / (2 * i + 1)
-        series = d * v + 2.0 * x * v * v2 * s
-        if near.all():
-            return series
+    v2 = v * v
+    s = np.full_like(v, 1.0 / 17.0)
+    for i in range(7, 0, -1):  # Horner in v**2, in place
+        s *= v2
+        s += 1.0 / (2 * i + 1)
     with np.errstate(divide="ignore", invalid="ignore"):
-        far = x * np.log1p(d / m) - d
-    return far if series is None else np.where(near, series, far)
+        return np.where(np.abs(v) < 0.1, d * v + 2.0 * x * v * v2 * s, x * np.log1p(d / m) - d)
