@@ -17,8 +17,12 @@ _PLANS:
   there as on a smooth integrand.  The real line is one t-mesh under one
   piecewise map: both tails x = p + scale * u/(1 - |u|) and linear
   pieces between the split points (the density modes), every split
-  point a breakpoint.  Every run starts from a fixed mesh, and a
-  flagged panel is split in four equal parts.
+  point a breakpoint.  Every run starts from a constant mesh (the
+  half-line mesh, or the real-line mesh for its number of split
+  points), and a flagged panel is split in four equal parts.  A run
+  whose density p is 0 at every node of its first pass would
+  "converge" to 0 there; it raises NonConvergenceError naming the
+  record instead.
 
 * one series engine with a certified geometric tail: once the uniform
   one-step ratio bound q of the terms is below 1, the remaining tail is
@@ -49,13 +53,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from functools import lru_cache
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .distributions import (Binomial, ChiSquared, Distribution, Exponential, Gamma,
                             Laplace, Logarithmic, LogNormal, NegBinomialConditional,
-                            Normal, Poisson, Uniform, logpdf, logpmf)
+                            Normal, Poisson, Uniform, format_spec, logpdf, logpmf)
 from .errors import (FamilyMismatchError, NonConvergenceError, ParameterError,
                      SeriesBudgetError, UnsupportedFamilyError, ValidityDomainError,
                      as_integer, as_real)
@@ -123,81 +128,103 @@ _WG = np.array([
 
 # one product gives the Kronrod sum and its difference from the Gauss sum
 _W = np.stack([_WK, _WK - _WG], axis=1)
-# the edges of the four parts of a split panel, as fractions of its width
-_SPLITS = np.linspace(0.0, 1.0, 5)
+# (lo, hi) of the four parts of a split panel, as fractions of its width
+_PARTS = np.array([[0.0, 0.25], [0.25, 0.5], [0.5, 0.75], [0.75, 1.0]])
 
 
 def _gk_apply(f, ends):
-    """Kronrod values and QUADPACK-style error estimates of the panels ends = (lo, hi).
+    """Kronrod values and QUADPACK-style error estimates of panels, (lo, hi) on ends' last axis.
 
-    Returns shape (2, components, panels), values first, and True when f
-    returns one value per point.  The sums run on the unit panel and are
-    scaled by the half-width h at the end; the error ratio
-    200 |K - G| / resasc has h cancelled.
+    Returns shape (2, components, panels), values first, the panels in
+    the C order of ends, and True when f returns one value per point.
+    The sums run on the unit panel and are scaled by the half-width h at
+    the end; the error ratio 200 |K - G| / resasc has h cancelled.  The
+    caller silences numpy's floating-point warnings: f and a constant y
+    divide by 0.
     """
-    lo, hi = ends
+    lo, hi = ends[..., 0], ends[..., 1]
     h = 0.5 * (hi - lo)
-    x = (lo + h)[:, None] + h[:, None] * _XK
-    with np.errstate(all="ignore"):
-        y = np.asarray(f(x.reshape(-1)), dtype=float)
-        scalar = y.ndim == 1
-        y = y.reshape(-1, 15)
-        kd = y @ _W
-        k = kd[:, 0]
-        resasc = np.abs(y - 0.5 * k[:, None]) @ _WK  # the mean is K / 2
-        # QUADPACK's resasc * min(1, (200 |K - G| / resasc)**1.5); 0 for a constant y
-        err = resasc * np.fmin(1.0, (200.0 * np.abs(kd[:, 1]) / resasc) ** 1.5)
-    est = np.stack([k, err]).reshape(2, -1, len(h)) * h
-    est[1] = np.maximum(est[1], np.abs(est[0]) * 5e-16)
+    x = (lo + h)[..., None] + h[..., None] * _XK
+    y = np.asarray(f(x.reshape(-1)), dtype=float)
+    scalar = y.ndim == 1
+    y = y.reshape(-1, 15)
+    est = (y @ _W).T  # the Kronrod sums, then K - G, overwritten by the error
+    resasc = np.abs(y - 0.5 * est[0][:, None]) @ _WK  # the mean is K / 2
+    # QUADPACK's resasc * min(1, (200 |K - G| / resasc)**1.5); 0 for a constant y
+    est[1] = resasc * np.fmin(1.0, (200.0 * np.abs(est[1]) / resasc) ** 1.5)
+    h = h.reshape(-1)
+    # in C order, as the panel sums along the last axis run pairwise on contiguous rows
+    est = np.multiply(est.reshape(2, -1, len(h)), h, order="C")
+    np.maximum(est[1], np.abs(est[0]) * 5e-16, out=est[1])
     return est, scalar
+
+
+def _breakpoints(breakpoints) -> np.ndarray:
+    """breakpoints as a float array, or ParameterError unless they are 1-D, >= 2, finite reals.
+
+    A numeric array, as the oracle's own meshes are, is checked whole;
+    the entries of anything else go through as_real one by one.
+    """
+    bp = breakpoints
+    if not (isinstance(bp, np.ndarray) and bp.dtype.kind in "fiu"):
+        bp = np.array([as_real(b, "breakpoint")
+                       for b in np.atleast_1d(np.asarray(bp, dtype=object))])
+    if not (bp.ndim == 1 and len(bp) >= 2 and np.isfinite(bp).all()):
+        raise ParameterError(
+            f"breakpoints must be a 1-D sequence of at least two finite reals, got {breakpoints!r}")
+    return bp.astype(float, copy=False)
 
 
 def integrate_interval(f: Callable, breakpoints, cfg: OracleConfig) -> QuadResult:
     """Adaptive quadrature of f over the panels defined by breakpoints.
 
-    f maps an array of points to as many values, or to shape (c, points)
-    for c integrals on one mesh; a QuadResult of floats, or of length-c
-    arrays, comes back.  Each pass splits every panel above its
-    equidistributed share of an unmet tolerance in four equal parts,
-    until each component's summed error estimate is under
-    max(abs_tol, rel_tol * |its integral|).  NonConvergenceError
-    once a split would take the mesh past max_subdivisions panels.
+    breakpoints are a 1-D sequence of at least two finite reals (equal
+    neighbours allowed), or ParameterError.  f maps an array of points
+    to as many values, or to shape (c, points) for c integrals on one
+    mesh; a QuadResult of floats, or of length-c arrays, comes back.
+    Each pass splits every panel above its equidistributed share of an
+    unmet tolerance in four equal parts, until each component's summed
+    error estimate is under max(abs_tol, rel_tol * |its integral|).
+    NonConvergenceError once a split would take the mesh past
+    max_subdivisions panels.
     """
-    bp = np.asarray(breakpoints, dtype=float)
-    ends = np.stack([bp[:-1], bp[1:]])
-    est, scalar = _gk_apply(f, ends)
-    while True:
-        totals, errors = est.sum(axis=2).tolist()
-        if not all(map(math.isfinite, totals + errors)):
-            raise NonConvergenceError("non-finite quadrature result; integrand invalid")
-        tols = [max(cfg.abs_tol, cfg.rel_tol * abs(v)) for v in totals]
-        unmet = [i for i, (e, t) in enumerate(zip(errors, tols)) if e > t]
-        if not unmet:
-            totals = [math.fsum(row) for row in est[0]]  # the reported sums correctly rounded
-            if scalar:
-                return QuadResult(totals[0], errors[0])
-            return QuadResult(np.array(totals), np.array(errors))
-        n = ends.shape[1]
-        room = (cfg.max_subdivisions - n) // 3  # panels that can still be split in four
-        if room < 1:
-            i = unmet[0]
-            raise NonConvergenceError(
-                f"error estimate {errors[i]:.3e} still above tolerance {tols[i]:.3e} "
-                f"after {n} panels (max_subdivisions={cfg.max_subdivisions})")
-        share = np.max([est[1, i] / tols[i] for i in unmet], axis=0)  # of the unmet tolerances
-        # never empty: an unmet row's shares sum to more than 1, so one is above 1/n
-        split = share > 0.5 / n
-        if np.count_nonzero(split) > room:  # the panel budget: only the worst offenders
-            split[:] = False
-            split[np.argpartition(share, -room)[-room:]] = True
-        lo, hi = ends[:, split]
-        edges = lo[:, None] + (hi - lo)[:, None] * _SPLITS
-        edges[:, 4] = hi
-        new_ends = np.stack([edges[:, :-1].reshape(-1), edges[:, 1:].reshape(-1)])
-        new_est, _ = _gk_apply(f, new_ends)
-        keep = ~split
-        ends = np.concatenate([ends[:, keep], new_ends], axis=1)
-        est = np.concatenate([est[:, :, keep], new_est], axis=2)
+    bp = _breakpoints(breakpoints)
+    with np.errstate(all="ignore"):  # f and _gk_apply meet 0/0 and x/0
+        ends = np.array([bp[:-1], bp[1:]]).T  # (panels, 2)
+        est, scalar = _gk_apply(f, ends)
+        while True:
+            totals, errors = est.sum(axis=2).tolist()
+            if not all(map(math.isfinite, totals + errors)):
+                raise NonConvergenceError("non-finite quadrature result; integrand invalid")
+            tols = [max(cfg.abs_tol, cfg.rel_tol * abs(v)) for v in totals]
+            unmet = [i for i, (e, t) in enumerate(zip(errors, tols)) if e > t]
+            if not unmet:
+                totals = [math.fsum(row) for row in est[0].tolist()]  # the sums correctly rounded
+                if scalar:
+                    return QuadResult(totals[0], errors[0])
+                return QuadResult(np.array(totals), np.array(errors))
+            n = len(ends)
+            room = (cfg.max_subdivisions - n) // 3  # panels that can still be split in four
+            if room < 1:
+                i = unmet[0]
+                raise NonConvergenceError(
+                    f"error estimate {errors[i]:.3e} still above tolerance {tols[i]:.3e} "
+                    f"after {n} panels (max_subdivisions={cfg.max_subdivisions})")
+            share = est[1, unmet[0]] / tols[unmet[0]]  # the largest of the unmet tolerances
+            for i in unmet[1:]:
+                share = np.maximum(share, est[1, i] / tols[i])
+            # never empty: an unmet row's shares sum to more than 1, so one is above 1/n
+            split = share > 0.5 / n
+            if np.count_nonzero(split) > room:  # the panel budget: only the worst offenders
+                split[:] = False
+                split[np.argpartition(share, -room)[-room:]] = True
+            lo, hi = ends[split].T
+            new_ends = lo[:, None, None] + (hi - lo)[:, None, None] * _PARTS  # (split, 4, 2)
+            new_ends[:, 3, 1] = hi
+            new_est, _ = _gk_apply(f, new_ends)
+            keep = ~split
+            ends = np.concatenate([ends[keep], new_ends.reshape(-1, 2)])
+            est = np.concatenate([est[:, :, keep], new_est], axis=2)
 
 
 _PLAIN_MESH = np.unique(np.concatenate([
@@ -207,6 +234,15 @@ _PLAIN_MESH = np.unique(np.concatenate([
 ]))
 # each linear piece between two real-line split points starts as 8 panels
 _PIECE_MESH = np.linspace(0.0, 1.0, 9)
+
+
+@lru_cache(maxsize=4)
+def _realline_mesh(m: int) -> np.ndarray:
+    """The real-line t-mesh at m + 1 split points: both tails and m linear pieces."""
+    mesh = np.unique(np.concatenate([-_PLAIN_MESH[::-1], *(j + _PIECE_MESH for j in range(m)),
+                                     m + _PLAIN_MESH]))
+    mesh.flags.writeable = False
+    return mesh
 
 
 def integrate_halfline(g: Callable, cfg: OracleConfig, scale: float = 1.0,
@@ -228,12 +264,17 @@ def integrate_halfline(g: Callable, cfg: OracleConfig, scale: float = 1.0,
     k = max(1.0, 4.0 / a1)
 
     def f(t):
-        u = 1.0 - (s := t**k)
+        s = t if k == 1.0 else t**k  # at k = 1, t**k and k t**(k - 1) are t and 1 exactly
+        u = 1.0 - s
         gx = g(x := scale * s / u)
+        jac = scale / (u * u)
+        if k != 1.0:
+            jac *= k * t ** (k - 1.0)
+        out = gx * jac
         # a density that underflowed to 0 stays 0 where the Jacobian overflows to inf, and
         # so does an x**a that overflowed below the smallest normal double
-        return np.where((gx == 0.0) | np.isinf(gx) & (x < 2.0**-1022), 0.0,
-                        gx * (scale / (u * u) * (k * t ** (k - 1.0))))
+        out[(gx == 0.0) | np.isinf(gx) & (x < 2.0**-1022)] = 0.0
+        return out
 
     return integrate_interval(f, _PLAIN_MESH, cfg)
 
@@ -255,27 +296,30 @@ def integrate_realline(g: Callable, cfg: OracleConfig, interior, scale: float = 
     a breakpoint.
     """
     scale = _positive_scale(scale)
-    pts = np.unique(np.array([as_real(p, "split point") for p in interior]))
-    if not len(pts):
+    pts = sorted({as_real(p, "split point") for p in interior})
+    if not pts:
         raise ParameterError("need at least one interior split point")
     m = len(pts) - 1
-    knots = np.arange(m + 1.0)
-    widths = np.diff(pts)
+    c, pts = pts[0], np.array(pts)
+    knots, widths = np.arange(m + 1.0), pts[1:] - pts[:-1]
 
     def f(t):
-        u = np.where(t < 0.0, t, np.maximum(t - m, 0.0))  # tail variable, 0 on the pieces
-        v = 1.0 - np.abs(u)
-        x = np.interp(t, knots, pts) + scale * (u / v)
-        jac = scale / (v * v)
         if m:
-            jac = np.where((t < 0.0) | (t > m), jac,
-                           widths[np.clip(t.astype(int), 0, m - 1)])
+            u = np.where(t < 0.0, t, np.maximum(t - m, 0.0))  # tail variable, 0 on the pieces
+            v = 1.0 - np.abs(u)
+            x = np.interp(t, knots, pts) + scale * (u / v)
+            jac = np.where((t < 0.0) | (t > m), scale / (v * v),
+                           widths[np.minimum(t.astype(int), m - 1)])
+        else:  # the tails alone: u = t
+            v = 1.0 - np.abs(t)
+            x = c + scale * (t / v)
+            jac = scale / (v * v)
         gx = g(x)
-        return np.where(gx == 0.0, 0.0, gx * jac)
+        out = gx * jac
+        out[gx == 0.0] = 0.0
+        return out
 
-    mesh = np.concatenate([-_PLAIN_MESH[::-1], *(j + _PIECE_MESH for j in range(m)),
-                           m + _PLAIN_MESH])
-    return integrate_interval(f, np.unique(mesh), cfg)
+    return integrate_interval(f, _realline_mesh(m), cfg)
 
 
 # --- per-family plans ---------------------------------------------------------
@@ -375,16 +419,34 @@ def _power_integrals(d: Distribution, terms, cfg: OracleConfig) -> QuadResult:
     terms = [(check_order("alpha", alpha, exclude_one=False), with_log)
              for alpha, with_log in terms]
 
+    mass = False  # whether p > 0 at some node of the first pass
+
     def g(x):
+        nonlocal mass
         lp = logpdf(d, x)
-        rows = []
-        with np.errstate(all="ignore"):
-            for alpha, with_log in terms:
-                w = np.exp(alpha * lp)
-                rows.append(np.where(np.isneginf(lp), 0.0, w * lp) if with_log else w)
-        return rows[0] if len(rows) == 1 else np.stack(rows)
+        mass = mass or _some_mass(d, lp)
+        rows = np.empty((len(terms), len(lp)))
+        for row, (alpha, with_log) in zip(rows, terms):
+            np.exp(lp if alpha == 1.0 else alpha * lp, out=row)
+            if with_log:
+                row *= lp
+                row[lp == -np.inf] = 0.0
+        return rows if len(terms) > 1 else rows[0]
 
     return _integrate(g, _joint_plan(d, [alpha for alpha, _ in terms]), cfg)
+
+
+def _some_mass(d: Distribution, lp) -> bool:
+    """True, or NonConvergenceError when p = exp(lp) is 0 at every node of a first pass.
+
+    Such a pass integrates to 0 with error 0 and ends its run: the run
+    would return 0 from no mass at all.
+    """
+    if _exp_or_inf(float(lp.max())) == 0.0:
+        raise NonConvergenceError(
+            f"the density of {format_spec(d)} is 0 at every quadrature node: the mesh "
+            "misses its mass")
+    return True
 
 
 def integral_p_alpha(d: Distribution, alpha: float, cfg: OracleConfig) -> QuadResult:
@@ -406,12 +468,15 @@ def kl_integral(p: Distribution, q: Distribution, cfg: OracleConfig) -> QuadResu
         raise UnsupportedFamilyError(
             f"supports differ: {plan_p.support} vs {plan_q.support}")
 
+    mass = False  # whether p > 0 at some node of the first pass
+
     def g(x):
+        nonlocal mass
         lp = logpdf(p, x)
-        lq = logpdf(q, x)
-        with np.errstate(all="ignore"):
-            out = np.exp(lp) * (lp - lq)
-        return np.where(np.isneginf(lp), 0.0, out)
+        mass = mass or _some_mass(p, lp)
+        out = np.exp(lp) * (lp - logpdf(q, x))
+        out[lp == -np.inf] = 0.0
+        return out
 
     # p's power at 0 holds: log q adds only a log factor
     plan = plan_p._replace(splits=tuple(sorted(set(plan_p.splits) | set(plan_q.splits))))

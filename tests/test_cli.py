@@ -326,6 +326,14 @@ class TestVerifyContract:
         assert (code, out) == (1, "")
         assert err.startswith("entrokit: error: the integral of p**3.5 underflows to 0")
 
+    def test_density_zero_at_every_node_exits_1(self, capsys):
+        """Gamma(1, 1e16) cancels to 0 in closed form; the oracle sees none of its mass."""
+        code, out, err = run(capsys, "entropy", "--dist", "gamma:lambda=1,mu=1e16",
+                             "--measure", "shannon", "--verify")
+        assert (code, out) == (1, "")
+        assert err.startswith("entrokit: error: the density of gamma:lambda=1.0,mu=1e+16 is 0")
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize("argv", [
         "entropy --dist gamma:lambda=1,mu=1e-17 --measure shannon",
         "kl --p gamma:lambda=1,mu=1e-17 --q gamma:lambda=1,mu=1e-16",

@@ -17,9 +17,9 @@ from entrokit import (Binomial, ChiSquared, EntropySpec, Exponential, Gamma, Lap
                       Poisson, Uniform, appendix_series_growth, binomial_to_poisson,
                       entropy_estimate, fgn_covariance, fgn_det_sweep, generalized_renyi1,
                       generalized_renyi2, integral_p_alpha, integral_p_alpha_log_p,
-                      integrate_halfline, integrate_realline, lognormal_moment,
-                      nb_to_logarithmic, poisson_entropy, poisson_entropy_derivative, renyi,
-                      sharma_mittal, tsallis)
+                      integrate_halfline, integrate_interval, integrate_realline,
+                      lognormal_moment, nb_to_logarithmic, poisson_entropy,
+                      poisson_entropy_derivative, renyi, sharma_mittal, tsallis)
 from entrokit.errors import ParameterError
 from entrokit.verification import oracle_equivalence
 
@@ -110,6 +110,8 @@ SLOTS = {
                                      float, 2.0, 2),
     "integrate_realline.split_point": Slot(
         lambda v: integrate_realline(decay, CFG, [-1.0, v]), float, 0.5, 1),
+    "integrate_interval.breakpoints": Slot(
+        lambda v: integrate_interval(decay, [0.0, v], CFG), float, 2.0, 2),
     "OracleConfig.abs_tol": config_slot("abs_tol", float, 1e-9, 1),
     "OracleConfig.rel_tol": config_slot("rel_tol", float, 1e-9, 1),
     "OracleConfig.series_tail_tol": config_slot("series_tail_tol", float, 1e-13, 1),
@@ -193,3 +195,26 @@ def test_integrators_reject_a_scale_that_is_not_positive(call):
     """A negative scale flips the sign of the integral, and 0 "converges" to 0."""
     with pytest.raises(ParameterError, match="scale must be positive"):
         call()
+
+
+@pytest.mark.parametrize("breakpoints", [
+    [0.0], [], [[0.0, 1.0]], ["a", "b"], [0.0, math.nan], [0.0, math.inf], 0.5,
+    np.array([[0.0, 1.0]]), np.array([0.0, np.inf]), np.array([True, False]),
+    np.array(["0", "1"]),
+], ids=["one", "empty", "nested", "strings", "nan", "inf", "scalar", "2d_array",
+        "inf_array", "bool_array", "str_array"])
+def test_integrate_interval_rejects_bad_breakpoints(breakpoints):
+    """Not a 1-D sequence of at least two finite reals: one ParameterError, no numpy warning."""
+    with pytest.raises(ParameterError, match="breakpoint"):
+        integrate_interval(decay, breakpoints, CFG)
+
+
+@pytest.mark.parametrize("breakpoints", [
+    [0.0, 0.0, 1.0], (0, Fraction(1, 2), np.float32(1.0)), np.array([0, 1]),
+    np.linspace(1.0, 1.0 + 4e-16, 17),  # a tiny Uniform's mesh repeats values
+], ids=["equal_neighbours", "mixed_reals", "int_array", "repeated_mesh"])
+def test_integrate_interval_takes_equal_neighbours_and_any_reals(breakpoints):
+    res = integrate_interval(decay, breakpoints, CFG)
+    lo, hi = float(breakpoints[0]), float(breakpoints[-1])
+    want = math.exp(-lo) - math.exp(-hi)  # decay = exp(-|x|) on [lo, hi] >= 0
+    assert abs(res.value - want) <= 1e-12

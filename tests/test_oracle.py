@@ -17,6 +17,8 @@ from entrokit import (Binomial, ChiSquared, Exponential, Gamma, Laplace,
 from entrokit.errors import (EntrokitError, FamilyMismatchError, NonConvergenceError,
                              ParameterError, SeriesBudgetError,
                              UnsupportedFamilyError, ValidityDomainError)
+from entrokit.verification import (ORACLE_FAMILIES, ORACLE_MEASURES, random_distribution,
+                                   random_spec)
 
 
 def gamma_power_integral(lam, mu, alpha):
@@ -696,6 +698,31 @@ class TestEntropyEstimateArguments:
         """Tsallis, and Sharma-Mittal with a positive power of J, need no log of J = 0.0."""
         assert entropy_estimate(Gamma(1e-200, 2.0), measure, 3.5, beta, cfg) == want
 
+    @pytest.mark.parametrize("mu", [1e12, 1e14, 1e16, 1e20, 1e200])
+    def test_density_zero_at_every_node_raises(self, mu, cfg, monkeypatch):
+        """A concentrated Gamma falls between the nodes: no value "converges" to 0 from nothing."""
+        calls = []
+        monkeypatch.setattr(oracle, "logpdf",
+                            lambda d, x: calls.append(np.size(x)) or logpdf(d, x))
+        d = Gamma(1.0, mu)
+        runs = [lambda: integral_p_alpha(d, 1.0, cfg),
+                lambda: integral_p_alpha_log_p(d, 2.0, cfg),
+                lambda: entropy_estimate(d, "shannon", None, None, cfg),
+                lambda: entropy_estimate(d, "gr2", 0.5, 2.0, cfg),
+                lambda: kl_integral(d, Gamma(1.0, 2.0), cfg)]
+        for run in runs:
+            calls.clear()
+            with pytest.raises(NonConvergenceError, match=r"density of gamma:lambda=1\.0,mu="
+                                                           r".* is 0 at every quadrature node"):
+                run()
+            assert calls[0] == 225 and len(calls) <= 2  # the first pass; KL's q once more
+
+    def test_density_zero_at_some_nodes_still_integrates(self, cfg):
+        """p > 0 at some node: p**3.5 may underflow everywhere, p itself integrates."""
+        d = Gamma(1e-200, 2.0)
+        assert integral_p_alpha(d, 3.5, cfg) == (0.0, 0.0)
+        assert abs(integral_p_alpha(d, 1.0, cfg).value - 1.0) <= 1e-10
+
 
 class TestVectorRuns:
     """One adaptive run per oracle value: c integrals on one mesh, one real-line t-mesh."""
@@ -899,3 +926,247 @@ class TestHalflineEndpoint:
         integrate_halfline(lambda x: x**power * np.exp(-x), cfg, power_at_zero=power)
         entropy_estimate(Gamma(1.0, power + 1.0), "shannon", None, None, cfg)  # p ~ x**power
         assert [held[0] for held in runs] == [15, 15]
+
+
+# --- the quadrature pass as first written, kept as the reference ----------------------
+# The oracle's pass was later trimmed to fewer numpy calls; these copies pin that every
+# node, value and error estimate stayed the same double.
+
+REFERENCE_SPLITS = np.linspace(0.0, 1.0, 5)
+
+
+def reference_gk_apply(f, ends):
+    lo, hi = ends
+    h = 0.5 * (hi - lo)
+    x = (lo + h)[:, None] + h[:, None] * oracle._XK
+    with np.errstate(all="ignore"):
+        y = np.asarray(f(x.reshape(-1)), dtype=float)
+        scalar = y.ndim == 1
+        y = y.reshape(-1, 15)
+        kd = y @ oracle._W
+        k = kd[:, 0]
+        resasc = np.abs(y - 0.5 * k[:, None]) @ oracle._WK
+        err = resasc * np.fmin(1.0, (200.0 * np.abs(kd[:, 1]) / resasc) ** 1.5)
+    est = np.stack([k, err]).reshape(2, -1, len(h)) * h
+    est[1] = np.maximum(est[1], np.abs(est[0]) * 5e-16)
+    return est, scalar
+
+
+def reference_integrate_interval(f, breakpoints, cfg):
+    bp = np.asarray(breakpoints, dtype=float)
+    ends = np.stack([bp[:-1], bp[1:]])
+    est, scalar = reference_gk_apply(f, ends)
+    while True:
+        totals, errors = est.sum(axis=2).tolist()
+        if not all(map(math.isfinite, totals + errors)):
+            raise NonConvergenceError("non-finite quadrature result; integrand invalid")
+        tols = [max(cfg.abs_tol, cfg.rel_tol * abs(v)) for v in totals]
+        unmet = [i for i, (e, t) in enumerate(zip(errors, tols)) if e > t]
+        if not unmet:
+            totals = [math.fsum(row) for row in est[0]]
+            if scalar:
+                return oracle.QuadResult(totals[0], errors[0])
+            return oracle.QuadResult(np.array(totals), np.array(errors))
+        n = ends.shape[1]
+        room = (cfg.max_subdivisions - n) // 3
+        if room < 1:
+            i = unmet[0]
+            raise NonConvergenceError(
+                f"error estimate {errors[i]:.3e} still above tolerance {tols[i]:.3e} "
+                f"after {n} panels (max_subdivisions={cfg.max_subdivisions})")
+        share = np.max([est[1, i] / tols[i] for i in unmet], axis=0)
+        split = share > 0.5 / n
+        if np.count_nonzero(split) > room:
+            split[:] = False
+            split[np.argpartition(share, -room)[-room:]] = True
+        lo, hi = ends[:, split]
+        edges = lo[:, None] + (hi - lo)[:, None] * REFERENCE_SPLITS
+        edges[:, 4] = hi
+        new_ends = np.stack([edges[:, :-1].reshape(-1), edges[:, 1:].reshape(-1)])
+        new_est, _ = reference_gk_apply(f, new_ends)
+        keep = ~split
+        ends = np.concatenate([ends[:, keep], new_ends], axis=1)
+        est = np.concatenate([est[:, :, keep], new_est], axis=2)
+
+
+def reference_halfline(g, cfg, scale=1.0, power_at_zero=3.0):
+    k = max(1.0, 4.0 / (power_at_zero + 1.0))
+
+    def f(t):
+        u = 1.0 - (s := t**k)
+        gx = g(x := scale * s / u)
+        return np.where((gx == 0.0) | np.isinf(gx) & (x < 2.0**-1022), 0.0,
+                        gx * (scale / (u * u) * (k * t ** (k - 1.0))))
+
+    return reference_integrate_interval(f, oracle._PLAIN_MESH, cfg)
+
+
+def reference_realline(g, cfg, interior, scale=1.0):
+    pts = np.unique(np.array([float(p) for p in interior]))
+    m = len(pts) - 1
+    knots = np.arange(m + 1.0)
+    widths = np.diff(pts)
+
+    def f(t):
+        u = np.where(t < 0.0, t, np.maximum(t - m, 0.0))
+        v = 1.0 - np.abs(u)
+        x = np.interp(t, knots, pts) + scale * (u / v)
+        jac = scale / (v * v)
+        if m:
+            jac = np.where((t < 0.0) | (t > m), jac,
+                           widths[np.clip(t.astype(int), 0, m - 1)])
+        gx = g(x)
+        return np.where(gx == 0.0, 0.0, gx * jac)
+
+    mesh = np.concatenate([-oracle._PLAIN_MESH[::-1],
+                           *(j + oracle._PIECE_MESH for j in range(m)), m + oracle._PLAIN_MESH])
+    return reference_integrate_interval(f, np.unique(mesh), cfg)
+
+
+def reference_integrate(g, plan, cfg):
+    if plan.support == "halfline":
+        return reference_halfline(g, cfg, scale=plan.scale, power_at_zero=plan.power_at_zero)
+    if plan.support == "realline":
+        return reference_realline(g, cfg, plan.splits, scale=plan.scale)
+    return reference_integrate_interval(g, np.linspace(*plan.splits, 17), cfg)
+
+
+def reference_power_integrals(d, terms, cfg):
+    def g(x):
+        lp = oracle.logpdf(d, x)
+        rows = []
+        with np.errstate(all="ignore"):
+            for alpha, with_log in terms:
+                w = np.exp(alpha * lp)
+                rows.append(np.where(np.isneginf(lp), 0.0, w * lp) if with_log else w)
+        return rows[0] if len(rows) == 1 else np.stack(rows)
+
+    return reference_integrate(g, oracle._joint_plan(d, [alpha for alpha, _ in terms]), cfg)
+
+
+def reference_kl(p, q, cfg):
+    def g(x):
+        lp = oracle.logpdf(p, x)
+        lq = oracle.logpdf(q, x)
+        with np.errstate(all="ignore"):
+            out = np.exp(lp) * (lp - lq)
+        return np.where(np.isneginf(lp), 0.0, out)
+
+    plan_p, plan_q = oracle._plan(p, 1.0), oracle._plan(q, 1.0)
+    plan = plan_p._replace(splits=tuple(sorted(set(plan_p.splits) | set(plan_q.splits))))
+    return reference_integrate(g, plan, cfg)
+
+
+def measure_terms(spec):
+    """The (alpha, with_log) rows entropy_estimate integrates for a measure."""
+    return {"shannon": [(1.0, True)], "gr1": [(spec.alpha, False), (spec.alpha, True)],
+            "gr2": [(spec.alpha, False), (spec.beta, False)]}.get(
+                spec.measure, [(spec.alpha, False)])
+
+
+class TestPassMatchesReference:
+    """Every node, value and error estimate of a run is the reference pass's, bit for bit."""
+
+    @staticmethod
+    def outcome(run):
+        """A run's QuadResult as bytes and types, or the message of its NonConvergenceError."""
+        try:
+            res = run()
+        except NonConvergenceError as exc:
+            return str(exc)
+        return [np.asarray(v, dtype=float).tobytes() for v in res], [type(v) for v in res]
+
+    @pytest.fixture
+    def compare(self, monkeypatch):
+        """compare(run, reference): the same outcome from the same nodes.
+
+        The nodes are those handed to oracle.logpdf, which every integrand here calls once
+        per pass and density; compare returns the number of those calls.
+        """
+        nodes = []
+        logpdf = oracle.logpdf
+        monkeypatch.setattr(oracle, "logpdf",
+                            lambda d, x: nodes.append(np.array(x).tobytes()) or logpdf(d, x))
+
+        def check(run, reference):
+            got = self.outcome(run)
+            got_nodes = nodes[:]
+            nodes.clear()
+            assert got == self.outcome(reference)
+            assert got_nodes == nodes and got_nodes
+            passes = len(nodes)
+            nodes.clear()
+            return passes
+
+        return check
+
+    def test_oracle_values_of_every_family_and_measure(self, compare):
+        rng = np.random.default_rng(2020)
+        cfg = OracleConfig()
+        for family in ORACLE_FAMILIES:
+            for measure in ORACLE_MEASURES:
+                for _ in range(3):
+                    d = random_distribution(family, rng)
+                    terms = measure_terms(random_spec(measure, d, rng))
+                    compare(lambda: oracle._power_integrals(d, terms, cfg),
+                            lambda: reference_power_integrals(d, terms, cfg))
+
+    def test_kl_of_every_family(self, compare):
+        rng = np.random.default_rng(2021)
+        cfg = OracleConfig()
+        for family in ORACLE_FAMILIES:
+            for _ in range(3):
+                p = random_distribution(family, rng)
+                q = p if family == "uniform" else random_distribution(family, rng)
+                compare(lambda: kl_integral(p, q, cfg), lambda: reference_kl(p, q, cfg))
+
+    @pytest.mark.parametrize("interior", [[0.4], [-1.0, 0.4], [-3.0, -1.0, 2.5]],
+                             ids=["one", "two", "three"])
+    def test_realline_at_one_two_and_three_split_points(self, interior, cfg, compare):
+        d = Laplace(0.4, 0.8)
+
+        def g(x):
+            return np.exp(oracle.logpdf(d, x)) * (1.0 + np.abs(x))
+
+        compare(lambda: oracle.integrate_realline(g, cfg, interior, scale=1.5),
+                lambda: reference_realline(g, cfg, interior, scale=1.5))
+
+    @pytest.mark.parametrize("power", [3.0, 7.0, 1.5, -0.5, -0.9])  # k = 1, 1, 1.6, 8, 40
+    def test_halfline_at_k_one_and_above(self, power, cfg, compare):
+        d = Gamma(1.3, power + 1.0)
+
+        def g(x):
+            with np.errstate(all="ignore"):
+                lp = oracle.logpdf(d, x)
+                return np.where(lp == -np.inf, 0.0, np.exp(lp) * lp)
+
+        compare(lambda: oracle.integrate_halfline(g, cfg, scale=2.0, power_at_zero=power),
+                lambda: reference_halfline(g, cfg, scale=2.0, power_at_zero=power))
+        compare(lambda: integral_p_alpha_log_p(d, 1.0, cfg),
+                lambda: reference_power_integrals(d, [(1.0, True)], cfg))
+
+    def test_runs_of_many_passes_and_a_multi_row_integrand(self, cfg, compare):
+        d = Normal(0.3, 0.5)
+
+        def kink(x):  # |x - 1/3| and a density: neither is smooth on the mesh
+            lp = oracle.logpdf(d, x)
+            return np.array([np.sqrt(np.abs(x - 1.0 / 3.0)), np.exp(lp) * np.abs(x - 0.3)])
+
+        passes = compare(lambda: integrate_interval(kink, [0.0, 0.5, 1.0], cfg),
+                         lambda: reference_integrate_interval(kink, [0.0, 0.5, 1.0], cfg))
+        assert passes >= 3
+        single = compare(lambda: integrate_interval(lambda x: kink(x)[0], [0.0, 1.0], cfg),
+                         lambda: reference_integrate_interval(lambda x: kink(x)[0], [0.0, 1.0],
+                                                              cfg))
+        assert single >= 3
+
+    @pytest.mark.parametrize("budget", [16, 40, 100])
+    def test_budget_exhaustion_says_the_same(self, budget, compare):
+        d = Normal(0.0, 1.0)
+
+        def wild(x):  # the logpdf term is 0; its call records the nodes
+            return np.cos(200.0 * x) * np.cos(3000.0 * x**2) + 0.0 * oracle.logpdf(d, x)
+
+        cfg = OracleConfig(max_subdivisions=budget)
+        compare(lambda: integrate_interval(wild, np.linspace(0.0, 3.0, 3), cfg),
+                lambda: reference_integrate_interval(wild, np.linspace(0.0, 3.0, 3), cfg))

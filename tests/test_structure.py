@@ -253,3 +253,40 @@ def test_each_oracle_value_is_one_traced_run(monkeypatch):
         p = random_distribution(family, rng)
         q = p if family == "uniform" else random_distribution(family, rng)
         one_run(lambda: oracle.kl_integral(p, q, cfg), 2)
+
+
+PER_PASS_BANNED = {"np.stack", "np.isneginf", "np.unique", "np.linspace"}
+
+
+def oracle_per_pass_functions() -> dict[str, ast.FunctionDef]:
+    """The oracle code that runs on every quadrature pass, by name.
+
+    That is _gk_apply, integrate_interval, _some_mass and the integrand
+    closures nested in integrate_halfline, integrate_realline,
+    _power_integrals and kl_integral.
+    """
+    tree = ast.parse((SRC / "oracle.py").read_text())
+    top = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    found = {name: top[name] for name in ("_gk_apply", "integrate_interval", "_some_mass")}
+    for outer in ("integrate_halfline", "integrate_realline", "_power_integrals", "kl_integral"):
+        nested = [node for node in ast.walk(top[outer])
+                  if isinstance(node, ast.FunctionDef) and node is not top[outer]]
+        assert nested, f"{outer} has no integrand closure"
+        found.update({f"{outer}.{node.name}": node for node in nested})
+    return found
+
+
+def banned_calls(functions: dict[str, ast.FunctionDef]) -> list[str]:
+    return [f"{name}:{node.lineno} {ast.unparse(node.func)}"
+            for name, function in functions.items() for node in ast.walk(function)
+            if isinstance(node, ast.Call) and ast.unparse(node.func) in PER_PASS_BANNED]
+
+
+def test_quadrature_passes_make_no_slow_numpy_calls():
+    """np.stack, np.isneginf (Python wrappers) and the mesh builders stay out of each pass."""
+    functions = oracle_per_pass_functions()
+    assert len(functions) >= 7
+    assert banned_calls(functions) == []
+    # the walk reaches into a function's body: an integrand that stacks its rows is found
+    stacked = ast.parse("def g(x):\n    return np.stack([x, x])\n").body[0]
+    assert banned_calls({"g": stacked}) == ["g:2 np.stack"]
