@@ -5,9 +5,10 @@ generalized Renyi GR1(alpha), Tsallis(alpha), two-parameter generalized
 Renyi GR2(alpha, beta), Sharma-Mittal(alpha, beta) and the modified
 Shannon entropy for bounded densities.
 
-Everything except Shannon and GR1 factors through the power integral
-J(alpha) = integral of p**alpha, for which each continuous family has a
-closed log-form:
+Shannon is GR1 at alpha = 1, GR1(alpha) = -int p**alpha log p / int p**alpha,
+and is evaluated by the same closed form.  Everything else factors
+through the power integral J(alpha) = integral of p**alpha, for which
+each continuous family has a closed log-form:
 
     renyi   = log J(alpha) / (1 - alpha)
     tsallis = (J(alpha) - 1) / (1 - alpha)
@@ -15,17 +16,19 @@ closed log-form:
     sm      = (J(alpha)**((1-beta)/(1-alpha)) - 1) / (1 - beta)
 
 Each continuous family has one row in _ROWS (log J(alpha) with its
-order-domain check, Shannon, GR1, KL, density supremum) where the
-measures look their entry up.  Chi-squared is looked up as Gamma(1/2,
-nu/2): its record reads lam = 1/2 and mu = nu/2, so Gamma's row takes it
-unchanged; its printed formulas are test assertions instead.  Discrete
-Shannon entropies have no closed form and are computed by the certified
-series engine, sharing one code path with the oracle.
+order-domain check, GR1, KL, density supremum) where the measures look
+their entry up; each GR1 entry gives exactly the Shannon double at
+alpha = 1.  Chi-squared is looked up as Gamma(1/2, nu/2): its record
+reads lam = 1/2 and mu = nu/2, so Gamma's row takes it unchanged; its
+printed formulas are test assertions instead.  Discrete Shannon
+entropies have no closed form and are computed by the certified series
+engine, sharing one code path with the oracle.
 
 Orders are checked by EntropySpec and their domains eagerly: a Gamma or
-chi-squared power integral only exists for alpha*(mu-1) > -1, and
-violations raise ValidityDomainError carrying the violated inequality,
-never NaN.  Values past the float range raise ParameterError.
+chi-squared power integral only exists for alpha*(mu-1) + 1 > 0, tested
+as alpha*mu + 1 - alpha > 0 (the shape of p**alpha, exact at alpha = 1
+for any mu).  Violations raise ValidityDomainError carrying the violated
+inequality, never NaN.  Values past the float range raise ParameterError.
 """
 
 from __future__ import annotations
@@ -57,26 +60,30 @@ class DensityBound:
 
 # --- the family table ----------------------------------------------------------
 
-def _gamma_order(alpha: float, mu: float, label: str) -> float:
-    """alpha*(mu-1), once the power integral of the gamma density is known to exist."""
-    v = alpha * (mu - 1.0)
-    if v <= -1.0:
+def _gamma_shape(alpha: float, mu: float, label: str) -> float:
+    """alpha*mu + 1 - alpha, the shape of p**alpha, once it is positive: J(alpha) exists.
+
+    The same test as alpha*(mu-1) > -1, but exact at alpha = 1 for any mu.
+    """
+    s = alpha * mu + (1.0 - alpha)
+    if s <= 0.0:
         raise ValidityDomainError(
-            f"{label}*(mu-1) = {v:.6g} <= -1: the power integral of the "
-            f"gamma density diverges for {label}={alpha:.6g}, mu={mu:.6g}")
-    return v
+            f"{label}*(mu-1) + 1 = {label}*mu + 1 - {label} = {s:.6g} <= 0: the power "
+            f"integral of the gamma density diverges for {label}={alpha:.6g}, mu={mu:.6g}")
+    return s
 
 
 def _gamma_log_j(d, alpha, label):
-    a = _gamma_order(alpha, d.mu, label)
-    return ((alpha - 1.0) * math.log(d.lam) - (a + 1.0) * math.log(alpha)
-            + log_gamma(a + 1.0) - alpha * log_gamma(d.mu))
+    s = _gamma_shape(alpha, d.mu, label)
+    return ((alpha - 1.0) * math.log(d.lam) - s * math.log(alpha)
+            + log_gamma(s) - alpha * log_gamma(d.mu))
 
 
 def _gamma_gr1(d, alpha):
-    a = _gamma_order(alpha, d.mu, "alpha")
-    return (-math.log(d.lam) + log_gamma(d.mu) + (d.mu - 1.0) * math.log(alpha)
-            - (d.mu - 1.0) * digamma(a + 1.0) + d.mu - 1.0 + 1.0 / alpha)
+    # Shannon's terms with digamma at the shape of p**alpha; the last two vanish at alpha = 1
+    s = _gamma_shape(alpha, d.mu, "alpha")
+    return (-math.log(d.lam) + log_gamma(d.mu) + d.mu - digamma(s) * (d.mu - 1.0)
+            + (d.mu - 1.0) * math.log(alpha) + (1.0 / alpha - 1.0))
 
 
 def _gamma_sup(d):
@@ -92,14 +99,13 @@ def _gamma_sup(d):
     return DensityBound(math.exp(log_m), mode)
 
 
-# One row per continuous family: shannon(d); log_j(d, alpha, label), which
-# raises ValidityDomainError naming the order `label` outside its domain;
-# gr1(d, alpha); kl(p, q) for a same-family pair; sup(d) -> DensityBound.
+# One row per continuous family: log_j(d, alpha, label), which raises
+# ValidityDomainError naming the order `label` outside its domain;
+# gr1(d, alpha), which is Shannon at alpha = 1 (each row gives exactly the
+# Shannon double there); kl(p, q) for a same-family pair; sup(d) -> DensityBound.
 # A missing entry means the family has no such closed form.
 _ROWS = {
     Gamma: dict(
-        shannon=lambda d: (-math.log(d.lam) + log_gamma(d.mu) + d.mu
-                           - digamma(d.mu) * (d.mu - 1.0)),
         log_j=_gamma_log_j,
         gr1=_gamma_gr1,
         kl=lambda p, q: (q.mu * math.log(p.lam / q.lam) + p.mu * (q.lam / p.lam - 1.0)
@@ -107,13 +113,11 @@ _ROWS = {
                          + (p.mu - q.mu) * digamma(p.mu)),
         sup=_gamma_sup),
     Exponential: dict(
-        shannon=lambda d: 1.0 - math.log(d.lam),
         log_j=lambda d, alpha, label: (alpha - 1.0) * math.log(d.lam) - math.log(alpha),
         gr1=lambda d, alpha: -math.log(d.lam) + 1.0 / alpha,
         kl=lambda p, q: math.log(p.lam / q.lam) + q.lam / p.lam - 1.0,
         sup=lambda d: DensityBound(d.lam, 0.0)),
     Laplace: dict(
-        shannon=lambda d: 1.0 - math.log(d.lam / 2.0),
         log_j=lambda d, alpha, label: (alpha - 1.0) * math.log(d.lam / 2.0) - math.log(alpha),
         gr1=lambda d, alpha: -math.log(d.lam / 2.0) + 1.0 / alpha,
         kl=lambda p, q: (math.log(p.lam / q.lam)
@@ -121,7 +125,6 @@ _ROWS = {
                                               + math.exp(-p.lam * abs(p.mu - q.mu))) - 1.0),
         sup=lambda d: DensityBound(d.lam / 2.0, d.mu)),
     LogNormal: dict(
-        shannon=lambda d: 0.5 * math.log(d.sigma2) + 0.5 * _LOG_2PI + d.m + 0.5,
         log_j=lambda d, alpha, label: (
             (1.0 - alpha) * (0.5 * math.log(d.sigma2) + 0.5 * _LOG_2PI + d.m)
             - 0.5 * math.log(alpha) + d.sigma2 * (1.0 - alpha) ** 2 / (2.0 * alpha)),
@@ -134,20 +137,18 @@ _ROWS = {
             math.exp(0.5 * d.sigma2 - d.m) / (math.sqrt(d.sigma2) * math.sqrt(2.0 * math.pi)),
             math.exp(d.m - d.sigma2))),
     Normal: dict(
-        shannon=lambda d: 0.5 * (1.0 + _LOG_2PI) + 0.5 * math.log(d.sigma2),
         log_j=lambda d, alpha, label: ((1.0 - alpha) * (0.5 * math.log(d.sigma2) + 0.5 * _LOG_2PI)
                                        - 0.5 * math.log(alpha)),
-        gr1=lambda d, alpha: 0.5 * math.log(d.sigma2) + 0.5 * _LOG_2PI + 1.0 / (2.0 * alpha),
+        gr1=lambda d, alpha: 0.5 * (1.0 / alpha + _LOG_2PI) + 0.5 * math.log(d.sigma2),
         sup=lambda d: DensityBound(1.0 / math.sqrt(2.0 * math.pi * d.sigma2), d.mean)),
     Uniform: dict(
-        shannon=lambda d: math.log(d.b - d.a),
         log_j=lambda d, alpha, label: (1.0 - alpha) * math.log(d.b - d.a),
         gr1=lambda d, alpha: math.log(d.b - d.a),
         sup=lambda d: DensityBound(1.0 / (d.b - d.a), None)),
 }
 _ROWS[ChiSquared] = _ROWS[Gamma]  # its record reads lam = 1/2, mu = nu/2
 
-_ENTRY_NAMES = {"shannon": "Shannon entropy", "log_j": "power integral", "gr1": "GR1",
+_ENTRY_NAMES = {"log_j": "power integral", "gr1": "GR1",
                 "kl": "KL divergence", "sup": "density supremum"}
 
 
@@ -157,24 +158,25 @@ def _out_of_range(what: str, *records: Distribution) -> ParameterError:
         "the parameters leave the floating-point range")
 
 
-def _closed_form(name: str, d: Distribution, *args):
+def _closed_form(name: str, d: Distribution, *args, what: str | None = None):
     """The `name` entry of d's family row, evaluated at (d, *args).
 
     This is where a math range or domain error becomes a ParameterError
-    naming the records.
+    naming the records and `what` the caller asked for (the entry's name
+    by default).
     """
+    what = what or _ENTRY_NAMES[name]
     try:
         fn = _ROWS[type(d)][name]
     except KeyError:
-        raise UnsupportedFamilyError(
-            f"no closed-form {_ENTRY_NAMES[name]} for {type(d).__name__}") from None
+        raise UnsupportedFamilyError(f"no closed-form {what} for {type(d).__name__}") from None
     try:
         return fn(d, *args)
     except EntrokitError:
         raise
     except (ArithmeticError, ValueError):  # OverflowError or math domain error
         records = [d] + [a for a in args if isinstance(a, Distribution)]
-        raise _out_of_range(_ENTRY_NAMES[name], *records) from None
+        raise _out_of_range(what, *records) from None
 
 
 # --- measures -----------------------------------------------------------------
@@ -289,12 +291,12 @@ def _shannon(s: EntropySpec, d: Distribution) -> float:
     if d.is_discrete:
         from . import oracle  # only discrete records need the series engine
         return -oracle.discrete_entropy_sum(d, "p_log_p", 1.0, _series_config()).value
-    return _closed_form("shannon", d)
+    return _closed_form("gr1", d, 1.0, what="Shannon entropy")
 
 
 def _modified(s: EntropySpec, d: Distribution) -> float:
     m = density_sup(d).M
-    value = (_closed_form("shannon", d) + math.log(m)) / m
+    value = (_shannon(s, d) + math.log(m)) / m
     # mathematically >= 0; rounding noise (uniform: log(w) + log(1/w)) is clipped
     return 0.0 if -1e-10 < value < 0.0 else value
 

@@ -16,9 +16,9 @@ from dataclasses import dataclass
 from .errors import ParameterError, as_real
 
 # measure -> the orders it takes, each as check_order's exclude_one (alpha first)
-_ORDERS = {"shannon": (), "renyi": (True,), "gr1": (False,), "tsallis": (True,),
-           "gr2": (False, False), "sm": (True, True), "modified": ()}
-MEASURES = tuple(_ORDERS)
+ORDERS = {"shannon": (), "renyi": (True,), "gr1": (False,), "tsallis": (True,),
+          "gr2": (False, False), "sm": (True, True), "modified": ()}
+MEASURES = tuple(ORDERS)
 
 # orders closer than this to a forbidden value are rejected, never nudged
 ORDER_EPS = 1e-10
@@ -56,10 +56,10 @@ class EntropySpec:
     beta: float | None = None
 
     def __post_init__(self):
-        if self.measure not in _ORDERS:
+        if self.measure not in ORDERS:
             raise ParameterError(
                 f"unknown measure {self.measure!r}; expected one of {MEASURES}")
-        excludes = _ORDERS[self.measure]
+        excludes = ORDERS[self.measure]
         for name, exclude_one in zip(("alpha", "beta"), excludes):
             object.__setattr__(self, name, check_order(name, getattr(self, name), exclude_one))
         for name in ("alpha", "beta")[len(excludes):]:

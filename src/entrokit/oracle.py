@@ -349,6 +349,12 @@ def _gamma_plan(d: Gamma | ChiSquared, alpha: float) -> _Plan:
                  power_at_zero=alpha * (d.mu - 1.0))
 
 
+def _interval_plan(d: Uniform, alpha: float) -> _Plan:
+    if not math.isfinite(d.b - d.a):  # np.linspace would build a mesh of inf and NaN
+        raise ParameterError(f"the width b - a of {format_spec(d)} is past the float range")
+    return _Plan(f"interval[{d.a},{d.b}]", splits=(d.a, d.b))
+
+
 def _exp_or_inf(x: float) -> float:
     """exp(x), or inf past the float range: a scale that _positive_scale rejects."""
     try:
@@ -367,7 +373,7 @@ _PLANS = {
         "halfline", scale=_exp_or_inf(d.m + (1.0 - alpha) * d.sigma2 / alpha)),
     Laplace: lambda d, alpha: _Plan("realline", scale=1.0 / d.lam, splits=(d.mu,)),
     Normal: lambda d, alpha: _Plan("realline", scale=math.sqrt(d.sigma2), splits=(d.mean,)),
-    Uniform: lambda d, alpha: _Plan(f"interval[{d.a},{d.b}]", splits=(d.a, d.b)),
+    Uniform: _interval_plan,
     Poisson: lambda d, alpha: _Plan(
         "discrete", ratio=lambda k: d.lam / (k + 1.0), mode=math.floor(d.lam),
         down=lambda k: k / d.lam, mean=d.lam),
@@ -413,6 +419,7 @@ def _power_integrals(d: Distribution, terms, cfg: OracleConfig) -> QuadResult:
 
     One run on one mesh, one logpdf call per batch of nodes; one term
     gives a QuadResult of floats, more give arrays in the order of terms.
+    A row right after the p**alpha row of its order copies that row.
     """
     if d.is_discrete:
         raise FamilyMismatchError("power integrals are defined for continuous families")
@@ -426,8 +433,12 @@ def _power_integrals(d: Distribution, terms, cfg: OracleConfig) -> QuadResult:
         lp = logpdf(d, x)
         mass = mass or _some_mass(d, lp)
         rows = np.empty((len(terms), len(lp)))
-        for row, (alpha, with_log) in zip(rows, terms):
-            np.exp(lp if alpha == 1.0 else alpha * lp, out=row)
+        for i, (alpha, with_log) in enumerate(terms):
+            row = rows[i]
+            if i and terms[i - 1] == (alpha, False):  # GR1: the row above holds p**alpha
+                row[:] = rows[i - 1]
+            else:
+                np.exp(lp if alpha == 1.0 else alpha * lp, out=row)
             if with_log:
                 row *= lp
                 row[lp == -np.inf] = 0.0

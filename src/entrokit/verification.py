@@ -17,7 +17,7 @@ from . import limits, oracle
 from .distributions import (ChiSquared, Distribution, Exponential, Gamma, Laplace,
                             LogNormal, Normal, Uniform)
 from .errors import ParameterError, as_integer
-from .measures import oracle_error
+from .measures import ORDERS, oracle_error
 
 ORACLE_FAMILIES = ("gamma", "exp", "chisq", "laplace", "lognormal", "normal", "uniform")
 CORE_FAMILIES = ("gamma", "exp", "chisq", "laplace", "lognormal")
@@ -66,13 +66,11 @@ def random_order(d: Distribution, rng: np.random.Generator,
 
 
 def random_spec(measure: str, d: Distribution, rng: np.random.Generator) -> cf.EntropySpec:
-    if measure == "shannon":
-        return cf.EntropySpec("shannon")
-    alpha = random_order(d, rng)
-    if measure in ("renyi", "gr1", "tsallis"):
-        return cf.EntropySpec(measure, alpha)
-    beta = random_order(d, rng, exclude=alpha)
-    return cf.EntropySpec(measure, alpha, beta)
+    """measure with as many random orders as it takes (measures.ORDERS), beta away from alpha."""
+    orders = []
+    for _ in ORDERS.get(measure, ()):  # EntropySpec names an unknown measure
+        orders.append(random_order(d, rng, exclude=orders[0] if orders else None))
+    return cf.EntropySpec(measure, *orders)
 
 
 @dataclass(frozen=True)

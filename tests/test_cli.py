@@ -34,6 +34,25 @@ class TestEntropyVerb:
         assert code == 2
         assert "alpha*(mu-1)" in err
 
+    def test_gamma_shape_below_machine_epsilon(self, capsys):
+        """At mu = 1e-17, alpha = 1 is a valid order: gr1 prints the Shannon line."""
+        import mpmath
+        lines = {}
+        for measure in (["shannon"], ["gr1", "--alpha", "1"],
+                        ["gr2", "--alpha", "1", "--beta", "0.5"]):
+            code, out, err = run(capsys, "entropy", "--dist", "gamma:lambda=1,mu=1e-17",
+                                 "--measure", *measure)
+            assert code == 0, err
+            lines[measure[0]] = out
+        assert lines["gr1"] == lines["shannon"]
+        # gr2(1, 1/2) = 2 log J(1/2), and at lambda = 1 with s = 1/2 + mu/2
+        # J(1/2) = Gamma(s) / (Gamma(mu)**(1/2) (1/2)**s)
+        with mpmath.workdps(40):
+            mu, half = mpmath.mpf(1e-17), mpmath.mpf(0.5)
+            want = 2 * (mpmath.loggamma(half + half * mu) - half * mpmath.loggamma(mu)
+                        - (half + half * mu) * mpmath.log(half))
+        assert float(lines["gr2"]) == pytest.approx(float(want), rel=1e-14)
+
     def test_unbounded_modified_exit_2(self, capsys):
         code, _, err = run(capsys, "entropy", "--dist", "chisq:nu=1",
                            "--measure", "modified")

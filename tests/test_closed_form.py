@@ -11,9 +11,10 @@ from entrokit import (Binomial, ChiSquared, EntropySpec, Exponential, Gamma,
                       integral_p_alpha_log_p, kl_divergence, kl_integral,
                       log_gamma, lognormal_moment, modified_shannon, renyi,
                       shannon, sharma_mittal, tsallis)
+from entrokit import oracle
 from entrokit.errors import (FamilyMismatchError, ParameterError, UnboundedDensityError,
                              UnsupportedFamilyError, ValidityDomainError)
-from entrokit.verification import random_distribution
+from entrokit.verification import ORACLE_FAMILIES, random_distribution
 
 EULER_GAMMA = 0.5772156649015328606
 CFG = OracleConfig()
@@ -129,6 +130,53 @@ class TestGeneralizedRenyi1:
     def test_alpha_one_equals_shannon(self):
         for d in CONTINUOUS_REPS:
             assert generalized_renyi1(1.0, d) == pytest.approx(shannon(d), abs=1e-11)
+
+
+class TestShannonIsGR1AtOne:
+    """Shannon is the gr1 row at alpha = 1, and the gamma order test is exact there."""
+
+    @pytest.mark.parametrize("family", ORACLE_FAMILIES)
+    @pytest.mark.parametrize("seed", [7, 2024])
+    def test_bit_identical_on_seeded_draws(self, family, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(300):
+            d = random_distribution(family, rng)
+            assert shannon(d) == generalized_renyi1(1.0, d), format_spec(d)
+
+    def test_gamma_shape_below_machine_epsilon(self):
+        d = Gamma(1.0, 1e-17)
+        assert generalized_renyi1(1.0, d) == shannon(d) == -99999999999999968.0
+
+    def test_gamma_order_error_names_the_shape(self):
+        with pytest.raises(ValidityDomainError, match=r"alpha\*mu \+ 1 - alpha = -0\.5 <= 0"):
+            generalized_renyi1(3.0, Gamma(1.0, 0.5))
+
+    @staticmethod
+    def accepts(fn):
+        try:
+            fn()
+        except ValidityDomainError:
+            return False
+        return True
+
+    @pytest.mark.parametrize("mu", [2.0**-60, 2.0**-53, 1e-17, 2.0**-52, 1e-12, 1e-8,
+                                    0.25, 0.5, 0.9, 1.0, 2.0])
+    def test_gamma_orders_accepted_exactly_where_the_oracle_accepts(self, mu):
+        d = Gamma(1.0, mu)
+        alphas = {1.0, 1.0 - 1e-12, 1.0 + 1e-12, 0.5, 2.0, 1e3}
+        if mu < 1.0:
+            edge = 1.0 / (1.0 - mu)  # alpha*mu + 1 - alpha = 0
+            for alpha in (edge, edge * (1.0 - 1e-12), edge * (1.0 + 1e-12)):
+                alphas |= {alpha, *np.nextafter(alpha, [0.0, np.inf]),
+                           *(alpha + 2e-16 * np.arange(-3, 4))}
+        seen = set()
+        for alpha in sorted(map(float, alphas)):
+            want = self.accepts(lambda: oracle._gamma_plan(d, alpha))
+            seen.add(want)
+            assert self.accepts(lambda: generalized_renyi1(alpha, d)) is want, alpha
+            if abs(alpha - 1.0) >= 1e-10:  # renyi excludes orders next to 1
+                assert self.accepts(lambda: renyi(alpha, d)) is want, alpha
+        assert seen == ({True, False} if mu < 1.0 else {True})  # the grid straddles the edge
 
 
 class TestTsallis:

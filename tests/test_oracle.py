@@ -268,6 +268,19 @@ class TestKLIntegral:
         with pytest.raises(FamilyMismatchError):
             kl_integral(Poisson(1.0), Poisson(2.0), cfg)
 
+    def test_uniform_width_past_the_float_range(self, cfg, monkeypatch):
+        """b - a = inf is a ParameterError naming the record before any mesh is built."""
+        def no_run(*args):
+            raise AssertionError("a mesh was built")
+
+        monkeypatch.setattr(oracle, "integrate_interval", no_run)
+        wide = Uniform(-1e308, 1e308)
+        with pytest.raises(ParameterError, match=r"b - a of uniform:a=-1e\+308,b=1e\+308"):
+            entropy_estimate(wide, "shannon", None, None, cfg)
+        for p, q in [(wide, wide), (Uniform(0.0, 1.0), wide)]:
+            with pytest.raises(ParameterError, match=r"uniform:a=-1e\+308,b=1e\+308"):
+                kl_integral(p, q, cfg)
+
 
 class TestDiscreteSeries:
     def test_binomial_exact(self, cfg):
@@ -658,6 +671,30 @@ class TestBatchesDoNotChangeValues:
         batched, blocks = self.runs(monkeypatch, lambda: discrete_expectation(
             d, lambda ks: np.log(np.asarray(ks, dtype=float) + 1.0), cfg))
         assert batched == blocks
+
+
+class TestGR1SharesOneExp:
+    def test_one_exp_per_batch_of_nodes(self, cfg, monkeypatch):
+        """GR1's p**alpha log p row multiplies the p**alpha row by log p: one exp per pass."""
+        calls = {"exp": 0, "logpdf": 0}
+        real_exp, real_logpdf = np.exp, oracle.logpdf
+
+        def exp(*args, **kwargs):
+            calls["exp"] += 1
+            return real_exp(*args, **kwargs)
+
+        def logpdf(d, x):
+            calls["logpdf"] += 1
+            return real_logpdf(d, x)
+
+        d = Gamma(1.3, 2.2)
+        want = (integral_p_alpha(d, 1.7, cfg), integral_p_alpha_log_p(d, 1.7, cfg))
+        monkeypatch.setattr(oracle, "logpdf", logpdf)
+        monkeypatch.setattr(np, "exp", exp)
+        value = entropy_estimate(d, "gr1", 1.7, None, cfg)
+        monkeypatch.undo()
+        assert calls["logpdf"] >= 1 and calls["exp"] == calls["logpdf"]
+        assert value == pytest.approx(-want[1].value / want[0].value, rel=1e-9)
 
 
 class TestEntropyEstimateArguments:
