@@ -67,17 +67,23 @@ def _parse_grid(text: str) -> list[float]:
             return list(np.geomspace(start, stop, steps))
         return list(np.linspace(start, stop, steps))
     try:
-        return [float(v) for v in text.split(",") if v.strip()]
+        values = [float(v) for v in text.split(",") if v.strip()]
     except ValueError as exc:
         raise ParameterError(f"malformed grid {text!r}") from exc
+    if not values:
+        raise ParameterError(f"grid {text!r} has no values")
+    return values
 
 
 def _emit(lines, out_path, verified=()) -> int:
     """Write the lines; exit status 1, and a line on stderr, if a verified pair is off."""
     text = "\n".join(lines) + "\n"
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ParameterError(f"cannot write --out {out_path!r}: {exc.strerror}") from exc
     else:
         sys.stdout.write(text)
     off = sum(not oracle_error(c, e) <= _TOLERANCE for c, e in verified)

@@ -8,12 +8,16 @@ logarithms throughout the toolkit are natural logs.
 
 Each family class carries its own record facts: its spec name and
 fields, the parameter a sweep varies by default, whether it is discrete,
-and its log-density or log-mass.  Chi-squared(nu) is the gamma law
-Gamma(1/2, nu/2): its record reads lam = 1/2 and mu = nu/2 and shares
-Gamma's log-density, so every other module looks chi-squared up as
-Gamma(1/2, nu/2) without converting it.  Density and mass evaluation
-is done in log space and vectorizes over numpy arrays, which is what the
-quadrature and series oracles consume.  Poisson and Binomial use Loader's
+its support, and its log-density or log-mass.  logpdf and logpmf apply
+the support: a family's formula is evaluated only at support points,
+and every other point, +-inf and NaN included, is -inf (the whole line
+of normal and Laplace is not masked, so NaN stays NaN there).
+
+Chi-squared(nu) is the gamma law Gamma(1/2, nu/2): its record reads
+lam = 1/2 and mu = nu/2 and shares Gamma's log-density, so every other
+module looks chi-squared up as Gamma(1/2, nu/2) without converting it.
+Density and mass evaluation is done in log space and vectorizes over
+numpy arrays, which is what the quadrature and series oracles consume.  Poisson and Binomial use Loader's
 saddle-point form (stirlerr and bd0 from special), whose pieces are
 small and of one sign, so log p_k is good to a few ulp of |log p_k| plus
 u |k - mean| at any scale: no log-gammas of size k log k cancel.
@@ -22,6 +26,7 @@ u |k - mean| at any scale: no log-gammas of size k log k cancel.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -32,6 +37,8 @@ from .special import bd0, log_gamma, stirlerr
 
 _TWO_PI = 2.0 * math.pi
 _LOG_2PI = math.log(_TWO_PI)
+_POSITIVE = (math.ulp(0.0), sys.float_info.max)  # (0, inf) as a closed interval of doubles
+_WHOLE_LINE = (-math.inf, math.inf)
 
 
 _FAMILIES = {}  # spec name -> record class, filled as the classes are defined
@@ -45,17 +52,25 @@ class Distribution:
     key per field, converted and checked by the field's int or float
     annotation), the key a sweep varies by default, whether it is discrete,
     in which case it defines _logpmf instead of _logpdf (both on float
-    arrays), and its range rule as (text, test).  Normalizing constants are
-    cached properties, computed on the first evaluation: building a record
-    costs no special-function call.
+    arrays), its support, and its range rule as (text, test).  Normalizing
+    constants are cached properties, computed on the first evaluation:
+    building a record costs no special-function call.
+
+    support is the closed interval [lo, hi] of doubles the law lives on,
+    or a function of the record giving it: (0, inf) is [smallest positive
+    double, largest double], so 0 and +inf lie outside it.  The default is
+    the whole line, (-inf, inf), which logpdf does not mask.  A family's
+    _logpdf or _logpmf computes only on support points (integers, if
+    discrete); the record's support attribute reads (lo, hi).
     """
 
-    def __init_subclass__(cls, spec, keys, sweep, rule, discrete=False, **kwargs):
-        super().__init_subclass__(**kwargs)
+    def __init_subclass__(cls, spec, keys, sweep, rule, discrete=False, support=_WHOLE_LINE, **kw):
+        super().__init_subclass__(**kw)
         fields = cls.__annotations__.items()  # types are strings: postponed annotations
         cls.spec_fields = tuple((key, attr, int if ann == "int" else float)
                                 for key, (attr, ann) in zip(keys, fields, strict=True))
         cls.spec_name, cls.sweep_param, cls.is_discrete, cls.rule = spec, sweep, discrete, rule
+        cls.support = property(support) if callable(support) else support
         _FAMILIES[spec] = cls
 
     def __post_init__(self):
@@ -78,31 +93,28 @@ class _GammaShaped:
         return self.mu * math.log(self.lam) - log_gamma(self.mu)
 
     def _logpdf(self, x):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            lx = np.log(np.where(x > 0, x, 1.0))
-            out = self._log_norm + (self.mu - 1.0) * lx - self.lam * x
-        return np.where(x > 0, out, -np.inf)
+        return self._log_norm + (self.mu - 1.0) * np.log(x) - self.lam * x
 
 
 @dataclass(frozen=True)
 class Gamma(_GammaShaped, Distribution, spec="gamma", keys=("lambda", "mu"), sweep="lambda",
-            rule=("lambda > 0 and mu > 0", lambda d: d.lam > 0 and d.mu > 0)):
+            support=_POSITIVE, rule=("lambda > 0 and mu > 0", lambda d: d.lam > 0 and d.mu > 0)):
     lam: float
     mu: float
 
 
 @dataclass(frozen=True)
-class Exponential(Distribution, spec="exp", keys=("lambda",), sweep="lambda",
+class Exponential(Distribution, spec="exp", keys=("lambda",), sweep="lambda", support=_POSITIVE,
                   rule=("lambda > 0", lambda d: d.lam > 0)):
     lam: float
 
     def _logpdf(self, x):
-        return np.where(x > 0, math.log(self.lam) - self.lam * x, -np.inf)
+        return math.log(self.lam) - self.lam * x
 
 
 @dataclass(frozen=True)
 class ChiSquared(_GammaShaped, Distribution, spec="chisq", keys=("nu",), sweep="nu",
-                 rule=("nu >= 1", lambda d: d.nu >= 1)):
+                 support=_POSITIVE, rule=("nu >= 1", lambda d: d.nu >= 1)):
     """Chi-squared with nu degrees of freedom: the gamma law of rate 1/2 and shape nu/2.
 
     It reads as that Gamma record (lam and mu), so the closed-form rows,
@@ -133,16 +145,14 @@ class Laplace(Distribution, spec="laplace", keys=("mu", "lambda"), sweep="lambda
 
 @dataclass(frozen=True)
 class LogNormal(Distribution, spec="lognormal", keys=("m", "sigma2"), sweep="m",
-                rule=("sigma2 > 0", lambda d: d.sigma2 > 0)):
+                support=_POSITIVE, rule=("sigma2 > 0", lambda d: d.sigma2 > 0)):
     m: float
     sigma2: float
 
     def _logpdf(self, x):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            lx = np.log(np.where(x > 0, x, 1.0))
-            out = (-lx - 0.5 * math.log(self.sigma2) - 0.5 * _LOG_2PI
-                   - (lx - self.m) ** 2 / (2.0 * self.sigma2))
-        return np.where(x > 0, out, -np.inf)
+        lx = np.log(x)
+        return (-lx - 0.5 * math.log(self.sigma2) - 0.5 * _LOG_2PI
+                - (lx - self.m) ** 2 / (2.0 * self.sigma2))
 
 
 @dataclass(frozen=True)
@@ -158,31 +168,28 @@ class Normal(Distribution, spec="normal", keys=("mean", "sigma2"), sweep="sigma2
 
 @dataclass(frozen=True)
 class Uniform(Distribution, spec="uniform", keys=("a", "b"), sweep="b",
-              rule=("a < b", lambda d: d.a < d.b)):
+              support=lambda d: (d.a, d.b), rule=("a < b", lambda d: d.a < d.b)):
     a: float
     b: float
 
     def _logpdf(self, x):
-        inside = (x >= self.a) & (x <= self.b)
-        return np.where(inside, -math.log(self.b - self.a), -np.inf)
+        return np.full_like(x, -math.log(self.b - self.a))
 
 
 @dataclass(frozen=True)
 class Poisson(Distribution, spec="poisson", keys=("lambda",), sweep="lambda", discrete=True,
-              rule=("lambda > 0", lambda d: d.lam > 0)):
+              support=(0.0, sys.float_info.max), rule=("lambda > 0", lambda d: d.lam > 0)):
     lam: float
 
     def _logpmf(self, k):
-        ok = (k >= 0) & (k == np.floor(k))
-        ks = np.where(ok, k, 0.0)
         with np.errstate(divide="ignore", invalid="ignore"):  # k = 0 is replaced below
-            out = -stirlerr(ks) - bd0(ks, self.lam) - 0.5 * (_LOG_2PI + np.log(ks))
-        out = np.where(ks == 0.0, -self.lam, out)
-        return np.where(ok, out, -np.inf)
+            out = -stirlerr(k) - bd0(k, self.lam) - 0.5 * (_LOG_2PI + np.log(k))
+        return np.where(k == 0.0, -self.lam, out)
 
 
 @dataclass(frozen=True)
 class Binomial(Distribution, spec="binomial", keys=("n", "p"), sweep="p", discrete=True,
+               support=lambda d: (0.0, float(d.n)),
                rule=("n >= 1 and 0 < p < 1", lambda d: d.n >= 1 and 0.0 < d.p < 1.0)):
     n: int
     p: float
@@ -193,20 +200,17 @@ class Binomial(Distribution, spec="binomial", keys=("n", "p"), sweep="p", discre
 
     def _logpmf(self, k):
         n, p = self.n, self.p
-        ok = (k >= 0) & (k <= n) & (k == np.floor(k))
-        ks = np.where(ok, k, 0.0)
-        rest = n - ks
+        rest = n - k
         with np.errstate(divide="ignore", invalid="ignore"):  # k = 0, n are replaced below
-            out = (self._stirlerr_n - stirlerr(ks) - stirlerr(rest)
-                   - bd0(ks, n * p) - bd0(rest, n * (1.0 - p))
-                   + 0.5 * np.log(n / (_TWO_PI * ks * rest)))
-        out = np.where(ks == 0.0, n * math.log1p(-p), np.where(rest == 0.0, n * math.log(p), out))
-        return np.where(ok, out, -np.inf)
+            out = (self._stirlerr_n - stirlerr(k) - stirlerr(rest)
+                   - bd0(k, n * p) - bd0(rest, n * (1.0 - p))
+                   + 0.5 * np.log(n / (_TWO_PI * k * rest)))
+        return np.where(k == 0.0, n * math.log1p(-p), np.where(rest == 0.0, n * math.log(p), out))
 
 
 @dataclass(frozen=True)
 class NegBinomialConditional(Distribution, spec="nbcond", keys=("p", "r"), sweep="r",
-                             discrete=True,
+                             discrete=True, support=(1.0, sys.float_info.max),
                              rule=("0 < p < 1 and r > 0", lambda d: 0.0 < d.p < 1.0 and d.r > 0)):
     """Negative binomial conditioned on a strictly positive outcome.
 
@@ -227,31 +231,46 @@ class NegBinomialConditional(Distribution, spec="nbcond", keys=("p", "r"), sweep
         return math.log(-math.expm1(self.r * math.log(self.p)))
 
     def _logpmf(self, k):
-        ok = (k >= 1) & (k == np.floor(k))
-        ks = np.where(ok, k, 1.0)
-        lg_shifted, lg_next = log_gamma(np.stack((ks + self.r, ks + 1.0)))  # both in one call
-        out = (lg_shifted - self._log_gamma_r - lg_next
-               + ks * math.log1p(-self.p) + self.r * math.log(self.p) - self._log_one_minus_pr)
-        return np.where(ok, out, -np.inf)
+        lg_shifted, lg_next = log_gamma(np.stack((k + self.r, k + 1.0)))  # both in one call
+        return (lg_shifted - self._log_gamma_r - lg_next
+                + k * math.log1p(-self.p) + self.r * math.log(self.p) - self._log_one_minus_pr)
 
 
 @dataclass(frozen=True)
 class Logarithmic(Distribution, spec="logarithmic", keys=("p",), sweep="p", discrete=True,
-                  rule=("0 < p < 1", lambda d: 0.0 < d.p < 1.0)):
+                  support=(1.0, sys.float_info.max), rule=("0 < p < 1", lambda d: 0.0 < d.p < 1.0)):
     p: float
 
     def _logpmf(self, k):
-        ok = (k >= 1) & (k == np.floor(k))
-        ks = np.where(ok, k, 1.0)
-        out = ks * math.log1p(-self.p) - np.log(ks) - math.log(-math.log(self.p))
-        return np.where(ok, out, -np.inf)
+        return k * math.log1p(-self.p) - np.log(k) - math.log(-math.log(self.p))
+
+
+def _on_support(formula, x, support, integers=False):
+    """formula at the points of x in support = [lo, hi] (integers only, if asked), -inf elsewhere.
+
+    The formula sees only support points: the others, NaN included, are
+    replaced by lo before it runs.  The whole line runs no mask: the
+    formulas written on it are -inf at +-inf by themselves.
+    """
+    x = np.asarray(x, dtype=float)
+    if support == _WHOLE_LINE:
+        return formula(x)
+    lo, hi = support
+    inside = (x >= lo) & (x <= hi)
+    if integers:
+        inside &= x == np.floor(x)
+    return np.where(inside, formula(np.where(inside, x, lo)), -np.inf)
 
 
 def logpdf(d: Distribution, x):
-    """Log-density at x (scalar or array); -inf outside the support."""
+    """Log-density at x (scalar or array): d's formula on d.support, -inf elsewhere.
+
+    +-inf give -inf for every family.  NaN gives -inf too, except on the
+    whole line (normal, Laplace), which is not masked: there it stays NaN.
+    """
     if d.is_discrete:
         raise FamilyMismatchError(f"{type(d).__name__} is discrete; use pmf/logpmf")
-    return d._logpdf(np.asarray(x, dtype=float))
+    return _on_support(d._logpdf, x, d.support)
 
 
 def pdf(d: Distribution, x):
@@ -261,10 +280,14 @@ def pdf(d: Distribution, x):
 
 
 def logpmf(d: Distribution, k):
-    """Log-probability at integer k (scalar or array); -inf outside the support."""
+    """Log-probability at k (scalar or array): d's formula at the integers of d.support.
+
+    Every other point is -inf: non-integers, points outside d.support,
+    +-inf and NaN.
+    """
     if not d.is_discrete:
         raise FamilyMismatchError(f"{type(d).__name__} is continuous; use pdf/logpdf")
-    return d._logpmf(np.asarray(k, dtype=float))
+    return _on_support(d._logpmf, k, d.support, integers=True)
 
 
 def pmf(d: Distribution, k):
@@ -276,7 +299,11 @@ def pmf(d: Distribution, k):
 # --- textual parameter syntax used by the CLI -------------------------------
 
 def parse_spec(text: str) -> Distribution:
-    """Parse 'family:key=val,key=val' into a Distribution, e.g. 'gamma:lambda=1,mu=2'."""
+    """Parse 'family:key=val,key=val' into a Distribution, e.g. 'gamma:lambda=1,mu=2'.
+
+    Each of the family's keys is given exactly once; a repeated key is a
+    ParameterError, raised before any value is converted.
+    """
     head, sep, rest = text.strip().partition(":")
     family = head.strip().lower()
     if family not in _FAMILIES:
@@ -289,9 +316,12 @@ def parse_spec(text: str) -> Distribution:
     given = {}
     for item in rest.split(","):
         key, eq, val = item.partition("=")
+        key = key.strip().lower()
         if not eq:
             raise ParameterError(f"malformed parameter {item!r}; expected key=value")
-        given[key.strip().lower()] = val.strip()
+        if key in given:
+            raise ParameterError(f"parameter {key!r} is given more than once")
+        given[key] = val.strip()
     kwargs = {}
     for key, attr, conv in cls.spec_fields:
         if key not in given:

@@ -440,6 +440,34 @@ class TestMalformedArguments:
         assert message in err
 
 
+class TestRejectedInputs:
+    def test_repeated_spec_key_exit_1(self, capsys):
+        code, out, err = run(capsys, "entropy", "--dist", "gamma:lambda=1,lambda=2,mu=3",
+                             "--measure", "shannon")
+        assert (code, out) == (1, "")
+        assert err == "entrokit: error: parameter 'lambda' is given more than once\n"
+
+    @pytest.mark.parametrize("argv", [
+        ("sweep", "--dist", "exp:lambda=1", "--measure", "shannon", "--grid", ","),
+        ("gauss", "--n", "5", "--hurst-grid", ","),
+        ("converge", "--lambda", "2", "--n", " , "),
+        ("converge", "--dist", "logarithmic:p=0.5", "--r-grid", ","),
+    ])
+    def test_comma_grid_without_values_exit_1(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert "has no values" in err
+
+    @pytest.mark.parametrize("target", ["", "missing/out.csv"])
+    def test_unwritable_out_is_one_error_line(self, capsys, tmp_path, target):
+        path = str(tmp_path / target)
+        code, out, err = run(capsys, "entropy", "--dist", "exp:lambda=1", "--measure", "shannon",
+                             "--out", path)
+        assert (code, out) == (1, "")
+        assert err.startswith("entrokit: error: cannot write --out ")
+        assert repr(path) in err and err.count("\n") == 1
+
+
 def readme_commands() -> list[list[str]]:
     """The `entrokit ...` lines of README's "Command line" block, as argument lists."""
     section = README.read_text().split("## Command line", 1)[1]

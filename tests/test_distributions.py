@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -226,6 +227,54 @@ class TestParseSpec:
     def test_rejected(self, bad):
         with pytest.raises(ParameterError):
             parse_spec(bad)
+
+
+def test_parse_spec_rejects_a_repeated_key():
+    with pytest.raises(ParameterError, match="'lambda' is given more than once"):
+        parse_spec("gamma:lambda=1,lambda=2,mu=3")
+    with pytest.raises(ParameterError, match="'mu' is given more than once"):
+        parse_spec("gamma:lambda=1,mu=x,MU=2")  # found before any value is converted
+
+
+TINY, BIG = math.ulp(0.0), sys.float_info.max
+
+SUPPORTS = [
+    (Gamma(1.0, 2.5), (TINY, BIG)), (Exponential(2.0), (TINY, BIG)),
+    (ChiSquared(3), (TINY, BIG)), (LogNormal(0.0, 1.0), (TINY, BIG)),
+    (Laplace(0.0, 1.0), (-math.inf, math.inf)), (Normal(0.0, 1.0), (-math.inf, math.inf)),
+    (Uniform(1.0, 3.0), (1.0, 3.0)), (Poisson(5.0), (0.0, BIG)),
+    (Binomial(10, 0.3), (0.0, 10.0)), (NegBinomialConditional(0.3, 0.5), (1.0, BIG)),
+    (Logarithmic(0.5), (1.0, BIG)),
+]
+FAMILY_IDS = [d.spec_name for d, _ in SUPPORTS]
+
+
+@pytest.mark.parametrize("d, support", SUPPORTS, ids=FAMILY_IDS)
+def test_each_family_states_its_support(d, support):
+    assert d.support == support
+
+
+def density_pair(d, x):
+    """(logpdf, pdf) of a continuous d at x, or (logpmf, pmf) of a discrete one."""
+    return (logpmf if d.is_discrete else logpdf)(d, x), (pmf if d.is_discrete else pdf)(d, x)
+
+
+@pytest.mark.parametrize("d", [d for d, _ in SUPPORTS], ids=FAMILY_IDS)
+def test_infinite_points_have_no_density(d):
+    """No exception, and no warning: pyproject's filterwarnings turns one into a failure."""
+    for x in (math.inf, -math.inf):
+        assert density_pair(d, x) == (-math.inf, 0.0)
+    assert np.array_equal(density_pair(d, np.array([math.inf, -math.inf]))[0],
+                          [-math.inf, -math.inf])
+
+
+@pytest.mark.parametrize("d, support", SUPPORTS, ids=FAMILY_IDS)
+def test_nan_is_outside_a_bounded_support(d, support):
+    log_p, p = density_pair(d, math.nan)
+    if support == (-math.inf, math.inf):
+        assert math.isnan(log_p) and math.isnan(p)
+    else:
+        assert (log_p, p) == (-math.inf, 0.0)
 
 
 def test_logpdf_vectorizes():
