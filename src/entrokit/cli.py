@@ -98,12 +98,11 @@ def _oracle_value(spec: EntropySpec, d) -> float:
 
     from . import closed_form as cf
     from . import oracle
-    cfg = oracle.OracleConfig()
     if spec.measure == "modified":
         m = cf.density_sup(d).M
-        shannon = oracle.entropy_estimate(d, "shannon", None, None, cfg)
+        shannon = oracle.entropy_estimate(d, "shannon")
         return (shannon + np.log(m)) / m
-    return oracle.entropy_estimate(d, spec.measure, spec.alpha, spec.beta, cfg)
+    return oracle.entropy_estimate(d, spec.measure, spec.alpha, spec.beta)
 
 
 def _emit_value(value: float, est: float | None, out_path) -> int:
@@ -132,7 +131,7 @@ def _cmd_kl(args) -> int:
     est = None
     if args.verify:
         from . import oracle
-        est = oracle.kl_integral(p, q, oracle.OracleConfig()).value
+        est = oracle.kl_integral(p, q).value
     return _emit_value(value, est, args.out)
 
 

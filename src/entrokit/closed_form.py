@@ -33,7 +33,6 @@ inequality, never NaN.  Values past the float range raise ParameterError.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -281,16 +280,10 @@ def lognormal_moment(p: float, m: float, sigma2: float, kind: str = "plain") -> 
     return value
 
 
-@functools.cache
-def _series_config():
-    from . import oracle
-    return oracle.OracleConfig()
-
-
 def _shannon(s: EntropySpec, d: Distribution) -> float:
     if d.is_discrete:
         from . import oracle  # only discrete records need the series engine
-        return -oracle.discrete_entropy_sum(d, "p_log_p", 1.0, _series_config()).value
+        return -oracle.discrete_entropy_sum(d, "p_log_p", 1.0).value
     return _closed_form("gr1", d, 1.0, what="Shannon entropy")
 
 

@@ -232,6 +232,11 @@ class NegBinomialConditional(Distribution, spec="nbcond", keys=("p", "r"), sweep
 
     def _logpmf(self, k):
         lg_shifted, lg_next = log_gamma(np.stack((k + self.r, k + 1.0)))  # both in one call
+        # past k of about 2.5e305 they overflow; (r - 1) log k is their difference there, off
+        # by about r (r - 1) / (2k), far below an ulp of log p_k, about k log(1 - p)
+        if (huge := np.isinf(lg_shifted) | np.isinf(lg_next)).any():
+            lg_shifted = np.where(huge, (self.r - 1.0) * np.log(k), lg_shifted)
+            lg_next = np.where(huge, 0.0, lg_next)
         return (lg_shifted - self._log_gamma_r - lg_next
                 + k * math.log1p(-self.p) + self.r * math.log(self.p) - self._log_one_minus_pr)
 
@@ -250,16 +255,19 @@ def _on_support(formula, x, support, integers=False):
 
     The formula sees only support points: the others, NaN included, are
     replaced by lo before it runs.  The whole line runs no mask: the
-    formulas written on it are -inf at +-inf by themselves.
+    formulas written on it are -inf at +-inf by themselves.  Overflow at
+    huge finite points is silent, as it gives the right value (-inf, or
+    stirlerr's 1/(z z) = 0); an invalid operation still warns.
     """
     x = np.asarray(x, dtype=float)
-    if support == _WHOLE_LINE:
-        return formula(x)
-    lo, hi = support
-    inside = (x >= lo) & (x <= hi)
-    if integers:
-        inside &= x == np.floor(x)
-    return np.where(inside, formula(np.where(inside, x, lo)), -np.inf)
+    with np.errstate(over="ignore"):
+        if support == _WHOLE_LINE:
+            return formula(x)
+        lo, hi = support
+        inside = (x >= lo) & (x <= hi)
+        if integers:
+            inside &= x == np.floor(x)
+        return np.where(inside, formula(np.where(inside, x, lo)), -np.inf)
 
 
 def logpdf(d: Distribution, x):

@@ -75,17 +75,21 @@ def poisson_entropy(lam: float, cfg: oracle.OracleConfig | None = None) -> float
     The paper's form cancels lam*log(lam) against the series, so the
     result is off by a few ulp of lam*log(lam): 3.5e-12 at lam = 1e4 and
     3.4e-9 at 1e6 against mpmath.  For large lam use
-    shannon(Poisson(lam)), which sums -p_k log p_k directly.
+    shannon(Poisson(lam)), which sums -p_k log p_k directly.  cfg is the
+    series budget; None runs OracleConfig()'s defaults.
     """
     d = Poisson(lam)  # checks lam and stores it as a float
-    series = oracle.discrete_expectation(d, _log_factorial, cfg or oracle.OracleConfig())
+    series = oracle.discrete_expectation(d, _log_factorial, cfg)
     return -d.lam * (math.log(d.lam) - 1.0) + series.value
 
 
 def poisson_entropy_derivative(lam: float, cfg: oracle.OracleConfig | None = None) -> float:
-    """d/dlam of the Poisson entropy; positive, decreasing, and -> 0 at infinity."""
+    """d/dlam of the Poisson entropy; positive, decreasing, and -> 0 at infinity.
+
+    cfg is the series budget; None runs OracleConfig()'s defaults.
+    """
     d = Poisson(lam)
-    series = oracle.discrete_expectation(d, _log_next, cfg or oracle.OracleConfig())
+    series = oracle.discrete_expectation(d, _log_next, cfg)
     return series.value - math.log(d.lam)
 
 
@@ -93,12 +97,12 @@ def appendix_series_growth(lam_grid, cfg: oracle.OracleConfig | None = None):
     """exp(-lam) * sum_i lam**i log(i+1) / i! on an increasing lam grid.
 
     The sequence diverges to infinity, eventually exceeding log(N+1) for
-    every N; the grid values make that concrete.
+    every N; the grid values make that concrete.  cfg is the series
+    budget; None runs OracleConfig()'s defaults.
     """
     records = [Poisson(v) for v in lam_grid]
     if not records or any(b.lam <= a.lam for a, b in zip(records, records[1:])):
         raise ParameterError("lambda grid must be strictly increasing")
-    cfg = cfg or oracle.OracleConfig()
     return [(d.lam, oracle.discrete_expectation(d, _log_next, cfg).value) for d in records]
 
 
@@ -110,39 +114,38 @@ def _integer(v) -> int:
     return round(v)
 
 
-def _table(driver_name: str, drivers, limit_d, record, cfg) -> ConvergenceTable:
+def _table(driver_name: str, drivers, limit_d, record) -> ConvergenceTable:
     """Shannon entropies of record(x) over the drivers x against that of limit_d."""
-    limit = -oracle.discrete_entropy_sum(limit_d, "p_log_p", 1.0, cfg).value
+    limit = -oracle.discrete_entropy_sum(limit_d, "p_log_p", 1.0).value
     rows = []
     for x in drivers:
-        approx = -oracle.discrete_entropy_sum(record(x), "p_log_p", 1.0, cfg).value
+        approx = -oracle.discrete_entropy_sum(record(x), "p_log_p", 1.0).value
         rows.append(ExperimentRow(float(x), approx, limit, abs(approx - limit)))
     return ConvergenceTable(driver_name, tuple(rows))
 
 
-def binomial_to_poisson(lam: float, n_grid, perturb: float = 0.0,
-                        cfg: oracle.OracleConfig | None = None) -> ConvergenceTable:
+def binomial_to_poisson(lam: float, n_grid, perturb: float = 0.0) -> ConvergenceTable:
     """Binomial(n, p_n) Shannon entropies against the Poisson(lam) limit.
 
     p_n = (lam/n) * (1 + perturb/n); the default perturb = 0 is the plain
     scheme, the knob demonstrates that only n * p_n -> lam matters.  Both
-    columns are summed by the oracle's engine; a p_n outside (0, 1) is a
-    ParameterError of its Binomial record.
+    columns are summed by the oracle's engine at OracleConfig()'s
+    defaults; a p_n outside (0, 1) is a ParameterError of its Binomial
+    record.
     """
     target, perturb = Poisson(lam), as_real(perturb, "perturb")
     ns = [_integer(n) for n in n_grid]
     if not ns or any(b <= a for a, b in zip(ns, ns[1:])):
         raise ParameterError("n grid must be strictly increasing")
-    return _table("n", ns, target, lambda n: Binomial(n, (target.lam / n) * (1.0 + perturb / n)),
-                  cfg or oracle.OracleConfig())
+    return _table("n", ns, target, lambda n: Binomial(n, (target.lam / n) * (1.0 + perturb / n)))
 
 
-def nb_to_logarithmic(p: float, r_grid,
-                      cfg: oracle.OracleConfig | None = None) -> ConvergenceTable:
+def nb_to_logarithmic(p: float, r_grid) -> ConvergenceTable:
     """Conditional negative binomial entropies against the Logarithmic(p) limit.
 
     The r grid must decrease within (0, 1/2), the region where the
-    dominated-convergence construction behind the limit applies.
+    dominated-convergence construction behind the limit applies.  Both
+    columns are summed by the oracle's engine at OracleConfig()'s defaults.
     """
     target = Logarithmic(p)
     rs = [as_real(r, "r grid value") for r in r_grid]
@@ -150,5 +153,4 @@ def nb_to_logarithmic(p: float, r_grid,
         raise ParameterError("r grid must be strictly decreasing")
     if any(not 0.0 < r < 0.5 for r in rs):
         raise ParameterError("invalid grid: r values must lie in (0, 1/2)")
-    return _table("r", rs, target, lambda r: NegBinomialConditional(target.p, r),
-                  cfg or oracle.OracleConfig())
+    return _table("r", rs, target, lambda r: NegBinomialConditional(target.p, r))

@@ -47,6 +47,10 @@ _PLANS:
   use).
 
 Every public routine returns its error estimate alongside the value.
+Each takes its tolerances and budgets as an optional OracleConfig: None,
+the default, runs OracleConfig()'s defaults, the one configuration every
+oracle value of the package is computed at.  Callers pass a config only
+to change a setting.
 """
 
 from __future__ import annotations
@@ -84,6 +88,9 @@ class OracleConfig:
             if value <= 0:
                 raise ParameterError(f"oracle setting {field.name} must be positive, got {value}")
             object.__setattr__(self, field.name, value)
+
+
+_CONFIG = OracleConfig()  # what every run uses when its cfg is None
 
 
 class QuadResult(NamedTuple):
@@ -175,7 +182,7 @@ def _breakpoints(breakpoints) -> np.ndarray:
     return bp.astype(float, copy=False)
 
 
-def integrate_interval(f: Callable, breakpoints, cfg: OracleConfig) -> QuadResult:
+def integrate_interval(f: Callable, breakpoints, cfg: OracleConfig | None = None) -> QuadResult:
     """Adaptive quadrature of f over the panels defined by breakpoints.
 
     breakpoints are a 1-D sequence of at least two finite reals (equal
@@ -186,9 +193,10 @@ def integrate_interval(f: Callable, breakpoints, cfg: OracleConfig) -> QuadResul
     unmet tolerance in four equal parts, until each component's summed
     error estimate is under max(abs_tol, rel_tol * |its integral|).
     NonConvergenceError once a split would take the mesh past
-    max_subdivisions panels.
+    max_subdivisions panels.  cfg None runs OracleConfig()'s defaults.
     """
     bp = _breakpoints(breakpoints)
+    cfg = cfg or _CONFIG
     with np.errstate(all="ignore"):  # f and _gk_apply meet 0/0 and x/0
         ends = np.array([bp[:-1], bp[1:]]).T  # (panels, 2)
         est, scalar = _gk_apply(f, ends)
@@ -245,7 +253,7 @@ def _realline_mesh(m: int) -> np.ndarray:
     return mesh
 
 
-def integrate_halfline(g: Callable, cfg: OracleConfig, scale: float = 1.0,
+def integrate_halfline(g: Callable, cfg: OracleConfig | None = None, scale: float = 1.0,
                        power_at_zero: float = 3.0) -> QuadResult:
     """Integral of g over (0, inf) via x = scale*s/(1-s), s = t**k, from one t-mesh.
 
@@ -255,7 +263,8 @@ def integrate_halfline(g: Callable, cfg: OracleConfig, scale: float = 1.0,
     integrand.  The default a = 3 gives k = 1, the plain map, which also
     suits any g smooth at 0.  For a + 1 < 1/20, NonConvergenceError:
     about exp(-744 (a + 1)) of such a mass lies below the smallest
-    double, 7e-17 at the floor and 5e-14 with the log weight.
+    double, 7e-17 at the floor and 5e-14 with the log weight.  cfg None
+    runs OracleConfig()'s defaults, as in integrate_interval.
     """
     scale = _positive_scale(scale)
     a1 = as_real(power_at_zero, "power_at_zero") + 1.0
@@ -286,14 +295,16 @@ def _positive_scale(scale) -> float:
     return scale
 
 
-def integrate_realline(g: Callable, cfg: OracleConfig, interior, scale: float = 1.0) -> QuadResult:
+def integrate_realline(g: Callable, cfg: OracleConfig | None, interior,
+                       scale: float = 1.0) -> QuadResult:
     """Integral of g over the real line in one run, split at the interior points.
 
     With split points p_0 < ... < p_m, t runs over (-1, m + 1): below 0
     x = p_0 + scale*t/(1+t), above m x = p_m + scale*u/(1-u) with
     u = t - m, and on [j, j + 1] the linear piece from p_j to p_{j+1}.
     One split point c gives x = c + scale*t/(1-|t|).  Every integer t is
-    a breakpoint.
+    a breakpoint.  cfg None runs OracleConfig()'s defaults, as in
+    integrate_interval.
     """
     scale = _positive_scale(scale)
     pts = sorted({as_real(p, "split point") for p in interior})
@@ -406,15 +417,17 @@ def _joint_plan(d: Distribution, orders) -> _Plan:
     return first._replace(scale=scale, power_at_zero=min(first.power_at_zero, second.power_at_zero))
 
 
-def _integrate(g: Callable, plan: _Plan, cfg: OracleConfig) -> QuadResult:
+def _integrate(g: Callable, plan: _Plan, cfg: OracleConfig | None) -> QuadResult:
     if plan.support == "halfline":
         return integrate_halfline(g, cfg, scale=plan.scale, power_at_zero=plan.power_at_zero)
     if plan.support == "realline":
         return integrate_realline(g, cfg, plan.splits, scale=plan.scale)
-    return integrate_interval(g, np.linspace(*plan.splits, 17), cfg)
+    a, b = plan.splits  # a panel a few ulp wide has nodes that round to outside [a, b]
+    return integrate_interval(lambda x: g(np.minimum(np.maximum(x, a), b)),
+                              np.linspace(a, b, 17), cfg)
 
 
-def _power_integrals(d: Distribution, terms, cfg: OracleConfig) -> QuadResult:
+def _power_integrals(d: Distribution, terms, cfg: OracleConfig | None) -> QuadResult:
     """Integrals of p**alpha, times log p where with_log, for each (alpha, with_log) of terms.
 
     One run on one mesh, one logpdf call per batch of nodes; one term
@@ -460,18 +473,25 @@ def _some_mass(d: Distribution, lp) -> bool:
     return True
 
 
-def integral_p_alpha(d: Distribution, alpha: float, cfg: OracleConfig) -> QuadResult:
-    """Numerical integral of p(x)**alpha over the support of d."""
+def integral_p_alpha(d: Distribution, alpha: float, cfg: OracleConfig | None = None) -> QuadResult:
+    """Numerical integral of p(x)**alpha over the support of d; cfg None runs the defaults."""
     return _power_integrals(d, [(alpha, False)], cfg)
 
 
-def integral_p_alpha_log_p(d: Distribution, alpha: float, cfg: OracleConfig) -> QuadResult:
-    """Numerical integral of p(x)**alpha * log p(x) over the support of d."""
+def integral_p_alpha_log_p(d: Distribution, alpha: float,
+                           cfg: OracleConfig | None = None) -> QuadResult:
+    """Numerical integral of p(x)**alpha * log p(x) over the support of d.
+
+    cfg None runs OracleConfig()'s defaults.
+    """
     return _power_integrals(d, [(alpha, True)], cfg)
 
 
-def kl_integral(p: Distribution, q: Distribution, cfg: OracleConfig) -> QuadResult:
-    """Numerical Kullback-Leibler divergence of p from q (continuous pairs)."""
+def kl_integral(p: Distribution, q: Distribution, cfg: OracleConfig | None = None) -> QuadResult:
+    """Numerical Kullback-Leibler divergence of p from q (continuous pairs).
+
+    cfg None runs OracleConfig()'s defaults.
+    """
     if p.is_discrete or q.is_discrete:
         raise FamilyMismatchError("kl_integral handles continuous pairs only")
     plan_p, plan_q = _plan(p, 1.0), _plan(q, 1.0)
@@ -638,7 +658,7 @@ def _series(d: Distribution, plan: _Plan, s: _Summand, cfg: OracleConfig, first:
         f"max_terms={cfg.max_terms}")
 
 
-def _mode_sum(d: Distribution, plan: _Plan, s: _Summand, cfg: OracleConfig) -> SeriesResult:
+def _mode_sum(d: Distribution, plan: _Plan, s: _Summand, cfg: OracleConfig | None) -> SeriesResult:
     """Certified sum of s over the support of d, from next to the mode outward.
 
     Summation runs upward from k0 = max(start, mode - 64) and, when k0 is
@@ -649,8 +669,9 @@ def _mode_sum(d: Distribution, plan: _Plan, s: _Summand, cfg: OracleConfig) -> S
     the log p_k0 the upward pass evaluated.  last_k is the last index
     summed upward and tail_bound includes rounding.  SeriesBudgetError
     is raised once max_terms terms (both directions together) are
-    summed without a certificate.
+    summed without a certificate.  cfg None runs OracleConfig()'s defaults.
     """
+    cfg = cfg or _CONFIG
     if plan.mode > _EXACT_INDEX:
         raise SeriesBudgetError(
             f"the mass lies near index {float(plan.mode):g}, beyond 2**53 where indices are "
@@ -665,13 +686,14 @@ def _mode_sum(d: Distribution, plan: _Plan, s: _Summand, cfg: OracleConfig) -> S
 
 
 def discrete_entropy_sum(d: Distribution, transform: str, alpha: float,
-                         cfg: OracleConfig) -> SeriesResult:
+                         cfg: OracleConfig | None = None) -> SeriesResult:
     """Sum of p_k log p_k, p_k**alpha, or p_k**alpha log p_k over the support.
 
     Summed from the mode outward by the driver shared with
     discrete_expectation; last_k is the last index summed upward and
     tail_bound covers truncation and rounding.  SeriesBudgetError is
-    raised once max_terms terms are summed without a certificate.
+    raised once max_terms terms are summed without a certificate.  cfg
+    None runs OracleConfig()'s defaults.
     """
     if not d.is_discrete:
         raise FamilyMismatchError("discrete_entropy_sum needs a discrete family")
@@ -692,7 +714,8 @@ def discrete_entropy_sum(d: Distribution, transform: str, alpha: float,
         lambda rho, lp: _tail_ratio(rho, lp, alpha, with_log), 1.0 if with_log else alpha), cfg)
 
 
-def discrete_expectation(d: Distribution, weight: Callable, cfg: OracleConfig) -> SeriesResult:
+def discrete_expectation(d: Distribution, weight: Callable,
+                         cfg: OracleConfig | None = None) -> SeriesResult:
     """Sum of p_k w(k) over the support of d, with a certified tail.
 
     weight maps an index array to w(k) >= 0, nondecreasing in k, with
@@ -702,7 +725,8 @@ def discrete_expectation(d: Distribution, weight: Callable, cfg: OracleConfig) -
     downward past an index k.  A block that ends on a zero weight gives
     no certificate yet.  Summed from the mode outward like
     discrete_entropy_sum; tail_bound covers truncation and the rounding
-    of log p_k and of the sum, not the error of w.
+    of log p_k and of the sum, not the error of w.  cfg None runs
+    OracleConfig()'s defaults.
     """
     if not d.is_discrete:
         raise FamilyMismatchError("discrete_expectation needs a discrete family")
@@ -730,15 +754,17 @@ def _nonzero(j: float, alpha: float, measure: str) -> float:
     return j
 
 
-def entropy_estimate(d: Distribution, measure: str, alpha: float | None,
-                     beta: float | None, cfg: OracleConfig) -> float:
+def entropy_estimate(d: Distribution, measure: str, alpha: float | None = None,
+                     beta: float | None = None, cfg: OracleConfig | None = None) -> float:
     """Oracle value of a measure, assembled purely from the numeric engines.
 
     measure and its orders are checked as an EntropySpec; the measures
     are shannon, renyi, gr1, tsallis, gr2 and sm (the oracle has no
     modified entropy).  Discrete families support shannon only.  An
     integral of p**alpha that underflows to 0 raises NonConvergenceError
-    where the measure takes its log or divides by it.
+    where the measure takes its log or divides by it.  alpha and beta
+    default to None, as shannon needs no order; cfg None runs
+    OracleConfig()'s defaults.
     """
     spec = EntropySpec(measure, alpha, beta)
     if measure == "modified":

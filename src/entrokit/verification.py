@@ -83,9 +83,11 @@ class OracleCheckRow:
     max_error: float
 
 
-def oracle_equivalence(families, measures, draws: int, seed: int,
-                       cfg: oracle.OracleConfig | None = None) -> list[OracleCheckRow]:
+def oracle_equivalence(families, measures, draws: int, seed: int) -> list[OracleCheckRow]:
     """measures.oracle_error of each closed form against its oracle value, max per cell.
+
+    The oracle runs at OracleConfig()'s defaults, as everywhere in the
+    package.
 
     A NaN or inf oracle value makes its cell's max_error inf.
 
@@ -99,7 +101,6 @@ def oracle_equivalence(families, measures, draws: int, seed: int,
         raise ParameterError(f"oracle equivalence needs at least 1 draw, got {draws}")
     if seed < 0:
         raise ParameterError(f"seed must be nonnegative, got {seed}")
-    cfg = cfg or oracle.OracleConfig()
     rng = np.random.default_rng(seed)
     rows = []
     for family in families:
@@ -109,7 +110,7 @@ def oracle_equivalence(families, measures, draws: int, seed: int,
                 d = random_distribution(family, rng)
                 spec = random_spec(measure, d, rng)
                 closed = cf.evaluate(spec, d)
-                est = oracle.entropy_estimate(d, measure, spec.alpha, spec.beta, cfg)
+                est = oracle.entropy_estimate(d, measure, spec.alpha, spec.beta)
                 worst = max(worst, oracle_error(closed, est))
             rows.append(OracleCheckRow(family, measure, draws, worst))
     return rows

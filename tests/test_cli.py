@@ -522,3 +522,11 @@ def test_readme_documents_each_header():
     assert {argv[0] for argv in readme_commands()} == {key.split()[0] for key in HEADERS}
     for key, (_, documented) in HEADERS.items():
         assert documented in readme, key
+
+
+def test_verify_passes_on_a_uniform_five_ulp_wide(capsys):
+    code, out, err = run(capsys, "entropy", "--dist", "uniform:a=1,b=1.000000000000001",
+                         "--measure", "shannon", "--verify")
+    assert (code, err) == (0, "")
+    closed, oracle_value, _ = map(float, out.splitlines()[1].split(","))
+    assert abs(oracle_value - closed) <= 1e-12 * (1.0 + abs(closed))

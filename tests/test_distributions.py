@@ -322,3 +322,33 @@ def test_normalizing_constants_are_lazy_and_exact(d, constants, inline):
     got = logpdf(d, x) if not d.is_discrete else logpmf(d, x)
     assert all(name in vars(d) for name in constants)
     assert np.array_equal(got, inline(d, x))
+
+
+@pytest.mark.parametrize("r", [0.5, 2.5])
+def test_nbcond_log_pmf_is_finite_where_log_gamma_overflows(r):
+    """Past k of about 2.5e305 log p_k is k log(1 - p) to far below 1e-12, with no warning."""
+    d = NegBinomialConditional(0.3, r)
+    ks = np.array([3e305, 1e307, BIG])
+    for got in (logpmf(d, ks), [logpmf(d, k) for k in ks]):
+        assert np.allclose(got, ks * math.log1p(-0.3), rtol=1e-12, atol=0.0)
+
+
+HUGE_POINT_RECORDS = [
+    Gamma(2.0, 1.0), Exponential(2.0), ChiSquared(3), LogNormal(0.0, 1.0), Laplace(0.0, 2.0),
+    Normal(0.0, 1.0), Uniform(1.0, 3.0), Poisson(5.0), Binomial(10, 0.3),
+    NegBinomialConditional(0.3, 0.5), Logarithmic(0.5),
+]
+
+
+@pytest.mark.parametrize("d", HUGE_POINT_RECORDS, ids=[d.spec_name for d in HUGE_POINT_RECORDS])
+def test_huge_finite_points_give_a_value_without_a_warning(d):
+    """Overflow at +-1e308 (k = 1e200 if discrete) gives -inf or a finite value, silently.
+
+    pyproject's filterwarnings turns a RuntimeWarning into a failure.
+    """
+    if d.is_discrete:
+        values = logpmf(d, np.array([1.0, 1e200]))
+    else:
+        values = np.append(logpdf(d, np.array([1e308, -1e308])),
+                           [logpdf(d, 1e308), logpdf(d, -1e308)])
+    assert not np.isnan(values).any() and (values < np.inf).all()

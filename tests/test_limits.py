@@ -1,10 +1,12 @@
+import inspect
 import math
+import pickle
 
 import numpy as np
 import pytest
 
-from entrokit import (ConvergenceTable, ExperimentRow, Logarithmic,
-                      NegBinomialConditional, Poisson, appendix_series_growth,
+from entrokit import (Binomial, ConvergenceTable, ExperimentRow, Logarithmic,
+                      NegBinomialConditional, OracleConfig, Poisson, appendix_series_growth,
                       binomial_to_poisson, discrete_entropy_sum,
                       nb_to_logarithmic, pmf, poisson_entropy,
                       poisson_entropy_derivative, shannon)
@@ -225,3 +227,35 @@ def test_poisson_series_share_the_oracle_budget():
             fn(50.0, tight)
     with pytest.raises(SeriesBudgetError):
         appendix_series_growth([50.0], tight)
+
+
+def test_poisson_series_run_the_default_config_without_a_cfg():
+    for fn in (poisson_entropy, poisson_entropy_derivative):
+        want = pickle.dumps(fn(3.7, OracleConfig()))
+        assert pickle.dumps(fn(3.7)) == want
+        assert pickle.dumps(fn(3.7, None)) == want
+    want = pickle.dumps(appendix_series_growth([0.5, 4.0], OracleConfig()))
+    assert pickle.dumps(appendix_series_growth([0.5, 4.0])) == want
+
+
+def shannon_sum(d):
+    return -discrete_entropy_sum(d, "p_log_p", 1.0, OracleConfig()).value
+
+
+@pytest.mark.parametrize("table, limit_d, records", [
+    (lambda: binomial_to_poisson(2.0, [10, 100, 1000]), Poisson(2.0),
+     [Binomial(n, 2.0 / n) for n in (10, 100, 1000)]),
+    (lambda: nb_to_logarithmic(0.5, [0.4, 0.1, 0.01]), Logarithmic(0.5),
+     [NegBinomialConditional(0.5, r) for r in (0.4, 0.1, 0.01)]),
+], ids=["binomial_to_poisson", "nb_to_logarithmic"])
+def test_convergence_tables_sum_at_the_default_config(table, limit_d, records):
+    """Both columns are the oracle's sums at OracleConfig(), to the bit."""
+    limit = shannon_sum(limit_d)
+    got = table()
+    want = [(shannon_sum(d), limit) for d in records]
+    assert pickle.dumps([(row.approx, row.limit) for row in got.rows]) == pickle.dumps(want)
+
+
+@pytest.mark.parametrize("fn", [binomial_to_poisson, nb_to_logarithmic])
+def test_convergence_tables_have_no_cfg(fn):
+    assert "cfg" not in inspect.signature(fn).parameters

@@ -1,4 +1,5 @@
 import math
+import pickle
 import time
 import tracemalloc
 
@@ -14,6 +15,7 @@ from entrokit import (Binomial, ChiSquared, Exponential, Gamma, Laplace,
                       integrate_halfline, integrate_interval, kl_integral,
                       entropy_estimate, logpdf, logpmf, poisson_entropy_derivative,
                       shannon)
+from entrokit.closed_form import EntropySpec, evaluate
 from entrokit.errors import (EntrokitError, FamilyMismatchError, NonConvergenceError,
                              ParameterError, SeriesBudgetError,
                              UnsupportedFamilyError, ValidityDomainError)
@@ -1207,3 +1209,51 @@ class TestPassMatchesReference:
         cfg = OracleConfig(max_subdivisions=budget)
         compare(lambda: integrate_interval(wild, np.linspace(0.0, 3.0, 3), cfg),
                 lambda: reference_integrate_interval(wild, np.linspace(0.0, 3.0, 3), cfg))
+
+
+def _halfline_g(x):
+    return np.exp(-x) * np.sqrt(x)
+
+
+DEFAULT_CONFIG_RUNS = {
+    "entropy_estimate, continuous": lambda **cfg: entropy_estimate(
+        Gamma(1.5, 2.5), "gr1", 1.7, **cfg),
+    "entropy_estimate, discrete": lambda **cfg: entropy_estimate(Poisson(5.0), "shannon", **cfg),
+    "kl_integral": lambda **cfg: kl_integral(LogNormal(1.0, 1.0), LogNormal(0.0, 2.0), **cfg),
+    "integral_p_alpha": lambda **cfg: integral_p_alpha(Laplace(0.3, 2.0), 1.6, **cfg),
+    "integral_p_alpha_log_p": lambda **cfg: integral_p_alpha_log_p(Uniform(-1.0, 2.0), 0.8, **cfg),
+    "discrete_entropy_sum": lambda **cfg: discrete_entropy_sum(
+        Binomial(40, 0.3), "p_alpha_log_p", 1.5, **cfg),
+    "discrete_expectation": lambda **cfg: discrete_expectation(
+        NegBinomialConditional(0.4, 2.5), lambda k: np.log(k + 1.0), **cfg),
+    "integrate_interval": lambda **cfg: integrate_interval(np.sqrt, [0.0, 0.5, 2.0], **cfg),
+    "integrate_halfline": lambda **cfg: integrate_halfline(
+        _halfline_g, scale=2.0, power_at_zero=0.5, **cfg),
+}
+
+
+@pytest.mark.parametrize("run", DEFAULT_CONFIG_RUNS.values(), ids=DEFAULT_CONFIG_RUNS)
+def test_cfg_omitted_or_none_runs_the_default_config(run):
+    """The same bytes with cfg omitted, None and OracleConfig(): the oracle owns its defaults."""
+    want = pickle.dumps(run(cfg=OracleConfig()))
+    assert pickle.dumps(run()) == want
+    assert pickle.dumps(run(cfg=None)) == want
+
+
+def test_realline_takes_none_for_the_default_config():
+    def g(x):
+        return np.exp(-np.abs(x - 0.5)) * np.cos(x)
+
+    want = pickle.dumps(oracle.integrate_realline(g, OracleConfig(), [0.5, 1.0], scale=2.0))
+    assert pickle.dumps(oracle.integrate_realline(g, None, [0.5, 1.0], scale=2.0)) == want
+
+
+@pytest.mark.parametrize("width", [math.ulp(1.0) * k for k in (1, 2, 3, 5)] + [1e-14],
+                         ids=["1ulp", "2ulp", "3ulp", "5ulp", "1e-14"])
+@pytest.mark.parametrize("measure, alpha", [("shannon", None), ("renyi", 2.0), ("gr1", 0.5)])
+def test_uniform_a_few_ulp_wide_matches_its_closed_form(width, measure, alpha):
+    """Panels one ulp wide put Kronrod nodes outside [a, b]; the oracle clamps them back."""
+    d = Uniform(1.0, 1.0 + width)
+    got = entropy_estimate(d, measure, alpha)
+    want = evaluate(EntropySpec(measure, alpha), d)
+    assert abs(got - want) <= 1e-12 * (1.0 + abs(want))

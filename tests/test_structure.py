@@ -179,6 +179,20 @@ def test_chi_squared_is_converted_only_by_its_record():
     assert found == []
 
 
+def test_only_the_oracle_builds_an_oracle_config():
+    """The oracle owns its one production configuration; no other module constructs one.
+
+    Callers leave cfg out (or pass None) for OracleConfig()'s defaults.
+    """
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Call) and path.name != "oracle.py"
+                    and ast.unparse(node.func).split(".")[-1] == "OracleConfig"):
+                found.append(f"{path.name}:{node.lineno} {ast.unparse(node)}")
+    assert found == []
+
+
 NUMERIC_TYPES = {"int", "float", "bool", "complex", "Real", "Integral", "Number", "Rational"}
 
 

@@ -1,9 +1,15 @@
+import inspect
+import pickle
+
 import numpy as np
 import pytest
 
+from entrokit import OracleConfig, entropy_estimate
+from entrokit.closed_form import evaluate
 from entrokit.errors import ParameterError
-from entrokit.verification import (ORACLE_FAMILIES, ORACLE_MEASURES, oracle_equivalence,
-                                   random_distribution)
+from entrokit.measures import oracle_error
+from entrokit.verification import (ORACLE_FAMILIES, ORACLE_MEASURES, OracleCheckRow,
+                                   oracle_equivalence, random_distribution, random_spec)
 
 
 def test_unknown_family_is_a_parameter_error():
@@ -32,3 +38,22 @@ def test_selftest_draws_agree_far_inside_the_tolerance():
     assert len(rows) == len(ORACLE_FAMILIES) * len(ORACLE_MEASURES)
     worst = max(rows, key=lambda row: row.max_error)
     assert worst.max_error <= 1e-11, worst
+
+
+def test_oracle_equivalence_checks_at_the_default_config():
+    """Each cell's max error is the one OracleConfig() gives, to the bit; there is no cfg."""
+    assert "cfg" not in inspect.signature(oracle_equivalence).parameters
+    families, measures = ("exp", "normal", "uniform"), ("shannon", "renyi", "gr2")
+    draws, seed = 2, 5
+    rng = np.random.default_rng(seed)
+    want = []
+    for family in families:
+        for measure in measures:
+            worst = 0.0
+            for _ in range(draws):
+                d = random_distribution(family, rng)
+                spec = random_spec(measure, d, rng)
+                est = entropy_estimate(d, measure, spec.alpha, spec.beta, OracleConfig())
+                worst = max(worst, oracle_error(evaluate(spec, d), est))
+            want.append(OracleCheckRow(family, measure, draws, worst))
+    assert pickle.dumps(oracle_equivalence(families, measures, draws, seed)) == pickle.dumps(want)
