@@ -17,10 +17,15 @@ Chi-squared(nu) is the gamma law Gamma(1/2, nu/2): its record reads
 lam = 1/2 and mu = nu/2 and shares Gamma's log-density, so every other
 module looks chi-squared up as Gamma(1/2, nu/2) without converting it.
 Density and mass evaluation is done in log space and vectorizes over
-numpy arrays, which is what the quadrature and series oracles consume.  Poisson and Binomial use Loader's
-saddle-point form (stirlerr and bd0 from special), whose pieces are
-small and of one sign, so log p_k is good to a few ulp of |log p_k| plus
-u |k - mean| at any scale: no log-gammas of size k log k cancel.
+numpy arrays, which is what the quadrature and series oracles consume.
+The continuous densities take their constants from libm (the gamma
+normaliser mu log lam - lgamma(mu) from math.lgamma), never from
+special, so the quadrature oracle shares no kernel with the closed
+forms.  Poisson and Binomial use Loader's saddle-point form (stirlerr
+and bd0 from special), whose pieces are small and of one sign, so
+log p_k is good to a few ulp of |log p_k| plus u |k - mean| at any
+scale: no log-gammas of size k log k cancel.  The conditional negative
+binomial takes its log-gammas from special.
 """
 
 from __future__ import annotations
@@ -90,7 +95,11 @@ class _GammaShaped:
 
     @cached_property
     def _log_norm(self):
-        return self.mu * math.log(self.lam) - log_gamma(self.mu)
+        try:
+            log_gamma_mu = math.lgamma(self.mu)
+        except OverflowError:  # past the float range, mu above about 2.5e305
+            log_gamma_mu = math.inf
+        return self.mu * math.log(self.lam) - log_gamma_mu
 
     def _logpdf(self, x):
         return self._log_norm + (self.mu - 1.0) * np.log(x) - self.lam * x

@@ -80,8 +80,10 @@ class CovMatrix:
             raise ParameterError("covariance diagonal entries must be strictly positive")
         a.setflags(write=False)
         object.__setattr__(self, "entries", a)
-        # (pivots, singular), kept so each matrix is factored once; NotPSDError if not PSD
-        toeplitz = np.array_equal(a[1:, 1:], a[:-1, :-1])
+        # (pivots, singular), kept so each matrix is factored once; NotPSDError if not PSD.
+        # a is exactly symmetric here (a[0, 1] == a[1, 0]): a[0, 0] == a[1, 1] is the O(1)
+        # test that turns most non-Toeplitz matrices away before the full comparison
+        toeplitz = len(a) == 1 or a[0, 0] == a[1, 1] and np.array_equal(a[1:, 1:], a[:-1, :-1])
         object.__setattr__(self, "_factor", _levinson(a[0]) if toeplitz else _pivoted_factor(a))
 
     @classmethod

@@ -51,6 +51,9 @@ Each takes its tolerances and budgets as an optional OracleConfig: None,
 the default, runs OracleConfig()'s defaults, the one configuration every
 oracle value of the package is computed at.  Callers pass a config only
 to change a setting.
+
+The continuous densities come from distributions.logpdf, whose
+constants come from libm: no quadrature run reaches a special kernel.
 """
 
 from __future__ import annotations

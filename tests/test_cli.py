@@ -1,12 +1,8 @@
 import math
-import shlex
-from pathlib import Path
 
 import pytest
 
 from entrokit.cli import main
-
-README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run(capsys, *argv):
@@ -466,62 +462,6 @@ class TestRejectedInputs:
         assert (code, out) == (1, "")
         assert err.startswith("entrokit: error: cannot write --out ")
         assert repr(path) in err and err.count("\n") == 1
-
-
-def readme_commands() -> list[list[str]]:
-    """The `entrokit ...` lines of README's "Command line" block, as argument lists."""
-    section = README.read_text().split("## Command line", 1)[1]
-    block = section.split("```sh", 1)[1].split("```", 1)[0]
-    return [shlex.split(line)[1:] for line in block.splitlines()
-            if line.startswith("entrokit ")]
-
-
-# the first line each README command prints (None: one bare value), and how README documents it
-HEADERS = {
-    "entropy": (None, "print one bare value"),
-    "entropy --verify": ("closed_form,oracle,abs_error", "`closed_form,oracle,abs_error`"),
-    "kl": (None, "print one bare value"),
-    "modified": (None, "print one bare value"),
-    "sweep": ("lambda,shannon", "`<param>,<measure>`"),
-    "converge --n": ("n,approx,limit,abs_error", "`n,approx,limit,abs_error`"),
-    "converge --r-grid": ("r,approx,limit,abs_error", "`r,approx,limit,abs_error`"),
-    "gauss": ("hurst,det,entropy", "`hurst,det,entropy`"),
-    "selftest": ("family,measure,draws,max_scaled_error,status",
-                 "`family,measure,draws,max_scaled_error,status`"),
-}
-
-
-def header_key(argv) -> str:
-    verb = argv[0]
-    for flag in ("--verify", "--n", "--r-grid"):
-        if f"{verb} {flag}" in HEADERS and flag in argv:
-            return f"{verb} {flag}"
-    return verb
-
-
-@pytest.mark.parametrize("argv", readme_commands(), ids=lambda argv: " ".join(argv[:3]))
-def test_readme_command_line_block_runs(argv, capsys, monkeypatch, tmp_path):
-    monkeypatch.chdir(tmp_path)
-    code, out, err = run(capsys, *argv)
-    assert code == 0, err
-    if "--out" in argv:
-        assert out == ""
-        out = (tmp_path / argv[argv.index("--out") + 1]).read_text()
-    lines = out.splitlines()
-    want, _ = HEADERS[header_key(argv)]
-    if want is None:
-        assert len(lines) == 1
-        assert math.isfinite(float(lines[0]))
-    else:
-        assert lines[0] == want
-        assert len(lines) >= 2
-
-
-def test_readme_documents_each_header():
-    readme = " ".join(README.read_text().split())
-    assert {argv[0] for argv in readme_commands()} == {key.split()[0] for key in HEADERS}
-    for key, (_, documented) in HEADERS.items():
-        assert documented in readme, key
 
 
 def test_verify_passes_on_a_uniform_five_ulp_wide(capsys):

@@ -302,7 +302,7 @@ def test_format_spec_keeps_every_digit():
 
 
 def gamma_logpdf(d, x):
-    return d.mu * math.log(d.lam) - log_gamma(d.mu) + (d.mu - 1.0) * np.log(x) - d.lam * x
+    return d.mu * math.log(d.lam) - math.lgamma(d.mu) + (d.mu - 1.0) * np.log(x) - d.lam * x
 
 
 @pytest.mark.parametrize("d, constants, inline", [
@@ -352,3 +352,32 @@ def test_huge_finite_points_give_a_value_without_a_warning(d):
         values = np.append(logpdf(d, np.array([1e308, -1e308])),
                            [logpdf(d, 1e308), logpdf(d, -1e308)])
     assert not np.isnan(values).any() and (values < np.inf).all()
+
+
+class TestGammaNormaliser:
+    """The gamma-type log-density's constant mu log lam - log gamma(mu), from libm's lgamma."""
+
+    def test_scaled_error_against_mpmath(self):
+        """Over log-uniform mu in [1e-8, 1e300] and next to the zeros of log gamma."""
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(2500)
+        strata = np.linspace(-8.0, 300.0, 2001)
+        mus = np.append(10 ** rng.uniform(strata[:-1], strata[1:]),
+                        [1.0, 2.0, 1.0 - 1e-9, 1.0 + 1e-9, 2.0 - 1e-9, 2.0 + 1e-9, 1.5, 3.0])
+        worst = 0.0
+        with mpmath.workdps(40):
+            for mu in mus:
+                want = -mpmath.loggamma(mpmath.mpf(float(mu)))
+                got = Gamma(1.0, float(mu))._log_norm
+                worst = max(worst, float(abs(got - want) / (1 + abs(want))))
+        assert worst <= 2e-15
+
+    @pytest.mark.parametrize("mu", [2.6e305, 1e307, sys.float_info.max])
+    def test_past_the_float_range_as_log_gamma_gave_it(self, mu):
+        """lgamma's OverflowError becomes log_gamma's inf: no error, the same values."""
+        for lam in (0.5, 1.0, 3.0):
+            d, x = Gamma(lam, mu), np.array([0.5, 1.0, 2.0])
+            want = mu * math.log(lam) - log_gamma(mu)
+            assert np.array_equal(d._log_norm, want, equal_nan=True)
+            assert np.array_equal(logpdf(d, x), want + (mu - 1.0) * np.log(x) - lam * x,
+                                  equal_nan=True)

@@ -82,6 +82,30 @@ class TestCovMatrix:
         with pytest.raises(ValueError):
             a.entries[0, 0] = 5.0
 
+    @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 200, 256])
+    def test_toeplitz_pre_test_keeps_path_and_pivots(self, rng, n, monkeypatch):
+        """Each matrix takes the path the full Toeplitz comparison picks, with the same
+        pivots, whether or not its first two diagonal entries are equal."""
+        r = gaussian._fgn_autocovariance(n, 0.7)
+        general = random_psd(rng, n)
+        unit = general / np.sqrt(np.outer(np.diag(general), np.diag(general)))  # a_ii all 1
+        skewed = general + np.triu(rng.uniform(0.0, 1e-15, (n, n)), 1)  # symmetrized
+        scales = np.sqrt(rng.uniform(0.5, 2.0, n))
+        paths = []
+        for name in ("_levinson", "_pivoted_factor"):
+            real = getattr(gaussian, name)
+            monkeypatch.setattr(gaussian, name, lambda a, real=real, name=name:
+                                paths.append(name) or real(a))
+        for a in (toeplitz(r), toeplitz(r) * np.outer(scales, scales), general, unit, skewed):
+            sym = a if np.array_equal(a, a.T) else 0.5 * (a + a.T)
+            is_toeplitz = np.array_equal(sym[1:, 1:], sym[:-1, :-1])
+            want = gaussian._levinson(sym[0]) if is_toeplitz else gaussian._pivoted_factor(sym)
+            paths.clear()
+            got = CovMatrix(a)._factor
+            assert paths == ["_levinson" if is_toeplitz else "_pivoted_factor"]
+            assert got[1] == want[1]
+            assert np.asarray(got[0]).tobytes() == np.asarray(want[0]).tobytes()
+
 
 class TestDetPsd:
     def test_identity(self):

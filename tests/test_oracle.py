@@ -1,5 +1,6 @@
 import math
 import pickle
+import sys
 import time
 import tracemalloc
 
@@ -7,20 +8,20 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from entrokit import oracle
+from entrokit import oracle, special
 from entrokit import (Binomial, ChiSquared, Exponential, Gamma, Laplace,
                       Logarithmic, LogNormal, NegBinomialConditional, Normal,
                       OracleConfig, Poisson, Uniform, discrete_entropy_sum,
                       discrete_expectation, integral_p_alpha, integral_p_alpha_log_p,
                       integrate_halfline, integrate_interval, kl_integral,
-                      entropy_estimate, logpdf, logpmf, poisson_entropy_derivative,
+                      entropy_estimate, logpdf, logpmf, pdf, poisson_entropy_derivative,
                       shannon)
 from entrokit.closed_form import EntropySpec, evaluate
 from entrokit.errors import (EntrokitError, FamilyMismatchError, NonConvergenceError,
                              ParameterError, SeriesBudgetError,
                              UnsupportedFamilyError, ValidityDomainError)
-from entrokit.verification import (ORACLE_FAMILIES, ORACLE_MEASURES, random_distribution,
-                                   random_spec)
+from entrokit.verification import (ORACLE_FAMILIES, ORACLE_MEASURES, oracle_equivalence,
+                                   random_distribution, random_spec)
 
 
 def gamma_power_integral(lam, mu, alpha):
@@ -1257,3 +1258,60 @@ def test_uniform_a_few_ulp_wide_matches_its_closed_form(width, measure, alpha):
     got = entropy_estimate(d, measure, alpha)
     want = evaluate(EntropySpec(measure, alpha), d)
     assert abs(got - want) <= 1e-12 * (1.0 + abs(want))
+
+
+class TestNoSpecialKernelInContinuousOracle:
+    """The continuous oracle shares no kernel with the closed forms: `special` stays out."""
+
+    @staticmethod
+    def patch_every_binding(monkeypatch, name, replacement):
+        """Point every entrokit module's binding of special's `name` at replacement."""
+        real = getattr(special, name)
+        for module in [m for key, m in sys.modules.items() if key.startswith("entrokit")]:
+            for attr, value in list(vars(module).items()):
+                if value is real:
+                    monkeypatch.setattr(module, attr, replacement)
+
+    def test_gamma_oracle_values_ignore_a_shifted_kernel(self, monkeypatch):
+        """log_gamma and digamma off by 1e-9 move the closed forms, not the oracle values.
+
+        Each gamma and chi-squared cell's largest closed-form error against its
+        oracle value goes from below 1e-12 to above 1e-10 (1 + |v|), and every
+        oracle value keeps its bits.
+        """
+        values = []
+        estimate = oracle.entropy_estimate
+        monkeypatch.setattr(oracle, "entropy_estimate",
+                            lambda *args: values.append(estimate(*args)) or values[-1])
+
+        def cells():
+            values.clear()
+            rows = oracle_equivalence(("gamma", "chisq"), ORACLE_MEASURES, 40, 2501)
+            return [row.max_error for row in rows], list(values)
+
+        errors, oracle_values = cells()
+        for name in ("log_gamma", "digamma"):
+            real = getattr(special, name)
+            self.patch_every_binding(monkeypatch, name, lambda x, real=real: real(x) + 1e-9)
+        shifted_errors, shifted_values = cells()
+        assert max(errors) < 1e-12 and min(shifted_errors) > 1e-10
+        assert np.array(shifted_values).tobytes() == np.array(oracle_values).tobytes()
+
+    def test_continuous_oracle_runs_with_special_raising(self, monkeypatch):
+        """log_gamma, digamma and trigamma raise: every continuous oracle value still comes."""
+        def broken(x):
+            raise AssertionError("a special kernel was called")
+
+        for name in ("log_gamma", "digamma", "trigamma"):
+            self.patch_every_binding(monkeypatch, name, broken)
+        monkeypatch.setattr(special, "_shifted_series", broken)
+        rng = np.random.default_rng(2502)
+        for family in ORACLE_FAMILIES:
+            d = random_distribution(family, rng)  # fresh records: no constant cached yet
+            x = np.linspace(0.1, 3.0, 7)
+            assert np.isfinite(logpdf(d, x)).any() and pdf(d, 1.0) >= 0.0
+            for measure in ORACLE_MEASURES:
+                spec = random_spec(measure, d, rng)
+                assert math.isfinite(entropy_estimate(d, measure, spec.alpha, spec.beta))
+            q = d if family == "uniform" else random_distribution(family, rng)
+            assert math.isfinite(kl_integral(d, q).value)
