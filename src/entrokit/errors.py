@@ -6,6 +6,8 @@ as_real and as_integer check every numeric argument of the public entry
 points: any real or integer, numpy scalars and Fractions included, comes
 back as a Python float or int; bool, strings, None, NaN, +-inf and ints
 past the float range raise ParameterError.  Range rules stay with callers.
+as_iterable checks the sequence arguments (grids, split points) the same
+way.
 """
 
 import contextlib
@@ -79,3 +81,12 @@ def as_integer(value, name: str) -> int:
             and not isinstance(value, bool) and abs(value) <= sys.float_info.max):
         return int(value)
     raise ParameterError(f"{name} must be an integer within the float range, got {value!r}")
+
+
+def as_iterable(value, name: str):
+    """value, if it is an iterable other than a string, or ParameterError naming `name`."""
+    if not isinstance(value, (str, bytes)):
+        with contextlib.suppress(TypeError):
+            iter(value)
+            return value
+    raise ParameterError(f"{name} must be an iterable of numbers, got {value!r}")

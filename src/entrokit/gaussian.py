@@ -35,7 +35,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import (NotPSDError, ParameterError, SingularCovarianceError, as_integer,
-                     as_real)
+                     as_iterable, as_real)
 
 _PIVOT_REL_FLOOR = 1e-12
 _SYM_TOL = 1e-14
@@ -352,10 +352,8 @@ def fgn_det_sweep(n: int, hurst_grid) -> list[FgnSweepRow]:
     minimum; whether det is monotone on each side of 1/2 is an open
     hypothesis, so the sweep reports values without asserting it.
     """
-    if isinstance(hurst_grid, (str, bytes)) or not np.iterable(hurst_grid):
-        raise ParameterError(f"hurst_grid must be an iterable of numbers, got {hurst_grid!r}")
     rows = []
-    for h in hurst_grid:
+    for h in as_iterable(hurst_grid, "hurst_grid"):
         det, entropy = _det_and_entropy(fgn_covariance(n, h)._factor)
         rows.append(FgnSweepRow(float(h), det.value, det.singular, entropy))
     return rows

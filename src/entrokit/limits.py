@@ -25,7 +25,7 @@ import numpy as np
 
 from . import oracle
 from .distributions import Binomial, Logarithmic, NegBinomialConditional, Poisson
-from .errors import ParameterError, as_real
+from .errors import ParameterError, as_iterable, as_real
 from .special import log_gamma
 
 
@@ -100,7 +100,7 @@ def appendix_series_growth(lam_grid, cfg: oracle.OracleConfig | None = None):
     every N; the grid values make that concrete.  cfg is the series
     budget; None runs OracleConfig()'s defaults.
     """
-    records = [Poisson(v) for v in lam_grid]
+    records = [Poisson(v) for v in as_iterable(lam_grid, "lam_grid")]
     if not records or any(b.lam <= a.lam for a, b in zip(records, records[1:])):
         raise ParameterError("lambda grid must be strictly increasing")
     return [(d.lam, oracle.discrete_expectation(d, _log_next, cfg).value) for d in records]
@@ -134,7 +134,7 @@ def binomial_to_poisson(lam: float, n_grid, perturb: float = 0.0) -> Convergence
     record.
     """
     target, perturb = Poisson(lam), as_real(perturb, "perturb")
-    ns = [_integer(n) for n in n_grid]
+    ns = [_integer(n) for n in as_iterable(n_grid, "n_grid")]
     if not ns or any(b <= a for a, b in zip(ns, ns[1:])):
         raise ParameterError("n grid must be strictly increasing")
     return _table("n", ns, target, lambda n: Binomial(n, (target.lam / n) * (1.0 + perturb / n)))
@@ -148,7 +148,7 @@ def nb_to_logarithmic(p: float, r_grid) -> ConvergenceTable:
     columns are summed by the oracle's engine at OracleConfig()'s defaults.
     """
     target = Logarithmic(p)
-    rs = [as_real(r, "r grid value") for r in r_grid]
+    rs = [as_real(r, "r grid value") for r in as_iterable(r_grid, "r_grid")]
     if not rs or any(b >= a for a, b in zip(rs, rs[1:])):
         raise ParameterError("r grid must be strictly decreasing")
     if any(not 0.0 < r < 0.5 for r in rs):

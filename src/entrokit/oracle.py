@@ -14,15 +14,16 @@ _PLANS:
   onto (0, 1) by x = scale * s / (1 - s) with s = t**k: an integrand
   that behaves like x**a or x**a log x at 0 gets k = max(1, 4/(a + 1)),
   so it vanishes like t**3 (log t) at t = 0 and the error estimate holds
-  there as on a smooth integrand.  The real line is one t-mesh under one
-  piecewise map: both tails x = p + scale * u/(1 - |u|) and linear
-  pieces between the split points (the density modes), every split
-  point a breakpoint.  Every run starts from a constant mesh (the
-  half-line mesh, or the real-line mesh for its number of split
-  points), and a flagged panel is split in four equal parts.  A run
-  whose density p is 0 at every node of its first pass would
-  "converge" to 0 there; it raises NonConvergenceError naming the
-  record instead.
+  there as on a smooth integrand.  The real line is mapped onto (-1, 1)
+  by x = c + scale * t/(1 - |t|), centred on the first split point c (a
+  density's location; p's for a KL pair), and every other split point
+  is a breakpoint of the t-mesh.  A second mode far from c costs points
+  where the map stretches; the oracle's integrands have their mass near
+  c.  A half-line run starts from one constant mesh on (0, 1), a
+  real-line run from that mesh, its mirror image and its breakpoints,
+  and a flagged panel is split in four equal parts.  A run whose
+  density p is 0 at every node of its first pass would "converge" to 0
+  there; it raises NonConvergenceError naming the record instead.
 
 * one series engine with a certified geometric tail: once the uniform
   one-step ratio bound q of the terms is below 1, the remaining tail is
@@ -60,7 +61,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from functools import lru_cache
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -70,7 +70,7 @@ from .distributions import (Binomial, ChiSquared, Distribution, Exponential, Gam
                             Normal, Poisson, Uniform, format_spec, logpdf, logpmf)
 from .errors import (FamilyMismatchError, NonConvergenceError, ParameterError,
                      SeriesBudgetError, UnsupportedFamilyError, ValidityDomainError,
-                     as_integer, as_real)
+                     as_integer, as_iterable, as_real)
 from .measures import EntropySpec, check_order
 
 
@@ -177,8 +177,7 @@ def _breakpoints(breakpoints) -> np.ndarray:
     """
     bp = breakpoints
     if not (isinstance(bp, np.ndarray) and bp.dtype.kind in "fiu"):
-        bp = np.array([as_real(b, "breakpoint")
-                       for b in np.atleast_1d(np.asarray(bp, dtype=object))])
+        bp = np.array([as_real(b, "breakpoint") for b in as_iterable(bp, "breakpoints")])
     if not (bp.ndim == 1 and len(bp) >= 2 and np.isfinite(bp).all()):
         raise ParameterError(
             f"breakpoints must be a 1-D sequence of at least two finite reals, got {breakpoints!r}")
@@ -243,17 +242,8 @@ _PLAIN_MESH = np.unique(np.concatenate([
     1.0 - np.geomspace(0.1, 1e-5, 6),
     [1.0],
 ]))
-# each linear piece between two real-line split points starts as 8 panels
-_PIECE_MESH = np.linspace(0.0, 1.0, 9)
-
-
-@lru_cache(maxsize=4)
-def _realline_mesh(m: int) -> np.ndarray:
-    """The real-line t-mesh at m + 1 split points: both tails and m linear pieces."""
-    mesh = np.unique(np.concatenate([-_PLAIN_MESH[::-1], *(j + _PIECE_MESH for j in range(m)),
-                                     m + _PLAIN_MESH]))
-    mesh.flags.writeable = False
-    return mesh
+# the real line's t-mesh on [-1, 1]: the half-line mesh and its mirror image
+_REALLINE_MESH = np.unique(np.concatenate([-_PLAIN_MESH[::-1], _PLAIN_MESH]))
 
 
 def integrate_halfline(g: Callable, cfg: OracleConfig | None = None, scale: float = 1.0,
@@ -300,40 +290,39 @@ def _positive_scale(scale) -> float:
 
 def integrate_realline(g: Callable, cfg: OracleConfig | None, interior,
                        scale: float = 1.0) -> QuadResult:
-    """Integral of g over the real line in one run, split at the interior points.
+    """Integral of g over the real line in one run, by x = c + scale*t/(1-|t|) on t in (-1, 1).
 
-    With split points p_0 < ... < p_m, t runs over (-1, m + 1): below 0
-    x = p_0 + scale*t/(1+t), above m x = p_m + scale*u/(1-u) with
-    u = t - m, and on [j, j + 1] the linear piece from p_j to p_{j+1}.
-    One split point c gives x = c + scale*t/(1-|t|).  Every integer t is
-    a breakpoint.  cfg None runs OracleConfig()'s defaults, as in
-    integrate_interval.
+    The centre c is the first interior point.  Each other point p is a
+    breakpoint of the t-mesh at t = (p - c)/(scale + |p - c|), so their
+    order and repeats change nothing; a gap p - c past the float range
+    raises ParameterError.  The map suits an integrand whose mass lies
+    within a few scale units of c, as a density's does around its
+    location: a second mode far from c is met where the map stretches,
+    and takes more points (two normal modes 1e3 scale units apart: 1305
+    points against 1050 with a linear piece between them, and a relative
+    error of 3e-12 against 7e-16, within the tolerance).  cfg None runs
+    OracleConfig()'s defaults, as in integrate_interval.
     """
     scale = _positive_scale(scale)
-    pts = sorted({as_real(p, "split point") for p in interior})
+    pts = [as_real(p, "split point") for p in as_iterable(interior, "interior")]
     if not pts:
         raise ParameterError("need at least one interior split point")
-    m = len(pts) - 1
-    c, pts = pts[0], np.array(pts)
-    knots, widths = np.arange(m + 1.0), pts[1:] - pts[:-1]
+    c = pts[0]
+    knots = []
+    for p in pts[1:]:
+        width = scale + abs(p - c)
+        if not math.isfinite(width):
+            raise ParameterError(f"split point {p} is past the float range from the centre {c}")
+        knots.append((p - c) / width)
 
     def f(t):
-        if m:
-            u = np.where(t < 0.0, t, np.maximum(t - m, 0.0))  # tail variable, 0 on the pieces
-            v = 1.0 - np.abs(u)
-            x = np.interp(t, knots, pts) + scale * (u / v)
-            jac = np.where((t < 0.0) | (t > m), scale / (v * v),
-                           widths[np.minimum(t.astype(int), m - 1)])
-        else:  # the tails alone: u = t
-            v = 1.0 - np.abs(t)
-            x = c + scale * (t / v)
-            jac = scale / (v * v)
-        gx = g(x)
-        out = gx * jac
+        v = 1.0 - np.abs(t)
+        gx = g(c + scale * (t / v))
+        out = gx * (scale / (v * v))
         out[gx == 0.0] = 0.0
         return out
 
-    return integrate_interval(f, _realline_mesh(m), cfg)
+    return integrate_interval(f, np.union1d(_REALLINE_MESH, knots), cfg)
 
 
 # --- per-family plans ---------------------------------------------------------
@@ -343,7 +332,7 @@ class _Plan(NamedTuple):
 
     support: str                   # "halfline", "realline", "interval[a,b]" or "discrete"
     scale: float = 1.0             # of the x = scale*t/(1-t) tail map
-    splits: tuple = ()             # real-line split points, or the interval's ends
+    splits: tuple = ()             # real-line split points, centre first, or the interval's ends
     power_at_zero: float = 3.0     # a of the integrand's x**a (log x) at 0; 3: the plain map
     start: int = 0                 # first index of a discrete support
     stop: int | None = None        # last index of a finite support
@@ -512,8 +501,8 @@ def kl_integral(p: Distribution, q: Distribution, cfg: OracleConfig | None = Non
         out[lp == -np.inf] = 0.0
         return out
 
-    # p's power at 0 holds: log q adds only a log factor
-    plan = plan_p._replace(splits=tuple(sorted(set(plan_p.splits) | set(plan_q.splits))))
+    # p's power at 0 holds: log q adds only a log factor; the real line is centred on p's mass
+    plan = plan_p._replace(splits=tuple(dict.fromkeys(plan_p.splits + plan_q.splits)))
     return _integrate(g, plan, cfg)
 
 

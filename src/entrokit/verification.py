@@ -55,14 +55,11 @@ def random_order(d: Distribution, rng: np.random.Generator,
     hi = 3.5
     if isinstance(d, (Gamma, ChiSquared)) and d.mu < 1.0:  # chi-squared reads mu = nu/2
         hi = min(hi, 0.7 / (1.0 - d.mu))
-    for _ in range(1000):
+    # the window is at least [0.3, 0.7] and the two holes 0.1 wide: half the draws or more pass
+    while True:
         alpha = rng.uniform(0.3, hi)
-        if abs(alpha - 1.0) < 0.05:
-            continue
-        if exclude is not None and abs(alpha - exclude) < 0.05:
-            continue
-        return alpha
-    raise RuntimeError("could not draw an admissible order")
+        if abs(alpha - 1.0) >= 0.05 and (exclude is None or abs(alpha - exclude) >= 0.05):
+            return alpha
 
 
 def random_spec(measure: str, d: Distribution, rng: np.random.Generator) -> cf.EntropySpec:

@@ -301,6 +301,12 @@ class TestVerifyContract:
         assert closed == pytest.approx(math.sqrt(math.pi / 2.0), abs=1e-10)
         assert est == pytest.approx(closed, abs=1e-8)
 
+    def test_laplace_kl_at_locations_1e5_scale_units_apart(self, capsys):
+        code, out, err = run(capsys, "kl", "--p", "laplace:mu=0,lambda=1",
+                             "--q", "laplace:mu=100000,lambda=1", "--verify")
+        assert code == 0, err
+        assert out == "closed_form,oracle,abs_error\n99999,99999,0\n"
+
     def test_oracle_miss_exits_1_and_keeps_stdout(self, capsys):
         argv = ("entropy", "--dist", "gamma:lambda=1,mu=1e8", "--measure", "shannon")
         _, value, _ = run(capsys, *argv)

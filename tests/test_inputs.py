@@ -197,6 +197,21 @@ def test_integrators_reject_a_scale_that_is_not_positive(call):
         call()
 
 
+@pytest.mark.parametrize("call, name", [
+    (lambda: integrate_realline(decay, None, 0.5), "interior"),
+    (lambda: appendix_series_growth(5.0), "lam_grid"),
+    (lambda: binomial_to_poisson(2.0, 10), "n_grid"),
+    (lambda: nb_to_logarithmic(0.5, 0.1), "r_grid"),
+    (lambda: fgn_det_sweep(4, 0.3), "hurst_grid"),
+    (lambda: integrate_interval(decay, 1.0), "breakpoints"),
+], ids=["integrate_realline", "appendix_series_growth", "binomial_to_poisson",
+        "nb_to_logarithmic", "fgn_det_sweep", "integrate_interval"])
+def test_sequence_arguments_reject_a_non_iterable(call, name):
+    """A number where a sequence belongs is a ParameterError naming the argument."""
+    with pytest.raises(ParameterError, match=f"{name} must be an iterable of numbers"):
+        call()
+
+
 @pytest.mark.parametrize("breakpoints", [
     [0.0], [], [[0.0, 1.0]], ["a", "b"], [0.0, math.nan], [0.0, math.inf], 0.5,
     np.array([[0.0, 1.0]]), np.array([0.0, np.inf]), np.array([True, False]),

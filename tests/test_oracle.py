@@ -864,14 +864,62 @@ class TestVectorRuns:
 
     @pytest.mark.parametrize("lam_p, lam_q", [(0.3, 1.0), (1.0, 1.0), (4.0, 0.5)])
     @pytest.mark.parametrize("sign", [1.0, -1.0])
-    @pytest.mark.parametrize("distance", np.geomspace(1e-3, 1e3, 7))
+    @pytest.mark.parametrize("distance", np.geomspace(1e-3, 1e6, 10))
     def test_laplace_kl_over_split_distances(self, distance, sign, lam_p, lam_q, cfg):
-        """|mu_p - mu_q| from 1e-3 to 1e3 scale units 1/lam_p; the middle piece stays linear."""
+        """|mu_p - mu_q| from 1e-3 to 1e6 scale units 1/lam_p."""
         d = distance / lam_p
         v = kl_integral(Laplace(0.7, lam_p), Laplace(0.7 + sign * d, lam_q), cfg).value
         want = (math.log(lam_p / lam_q) + lam_q * d + (lam_q / lam_p) * math.exp(-lam_p * d)
                 - 1.0)
         assert abs(v - want) <= 1e-12 * (1.0 + abs(want))
+
+    @pytest.mark.parametrize("sd_p, sd_q", [(0.3, 1.0), (1.0, 1.0), (4.0, 0.5)])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("distance", np.geomspace(1e-3, 1e6, 10))
+    def test_normal_kl_over_split_distances(self, distance, sign, sd_p, sd_q, cfg):
+        """|mean_p - mean_q| from 1e-3 to 1e6 scale units sd_p."""
+        d = distance * sd_p
+        v = kl_integral(Normal(0.7, sd_p**2), Normal(0.7 + sign * d, sd_q**2), cfg).value
+        want = 0.5 * (math.log(sd_q**2 / sd_p**2) + (sd_p**2 + d * d) / sd_q**2 - 1.0)
+        assert abs(v - want) <= 1e-12 * (1.0 + abs(want))
+
+    @staticmethod
+    def realline_bits(interior, scale=1.0):
+        d = Laplace(0.4, 0.8)
+
+        def g(x):
+            return np.exp(logpdf(d, x)) * np.cos(x)
+
+        return pickle.dumps(oracle.integrate_realline(g, None, interior, scale=scale))
+
+    def test_realline_is_centred_on_its_first_split_point(self):
+        """p - c = scale puts p's breakpoint at t = +-1/2, a point of the mesh already."""
+        assert self.realline_bits([0.0, 2.0], scale=2.0) == self.realline_bits([0.0], scale=2.0)
+        assert self.realline_bits([2.0, 0.0], scale=2.0) == self.realline_bits([2.0], scale=2.0)
+        assert self.realline_bits([0.0], scale=2.0) != self.realline_bits([2.0], scale=2.0)
+
+    def test_realline_other_split_points_in_any_order_and_repeated(self):
+        want = self.realline_bits([0.4, -3.0, 1.7, 9.0])
+        assert self.realline_bits([0.4, 9.0, -3.0, 1.7]) == want
+        assert self.realline_bits([0.4, 1.7, 1.7, 0.4, -3.0, 9.0, -3.0]) == want
+
+    @pytest.mark.parametrize("interior, scale", [
+        ([-1e308, 1e308], 1.0), ([0.0, 1.7e308], 1e308), ([-1e308, 0.0, 1e308], 1.0),
+    ], ids=["gap", "gap_plus_scale", "third_point"])
+    def test_realline_gap_past_the_float_range_is_a_parameter_error(self, interior, scale, cfg):
+        with pytest.raises(ParameterError, match="past the float range"):
+            oracle.integrate_realline(lambda x: np.exp(-np.abs(x)), cfg, interior, scale=scale)
+
+    def test_realline_meets_its_tolerance_on_two_modes_far_apart(self, cfg):
+        """The second mode, 1e3 scale units from the centre, lies where the map stretches."""
+        def g(x):
+            return (np.exp(-0.5 * x * x) + np.exp(-0.5 * (x - 1e3) ** 2)) / math.sqrt(2 * math.pi)
+
+        for interior in ([0.0, 1e3], [1e3, 0.0]):
+            res = oracle.integrate_realline(g, cfg, interior)
+            tol = max(cfg.abs_tol, cfg.rel_tol * 2.0)
+            assert res.error <= tol
+            assert abs(res.value - 2.0) <= tol
 
     def test_realline_is_one_run_at_any_number_of_split_points(self, cfg, monkeypatch):
         runs = self.panel_counts(monkeypatch)
@@ -1042,24 +1090,15 @@ def reference_halfline(g, cfg, scale=1.0, power_at_zero=3.0):
 
 
 def reference_realline(g, cfg, interior, scale=1.0):
-    pts = np.unique(np.array([float(p) for p in interior]))
-    m = len(pts) - 1
-    knots = np.arange(m + 1.0)
-    widths = np.diff(pts)
+    c = float(interior[0])
+    knots = [(float(p) - c) / (scale + abs(float(p) - c)) for p in interior[1:]]
 
     def f(t):
-        u = np.where(t < 0.0, t, np.maximum(t - m, 0.0))
-        v = 1.0 - np.abs(u)
-        x = np.interp(t, knots, pts) + scale * (u / v)
-        jac = scale / (v * v)
-        if m:
-            jac = np.where((t < 0.0) | (t > m), jac,
-                           widths[np.clip(t.astype(int), 0, m - 1)])
-        gx = g(x)
-        return np.where(gx == 0.0, 0.0, gx * jac)
+        v = 1.0 - np.abs(t)
+        gx = g(c + scale * (t / v))
+        return np.where(gx == 0.0, 0.0, gx * (scale / (v * v)))
 
-    mesh = np.concatenate([-oracle._PLAIN_MESH[::-1],
-                           *(j + oracle._PIECE_MESH for j in range(m)), m + oracle._PLAIN_MESH])
+    mesh = np.concatenate([-oracle._PLAIN_MESH[::-1], oracle._PLAIN_MESH, knots])
     return reference_integrate_interval(f, np.unique(mesh), cfg)
 
 
@@ -1093,7 +1132,7 @@ def reference_kl(p, q, cfg):
         return np.where(np.isneginf(lp), 0.0, out)
 
     plan_p, plan_q = oracle._plan(p, 1.0), oracle._plan(q, 1.0)
-    plan = plan_p._replace(splits=tuple(sorted(set(plan_p.splits) | set(plan_q.splits))))
+    plan = plan_p._replace(splits=tuple(dict.fromkeys(plan_p.splits + plan_q.splits)))
     return reference_integrate(g, plan, cfg)
 
 

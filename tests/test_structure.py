@@ -304,3 +304,30 @@ def test_quadrature_passes_make_no_slow_numpy_calls():
     # the walk reaches into a function's body: an integrand that stacks its rows is found
     stacked = ast.parse("def g(x):\n    return np.stack([x, x])\n").body[0]
     assert banned_calls({"g": stacked}) == ["g:2 np.stack"]
+
+
+def unused_imports(name: str, source: str) -> list[str]:
+    """Names a module imports and never reads, but for re-exports marked `# noqa: F401`."""
+    lines = source.splitlines()
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        marked = any("# noqa: F401" in line for line in lines[node.lineno - 1:node.end_lineno])
+        if marked or isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        for alias in node.names:
+            imported.setdefault(alias.asname or alias.name.split(".")[0], node.lineno)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{name}:{line} {alias}" for alias, line in imported.items() if alias not in used]
+
+
+def test_every_imported_name_is_used():
+    found = [hit for path in sorted(SRC.glob("*.py"))
+             for hit in unused_imports(path.name, path.read_text())]
+    assert found == []
+    # a name imported for a deleted helper is found; a marked re-export is not
+    source = ("from functools import lru_cache\nimport numpy as np\n"
+              "from .measures import MEASURES  # noqa: F401\nx = np.pi\n")
+    assert unused_imports("m.py", source) == ["m.py:1 lru_cache"]
