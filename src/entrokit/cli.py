@@ -21,7 +21,7 @@ import dataclasses
 import sys
 
 from .errors import (EntrokitError, ParameterError, UnboundedDensityError,
-                     ValidityDomainError)
+                     ValidityDomainError, as_real)
 from .measures import MEASURES, EntropySpec, oracle_error
 
 _EXIT_MALFORMED = 1
@@ -45,7 +45,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_grid(text: str) -> list[float]:
-    """Grid syntax: 'start:stop:steps[:log]' or a comma-separated list."""
+    """Grid syntax: 'start:stop:steps[:log]' or a comma-separated list; finite Python floats."""
     if ":" in text:
         parts = text.split(":")
         if len(parts) not in (3, 4) or (len(parts) == 4 and parts[3] != "log"):
@@ -55,24 +55,25 @@ def _parse_grid(text: str) -> list[float]:
             start, stop, steps = float(parts[0]), float(parts[1]), int(parts[2])
         except ValueError as exc:
             raise ParameterError(f"malformed grid {text!r}") from exc
+        start, stop = (as_real(end, f"endpoint of grid {text!r}") for end in (start, stop))
         if steps < 1:
             raise ParameterError("grid needs at least one step")
         if steps > _MAX_GRID_POINTS:
             raise ParameterError(
                 f"grid of {steps} points exceeds the limit of {_MAX_GRID_POINTS} points")
         import numpy as np
-        if len(parts) == 4:
-            if start <= 0 or stop <= 0:
-                raise ParameterError("log grids need positive endpoints")
-            return list(np.geomspace(start, stop, steps))
-        return list(np.linspace(start, stop, steps))
-    try:
-        values = [float(v) for v in text.split(",") if v.strip()]
-    except ValueError as exc:
-        raise ParameterError(f"malformed grid {text!r}") from exc
-    if not values:
-        raise ParameterError(f"grid {text!r} has no values")
-    return values
+        if len(parts) == 4 and (start <= 0 or stop <= 0):
+            raise ParameterError("log grids need positive endpoints")
+        with np.errstate(all="ignore"):  # a width past the float range gives NaN, checked below
+            values = (np.geomspace if len(parts) == 4 else np.linspace)(start, stop, steps)
+    else:
+        try:
+            values = [float(v) for v in text.split(",") if v.strip()]
+        except ValueError as exc:
+            raise ParameterError(f"malformed grid {text!r}") from exc
+        if not values:
+            raise ParameterError(f"grid {text!r} has no values")
+    return [as_real(float(v), f"value of grid {text!r}") for v in values]
 
 
 def _emit(lines, out_path, verified=()) -> int:

@@ -171,8 +171,8 @@ class Normal(Distribution, spec="normal", keys=("mean", "sigma2"), sweep="sigma2
     sigma2: float
 
     def _logpdf(self, x):
-        return (-0.5 * (_LOG_2PI + math.log(self.sigma2))
-                - (x - self.mean) ** 2 / (2.0 * self.sigma2))
+        d = x - self.mean  # d (d / sigma2), not d**2 / sigma2: d**2 overflows past |d| = 1.3e154
+        return -0.5 * (_LOG_2PI + math.log(self.sigma2)) - d * (d / self.sigma2) / 2.0
 
 
 @dataclass(frozen=True)
@@ -291,8 +291,9 @@ def logpdf(d: Distribution, x):
 
 
 def pdf(d: Distribution, x):
-    """Density at x; 0 outside the support."""
-    out = np.exp(logpdf(d, x))
+    """Density at x; 0 outside the support, inf where it is past the float range."""
+    with np.errstate(over="ignore"):  # as in logpdf: inf is the right double there
+        out = np.exp(logpdf(d, x))
     return float(out) if np.ndim(out) == 0 else out
 
 

@@ -10,7 +10,10 @@ and its derivative through
 
 with p_k the Poisson(lam) probabilities; each series is summed by the
 oracle's engine from the mode on the record's log-pmf, and this module
-only supplies the weights.
+only supplies the weights.  A function that takes a cfg hands it to
+that engine as its series budget (an oracle.OracleConfig); None, the
+default, runs the oracle's defaults, as the convergence tables, which
+take none, always do.
 The convergence experiments produce tables: binomial entropies with
 p_n = lam/n approaching the Poisson entropy, and conditional negative
 binomial entropies approaching the logarithmic entropy as r -> 0.
@@ -75,8 +78,7 @@ def poisson_entropy(lam: float, cfg: oracle.OracleConfig | None = None) -> float
     The paper's form cancels lam*log(lam) against the series, so the
     result is off by a few ulp of lam*log(lam): 3.5e-12 at lam = 1e4 and
     3.4e-9 at 1e6 against mpmath.  For large lam use
-    shannon(Poisson(lam)), which sums -p_k log p_k directly.  cfg is the
-    series budget; None runs OracleConfig()'s defaults.
+    shannon(Poisson(lam)), which sums -p_k log p_k directly.
     """
     d = Poisson(lam)  # checks lam and stores it as a float
     series = oracle.discrete_expectation(d, _log_factorial, cfg)
@@ -84,10 +86,7 @@ def poisson_entropy(lam: float, cfg: oracle.OracleConfig | None = None) -> float
 
 
 def poisson_entropy_derivative(lam: float, cfg: oracle.OracleConfig | None = None) -> float:
-    """d/dlam of the Poisson entropy; positive, decreasing, and -> 0 at infinity.
-
-    cfg is the series budget; None runs OracleConfig()'s defaults.
-    """
+    """d/dlam of the Poisson entropy; positive, decreasing, and -> 0 at infinity."""
     d = Poisson(lam)
     series = oracle.discrete_expectation(d, _log_next, cfg)
     return series.value - math.log(d.lam)
@@ -97,8 +96,7 @@ def appendix_series_growth(lam_grid, cfg: oracle.OracleConfig | None = None):
     """exp(-lam) * sum_i lam**i log(i+1) / i! on an increasing lam grid.
 
     The sequence diverges to infinity, eventually exceeding log(N+1) for
-    every N; the grid values make that concrete.  cfg is the series
-    budget; None runs OracleConfig()'s defaults.
+    every N; the grid values make that concrete.
     """
     records = [Poisson(v) for v in as_iterable(lam_grid, "lam_grid")]
     if not records or any(b.lam <= a.lam for a, b in zip(records, records[1:])):
@@ -128,10 +126,8 @@ def binomial_to_poisson(lam: float, n_grid, perturb: float = 0.0) -> Convergence
     """Binomial(n, p_n) Shannon entropies against the Poisson(lam) limit.
 
     p_n = (lam/n) * (1 + perturb/n); the default perturb = 0 is the plain
-    scheme, the knob demonstrates that only n * p_n -> lam matters.  Both
-    columns are summed by the oracle's engine at OracleConfig()'s
-    defaults; a p_n outside (0, 1) is a ParameterError of its Binomial
-    record.
+    scheme, the knob demonstrates that only n * p_n -> lam matters.  A
+    p_n outside (0, 1) is a ParameterError of its Binomial record.
     """
     target, perturb = Poisson(lam), as_real(perturb, "perturb")
     ns = [_integer(n) for n in as_iterable(n_grid, "n_grid")]
@@ -144,8 +140,7 @@ def nb_to_logarithmic(p: float, r_grid) -> ConvergenceTable:
     """Conditional negative binomial entropies against the Logarithmic(p) limit.
 
     The r grid must decrease within (0, 1/2), the region where the
-    dominated-convergence construction behind the limit applies.  Both
-    columns are summed by the oracle's engine at OracleConfig()'s defaults.
+    dominated-convergence construction behind the limit applies.
     """
     target = Logarithmic(p)
     rs = [as_real(r, "r grid value") for r in as_iterable(r_grid, "r_grid")]

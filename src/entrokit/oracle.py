@@ -7,10 +7,13 @@ _PLANS:
 
 * adaptive panel quadrature with an embedded Gauss(7)/Kronrod(15) pair
   for the error estimate (QUADPACK's dqk15 rule and estimate), one run
-  per oracle value.  An integrand may return several rows on one mesh
-  (GR1's integrals of p**alpha and p**alpha log p, GR2's J(alpha) and
-  J(beta)), each row refined until it meets its own tolerance, with one
-  log-density call per batch of nodes.  Half-line integrals are mapped
+  per oracle value.  One builder makes every continuous integrand: rows
+  of p**alpha, each times log p or not, on one mesh (GR1's integrals of
+  p**alpha and p**alpha log p, GR2's J(alpha) and J(beta)), each row
+  refined until it meets its own tolerance, with one log-density call
+  per record and batch of nodes.  The Kullback-Leibler divergence is
+  the builder's log(p/q) row at alpha = 1, on p's plan with q's split
+  points added.  Half-line integrals are mapped
   onto (0, 1) by x = scale * s / (1 - s) with s = t**k: an integrand
   that behaves like x**a or x**a log x at 0 gets k = max(1, 4/(a + 1)),
   so it vanishes like t**3 (log t) at t = 0 and the error estimate holds
@@ -76,7 +79,11 @@ from .measures import EntropySpec, check_order
 
 @dataclass(frozen=True)
 class OracleConfig:
-    """Tolerances and budgets for the quadrature and series oracles: positive floats and ints."""
+    """Tolerances and budgets for the quadrature and series oracles: positive floats and ints.
+
+    Every public routine of the oracle takes one as cfg; None, the
+    default, runs OracleConfig()'s defaults.
+    """
 
     abs_tol: float = 1e-10
     rel_tol: float = 1e-10
@@ -195,7 +202,7 @@ def integrate_interval(f: Callable, breakpoints, cfg: OracleConfig | None = None
     unmet tolerance in four equal parts, until each component's summed
     error estimate is under max(abs_tol, rel_tol * |its integral|).
     NonConvergenceError once a split would take the mesh past
-    max_subdivisions panels.  cfg None runs OracleConfig()'s defaults.
+    max_subdivisions panels.
     """
     bp = _breakpoints(breakpoints)
     cfg = cfg or _CONFIG
@@ -256,8 +263,7 @@ def integrate_halfline(g: Callable, cfg: OracleConfig | None = None, scale: floa
     integrand.  The default a = 3 gives k = 1, the plain map, which also
     suits any g smooth at 0.  For a + 1 < 1/20, NonConvergenceError:
     about exp(-744 (a + 1)) of such a mass lies below the smallest
-    double, 7e-17 at the floor and 5e-14 with the log weight.  cfg None
-    runs OracleConfig()'s defaults, as in integrate_interval.
+    double, 7e-17 at the floor and 5e-14 with the log weight.
     """
     scale = _positive_scale(scale)
     a1 = as_real(power_at_zero, "power_at_zero") + 1.0
@@ -300,8 +306,7 @@ def integrate_realline(g: Callable, cfg: OracleConfig | None, interior,
     location: a second mode far from c is met where the map stretches,
     and takes more points (two normal modes 1e3 scale units apart: 1305
     points against 1050 with a linear piece between them, and a relative
-    error of 3e-12 against 7e-16, within the tolerance).  cfg None runs
-    OracleConfig()'s defaults, as in integrate_interval.
+    error of 3e-12 against 7e-16, within the tolerance).
     """
     scale = _positive_scale(scale)
     pts = [as_real(p, "split point") for p in as_iterable(interior, "interior")]
@@ -409,22 +414,18 @@ def _joint_plan(d: Distribution, orders) -> _Plan:
     return first._replace(scale=scale, power_at_zero=min(first.power_at_zero, second.power_at_zero))
 
 
-def _integrate(g: Callable, plan: _Plan, cfg: OracleConfig | None) -> QuadResult:
-    if plan.support == "halfline":
-        return integrate_halfline(g, cfg, scale=plan.scale, power_at_zero=plan.power_at_zero)
-    if plan.support == "realline":
-        return integrate_realline(g, cfg, plan.splits, scale=plan.scale)
-    a, b = plan.splits  # a panel a few ulp wide has nodes that round to outside [a, b]
-    return integrate_interval(lambda x: g(np.minimum(np.maximum(x, a), b)),
-                              np.linspace(a, b, 17), cfg)
+def _power_integrals(d: Distribution, terms, cfg: OracleConfig | None,
+                     q: Distribution | None = None) -> QuadResult:
+    """Integrals of p**alpha, times log(p/q) where with_log, for each (alpha, with_log) of terms.
 
-
-def _power_integrals(d: Distribution, terms, cfg: OracleConfig | None) -> QuadResult:
-    """Integrals of p**alpha, times log p where with_log, for each (alpha, with_log) of terms.
-
-    One run on one mesh, one logpdf call per batch of nodes; one term
-    gives a QuadResult of floats, more give arrays in the order of terms.
-    A row right after the p**alpha row of its order copies that row.
+    p is the density of d.  Without a reference record q the reference
+    is Lebesgue measure and the log factor is log p; with one it is
+    log p - log q, on p's plan: q shares p's support (kl_integral checks
+    it), and on the real line q's split points join p's as breakpoints,
+    so the run stays centred on p's mass.  One run on one mesh, one
+    logpdf call per record and batch of nodes; one term gives a
+    QuadResult of floats, more give arrays in the order of terms.  A row
+    right after the p**alpha row of its order copies that row.
     """
     if d.is_discrete:
         raise FamilyMismatchError("power integrals are defined for continuous families")
@@ -437,6 +438,7 @@ def _power_integrals(d: Distribution, terms, cfg: OracleConfig | None) -> QuadRe
         nonlocal mass
         lp = logpdf(d, x)
         mass = mass or _some_mass(d, lp)
+        log_ratio = lp if q is None else lp - logpdf(q, x)
         rows = np.empty((len(terms), len(lp)))
         for i, (alpha, with_log) in enumerate(terms):
             row = rows[i]
@@ -445,11 +447,19 @@ def _power_integrals(d: Distribution, terms, cfg: OracleConfig | None) -> QuadRe
             else:
                 np.exp(lp if alpha == 1.0 else alpha * lp, out=row)
             if with_log:
-                row *= lp
+                row *= log_ratio
                 row[lp == -np.inf] = 0.0
         return rows if len(terms) > 1 else rows[0]
 
-    return _integrate(g, _joint_plan(d, [alpha for alpha, _ in terms]), cfg)
+    plan = _joint_plan(d, [alpha for alpha, _ in terms])
+    if plan.support == "halfline":  # p's power at 0 holds: log q adds only a log factor
+        return integrate_halfline(g, cfg, scale=plan.scale, power_at_zero=plan.power_at_zero)
+    if plan.support == "realline":  # centred on p's split point, with q's as breakpoints
+        splits = plan.splits if q is None else plan.splits + _plan(q, 1.0).splits
+        return integrate_realline(g, cfg, splits, scale=plan.scale)
+    a, b = plan.splits  # a panel a few ulp wide has nodes that round to outside [a, b]
+    return integrate_interval(lambda x: g(np.minimum(np.maximum(x, a), b)),
+                              np.linspace(a, b, 17), cfg)
 
 
 def _some_mass(d: Distribution, lp) -> bool:
@@ -466,44 +476,28 @@ def _some_mass(d: Distribution, lp) -> bool:
 
 
 def integral_p_alpha(d: Distribution, alpha: float, cfg: OracleConfig | None = None) -> QuadResult:
-    """Numerical integral of p(x)**alpha over the support of d; cfg None runs the defaults."""
+    """Numerical integral of p(x)**alpha over the support of d."""
     return _power_integrals(d, [(alpha, False)], cfg)
 
 
 def integral_p_alpha_log_p(d: Distribution, alpha: float,
                            cfg: OracleConfig | None = None) -> QuadResult:
-    """Numerical integral of p(x)**alpha * log p(x) over the support of d.
-
-    cfg None runs OracleConfig()'s defaults.
-    """
+    """Numerical integral of p(x)**alpha * log p(x) over the support of d."""
     return _power_integrals(d, [(alpha, True)], cfg)
 
 
 def kl_integral(p: Distribution, q: Distribution, cfg: OracleConfig | None = None) -> QuadResult:
-    """Numerical Kullback-Leibler divergence of p from q (continuous pairs).
+    """Numerical Kullback-Leibler divergence of p from q (continuous pairs of one support).
 
-    cfg None runs OracleConfig()'s defaults.
+    The integral of p log(p/q): the log(p/q) row of _power_integrals at
+    alpha = 1, on p's plan with q's split points added.
     """
     if p.is_discrete or q.is_discrete:
         raise FamilyMismatchError("kl_integral handles continuous pairs only")
-    plan_p, plan_q = _plan(p, 1.0), _plan(q, 1.0)
-    if plan_p.support != plan_q.support:
-        raise UnsupportedFamilyError(
-            f"supports differ: {plan_p.support} vs {plan_q.support}")
-
-    mass = False  # whether p > 0 at some node of the first pass
-
-    def g(x):
-        nonlocal mass
-        lp = logpdf(p, x)
-        mass = mass or _some_mass(p, lp)
-        out = np.exp(lp) * (lp - logpdf(q, x))
-        out[lp == -np.inf] = 0.0
-        return out
-
-    # p's power at 0 holds: log q adds only a log factor; the real line is centred on p's mass
-    plan = plan_p._replace(splits=tuple(dict.fromkeys(plan_p.splits + plan_q.splits)))
-    return _integrate(g, plan, cfg)
+    support_p, support_q = _plan(p, 1.0).support, _plan(q, 1.0).support
+    if support_p != support_q:
+        raise UnsupportedFamilyError(f"supports differ: {support_p} vs {support_q}")
+    return _power_integrals(p, [(1.0, True)], cfg, q)
 
 
 # --- series with certified truncation -------------------------------------------
@@ -661,7 +655,7 @@ def _mode_sum(d: Distribution, plan: _Plan, s: _Summand, cfg: OracleConfig | Non
     the log p_k0 the upward pass evaluated.  last_k is the last index
     summed upward and tail_bound includes rounding.  SeriesBudgetError
     is raised once max_terms terms (both directions together) are
-    summed without a certificate.  cfg None runs OracleConfig()'s defaults.
+    summed without a certificate.
     """
     cfg = cfg or _CONFIG
     if plan.mode > _EXACT_INDEX:
@@ -684,8 +678,7 @@ def discrete_entropy_sum(d: Distribution, transform: str, alpha: float,
     Summed from the mode outward by the driver shared with
     discrete_expectation; last_k is the last index summed upward and
     tail_bound covers truncation and rounding.  SeriesBudgetError is
-    raised once max_terms terms are summed without a certificate.  cfg
-    None runs OracleConfig()'s defaults.
+    raised once max_terms terms are summed without a certificate.
     """
     if not d.is_discrete:
         raise FamilyMismatchError("discrete_entropy_sum needs a discrete family")
@@ -717,8 +710,7 @@ def discrete_expectation(d: Distribution, weight: Callable,
     downward past an index k.  A block that ends on a zero weight gives
     no certificate yet.  Summed from the mode outward like
     discrete_entropy_sum; tail_bound covers truncation and the rounding
-    of log p_k and of the sum, not the error of w.  cfg None runs
-    OracleConfig()'s defaults.
+    of log p_k and of the sum, not the error of w.
     """
     if not d.is_discrete:
         raise FamilyMismatchError("discrete_expectation needs a discrete family")
@@ -755,8 +747,7 @@ def entropy_estimate(d: Distribution, measure: str, alpha: float | None = None,
     modified entropy).  Discrete families support shannon only.  An
     integral of p**alpha that underflows to 0 raises NonConvergenceError
     where the measure takes its log or divides by it.  alpha and beta
-    default to None, as shannon needs no order; cfg None runs
-    OracleConfig()'s defaults.
+    default to None, as shannon needs no order.
     """
     spec = EntropySpec(measure, alpha, beta)
     if measure == "modified":

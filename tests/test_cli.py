@@ -292,6 +292,17 @@ class TestSweepRecords:
 class TestVerifyContract:
     """--verify exits 1 when a row misses |closed - oracle| <= 1e-8 (1 + |closed|)."""
 
+    @pytest.mark.parametrize("sigma2", ["1e307", "8e307", "1e308"])
+    def test_normal_at_the_largest_scales(self, capsys, sigma2):
+        """The oracle's nodes past |x| = 1.3e154 keep their density: no d**2 overflows."""
+        code, out, err = run(capsys, "entropy", "--dist", f"normal:mean=0,sigma2={sigma2}",
+                             "--measure", "shannon", "--verify")
+        assert (code, err) == (0, "")
+        closed, _, abs_error = map(float, out.splitlines()[1].split(","))
+        exact = 0.5 * (math.log(2.0 * math.pi * math.e) + math.log(float(sigma2)))
+        assert closed == pytest.approx(exact)
+        assert abs_error <= 1e-13 * closed
+
     def test_modified_verify(self, capsys):
         code, out, err = run(capsys, "modified", "--dist", "normal:mean=0,sigma2=1", "--verify")
         assert code == 0, err
@@ -429,6 +440,29 @@ class TestMalformedArguments:
         assert code == 1
         assert out == ""
         assert message in err
+
+    @pytest.mark.parametrize("argv, message", [
+        (("sweep", "--dist", "exp:lambda=1", "--measure", "shannon", "--grid", "inf:1:3"),
+         "endpoint of grid 'inf:1:3' must be a finite real number, got inf"),
+        (("sweep", "--dist", "exp:lambda=1", "--measure", "shannon", "--grid", "0.1:1e400:3"),
+         "endpoint of grid '0.1:1e400:3' must be a finite real number, got inf"),
+        (("sweep", "--dist", "exp:lambda=1", "--measure", "shannon",
+          "--grid=-1.7e308:1.7e308:3"),  # the width overflows
+         "value of grid '-1.7e308:1.7e308:3' must be a finite real number, got nan"),
+        (("sweep", "--dist", "exp:lambda=1", "--measure", "shannon", "--grid", "1,nan"),
+         "value of grid '1,nan' must be a finite real number, got nan"),
+        (("sweep", "--dist", "exp:lambda=1", "--measure", "shannon", "--grid", "nan:2:3:log"),
+         "endpoint of grid 'nan:2:3:log' must be a finite real number, got nan"),
+        (("converge", "--lambda", "2", "--n", "10:inf:3"),
+         "endpoint of grid '10:inf:3' must be a finite real number, got inf"),
+        (("gauss", "--n", "3", "--hurst-grid", "nan:1:3"),
+         "endpoint of grid 'nan:1:3' must be a finite real number, got nan"),
+    ])
+    def test_non_finite_grid_is_one_line_naming_the_grid(self, capsys, argv, message):
+        """No numpy warning leaks (pytest turns it into an error) and no parameter is blamed."""
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err == f"entrokit: error: {message}\n"
 
     @pytest.mark.parametrize("argv, message", [
         (("--n", "10,100"), "needs --lambda"),

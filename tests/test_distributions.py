@@ -354,6 +354,22 @@ def test_huge_finite_points_give_a_value_without_a_warning(d):
     assert not np.isnan(values).any() and (values < np.inf).all()
 
 
+def test_density_past_the_float_range_is_inf_without_a_warning():
+    assert pdf(Uniform(0.0, 1e-310), 5e-311) == math.inf
+    assert (pdf(Uniform(0.0, 1e-310), np.array([5e-311, 2e-310])) == [math.inf, 0.0]).all()
+
+
+class TestNormalLogDensityAtHugeScales:
+    """The square of x - mean never forms: d (d / sigma2) holds where d**2 overflows."""
+
+    def test_infinite_points_give_minus_inf(self):
+        values = logpdf(Normal(0.0, 1e308), np.array([math.inf, -math.inf]))
+        assert (values == -math.inf).all()
+
+    def test_finite_value_past_the_square_range(self):
+        assert logpdf(Normal(0.0, 1e200), 1e160) == pytest.approx(-5e119, rel=1e-15)
+
+
 class TestGammaNormaliser:
     """The gamma-type log-density's constant mu log lam - log gamma(mu), from libm's lgamma."""
 

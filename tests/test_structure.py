@@ -272,17 +272,22 @@ def test_each_oracle_value_is_one_traced_run(monkeypatch):
 PER_PASS_BANNED = {"np.stack", "np.isneginf", "np.unique", "np.linspace"}
 
 
+def oracle_functions(source: str | None = None) -> dict[str, ast.FunctionDef]:
+    """The top-level functions of oracle.py (or of source), by name."""
+    tree = ast.parse(source if source is not None else (SRC / "oracle.py").read_text())
+    return {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+
+
 def oracle_per_pass_functions() -> dict[str, ast.FunctionDef]:
     """The oracle code that runs on every quadrature pass, by name.
 
     That is _gk_apply, integrate_interval, _some_mass and the integrand
-    closures nested in integrate_halfline, integrate_realline,
-    _power_integrals and kl_integral.
+    closures nested in integrate_halfline, integrate_realline and
+    _power_integrals (which also builds kl_integral's integrand).
     """
-    tree = ast.parse((SRC / "oracle.py").read_text())
-    top = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    top = oracle_functions()
     found = {name: top[name] for name in ("_gk_apply", "integrate_interval", "_some_mass")}
-    for outer in ("integrate_halfline", "integrate_realline", "_power_integrals", "kl_integral"):
+    for outer in ("integrate_halfline", "integrate_realline", "_power_integrals"):
         nested = [node for node in ast.walk(top[outer])
                   if isinstance(node, ast.FunctionDef) and node is not top[outer]]
         assert nested, f"{outer} has no integrand closure"
@@ -299,11 +304,40 @@ def banned_calls(functions: dict[str, ast.FunctionDef]) -> list[str]:
 def test_quadrature_passes_make_no_slow_numpy_calls():
     """np.stack, np.isneginf (Python wrappers) and the mesh builders stay out of each pass."""
     functions = oracle_per_pass_functions()
-    assert len(functions) >= 7
+    assert len(functions) >= 6
     assert banned_calls(functions) == []
     # the walk reaches into a function's body: an integrand that stacks its rows is found
     stacked = ast.parse("def g(x):\n    return np.stack([x, x])\n").body[0]
     assert banned_calls({"g": stacked}) == ["g:2 np.stack"]
+
+
+def integrand_calls_outside_the_builder(source: str | None = None) -> list[str]:
+    """logpdf and _some_mass calls outside _power_integrals's closure, and kl_integral's closures.
+
+    The continuous integrands have one builder: every density call and
+    first-pass mass guard sits in the closure nested in _power_integrals,
+    and kl_integral hands its pair to that builder.
+    """
+    top = oracle_functions(source)
+    inside = {id(node) for closure in ast.walk(top["_power_integrals"])
+              if isinstance(closure, ast.FunctionDef) and closure is not top["_power_integrals"]
+              for node in ast.walk(closure)}
+    found = [f"{ast.unparse(node.func)}:{node.lineno}"
+             for function in top.values() for node in ast.walk(function)
+             if isinstance(node, ast.Call) and ast.unparse(node.func) in ("logpdf", "_some_mass")
+             and id(node) not in inside]
+    found += [f"kl_integral.{node.name}:{node.lineno}" for node in ast.walk(top["kl_integral"])
+              if isinstance(node, ast.FunctionDef) and node is not top["kl_integral"]]
+    return found
+
+
+def test_continuous_integrands_have_one_builder():
+    assert integrand_calls_outside_the_builder() == []
+    # a KL with its own integrand closure is found, with its density calls
+    source = ("def _power_integrals(d):\n    def g(x):\n        return logpdf(d, x)\n"
+              "def kl_integral(p, q):\n    def g(x):\n        return logpdf(p, x) - logpdf(q, x)\n")
+    assert integrand_calls_outside_the_builder(source) == [
+        "logpdf:6", "logpdf:6", "kl_integral.g:5"]
 
 
 def unused_imports(name: str, source: str) -> list[str]:
