@@ -22,11 +22,16 @@ _PLANS:
   density's location; p's for a KL pair), and every other split point
   is a breakpoint of the t-mesh.  A second mode far from c costs points
   where the map stretches; the oracle's integrands have their mass near
-  c.  A half-line run starts from one constant mesh on (0, 1), a
-  real-line run from that mesh, its mirror image and its breakpoints,
-  and a flagged panel is split in four equal parts.  A run whose
-  density p is 0 at every node of its first pass would "converge" to 0
-  there; it raises NonConvergenceError naming the record instead.
+  c.  A half-line run starts from one constant mesh on (0, 1), graded
+  toward both ends of the map: three geometric panels next to t = 0
+  (x -> 0, where power laws and a log-normal's low tail sit), steps of
+  0.05 through the body and twelve geometric panels toward t = 1 (the
+  tail), so that most desk-scale values meet their tolerance in this
+  first pass.  A real-line run starts from that mesh, its mirror image
+  and its breakpoints, and a flagged panel is split in four equal parts.
+  A run whose density p is 0 at every node of its first pass would
+  "converge" to 0 there; it raises NonConvergenceError naming the record
+  instead.
 
 * one series engine with a certified geometric tail: once the uniform
   one-step ratio bound q of the terms is below 1, the remaining tail is
@@ -244,9 +249,12 @@ def integrate_interval(f: Callable, breakpoints, cfg: OracleConfig | None = None
             est = np.concatenate([est[:, :, keep], new_est], axis=2)
 
 
+# the half-line's t-mesh on [0, 1]: geometric panels from t = 1e-3 to 0.05, steps of 0.05
+# to 0.9 (0.5 exact: the real line's t = +-1/2), then ratio 2.15 in 1 - t down to 1e-5
 _PLAIN_MESH = np.unique(np.concatenate([
-    np.linspace(0.0, 0.9, 10),
-    1.0 - np.geomspace(0.1, 1e-5, 6),
+    np.geomspace(1e-3, 0.05, 4)[:-1],
+    np.linspace(0.0, 0.9, 19),
+    1.0 - np.geomspace(0.1, 1e-5, 13),
     [1.0],
 ]))
 # the real line's t-mesh on [-1, 1]: the half-line mesh and its mirror image

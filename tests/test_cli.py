@@ -303,6 +303,15 @@ class TestVerifyContract:
         assert closed == pytest.approx(exact)
         assert abs_error <= 1e-13 * closed
 
+    def test_wide_lognormal_shannon(self, capsys):
+        """A desk-scale sigma2 whose oracle value once missed by 2.0e-9."""
+        code, out, err = run(capsys, "entropy", "--dist",
+                             "lognormal:m=1.4638539755315008,sigma2=2.0800457949637603",
+                             "--measure", "shannon", "--verify")
+        assert (code, err) == (0, "")
+        _, _, abs_error = map(float, out.splitlines()[1].split(","))
+        assert abs_error <= 1e-12
+
     def test_modified_verify(self, capsys):
         code, out, err = run(capsys, "modified", "--dist", "normal:mean=0,sigma2=1", "--verify")
         assert code == 0, err
