@@ -21,7 +21,7 @@ import dataclasses
 import sys
 
 from .errors import (EntrokitError, ParameterError, UnboundedDensityError,
-                     ValidityDomainError, as_real)
+                     ValidityDomainError, as_grid_integer, as_real)
 from .measures import MEASURES, EntropySpec, oracle_error
 
 _EXIT_MALFORMED = 1
@@ -143,9 +143,7 @@ def _replace_param(d, param: str, value: float):
             f"family {d.spec_name!r} has no parameter {param!r} to sweep")
     attr, conv = fields[param]
     if conv is int:
-        if abs(value - round(value)) > 1e-9:
-            raise ParameterError(f"parameter {param!r} needs integer grid values, got {value}")
-        value = round(value)
+        value = as_grid_integer(value, f"parameter {param!r}")
     return dataclasses.replace(d, **{attr: conv(value)})
 
 
@@ -214,12 +212,7 @@ def _cmd_selftest(args) -> int:
     from . import verification
     families = verification.ORACLE_FAMILIES
     if args.families:
-        requested = tuple(f.strip() for f in args.families.split(",") if f.strip())
-        unknown = [f for f in requested if f not in verification.ORACLE_FAMILIES]
-        if unknown:
-            raise ParameterError(f"unknown families {unknown}; "
-                                 f"choose from {verification.ORACLE_FAMILIES}")
-        families = requested
+        families = tuple(f.strip() for f in args.families.split(",") if f.strip())
     rows = verification.oracle_equivalence(
         families, verification.ORACLE_MEASURES, args.draws, args.seed)
     lines = ["family,measure,draws,max_scaled_error,status"]

@@ -51,7 +51,10 @@ _LOG_2PI = math.log(2.0 * math.pi)
 
 @dataclass(frozen=True)
 class DensityBound:
-    """Supremum M of a bounded density and where it is attained (None if everywhere)."""
+    """Supremum M of a bounded density and the point of d.support where it is attained.
+
+    attained_at is None where the density is M everywhere on its support.
+    """
 
     M: float
     attained_at: float | None
@@ -90,8 +93,8 @@ def _gamma_sup(d):
         raise UnboundedDensityError(
             f"gamma density with mu = {d.mu} < 1 is unbounded at 0; "
             "the modified Shannon entropy does not exist")
-    if d.mu == 1.0:
-        return DensityBound(d.lam, 0.0)
+    if d.mu == 1.0:  # the exponential's sup, at the support's first point
+        return DensityBound(d.lam, d.support[0])
     mode = (d.mu - 1.0) / d.lam
     log_m = (d.mu * math.log(d.lam) - log_gamma(d.mu)
              + (d.mu - 1.0) * math.log(mode) - (d.mu - 1.0))
@@ -115,7 +118,7 @@ _ROWS = {
         log_j=lambda d, alpha, label: (alpha - 1.0) * math.log(d.lam) - math.log(alpha),
         gr1=lambda d, alpha: -math.log(d.lam) + 1.0 / alpha,
         kl=lambda p, q: math.log(p.lam / q.lam) + q.lam / p.lam - 1.0,
-        sup=lambda d: DensityBound(d.lam, 0.0)),
+        sup=lambda d: DensityBound(d.lam, d.support[0])),
     Laplace: dict(
         log_j=lambda d, alpha, label: (alpha - 1.0) * math.log(d.lam / 2.0) - math.log(alpha),
         gr1=lambda d, alpha: -math.log(d.lam / 2.0) + 1.0 / alpha,

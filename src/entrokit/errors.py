@@ -5,7 +5,8 @@ messages always name the violated constraint with actual values filled in.
 as_real and as_integer check every numeric argument of the public entry
 points: any real or integer, numpy scalars and Fractions included, comes
 back as a Python float or int; bool, strings, None, NaN, +-inf and ints
-past the float range raise ParameterError.  Range rules stay with callers.
+past the float range raise ParameterError.  as_grid_integer reads a grid
+value as the integer it is within 1e-9 of.  Range rules stay with callers.
 as_iterable checks the sequence arguments (grids, split points) the same
 way.
 """
@@ -81,6 +82,14 @@ def as_integer(value, name: str) -> int:
             and not isinstance(value, bool) and abs(value) <= sys.float_info.max):
         return int(value)
     raise ParameterError(f"{name} must be an integer within the float range, got {value!r}")
+
+
+def as_grid_integer(value, name: str) -> int:
+    """value as an int, if it is a real within 1e-9 of one, or ParameterError naming `name`."""
+    value = as_real(value, name)
+    if abs(value - round(value)) > 1e-9:
+        raise ParameterError(f"{name} needs integer grid values, got {value!r}")
+    return round(value)
 
 
 def as_iterable(value, name: str):

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import oracle
 from .distributions import Binomial, Logarithmic, NegBinomialConditional, Poisson
-from .errors import ParameterError, as_iterable, as_real
+from .errors import ParameterError, as_grid_integer, as_iterable, as_real
 from .special import log_gamma
 
 
@@ -104,14 +104,6 @@ def appendix_series_growth(lam_grid, cfg: oracle.OracleConfig | None = None):
     return [(d.lam, oracle.discrete_expectation(d, _log_next, cfg).value) for d in records]
 
 
-def _integer(v) -> int:
-    """v as an int, if it is a real within 1e-9 of one."""
-    v = as_real(v, "n grid value")
-    if abs(v - round(v)) > 1e-9:
-        raise ParameterError(f"n grid needs integer values, got {v!r}")
-    return round(v)
-
-
 def _table(driver_name: str, drivers, limit_d, record) -> ConvergenceTable:
     """Shannon entropies of record(x) over the drivers x against that of limit_d."""
     limit = -oracle.discrete_entropy_sum(limit_d, "p_log_p", 1.0).value
@@ -130,7 +122,7 @@ def binomial_to_poisson(lam: float, n_grid, perturb: float = 0.0) -> Convergence
     p_n outside (0, 1) is a ParameterError of its Binomial record.
     """
     target, perturb = Poisson(lam), as_real(perturb, "perturb")
-    ns = [_integer(n) for n in as_iterable(n_grid, "n_grid")]
+    ns = [as_grid_integer(n, "n") for n in as_iterable(n_grid, "n_grid")]
     if not ns or any(b <= a for a, b in zip(ns, ns[1:])):
         raise ParameterError("n grid must be strictly increasing")
     return _table("n", ns, target, lambda n: Binomial(n, (target.lam / n) * (1.0 + perturb / n)))

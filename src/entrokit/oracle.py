@@ -1,8 +1,9 @@
 """Independent numerical ground truth for the closed forms.
 
 Two engines live here and deliberately share nothing with the formula
-code they are used to check; what they need to know of a family (support,
-map scale, split points, power at x = 0, ratio bound) is one row of
+code they are used to check.  The support of a law is its record's
+(d.support); how the engines cover it (half-line, real-line or interval
+map, map scale, split points, power at x = 0, ratio bound) is one row of
 _PLANS:
 
 * adaptive panel quadrature with an embedded Gauss(7)/Kronrod(15) pair
@@ -341,14 +342,12 @@ def integrate_realline(g: Callable, cfg: OracleConfig | None, interior,
 # --- per-family plans ---------------------------------------------------------
 
 class _Plan(NamedTuple):
-    """How the engines cover the support of one record."""
+    """How the engines cover the support of one record, which is the record's d.support."""
 
-    support: str                   # "halfline", "realline", "interval[a,b]" or "discrete"
+    map: str = ""                  # "halfline", "realline" or "interval"; "" for a series
     scale: float = 1.0             # of the x = scale*t/(1-t) tail map
-    splits: tuple = ()             # real-line split points, centre first, or the interval's ends
+    splits: tuple = ()             # real-line split points, centre first
     power_at_zero: float = 3.0     # a of the integrand's x**a (log x) at 0; 3: the plain map
-    start: int = 0                 # first index of a discrete support
-    stop: int | None = None        # last index of a finite support
     ratio: Callable | None = None  # ratio(k) >= p_{j+1}/p_j for every j >= k
     mode: int = 0                  # index of the largest p_k; summation starts next to it
     down: Callable | None = None   # down(k) >= p_{j-1}/p_j for every j <= k
@@ -363,12 +362,6 @@ def _gamma_plan(d: Gamma | ChiSquared, alpha: float) -> _Plan:
     # the scale is the escort mean (a + 1) / (alpha lam), or the mean if that is larger
     return _Plan("halfline", scale=max(a1 / (alpha * d.lam), d.mu / d.lam),
                  power_at_zero=alpha * (d.mu - 1.0))
-
-
-def _interval_plan(d: Uniform, alpha: float) -> _Plan:
-    if not math.isfinite(d.b - d.a):  # np.linspace would build a mesh of inf and NaN
-        raise ParameterError(f"the width b - a of {format_spec(d)} is past the float range")
-    return _Plan(f"interval[{d.a},{d.b}]", splits=(d.a, d.b))
 
 
 def _exp_or_inf(x: float) -> float:
@@ -389,17 +382,17 @@ _PLANS = {
         "halfline", scale=_exp_or_inf(d.m + (1.0 - alpha) * d.sigma2 / alpha)),
     Laplace: lambda d, alpha: _Plan("realline", scale=1.0 / d.lam, splits=(d.mu,)),
     Normal: lambda d, alpha: _Plan("realline", scale=math.sqrt(d.sigma2), splits=(d.mean,)),
-    Uniform: _interval_plan,
+    Uniform: lambda d, alpha: _Plan("interval"),
     Poisson: lambda d, alpha: _Plan(
-        "discrete", ratio=lambda k: d.lam / (k + 1.0), mode=math.floor(d.lam),
+        ratio=lambda k: d.lam / (k + 1.0), mode=math.floor(d.lam),
         down=lambda k: k / d.lam, mean=d.lam),
     Binomial: lambda d, alpha: _Plan(
-        "discrete", stop=d.n, ratio=lambda k: max(0, d.n - k) / (k + 1.0) * d.p / (1.0 - d.p),
+        ratio=lambda k: max(0, d.n - k) / (k + 1.0) * d.p / (1.0 - d.p),
         mode=math.floor((d.n + 1) * d.p),
         down=lambda k: k * (1.0 - d.p) / ((d.n - k + 1.0) * d.p), mean=d.n * d.p),
     NegBinomialConditional: lambda d, alpha: _Plan(
-        "discrete", start=1, ratio=lambda k: (1.0 - d.p) * max(1.0, (k + d.r) / (k + 1.0))),
-    Logarithmic: lambda d, alpha: _Plan("discrete", start=1, ratio=lambda k: 1.0 - d.p),
+        ratio=lambda k: (1.0 - d.p) * max(1.0, (k + d.r) / (k + 1.0))),
+    Logarithmic: lambda d, alpha: _Plan(ratio=lambda k: 1.0 - d.p),
 }
 
 
@@ -460,12 +453,15 @@ def _power_integrals(d: Distribution, terms, cfg: OracleConfig | None,
         return rows if len(terms) > 1 else rows[0]
 
     plan = _joint_plan(d, [alpha for alpha, _ in terms])
-    if plan.support == "halfline":  # p's power at 0 holds: log q adds only a log factor
+    if plan.map == "halfline":  # p's power at 0 holds: log q adds only a log factor
         return integrate_halfline(g, cfg, scale=plan.scale, power_at_zero=plan.power_at_zero)
-    if plan.support == "realline":  # centred on p's split point, with q's as breakpoints
+    if plan.map == "realline":  # centred on p's split point, with q's as breakpoints
         splits = plan.splits if q is None else plan.splits + _plan(q, 1.0).splits
         return integrate_realline(g, cfg, splits, scale=plan.scale)
-    a, b = plan.splits  # a panel a few ulp wide has nodes that round to outside [a, b]
+    a, b = d.support
+    if not math.isfinite(b - a):  # np.linspace would build a mesh of inf and NaN
+        raise ParameterError(f"the width b - a of {format_spec(d)} is past the float range")
+    # a panel a few ulp wide has nodes that round to outside [a, b]
     return integrate_interval(lambda x: g(np.minimum(np.maximum(x, a), b)),
                               np.linspace(a, b, 17), cfg)
 
@@ -499,12 +495,13 @@ def kl_integral(p: Distribution, q: Distribution, cfg: OracleConfig | None = Non
 
     The integral of p log(p/q): the log(p/q) row of _power_integrals at
     alpha = 1, on p's plan with q's split points added.
+    UnsupportedFamilyError unless p.support == q.support.
     """
     if p.is_discrete or q.is_discrete:
         raise FamilyMismatchError("kl_integral handles continuous pairs only")
-    support_p, support_q = _plan(p, 1.0).support, _plan(q, 1.0).support
-    if support_p != support_q:
-        raise UnsupportedFamilyError(f"supports differ: {support_p} vs {support_q}")
+    if p.support != q.support:
+        raise UnsupportedFamilyError(
+            f"supports differ: {format_spec(p)} on {p.support} vs {format_spec(q)} on {q.support}")
     return _power_integrals(p, [(1.0, True)], cfg, q)
 
 
@@ -587,7 +584,7 @@ def _series(d: Distribution, plan: _Plan, s: _Summand, cfg: OracleConfig, first:
     tail 2 |t_last| q / (1 - q) is at most cfg.series_tail_tol, with q =
     s.ratio(rho, log p_last) times grow_last and rho the plan's bound on
     p_{j+step}/p_j for every j past the block, or once it reaches the
-    end of the support (plan.stop upward, plan.start downward; tail 0).
+    end of d.support (its last index upward, its first downward; tail 0).
     SeriesBudgetError once budget terms are summed without either.  The
     terms share one sign.  The bound adds the error they inherit from
     log p_k (gain times the dot product of slope and the bound on the
@@ -605,9 +602,9 @@ def _series(d: Distribution, plan: _Plan, s: _Summand, cfg: OracleConfig, first:
     evaluated.  Where a batch ends changes no block: a wrong prediction
     costs one more batch or unused terms, never a different sum.
     """
-    rho, stop = (plan.ratio, plan.stop) if step > 0 else (plan.down, plan.start)
-    last = None if stop is None else (stop - first) * step
-    n = budget if last is None else min(budget, last + 1)
+    rho, stop = (plan.ratio, d.support[1]) if step > 0 else (plan.down, d.support[0])
+    last = (int(stop) - first) * step  # past any budget where the support has no end
+    n = min(budget, last + 1)
     total = rounding = 0.0
     i = have = base = 0  # positions: this block's start, past the batch, the batch's start
     size = _FIRST_BLOCK
@@ -655,12 +652,12 @@ def _series(d: Distribution, plan: _Plan, s: _Summand, cfg: OracleConfig, first:
 def _mode_sum(d: Distribution, plan: _Plan, s: _Summand, cfg: OracleConfig | None) -> SeriesResult:
     """Certified sum of s over the support of d, from next to the mode outward.
 
-    Summation runs upward from k0 = max(start, mode - 64) and, when k0 is
-    above the first index, downward from k0 - 1, each direction with its
-    own tail certificate below cfg.series_tail_tol (_series).  A
-    direction also ends at the end of a finite support.  The upward
-    batch prediction starts from log p_k0 <= 0, the downward one from
-    the log p_k0 the upward pass evaluated.  last_k is the last index
+    Summation runs upward from k0 = max(first index, mode - 64) and, when
+    k0 is above the first index of d.support, downward from k0 - 1, each
+    direction with its own tail certificate below cfg.series_tail_tol
+    (_series).  A direction also ends at the end of a finite support.
+    The upward batch prediction starts from log p_k0 <= 0, the downward
+    one from the log p_k0 the upward pass evaluated.  last_k is the last index
     summed upward and tail_bound includes rounding.  SeriesBudgetError
     is raised once max_terms terms (both directions together) are
     summed without a certificate.
@@ -670,9 +667,10 @@ def _mode_sum(d: Distribution, plan: _Plan, s: _Summand, cfg: OracleConfig | Non
         raise SeriesBudgetError(
             f"the mass lies near index {float(plan.mode):g}, beyond 2**53 where indices are "
             "not exact floats")
-    k0 = max(plan.start, plan.mode - _FIRST_BLOCK)
+    start = int(d.support[0])
+    k0 = max(start, plan.mode - _FIRST_BLOCK)
     up, up_bound, n, lp0 = _series(d, plan, s, cfg, k0, 1, cfg.max_terms, (k0, 0.0))
-    if k0 == plan.start:
+    if k0 == start:
         return SeriesResult(up, up_bound, k0 + n - 1)
     down, down_bound, _, _ = _series(d, plan, s, cfg, k0 - 1, -1, cfg.max_terms - n, (k0, lp0))
     total = up + down

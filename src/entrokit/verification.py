@@ -19,7 +19,6 @@ from .distributions import (ChiSquared, Distribution, Exponential, Gamma, Laplac
 from .errors import ParameterError, as_integer
 from .measures import ORDERS, oracle_error
 
-ORACLE_FAMILIES = ("gamma", "exp", "chisq", "laplace", "lognormal", "normal", "uniform")
 CORE_FAMILIES = ("gamma", "exp", "chisq", "laplace", "lognormal")
 ORACLE_MEASURES = ("shannon", "renyi", "gr1", "tsallis", "gr2", "sm")
 
@@ -35,6 +34,7 @@ _DRAWS = {
     "uniform": lambda rng: Uniform(a := rng.uniform(-3.0, 1.0),
                                    a + 10 ** rng.uniform(-1.0, 1.0)),
 }
+ORACLE_FAMILIES = tuple(_DRAWS)
 
 
 def random_distribution(family: str, rng: np.random.Generator) -> Distribution:
@@ -88,9 +88,13 @@ def oracle_equivalence(families, measures, draws: int, seed: int) -> list[Oracle
 
     A NaN or inf oracle value makes its cell's max_error inf.
 
-    Raises ParameterError for an empty family list, fewer than one draw
-    or a negative seed, which would check nothing or fail in numpy.
+    Raises ParameterError, before the first draw, for a family outside
+    ORACLE_FAMILIES, an empty family list, fewer than one draw or a
+    negative seed, which would check nothing or fail in numpy.
     """
+    unknown = [f for f in families if f not in _DRAWS]
+    if unknown:
+        raise ParameterError(f"unknown families {unknown}; choose from {ORACLE_FAMILIES}")
     if not families:
         raise ParameterError("oracle equivalence needs at least one family")
     draws, seed = as_integer(draws, "draws"), as_integer(seed, "seed")

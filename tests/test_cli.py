@@ -184,7 +184,7 @@ class TestConvergeVerb:
         code, out, err = run(capsys, "converge", "--lambda", "2", "--n", "10.5,100")
         assert code == 1
         assert out == ""
-        assert "integer values" in err
+        assert "integer grid values" in err
 
     def test_log_grid_of_sizes(self, capsys):
         code, out, _ = run(capsys, "converge", "--lambda", "2", "--n", "10:10000:4:log")
@@ -234,8 +234,9 @@ class TestSelftestVerb:
         assert "FAIL" in out
 
     def test_unknown_family_exit_1(self, capsys):
-        code, _, _ = run(capsys, "selftest", "--families", "weibull")
-        assert code == 1
+        code, out, err = run(capsys, "selftest", "--families", "exp,weibull")
+        assert code == 1 and out == ""
+        assert "unknown families ['weibull']; choose from ('gamma', 'exp'" in err
 
     @pytest.mark.parametrize("args, message", [
         (("--draws", "0"), "at least 1 draw"),

@@ -150,8 +150,10 @@ class TestNormalization:
 
 class TestDensitySup:
     def test_exponential(self):
-        b = density_sup(Exponential(3.0))
-        assert b.M == 3.0 and b.attained_at == 0.0
+        """Attained at the support's first point, 5e-324: 0 lies outside the support."""
+        d = Exponential(3.0)
+        b = density_sup(d)
+        assert b.M == 3.0 and b.attained_at == d.support[0] == 5e-324
 
     def test_lognormal_pin(self):
         b = density_sup(LogNormal(0.0, 1.0))
@@ -170,6 +172,25 @@ class TestDensitySup:
     def test_uniform_attained_everywhere(self):
         b = density_sup(Uniform(1.0, 3.0))
         assert b.M == 0.5 and b.attained_at is None
+
+    @staticmethod
+    def check_attained(d):
+        """pdf at attained_at is M to 1e-13; a uniform is M everywhere: at its midpoint too."""
+        b = density_sup(d)
+        at = (d.a + d.b) / 2.0 if b.attained_at is None else b.attained_at
+        assert abs(pdf(d, at) - b.M) <= 1e-13 * b.M, (d, b)
+
+    @pytest.mark.parametrize("d", [Exponential(1e-300), Exponential(1e300), Gamma(7.0, 1.0),
+                                   ChiSquared(2), Gamma(1.0, 1e6)], ids=repr)
+    def test_sup_attained_where_reported(self, d):
+        self.check_attained(d)
+
+    @pytest.mark.parametrize("family", CONTINUOUS)
+    def test_sup_attained_where_reported_on_draws(self, family, rng):
+        for _ in range(500):
+            d = random_distribution(family, rng)
+            if family not in ("gamma", "chisq") or d.mu >= 1.0:  # mu < 1: unbounded at 0
+                self.check_attained(d)
 
     @pytest.mark.parametrize("family", CONTINUOUS)
     def test_sup_dominates_dense_grid(self, family, rng):

@@ -264,15 +264,24 @@ class TestKLIntegral:
             0.5, abs=1e-9)
 
     def test_support_mismatch_rejected(self, cfg):
-        with pytest.raises(UnsupportedFamilyError):
+        """The error names both records; records of one support pass, whatever their family."""
+        with pytest.raises(UnsupportedFamilyError,
+                           match=r"exp:lambda=1\.0 on .* vs normal:mean=0\.0"):
             kl_integral(Exponential(1.0), Normal(0.0, 1.0), cfg)
+        with pytest.raises(UnsupportedFamilyError, match="supports differ"):
+            kl_integral(Uniform(0.0, 1.0), Uniform(0.0, 2.0), cfg)
+        assert kl_integral(Gamma(1.0, 1.0), Exponential(1.0), cfg).value == pytest.approx(
+            0.0, abs=1e-10)
 
     def test_rejects_discrete(self, cfg):
         with pytest.raises(FamilyMismatchError):
             kl_integral(Poisson(1.0), Poisson(2.0), cfg)
 
     def test_uniform_width_past_the_float_range(self, cfg, monkeypatch):
-        """b - a = inf is a ParameterError naming the record before any mesh is built."""
+        """b - a = inf is a ParameterError naming the record before any mesh is built.
+
+        A pair whose supports differ is an UnsupportedFamilyError before that.
+        """
         def no_run(*args):
             raise AssertionError("a mesh was built")
 
@@ -280,9 +289,11 @@ class TestKLIntegral:
         wide = Uniform(-1e308, 1e308)
         with pytest.raises(ParameterError, match=r"b - a of uniform:a=-1e\+308,b=1e\+308"):
             entropy_estimate(wide, "shannon", None, None, cfg)
-        for p, q in [(wide, wide), (Uniform(0.0, 1.0), wide)]:
-            with pytest.raises(ParameterError, match=r"uniform:a=-1e\+308,b=1e\+308"):
-                kl_integral(p, q, cfg)
+        with pytest.raises(ParameterError, match=r"b - a of uniform:a=-1e\+308,b=1e\+308"):
+            kl_integral(wide, wide, cfg)
+        # the supports differ before any width is looked at
+        with pytest.raises(UnsupportedFamilyError, match=r"uniform:a=-1e\+308,b=1e\+308"):
+            kl_integral(Uniform(0.0, 1.0), wide, cfg)
 
 
 class TestDiscreteSeries:
@@ -559,10 +570,11 @@ def per_block_shannon(d, cfg):
     max(start, mode - 64), then downward) and the same certificate, without the rounding
     bound.  Returns (value, last index summed upward, terms summed)."""
     plan = oracle._plan(d, 1.0)
-    k0 = max(plan.start, plan.mode - 64)
-    directions = [(plan.ratio, lambda j: k0 + j, None if plan.stop is None else plan.stop - k0)]
-    if k0 > plan.start:
-        directions.append((plan.down, lambda j: k0 - 1 - j, k0 - 1 - plan.start))
+    start, stop = map(int, d.support)
+    k0 = max(start, plan.mode - 64)
+    directions = [(plan.ratio, lambda j: k0 + j, stop - k0)]
+    if k0 > start:
+        directions.append((plan.down, lambda j: k0 - 1 - j, k0 - 1 - start))
     total, summed, last_up = 0.0, 0, None
     for ratio, index, last in directions:
         j, size = 0, 64
@@ -601,7 +613,7 @@ class TestBatchedEvaluation:
         _, _, summed = per_block_shannon(d, cfg)
         calls = self.logged_calls(monkeypatch)
         discrete_entropy_sum(d, "p_log_p", 1.0, cfg)
-        k0 = max(oracle._plan(d, 1.0).start, oracle._plan(d, 1.0).mode - 64)
+        k0 = max(int(d.support[0]), oracle._plan(d, 1.0).mode - 64)
         up = [ks for ks in calls if ks[0] >= k0]
         assert len(up) == 1 and len(calls) - len(up) <= 1
         assert sum(map(len, calls)) <= 2 * summed
@@ -1163,12 +1175,12 @@ def reference_realline(g, cfg, interior, scale=1.0):
     return reference_integrate_interval(f, np.unique(mesh), cfg)
 
 
-def reference_integrate(g, plan, cfg):
-    if plan.support == "halfline":
+def reference_integrate(g, d, plan, cfg):
+    if plan.map == "halfline":
         return reference_halfline(g, cfg, scale=plan.scale, power_at_zero=plan.power_at_zero)
-    if plan.support == "realline":
+    if plan.map == "realline":
         return reference_realline(g, cfg, plan.splits, scale=plan.scale)
-    return reference_integrate_interval(g, np.linspace(*plan.splits, 17), cfg)
+    return reference_integrate_interval(g, np.linspace(*d.support, 17), cfg)
 
 
 def reference_power_integrals(d, terms, cfg):
@@ -1181,7 +1193,7 @@ def reference_power_integrals(d, terms, cfg):
                 rows.append(np.where(np.isneginf(lp), 0.0, w * lp) if with_log else w)
         return rows[0] if len(rows) == 1 else np.stack(rows)
 
-    return reference_integrate(g, oracle._joint_plan(d, [alpha for alpha, _ in terms]), cfg)
+    return reference_integrate(g, d, oracle._joint_plan(d, [alpha for alpha, _ in terms]), cfg)
 
 
 def reference_kl(p, q, cfg):
@@ -1194,7 +1206,7 @@ def reference_kl(p, q, cfg):
 
     plan_p, plan_q = oracle._plan(p, 1.0), oracle._plan(q, 1.0)
     plan = plan_p._replace(splits=tuple(dict.fromkeys(plan_p.splits + plan_q.splits)))
-    return reference_integrate(g, plan, cfg)
+    return reference_integrate(g, p, plan, cfg)
 
 
 def measure_terms(spec):

@@ -4,7 +4,7 @@ import pickle
 import numpy as np
 import pytest
 
-from entrokit import OracleConfig, entropy_estimate
+from entrokit import OracleConfig, entropy_estimate, verification
 from entrokit.closed_form import evaluate
 from entrokit.errors import ParameterError
 from entrokit.measures import oracle_error
@@ -26,6 +26,17 @@ def test_unknown_family_is_a_parameter_error():
 def test_oracle_equivalence_rejects_runs_that_check_nothing(families, draws, seed, message):
     with pytest.raises(ParameterError, match=message):
         oracle_equivalence(families, ORACLE_MEASURES, draws, seed)
+
+
+def test_oracle_equivalence_rejects_unknown_families_before_the_first_draw(monkeypatch):
+    """The check the CLI's --families relies on: nothing is drawn or computed first."""
+    def no_draw(*args):
+        raise AssertionError("a record was drawn")
+
+    monkeypatch.setattr(verification, "random_distribution", no_draw)
+    with pytest.raises(ParameterError, match=r"unknown families \['weibull'\]; choose from "
+                                             r"\('gamma', 'exp', 'chisq', 'laplace'"):
+        oracle_equivalence(("exp", "weibull"), ORACLE_MEASURES, 5, 0)
 
 
 def test_selftest_draws_agree_far_inside_the_tolerance():
