@@ -9,11 +9,8 @@ and its derivative through
     H'(lam) = sum_{k>=0} p_k log(k+1)  -  log(lam),
 
 with p_k the Poisson(lam) probabilities; each series is summed by the
-oracle's engine from the mode on the record's log-pmf, and this module
-only supplies the weights.  A function that takes a cfg hands it to
-that engine as its series budget (an oracle.OracleConfig); None, the
-default, runs the oracle's defaults, as the convergence tables, which
-take none, always do.
+oracle's engine from the mode on the record's log-pmf, at the oracle's
+one configuration, and this module only supplies the weights.
 The convergence experiments produce tables: binomial entropies with
 p_n = lam/n approaching the Poisson entropy, and conditional negative
 binomial entropies approaching the logarithmic entropy as r -> 0.
@@ -72,7 +69,7 @@ def _log_next(k):
     return np.log(k + 1.0)
 
 
-def poisson_entropy(lam: float, cfg: oracle.OracleConfig | None = None) -> float:
+def poisson_entropy(lam: float) -> float:
     """Shannon entropy of Poisson(lam); strictly positive and increasing in lam.
 
     The paper's form cancels lam*log(lam) against the series, so the
@@ -81,18 +78,18 @@ def poisson_entropy(lam: float, cfg: oracle.OracleConfig | None = None) -> float
     shannon(Poisson(lam)), which sums -p_k log p_k directly.
     """
     d = Poisson(lam)  # checks lam and stores it as a float
-    series = oracle.discrete_expectation(d, _log_factorial, cfg)
+    series = oracle.discrete_expectation(d, _log_factorial)
     return -d.lam * (math.log(d.lam) - 1.0) + series.value
 
 
-def poisson_entropy_derivative(lam: float, cfg: oracle.OracleConfig | None = None) -> float:
+def poisson_entropy_derivative(lam: float) -> float:
     """d/dlam of the Poisson entropy; positive, decreasing, and -> 0 at infinity."""
     d = Poisson(lam)
-    series = oracle.discrete_expectation(d, _log_next, cfg)
+    series = oracle.discrete_expectation(d, _log_next)
     return series.value - math.log(d.lam)
 
 
-def appendix_series_growth(lam_grid, cfg: oracle.OracleConfig | None = None):
+def appendix_series_growth(lam_grid):
     """exp(-lam) * sum_i lam**i log(i+1) / i! on an increasing lam grid.
 
     The sequence diverges to infinity, eventually exceeding log(N+1) for
@@ -101,7 +98,7 @@ def appendix_series_growth(lam_grid, cfg: oracle.OracleConfig | None = None):
     records = [Poisson(v) for v in as_iterable(lam_grid, "lam_grid")]
     if not records or any(b.lam <= a.lam for a, b in zip(records, records[1:])):
         raise ParameterError("lambda grid must be strictly increasing")
-    return [(d.lam, oracle.discrete_expectation(d, _log_next, cfg).value) for d in records]
+    return [(d.lam, oracle.discrete_expectation(d, _log_next).value) for d in records]
 
 
 def _table(driver_name: str, drivers, limit_d, record) -> ConvergenceTable:

@@ -514,7 +514,10 @@ _SHIFT_ULPS = 4.0  # and of _U * |k - mean|, from the rounded mean in Loader's l
 _FIRST_BLOCK = 64
 _MAX_BLOCK = 65536  # the largest block
 # the most terms a batch of several blocks holds: a block this long costs far more than a
-# call, so a batch that reached further would save little and could waste a whole block
+# call, so a batch that reached further would save little and could waste a whole block.
+# Blocks decide the sum and batches only the calls, so the two limits stay apart: capping
+# blocks at 32768 too doubles the running total's roundings past 65472 terms (Poisson(1e10)
+# 5.5e-15 -> 9.0e-15 off mpmath), and one block per call loosens the bounds (_series)
 _MAX_BATCH = 32768
 _WALK_PIECES = 4  # sub-steps per block in the walk that predicts where a batch ends
 _EXACT_INDEX = 2**53  # integer indices are exact floats up to here
@@ -524,8 +527,8 @@ class _Summand(NamedTuple):
     """What the series engine sums, as functions of log p_k.
 
     terms(ks, lp, step) returns three arrays on an index array ks with
-    log p_k = lp: the terms t, their slopes (|dt/d log p_k| <= gain *
-    slope) and grow.  When rho bounds p_{j+step}/p_j for every j past a
+    log p_k = lp: the terms t, their slopes (|dt/d log p_k| <= slope)
+    and grow.  When rho bounds p_{j+step}/p_j for every j past a
     term with log p = lp, ratio(rho, lp) times the term's grow bounds
     |t_{j+step}/t_j| there (grow inf: no bound yet).  size(lp) is the
     |t_k| at log p_k <= lp that the batch prediction assumes.  step is
@@ -535,7 +538,6 @@ class _Summand(NamedTuple):
     terms: Callable
     size: Callable
     ratio: Callable
-    gain: float = 1.0
 
 
 def _geometric_tail(t: float, q: float) -> float:
@@ -546,7 +548,7 @@ def _geometric_tail(t: float, q: float) -> float:
 def _tail_ratio(rho: float, lp_last: float, alpha: float, with_log: bool) -> float:
     """q >= t_{j+1}/t_j past a term with log p = lp_last, given p_{j+1}/p_j <= rho < 1.
 
-    With the log weight the ratio is r**alpha (1 + log(1/r)/L), L = -log p_j.
+    With the log weight the ratio is r**alpha (1 - log(r)/L), L = -log p_j.
     It increases in r and decreases in L once alpha L > 1; below that,
     x**alpha log(1/x) <= 1/(alpha e) on (0, 1) gives an additive bound.
     """
@@ -558,7 +560,7 @@ def _tail_ratio(rho: float, lp_last: float, alpha: float, with_log: bool) -> flo
         return rho**alpha
     big_l = -lp_last
     if alpha * big_l > 1.0:
-        return rho**alpha * (1.0 + math.log(1.0 / rho) / big_l)
+        return rho**alpha * (1.0 - math.log(rho) / big_l)
     return rho**alpha + 1.0 / (alpha * math.e * big_l)
 
 
@@ -587,11 +589,11 @@ def _series(d: Distribution, plan: _Plan, s: _Summand, cfg: OracleConfig, first:
     end of d.support (its last index upward, its first downward; tail 0).
     SeriesBudgetError once budget terms are summed without either.  The
     terms share one sign.  The bound adds the error they inherit from
-    log p_k (gain times the dot product of slope and the bound on the
-    rounding of log p_k), two roundings per term (its exp and its
-    product), gamma_{m-1} sum |t| per m-term block summed in any order
-    (Higham 2002, section 4) and one rounding of the running total per
-    block; with one sign, a block's sum |t| is its |sum|.
+    log p_k (the dot product of slope and the bound on the rounding of
+    log p_k), two roundings per term (its exp and its product),
+    gamma_{m-1} sum |t| per m-term block summed in any order (Higham
+    2002, section 4) and one rounding of the running total per block;
+    with one sign, a block's sum |t| is its |sum|.
 
     Evaluation runs in batches of whole blocks, one logpmf call each, and
     s.terms(ks, lp, step) sees each batch once.  A batch reaches from
@@ -600,7 +602,10 @@ def _series(d: Distribution, plan: _Plan, s: _Summand, cfg: OracleConfig, first:
     that walks from walk = (index, bound on its log p) by the plan's
     ratio bound (_walk).  A later batch walks from the last term
     evaluated.  Where a batch ends changes no block: a wrong prediction
-    costs one more batch or unused terms, never a different sum.
+    costs one more batch or unused terms, never a different sum.  Making
+    each batch one block (one certificate per call) was measured on 720
+    seeded sums: it moved 505 values and loosened tail_bound by a median
+    2.2x (up to 244x), for 1-12% more sums per second.
     """
     rho, stop = (plan.ratio, d.support[1]) if step > 0 else (plan.down, d.support[0])
     last = (int(stop) - first) * step  # past any budget where the support has no end
@@ -635,7 +640,7 @@ def _series(d: Distribution, plan: _Plan, s: _Summand, cfg: OracleConfig, first:
         block = float(t[a:b].sum())
         total += block
         gamma = (end - i - 1) * _U / (1.0 - (end - i - 1) * _U)
-        err = s.gain * float(np.dot(lp_err[a:b], slope[a:b]))
+        err = float(np.dot(lp_err[a:b], slope[a:b]))
         rounding += err + (2.0 * _U + gamma) * abs(block) + _U * abs(total)
         if end - 1 == last:
             return total, rounding, end, lp_first
@@ -695,14 +700,14 @@ def discrete_entropy_sum(d: Distribution, transform: str, alpha: float,
 
     def terms(ks, lp, step):
         # the transformed term moves by t_k (alpha + 1/log p_k) per unit of log p_k: its
-        # slope is e (1 + alpha |lp|), or e with gain alpha
+        # slope is e (1 + alpha |lp|), or alpha e without the log
         e = np.exp(alpha * lp)
         t = e * lp if with_log else e
-        return t, (e - alpha * t if with_log else e), np.ones_like(t)
+        return t, (e - alpha * t if with_log else alpha * e), np.ones_like(t)
 
     return _mode_sum(d, _plan(d, alpha), _Summand(
         terms, lambda lp: math.exp(alpha * lp) * (-lp if with_log else 1.0),
-        lambda rho, lp: _tail_ratio(rho, lp, alpha, with_log), 1.0 if with_log else alpha), cfg)
+        lambda rho, lp: _tail_ratio(rho, lp, alpha, with_log)), cfg)
 
 
 def discrete_expectation(d: Distribution, weight: Callable,

@@ -168,7 +168,9 @@ def bd0(x, m):
     bd0 = (x - m) v + 2x (v^3/3 + v^5/5 + ... + v^17/17), keeps a few ulp
     of relative accuracy: the terms past v^17/17 sum to under 2**-56 of
     it.  Elsewhere x log1p((x - m)/m) - (x - m) is good to about
-    2u (bd0 + |x - m|), where |x - m| is at most ten times bd0.
+    2u (bd0 + |x - m|), where |x - m| is at most ten times bd0.  Where
+    (x - m)/m overflows, which takes m < 1, x (log x - log m) - (x - m)
+    stands in.
     """
     x = np.asarray(x, dtype=float)
     d = x - m
@@ -178,5 +180,9 @@ def bd0(x, m):
     for i in range(7, 0, -1):  # Horner in v**2, in place
         s *= v2
         s += 1.0 / (2 * i + 1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(np.abs(v) < 0.1, d * v + 2.0 * x * v * v2 * s, x * np.log1p(d / m) - d)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        r = d / m
+        far = x * np.log1p(r) - d
+        if m < 1.0 and np.isinf(r).any():  # |d| <= max(x, m): r overflows only below m = 1
+            far = np.where(np.isinf(r), x * (np.log(x) - math.log(m)) - d, far)
+        return np.where(np.abs(v) < 0.1, d * v + 2.0 * x * v * v2 * s, far)

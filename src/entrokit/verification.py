@@ -80,11 +80,12 @@ class OracleCheckRow:
     max_error: float
 
 
-def oracle_equivalence(families, measures, draws: int, seed: int) -> list[OracleCheckRow]:
+def oracle_equivalence(families, draws: int, seed: int) -> list[OracleCheckRow]:
     """measures.oracle_error of each closed form against its oracle value, max per cell.
 
-    The oracle runs at OracleConfig()'s defaults, as everywhere in the
-    package.
+    Every family checks every oracle measure, ORACLE_MEASURES in order,
+    one cell each.  The oracle runs at its one configuration, as
+    everywhere in the package.
 
     A NaN or inf oracle value makes its cell's max_error inf.
 
@@ -105,7 +106,7 @@ def oracle_equivalence(families, measures, draws: int, seed: int) -> list[Oracle
     rng = np.random.default_rng(seed)
     rows = []
     for family in families:
-        for measure in measures:
+        for measure in ORACLE_MEASURES:
             worst = 0.0
             for _ in range(draws):
                 d = random_distribution(family, rng)

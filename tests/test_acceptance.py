@@ -29,7 +29,7 @@ def _report(n, text):
 def test_criterion_1_oracle_equivalence_core():
     """6 measures x 5 families x 200 admissible draws, scaled error <= 1e-8."""
     start = time.time()
-    rows = oracle_equivalence(CORE_FAMILIES, ORACLE_MEASURES, draws=200, seed=SEED)
+    rows = oracle_equivalence(CORE_FAMILIES, draws=200, seed=SEED)
     elapsed = time.time() - start
     worst = max(rows, key=lambda r: r.max_error)
     for row in rows:

@@ -80,6 +80,15 @@ class TestEntropyVerb:
         assert diff <= 1e-8 * (1.0 + abs(closed))
         assert closed == pytest.approx(est, abs=1e-8)
 
+    @pytest.mark.parametrize("orders", [["renyi", "--alpha", "2"], ["tsallis", "--alpha", "2"],
+                                        ["sm", "--alpha", "2", "--beta", "3"]],
+                             ids=["renyi", "tsallis", "sm"])
+    def test_a_zero_prints_as_0(self, capsys, orders):
+        """Each is 0 on U(0, 1), where the oracle's J = 1 gives -0.0 over 1 - alpha < 0."""
+        code, out, err = run(capsys, "entropy", "--dist", "uniform:a=0,b=1", "--measure",
+                             *orders, "--verify")
+        assert (code, out, err) == (0, "closed_form,oracle,abs_error\n0,0,0\n", "")
+
 
 class TestKlVerb:
     def test_equal_pair_zero(self, capsys):
@@ -121,6 +130,13 @@ class TestSweepVerb:
         assert len(lines) == 9
         values = [float(l.split(",")[1]) for l in lines[1:]]
         assert all(a > b for a, b in zip(values, values[1:]))
+
+    def test_rates_below_the_normal_range(self, capsys):
+        code, out, err = run(capsys, "sweep", "--dist", "poisson:lambda=1", "--measure", "shannon",
+                             "--grid", "1e-320,1e-300")
+        assert (code, err) == (0, "")
+        values = [float(line.split(",")[1]) for line in out.strip().splitlines()[1:]]
+        assert values == pytest.approx([7.3781886e-318, 6.9177552789823e-298], rel=1e-6)
 
     def test_log_grid_and_param_choice(self, capsys):
         code, out, _ = run(capsys, "sweep", "--dist", "gamma:lambda=1,mu=2",
@@ -353,7 +369,7 @@ class TestVerifyContract:
         from entrokit.verification import ORACLE_MEASURES, oracle_equivalence
 
         monkeypatch.setattr(oracle, "entropy_estimate", lambda *args: bad)
-        rows = oracle_equivalence(("exp",), ORACLE_MEASURES, 3, 0)
+        rows = oracle_equivalence(("exp",), 3, 0)
         assert [row.max_error for row in rows] == [math.inf] * len(ORACLE_MEASURES)
         code, out, _ = run(capsys, "selftest", "--families", "exp", "--draws", "3")
         assert code == 1

@@ -138,9 +138,9 @@ SLOTS = {
     "lognormal_moment.m": Slot(lambda v: lognormal_moment(1.5, v, 2.0), float, 0.5, 1),
     "lognormal_moment.sigma2": Slot(lambda v: lognormal_moment(1.5, 0.5, v), float, 2.0, 2),
     "oracle_equivalence.draws": Slot(
-        lambda v: oracle_equivalence(("exp",), ("shannon",), v, 7), int, 1),
+        lambda v: oracle_equivalence(("exp",), v, 7), int, 1),
     "oracle_equivalence.seed": Slot(
-        lambda v: oracle_equivalence(("exp",), ("shannon",), 1, v), int, 7),
+        lambda v: oracle_equivalence(("exp",), 1, v), int, 7),
 }
 
 BAD = {"true": True, "str": "1", "none": None, "nan": math.nan, "inf": math.inf,

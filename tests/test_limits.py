@@ -217,25 +217,36 @@ class TestTableTypes:
             ConvergenceTable("n", rows)
 
 
-def test_poisson_series_share_the_oracle_budget():
-    from entrokit import OracleConfig  # noqa: PLC0415
+def test_poisson_series_share_the_oracle_budget(monkeypatch):
+    """The oracle's one configuration is the budget: a tighter one reaches all three series."""
+    from entrokit import oracle  # noqa: PLC0415
     from entrokit.errors import SeriesBudgetError  # noqa: PLC0415
 
-    tight = OracleConfig(max_terms=20)
+    monkeypatch.setattr(oracle, "_CONFIG", OracleConfig(max_terms=20))
     for fn in (poisson_entropy, poisson_entropy_derivative):
         with pytest.raises(SeriesBudgetError):
-            fn(50.0, tight)
+            fn(50.0)
     with pytest.raises(SeriesBudgetError):
-        appendix_series_growth([50.0], tight)
+        appendix_series_growth([50.0])
 
 
 def test_poisson_series_run_the_default_config_without_a_cfg():
-    for fn in (poisson_entropy, poisson_entropy_derivative):
-        want = pickle.dumps(fn(3.7, OracleConfig()))
-        assert pickle.dumps(fn(3.7)) == want
-        assert pickle.dumps(fn(3.7, None)) == want
-    want = pickle.dumps(appendix_series_growth([0.5, 4.0], OracleConfig()))
-    assert pickle.dumps(appendix_series_growth([0.5, 4.0])) == want
+    """There is no cfg: each value is the oracle's series at OracleConfig(), to the bit."""
+    from entrokit import limits, oracle  # noqa: PLC0415
+
+    for fn in (poisson_entropy, poisson_entropy_derivative, appendix_series_growth):
+        assert "cfg" not in inspect.signature(fn).parameters
+
+    def series(lam, weight):
+        return oracle.discrete_expectation(Poisson(lam), weight, OracleConfig()).value
+
+    for lam in (3.7, 0.5, 4.0):
+        want = -lam * (math.log(lam) - 1.0) + series(lam, limits._log_factorial)
+        assert pickle.dumps(poisson_entropy(lam)) == pickle.dumps(want)
+        want = series(lam, limits._log_next) - math.log(lam)
+        assert pickle.dumps(poisson_entropy_derivative(lam)) == pickle.dumps(want)
+    want = [(lam, series(lam, limits._log_next)) for lam in (0.5, 4.0)]
+    assert pickle.dumps(appendix_series_growth([0.5, 4.0])) == pickle.dumps(want)
 
 
 def shannon_sum(d):

@@ -594,6 +594,36 @@ def per_block_shannon(d, cfg):
     return total, last_up, summed
 
 
+class TestTinyRates:
+    """Rates near and below 2**-1022: bd0's (x - m)/m and the ratio bound's 1/rho overflow there."""
+
+    def test_log_pmf_is_finite_on_the_support(self):
+        mpmath = pytest.importorskip("mpmath")
+        d = Poisson(1e-310)
+        got = logpmf(d, [1.0, 2.0])
+        with mpmath.workdps(50):
+            want = [float(poisson_log_p(mpmath, d, k)) for k in (1, 2)]
+        assert np.allclose(got, [-713.80137883, -1428.29590484], rtol=0, atol=1e-8)
+        assert np.allclose(got, want, rtol=1e-15, atol=0)
+
+    @pytest.mark.parametrize("d", [
+        Poisson(1e-310), Poisson(1e-308), Poisson(1e-300), Poisson(1e-250),
+        Binomial(7, 1e-310), Binomial(10**6, 1e-315), Binomial(1000, 1e-300),
+    ], ids=repr)
+    def test_shannon_within_its_tail_bound(self, d, cfg):
+        mpmath = pytest.importorskip("mpmath")
+        res = discrete_entropy_sum(d, "p_log_p", 1.0, cfg)
+        with mpmath.workdps(50):
+            exact = mpmath_series(mpmath, d)
+            assert abs(res.value - exact) <= res.tail_bound
+        assert res.last_k < 100 and shannon(d) == -res.value
+
+    def test_ratio_bound_below_the_reciprocal_range(self):
+        """1/rho overflows for rho < 5.6e-309; -log(rho) does not."""
+        q = oracle._tail_ratio(1e-310, -800.0, 1.0, True)
+        assert 0.0 < q < 1e-300
+
+
 BATCHED = [Poisson(1e4), Binomial(10**6, 0.3), Binomial(1000, 0.5),
            NegBinomialConditional(0.05, 0.3), Logarithmic(1e-3)]
 
@@ -1398,7 +1428,7 @@ class TestNoSpecialKernelInContinuousOracle:
 
         def cells():
             values.clear()
-            rows = oracle_equivalence(("gamma", "chisq"), ORACLE_MEASURES, 40, 2501)
+            rows = oracle_equivalence(("gamma", "chisq"), 40, 2501)
             return [row.max_error for row in rows], list(values)
 
         errors, oracle_values = cells()

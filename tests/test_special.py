@@ -286,6 +286,20 @@ class TestLoaderKernels:
                 scale = want if abs(xi - m) < 0.1 * (xi + m) else want + abs(xm - mm)
                 assert abs(got - want) <= 4 * 2.0**-53 * scale
 
+    @pytest.mark.parametrize("m", [1e-250, 1e-300, 1e-310, 5e-324])
+    def test_bd0_where_x_over_m_overflows(self, m):
+        """Where (x - m)/m overflows (1/m does below m = 5.6e-309), bd0 keeps its accuracy."""
+        mp = pytest.importorskip("mpmath")
+        x = np.array([0.5, 1.0, 2.0, 7.0, 1e6, 2.0**53])
+        with mp.workdps(40):
+            for xi, got in zip(x, bd0(x, m)):
+                xm, mm = mp.mpf(float(xi)), mp.mpf(m)
+                want = xm * mp.log(xm / mm) + mm - xm
+                assert abs(got - want) <= 4 * 2.0**-53 * (want + abs(xm - mm))
+        # an element whose (x - m)/m is finite keeps the log1p branch's double
+        mixed = np.array([4.0 * m, 1.0])
+        assert bd0(mixed, m)[0] == mixed[0] * np.log1p((mixed[0] - m) / m) - (mixed[0] - m)
+
 
 class TestDomain:
     @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])

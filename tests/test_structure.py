@@ -179,18 +179,34 @@ def test_chi_squared_is_converted_only_by_its_record():
     assert found == []
 
 
-def test_only_the_oracle_builds_an_oracle_config():
-    """The oracle owns its one production configuration; no other module constructs one.
+def config_names(name: str, source: str) -> list[str]:
+    """Each place the code of a module names OracleConfig: a name, an attribute or an import.
 
-    Callers leave cfg out (or pass None) for OracleConfig()'s defaults.
+    Strings do not count, so the package's export table may list it.
     """
     found = []
-    for path in sorted(SRC.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
-            if (isinstance(node, ast.Call) and path.name != "oracle.py"
-                    and ast.unparse(node.func).split(".")[-1] == "OracleConfig"):
-                found.append(f"{path.name}:{node.lineno} {ast.unparse(node)}")
+    for node in ast.walk(ast.parse(source)):
+        if ((isinstance(node, ast.Name) and node.id == "OracleConfig")
+                or (isinstance(node, ast.Attribute) and node.attr == "OracleConfig")
+                or (isinstance(node, ast.alias) and node.name == "OracleConfig")):
+            found.append(f"{name}:{node.lineno}")
+    return found
+
+
+def test_only_the_oracle_builds_an_oracle_config():
+    """The oracle owns its one production configuration.
+
+    No other module builds, takes or forwards one, so every value outside
+    the oracle runs at OracleConfig()'s defaults.
+    """
+    found = [hit for path in sorted(SRC.glob("*.py")) if path.name != "oracle.py"
+             for hit in config_names(path.name, path.read_text())]
     assert found == []
+    # a cfg parameter typed with the config, an import and a call are found; a string is not
+    source = ("from .oracle import OracleConfig\n"
+              "def f(lam, cfg: oracle.OracleConfig | None = None):\n"
+              "    return OracleConfig(max_terms=20), 'OracleConfig'\n")
+    assert config_names("m.py", source) == ["m.py:1", "m.py:2", "m.py:3"]
 
 
 NUMERIC_TYPES = {"int", "float", "bool", "complex", "Real", "Integral", "Number", "Rational"}

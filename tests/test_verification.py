@@ -25,7 +25,7 @@ def test_unknown_family_is_a_parameter_error():
 ])
 def test_oracle_equivalence_rejects_runs_that_check_nothing(families, draws, seed, message):
     with pytest.raises(ParameterError, match=message):
-        oracle_equivalence(families, ORACLE_MEASURES, draws, seed)
+        oracle_equivalence(families, draws, seed)
 
 
 def test_oracle_equivalence_rejects_unknown_families_before_the_first_draw(monkeypatch):
@@ -36,7 +36,7 @@ def test_oracle_equivalence_rejects_unknown_families_before_the_first_draw(monke
     monkeypatch.setattr(verification, "random_distribution", no_draw)
     with pytest.raises(ParameterError, match=r"unknown families \['weibull'\]; choose from "
                                              r"\('gamma', 'exp', 'chisq', 'laplace'"):
-        oracle_equivalence(("exp", "weibull"), ORACLE_MEASURES, 5, 0)
+        oracle_equivalence(("exp", "weibull"), 5, 0)
 
 
 def test_selftest_draws_agree_far_inside_the_tolerance():
@@ -45,21 +45,24 @@ def test_selftest_draws_agree_far_inside_the_tolerance():
     The CLI's tolerance is 1e-8 (1 + |closed|); this tight baseline is
     what a perturbed oracle or closed form has to move.
     """
-    rows = oracle_equivalence(ORACLE_FAMILIES, ORACLE_MEASURES, 60, 42)
+    rows = oracle_equivalence(ORACLE_FAMILIES, 60, 42)
     assert len(rows) == len(ORACLE_FAMILIES) * len(ORACLE_MEASURES)
     worst = max(rows, key=lambda row: row.max_error)
     assert worst.max_error <= 1e-11, worst
 
 
 def test_oracle_equivalence_checks_at_the_default_config():
-    """Each cell's max error is the one OracleConfig() gives, to the bit; there is no cfg."""
-    assert "cfg" not in inspect.signature(oracle_equivalence).parameters
-    families, measures = ("exp", "normal", "uniform"), ("shannon", "renyi", "gr2")
+    """Each cell's max error is the one OracleConfig() gives, to the bit, for every oracle measure.
+
+    There is no cfg and no measure list.
+    """
+    assert list(inspect.signature(oracle_equivalence).parameters) == ["families", "draws", "seed"]
+    families = ("exp", "normal", "uniform")
     draws, seed = 2, 5
     rng = np.random.default_rng(seed)
     want = []
     for family in families:
-        for measure in measures:
+        for measure in ORACLE_MEASURES:
             worst = 0.0
             for _ in range(draws):
                 d = random_distribution(family, rng)
@@ -67,4 +70,4 @@ def test_oracle_equivalence_checks_at_the_default_config():
                 est = entropy_estimate(d, measure, spec.alpha, spec.beta, OracleConfig())
                 worst = max(worst, oracle_error(evaluate(spec, d), est))
             want.append(OracleCheckRow(family, measure, draws, worst))
-    assert pickle.dumps(oracle_equivalence(families, measures, draws, seed)) == pickle.dumps(want)
+    assert pickle.dumps(oracle_equivalence(families, draws, seed)) == pickle.dumps(want)
