@@ -264,9 +264,12 @@ def _on_support(formula, x, support, integers=False):
 
     The formula sees only support points: the others, NaN included, are
     replaced by lo before it runs.  The whole line runs no mask: the
-    formulas written on it are -inf at +-inf by themselves.  Overflow at
-    huge finite points is silent, as it gives the right value (-inf, or
-    stirlerr's 1/(z z) = 0); an invalid operation still warns.
+    formulas written on it are -inf at +-inf by themselves.  The mask is
+    applied only when a point falls outside; the oracle's nodes and
+    indices are nearly always all inside, and there the formula runs on x
+    itself.  Overflow at huge finite points is silent, as it gives the
+    right value (-inf, or stirlerr's 1/(z z) = 0); an invalid operation
+    still warns.
     """
     x = np.asarray(x, dtype=float)
     with np.errstate(over="ignore"):
@@ -276,6 +279,8 @@ def _on_support(formula, x, support, integers=False):
         inside = (x >= lo) & (x <= hi)
         if integers:
             inside &= x == np.floor(x)
+        if inside.all():
+            return formula(x)
         return np.where(inside, formula(np.where(inside, x, lo)), -np.inf)
 
 

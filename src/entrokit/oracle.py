@@ -30,6 +30,9 @@ _PLANS:
   tail), so that most desk-scale values meet their tolerance in this
   first pass.  A real-line run starts from that mesh, its mirror image
   and its breakpoints, and a flagged panel is split in four equal parts.
+  The first pass of each constant mesh (the half-line's, and the real
+  line's without extra breakpoints) is built once, at import: its
+  panels, nodes and half-widths are read-only and shared by every run.
   A run whose density p is 0 at every node of its first pass would
   "converge" to 0 there; it raises NonConvergenceError naming the record
   instead.
@@ -155,27 +158,34 @@ _W = np.stack([_WK, _WK - _WG], axis=1)
 _PARTS = np.array([[0.0, 0.25], [0.25, 0.5], [0.5, 0.75], [0.75, 1.0]])
 
 
-def _gk_apply(f, ends):
-    """Kronrod values and QUADPACK-style error estimates of panels, (lo, hi) on ends' last axis.
+def _nodes(ends):
+    """The 15 Kronrod nodes of each panel, (lo, hi) on ends' last axis, flat, and its half-width.
 
-    Returns shape (2, components, panels), values first, the panels in
-    the C order of ends, and True when f returns one value per point.
-    The sums run on the unit panel and are scaled by the half-width h at
-    the end; the error ratio 200 |K - G| / resasc has h cancelled.  The
-    caller silences numpy's floating-point warnings: f and a constant y
-    divide by 0.
+    The nodes run in the C order of ends, panel by panel.
     """
     lo, hi = ends[..., 0], ends[..., 1]
     h = 0.5 * (hi - lo)
     x = (lo + h)[..., None] + h[..., None] * _XK
-    y = np.asarray(f(x.reshape(-1)), dtype=float)
+    return x.reshape(-1), h.reshape(-1)
+
+
+def _gk_apply(f, x, h):
+    """Kronrod values and QUADPACK-style error estimates of the panels of nodes x, half-widths h.
+
+    x and h are _nodes' two arrays.  Returns shape (2, components,
+    panels), values first, and True when f returns one value per point.
+    The sums run on the unit panel and are scaled by h at the end; the
+    error ratio 200 |K - G| / resasc has h cancelled.  The caller
+    silences numpy's floating-point warnings: f and a constant y divide
+    by 0.
+    """
+    y = np.asarray(f(x), dtype=float)
     scalar = y.ndim == 1
     y = y.reshape(-1, 15)
     est = (y @ _W).T  # the Kronrod sums, then K - G, overwritten by the error
     resasc = np.abs(y - 0.5 * est[0][:, None]) @ _WK  # the mean is K / 2
     # QUADPACK's resasc * min(1, (200 |K - G| / resasc)**1.5); 0 for a constant y
     est[1] = resasc * np.fmin(1.0, (200.0 * np.abs(est[1]) / resasc) ** 1.5)
-    h = h.reshape(-1)
     # in C order, as the panel sums along the last axis run pairwise on contiguous rows
     est = np.multiply(est.reshape(2, -1, len(h)), h, order="C")
     np.maximum(est[1], np.abs(est[0]) * 5e-16, out=est[1])
@@ -197,6 +207,12 @@ def _breakpoints(breakpoints) -> np.ndarray:
     return bp.astype(float, copy=False)
 
 
+def _first_pass(bp) -> tuple:
+    """The panels of a mesh bp as (lo, hi) rows, their nodes and their half-widths (_nodes)."""
+    ends = np.array([bp[:-1], bp[1:]]).T  # (panels, 2)
+    return (ends, *_nodes(ends))
+
+
 def integrate_interval(f: Callable, breakpoints, cfg: OracleConfig | None = None) -> QuadResult:
     """Adaptive quadrature of f over the panels defined by breakpoints.
 
@@ -208,13 +224,18 @@ def integrate_interval(f: Callable, breakpoints, cfg: OracleConfig | None = None
     unmet tolerance in four equal parts, until each component's summed
     error estimate is under max(abs_tol, rel_tol * |its integral|).
     NonConvergenceError once a split would take the mesh past
-    max_subdivisions panels.
+    max_subdivisions panels.  The oracle's two constant meshes, passed
+    as themselves, start from their first pass as built at import.
     """
-    bp = _breakpoints(breakpoints)
     cfg = cfg or _CONFIG
     with np.errstate(all="ignore"):  # f and _gk_apply meet 0/0 and x/0
-        ends = np.array([bp[:-1], bp[1:]]).T  # (panels, 2)
-        est, scalar = _gk_apply(f, ends)
+        if breakpoints is _PLAIN_MESH:
+            ends, x, h = _PLAIN_PASS
+        elif breakpoints is _REALLINE_MESH:
+            ends, x, h = _REALLINE_PASS
+        else:
+            ends, x, h = _first_pass(_breakpoints(breakpoints))
+        est, scalar = _gk_apply(f, x, h)
         while True:
             totals, errors = est.sum(axis=2).tolist()
             if not all(map(math.isfinite, totals + errors)):
@@ -244,7 +265,7 @@ def integrate_interval(f: Callable, breakpoints, cfg: OracleConfig | None = None
             lo, hi = ends[split].T
             new_ends = lo[:, None, None] + (hi - lo)[:, None, None] * _PARTS  # (split, 4, 2)
             new_ends[:, 3, 1] = hi
-            new_est, _ = _gk_apply(f, new_ends)
+            new_est, _ = _gk_apply(f, *_nodes(new_ends))
             keep = ~split
             ends = np.concatenate([ends[keep], new_ends.reshape(-1, 2)])
             est = np.concatenate([est[:, :, keep], new_est], axis=2)
@@ -260,6 +281,11 @@ _PLAIN_MESH = np.unique(np.concatenate([
 ]))
 # the real line's t-mesh on [-1, 1]: the half-line mesh and its mirror image
 _REALLINE_MESH = np.unique(np.concatenate([-_PLAIN_MESH[::-1], _PLAIN_MESH]))
+# their first passes, built once: read-only, like the meshes, as every run shares them
+_PLAIN_PASS, _REALLINE_PASS = _first_pass(_PLAIN_MESH), _first_pass(_REALLINE_MESH)
+for _array in (_PLAIN_MESH, _REALLINE_MESH, *_PLAIN_PASS, *_REALLINE_PASS):
+    _array.flags.writeable = False
+del _array
 
 
 def integrate_halfline(g: Callable, cfg: OracleConfig | None = None, scale: float = 1.0,
@@ -274,8 +300,13 @@ def integrate_halfline(g: Callable, cfg: OracleConfig | None = None, scale: floa
     about exp(-744 (a + 1)) of such a mass lies below the smallest
     double, 7e-17 at the floor and 5e-14 with the log weight.
     """
-    scale = _positive_scale(scale)
-    a1 = as_real(power_at_zero, "power_at_zero") + 1.0
+    return _halfline(g, cfg, _positive_scale(scale), as_real(power_at_zero, "power_at_zero"))
+
+
+def _halfline(g: Callable, cfg: OracleConfig | None, scale: float,
+              power_at_zero: float) -> QuadResult:
+    """integrate_halfline on a checked scale and power: floats, the scale positive."""
+    a1 = power_at_zero + 1.0
     if a1 < 1.0 / 20.0:
         raise NonConvergenceError(f"x**{a1 - 1:.3g} at 0 is past doubles: a + 1 = {a1:.3g} < 1/20")
     k = max(1.0, 4.0 / a1)
@@ -321,6 +352,14 @@ def integrate_realline(g: Callable, cfg: OracleConfig | None, interior,
     pts = [as_real(p, "split point") for p in as_iterable(interior, "interior")]
     if not pts:
         raise ParameterError("need at least one interior split point")
+    return _realline(g, cfg, pts, scale)
+
+
+def _realline(g: Callable, cfg: OracleConfig | None, pts, scale: float) -> QuadResult:
+    """integrate_realline on checked split points, centre first, and a checked scale.
+
+    Without a second point the run takes the constant mesh itself.
+    """
     c = pts[0]
     knots = []
     for p in pts[1:]:
@@ -336,7 +375,8 @@ def integrate_realline(g: Callable, cfg: OracleConfig | None, interior,
         out[gx == 0.0] = 0.0
         return out
 
-    return integrate_interval(f, np.union1d(_REALLINE_MESH, knots), cfg)
+    return integrate_interval(f, np.union1d(_REALLINE_MESH, knots) if knots else _REALLINE_MESH,
+                              cfg)
 
 
 # --- per-family plans ---------------------------------------------------------
@@ -453,11 +493,12 @@ def _power_integrals(d: Distribution, terms, cfg: OracleConfig | None,
         return rows if len(terms) > 1 else rows[0]
 
     plan = _joint_plan(d, [alpha for alpha, _ in terms])
+    # the plan's fields are floats; only its scale can leave the doubles (an exp or a ratio)
     if plan.map == "halfline":  # p's power at 0 holds: log q adds only a log factor
-        return integrate_halfline(g, cfg, scale=plan.scale, power_at_zero=plan.power_at_zero)
+        return _halfline(g, cfg, _positive_scale(plan.scale), plan.power_at_zero)
     if plan.map == "realline":  # centred on p's split point, with q's as breakpoints
         splits = plan.splits if q is None else plan.splits + _plan(q, 1.0).splits
-        return integrate_realline(g, cfg, splits, scale=plan.scale)
+        return _realline(g, cfg, splits, _positive_scale(plan.scale))
     a, b = d.support
     if not math.isfinite(b - a):  # np.linspace would build a mesh of inf and NaN
         raise ParameterError(f"the width b - a of {format_spec(d)} is past the float range")
@@ -521,6 +562,7 @@ _MAX_BLOCK = 65536  # the largest block
 _MAX_BATCH = 32768
 _WALK_PIECES = 4  # sub-steps per block in the walk that predicts where a batch ends
 _EXACT_INDEX = 2**53  # integer indices are exact floats up to here
+_MIN_NORMAL = 2.0**-1022  # below it a double rounds by 2**-1075 absolutely, not by _U relative
 
 
 class _Summand(NamedTuple):
@@ -593,7 +635,9 @@ def _series(d: Distribution, plan: _Plan, s: _Summand, cfg: OracleConfig, first:
     log p_k), two roundings per term (its exp and its product),
     gamma_{m-1} sum |t| per m-term block summed in any order (Higham
     2002, section 4) and one rounding of the running total per block;
-    with one sign, a block's sum |t| is its |sum|.
+    with one sign, a block's sum |t| is its |sum|.  A block that holds
+    nonzero terms below the smallest normal double adds 2**-1075 for each
+    of their two roundings, which are absolute there, not relative.
 
     Evaluation runs in batches of whole blocks, one logpmf call each, and
     s.terms(ks, lp, step) sees each batch once.  A batch reaches from
@@ -633,6 +677,9 @@ def _series(d: Distribution, plan: _Plan, s: _Summand, cfg: OracleConfig, first:
             if plan.mean is not None:
                 lp_err += _SHIFT_ULPS * _U * np.abs(ks - plan.mean)
             t, slope, grow = s.terms(ks, lp, step)
+            size_t, subnormal = np.abs(t), None
+            if size_t.min() < _MIN_NORMAL:  # the terms are far above it at desk-scale rates
+                subnormal = (size_t < _MIN_NORMAL) & (size_t > 0.0)
             base, walk = i, (int(ks[-1]), float(lp[-1]))
             if i == 0:
                 lp_first = float(lp[0])
@@ -642,6 +689,8 @@ def _series(d: Distribution, plan: _Plan, s: _Summand, cfg: OracleConfig, first:
         gamma = (end - i - 1) * _U / (1.0 - (end - i - 1) * _U)
         err = float(np.dot(lp_err[a:b], slope[a:b]))
         rounding += err + (2.0 * _U + gamma) * abs(block) + _U * abs(total)
+        if subnormal is not None:
+            rounding += 2.0**-1074 * int(np.count_nonzero(subnormal[a:b]))  # 2 x 2**-1075 a term
         if end - 1 == last:
             return total, rounding, end, lp_first
         q = s.ratio(rho(first + step * (end - 1)), float(lp[b - 1])) * float(grow[b - 1])

@@ -169,8 +169,8 @@ def bd0(x, m):
     of relative accuracy: the terms past v^17/17 sum to under 2**-56 of
     it.  Elsewhere x log1p((x - m)/m) - (x - m) is good to about
     2u (bd0 + |x - m|), where |x - m| is at most ten times bd0.  Where
-    (x - m)/m overflows, which takes m < 1, x (log x - log m) - (x - m)
-    stands in.
+    (x - m)/m overflows, which takes m < 1, or rounds to -1, which takes
+    x below m 2**-53, x (log x - log m) - (x - m) stands in.
     """
     x = np.asarray(x, dtype=float)
     d = x - m
@@ -183,6 +183,9 @@ def bd0(x, m):
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         r = d / m
         far = x * np.log1p(r) - d
-        if m < 1.0 and np.isinf(r).any():  # |d| <= max(x, m): r overflows only below m = 1
-            far = np.where(np.isinf(r), x * (np.log(x) - math.log(m)) - d, far)
+        # far is +-inf or NaN where r overflows (|d| <= max(x, m): only below m = 1) or rounds
+        # to -1 (log1p(-1) = -inf), so one sum tells whether to look for them
+        if not math.isfinite(far.sum()):
+            swap = np.isinf(r) | (r == -1.0)
+            far = np.where(swap, x * (np.log(x) - math.log(m)) - d, far)
         return np.where(np.abs(v) < 0.1, d * v + 2.0 * x * v * v2 * s, far)

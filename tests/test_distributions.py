@@ -418,3 +418,18 @@ class TestGammaNormaliser:
             assert np.array_equal(d._log_norm, want, equal_nan=True)
             assert np.array_equal(logpdf(d, x), want + (mu - 1.0) * np.log(x) - lam * x,
                                   equal_nan=True)
+
+
+@pytest.mark.parametrize("d, inside, outside", [
+    (Gamma(0.7, 2.5), [0.1, 1.0, 3.5, 40.0], [-1.0, 0.0, np.nan, np.inf]),
+    (Uniform(-1.0, 2.0), [-1.0, 0.0, 2.0], [-1.5, 2.5, np.nan, -np.inf]),
+    (Poisson(3.5), [0.0, 1.0, 7.0], [-1.0, 0.5, np.nan, np.inf]),
+    (Binomial(10, 0.3), [0.0, 4.0, 10.0], [11.0, 2.5, np.nan, -1.0]),
+], ids=["gamma", "uniform", "poisson", "binomial"])
+def test_support_mask_changes_no_bit_inside(d, inside, outside):
+    """An all-inside array runs no mask; among outside points, NaN included, it gives the same bits."""
+    log_p = logpmf if d.is_discrete else logpdf
+    alone = log_p(d, np.array(inside))
+    mixed = log_p(d, np.array(outside + inside))
+    assert np.array_equal(mixed[len(outside):], alone)
+    assert np.all(mixed[:len(outside)] == -np.inf)

@@ -14,7 +14,7 @@ from entrokit import (Binomial, ChiSquared, Exponential, Gamma, Laplace,
                       OracleConfig, Poisson, Uniform, discrete_entropy_sum,
                       discrete_expectation, integral_p_alpha, integral_p_alpha_log_p,
                       integrate_halfline, integrate_interval, kl_integral,
-                      entropy_estimate, logpdf, logpmf, pdf, poisson_entropy_derivative,
+                      entropy_estimate, logpdf, logpmf, pdf, pmf, poisson_entropy_derivative,
                       shannon)
 from entrokit.closed_form import EntropySpec, evaluate
 from entrokit.errors import (EntrokitError, FamilyMismatchError, NonConvergenceError,
@@ -609,6 +609,8 @@ class TestTinyRates:
     @pytest.mark.parametrize("d", [
         Poisson(1e-310), Poisson(1e-308), Poisson(1e-300), Poisson(1e-250),
         Binomial(7, 1e-310), Binomial(10**6, 1e-315), Binomial(1000, 1e-300),
+        # subnormal rates: their terms round by 2**-1075 absolutely, where u |t| is 0
+        Poisson(1e-320), Binomial(10, 1e-320),
     ], ids=repr)
     def test_shannon_within_its_tail_bound(self, d, cfg):
         mpmath = pytest.importorskip("mpmath")
@@ -618,10 +620,37 @@ class TestTinyRates:
             assert abs(res.value - exact) <= res.tail_bound
         assert res.last_k < 100 and shannon(d) == -res.value
 
+    @pytest.mark.parametrize("d", [
+        Poisson(3.0), Logarithmic(0.9999999999), NegBinomialConditional(0.9999999, 0.5),
+    ], ids=repr)
+    def test_normal_rates_keep_their_bound(self, d, cfg, monkeypatch):
+        """Subnormal terms at a normal rate (the last two have some) move no bit of the bound."""
+        res = discrete_entropy_sum(d, "p_log_p", 1.0, cfg)
+        assert type(res.tail_bound) is float
+        monkeypatch.setattr(oracle, "_MIN_NORMAL", 0.0)  # no term counts as subnormal
+        assert discrete_entropy_sum(d, "p_log_p", 1.0, cfg) == res
+
     def test_ratio_bound_below_the_reciprocal_range(self):
         """1/rho overflows for rho < 5.6e-309; -log(rho) does not."""
         q = oracle._tail_ratio(1e-310, -800.0, 1.0, True)
         assert 0.0 < q < 1e-300
+
+
+class TestFarBelowHugeMeans:
+    """Where (x - m)/m rounds to -1 (x below m 2**-53), bd0 takes x (log x - log m) - (x - m)."""
+
+    @pytest.mark.parametrize("d, ks", [
+        (Poisson(1e17), [1.0, 2.0]), (Binomial(10**18, 0.5), [1.0]),
+    ], ids=["poisson", "binomial"])
+    def test_log_pmf_against_mpmath(self, d, ks):
+        mpmath = pytest.importorskip("mpmath")
+        got = logpmf(d, ks)
+        with mpmath.workdps(40):
+            log_p = poisson_log_p if isinstance(d, Poisson) else binomial_log_p
+            want = [log_p(mpmath, d, int(k)) for k in ks]
+            for g, w in zip(got, want):
+                assert abs(g - w) <= 1e-12 * abs(w)
+        assert np.all(pmf(d, ks) == 0.0)
 
 
 BATCHED = [Poisson(1e4), Binomial(10**6, 0.3), Binomial(1000, 0.5),
@@ -805,6 +834,51 @@ class TestEntropyEstimateArguments:
         d = Gamma(1e-200, 2.0)
         assert integral_p_alpha(d, 3.5, cfg) == (0.0, 0.0)
         assert abs(integral_p_alpha(d, 1.0, cfg).value - 1.0) <= 1e-10
+
+
+class TestConstantMeshes:
+    """The half-line and real-line meshes' first passes are built once, at import."""
+
+    MESHES = [oracle._PLAIN_MESH, oracle._REALLINE_MESH]
+
+    def test_read_only(self):
+        for mesh, first in zip(self.MESHES, (oracle._PLAIN_PASS, oracle._REALLINE_PASS)):
+            for array in (mesh, *first):
+                assert not array.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    array[0] = 0.5
+
+    @pytest.mark.parametrize("mesh", MESHES, ids=["halfline", "realline"])
+    @pytest.mark.parametrize("rows", [1, 2], ids=["one-row", "two-rows"])
+    def test_a_copy_gives_the_same_bits(self, mesh, rows, cfg):
+        """The built pass and the one a copy of the mesh builds agree bit for bit."""
+        def f(t):  # a kink that takes several passes, and a smooth row
+            out = np.stack([np.abs(t - 0.3) ** 0.5, np.exp(-t * t)])
+            return out if rows > 1 else out[0]
+
+        for a, b in zip(integrate_interval(f, mesh, cfg), integrate_interval(f, mesh.copy(), cfg)):
+            assert np.array_equal(a, b) and type(a) is type(b)
+
+    @pytest.mark.parametrize("d, mesh, points", [
+        (Gamma(2.0, 3.0), "_PLAIN_MESH", 510),
+        (Normal(0.5, 2.0), "_REALLINE_MESH", 1020),
+        (Uniform(0.0, 2.0), None, 240),
+    ], ids=["halfline", "realline", "interval"])
+    def test_each_value_enters_integrate_interval_once(self, d, mesh, points, monkeypatch):
+        """Where bench/spans.py counts runs and points: one run per value, its first pass whole."""
+        runs, original = [], oracle.integrate_interval
+
+        def counted(f, breakpoints, cfg):
+            seen = []
+            runs.append((breakpoints, seen))
+            return original(lambda x: seen.append(x.size) or f(x), breakpoints, cfg)
+
+        monkeypatch.setattr(oracle, "integrate_interval", counted)
+        entropy_estimate(d, "shannon")
+        [(breakpoints, seen)] = runs
+        assert seen[0] == points
+        if mesh is not None:
+            assert breakpoints is getattr(oracle, mesh)
 
 
 class TestVectorRuns:

@@ -297,13 +297,15 @@ def oracle_functions(source: str | None = None) -> dict[str, ast.FunctionDef]:
 def oracle_per_pass_functions() -> dict[str, ast.FunctionDef]:
     """The oracle code that runs on every quadrature pass, by name.
 
-    That is _gk_apply, integrate_interval, _some_mass and the integrand
-    closures nested in integrate_halfline, integrate_realline and
-    _power_integrals (which also builds kl_integral's integrand).
+    That is _gk_apply, _nodes, integrate_interval, _some_mass and the
+    integrand closures nested in _halfline and _realline (the cores of
+    integrate_halfline and integrate_realline) and _power_integrals (which
+    also builds kl_integral's integrand).
     """
     top = oracle_functions()
-    found = {name: top[name] for name in ("_gk_apply", "integrate_interval", "_some_mass")}
-    for outer in ("integrate_halfline", "integrate_realline", "_power_integrals"):
+    found = {name: top[name]
+             for name in ("_gk_apply", "_nodes", "integrate_interval", "_some_mass")}
+    for outer in ("_halfline", "_realline", "_power_integrals"):
         nested = [node for node in ast.walk(top[outer])
                   if isinstance(node, ast.FunctionDef) and node is not top[outer]]
         assert nested, f"{outer} has no integrand closure"
