@@ -25,7 +25,8 @@ forms.  Poisson and Binomial use Loader's saddle-point form (stirlerr
 and bd0 from special), whose pieces are small and of one sign, so
 log p_k is good to a few ulp of |log p_k| plus u |k - mean| at any
 scale: no log-gammas of size k log k cancel.  The conditional negative
-binomial takes its log-gammas from special.
+binomial takes its log-gammas from special, log gamma(r) with those of
+k + r and k + 1 in one call per batch of indices.
 """
 
 from __future__ import annotations
@@ -231,22 +232,22 @@ class NegBinomialConditional(Distribution, spec="nbcond", keys=("p", "r"), sweep
     r: float
 
     @cached_property
-    def _log_gamma_r(self):
-        return log_gamma(self.r)
-
-    @cached_property
     def _log_one_minus_pr(self):
         # log(1 - p^r) via expm1 keeps precision for r near 0
         return math.log(-math.expm1(self.r * math.log(self.p)))
 
     def _logpmf(self, k):
-        lg_shifted, lg_next = log_gamma(np.stack((k + self.r, k + 1.0)))  # both in one call
+        # log gamma of r, then of each k + r and each k + 1, in one call: the kernel is
+        # elementwise, so each value is what a call of its own gives
+        flat = k.reshape(-1)
+        lg = log_gamma(np.concatenate(([self.r], flat + self.r, flat + 1.0)))
+        lg_r, (lg_shifted, lg_next) = lg[0], lg[1:].reshape((2,) + k.shape)
         # past k of about 2.5e305 they overflow; (r - 1) log k is their difference there, off
         # by about r (r - 1) / (2k), far below an ulp of log p_k, about k log(1 - p)
         if (huge := np.isinf(lg_shifted) | np.isinf(lg_next)).any():
             lg_shifted = np.where(huge, (self.r - 1.0) * np.log(k), lg_shifted)
             lg_next = np.where(huge, 0.0, lg_next)
-        return (lg_shifted - self._log_gamma_r - lg_next
+        return (lg_shifted - lg_r - lg_next
                 + k * math.log1p(-self.p) + self.r * math.log(self.p) - self._log_one_minus_pr)
 
 
@@ -264,23 +265,26 @@ def _on_support(formula, x, support, integers=False):
 
     The formula sees only support points: the others, NaN included, are
     replaced by lo before it runs.  The whole line runs no mask: the
-    formulas written on it are -inf at +-inf by themselves.  The mask is
-    applied only when a point falls outside; the oracle's nodes and
-    indices are nearly always all inside, and there the formula runs on x
-    itself.  Overflow at huge finite points is silent, as it gives the
-    right value (-inf, or stirlerr's 1/(z z) = 0); an invalid operation
-    still warns.
+    formulas written on it are -inf at +-inf by themselves.  The oracle's
+    nodes and indices are nearly always all inside, so that is tested
+    first, from x.min(), x.max() and (for integers) one floor(x) == x
+    pass, and there the formula runs on x itself; the mask is built only
+    when the test fails, which NaN and +-inf always do.  Overflow at huge
+    finite points is silent, as it gives the right value (-inf, or
+    stirlerr's 1/(z z) = 0); an invalid operation still warns.
     """
     x = np.asarray(x, dtype=float)
     with np.errstate(over="ignore"):
         if support == _WHOLE_LINE:
             return formula(x)
         lo, hi = support
+        # NaN fails both comparisons, so it takes the mask; an empty x passes
+        if (x.min(initial=math.inf) >= lo and x.max(initial=-math.inf) <= hi
+                and (not integers or (np.floor(x) == x).all())):
+            return formula(x)
         inside = (x >= lo) & (x <= hi)
         if integers:
             inside &= x == np.floor(x)
-        if inside.all():
-            return formula(x)
         return np.where(inside, formula(np.where(inside, x, lo)), -np.inf)
 
 

@@ -568,13 +568,15 @@ _MIN_NORMAL = 2.0**-1022  # below it a double rounds by 2**-1075 absolutely, not
 class _Summand(NamedTuple):
     """What the series engine sums, as functions of log p_k.
 
-    terms(ks, lp, step) returns three arrays on an index array ks with
-    log p_k = lp: the terms t, their slopes (|dt/d log p_k| <= slope)
-    and grow.  When rho bounds p_{j+step}/p_j for every j past a
-    term with log p = lp, ratio(rho, lp) times the term's grow bounds
-    |t_{j+step}/t_j| there (grow inf: no bound yet).  size(lp) is the
-    |t_k| at log p_k <= lp that the batch prediction assumes.  step is
-    +1 upward and -1 downward.
+    terms(ks, lp, step) returns five arrays on an index array ks with
+    log p_k = lp: the terms t, their slopes (|dt/d log p_k| <= slope),
+    grow, the exps e that the terms are built from and the factors
+    (a scalar if one serves all), with t = e factor as computed.  When
+    rho bounds p_{j+step}/p_j for every j past a term with log p = lp,
+    ratio(rho, lp) times the term's grow bounds |t_{j+step}/t_j| there
+    (grow inf: no bound yet).  size(lp) is the |t_k| at log p_k <= lp
+    that the batch prediction assumes.  step is +1 upward and -1
+    downward.
     """
 
     terms: Callable
@@ -635,9 +637,11 @@ def _series(d: Distribution, plan: _Plan, s: _Summand, cfg: OracleConfig, first:
     log p_k), two roundings per term (its exp and its product),
     gamma_{m-1} sum |t| per m-term block summed in any order (Higham
     2002, section 4) and one rounding of the running total per block;
-    with one sign, a block's sum |t| is its |sum|.  A block that holds
-    nonzero terms below the smallest normal double adds 2**-1075 for each
-    of their two roundings, which are absolute there, not relative.
+    with one sign, a block's sum |t| is its |sum|.  Below the smallest
+    normal double a rounding is absolute, up to 2**-1075, not relative:
+    a block adds 2**-1075 for each nonzero t below it (the product) and
+    2**-1075 |factor| for each nonzero e below it (the exp, carried into
+    t by the factor).
 
     Evaluation runs in batches of whole blocks, one logpmf call each, and
     s.terms(ks, lp, step) sees each batch once.  A batch reaches from
@@ -676,10 +680,12 @@ def _series(d: Distribution, plan: _Plan, s: _Summand, cfg: OracleConfig, first:
             lp_err = _LP_ULPS * _U * np.abs(lp)
             if plan.mean is not None:
                 lp_err += _SHIFT_ULPS * _U * np.abs(ks - plan.mean)
-            t, slope, grow = s.terms(ks, lp, step)
-            size_t, subnormal = np.abs(t), None
-            if size_t.min() < _MIN_NORMAL:  # the terms are far above it at desk-scale rates
-                subnormal = (size_t < _MIN_NORMAL) & (size_t > 0.0)
+            t, slope, grow, e, factor = s.terms(ks, lp, step)
+            size_t, halves = np.abs(t), None
+            if min(size_t.min(), e.min()) < _MIN_NORMAL:  # far above it at desk-scale rates
+                # each term's absolute roundings, in units of 2**-1075 (itself 0.0 as a double)
+                halves = (((size_t < _MIN_NORMAL) & (size_t > 0.0))
+                          + np.where((e < _MIN_NORMAL) & (e > 0.0), np.abs(factor), 0.0))
             base, walk = i, (int(ks[-1]), float(lp[-1]))
             if i == 0:
                 lp_first = float(lp[0])
@@ -689,8 +695,8 @@ def _series(d: Distribution, plan: _Plan, s: _Summand, cfg: OracleConfig, first:
         gamma = (end - i - 1) * _U / (1.0 - (end - i - 1) * _U)
         err = float(np.dot(lp_err[a:b], slope[a:b]))
         rounding += err + (2.0 * _U + gamma) * abs(block) + _U * abs(total)
-        if subnormal is not None:
-            rounding += 2.0**-1074 * int(np.count_nonzero(subnormal[a:b]))  # 2 x 2**-1075 a term
+        if halves is not None:  # in whole units of the smallest double, rounded up
+            rounding += 2.0**-1074 * math.ceil(0.5 * float(halves[a:b].sum()))
         if end - 1 == last:
             return total, rounding, end, lp_first
         q = s.ratio(rho(first + step * (end - 1)), float(lp[b - 1])) * float(grow[b - 1])
@@ -751,8 +757,10 @@ def discrete_entropy_sum(d: Distribution, transform: str, alpha: float,
         # the transformed term moves by t_k (alpha + 1/log p_k) per unit of log p_k: its
         # slope is e (1 + alpha |lp|), or alpha e without the log
         e = np.exp(alpha * lp)
-        t = e * lp if with_log else e
-        return t, (e - alpha * t if with_log else alpha * e), np.ones_like(t)
+        if with_log:
+            t = e * lp
+            return t, e - alpha * t, np.ones_like(t), e, lp
+        return e, alpha * e, np.ones_like(e), e, 1.0
 
     return _mode_sum(d, _plan(d, alpha), _Summand(
         terms, lambda lp: math.exp(alpha * lp) * (-lp if with_log else 1.0),
@@ -783,8 +791,9 @@ def discrete_expectation(d: Distribution, weight: Callable,
         with np.errstate(divide="ignore", invalid="ignore"):
             # upward w(k+1)/w(k) joins the ratio; downward w does not increase
             grow = np.where(w[:-1] == 0.0, math.inf, w[1:] / w[:-1] if step > 0 else 1.0)
-        t = np.exp(lp) * w[:-1]
-        return t, t, grow
+        e = np.exp(lp)
+        t = e * w[:-1]
+        return t, t, grow, e, w[:-1]
 
     return _mode_sum(d, _plan(d, 1.0), _Summand(
         terms, lambda lp: math.exp(lp) * scale, lambda rho, lp: rho), cfg)

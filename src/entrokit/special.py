@@ -28,10 +28,13 @@ Two array kernels serve the saddle-point log-pmfs of Poisson and Binomial
 2000): stirlerr, the Stirling remainder of log k!, and bd0, the deviance
 x log(x/m) + m - x.  Both are nonnegative, so the log-pmfs add terms of
 one sign and no O(k log k) quantities cancel.  They skip the argument
-checks.  bd0 is elementwise: one expression, whatever else the array
-holds.  stirlerr cuts its series for the whole array at its smallest
-argument, which can move a value by an ulp of stirlerr (1e-18 or less
-absolute) against the same k alone.
+checks.  bd0 runs its near-mode series only when some element has
+|v| < 0.1 and its log1p form only when some element has |v| >= 0.1,
+v = (x - m)/(x + m); an element takes the same expression either way,
+so a value does not depend on the rest of its array.  stirlerr cuts
+its series for the whole array at its smallest argument, which can move
+a value by an ulp of stirlerr (1e-18 or less absolute) against the same
+k alone.
 """
 
 from __future__ import annotations
@@ -163,7 +166,6 @@ def stirlerr(k):
 def bd0(x, m):
     """Deviance x log(x/m) + m - x >= 0 for x > 0 (scalar or array) and a scalar m > 0.
 
-    Elementwise, so a value does not depend on the rest of the array.
     Where |x - m| < 0.1 (x + m) Loader's series in v = (x - m)/(x + m),
     bd0 = (x - m) v + 2x (v^3/3 + v^5/5 + ... + v^17/17), keeps a few ulp
     of relative accuracy: the terms past v^17/17 sum to under 2**-56 of
@@ -171,21 +173,51 @@ def bd0(x, m):
     2u (bd0 + |x - m|), where |x - m| is at most ten times bd0.  Where
     (x - m)/m overflows, which takes m < 1, or rounds to -1, which takes
     x below m 2**-53, x (log x - log m) - (x - m) stands in.
+
+    A branch runs only if some element takes it: an array whose elements
+    are all near m runs the series alone, one with none near m the log1p
+    form alone, and a mixed array both, each element keeping its own.
+    Either way an element's value is its branch's expression, so it does
+    not depend on the rest of the array.  A 0-d x gives a 0-d array.
     """
     x = np.asarray(x, dtype=float)
+    if x.ndim == 0:
+        return bd0(x.reshape(1), m).reshape(())
     d = x - m
     v = d / (x + m)
+    size = np.abs(v)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # NaN passes neither test, and the mixed path puts it on the log1p side
+        if size.max(initial=0.0) < 0.1:
+            return _bd0_series(x, d, v)
+        if size.min(initial=math.inf) >= 0.1:
+            return _bd0_log1p(x, d, m)
+        return np.where(size < 0.1, _bd0_series(x, d, v), _bd0_log1p(x, d, m))
+
+
+def _bd0_series(x, d, v):
+    """(x - m) v + 2x v^3 (1/3 + v^2/5 + ... + v^14/17), in bd0's order of operations."""
     v2 = v * v
     s = np.full_like(v, 1.0 / 17.0)
     for i in range(7, 0, -1):  # Horner in v**2, in place
         s *= v2
         s += 1.0 / (2 * i + 1)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        r = d / m
-        far = x * np.log1p(r) - d
-        # far is +-inf or NaN where r overflows (|d| <= max(x, m): only below m = 1) or rounds
-        # to -1 (log1p(-1) = -inf), so one sum tells whether to look for them
-        if not math.isfinite(far.sum()):
-            swap = np.isinf(r) | (r == -1.0)
-            far = np.where(swap, x * (np.log(x) - math.log(m)) - d, far)
-        return np.where(np.abs(v) < 0.1, d * v + 2.0 * x * v * v2 * s, far)
+    tail = 2.0 * x  # ((2x v) v^2) s, left to right
+    tail *= v
+    tail *= v2
+    tail *= s
+    out = d * v
+    out += tail
+    return out
+
+
+def _bd0_log1p(x, d, m):
+    """x log1p((x - m)/m) - (x - m); x (log x - log m) - (x - m) where (x - m)/m is +-inf or -1."""
+    r = d / m
+    far = x * np.log1p(r) - d
+    # far is +-inf or NaN where r overflows (|d| <= max(x, m): only below m = 1) or rounds
+    # to -1 (log1p(-1) = -inf), so one sum tells whether to look for them
+    if not math.isfinite(far.sum()):
+        swap = np.isinf(r) | (r == -1.0)
+        far = np.where(swap, x * (np.log(x) - math.log(m)) - d, far)
+    return far

@@ -100,6 +100,30 @@ class TestPmfPins:
         assert np.ndim(one) == 0 and one == many[6]
 
 
+def nbcond_inline(d, k):
+    return (log_gamma(k + d.r) - log_gamma(d.r) - log_gamma(k + 1.0) + k * math.log1p(-d.p)
+            + d.r * math.log(d.p) - math.log(-math.expm1(d.r * math.log(d.p))))
+
+
+@pytest.mark.parametrize("d", [NegBinomialConditional(0.35, 0.2), NegBinomialConditional(0.9, 1e-6),
+                               NegBinomialConditional(0.05, 7.5)], ids=repr)
+@pytest.mark.parametrize("k", [3.0, np.asarray(3.0), np.arange(1.0, 40.0),
+                               np.arange(1.0, 41.0).reshape(5, 8), np.array([[1.0], [2e5]])],
+                         ids=["scalar", "0-d", "1-d", "2-d", "column"])
+def test_nbcond_log_pmf_is_the_inline_formula(d, k, monkeypatch):
+    """One log-gamma call gives log gamma(r), (k + r) and (k + 1): the inline formula's bits."""
+    import entrokit.distributions as distributions
+
+    calls, real = [], distributions.log_gamma
+    monkeypatch.setattr(distributions, "log_gamma", lambda x: calls.append(1) or real(x))
+    got = logpmf(d, k)
+    want = nbcond_inline(d, np.asarray(k))
+    assert len(calls) == 1 and np.shape(got) == np.shape(k)
+    assert np.array_equal(got, want)
+    if np.ndim(k) == 0:
+        assert type(got) is np.float64
+
+
 def elementwise_records():
     rng = np.random.default_rng(1818)
     poisson = [Poisson(float(lam)) for lam in 10.0 ** rng.uniform(0.0, 7.0, 16)]
@@ -332,7 +356,7 @@ def gamma_logpdf(d, x):
     (Binomial(30, 0.3), ("_stirlerr_n",), lambda d, k: (
         stirlerr(d.n) - stirlerr(k) - stirlerr(d.n - k) - bd0(k, d.n * d.p)
         - bd0(d.n - k, d.n * (1.0 - d.p)) + 0.5 * np.log(d.n / (2.0 * math.pi * k * (d.n - k))))),
-    (NegBinomialConditional(0.35, 0.2), ("_log_gamma_r", "_log_one_minus_pr"), lambda d, k: (
+    (NegBinomialConditional(0.35, 0.2), ("_log_one_minus_pr",), lambda d, k: (
         log_gamma(k + d.r) - log_gamma(d.r) - log_gamma(k + 1.0) + k * math.log1p(-d.p)
         + d.r * math.log(d.p) - math.log(-math.expm1(d.r * math.log(d.p))))),
 ])
@@ -433,3 +457,35 @@ def test_support_mask_changes_no_bit_inside(d, inside, outside):
     mixed = log_p(d, np.array(outside + inside))
     assert np.array_equal(mixed[len(outside):], alone)
     assert np.all(mixed[:len(outside)] == -np.inf)
+
+
+def masked_everywhere(d, x):
+    """The log-density or log-mass with the support mask always built, as logpdf/logpmf once did."""
+    x = np.asarray(x, dtype=float)
+    formula = d._logpmf if d.is_discrete else d._logpdf
+    lo, hi = d.support
+    with np.errstate(over="ignore"):
+        if (lo, hi) == (-math.inf, math.inf):
+            return formula(x)
+        inside = (x >= lo) & (x <= hi)
+        if d.is_discrete:
+            inside &= x == np.floor(x)
+        return np.where(inside, formula(np.where(inside, x, lo)), -np.inf)
+
+
+@pytest.mark.parametrize("d", [d for d, _ in SUPPORTS], ids=FAMILY_IDS)
+def test_support_test_keeps_every_output(d):
+    """NaN, +-inf, empty arrays, non-integers and points past either end: the masked output."""
+    lo, hi = d.support
+    log_p = logpmf if d.is_discrete else logpdf
+    inside = [2.0, 3.0] if d.spec_name != "uniform" else [1.5, 2.0]
+    outside = [math.nan, math.inf, -math.inf, 2.5 if d.is_discrete else None,
+               lo - 1.0 if lo > -math.inf else None, hi + 1.0 if hi < 1e300 else None]
+    outside = [x for x in outside if x is not None]
+    cases = [np.array([]), np.array(inside), np.array(outside), np.array(outside + inside),
+             np.array(inside + outside).reshape(1, -1), np.array(inside).reshape(2, 1),
+             *inside, *outside]
+    for x in cases:
+        got, want = log_p(d, x), masked_everywhere(d, x)
+        assert np.shape(got) == np.shape(want)
+        assert np.array_equal(got, want, equal_nan=True)

@@ -620,6 +620,16 @@ class TestTinyRates:
             assert abs(res.value - exact) <= res.tail_bound
         assert res.last_k < 100 and shannon(d) == -res.value
 
+    @pytest.mark.parametrize("d", [Poisson(1e-310), Poisson(1e-320), Binomial(10, 1e-320)],
+                             ids=repr)
+    def test_bound_covers_the_exp_rounding_carried_by_log_p(self, d, cfg):
+        """p_1 is subnormal: its exp rounds by up to 2**-1075, t = p_1 log p_1 by |log p_1| that."""
+        res = discrete_entropy_sum(d, "p_log_p", 1.0, cfg)
+        log_p1 = float(logpmf(d, 1.0))
+        assert 0.0 < math.exp(log_p1) < 2.0**-1022
+        # in units of the smallest double, 2**-1074, so that the half-unit stays exact
+        assert res.tail_bound / 2.0**-1074 >= 0.5 * abs(log_p1) > 350.0
+
     @pytest.mark.parametrize("d", [
         Poisson(3.0), Logarithmic(0.9999999999), NegBinomialConditional(0.9999999, 0.5),
     ], ids=repr)

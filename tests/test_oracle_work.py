@@ -1,6 +1,7 @@
 """tools/oracle_work.py, the oracle's counted work on the selftest draws, loaded by its path."""
 
 import importlib.util
+import math
 from pathlib import Path
 
 from entrokit.verification import ORACLE_FAMILIES, ORACLE_MEASURES
@@ -16,12 +17,12 @@ def load_tool():
 
 
 def test_one_row_per_family_and_the_all_row_pools_them(capsys):
-    """The tool wraps the oracle's panel rule, estimate and log-pmf for its run and puts them back."""
+    """The tool wraps the oracle's panel rule, estimate, log-pmf and series, then puts them back."""
     from entrokit import oracle
 
-    before = oracle._gk_apply, oracle.entropy_estimate, oracle.logpmf
+    before = oracle._gk_apply, oracle.entropy_estimate, oracle.logpmf, oracle._series
     assert load_tool().main([]) == 0
-    assert (oracle._gk_apply, oracle.entropy_estimate, oracle.logpmf) == before
+    assert (oracle._gk_apply, oracle.entropy_estimate, oracle.logpmf, oracle._series) == before
     quadrature, series = capsys.readouterr().out.split("\n\n")
     check_quadrature_table(quadrature)
     check_series_table(series)
@@ -44,29 +45,54 @@ def check_quadrature_table(text):
 
 
 def check_series_table(text):
-    """Per discrete family: Shannon sums, mean log-pmf calls and points per sum."""
+    """Per discrete family: Shannon sums, mean log-pmf calls, points and terms per sum, digest."""
     header, *rows, total = text.splitlines()
-    assert header.split() == ["family", "values", "calls", "points"]
-    cells = {row.split()[0]: [float(v) for v in row.split()[1:]] for row in rows}
+    assert header.split() == ["family", "values", "calls", "points", "terms", "digest"]
+    cells = {row.split()[0]: [float(v) for v in row.split()[1:-1]] for row in rows}
     assert tuple(cells) == ("poisson", "binomial", "nbcond", "logarithmic")
-    for values, calls, points in cells.values():
+    for values, calls, points, terms in cells.values():
         assert values == 40
-        assert 1.0 <= calls <= points
-    name, values, calls, points = total.split()
+        assert 1.0 <= calls <= terms <= points
+    name, values, calls, points, terms, digest = total.split()
     assert (name, int(values)) == ("all", 40 * len(cells))
     assert abs(float(calls) - sum(c[1] for c in cells.values()) / len(cells)) <= 1e-3
     assert abs(float(points) - sum(c[2] for c in cells.values()) / len(cells)) <= 0.1
+    assert abs(float(terms) - sum(c[3] for c in cells.values()) / len(cells)) <= 0.1
+    digests = [row.split()[-1] for row in rows] + [digest]
+    assert all(len(d) == 12 and int(d, 16) >= 0 for d in digests) and len(set(digests)) == 5
 
 
 def test_series_counts_are_the_engines_calls(monkeypatch):
-    """A sum's (calls, points) are its logpmf calls and their indices, seen at the engine."""
+    """A sum's (calls, points, terms, value) are its logpmf calls and indices, the terms its
+    series directions summed, and its value and bound in hex, seen at the engine."""
     from entrokit import oracle
 
     tool = load_tool()
     work = tool.series_work()
     assert [len(values) for values in work.values()] == [tool.RECORDS] * 4
-    seen, logpmf = [], oracle.logpmf
+    seen, summed, logpmf, series = [], [], oracle.logpmf, oracle._series
+
+    def counted_series(*args):
+        out = series(*args)
+        summed.append(out[2])
+        return out
+
     monkeypatch.setattr(oracle, "logpmf", lambda d, ks: seen.append(len(ks)) or logpmf(d, ks))
-    first = tool.series_records()[0]
-    oracle.discrete_entropy_sum(first, "p_log_p", 1.0)
-    assert work[first.spec_name][0] == (len(seen), sum(seen))
+    monkeypatch.setattr(oracle, "_series", counted_series)
+    for d, got in zip(tool.series_records()[::tool.RECORDS],
+                      [values[0] for values in work.values()]):
+        seen.clear()
+        summed.clear()
+        res = oracle.discrete_entropy_sum(d, "p_log_p", 1.0)
+        assert got == (len(seen), sum(seen), sum(summed),
+                       f"{res.value.hex()} {res.tail_bound.hex()}")
+
+
+def test_digest_moves_with_one_bit():
+    tool = load_tool()
+    values = tool.series_work()["poisson"]
+    calls, points, terms, text = values[0]
+    value, bound = (float.fromhex(v) for v in text.split())
+    moved = [(calls, points, terms, f"{math.nextafter(value, 0.0).hex()} {bound.hex()}"),
+             *values[1:]]
+    assert tool.digest(values) == tool.digest(list(values)) != tool.digest(moved)

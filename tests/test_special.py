@@ -301,6 +301,60 @@ class TestLoaderKernels:
         assert bd0(mixed, m)[0] == mixed[0] * np.log1p((mixed[0] - m) / m) - (mixed[0] - m)
 
 
+def bd0_both_branches(x, m):
+    """bd0 as one expression: both branches on every element, then a select."""
+    x = np.asarray(x, dtype=float)
+    d = x - m
+    v = d / (x + m)
+    v2 = v * v
+    s = np.full_like(v, 1.0 / 17.0)
+    for i in range(7, 0, -1):
+        s = s * v2 + 1.0 / (2 * i + 1)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        r = d / m
+        far = x * np.log1p(r) - d
+        swap = np.isinf(r) | (r == -1.0)
+        far = np.where(swap, x * (np.log(x) - math.log(m)) - d, far)
+        return np.where(np.abs(v) < 0.1, d * v + 2.0 * x * v * v2 * s, far)
+
+
+BD0_ARRAYS = [  # (m, x): all near, all far, mixed, and the two cases the log1p form swaps out
+    (1000.0, np.arange(950.0, 1050.0)),
+    (7.5, np.array([1.0, 2.0, 20.0, 100.0, 1e6])),
+    (1000.0, np.arange(800.0, 1200.0, 7.0)),
+    (1e-310, np.array([1e-310 * 1.05, 1e-300, 1.0, 2.0, 1e6])),  # (x - m)/m overflows
+    (1e17, np.array([1.0, 2.0, 1e16, 9e16, 1e17, 1.05e17])),  # (x - m)/m rounds to -1
+    (12345.678, np.array([])),
+]
+
+
+class TestBd0Branches:
+    """bd0 runs the branches its elements take; each element keeps its branch's expression."""
+
+    @pytest.mark.parametrize("m, x", BD0_ARRAYS, ids=["near", "far", "mixed", "overflow",
+                                                      "minus_one", "empty"])
+    def test_each_element_as_alone_and_as_one_expression(self, m, x):
+        got = bd0(x, m)
+        assert isinstance(got, np.ndarray) and got.shape == x.shape
+        assert np.array_equal(got, bd0_both_branches(x, m))
+        for i in range(x.size):
+            assert got[i] == bd0(x[i:i + 1], m)[0]
+        for rows in (x.reshape(1, -1), x.reshape(-1, 1)):
+            assert np.array_equal(bd0(rows, m), got.reshape(rows.shape))
+
+    @pytest.mark.parametrize("m, x", [(1000.0, 1003.0), (7.5, 100.0), (1e-310, 1.0),
+                                      (1e17, 1.0)], ids=["near", "far", "overflow", "minus_one"])
+    def test_zero_dimensional_x_gives_a_zero_dimensional_array(self, m, x):
+        for arg in (x, np.float64(x), np.asarray(x)):
+            got = bd0(arg, m)
+            assert type(got) is np.ndarray and got.shape == ()
+            assert got == bd0_both_branches(x, m) == bd0(np.array([x]), m)[0]
+
+    def test_nan_reads_as_far(self):
+        x = np.array([np.nan, 1000.0, 5.0])
+        assert np.array_equal(bd0(x, 1000.0), bd0_both_branches(x, 1000.0), equal_nan=True)
+
+
 class TestDomain:
     @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
     @pytest.mark.parametrize("fn", [log_gamma, digamma, trigamma])

@@ -9,9 +9,11 @@ passes and the mean integrand points per value, and the share of values
 done in one pass, over the draws selftest makes at seed 42 (60 per family
 and measure).  The second table prints, per discrete family, the number
 of Shannon sums (discrete_entropy_sum's p log p) on a seeded grid of 40
-records over the benchmark's parameter ranges, and the mean log-pmf calls
-and points (indices) per sum.  Counts, not times: they repeat exactly on
-any machine.
+records over the benchmark's parameter ranges, the mean log-pmf calls,
+points (indices evaluated) and terms (indices summed, from the series
+engine's count) per sum, and a digest of the sums' values and tail
+bounds (float.hex).  Counts, not times: they repeat exactly on any
+machine, and the digest changes when any bit of a sum or bound moves.
 
     python tools/oracle_work.py               # the package under src/ of this checkout
     python tools/oracle_work.py DIR/src       # the package under another source tree
@@ -19,6 +21,7 @@ any machine.
 Another revision's tree comes from `git archive REV src | tar -x -C DIR`.
 """
 
+import hashlib
 import os
 import sys
 from collections import defaultdict
@@ -78,12 +81,16 @@ def series_records():
     return [draw() for draw in draws for _ in range(RECORDS)]
 
 
-def series_work() -> dict[str, list[tuple[int, int]]]:
-    """Family -> (logpmf calls, points) of each Shannon sum on the series grid."""
+def series_work() -> dict[str, list[tuple[int, int, int, str]]]:
+    """Family -> (logpmf calls, points, terms, value and bound in hex) of each Shannon sum.
+
+    terms adds the third value each direction's oracle._series returns:
+    the terms it summed.
+    """
     from entrokit import oracle
 
-    logpmf = oracle.logpmf
-    calls = points = 0
+    logpmf, series = oracle.logpmf, oracle._series
+    calls = points = terms = 0
     values = defaultdict(list)
 
     def counted_logpmf(d, ks):
@@ -91,15 +98,27 @@ def series_work() -> dict[str, list[tuple[int, int]]]:
         calls, points = calls + 1, points + len(ks)
         return logpmf(d, ks)
 
-    oracle.logpmf = counted_logpmf
+    def counted_series(*args):
+        nonlocal terms
+        out = series(*args)
+        terms += out[2]
+        return out
+
+    oracle.logpmf, oracle._series = counted_logpmf, counted_series
     try:
         for d in series_records():
-            calls = points = 0
-            oracle.discrete_entropy_sum(d, "p_log_p", 1.0)
-            values[d.spec_name].append((calls, points))
+            calls = points = terms = 0
+            res = oracle.discrete_entropy_sum(d, "p_log_p", 1.0)
+            values[d.spec_name].append(
+                (calls, points, terms, f"{res.value.hex()} {res.tail_bound.hex()}"))
     finally:
-        oracle.logpmf = logpmf
+        oracle.logpmf, oracle._series = logpmf, series
     return dict(values)
+
+
+def digest(values) -> str:
+    """The first 12 hex digits of the SHA-256 of the sums' values and bounds, one line each."""
+    return hashlib.sha256("".join(f"{v[3]}\n" for v in values).encode()).hexdigest()[:12]
 
 
 def pooled(rows):
@@ -115,11 +134,12 @@ def main(argv) -> int:
         print(f"{family:<10} {n:>6} {sum(p for p, _ in values) / n:>7.3f} "
               f"{sum(q for _, q in values) / n:>8.1f} {sum(p == 1 for p, _ in values) / n:>8.3f}")
     print()
-    print(f"{'family':<12} {'values':>6} {'calls':>7} {'points':>9}")
+    print(f"{'family':<12} {'values':>6} {'calls':>7} {'points':>9} {'terms':>9} {'digest':>12}")
     for family, values in pooled(series_work()).items():
         n = len(values)
-        print(f"{family:<12} {n:>6} {sum(c for c, _ in values) / n:>7.3f} "
-              f"{sum(q for _, q in values) / n:>9.1f}")
+        print(f"{family:<12} {n:>6} {sum(v[0] for v in values) / n:>7.3f} "
+              f"{sum(v[1] for v in values) / n:>9.1f} {sum(v[2] for v in values) / n:>9.1f} "
+              f"{digest(values):>12}")
     return 0
 
 
