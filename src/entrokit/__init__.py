@@ -37,8 +37,7 @@ _EXPORTS = {
     "oracle": (
         "OracleConfig", "QuadResult", "SeriesResult", "discrete_entropy_sum",
         "discrete_expectation", "entropy_estimate", "integral_p_alpha",
-        "integral_p_alpha_log_p", "integrate_halfline", "integrate_interval",
-        "integrate_realline", "kl_integral"),
+        "integral_p_alpha_log_p", "kl_integral"),
     "special": ("digamma", "log_gamma", "trigamma"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

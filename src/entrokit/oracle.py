@@ -30,12 +30,18 @@ _PLANS:
   tail), so that most desk-scale values meet their tolerance in this
   first pass.  A real-line run starts from that mesh, its mirror image
   and its breakpoints, and a flagged panel is split in four equal parts.
-  The first pass of each constant mesh (the half-line's, and the real
-  line's without extra breakpoints) is built once, at import: its
-  panels, nodes and half-widths are read-only and shared by every run.
-  A run whose density p is 0 at every node of its first pass would
-  "converge" to 0 there; it raises NonConvergenceError naming the record
-  instead.
+  There is one internal path per map: integrate_halfline,
+  integrate_realline and, for an interval, _power_integrals itself hand
+  integrate_interval a first pass (panels, nodes and half-widths).  The
+  half-line's, and the real line's without extra breakpoints, are built
+  once, at import, read-only and shared by every run; the others are
+  built per run.  The three integrators take the floats and split
+  points a plan built and check no argument; _power_integrals checks
+  the values the plan computed (a map scale outside the positive
+  doubles, an interval width past the float range), each error naming
+  the record.  A run whose density p is 0 at every node of its first
+  pass would "converge" to 0 there; it raises NonConvergenceError
+  naming the record instead.
 
 * one series engine with a certified geometric tail: once the uniform
   one-step ratio bound q of the terms is below 1, the remaining tail is
@@ -59,11 +65,14 @@ _PLANS:
   discrete_expectation (p_k w(k), which the Poisson series of limits
   use).
 
-Every public routine returns its error estimate alongside the value.
-Each takes its tolerances and budgets as an optional OracleConfig: None,
-the default, runs OracleConfig()'s defaults, the one configuration every
-oracle value of the package is computed at.  Callers pass a config only
-to change a setting.
+Every value-level entry point (entropy_estimate, integral_p_alpha,
+integral_p_alpha_log_p, kl_integral, discrete_entropy_sum and
+discrete_expectation) returns its value with an error estimate, or
+builds it from ones that have one.  Each takes its tolerances and
+budgets as an optional OracleConfig: None, the default, runs
+OracleConfig()'s defaults, the one configuration every oracle value of
+the package is computed at.  Callers pass a config only to change a
+setting.
 
 The continuous densities come from distributions.logpdf, whose
 constants come from libm: no quadrature run reaches a special kernel.
@@ -82,7 +91,7 @@ from .distributions import (Binomial, ChiSquared, Distribution, Exponential, Gam
                             Normal, Poisson, Uniform, format_spec, logpdf, logpmf)
 from .errors import (FamilyMismatchError, NonConvergenceError, ParameterError,
                      SeriesBudgetError, UnsupportedFamilyError, ValidityDomainError,
-                     as_integer, as_iterable, as_real)
+                     as_integer, as_real)
 from .measures import EntropySpec, check_order
 
 
@@ -90,8 +99,8 @@ from .measures import EntropySpec, check_order
 class OracleConfig:
     """Tolerances and budgets for the quadrature and series oracles: positive floats and ints.
 
-    Every public routine of the oracle takes one as cfg; None, the
-    default, runs OracleConfig()'s defaults.
+    Every value-level entry point of the oracle takes one as cfg; None,
+    the default, runs OracleConfig()'s defaults.
     """
 
     abs_tol: float = 1e-10
@@ -192,49 +201,30 @@ def _gk_apply(f, x, h):
     return est, scalar
 
 
-def _breakpoints(breakpoints) -> np.ndarray:
-    """breakpoints as a float array, or ParameterError unless they are 1-D, >= 2, finite reals.
-
-    A numeric array, as the oracle's own meshes are, is checked whole;
-    the entries of anything else go through as_real one by one.
-    """
-    bp = breakpoints
-    if not (isinstance(bp, np.ndarray) and bp.dtype.kind in "fiu"):
-        bp = np.array([as_real(b, "breakpoint") for b in as_iterable(bp, "breakpoints")])
-    if not (bp.ndim == 1 and len(bp) >= 2 and np.isfinite(bp).all()):
-        raise ParameterError(
-            f"breakpoints must be a 1-D sequence of at least two finite reals, got {breakpoints!r}")
-    return bp.astype(float, copy=False)
-
-
 def _first_pass(bp) -> tuple:
     """The panels of a mesh bp as (lo, hi) rows, their nodes and their half-widths (_nodes)."""
     ends = np.array([bp[:-1], bp[1:]]).T  # (panels, 2)
     return (ends, *_nodes(ends))
 
 
-def integrate_interval(f: Callable, breakpoints, cfg: OracleConfig | None = None) -> QuadResult:
-    """Adaptive quadrature of f over the panels defined by breakpoints.
+def integrate_interval(f: Callable, first: tuple, cfg: OracleConfig) -> QuadResult:
+    """Adaptive quadrature of f from a first pass, the (ends, x, h) that _first_pass builds.
 
-    breakpoints are a 1-D sequence of at least two finite reals (equal
-    neighbours allowed), or ParameterError.  f maps an array of points
-    to as many values, or to shape (c, points) for c integrals on one
-    mesh; a QuadResult of floats, or of length-c arrays, comes back.
-    Each pass splits every panel above its equidistributed share of an
-    unmet tolerance in four equal parts, until each component's summed
-    error estimate is under max(abs_tol, rel_tol * |its integral|).
-    NonConvergenceError once a split would take the mesh past
-    max_subdivisions panels.  The oracle's two constant meshes, passed
-    as themselves, start from their first pass as built at import.
+    The oracle's internal path, as are integrate_halfline and
+    integrate_realline: each map hands in its first pass and no argument
+    is checked.  The half-line's pass, and the real line's without extra
+    breakpoints, are the read-only ones built at import; a pass on a mesh
+    with equal neighbours holds panels of width 0, which add 0.  f maps
+    an array of points to as many values, or to shape (c, points) for c
+    integrals on one mesh; a QuadResult of floats, or of length-c arrays,
+    comes back.  Each pass splits every panel above its equidistributed
+    share of an unmet tolerance in four equal parts, until each
+    component's summed error estimate is under max(abs_tol, rel_tol *
+    |its integral|).  NonConvergenceError once a split would take the
+    mesh past max_subdivisions panels.
     """
-    cfg = cfg or _CONFIG
+    ends, x, h = first
     with np.errstate(all="ignore"):  # f and _gk_apply meet 0/0 and x/0
-        if breakpoints is _PLAIN_MESH:
-            ends, x, h = _PLAIN_PASS
-        elif breakpoints is _REALLINE_MESH:
-            ends, x, h = _REALLINE_PASS
-        else:
-            ends, x, h = _first_pass(_breakpoints(breakpoints))
         est, scalar = _gk_apply(f, x, h)
         while True:
             totals, errors = est.sum(axis=2).tolist()
@@ -288,24 +278,19 @@ for _array in (_PLAIN_MESH, _REALLINE_MESH, *_PLAIN_PASS, *_REALLINE_PASS):
 del _array
 
 
-def integrate_halfline(g: Callable, cfg: OracleConfig | None = None, scale: float = 1.0,
-                       power_at_zero: float = 3.0) -> QuadResult:
-    """Integral of g over (0, inf) via x = scale*s/(1-s), s = t**k, from one t-mesh.
+def integrate_halfline(g: Callable, cfg: OracleConfig, scale: float,
+                       power_at_zero: float) -> QuadResult:
+    """Integral of g over (0, inf) via x = scale*s/(1-s), s = t**k, from the constant first pass.
 
-    power_at_zero is the a of an x**a or x**a log x factor of g at x = 0.
+    scale is a positive float and power_at_zero the a of an x**a or
+    x**a log x factor of g at x = 0, as the plan built them.
     k = max(1, 4/(a + 1)) makes the mapped integrand vanish like
     t**3 (log t) at t = 0, where the error estimate holds as on a smooth
-    integrand.  The default a = 3 gives k = 1, the plain map, which also
-    suits any g smooth at 0.  For a + 1 < 1/20, NonConvergenceError:
-    about exp(-744 (a + 1)) of such a mass lies below the smallest
-    double, 7e-17 at the floor and 5e-14 with the log weight.
+    integrand.  a = 3 gives k = 1, the plain map, which also suits any g
+    smooth at 0.  For a + 1 < 1/20, NonConvergenceError: about
+    exp(-744 (a + 1)) of such a mass lies below the smallest double,
+    7e-17 at the floor and 5e-14 with the log weight.
     """
-    return _halfline(g, cfg, _positive_scale(scale), as_real(power_at_zero, "power_at_zero"))
-
-
-def _halfline(g: Callable, cfg: OracleConfig | None, scale: float,
-              power_at_zero: float) -> QuadResult:
-    """integrate_halfline on a checked scale and power: floats, the scale positive."""
     a1 = power_at_zero + 1.0
     if a1 < 1.0 / 20.0:
         raise NonConvergenceError(f"x**{a1 - 1:.3g} at 0 is past doubles: a + 1 = {a1:.3g} < 1/20")
@@ -324,45 +309,27 @@ def _halfline(g: Callable, cfg: OracleConfig | None, scale: float,
         out[(gx == 0.0) | np.isinf(gx) & (x < 2.0**-1022)] = 0.0
         return out
 
-    return integrate_interval(f, _PLAIN_MESH, cfg)
+    return integrate_interval(f, _PLAIN_PASS, cfg)
 
 
-def _positive_scale(scale) -> float:
-    scale = as_real(scale, "scale")
-    if not scale > 0.0:
-        raise ParameterError(f"scale must be positive, got {scale}")
-    return scale
-
-
-def integrate_realline(g: Callable, cfg: OracleConfig | None, interior,
-                       scale: float = 1.0) -> QuadResult:
+def integrate_realline(g: Callable, cfg: OracleConfig, splits, scale: float) -> QuadResult:
     """Integral of g over the real line in one run, by x = c + scale*t/(1-|t|) on t in (-1, 1).
 
-    The centre c is the first interior point.  Each other point p is a
-    breakpoint of the t-mesh at t = (p - c)/(scale + |p - c|), so their
-    order and repeats change nothing; a gap p - c past the float range
-    raises ParameterError.  The map suits an integrand whose mass lies
-    within a few scale units of c, as a density's does around its
-    location: a second mode far from c is met where the map stretches,
-    and takes more points (two normal modes 1e3 scale units apart: 1305
-    points against 1050 with a linear piece between them, and a relative
-    error of 3e-12 against 7e-16, within the tolerance).
+    splits are floats, centre first, and scale a positive float, as the
+    plan built them.  Each other point p is a breakpoint of the t-mesh at
+    t = (p - c)/(scale + |p - c|), so their order and repeats change
+    nothing; a gap p - c past the float range raises ParameterError.
+    Without a second point the run starts from the constant first pass.
+    The map suits an integrand whose mass lies within a few scale units
+    of c, as a density's does around its location: a second mode far
+    from c is met where the map stretches, and takes more points (two
+    normal modes 1e3 scale units apart: 1305 points against 1050 with a
+    linear piece between them, and a relative error of 3e-12 against
+    7e-16, within the tolerance).
     """
-    scale = _positive_scale(scale)
-    pts = [as_real(p, "split point") for p in as_iterable(interior, "interior")]
-    if not pts:
-        raise ParameterError("need at least one interior split point")
-    return _realline(g, cfg, pts, scale)
-
-
-def _realline(g: Callable, cfg: OracleConfig | None, pts, scale: float) -> QuadResult:
-    """integrate_realline on checked split points, centre first, and a checked scale.
-
-    Without a second point the run takes the constant mesh itself.
-    """
-    c = pts[0]
+    c = splits[0]
     knots = []
-    for p in pts[1:]:
+    for p in splits[1:]:
         width = scale + abs(p - c)
         if not math.isfinite(width):
             raise ParameterError(f"split point {p} is past the float range from the centre {c}")
@@ -375,8 +342,8 @@ def _realline(g: Callable, cfg: OracleConfig | None, pts, scale: float) -> QuadR
         out[gx == 0.0] = 0.0
         return out
 
-    return integrate_interval(f, np.union1d(_REALLINE_MESH, knots) if knots else _REALLINE_MESH,
-                              cfg)
+    first = _first_pass(np.union1d(_REALLINE_MESH, knots)) if knots else _REALLINE_PASS
+    return integrate_interval(f, first, cfg)
 
 
 # --- per-family plans ---------------------------------------------------------
@@ -405,7 +372,7 @@ def _gamma_plan(d: Gamma | ChiSquared, alpha: float) -> _Plan:
 
 
 def _exp_or_inf(x: float) -> float:
-    """exp(x), or inf past the float range: a scale that _positive_scale rejects."""
+    """exp(x), or inf past the float range: a scale that _power_integrals rejects."""
     try:
         return math.exp(x)
     except OverflowError:
@@ -493,18 +460,22 @@ def _power_integrals(d: Distribution, terms, cfg: OracleConfig | None,
         return rows if len(terms) > 1 else rows[0]
 
     plan = _joint_plan(d, [alpha for alpha, _ in terms])
+    cfg = cfg or _CONFIG
     # the plan's fields are floats; only its scale can leave the doubles (an exp or a ratio)
+    if not 0.0 < plan.scale < math.inf:
+        raise ParameterError(
+            f"the map scale of {format_spec(d)} is {plan.scale}, outside the positive doubles")
     if plan.map == "halfline":  # p's power at 0 holds: log q adds only a log factor
-        return _halfline(g, cfg, _positive_scale(plan.scale), plan.power_at_zero)
+        return integrate_halfline(g, cfg, plan.scale, plan.power_at_zero)
     if plan.map == "realline":  # centred on p's split point, with q's as breakpoints
         splits = plan.splits if q is None else plan.splits + _plan(q, 1.0).splits
-        return _realline(g, cfg, splits, _positive_scale(plan.scale))
+        return integrate_realline(g, cfg, splits, plan.scale)
     a, b = d.support
     if not math.isfinite(b - a):  # np.linspace would build a mesh of inf and NaN
         raise ParameterError(f"the width b - a of {format_spec(d)} is past the float range")
     # a panel a few ulp wide has nodes that round to outside [a, b]
     return integrate_interval(lambda x: g(np.minimum(np.maximum(x, a), b)),
-                              np.linspace(a, b, 17), cfg)
+                              _first_pass(np.linspace(a, b, 17)), cfg)
 
 
 def _some_mass(d: Distribution, lp) -> bool:

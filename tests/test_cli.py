@@ -412,13 +412,13 @@ class TestVerifyContract:
 
     @pytest.mark.parametrize("argv, message", [
         ("entropy --dist lognormal:m=800,sigma2=1 --measure shannon",
-         "scale must be a finite real number, got inf"),
+         "the map scale of lognormal:m=800.0,sigma2=1.0 is inf, outside the positive doubles"),
         ("kl --p lognormal:m=800,sigma2=1 --q lognormal:m=0,sigma2=1",
-         "scale must be a finite real number, got inf"),
+         "the map scale of lognormal:m=800.0,sigma2=1.0 is inf, outside the positive doubles"),
         ("entropy --dist lognormal:m=-800,sigma2=1 --measure shannon",
-         "scale must be positive, got 0.0"),
+         "the map scale of lognormal:m=-800.0,sigma2=1.0 is 0.0, outside the positive doubles"),
         ("entropy --dist exp:lambda=1e-310 --measure shannon",
-         "scale must be a finite real number, got inf"),
+         "the map scale of exp:lambda=1e-310 is inf, outside the positive doubles"),
     ], ids=["lognormal-overflow", "kl-lognormal-overflow", "lognormal-underflow", "exp"])
     def test_tail_map_scale_past_the_float_range_exits_1(self, capsys, argv, message):
         """A plan scale beyond the doubles is one error line, not a traceback."""

@@ -15,20 +15,15 @@ import pytest
 from entrokit import (Binomial, ChiSquared, EntropySpec, Exponential, Gamma, Laplace,
                       Logarithmic, LogNormal, NegBinomialConditional, Normal, OracleConfig,
                       Poisson, Uniform, appendix_series_growth, binomial_to_poisson,
-                      entropy_estimate, fgn_covariance, fgn_det_sweep, generalized_renyi1,
-                      generalized_renyi2, integral_p_alpha, integral_p_alpha_log_p,
-                      integrate_halfline, integrate_interval, integrate_realline,
-                      lognormal_moment, nb_to_logarithmic, poisson_entropy,
+                      discrete_entropy_sum, entropy_estimate, fgn_covariance, fgn_det_sweep,
+                      generalized_renyi1, generalized_renyi2, integral_p_alpha,
+                      integral_p_alpha_log_p, lognormal_moment, nb_to_logarithmic, poisson_entropy,
                       poisson_entropy_derivative, renyi, sharma_mittal, tsallis)
 from entrokit.errors import ParameterError
 from entrokit.verification import oracle_equivalence
 
 CFG = OracleConfig()
 EXP = Exponential(1.0)
-
-
-def decay(x):
-    return np.exp(-np.abs(x))
 
 
 class Slot:
@@ -102,16 +97,8 @@ SLOTS = {
     "integral_p_alpha.alpha": Slot(lambda v: integral_p_alpha(EXP, v, CFG), float, 2.0, 2),
     "integral_p_alpha_log_p.alpha": Slot(lambda v: integral_p_alpha_log_p(EXP, v, CFG),
                                          float, 2.0, 2),
-    "integrate_halfline.scale": Slot(lambda v: integrate_halfline(decay, CFG, scale=v),
-                                     float, 2.0, 2),
-    "integrate_halfline.power_at_zero": Slot(
-        lambda v: integrate_halfline(decay, CFG, power_at_zero=v), float, 0.5, 1),
-    "integrate_realline.scale": Slot(lambda v: integrate_realline(decay, CFG, [0.0], scale=v),
-                                     float, 2.0, 2),
-    "integrate_realline.split_point": Slot(
-        lambda v: integrate_realline(decay, CFG, [-1.0, v]), float, 0.5, 1),
-    "integrate_interval.breakpoints": Slot(
-        lambda v: integrate_interval(decay, [0.0, v], CFG), float, 2.0, 2),
+    "discrete_entropy_sum.alpha": Slot(
+        lambda v: discrete_entropy_sum(Poisson(3.0), "p_alpha", v, CFG), float, 2.0, 2),
     "OracleConfig.abs_tol": config_slot("abs_tol", float, 1e-9, 1),
     "OracleConfig.rel_tol": config_slot("rel_tol", float, 1e-9, 1),
     "OracleConfig.series_tail_tol": config_slot("series_tail_tol", float, 1e-13, 1),
@@ -185,51 +172,14 @@ def test_fgn_size_above_the_limit_is_rejected_before_allocating(call, n):
         call(n)
 
 
-@pytest.mark.parametrize("call", [
-    lambda: integrate_halfline(decay, CFG, scale=-1.0),
-    lambda: integrate_halfline(decay, CFG, scale=0.0),
-    lambda: integrate_realline(decay, CFG, [0.0], scale=-1.0),
-    lambda: integrate_realline(decay, CFG, [0.0], scale=0.0),
-], ids=["halfline_negative", "halfline_zero", "realline_negative", "realline_zero"])
-def test_integrators_reject_a_scale_that_is_not_positive(call):
-    """A negative scale flips the sign of the integral, and 0 "converges" to 0."""
-    with pytest.raises(ParameterError, match="scale must be positive"):
-        call()
-
-
 @pytest.mark.parametrize("call, name", [
-    (lambda: integrate_realline(decay, None, 0.5), "interior"),
     (lambda: appendix_series_growth(5.0), "lam_grid"),
     (lambda: binomial_to_poisson(2.0, 10), "n_grid"),
     (lambda: nb_to_logarithmic(0.5, 0.1), "r_grid"),
     (lambda: fgn_det_sweep(4, 0.3), "hurst_grid"),
-    (lambda: integrate_interval(decay, 1.0), "breakpoints"),
-], ids=["integrate_realline", "appendix_series_growth", "binomial_to_poisson",
-        "nb_to_logarithmic", "fgn_det_sweep", "integrate_interval"])
+], ids=["appendix_series_growth", "binomial_to_poisson", "nb_to_logarithmic",
+        "fgn_det_sweep"])
 def test_sequence_arguments_reject_a_non_iterable(call, name):
     """A number where a sequence belongs is a ParameterError naming the argument."""
     with pytest.raises(ParameterError, match=f"{name} must be an iterable of numbers"):
         call()
-
-
-@pytest.mark.parametrize("breakpoints", [
-    [0.0], [], [[0.0, 1.0]], ["a", "b"], [0.0, math.nan], [0.0, math.inf], 0.5,
-    np.array([[0.0, 1.0]]), np.array([0.0, np.inf]), np.array([True, False]),
-    np.array(["0", "1"]),
-], ids=["one", "empty", "nested", "strings", "nan", "inf", "scalar", "2d_array",
-        "inf_array", "bool_array", "str_array"])
-def test_integrate_interval_rejects_bad_breakpoints(breakpoints):
-    """Not a 1-D sequence of at least two finite reals: one ParameterError, no numpy warning."""
-    with pytest.raises(ParameterError, match="breakpoint"):
-        integrate_interval(decay, breakpoints, CFG)
-
-
-@pytest.mark.parametrize("breakpoints", [
-    [0.0, 0.0, 1.0], (0, Fraction(1, 2), np.float32(1.0)), np.array([0, 1]),
-    np.linspace(1.0, 1.0 + 4e-16, 17),  # a tiny Uniform's mesh repeats values
-], ids=["equal_neighbours", "mixed_reals", "int_array", "repeated_mesh"])
-def test_integrate_interval_takes_equal_neighbours_and_any_reals(breakpoints):
-    res = integrate_interval(decay, breakpoints, CFG)
-    lo, hi = float(breakpoints[0]), float(breakpoints[-1])
-    want = math.exp(-lo) - math.exp(-hi)  # decay = exp(-|x|) on [lo, hi] >= 0
-    assert abs(res.value - want) <= 1e-12

@@ -29,19 +29,23 @@ def test_one_row_per_family_and_the_all_row_pools_them(capsys):
 
 
 def check_quadrature_table(text):
+    """Per continuous family: values, mean passes and points per value, one-pass share, digest."""
     header, *rows, total = text.splitlines()
-    assert header.split() == ["family", "values", "passes", "points", "one_pass"]
-    cells = {row.split()[0]: [float(v) for v in row.split()[1:]] for row in rows}
+    assert header.split() == ["family", "values", "passes", "points", "one_pass", "digest"]
+    cells = {row.split()[0]: [float(v) for v in row.split()[1:-1]] for row in rows}
     assert tuple(cells) == ORACLE_FAMILIES
     per_family = 60 * len(ORACLE_MEASURES)  # selftest's draws per family at its default
     for values, passes, points, one_pass in cells.values():
         assert values == per_family
         assert passes >= 1.0 and points >= 15.0 and 0.0 <= one_pass <= 1.0
         assert (one_pass == 1.0) == (passes == 1.0)
-    name, values, passes, points, one_pass = total.split()
+    name, values, passes, points, one_pass, digest = total.split()
     assert (name, int(values)) == ("all", per_family * len(ORACLE_FAMILIES))
     assert abs(float(passes) - sum(c[1] for c in cells.values()) / len(cells)) <= 1e-3
     assert abs(float(one_pass) - sum(c[3] for c in cells.values()) / len(cells)) <= 1e-3
+    digests = [row.split()[-1] for row in rows] + [digest]
+    assert all(len(d) == 12 and int(d, 16) >= 0 for d in digests)
+    assert len(set(digests)) == len(ORACLE_FAMILIES) + 1
 
 
 def check_series_table(text):
@@ -86,6 +90,28 @@ def test_series_counts_are_the_engines_calls(monkeypatch):
         res = oracle.discrete_entropy_sum(d, "p_log_p", 1.0)
         assert got == (len(seen), sum(seen), sum(summed),
                        f"{res.value.hex()} {res.tail_bound.hex()}")
+
+
+def test_quadrature_values_are_the_oracles_and_one_ulp_moves_their_digest(monkeypatch):
+    """Each quadrature row holds the value entropy_estimate returned, in float.hex, in order."""
+    from entrokit import oracle
+
+    seen, estimate = {}, oracle.entropy_estimate
+
+    def recorded(d, *args):
+        value = estimate(d, *args)
+        seen.setdefault(d.spec_name, []).append(float(value).hex())
+        return value
+
+    monkeypatch.setattr(oracle, "entropy_estimate", recorded)
+    tool = load_tool()
+    work = tool.work()
+    assert {family: [v[2] for v in values] for family, values in work.items()} == seen
+    assert tuple(seen) == ORACLE_FAMILIES
+    values = work["lognormal"]
+    passes, points, text = values[-1]
+    moved = [*values[:-1], (passes, points, math.nextafter(float.fromhex(text), math.inf).hex())]
+    assert tool.digest(values) == tool.digest(list(values)) != tool.digest(moved)
 
 
 def test_digest_moves_with_one_bit():

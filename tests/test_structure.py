@@ -104,6 +104,40 @@ def test_bench_trace_targets_exist():
     assert missing == []
 
 
+INTEGRATORS = ("integrate_interval", "integrate_halfline", "integrate_realline")
+
+
+def names_in(source: str) -> set[str]:
+    """Every identifier, attribute and imported name a module's source uses."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.add((node.asname or node.name).split(".")[-1])
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            found.add(node.value)
+    return found
+
+
+def test_the_integrators_are_the_oracles_own():
+    """The three integrators are the oracle's internal path: no other module names them,
+    and the package does not export them; the bench tracer still finds them in the oracle."""
+    from entrokit import oracle
+
+    found = [f"{path.name} {name}" for path in sorted(SRC.glob("*.py")) if path.name != "oracle.py"
+             for name in sorted(names_in(path.read_text()) & set(INTEGRATORS))]
+    assert found == []
+    assert set(INTEGRATORS).isdisjoint(entrokit.__all__)
+    assert all(callable(getattr(oracle, name)) for name in INTEGRATORS)
+    # the scan sees a call, an attribute, an import and a name in an export table
+    for source in ("integrate_interval(f, first, cfg)\n", "oracle.integrate_halfline\n",
+                   "from .oracle import integrate_realline\n", "names = ('integrate_interval',)\n"):
+        assert names_in(source) & set(INTEGRATORS), source
+
+
 def test_bench_traced_special_functions_are_specials_own():
     """Each traced log_gamma or digamma is entrokit.special's function, no wrapper or copy.
 
@@ -298,14 +332,13 @@ def oracle_per_pass_functions() -> dict[str, ast.FunctionDef]:
     """The oracle code that runs on every quadrature pass, by name.
 
     That is _gk_apply, _nodes, integrate_interval, _some_mass and the
-    integrand closures nested in _halfline and _realline (the cores of
-    integrate_halfline and integrate_realline) and _power_integrals (which
-    also builds kl_integral's integrand).
+    integrand closures nested in integrate_halfline, integrate_realline
+    and _power_integrals (which also builds kl_integral's integrand).
     """
     top = oracle_functions()
     found = {name: top[name]
              for name in ("_gk_apply", "_nodes", "integrate_interval", "_some_mass")}
-    for outer in ("_halfline", "_realline", "_power_integrals"):
+    for outer in ("integrate_halfline", "integrate_realline", "_power_integrals"):
         nested = [node for node in ast.walk(top[outer])
                   if isinstance(node, ast.FunctionDef) and node is not top[outer]]
         assert nested, f"{outer} has no integrand closure"

@@ -5,15 +5,16 @@ pass of a run is one call of the oracle's panel rule on 15 nodes a panel;
 its points are counted where the rule hands them to the integrand, so the
 tool reads any revision's panel rule alike.
 The first table prints, per family, the number of oracle values, the mean
-passes and the mean integrand points per value, and the share of values
-done in one pass, over the draws selftest makes at seed 42 (60 per family
-and measure).  The second table prints, per discrete family, the number
-of Shannon sums (discrete_entropy_sum's p log p) on a seeded grid of 40
-records over the benchmark's parameter ranges, the mean log-pmf calls,
-points (indices evaluated) and terms (indices summed, from the series
-engine's count) per sum, and a digest of the sums' values and tail
-bounds (float.hex).  Counts, not times: they repeat exactly on any
-machine, and the digest changes when any bit of a sum or bound moves.
+passes and the mean integrand points per value, the share of values
+done in one pass and a digest of the values (float.hex), over the draws
+selftest makes at seed 42 (60 per family and measure).  The second
+table prints, per discrete family, the number of Shannon sums
+(discrete_entropy_sum's p log p) on a seeded grid of 40 records over the
+benchmark's parameter ranges, the mean log-pmf calls, points (indices
+evaluated) and terms (indices summed, from the series engine's count)
+per sum, and a digest of the sums' values and tail bounds (float.hex).
+Counts, not times: they repeat exactly on any machine, and a digest
+changes when any bit of a value (or of a sum or its bound) moves.
 
     python tools/oracle_work.py               # the package under src/ of this checkout
     python tools/oracle_work.py DIR/src       # the package under another source tree
@@ -32,8 +33,8 @@ SEED, DRAWS = 42, 60  # selftest's --seed 42 and its default --draws
 SERIES_SEED, RECORDS = 7, 40  # the series grid: records per discrete family
 
 
-def work() -> dict[str, list[tuple[int, int]]]:
-    """Family -> (passes, points) of each oracle value on the selftest draws."""
+def work() -> dict[str, list[tuple[int, int, str]]]:
+    """Family -> (passes, points, value in hex) of each oracle value on the selftest draws."""
     from entrokit import cli, oracle  # the selftest command reads alike in every tree
 
     gk_apply, estimate = oracle._gk_apply, oracle.entropy_estimate
@@ -55,7 +56,7 @@ def work() -> dict[str, list[tuple[int, int]]]:
         nonlocal passes, points
         passes = points = 0
         value = estimate(d, *args)
-        values[d.spec_name].append((passes, points))
+        values[d.spec_name].append((passes, points, float(value).hex()))
         return value
 
     oracle._gk_apply, oracle.entropy_estimate = counted_gk_apply, counted_estimate
@@ -117,8 +118,11 @@ def series_work() -> dict[str, list[tuple[int, int, int, str]]]:
 
 
 def digest(values) -> str:
-    """The first 12 hex digits of the SHA-256 of the sums' values and bounds, one line each."""
-    return hashlib.sha256("".join(f"{v[3]}\n" for v in values).encode()).hexdigest()[:12]
+    """The first 12 hex digits of the SHA-256 of each row's last field, one line each.
+
+    That field is an oracle value, or a sum and its bound, in float.hex.
+    """
+    return hashlib.sha256("".join(f"{v[-1]}\n" for v in values).encode()).hexdigest()[:12]
 
 
 def pooled(rows):
@@ -128,11 +132,13 @@ def pooled(rows):
 
 def main(argv) -> int:
     sys.path.insert(0, argv[0] if argv else str(ROOT / "src"))
-    print(f"{'family':<10} {'values':>6} {'passes':>7} {'points':>8} {'one_pass':>8}")
+    print(f"{'family':<10} {'values':>6} {'passes':>7} {'points':>8} {'one_pass':>8} "
+          f"{'digest':>12}")
     for family, values in pooled(work()).items():
         n = len(values)
-        print(f"{family:<10} {n:>6} {sum(p for p, _ in values) / n:>7.3f} "
-              f"{sum(q for _, q in values) / n:>8.1f} {sum(p == 1 for p, _ in values) / n:>8.3f}")
+        print(f"{family:<10} {n:>6} {sum(v[0] for v in values) / n:>7.3f} "
+              f"{sum(v[1] for v in values) / n:>8.1f} {sum(v[0] == 1 for v in values) / n:>8.3f} "
+              f"{digest(values):>12}")
     print()
     print(f"{'family':<12} {'values':>6} {'calls':>7} {'points':>9} {'terms':>9} {'digest':>12}")
     for family, values in pooled(series_work()).items():
