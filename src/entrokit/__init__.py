@@ -35,9 +35,8 @@ _EXPORTS = {
         "poisson_entropy_derivative"),
     "measures": ("EntropySpec",),
     "oracle": (
-        "OracleConfig", "QuadResult", "SeriesResult", "discrete_entropy_sum",
-        "discrete_expectation", "entropy_estimate", "integral_p_alpha",
-        "integral_p_alpha_log_p", "kl_integral"),
+        "QuadResult", "SeriesResult", "discrete_entropy_sum", "discrete_expectation",
+        "entropy_estimate", "integral_p_alpha", "integral_p_alpha_log_p", "kl_integral"),
     "special": ("digamma", "log_gamma", "trigamma"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -45,16 +45,25 @@ _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 _MAX_FGN_N = 10**6
 
 
-def _real_array(values, what: str, kinds: str = "biufO") -> np.ndarray:
-    """values as a new float array; ParameterError unless their dtype kind is in kinds."""
+def _real_array(values, what: str) -> np.ndarray:
+    """values as a new float array, or ParameterError unless every entry is a real number.
+
+    An int or float ndarray is checked by its dtype alone.  Any other
+    input (a list, an object array) is also checked entry by entry, as
+    errors.as_real checks a scalar: numpy reads True among floats as 1.0
+    and keeps an int past the float range as an object.
+    """
     try:
         a = np.asarray(values)
-        # complex entries would lose their imaginary part, strings would be parsed
-        if a.dtype.kind not in kinds:
+        # bools, complex entries (which would lose their imaginary part) and strings
+        if a.dtype.kind not in "iufO":
             raise TypeError(f"dtype {a.dtype}")
-        return np.array(a, dtype=float)
     except (TypeError, ValueError) as exc:
         raise ParameterError(f"{what} must be real numbers ({exc})") from None
+    if not (isinstance(values, np.ndarray) and a.dtype.kind != "O"):
+        for value in np.asarray(values, dtype=object).flat:
+            as_real(value, what)
+    return np.array(a, dtype=float)
 
 
 @dataclass(frozen=True, eq=False)
@@ -367,7 +376,7 @@ def rank1_extremal_vector(diag, signs) -> CovMatrix:
     combination gives the same determinant.
     """
     d = _real_array(diag, "variances")
-    s = _real_array(signs, "signs", kinds="iufO")  # not bool: True is not a sign
+    s = _real_array(signs, "signs")
     if d.ndim != 1 or s.shape != d.shape or d.size < 1:
         raise ParameterError("diag and signs must be 1-d sequences of equal length")
     if np.any(d <= 0):

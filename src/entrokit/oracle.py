@@ -68,11 +68,10 @@ _PLANS:
 Every value-level entry point (entropy_estimate, integral_p_alpha,
 integral_p_alpha_log_p, kl_integral, discrete_entropy_sum and
 discrete_expectation) returns its value with an error estimate, or
-builds it from ones that have one.  Each takes its tolerances and
-budgets as an optional OracleConfig: None, the default, runs
-OracleConfig()'s defaults, the one configuration every oracle value of
-the package is computed at.  Callers pass a config only to change a
-setting.
+builds it from ones that have one.  The oracle runs at one
+configuration, _CONFIG (OracleConfig()'s defaults): integrate_interval
+reads its tolerances and panel budget there, and the series engine its
+tail tolerance and term budget.  No caller sets them.
 
 The continuous densities come from distributions.logpdf, whose
 constants come from libm: no quadrature run reaches a special kernel.
@@ -99,8 +98,8 @@ from .measures import EntropySpec, check_order
 class OracleConfig:
     """Tolerances and budgets for the quadrature and series oracles: positive floats and ints.
 
-    Every value-level entry point of the oracle takes one as cfg; None,
-    the default, runs OracleConfig()'s defaults.
+    The type of _CONFIG, the one configuration the oracle runs at; the
+    engines read their settings there and no entry point takes another.
     """
 
     abs_tol: float = 1e-10
@@ -118,7 +117,13 @@ class OracleConfig:
             object.__setattr__(self, field.name, value)
 
 
-_CONFIG = OracleConfig()  # what every run uses when its cfg is None
+_CONFIG = OracleConfig()  # the settings every run reads
+
+
+def _check_default(config) -> None:
+    """ParameterError unless config is None or equals _CONFIG: no setting is silently ignored."""
+    if config is not None and config != _CONFIG:
+        raise ParameterError(f"the oracle runs at {_CONFIG} only, got cfg={config!r}")
 
 
 class QuadResult(NamedTuple):
@@ -207,7 +212,7 @@ def _first_pass(bp) -> tuple:
     return (ends, *_nodes(ends))
 
 
-def integrate_interval(f: Callable, first: tuple, cfg: OracleConfig) -> QuadResult:
+def integrate_interval(f: Callable, first: tuple) -> QuadResult:
     """Adaptive quadrature of f from a first pass, the (ends, x, h) that _first_pass builds.
 
     The oracle's internal path, as are integrate_halfline and
@@ -220,8 +225,8 @@ def integrate_interval(f: Callable, first: tuple, cfg: OracleConfig) -> QuadResu
     comes back.  Each pass splits every panel above its equidistributed
     share of an unmet tolerance in four equal parts, until each
     component's summed error estimate is under max(abs_tol, rel_tol *
-    |its integral|).  NonConvergenceError once a split would take the
-    mesh past max_subdivisions panels.
+    |its integral|), _CONFIG's settings.  NonConvergenceError once a
+    split would take the mesh past max_subdivisions panels.
     """
     ends, x, h = first
     with np.errstate(all="ignore"):  # f and _gk_apply meet 0/0 and x/0
@@ -230,7 +235,7 @@ def integrate_interval(f: Callable, first: tuple, cfg: OracleConfig) -> QuadResu
             totals, errors = est.sum(axis=2).tolist()
             if not all(map(math.isfinite, totals + errors)):
                 raise NonConvergenceError("non-finite quadrature result; integrand invalid")
-            tols = [max(cfg.abs_tol, cfg.rel_tol * abs(v)) for v in totals]
+            tols = [max(_CONFIG.abs_tol, _CONFIG.rel_tol * abs(v)) for v in totals]
             unmet = [i for i, (e, t) in enumerate(zip(errors, tols)) if e > t]
             if not unmet:
                 totals = [math.fsum(row) for row in est[0].tolist()]  # the sums correctly rounded
@@ -238,12 +243,12 @@ def integrate_interval(f: Callable, first: tuple, cfg: OracleConfig) -> QuadResu
                     return QuadResult(totals[0], errors[0])
                 return QuadResult(np.array(totals), np.array(errors))
             n = len(ends)
-            room = (cfg.max_subdivisions - n) // 3  # panels that can still be split in four
+            room = (_CONFIG.max_subdivisions - n) // 3  # panels that can still be split in four
             if room < 1:
                 i = unmet[0]
                 raise NonConvergenceError(
                     f"error estimate {errors[i]:.3e} still above tolerance {tols[i]:.3e} "
-                    f"after {n} panels (max_subdivisions={cfg.max_subdivisions})")
+                    f"after {n} panels (max_subdivisions={_CONFIG.max_subdivisions})")
             share = est[1, unmet[0]] / tols[unmet[0]]  # the largest of the unmet tolerances
             for i in unmet[1:]:
                 share = np.maximum(share, est[1, i] / tols[i])
@@ -278,8 +283,7 @@ for _array in (_PLAIN_MESH, _REALLINE_MESH, *_PLAIN_PASS, *_REALLINE_PASS):
 del _array
 
 
-def integrate_halfline(g: Callable, cfg: OracleConfig, scale: float,
-                       power_at_zero: float) -> QuadResult:
+def integrate_halfline(g: Callable, scale: float, power_at_zero: float) -> QuadResult:
     """Integral of g over (0, inf) via x = scale*s/(1-s), s = t**k, from the constant first pass.
 
     scale is a positive float and power_at_zero the a of an x**a or
@@ -309,10 +313,10 @@ def integrate_halfline(g: Callable, cfg: OracleConfig, scale: float,
         out[(gx == 0.0) | np.isinf(gx) & (x < 2.0**-1022)] = 0.0
         return out
 
-    return integrate_interval(f, _PLAIN_PASS, cfg)
+    return integrate_interval(f, _PLAIN_PASS)
 
 
-def integrate_realline(g: Callable, cfg: OracleConfig, splits, scale: float) -> QuadResult:
+def integrate_realline(g: Callable, splits, scale: float) -> QuadResult:
     """Integral of g over the real line in one run, by x = c + scale*t/(1-|t|) on t in (-1, 1).
 
     splits are floats, centre first, and scale a positive float, as the
@@ -343,7 +347,7 @@ def integrate_realline(g: Callable, cfg: OracleConfig, splits, scale: float) -> 
         return out
 
     first = _first_pass(np.union1d(_REALLINE_MESH, knots)) if knots else _REALLINE_PASS
-    return integrate_interval(f, first, cfg)
+    return integrate_interval(f, first)
 
 
 # --- per-family plans ---------------------------------------------------------
@@ -422,8 +426,7 @@ def _joint_plan(d: Distribution, orders) -> _Plan:
     return first._replace(scale=scale, power_at_zero=min(first.power_at_zero, second.power_at_zero))
 
 
-def _power_integrals(d: Distribution, terms, cfg: OracleConfig | None,
-                     q: Distribution | None = None) -> QuadResult:
+def _power_integrals(d: Distribution, terms, q: Distribution | None = None) -> QuadResult:
     """Integrals of p**alpha, times log(p/q) where with_log, for each (alpha, with_log) of terms.
 
     p is the density of d.  Without a reference record q the reference
@@ -460,22 +463,21 @@ def _power_integrals(d: Distribution, terms, cfg: OracleConfig | None,
         return rows if len(terms) > 1 else rows[0]
 
     plan = _joint_plan(d, [alpha for alpha, _ in terms])
-    cfg = cfg or _CONFIG
     # the plan's fields are floats; only its scale can leave the doubles (an exp or a ratio)
     if not 0.0 < plan.scale < math.inf:
         raise ParameterError(
             f"the map scale of {format_spec(d)} is {plan.scale}, outside the positive doubles")
     if plan.map == "halfline":  # p's power at 0 holds: log q adds only a log factor
-        return integrate_halfline(g, cfg, plan.scale, plan.power_at_zero)
+        return integrate_halfline(g, plan.scale, plan.power_at_zero)
     if plan.map == "realline":  # centred on p's split point, with q's as breakpoints
         splits = plan.splits if q is None else plan.splits + _plan(q, 1.0).splits
-        return integrate_realline(g, cfg, splits, plan.scale)
+        return integrate_realline(g, splits, plan.scale)
     a, b = d.support
     if not math.isfinite(b - a):  # np.linspace would build a mesh of inf and NaN
         raise ParameterError(f"the width b - a of {format_spec(d)} is past the float range")
     # a panel a few ulp wide has nodes that round to outside [a, b]
     return integrate_interval(lambda x: g(np.minimum(np.maximum(x, a), b)),
-                              _first_pass(np.linspace(a, b, 17)), cfg)
+                              _first_pass(np.linspace(a, b, 17)))
 
 
 def _some_mass(d: Distribution, lp) -> bool:
@@ -491,15 +493,14 @@ def _some_mass(d: Distribution, lp) -> bool:
     return True
 
 
-def integral_p_alpha(d: Distribution, alpha: float, cfg: OracleConfig | None = None) -> QuadResult:
+def integral_p_alpha(d: Distribution, alpha: float) -> QuadResult:
     """Numerical integral of p(x)**alpha over the support of d."""
-    return _power_integrals(d, [(alpha, False)], cfg)
+    return _power_integrals(d, [(alpha, False)])
 
 
-def integral_p_alpha_log_p(d: Distribution, alpha: float,
-                           cfg: OracleConfig | None = None) -> QuadResult:
+def integral_p_alpha_log_p(d: Distribution, alpha: float) -> QuadResult:
     """Numerical integral of p(x)**alpha * log p(x) over the support of d."""
-    return _power_integrals(d, [(alpha, True)], cfg)
+    return _power_integrals(d, [(alpha, True)])
 
 
 def kl_integral(p: Distribution, q: Distribution, cfg: OracleConfig | None = None) -> QuadResult:
@@ -507,14 +508,16 @@ def kl_integral(p: Distribution, q: Distribution, cfg: OracleConfig | None = Non
 
     The integral of p log(p/q): the log(p/q) row of _power_integrals at
     alpha = 1, on p's plan with q's split points added.
-    UnsupportedFamilyError unless p.support == q.support.
+    UnsupportedFamilyError unless p.support == q.support.  cfg is None
+    or OracleConfig() (_check_default).
     """
+    _check_default(cfg)
     if p.is_discrete or q.is_discrete:
         raise FamilyMismatchError("kl_integral handles continuous pairs only")
     if p.support != q.support:
         raise UnsupportedFamilyError(
             f"supports differ: {format_spec(p)} on {p.support} vs {format_spec(q)} on {q.support}")
-    return _power_integrals(p, [(1.0, True)], cfg, q)
+    return _power_integrals(p, [(1.0, True)], q)
 
 
 # --- series with certified truncation -------------------------------------------
@@ -591,14 +594,14 @@ def _walk(rho: Callable, k: int, k_end: int, step: int, lp: float) -> float:
     return lp
 
 
-def _series(d: Distribution, plan: _Plan, s: _Summand, cfg: OracleConfig, first: int, step: int,
-            budget: int, walk: tuple[int, float]) -> tuple[float, float, int, float]:
+def _series(d: Distribution, plan: _Plan, s: _Summand, first: int, step: int, budget: int,
+            walk: tuple[int, float]) -> tuple[float, float, int, float]:
     """Certified sum of t_k over k = first + step i, i < budget, ending at the support's end.
 
     Returns the sum, its bound (tail plus rounding), the number of terms
     summed and log p_first.  Terms are summed and certified in blocks
     that grow from 64 to 65536 terms.  A block ends the sum once its
-    tail 2 |t_last| q / (1 - q) is at most cfg.series_tail_tol, with q =
+    tail 2 |t_last| q / (1 - q) is at most _CONFIG.series_tail_tol, with q =
     s.ratio(rho, log p_last) times grow_last and rho the plan's bound on
     p_{j+step}/p_j for every j past the block, or once it reaches the
     end of d.support (its last index upward, its first downward; tail 0).
@@ -640,7 +643,7 @@ def _series(d: Distribution, plan: _Plan, s: _Summand, cfg: OracleConfig, first:
                 k_end = first + step * (have - 1)
                 lp_top, k = _walk(rho, k, k_end, step, lp_top), k_end
                 if lp_top == -math.inf or _geometric_tail(
-                        s.size(lp_top), s.ratio(rho(k_end), lp_top)) <= cfg.series_tail_tol:
+                        s.size(lp_top), s.ratio(rho(k_end), lp_top)) <= _CONFIG.series_tail_tol:
                     break
                 grown = min(2 * grown, _MAX_BLOCK)
                 if have == n or min(have + grown, n) > i + max(_MAX_BATCH, end - i):
@@ -672,20 +675,20 @@ def _series(d: Distribution, plan: _Plan, s: _Summand, cfg: OracleConfig, first:
             return total, rounding, end, lp_first
         q = s.ratio(rho(first + step * (end - 1)), float(lp[b - 1])) * float(grow[b - 1])
         tail = _geometric_tail(float(t[b - 1]), q)
-        if tail <= cfg.series_tail_tol:
+        if tail <= _CONFIG.series_tail_tol:
             return total, tail + rounding, end, lp_first
         i, size = end, min(2 * size, _MAX_BLOCK)
     raise SeriesBudgetError(
-        f"series tail not certified below {cfg.series_tail_tol:g} within "
-        f"max_terms={cfg.max_terms}")
+        f"series tail not certified below {_CONFIG.series_tail_tol:g} within "
+        f"max_terms={_CONFIG.max_terms}")
 
 
-def _mode_sum(d: Distribution, plan: _Plan, s: _Summand, cfg: OracleConfig | None) -> SeriesResult:
+def _mode_sum(d: Distribution, plan: _Plan, s: _Summand) -> SeriesResult:
     """Certified sum of s over the support of d, from next to the mode outward.
 
     Summation runs upward from k0 = max(first index, mode - 64) and, when
     k0 is above the first index of d.support, downward from k0 - 1, each
-    direction with its own tail certificate below cfg.series_tail_tol
+    direction with its own tail certificate below series_tail_tol
     (_series).  A direction also ends at the end of a finite support.
     The upward batch prediction starts from log p_k0 <= 0, the downward
     one from the log p_k0 the upward pass evaluated.  last_k is the last index
@@ -693,23 +696,21 @@ def _mode_sum(d: Distribution, plan: _Plan, s: _Summand, cfg: OracleConfig | Non
     is raised once max_terms terms (both directions together) are
     summed without a certificate.
     """
-    cfg = cfg or _CONFIG
     if plan.mode > _EXACT_INDEX:
         raise SeriesBudgetError(
             f"the mass lies near index {float(plan.mode):g}, beyond 2**53 where indices are "
             "not exact floats")
     start = int(d.support[0])
     k0 = max(start, plan.mode - _FIRST_BLOCK)
-    up, up_bound, n, lp0 = _series(d, plan, s, cfg, k0, 1, cfg.max_terms, (k0, 0.0))
+    up, up_bound, n, lp0 = _series(d, plan, s, k0, 1, _CONFIG.max_terms, (k0, 0.0))
     if k0 == start:
         return SeriesResult(up, up_bound, k0 + n - 1)
-    down, down_bound, _, _ = _series(d, plan, s, cfg, k0 - 1, -1, cfg.max_terms - n, (k0, lp0))
+    down, down_bound, _, _ = _series(d, plan, s, k0 - 1, -1, _CONFIG.max_terms - n, (k0, lp0))
     total = up + down
     return SeriesResult(total, up_bound + down_bound + _U * abs(total), k0 + n - 1)
 
 
-def discrete_entropy_sum(d: Distribution, transform: str, alpha: float,
-                         cfg: OracleConfig | None = None) -> SeriesResult:
+def discrete_entropy_sum(d: Distribution, transform: str, alpha: float) -> SeriesResult:
     """Sum of p_k log p_k, p_k**alpha, or p_k**alpha log p_k over the support.
 
     Summed from the mode outward by the driver shared with
@@ -735,11 +736,10 @@ def discrete_entropy_sum(d: Distribution, transform: str, alpha: float,
 
     return _mode_sum(d, _plan(d, alpha), _Summand(
         terms, lambda lp: math.exp(alpha * lp) * (-lp if with_log else 1.0),
-        lambda rho, lp: _tail_ratio(rho, lp, alpha, with_log)), cfg)
+        lambda rho, lp: _tail_ratio(rho, lp, alpha, with_log)))
 
 
-def discrete_expectation(d: Distribution, weight: Callable,
-                         cfg: OracleConfig | None = None) -> SeriesResult:
+def discrete_expectation(d: Distribution, weight: Callable) -> SeriesResult:
     """Sum of p_k w(k) over the support of d, with a certified tail.
 
     weight maps an index array to w(k) >= 0, nondecreasing in k, with
@@ -767,7 +767,7 @@ def discrete_expectation(d: Distribution, weight: Callable,
         return t, t, grow, e, w[:-1]
 
     return _mode_sum(d, _plan(d, 1.0), _Summand(
-        terms, lambda lp: math.exp(lp) * scale, lambda rho, lp: rho), cfg)
+        terms, lambda lp: math.exp(lp) * scale, lambda rho, lp: rho))
 
 
 def _nonzero(j: float, alpha: float, measure: str) -> float:
@@ -787,8 +787,10 @@ def entropy_estimate(d: Distribution, measure: str, alpha: float | None = None,
     modified entropy).  Discrete families support shannon only.  An
     integral of p**alpha that underflows to 0 raises NonConvergenceError
     where the measure takes its log or divides by it.  alpha and beta
-    default to None, as shannon needs no order.
+    default to None, as shannon needs no order.  cfg is None or
+    OracleConfig() (_check_default).
     """
+    _check_default(cfg)
     spec = EntropySpec(measure, alpha, beta)
     if measure == "modified":
         raise ParameterError("the oracle has no modified entropy (it needs a density sup)")
@@ -797,17 +799,17 @@ def entropy_estimate(d: Distribution, measure: str, alpha: float | None = None,
         if measure != "shannon":
             raise UnsupportedFamilyError(
                 f"oracle for discrete families covers shannon only, not {measure}")
-        return -discrete_entropy_sum(d, "p_log_p", 1.0, cfg).value
+        return -discrete_entropy_sum(d, "p_log_p", 1.0).value
     if measure == "shannon":
-        return -_power_integrals(d, [(1.0, True)], cfg).value
+        return -_power_integrals(d, [(1.0, True)]).value
     if measure == "gr1":
-        j, j_log = _power_integrals(d, [(alpha, False), (alpha, True)], cfg).value
+        j, j_log = _power_integrals(d, [(alpha, False), (alpha, True)]).value
         return float(-j_log / _nonzero(j, alpha, measure))
     if measure == "gr2":
-        j_alpha, j_beta = _power_integrals(d, [(alpha, False), (beta, False)], cfg).value
+        j_alpha, j_beta = _power_integrals(d, [(alpha, False), (beta, False)]).value
         j_alpha, j_beta = _nonzero(j_alpha, alpha, measure), _nonzero(j_beta, beta, measure)
         return (math.log(j_alpha) - math.log(j_beta)) / (beta - alpha)
-    j = _power_integrals(d, [(alpha, False)], cfg).value
+    j = _power_integrals(d, [(alpha, False)]).value
     if measure == "renyi":
         return math.log(_nonzero(j, alpha, measure)) / (1.0 - alpha)
     if measure == "tsallis":

@@ -1,14 +1,6 @@
 import numpy as np
 import pytest
 
-from entrokit import OracleConfig
-
-
-@pytest.fixture
-def cfg():
-    return OracleConfig()
-
-
 @pytest.fixture
 def rng():
     return np.random.default_rng(42)

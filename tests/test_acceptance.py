@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from entrokit import (ChiSquared, CovMatrix, Exponential, Gamma, Laplace,
-                      LogNormal, Normal, OracleConfig, Uniform, det_psd,
+                      LogNormal, Normal, Uniform, det_psd,
                       fgn_det_sweep, hadamard_gap, kl_divergence,
                       modified_shannon, nb_to_logarithmic, binomial_to_poisson,
                       poisson_entropy, poisson_entropy_derivative, renyi,

@@ -6,7 +6,7 @@ import pytest
 
 from entrokit import (Binomial, ChiSquared, Exponential, Gamma, Laplace,
                       Logarithmic, LogNormal, NegBinomialConditional, Normal,
-                      OracleConfig, Poisson, Uniform, density_sup,
+                      Poisson, Uniform, density_sup,
                       discrete_entropy_sum, format_spec, integral_p_alpha,
                       log_gamma, logpdf, logpmf, parse_spec, pdf, pmf)
 from entrokit.errors import (FamilyMismatchError, ParameterError,
@@ -156,10 +156,10 @@ class TestLogPmfIsElementwise:
 
 class TestNormalization:
     @pytest.mark.parametrize("family", CONTINUOUS)
-    def test_continuous_normalization(self, family, cfg, rng):
+    def test_continuous_normalization(self, family, rng):
         for _ in range(50):
             d = random_distribution(family, rng)
-            res = integral_p_alpha(d, 1.0, cfg)
+            res = integral_p_alpha(d, 1.0)
             assert abs(res.value - 1.0) <= 1e-9
 
     @pytest.mark.parametrize("d", [
@@ -167,8 +167,8 @@ class TestNormalization:
         NegBinomialConditional(0.35, 0.2), NegBinomialConditional(0.8, 1.7),
         Logarithmic(0.2), Logarithmic(0.9),
     ])
-    def test_discrete_normalization(self, d, cfg):
-        res = discrete_entropy_sum(d, "p_alpha", 1.0, cfg)
+    def test_discrete_normalization(self, d):
+        res = discrete_entropy_sum(d, "p_alpha", 1.0)
         assert abs(res.value - 1.0) <= 1e-12
 
 

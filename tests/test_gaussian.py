@@ -280,6 +280,37 @@ class TestRank1Extremal:
                 rank1_extremal_vector(diag, signs)
 
 
+# entries that errors.as_real rejects as scalars: a bool, also among floats where numpy reads
+# it as 1.0, and an int past the float range, which numpy keeps as an object
+NOT_REAL_ENTRIES = {
+    "rank1-bool-variance": lambda: rank1_extremal_vector([True, 1.0], [1, -1]),
+    "rank1-bool-sign": lambda: rank1_extremal_vector([1.0, 2.0], [True, -1]),
+    "rank1-numpy-bool-sign": lambda: rank1_extremal_vector([1.0, 2.0], [1, np.True_]),
+    "cov-bool-array": lambda: CovMatrix(np.eye(2, dtype=bool)),
+    "cov-bool-in-list": lambda: CovMatrix([[1.0, False], [False, 1.0]]),
+    "rank1-huge-int-variance": lambda: rank1_extremal_vector([10**400, 1.0], [1, -1]),
+    "rank1-huge-int-sign": lambda: rank1_extremal_vector([1.0, 2.0], [1, -10**400]),
+    "cov-huge-int": lambda: CovMatrix([[10**400, 0], [0, 1]]),
+    "cov-huge-int-object-array": lambda: CovMatrix(np.array([[10**400, 0], [0, 1]], dtype=object)),
+}
+
+
+@pytest.mark.parametrize("call", NOT_REAL_ENTRIES.values(), ids=NOT_REAL_ENTRIES)
+def test_entries_follow_the_scalar_input_policy(call):
+    with pytest.raises(ParameterError, match="real number"):
+        call()
+
+
+def test_int_and_float_entries_are_read_as_floats():
+    want = np.array([[2.0, 1.0], [1.0, 2.0]])
+    for entries in ([[2, 1], [1, 2]], [[2.0, 1], [1, 2.0]], np.array([[2, 1], [1, 2]]),
+                    np.array([[2, 1], [1, 2]], dtype=object), np.array([[2.0, 1.0], [1.0, 2.0]])):
+        assert np.array_equal(CovMatrix(entries).entries, want)
+        assert CovMatrix(entries).entries.dtype == np.float64
+    assert np.array_equal(rank1_extremal_vector(np.array([4, 9]), np.array([1, -1])).entries,
+                          [[4.0, -6.0], [-6.0, 9.0]])
+
+
 def test_each_matrix_is_factored_once(monkeypatch):
     from entrokit import gaussian
 

@@ -13,16 +13,16 @@ import numpy as np
 import pytest
 
 from entrokit import (Binomial, ChiSquared, EntropySpec, Exponential, Gamma, Laplace,
-                      Logarithmic, LogNormal, NegBinomialConditional, Normal, OracleConfig,
+                      Logarithmic, LogNormal, NegBinomialConditional, Normal,
                       Poisson, Uniform, appendix_series_growth, binomial_to_poisson,
                       discrete_entropy_sum, entropy_estimate, fgn_covariance, fgn_det_sweep,
                       generalized_renyi1, generalized_renyi2, integral_p_alpha,
                       integral_p_alpha_log_p, lognormal_moment, nb_to_logarithmic, poisson_entropy,
                       poisson_entropy_derivative, renyi, sharma_mittal, tsallis)
 from entrokit.errors import ParameterError
+from entrokit.oracle import OracleConfig
 from entrokit.verification import oracle_equivalence
 
-CFG = OracleConfig()
 EXP = Exponential(1.0)
 
 
@@ -90,15 +90,15 @@ SLOTS = {
     "sharma_mittal.beta": Slot(lambda v: sharma_mittal(2.0, v, EXP), float, 3.0, 3),
     "EntropySpec.alpha": spec_slot(0),
     "EntropySpec.beta": spec_slot(1),
-    "entropy_estimate.alpha": Slot(lambda v: entropy_estimate(EXP, "renyi", v, None, CFG),
+    "entropy_estimate.alpha": Slot(lambda v: entropy_estimate(EXP, "renyi", v),
                                    float, 2.0, 2),
-    "entropy_estimate.beta": Slot(lambda v: entropy_estimate(EXP, "gr2", 2.0, v, CFG),
+    "entropy_estimate.beta": Slot(lambda v: entropy_estimate(EXP, "gr2", 2.0, v),
                                   float, 3.0, 3),
-    "integral_p_alpha.alpha": Slot(lambda v: integral_p_alpha(EXP, v, CFG), float, 2.0, 2),
-    "integral_p_alpha_log_p.alpha": Slot(lambda v: integral_p_alpha_log_p(EXP, v, CFG),
+    "integral_p_alpha.alpha": Slot(lambda v: integral_p_alpha(EXP, v), float, 2.0, 2),
+    "integral_p_alpha_log_p.alpha": Slot(lambda v: integral_p_alpha_log_p(EXP, v),
                                          float, 2.0, 2),
     "discrete_entropy_sum.alpha": Slot(
-        lambda v: discrete_entropy_sum(Poisson(3.0), "p_alpha", v, CFG), float, 2.0, 2),
+        lambda v: discrete_entropy_sum(Poisson(3.0), "p_alpha", v), float, 2.0, 2),
     "OracleConfig.abs_tol": config_slot("abs_tol", float, 1e-9, 1),
     "OracleConfig.rel_tol": config_slot("rel_tol", float, 1e-9, 1),
     "OracleConfig.series_tail_tol": config_slot("series_tail_tol", float, 1e-13, 1),

@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 
 from entrokit import (Binomial, ConvergenceTable, ExperimentRow, Logarithmic,
-                      NegBinomialConditional, OracleConfig, Poisson, appendix_series_growth,
+                      NegBinomialConditional, Poisson, appendix_series_growth,
                       binomial_to_poisson, discrete_entropy_sum,
                       nb_to_logarithmic, pmf, poisson_entropy,
                       poisson_entropy_derivative, shannon)
 from entrokit.errors import ParameterError
+from entrokit.oracle import OracleConfig
 
 
 def mpmath_poisson_sum(mpmath, lam, weight):
@@ -30,9 +31,9 @@ class TestPoissonEntropy:
     def test_pin_at_one(self):
         assert poisson_entropy(1.0) == pytest.approx(1.3048422422562515, abs=1e-12)
 
-    def test_matches_direct_pmf_summation(self, cfg):
+    def test_matches_direct_pmf_summation(self):
         for lam in (0.3, 2.0, 17.0):
-            direct = -discrete_entropy_sum(Poisson(lam), "p_log_p", 1.0, cfg).value
+            direct = -discrete_entropy_sum(Poisson(lam), "p_log_p", 1.0).value
             assert poisson_entropy(lam) == pytest.approx(direct, abs=1e-11)
 
     def test_tiny_lambda_leading_order(self):
@@ -231,14 +232,14 @@ def test_poisson_series_share_the_oracle_budget(monkeypatch):
 
 
 def test_poisson_series_run_the_default_config_without_a_cfg():
-    """There is no cfg: each value is the oracle's series at OracleConfig(), to the bit."""
+    """There is no cfg: each value is the oracle's series at its one configuration, to the bit."""
     from entrokit import limits, oracle  # noqa: PLC0415
 
     for fn in (poisson_entropy, poisson_entropy_derivative, appendix_series_growth):
         assert "cfg" not in inspect.signature(fn).parameters
 
     def series(lam, weight):
-        return oracle.discrete_expectation(Poisson(lam), weight, OracleConfig()).value
+        return oracle.discrete_expectation(Poisson(lam), weight).value
 
     for lam in (3.7, 0.5, 4.0):
         want = -lam * (math.log(lam) - 1.0) + series(lam, limits._log_factorial)
@@ -250,7 +251,7 @@ def test_poisson_series_run_the_default_config_without_a_cfg():
 
 
 def shannon_sum(d):
-    return -discrete_entropy_sum(d, "p_log_p", 1.0, OracleConfig()).value
+    return -discrete_entropy_sum(d, "p_log_p", 1.0).value
 
 
 @pytest.mark.parametrize("table, limit_d, records", [
@@ -260,7 +261,7 @@ def shannon_sum(d):
      [NegBinomialConditional(0.5, r) for r in (0.4, 0.1, 0.01)]),
 ], ids=["binomial_to_poisson", "nb_to_logarithmic"])
 def test_convergence_tables_sum_at_the_default_config(table, limit_d, records):
-    """Both columns are the oracle's sums at OracleConfig(), to the bit."""
+    """Both columns are the oracle's sums, to the bit."""
     limit = shannon_sum(limit_d)
     got = table()
     want = [(shannon_sum(d), limit) for d in records]

@@ -20,38 +20,46 @@ def test_one_row_per_family_and_the_all_row_pools_them(capsys):
     """The tool wraps the oracle's panel rule, estimate, log-pmf and series, then puts them back."""
     from entrokit import oracle
 
+    tool = load_tool()
     before = oracle._gk_apply, oracle.entropy_estimate, oracle.logpmf, oracle._series
-    assert load_tool().main([]) == 0
+    assert tool.main([]) == 0
     assert (oracle._gk_apply, oracle.entropy_estimate, oracle.logpmf, oracle._series) == before
-    quadrature, series = capsys.readouterr().out.split("\n\n")
-    check_quadrature_table(quadrature)
+    continuous, kl, series = capsys.readouterr().out.split("\n\n")
+    per_family = 60 * len(ORACLE_MEASURES)  # selftest's draws per family at its default
+    check_quadrature_table(continuous, "continuous", {f: per_family for f in ORACLE_FAMILIES})
+    far = 2 * len(tool.FAR_UNITS)
+    check_quadrature_table(kl, "kl", {f: tool.KL_PAIRS + far * (f in ("laplace", "normal"))
+                                      for f in tool.KL_FAMILIES})
     check_series_table(series)
 
 
-def check_quadrature_table(text):
-    """Per continuous family: values, mean passes and points per value, one-pass share, digest."""
+def check_quadrature_table(text, name, counts):
+    """Per family: values, mean passes and points per value, one-pass share, digest.
+
+    The header's first word names the table; counts maps each family, in
+    order, to its number of values.
+    """
     header, *rows, total = text.splitlines()
-    assert header.split() == ["family", "values", "passes", "points", "one_pass", "digest"]
+    assert header.split() == [name, "values", "passes", "points", "one_pass", "digest"]
     cells = {row.split()[0]: [float(v) for v in row.split()[1:-1]] for row in rows}
-    assert tuple(cells) == ORACLE_FAMILIES
-    per_family = 60 * len(ORACLE_MEASURES)  # selftest's draws per family at its default
-    for values, passes, points, one_pass in cells.values():
-        assert values == per_family
+    assert tuple(cells) == tuple(counts)
+    for family, (values, passes, points, one_pass) in cells.items():
+        assert values == counts[family]
         assert passes >= 1.0 and points >= 15.0 and 0.0 <= one_pass <= 1.0
         assert (one_pass == 1.0) == (passes == 1.0)
     name, values, passes, points, one_pass, digest = total.split()
-    assert (name, int(values)) == ("all", per_family * len(ORACLE_FAMILIES))
-    assert abs(float(passes) - sum(c[1] for c in cells.values()) / len(cells)) <= 1e-3
-    assert abs(float(one_pass) - sum(c[3] for c in cells.values()) / len(cells)) <= 1e-3
+    assert (name, int(values)) == ("all", sum(counts.values()))
+    assert abs(float(passes) - sum(c[1] * c[0] for c in cells.values()) / int(values)) <= 1e-3
+    assert abs(float(one_pass) - sum(c[3] * c[0] for c in cells.values()) / int(values)) <= 1e-3
     digests = [row.split()[-1] for row in rows] + [digest]
     assert all(len(d) == 12 and int(d, 16) >= 0 for d in digests)
-    assert len(set(digests)) == len(ORACLE_FAMILIES) + 1
+    assert len(set(digests)) == len(counts) + 1
 
 
 def check_series_table(text):
     """Per discrete family: Shannon sums, mean log-pmf calls, points and terms per sum, digest."""
     header, *rows, total = text.splitlines()
-    assert header.split() == ["family", "values", "calls", "points", "terms", "digest"]
+    assert header.split() == ["discrete", "values", "calls", "points", "terms", "digest"]
     cells = {row.split()[0]: [float(v) for v in row.split()[1:-1]] for row in rows}
     assert tuple(cells) == ("poisson", "binomial", "nbcond", "logarithmic")
     for values, calls, points, terms in cells.values():
@@ -122,3 +130,32 @@ def test_digest_moves_with_one_bit():
     moved = [(calls, points, terms, f"{math.nextafter(value, 0.0).hex()} {bound.hex()}"),
              *values[1:]]
     assert tool.digest(values) == tool.digest(list(values)) != tool.digest(moved)
+
+
+def test_kl_values_are_the_oracles_on_same_family_pairs(monkeypatch):
+    """Each KL row holds kl_integral's values on the seeded pairs, in order, with the far
+    laplace and normal pairs 1e3 to 1e5 of p's scale units apart; one ulp moves a digest."""
+    from entrokit import oracle
+
+    tool = load_tool()
+    pairs = tool.kl_pairs()
+    assert all(p.spec_name == q.spec_name and p.support == q.support for p, q in pairs)
+    far = pairs[len(tool.KL_FAMILIES) * tool.KL_PAIRS:]
+    units = sorted(abs(q.mu - p.mu) * p.lam if p.spec_name == "laplace"
+                   else abs(q.mean - p.mean) / math.sqrt(p.sigma2) for p, q in far)
+    assert len(far) == 4 * len(tool.FAR_UNITS) and 0.999e3 <= units[0] <= units[-1] <= 1.001e5
+    seen, kl_integral = {}, oracle.kl_integral
+
+    def recorded(p, q, *args):
+        res = kl_integral(p, q, *args)
+        seen.setdefault(p.spec_name, []).append(res.value.hex())
+        return res
+
+    monkeypatch.setattr(oracle, "kl_integral", recorded)
+    work = tool.kl_work()
+    assert {family: [v[2] for v in values] for family, values in work.items()} == seen
+    assert tuple(seen) == tool.KL_FAMILIES
+    values = work["normal"]
+    passes, points, text = values[-1]
+    moved = [*values[:-1], (passes, points, math.nextafter(float.fromhex(text), 0.0).hex())]
+    assert tool.digest(values) != tool.digest(moved)

@@ -2,9 +2,11 @@
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import entrokit
 
@@ -133,7 +135,7 @@ def test_the_integrators_are_the_oracles_own():
     assert set(INTEGRATORS).isdisjoint(entrokit.__all__)
     assert all(callable(getattr(oracle, name)) for name in INTEGRATORS)
     # the scan sees a call, an attribute, an import and a name in an export table
-    for source in ("integrate_interval(f, first, cfg)\n", "oracle.integrate_halfline\n",
+    for source in ("integrate_interval(f, first)\n", "oracle.integrate_halfline\n",
                    "from .oracle import integrate_realline\n", "names = ('integrate_interval',)\n"):
         assert names_in(source) & set(INTEGRATORS), source
 
@@ -161,10 +163,10 @@ def test_public_paths_unchanged_under_the_bench_tracer(monkeypatch):
     `CovMatrix._toeplitz`) then meets the function, so each module's
     public paths must give the same results with every target wrapped.
     """
-    from entrokit import (EntropySpec, Exponential, Normal, OracleConfig, Poisson,
-                          closed_form, gaussian, limits, oracle)
+    from entrokit import (EntropySpec, Exponential, Normal, Poisson, closed_form, gaussian,
+                          limits, oracle)
 
-    cfg = OracleConfig()
+    cfg = oracle.OracleConfig()  # the benchmark's trailing argument
 
     def run():
         toeplitz = gaussian.fgn_covariance(8, 0.7)
@@ -177,7 +179,7 @@ def test_public_paths_unchanged_under_the_bench_tracer(monkeypatch):
             closed_form.evaluate(EntropySpec("renyi", 2.0), Exponential(1.5)),
             oracle.entropy_estimate(Exponential(1.5), "shannon", None, None, cfg),
             oracle.kl_integral(Normal(0.0, 1.0), Normal(1.0, 2.0), cfg),
-            oracle.discrete_entropy_sum(Poisson(3.0), "p_log_p", 1.0, cfg),
+            oracle.discrete_entropy_sum(Poisson(3.0), "p_log_p", 1.0),
             limits.poisson_entropy(3.0),
             limits.binomial_to_poisson(2.0, [10, 100]),
         ]
@@ -243,6 +245,27 @@ def test_only_the_oracle_builds_an_oracle_config():
     assert config_names("m.py", source) == ["m.py:1", "m.py:2", "m.py:3"]
 
 
+def test_only_two_oracle_functions_take_a_cfg():
+    """The engines read oracle._CONFIG; entropy_estimate and kl_integral keep a trailing cfg
+    that accepts only the default, for callers that pass OracleConfig() positionally."""
+    from entrokit import oracle
+
+    taking = sorted(name for name, fn in oracle_functions().items()
+                    if "cfg" in [arg.arg for arg in fn.args.args + fn.args.kwonlyargs])
+    assert taking == ["entropy_estimate", "kl_integral"]
+    for name in taking:
+        assert list(inspect.signature(getattr(oracle, name)).parameters)[-1] == "cfg"
+
+
+def test_the_oracle_config_is_not_exported():
+    from entrokit import oracle
+
+    assert "OracleConfig" not in entrokit.__all__
+    with pytest.raises(AttributeError, match="no attribute 'OracleConfig'"):
+        entrokit.OracleConfig  # noqa: B018
+    assert oracle.OracleConfig() == oracle._CONFIG
+
+
 NUMERIC_TYPES = {"int", "float", "bool", "complex", "Real", "Integral", "Number", "Rational"}
 
 
@@ -277,7 +300,7 @@ def test_each_oracle_value_is_one_traced_run(monkeypatch):
     called; a run made any other way would read as 0 runs and 0 points.
     Each entropy value evaluates the density once per batch of nodes.
     """
-    from entrokit import OracleConfig, oracle
+    from entrokit import oracle
     from entrokit.verification import (ORACLE_FAMILIES, ORACLE_MEASURES, random_distribution,
                                        random_spec)
 
@@ -307,7 +330,7 @@ def test_each_oracle_value_is_one_traced_run(monkeypatch):
         assert counts["runs"] == 1 and counts["points"] > 0
         assert counts["logpdf"] == densities * counts["batches"]
 
-    cfg = OracleConfig()
+    cfg = oracle.OracleConfig()  # the benchmark's trailing argument
     rng = np.random.default_rng(12)
     for family in ORACLE_FAMILIES:
         for measure in ORACLE_MEASURES:

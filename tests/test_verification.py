@@ -4,7 +4,8 @@ import pickle
 import numpy as np
 import pytest
 
-from entrokit import OracleConfig, entropy_estimate, verification
+from entrokit import entropy_estimate, verification
+from entrokit.oracle import OracleConfig
 from entrokit.closed_form import evaluate
 from entrokit.errors import ParameterError
 from entrokit.measures import oracle_error

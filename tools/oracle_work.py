@@ -3,16 +3,24 @@
 Each continuous oracle value is one adaptive Gauss-Kronrod run, and each
 pass of a run is one call of the oracle's panel rule on 15 nodes a panel;
 its points are counted where the rule hands them to the integrand, so the
-tool reads any revision's panel rule alike.
-The first table prints, per family, the number of oracle values, the mean
-passes and the mean integrand points per value, the share of values
-done in one pass and a digest of the values (float.hex), over the draws
-selftest makes at seed 42 (60 per family and measure).  The second
-table prints, per discrete family, the number of Shannon sums
-(discrete_entropy_sum's p log p) on a seeded grid of 40 records over the
-benchmark's parameter ranges, the mean log-pmf calls, points (indices
-evaluated) and terms (indices summed, from the series engine's count)
-per sum, and a digest of the sums' values and tail bounds (float.hex).
+tool reads any revision's panel rule alike.  Three tables follow, each
+named by the first word of its header and ended by a blank line:
+
+* continuous: per family, the number of oracle values, the mean passes
+  and the mean integrand points per value, the share of values done in
+  one pass and a digest of the values (float.hex), over the draws
+  selftest makes at seed 42 (60 per family and measure);
+* kl: the same for kl_integral on seeded same-family pairs (40 desk
+  draws per family, and for laplace and normal 10 more pairs whose
+  centres lie 1e3 to 1e5 of p's scale units apart), which take the real
+  line's split-point pass that selftest never runs;
+* discrete: per discrete family, the number of Shannon sums
+  (discrete_entropy_sum's p log p) on a seeded grid of 40 records over
+  the benchmark's parameter ranges, the mean log-pmf calls, points
+  (indices evaluated) and terms (indices summed, from the series
+  engine's count) per sum, and a digest of the sums' values and tail
+  bounds (float.hex).
+
 Counts, not times: they repeat exactly on any machine, and a digest
 changes when any bit of a value (or of a sum or its bound) moves.
 
@@ -22,6 +30,7 @@ changes when any bit of a value (or of a sum or its bound) moves.
 Another revision's tree comes from `git archive REV src | tar -x -C DIR`.
 """
 
+import contextlib
 import hashlib
 import os
 import sys
@@ -31,39 +40,84 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SEED, DRAWS = 42, 60  # selftest's --seed 42 and its default --draws
 SERIES_SEED, RECORDS = 7, 40  # the series grid: records per discrete family
+KL_SEED, KL_PAIRS = 11, 40  # the KL pairs: desk draws per family
+KL_FAMILIES = ("gamma", "exp", "chisq", "laplace", "lognormal", "normal")
+FAR_UNITS = (1e3, 1e4, 1e5, 3e3, 3e4)  # of p's scale, between the centres of a far pair
+
+
+@contextlib.contextmanager
+def counted_passes():
+    """[passes, points] of the oracle's panel rule, counted while the block runs."""
+    from entrokit import oracle
+
+    gk_apply, count = oracle._gk_apply, [0, 0]
+
+    def counted_gk_apply(f, *args):  # a pass, whatever else the panel rule takes
+        count[0] += 1
+
+        def counted(x):  # the integrand's points, read from its argument
+            count[1] += x.size
+            return f(x)
+
+        return gk_apply(counted, *args)
+
+    oracle._gk_apply = counted_gk_apply
+    try:
+        yield count
+    finally:
+        oracle._gk_apply = gk_apply
 
 
 def work() -> dict[str, list[tuple[int, int, str]]]:
     """Family -> (passes, points, value in hex) of each oracle value on the selftest draws."""
     from entrokit import cli, oracle  # the selftest command reads alike in every tree
 
-    gk_apply, estimate = oracle._gk_apply, oracle.entropy_estimate
-    passes = points = 0
+    estimate, values = oracle.entropy_estimate, defaultdict(list)
+    with counted_passes() as count:
+        def counted_estimate(d, *args):
+            count[:] = 0, 0
+            value = estimate(d, *args)
+            values[d.spec_name].append((*count, float(value).hex()))
+            return value
+
+        oracle.entropy_estimate = counted_estimate
+        try:
+            cli.main(["selftest", "--seed", str(SEED), "--draws", str(DRAWS), "--out", os.devnull])
+        finally:
+            oracle.entropy_estimate = estimate
+    return dict(values)
+
+
+def kl_pairs():
+    """(p, q) of each KL pair: KL_PAIRS seeded desk draws per family, then far laplace and
+    normal pairs, q's centre FAR_UNITS of p's scale (1/lambda, the sd) above and below p's."""
+    import numpy as np
+    from entrokit import Laplace, Normal
+    from entrokit.verification import random_distribution
+
+    rng = np.random.default_rng(KL_SEED)
+    pairs = [(random_distribution(family, rng), random_distribution(family, rng))
+             for family in KL_FAMILIES for _ in range(KL_PAIRS)]
+    for units in FAR_UNITS:
+        for sign in (1.0, -1.0):
+            centre, lam_p, lam_q = rng.uniform(-3.0, 3.0), *10 ** rng.uniform(-1.0, 1.0, 2)
+            pairs.append((Laplace(centre, lam_p), Laplace(centre + sign * units / lam_p, lam_q)))
+            centre, var_p, var_q = rng.uniform(-3.0, 3.0), *10 ** rng.uniform(-1.0, 1.0, 2)
+            pairs.append((Normal(centre, var_p),
+                          Normal(centre + sign * units * var_p**0.5, var_q)))
+    return pairs
+
+
+def kl_work() -> dict[str, list[tuple[int, int, str]]]:
+    """Family -> (passes, points, value in hex) of kl_integral on each pair of kl_pairs()."""
+    from entrokit import oracle
+
     values = defaultdict(list)
-
-    def counted_gk_apply(f, *args):  # a pass, whatever else the panel rule takes
-        nonlocal passes
-        passes += 1
-
-        def counted(x):  # the integrand's points, read from its argument
-            nonlocal points
-            points += x.size
-            return f(x)
-
-        return gk_apply(counted, *args)
-
-    def counted_estimate(d, *args):
-        nonlocal passes, points
-        passes = points = 0
-        value = estimate(d, *args)
-        values[d.spec_name].append((passes, points, float(value).hex()))
-        return value
-
-    oracle._gk_apply, oracle.entropy_estimate = counted_gk_apply, counted_estimate
-    try:
-        cli.main(["selftest", "--seed", str(SEED), "--draws", str(DRAWS), "--out", os.devnull])
-    finally:
-        oracle._gk_apply, oracle.entropy_estimate = gk_apply, estimate
+    with counted_passes() as count:
+        for p, q in kl_pairs():
+            count[:] = 0, 0
+            value = oracle.kl_integral(p, q).value
+            values[p.spec_name].append((*count, value.hex()))
     return dict(values)
 
 
@@ -130,17 +184,22 @@ def pooled(rows):
     return {**rows, "all": [v for values in rows.values() for v in values]}
 
 
-def main(argv) -> int:
-    sys.path.insert(0, argv[0] if argv else str(ROOT / "src"))
-    print(f"{'family':<10} {'values':>6} {'passes':>7} {'points':>8} {'one_pass':>8} "
-          f"{'digest':>12}")
-    for family, values in pooled(work()).items():
+def print_quadrature(name, rows):
+    """The quadrature table `name`: values, passes and points per value, one-pass share, digest."""
+    print(f"{name:<10} {'values':>6} {'passes':>7} {'points':>8} {'one_pass':>8} {'digest':>12}")
+    for family, values in pooled(rows).items():
         n = len(values)
         print(f"{family:<10} {n:>6} {sum(v[0] for v in values) / n:>7.3f} "
               f"{sum(v[1] for v in values) / n:>8.1f} {sum(v[0] == 1 for v in values) / n:>8.3f} "
               f"{digest(values):>12}")
     print()
-    print(f"{'family':<12} {'values':>6} {'calls':>7} {'points':>9} {'terms':>9} {'digest':>12}")
+
+
+def main(argv) -> int:
+    sys.path.insert(0, argv[0] if argv else str(ROOT / "src"))
+    print_quadrature("continuous", work())
+    print_quadrature("kl", kl_work())
+    print(f"{'discrete':<12} {'values':>6} {'calls':>7} {'points':>9} {'terms':>9} {'digest':>12}")
     for family, values in pooled(series_work()).items():
         n = len(values)
         print(f"{family:<12} {n:>6} {sum(v[0] for v in values) / n:>7.3f} "
