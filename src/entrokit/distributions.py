@@ -194,7 +194,7 @@ class Poisson(Distribution, spec="poisson", keys=("lambda",), sweep="lambda", di
     def _logpmf(self, k):
         with np.errstate(divide="ignore", invalid="ignore"):  # k = 0 is replaced below
             out = -stirlerr(k) - bd0(k, self.lam) - 0.5 * (_LOG_2PI + np.log(k))
-        return np.where(k == 0.0, -self.lam, out)
+        return np.where(k == 0.0, -self.lam, out) if k.min(initial=1.0) == 0.0 else out
 
 
 @dataclass(frozen=True)
@@ -211,10 +211,13 @@ class Binomial(Distribution, spec="binomial", keys=("n", "p"), sweep="p", discre
     def _logpmf(self, k):
         n, p = self.n, self.p
         rest = n - k
+        spread = _TWO_PI * k * rest  # 0 at k = 0 and k = n only
         with np.errstate(divide="ignore", invalid="ignore"):  # k = 0, n are replaced below
             out = (self._stirlerr_n - stirlerr(k) - stirlerr(rest)
                    - bd0(k, n * p) - bd0(rest, n * (1.0 - p))
-                   + 0.5 * np.log(n / (_TWO_PI * k * rest)))
+                   + 0.5 * np.log(n / spread))
+        if spread.min(initial=1.0) != 0.0:  # neither end in the batch: nothing to replace
+            return out
         return np.where(k == 0.0, n * math.log1p(-p), np.where(rest == 0.0, n * math.log(p), out))
 
 
@@ -269,21 +272,25 @@ def _on_support(formula, x, support, integers=False):
     nodes and indices are nearly always all inside, so that is tested
     first, from x.min(), x.max() and (for integers) one floor(x) == x
     pass, and there the formula runs on x itself; the mask is built only
-    when the test fails, which NaN and +-inf always do.  Overflow at huge
+    when the test fails, which NaN and +-inf always do.  An integer-typed
+    x, such as the series engine's index arrays, skips the floor(x) == x
+    tests: its points are integers as floats too.  Overflow at huge
     finite points is silent, as it gives the right value (-inf, or
     stirlerr's 1/(z z) = 0); an invalid operation still warns.
     """
-    x = np.asarray(x, dtype=float)
+    x = np.asarray(x)
+    floor_test = integers and x.dtype.kind not in "biu"  # an integer dtype holds integers only
+    x = x.astype(float, copy=False)
     with np.errstate(over="ignore"):
         if support == _WHOLE_LINE:
             return formula(x)
         lo, hi = support
         # NaN fails both comparisons, so it takes the mask; an empty x passes
         if (x.min(initial=math.inf) >= lo and x.max(initial=-math.inf) <= hi
-                and (not integers or (np.floor(x) == x).all())):
+                and (not floor_test or (np.floor(x) == x).all())):
             return formula(x)
         inside = (x >= lo) & (x <= hi)
-        if integers:
+        if floor_test:
             inside &= x == np.floor(x)
         return np.where(inside, formula(np.where(inside, x, lo)), -np.inf)
 

@@ -51,16 +51,20 @@ _PLANS:
   certificate, so Poisson and Binomial take O(sigma) terms rather than
   O(mean); a finite support (Binomial) ends at its last index at the
   latest, and max_terms counts the terms summed.  The loop sums and
-  certifies blocks of 64 doubling to 65536 terms and owns its batches:
-  one log-pmf call reaches to the block where the plan's ratio bound
-  predicts the certificate, so a direction mostly takes one call and
-  memory is one batch (32768 terms, or one larger block).  The batch
-  plan decides only which call evaluates a term: a log p_k is the same
-  double in any call (but for the array-wide cut of stirlerr's series,
-  an ulp of stirlerr at most), so the blocks sum and certify alike.  A
-  caller hands the engine only what it sums (_Summand): its terms and
-  error slopes on an index array, a ratio bound past a term, and the
-  size of a term under a bound on log p.  There are two callers:
+  certifies blocks of 64 doubling to 65536 terms.  Before anything is
+  evaluated, the plan's ratio bounds, walked from its peak (a bound on
+  log p at the mode: from the variance for Poisson and Binomial, 0 for
+  the others), predict the block where each direction's certificate
+  holds, and one log-pmf call evaluates both directions up to there, so
+  a sum mostly takes one call; a direction evaluates a later batch only
+  where that prediction fell short.  Memory is one batch (up to 32768
+  terms a direction, or one larger block).  The batch plan decides only
+  which call evaluates a term: a log p_k is the same double in any call
+  (but for the array-wide cut of stirlerr's series, an ulp of stirlerr
+  at most), so the blocks sum and certify alike.  A caller hands the
+  engine only what it sums (_Summand): its terms and error slopes on an
+  index array, a ratio bound past a term, and the size of a term under
+  a bound on log p.  There are two callers:
   discrete_entropy_sum (p log p, p**alpha, p**alpha log p) and
   discrete_expectation (p_k w(k), which the Poisson series of limits
   use).
@@ -363,6 +367,7 @@ class _Plan(NamedTuple):
     mode: int = 0                  # index of the largest p_k; summation starts next to it
     down: Callable | None = None   # down(k) >= p_{j-1}/p_j for every j <= k
     mean: float | None = None      # log p_k is off by a few ulp of |k - mean| too
+    peak: float = 0.0              # >= log p at the mode, so at every k: where batch walks start
 
 
 def _gamma_plan(d: Gamma | ChiSquared, alpha: float) -> _Plan:
@@ -383,6 +388,19 @@ def _exp_or_inf(x: float) -> float:
         return math.inf
 
 
+def _peak(var: float) -> float:
+    """A bound on log p at the mode of a Poisson or binomial law of variance var > 0.
+
+    The normal approximation's -log(2 pi var)/2 plus 1/(12 var), or 0.
+    On log-spaced grids (lambda in [1e-3, 1e8], n in [1, 1e9], p in
+    [1e-4, 1 - 1e-4]) log p at the mode exceeds the first part by at most
+    1/(24 var) once var >= 1, and stays below the sum at smaller var.  It
+    seeds only the batch prediction: a bound too low would cost calls,
+    never a different sum.
+    """
+    return min(0.0, -0.5 * math.log(2.0 * math.pi * var) + 1.0 / (12.0 * var))
+
+
 # plan(d, alpha) for the alpha-power integrand of d (alpha = 1 for KL)
 _PLANS = {
     Gamma: _gamma_plan,
@@ -396,11 +414,12 @@ _PLANS = {
     Uniform: lambda d, alpha: _Plan("interval"),
     Poisson: lambda d, alpha: _Plan(
         ratio=lambda k: d.lam / (k + 1.0), mode=math.floor(d.lam),
-        down=lambda k: k / d.lam, mean=d.lam),
+        down=lambda k: k / d.lam, mean=d.lam, peak=_peak(d.lam)),
     Binomial: lambda d, alpha: _Plan(
         ratio=lambda k: max(0, d.n - k) / (k + 1.0) * d.p / (1.0 - d.p),
         mode=math.floor((d.n + 1) * d.p),
-        down=lambda k: k * (1.0 - d.p) / ((d.n - k + 1.0) * d.p), mean=d.n * d.p),
+        down=lambda k: k * (1.0 - d.p) / ((d.n - k + 1.0) * d.p), mean=d.n * d.p,
+        peak=_peak(d.n * d.p * (1.0 - d.p))),
     NegBinomialConditional: lambda d, alpha: _Plan(
         ratio=lambda k: (1.0 - d.p) * max(1.0, (k + d.r) / (k + 1.0))),
     Logarithmic: lambda d, alpha: _Plan(ratio=lambda k: 1.0 - d.p),
@@ -528,8 +547,9 @@ _LP_ULPS = 8.0  # rounding in one log p_k, in units of _U * |log p_k|
 _SHIFT_ULPS = 4.0  # and of _U * |k - mean|, from the rounded mean in Loader's log-pmf
 _FIRST_BLOCK = 64
 _MAX_BLOCK = 65536  # the largest block
-# the most terms a batch of several blocks holds: a block this long costs far more than a
-# call, so a batch that reached further would save little and could waste a whole block.
+# the most terms a direction's batch of several blocks holds (the first call holds both
+# directions'): a block this long costs far more than a call, so a batch that reached
+# further would save little and could waste a whole block.
 # Blocks decide the sum and batches only the calls, so the two limits stay apart: capping
 # blocks at 32768 too doubles the running total's roundings past 65472 terms (Poisson(1e10)
 # 5.5e-15 -> 9.0e-15 off mpmath), and one block per call loosens the bounds (_series)
@@ -542,15 +562,16 @@ _MIN_NORMAL = 2.0**-1022  # below it a double rounds by 2**-1075 absolutely, not
 class _Summand(NamedTuple):
     """What the series engine sums, as functions of log p_k.
 
-    terms(ks, lp, step) returns five arrays on an index array ks with
-    log p_k = lp: the terms t, their slopes (|dt/d log p_k| <= slope),
-    grow, the exps e that the terms are built from and the factors
-    (a scalar if one serves all), with t = e factor as computed.  When
-    rho bounds p_{j+step}/p_j for every j past a term with log p = lp,
-    ratio(rho, lp) times the term's grow bounds |t_{j+step}/t_j| there
-    (grow inf: no bound yet).  size(lp) is the |t_k| at log p_k <= lp
-    that the batch prediction assumes.  step is +1 upward and -1
-    downward.
+    terms(ks, lp, down) returns five arrays on an index array ks with
+    log p_k = lp, whose first down indices are summed downward and the
+    rest upward: the terms t, their slopes (|dt/d log p_k| <= slope),
+    grow, the exps e that the terms are built from and the factors, with
+    t = e factor as computed (grow and factor may be a scalar that serves
+    all).  When rho bounds p_{j+step}/p_j for every j past a term with
+    log p = lp in its direction (step +1 upward, -1 downward), ratio(rho,
+    lp) times the term's grow bounds |t_{j+step}/t_j| there (grow inf: no
+    bound yet).  size(lp) is the |t_k| at log p_k <= lp that the batch
+    prediction assumes.
     """
 
     terms: Callable
@@ -582,24 +603,75 @@ def _tail_ratio(rho: float, lp_last: float, alpha: float, with_log: bool) -> flo
     return rho**alpha + 1.0 / (alpha * math.e * big_l)
 
 
-def _walk(rho: Callable, k: int, k_end: int, step: int, lp: float) -> float:
-    """A bound on log p at k_end from lp >= log p_k: n steps from j add n log rho(j), capped at 0.
+def _walk(rho: Callable, k: int, k_end: int, step: int, lp: float, top: float) -> float:
+    """A bound on log p at k_end from lp >= log p_k: n steps from j add n log rho(j), capped at top.
 
-    rho(j) bounds every step from j on, so the walk takes _WALK_PIECES sub-steps.
+    top bounds every log p (the plan's peak); rho(j) bounds every step
+    from j on, so the walk takes _WALK_PIECES sub-steps.
     """
     piece = max(1, -(-abs(k_end - k) // _WALK_PIECES))
     for j in range(k, k_end, step * piece):
         r = rho(j)
-        lp = min(0.0, lp + min(piece, abs(k_end - j)) * math.log(r)) if r > 0.0 else -math.inf
+        lp = min(top, lp + min(piece, abs(k_end - j)) * math.log(r)) if r > 0.0 else -math.inf
     return lp
 
 
+def _reach(plan: _Plan, s: _Summand, first: int, step: int, n: int, i: int, size: int,
+           walk: tuple[int, float]) -> int:
+    """Where a batch from the block at position i (size terms) of a direction ends: a position.
+
+    The direction sums k = first + step j for j < n.  The batch ends at
+    the first block end, within 32768 terms (or the block at i) and n,
+    where the tail would certify under a bound on log p that walks by the
+    plan's ratio bound from walk = (index, bound on its log p) (_walk).
+    """
+    rho = plan.ratio if step > 0 else plan.down
+    (k, lp), end = walk, min(i + size, n)
+    have = end
+    while True:
+        k_end = first + step * (have - 1)
+        lp, k = _walk(rho, k, k_end, step, lp, plan.peak), k_end
+        if lp == -math.inf or _geometric_tail(
+                s.size(lp), s.ratio(rho(k_end), lp)) <= _CONFIG.series_tail_tol:
+            return have
+        size = min(2 * size, _MAX_BLOCK)
+        if have == n or min(have + size, n) > i + max(_MAX_BATCH, end - i):
+            return have
+        have = min(have + size, n)
+
+
+def _evaluate(d: Distribution, plan: _Plan, s: _Summand, ks, down: int) -> tuple:
+    """One logpmf call and one s.terms call on the index array ks, the first down of it downward.
+
+    Returns (lp, lp_err, t, slope, grow, halves): log p_k, the bound on
+    its rounding, s.terms' terms, slopes and grow, and each term's
+    absolute roundings (None where no term and no exp is below the
+    smallest normal double).
+    """
+    lp = np.asarray(logpmf(d, ks), dtype=float)
+    lp_err = _LP_ULPS * _U * np.abs(lp)
+    if plan.mean is not None:
+        lp_err += _SHIFT_ULPS * _U * np.abs(ks - plan.mean)
+    t, slope, grow, e, factor = s.terms(ks, lp, down)
+    size_t, halves = np.abs(t), None
+    if min(size_t.min(), e.min()) < _MIN_NORMAL:  # far above it at desk-scale rates
+        # each term's absolute roundings, in units of 2**-1075 (itself 0.0 as a double)
+        halves = (((size_t < _MIN_NORMAL) & (size_t > 0.0))
+                  + np.where((e < _MIN_NORMAL) & (e > 0.0), np.abs(factor), 0.0))
+    return lp, lp_err, t, slope, grow, halves
+
+
+def _slice(batch: tuple, lo: int, hi: int) -> tuple:
+    """The positions lo to hi of an _evaluate batch: contiguous views, a scalar grow as it is."""
+    return tuple(a[lo:hi] if isinstance(a, np.ndarray) else a for a in batch)
+
+
 def _series(d: Distribution, plan: _Plan, s: _Summand, first: int, step: int, budget: int,
-            walk: tuple[int, float]) -> tuple[float, float, int, float]:
+            batch: tuple) -> tuple[float, float, int]:
     """Certified sum of t_k over k = first + step i, i < budget, ending at the support's end.
 
-    Returns the sum, its bound (tail plus rounding), the number of terms
-    summed and log p_first.  Terms are summed and certified in blocks
+    Returns the sum, its bound (tail plus rounding) and the number of
+    terms summed.  Terms are summed and certified in blocks
     that grow from 64 to 65536 terms.  A block ends the sum once its
     tail 2 |t_last| q / (1 - q) is at most _CONFIG.series_tail_tol, with q =
     s.ratio(rho, log p_last) times grow_last and rho the plan's bound on
@@ -617,52 +689,34 @@ def _series(d: Distribution, plan: _Plan, s: _Summand, first: int, step: int, bu
     2**-1075 |factor| for each nonzero e below it (the exp, carried into
     t by the factor).
 
-    Evaluation runs in batches of whole blocks, one logpmf call each, and
-    s.terms(ks, lp, step) sees each batch once.  A batch reaches from
-    its first block to the first block end, within 32768 terms (or the
-    first block), where the tail would certify under a bound on log p
-    that walks from walk = (index, bound on its log p) by the plan's
-    ratio bound (_walk).  A later batch walks from the last term
-    evaluated.  Where a batch ends changes no block: a wrong prediction
-    costs one more batch or unused terms, never a different sum.  Making
-    each batch one block (one certificate per call) was measured on 720
-    seeded sums: it moved 505 values and loosened tail_bound by a median
-    2.2x (up to 244x), for 1-12% more sums per second.
+    batch is the direction's first batch, from position 0 on, as
+    _mode_sum evaluated it (_evaluate, in summation order; it may be
+    empty).  Where a block reaches past the batch, the engine evaluates
+    the next one, one logpmf call from that block on, to the position
+    _reach predicts by walking from the last term evaluated (from log p
+    <= the plan's peak at first, after an empty batch).  Where a batch
+    ends changes no block: a wrong prediction costs one more batch or
+    unused terms, never a different sum.  Making each batch one block
+    (one certificate per call) was measured on 720 seeded sums: it moved
+    505 values and loosened tail_bound by a median 2.2x (up to 244x), for
+    1-12% more sums per second.
     """
     rho, stop = (plan.ratio, d.support[1]) if step > 0 else (plan.down, d.support[0])
     last = (int(stop) - first) * step  # past any budget where the support has no end
     n = min(budget, last + 1)
     total = rounding = 0.0
-    i = have = base = 0  # positions: this block's start, past the batch, the batch's start
+    i = base = 0  # positions: this block's start and the batch's
+    have = len(batch[0])  # and the batch's end
     size = _FIRST_BLOCK
     while i < n:
         end = min(i + size, n)
-        if i == have:  # a batch to the first block end where the tail is predicted to hold
-            have, grown, (k, lp_top) = end, size, walk
-            while True:
-                k_end = first + step * (have - 1)
-                lp_top, k = _walk(rho, k, k_end, step, lp_top), k_end
-                if lp_top == -math.inf or _geometric_tail(
-                        s.size(lp_top), s.ratio(rho(k_end), lp_top)) <= _CONFIG.series_tail_tol:
-                    break
-                grown = min(2 * grown, _MAX_BLOCK)
-                if have == n or min(have + grown, n) > i + max(_MAX_BATCH, end - i):
-                    break
-                have = min(have + grown, n)
+        if end > have:  # the prediction fell short: a batch from this block on
+            lp = batch[0]
+            walk = (first + step * (have - 1), float(lp[-1])) if len(lp) else (first, plan.peak)
+            have = _reach(plan, s, first, step, n, i, size, walk)
             ks = first + step * np.arange(i, have)
-            lp = np.asarray(logpmf(d, ks), dtype=float)
-            lp_err = _LP_ULPS * _U * np.abs(lp)
-            if plan.mean is not None:
-                lp_err += _SHIFT_ULPS * _U * np.abs(ks - plan.mean)
-            t, slope, grow, e, factor = s.terms(ks, lp, step)
-            size_t, halves = np.abs(t), None
-            if min(size_t.min(), e.min()) < _MIN_NORMAL:  # far above it at desk-scale rates
-                # each term's absolute roundings, in units of 2**-1075 (itself 0.0 as a double)
-                halves = (((size_t < _MIN_NORMAL) & (size_t > 0.0))
-                          + np.where((e < _MIN_NORMAL) & (e > 0.0), np.abs(factor), 0.0))
-            base, walk = i, (int(ks[-1]), float(lp[-1]))
-            if i == 0:
-                lp_first = float(lp[0])
+            batch, base = _evaluate(d, plan, s, ks, len(ks) if step < 0 else 0), i
+        lp, lp_err, t, slope, grow, halves = batch
         a, b = i - base, end - base
         block = float(t[a:b].sum())
         total += block
@@ -672,11 +726,12 @@ def _series(d: Distribution, plan: _Plan, s: _Summand, first: int, step: int, bu
         if halves is not None:  # in whole units of the smallest double, rounded up
             rounding += 2.0**-1074 * math.ceil(0.5 * float(halves[a:b].sum()))
         if end - 1 == last:
-            return total, rounding, end, lp_first
-        q = s.ratio(rho(first + step * (end - 1)), float(lp[b - 1])) * float(grow[b - 1])
+            return total, rounding, end
+        q = s.ratio(rho(first + step * (end - 1)), float(lp[b - 1]))
+        q *= float(grow[b - 1]) if np.ndim(grow) else grow
         tail = _geometric_tail(float(t[b - 1]), q)
         if tail <= _CONFIG.series_tail_tol:
-            return total, tail + rounding, end, lp_first
+            return total, tail + rounding, end
         i, size = end, min(2 * size, _MAX_BLOCK)
     raise SeriesBudgetError(
         f"series tail not certified below {_CONFIG.series_tail_tol:g} within "
@@ -690,24 +745,35 @@ def _mode_sum(d: Distribution, plan: _Plan, s: _Summand) -> SeriesResult:
     k0 is above the first index of d.support, downward from k0 - 1, each
     direction with its own tail certificate below series_tail_tol
     (_series).  A direction also ends at the end of a finite support.
-    The upward batch prediction starts from log p_k0 <= 0, the downward
-    one from the log p_k0 the upward pass evaluated.  last_k is the last index
-    summed upward and tail_bound includes rounding.  SeriesBudgetError
-    is raised once max_terms terms (both directions together) are
-    summed without a certificate.
+    Before any evaluation, both directions' first batches are predicted
+    (_reach) by walks that start from log p_k0 <= the plan's peak, and
+    one logpmf call and one s.terms call evaluate them together: the
+    indices run from k0 - 1 down, then from k0 up, so that each direction
+    reads a contiguous slice in its summation order.  A direction
+    evaluates a later batch only where its prediction fell short.
+    last_k is the last index summed upward and tail_bound includes
+    rounding.  SeriesBudgetError is raised once max_terms terms (both
+    directions together) are summed without a certificate.
     """
     if plan.mode > _EXACT_INDEX:
         raise SeriesBudgetError(
             f"the mass lies near index {float(plan.mode):g}, beyond 2**53 where indices are "
             "not exact floats")
-    start = int(d.support[0])
+    start, budget = int(d.support[0]), _CONFIG.max_terms
     k0 = max(start, plan.mode - _FIRST_BLOCK)
-    up, up_bound, n, lp0 = _series(d, plan, s, k0, 1, _CONFIG.max_terms, (k0, 0.0))
+    walk = (k0, plan.peak)
+    up = _reach(plan, s, k0, 1, min(budget, int(d.support[1]) - k0 + 1), 0, _FIRST_BLOCK, walk)
+    down = 0
+    if k0 > start and budget > up:
+        down = _reach(plan, s, k0 - 1, -1, min(budget - up, k0 - start), 0, _FIRST_BLOCK, walk)
+    ks = np.concatenate((np.arange(k0 - 1, k0 - 1 - down, -1), np.arange(k0, k0 + up)))
+    batch = _evaluate(d, plan, s, ks, down)
+    total, bound, n = _series(d, plan, s, k0, 1, budget, _slice(batch, down, down + up))
     if k0 == start:
-        return SeriesResult(up, up_bound, k0 + n - 1)
-    down, down_bound, _, _ = _series(d, plan, s, k0 - 1, -1, _CONFIG.max_terms - n, (k0, lp0))
-    total = up + down
-    return SeriesResult(total, up_bound + down_bound + _U * abs(total), k0 + n - 1)
+        return SeriesResult(total, bound, k0 + n - 1)
+    below, below_bound, _ = _series(d, plan, s, k0 - 1, -1, budget - n, _slice(batch, 0, down))
+    total += below
+    return SeriesResult(total, bound + below_bound + _U * abs(total), k0 + n - 1)
 
 
 def discrete_entropy_sum(d: Distribution, transform: str, alpha: float) -> SeriesResult:
@@ -724,15 +790,16 @@ def discrete_entropy_sum(d: Distribution, transform: str, alpha: float) -> Serie
         raise ParameterError(f"transform must be one of {_TRANSFORMS}, got {transform!r}")
     alpha = 1.0 if transform == "p_log_p" else check_order("alpha", alpha, exclude_one=False)
     with_log = transform in ("p_log_p", "p_alpha_log_p")
+    one = alpha == 1.0  # 1.0 x is x: no multiply by alpha
 
-    def terms(ks, lp, step):
+    def terms(ks, lp, down):
         # the transformed term moves by t_k (alpha + 1/log p_k) per unit of log p_k: its
         # slope is e (1 + alpha |lp|), or alpha e without the log
-        e = np.exp(alpha * lp)
+        e = np.exp(lp if one else alpha * lp)
         if with_log:
             t = e * lp
-            return t, e - alpha * t, np.ones_like(t), e, lp
-        return e, alpha * e, np.ones_like(e), e, 1.0
+            return t, e - (t if one else alpha * t), 1.0, e, lp
+        return e, e if one else alpha * e, 1.0, e, 1.0
 
     return _mode_sum(d, _plan(d, alpha), _Summand(
         terms, lambda lp: math.exp(alpha * lp) * (-lp if with_log else 1.0),
@@ -744,24 +811,27 @@ def discrete_expectation(d: Distribution, weight: Callable) -> SeriesResult:
 
     weight maps an index array to w(k) >= 0, nondecreasing in k, with
     w(k+1)/w(k) nonincreasing where w > 0 (log k! and log(k+1) qualify);
-    it is called once per batch of indices, on one more index than the
-    batch holds.  Then t_{j+1}/t_j <= rho w(k+1)/w(k) upward and <= rho
-    downward past an index k.  A block that ends on a zero weight gives
-    no certificate yet.  Summed from the mode outward like
-    discrete_entropy_sum; tail_bound covers truncation and the rounding
-    of log p_k and of the sum, not the error of w.
+    it is called once per batch of indices ks, on ks and ks[-1] + 1 (the
+    first batch holds both directions, the upward ones last: _mode_sum).
+    Then t_{j+1}/t_j <= rho w(k+1)/w(k) upward and <= rho downward past
+    an index k.  A block that ends on a zero weight gives no certificate
+    yet.  Summed from the mode outward like discrete_entropy_sum;
+    tail_bound covers truncation and the rounding of log p_k and of the
+    sum, not the error of w.
     """
     if not d.is_discrete:
         raise FamilyMismatchError("discrete_expectation needs a discrete family")
     scale = 1.0  # the largest weight evaluated yet: the w the next batch's prediction assumes
 
-    def terms(ks, lp, step):
+    def terms(ks, lp, down):
         nonlocal scale
         w = np.asarray(weight(np.append(ks, ks[-1] + 1)), dtype=float)
         scale = max(scale, float(w.max()))
+        grow = np.empty(len(ks))
+        grow[:down] = 1.0  # downward w does not increase; upward w(k+1)/w(k) joins the ratio
         with np.errstate(divide="ignore", invalid="ignore"):
-            # upward w(k+1)/w(k) joins the ratio; downward w does not increase
-            grow = np.where(w[:-1] == 0.0, math.inf, w[1:] / w[:-1] if step > 0 else 1.0)
+            np.divide(w[down + 1:], w[down:-1], out=grow[down:])
+        grow[w[:-1] == 0.0] = math.inf
         e = np.exp(lp)
         t = e * w[:-1]
         return t, t, grow, e, w[:-1]

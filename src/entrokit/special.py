@@ -147,8 +147,8 @@ def stirlerr(k):
     k = np.asarray(k, dtype=float)
     if k.ndim == 0:
         return stirlerr(k.reshape(1)).reshape(())
-    small = k <= 15.0
-    any_small = bool(small.any())
+    any_small = not k.min(initial=np.inf) > 15.0  # some k <= 15, or a NaN: the table's mask
+    small = k <= 15.0 if any_small else None
     z = np.where(small, 16.0, k) if any_small else k
     zmin = float(z.min(initial=np.inf))  # inf for an empty k: the one-term cut
     terms = next((j for j, cut in enumerate(_STIRLERR_CUTS, 1) if zmin > cut), 8)

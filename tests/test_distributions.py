@@ -489,3 +489,24 @@ def test_support_test_keeps_every_output(d):
         got, want = log_p(d, x), masked_everywhere(d, x)
         assert np.shape(got) == np.shape(want)
         assert np.array_equal(got, want, equal_nan=True)
+
+
+@pytest.mark.parametrize("d, ks", [
+    (Poisson(3.5), [-2, 0, 1, 7, 40, 2**62]),
+    (Binomial(10, 0.3), [-1, 0, 1, 4, 9, 10, 11, 10**6]),
+    (Binomial(10**6, 0.3), [-5, 0, 299_999, 300_000, 10**6, 10**6 + 1]),
+    (NegBinomialConditional(0.05, 0.3), [-1, 0, 1, 2, 500]),
+    (Logarithmic(0.5), [-3, 0, 1, 2, 60]),
+], ids=["poisson", "binomial", "binomial_large", "nbcond", "logarithmic"])
+def test_integer_indices_give_the_bits_of_float_ones(d, ks):
+    """An int64 index array, which skips the floor(x) == x test, gives the float array's bits.
+
+    With the points outside the support and without them (the masked and
+    the unmasked path), k = 0 and k = n included.
+    """
+    ks = np.array(ks, dtype=np.int64)
+    lo, hi = d.support
+    for sub in (ks, ks[(ks >= lo) & (ks <= hi)], ks[(ks > lo) & (ks < hi)]):
+        got, want = logpmf(d, sub), logpmf(d, sub.astype(float))
+        assert got.dtype == want.dtype == np.float64
+        assert got.tobytes() == want.tobytes()

@@ -742,7 +742,7 @@ BATCHED = [Poisson(1e4), Binomial(10**6, 0.3), Binomial(1000, 0.5),
 
 
 class TestBatchedEvaluation:
-    """One logpmf call per series direction; the blocks are certified as before."""
+    """One logpmf call per series, both directions in it; the blocks are certified as before."""
 
     @staticmethod
     def logged_calls(monkeypatch):
@@ -752,14 +752,11 @@ class TestBatchedEvaluation:
         return calls
 
     @pytest.mark.parametrize("d", BATCHED, ids=repr)
-    def test_one_call_per_direction_and_at_most_twice_the_terms(self, d, monkeypatch):
+    def test_one_call_per_series_and_at_most_twice_the_terms(self, d, monkeypatch):
         _, _, summed = per_block_shannon(d)
         calls = self.logged_calls(monkeypatch)
         discrete_entropy_sum(d, "p_log_p", 1.0)
-        k0 = max(int(d.support[0]), oracle._plan(d, 1.0).mode - 64)
-        up = [ks for ks in calls if ks[0] >= k0]
-        assert len(up) == 1 and len(calls) - len(up) <= 1
-        assert sum(map(len, calls)) <= 2 * summed
+        assert len(calls) == 1 and len(calls[0]) <= 2 * summed
 
     @pytest.mark.parametrize("d", BATCHED + [
         Poisson(0.1), Poisson(70.0), Poisson(2e5), Binomial(10, 0.2), Binomial(10**7, 1e-7),
@@ -770,6 +767,18 @@ class TestBatchedEvaluation:
         res = discrete_entropy_sum(d, "p_log_p", 1.0)
         assert res.last_k == last_up
         assert abs(res.value - value) <= res.tail_bound
+
+    def test_a_first_batch_cut_by_the_shared_budget_is_evaluated_again(self, monkeypatch):
+        """Poisson(1781.9) predicts 960 upward terms and sums 448.  At max_terms = 1060 the
+        downward prediction has 100 terms left, so its first batch ends inside its second
+        block; a later batch evaluates that block whole, and the sum is the default one."""
+        d = Poisson(1781.9)
+        want = discrete_entropy_sum(d, "p_log_p", 1.0)
+        calls = self.logged_calls(monkeypatch)
+        monkeypatch.setattr(oracle, "_CONFIG", OracleConfig(max_terms=1060))
+        assert discrete_entropy_sum(d, "p_log_p", 1.0) == want
+        assert [len(ks) for ks in calls] == [1060, 384]
+        assert calls[1][0] == calls[0][64]  # the downward block at position 64, from its start
 
     def test_no_batch_asks_past_the_term_budget(self, monkeypatch):
         calls = self.logged_calls(monkeypatch)
@@ -801,6 +810,31 @@ class TestBatchedEvaluation:
         assert weights == [len(ks) + 1 for ks in calls]
         # eight blocks; the first upward batch is predicted without the weight's size
         assert len(calls) <= 3
+
+
+class TestPeak:
+    """The plan's peak, where both first batches' predictions start, bounds log p at the mode."""
+
+    @staticmethod
+    def records():
+        yield from (Poisson(float(lam)) for lam in np.geomspace(1e-3, 1e8, 200))
+        ps = np.geomspace(1e-4, 0.5, 12)
+        for n in np.unique(np.round(np.geomspace(1, 1e9, 40)).astype(int)):
+            for p in np.concatenate([ps, 1.0 - ps]):
+                yield Binomial(int(n), float(p))
+
+    def test_poisson_and_binomial_within_a_quarter_nat(self):
+        for d in self.records():
+            plan = oracle._plan(d, 1.0)
+            lp = float(logpmf(d, float(plan.mode)))
+            assert lp <= plan.peak <= 0.0, d
+            var = d.lam if isinstance(d, Poisson) else d.n * d.p * (1.0 - d.p)
+            if var >= 1.0:  # Stirling's 1/(12 var) margin is small there, and 0.0 is far off
+                assert plan.peak - lp <= 0.25, d
+
+    @pytest.mark.parametrize("d", [NegBinomialConditional(0.05, 0.3), Logarithmic(0.5)], ids=repr)
+    def test_the_other_families_start_at_zero(self, d):
+        assert oracle._plan(d, 1.0).peak == 0.0
 
 
 UNBATCHED = [Poisson(0.1), Poisson(70.0), Poisson(1e4), Poisson(436416.00320465304),

@@ -159,3 +159,25 @@ def test_kl_values_are_the_oracles_on_same_family_pairs(monkeypatch):
     passes, points, text = values[-1]
     moved = [*values[:-1], (passes, points, math.nextafter(float.fromhex(text), 0.0).hex())]
     assert tool.digest(values) != tool.digest(moved)
+
+
+def test_compare_names_the_families_whose_digest_or_work_moved(tmp_path, capsys):
+    """--compare reads two saved outputs table by table: digests, then passes or calls and points."""
+    tool = load_tool()
+    old = ("discrete values calls points terms digest\n"
+           "poisson 40 1.375 452.5 394.9 1e00d1d5e62b\n"
+           "binomial 40 1.800 1980.2 1638.0 06d8c4b2cec4\n\n"
+           "kl values passes points one_pass digest\n"
+           "gamma 40 1.025 513.0 0.975 1a1831ae43aa\n\n")
+    new = (old.replace("1.375 452.5", "1.000 420.5")
+           .replace("06d8c4b2cec4", "0123456789ab"))
+    want = ["discrete values moved: binomial",
+            "discrete work moved: poisson calls 1.375 -> 1.000, points 452.5 -> 420.5",
+            "kl values identical", "kl work identical"]
+    assert tool.compare(old, new) == want
+    assert tool.compare(old, old) == [f"{table} {what} identical" for table in ("discrete", "kl")
+                                      for what in ("values", "work")]
+    (tmp_path / "old.txt").write_text(old)
+    (tmp_path / "new.txt").write_text(new)
+    assert tool.main(["--compare", str(tmp_path / "old.txt"), str(tmp_path / "new.txt")]) == 0
+    assert capsys.readouterr().out.splitlines() == want

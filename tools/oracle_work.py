@@ -26,8 +26,14 @@ changes when any bit of a value (or of a sum or its bound) moves.
 
     python tools/oracle_work.py               # the package under src/ of this checkout
     python tools/oracle_work.py DIR/src       # the package under another source tree
+    python tools/oracle_work.py --compare OLD NEW   # two saved outputs, table by table
 
 Another revision's tree comes from `git archive REV src | tar -x -C DIR`.
+--compare prints two lines per table: whether its digests moved, and
+whether its work did (passes or calls, and points per value):
+
+    discrete values identical
+    discrete work moved: poisson calls 1.375 -> 1.000, points 452.5 -> 420.5
 """
 
 import contextlib
@@ -195,7 +201,35 @@ def print_quadrature(name, rows):
     print()
 
 
+def tables(text) -> list[tuple[str, list[str], dict[str, list[str]]]]:
+    """(name, column names, family -> cells) of each table of a saved output, in order."""
+    out = []
+    for block in text.strip().split("\n\n"):
+        (name, *columns), *rows = (line.split() for line in block.splitlines())
+        out.append((name, columns, {family: cells for family, *cells in rows}))
+    return out
+
+
+def compare(old: str, new: str) -> list[str]:
+    """Per table of two saved outputs: the families whose digest moved, then those whose work
+    (the two columns after values: passes or calls, then points) moved, old -> new."""
+    lines = []
+    for (name, columns, before), (_, _, after) in zip(tables(old), tables(new)):
+        moved = [family for family, cells in after.items()
+                 if cells[-1] != before.get(family, [None])[-1]]
+        lines.append(f"{name} values " + ("moved: " + " ".join(moved) if moved else "identical"))
+        work = [f"{family} " + ", ".join(f"{column} {a} -> {b}" for column, a, b in
+                                         zip(columns[1:3], before[family][1:3], cells[1:3]))
+                for family, cells in after.items()
+                if family in before and cells[1:3] != before[family][1:3]]
+        lines.append(f"{name} work " + ("moved: " + "; ".join(work) if work else "identical"))
+    return lines
+
+
 def main(argv) -> int:
+    if argv[:1] == ["--compare"]:
+        print("\n".join(compare(*(Path(path).read_text() for path in argv[1:3]))))
+        return 0
     sys.path.insert(0, argv[0] if argv else str(ROOT / "src"))
     print_quadrature("continuous", work())
     print_quadrature("kl", kl_work())
