@@ -50,7 +50,7 @@ _PLANS:
   from next to the mode outward, both tails each with its own
   certificate, so Poisson and Binomial take O(sigma) terms rather than
   O(mean); a finite support (Binomial) ends at its last index at the
-  latest, and max_terms counts the terms summed.  The loop sums and
+  latest, and _MAX_TERMS counts the terms summed.  The loop sums and
   certifies blocks of 64 doubling to 65536 terms.  Before anything is
   evaluated, the plan's ratio bounds, walked from its peak (a bound on
   log p at the mode: from the variance for Poisson and Binomial, 0 for
@@ -73,9 +73,10 @@ Every value-level entry point (entropy_estimate, integral_p_alpha,
 integral_p_alpha_log_p, kl_integral, discrete_entropy_sum and
 discrete_expectation) returns its value with an error estimate, or
 builds it from ones that have one.  The oracle runs at one
-configuration, _CONFIG (OracleConfig()'s defaults): integrate_interval
-reads its tolerances and panel budget there, and the series engine its
-tail tolerance and term budget.  No caller sets them.
+configuration, five module constants: integrate_interval reads its
+tolerances and panel budget (_ABS_TOL, _REL_TOL, _MAX_SUBDIVISIONS), and
+the series engine its tail tolerance and term budget (_SERIES_TAIL_TOL,
+_MAX_TERMS).  No caller sets them.
 
 The continuous densities come from distributions.logpdf, whose
 constants come from libm: no quadrature run reaches a special kernel.
@@ -84,7 +85,7 @@ constants come from libm: no quadrature run reaches a special kernel.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -93,41 +94,26 @@ from .distributions import (Binomial, ChiSquared, Distribution, Exponential, Gam
                             Laplace, Logarithmic, LogNormal, NegBinomialConditional,
                             Normal, Poisson, Uniform, format_spec, logpdf, logpmf)
 from .errors import (FamilyMismatchError, NonConvergenceError, ParameterError,
-                     SeriesBudgetError, UnsupportedFamilyError, ValidityDomainError,
-                     as_integer, as_real)
+                     SeriesBudgetError, UnsupportedFamilyError, ValidityDomainError)
 from .measures import EntropySpec, check_order
 
 
 @dataclass(frozen=True)
 class OracleConfig:
-    """Tolerances and budgets for the quadrature and series oracles: positive floats and ints.
+    """The oracle's one configuration, which has no fields: its settings are module constants.
 
-    The type of _CONFIG, the one configuration the oracle runs at; the
-    engines read their settings there and no entry point takes another.
+    entropy_estimate and kl_integral accept an instance as their trailing
+    cfg, as they accept None (_check_default).
     """
-
-    abs_tol: float = 1e-10
-    rel_tol: float = 1e-10
-    max_subdivisions: int = 2000
-    series_tail_tol: float = 1e-14
-    max_terms: int = 10**7
-
-    def __post_init__(self):
-        for field in fields(self):
-            value = getattr(self, field.name)
-            value = (as_integer if field.type == "int" else as_real)(value, field.name)
-            if value <= 0:
-                raise ParameterError(f"oracle setting {field.name} must be positive, got {value}")
-            object.__setattr__(self, field.name, value)
-
-
-_CONFIG = OracleConfig()  # the settings every run reads
 
 
 def _check_default(config) -> None:
-    """ParameterError unless config is None or equals _CONFIG: no setting is silently ignored."""
-    if config is not None and config != _CONFIG:
-        raise ParameterError(f"the oracle runs at {_CONFIG} only, got cfg={config!r}")
+    """ParameterError unless config is None or an OracleConfig: no setting is silently ignored."""
+    if config is not None and not isinstance(config, OracleConfig):
+        raise ParameterError(
+            f"the oracle runs at abs_tol={_ABS_TOL}, rel_tol={_REL_TOL}, "
+            f"max_subdivisions={_MAX_SUBDIVISIONS}, series_tail_tol={_SERIES_TAIL_TOL}, "
+            f"max_terms={_MAX_TERMS} only, got cfg={config!r}")
 
 
 class QuadResult(NamedTuple):
@@ -174,6 +160,10 @@ _WG = np.array([
 _W = np.stack([_WK, _WK - _WG], axis=1)
 # (lo, hi) of the four parts of a split panel, as fractions of its width
 _PARTS = np.array([[0.0, 0.25], [0.25, 0.5], [0.5, 0.75], [0.75, 1.0]])
+# integrate_interval's tolerances and panel budget
+_ABS_TOL = 1e-10
+_REL_TOL = 1e-10
+_MAX_SUBDIVISIONS = 2000
 
 
 def _nodes(ends):
@@ -228,9 +218,9 @@ def integrate_interval(f: Callable, first: tuple) -> QuadResult:
     integrals on one mesh; a QuadResult of floats, or of length-c arrays,
     comes back.  Each pass splits every panel above its equidistributed
     share of an unmet tolerance in four equal parts, until each
-    component's summed error estimate is under max(abs_tol, rel_tol *
-    |its integral|), _CONFIG's settings.  NonConvergenceError once a
-    split would take the mesh past max_subdivisions panels.
+    component's summed error estimate is under max(_ABS_TOL, _REL_TOL *
+    |its integral|).  NonConvergenceError once a split would take the
+    mesh past _MAX_SUBDIVISIONS panels.
     """
     ends, x, h = first
     with np.errstate(all="ignore"):  # f and _gk_apply meet 0/0 and x/0
@@ -239,7 +229,7 @@ def integrate_interval(f: Callable, first: tuple) -> QuadResult:
             totals, errors = est.sum(axis=2).tolist()
             if not all(map(math.isfinite, totals + errors)):
                 raise NonConvergenceError("non-finite quadrature result; integrand invalid")
-            tols = [max(_CONFIG.abs_tol, _CONFIG.rel_tol * abs(v)) for v in totals]
+            tols = [max(_ABS_TOL, _REL_TOL * abs(v)) for v in totals]
             unmet = [i for i, (e, t) in enumerate(zip(errors, tols)) if e > t]
             if not unmet:
                 totals = [math.fsum(row) for row in est[0].tolist()]  # the sums correctly rounded
@@ -247,12 +237,12 @@ def integrate_interval(f: Callable, first: tuple) -> QuadResult:
                     return QuadResult(totals[0], errors[0])
                 return QuadResult(np.array(totals), np.array(errors))
             n = len(ends)
-            room = (_CONFIG.max_subdivisions - n) // 3  # panels that can still be split in four
+            room = (_MAX_SUBDIVISIONS - n) // 3  # panels that can still be split in four
             if room < 1:
                 i = unmet[0]
                 raise NonConvergenceError(
                     f"error estimate {errors[i]:.3e} still above tolerance {tols[i]:.3e} "
-                    f"after {n} panels (max_subdivisions={_CONFIG.max_subdivisions})")
+                    f"after {n} panels (max_subdivisions={_MAX_SUBDIVISIONS})")
             share = est[1, unmet[0]] / tols[unmet[0]]  # the largest of the unmet tolerances
             for i in unmet[1:]:
                 share = np.maximum(share, est[1, i] / tols[i])
@@ -455,12 +445,13 @@ def _power_integrals(d: Distribution, terms, q: Distribution | None = None) -> Q
     so the run stays centred on p's mass.  One run on one mesh, one
     logpdf call per record and batch of nodes; one term gives a
     QuadResult of floats, more give arrays in the order of terms.  A row
-    right after the p**alpha row of its order copies that row.
+    right after the p**alpha row of its order copies that row.  Each
+    alpha is a float order its caller checked: entropy_estimate as an
+    EntropySpec, integral_p_alpha and integral_p_alpha_log_p by
+    check_order, kl_integral's is 1.0.
     """
     if d.is_discrete:
         raise FamilyMismatchError("power integrals are defined for continuous families")
-    terms = [(check_order("alpha", alpha, exclude_one=False), with_log)
-             for alpha, with_log in terms]
 
     mass = False  # whether p > 0 at some node of the first pass
 
@@ -514,12 +505,12 @@ def _some_mass(d: Distribution, lp) -> bool:
 
 def integral_p_alpha(d: Distribution, alpha: float) -> QuadResult:
     """Numerical integral of p(x)**alpha over the support of d."""
-    return _power_integrals(d, [(alpha, False)])
+    return _power_integrals(d, [(check_order("alpha", alpha, exclude_one=False), False)])
 
 
 def integral_p_alpha_log_p(d: Distribution, alpha: float) -> QuadResult:
     """Numerical integral of p(x)**alpha * log p(x) over the support of d."""
-    return _power_integrals(d, [(alpha, True)])
+    return _power_integrals(d, [(check_order("alpha", alpha, exclude_one=False), True)])
 
 
 def kl_integral(p: Distribution, q: Distribution, cfg: OracleConfig | None = None) -> QuadResult:
@@ -528,7 +519,7 @@ def kl_integral(p: Distribution, q: Distribution, cfg: OracleConfig | None = Non
     The integral of p log(p/q): the log(p/q) row of _power_integrals at
     alpha = 1, on p's plan with q's split points added.
     UnsupportedFamilyError unless p.support == q.support.  cfg is None
-    or OracleConfig() (_check_default).
+    or an OracleConfig, which holds no settings (_check_default).
     """
     _check_default(cfg)
     if p.is_discrete or q.is_discrete:
@@ -547,6 +538,8 @@ _LP_ULPS = 8.0  # rounding in one log p_k, in units of _U * |log p_k|
 _SHIFT_ULPS = 4.0  # and of _U * |k - mean|, from the rounded mean in Loader's log-pmf
 _FIRST_BLOCK = 64
 _MAX_BLOCK = 65536  # the largest block
+_SERIES_TAIL_TOL = 1e-14  # a direction ends once its certified tail is at most this
+_MAX_TERMS = 10**7  # the most terms a sum adds, both directions together
 # the most terms a direction's batch of several blocks holds (the first call holds both
 # directions'): a block this long costs far more than a call, so a batch that reached
 # further would save little and could waste a whole block.
@@ -632,7 +625,7 @@ def _reach(plan: _Plan, s: _Summand, first: int, step: int, n: int, i: int, size
         k_end = first + step * (have - 1)
         lp, k = _walk(rho, k, k_end, step, lp, plan.peak), k_end
         if lp == -math.inf or _geometric_tail(
-                s.size(lp), s.ratio(rho(k_end), lp)) <= _CONFIG.series_tail_tol:
+                s.size(lp), s.ratio(rho(k_end), lp)) <= _SERIES_TAIL_TOL:
             return have
         size = min(2 * size, _MAX_BLOCK)
         if have == n or min(have + size, n) > i + max(_MAX_BATCH, end - i):
@@ -673,7 +666,7 @@ def _series(d: Distribution, plan: _Plan, s: _Summand, first: int, step: int, bu
     Returns the sum, its bound (tail plus rounding) and the number of
     terms summed.  Terms are summed and certified in blocks
     that grow from 64 to 65536 terms.  A block ends the sum once its
-    tail 2 |t_last| q / (1 - q) is at most _CONFIG.series_tail_tol, with q =
+    tail 2 |t_last| q / (1 - q) is at most _SERIES_TAIL_TOL, with q =
     s.ratio(rho, log p_last) times grow_last and rho the plan's bound on
     p_{j+step}/p_j for every j past the block, or once it reaches the
     end of d.support (its last index upward, its first downward; tail 0).
@@ -730,12 +723,11 @@ def _series(d: Distribution, plan: _Plan, s: _Summand, first: int, step: int, bu
         q = s.ratio(rho(first + step * (end - 1)), float(lp[b - 1]))
         q *= float(grow[b - 1]) if np.ndim(grow) else grow
         tail = _geometric_tail(float(t[b - 1]), q)
-        if tail <= _CONFIG.series_tail_tol:
+        if tail <= _SERIES_TAIL_TOL:
             return total, tail + rounding, end
         i, size = end, min(2 * size, _MAX_BLOCK)
     raise SeriesBudgetError(
-        f"series tail not certified below {_CONFIG.series_tail_tol:g} within "
-        f"max_terms={_CONFIG.max_terms}")
+        f"series tail not certified below {_SERIES_TAIL_TOL:g} within max_terms={_MAX_TERMS}")
 
 
 def _mode_sum(d: Distribution, plan: _Plan, s: _Summand) -> SeriesResult:
@@ -743,7 +735,7 @@ def _mode_sum(d: Distribution, plan: _Plan, s: _Summand) -> SeriesResult:
 
     Summation runs upward from k0 = max(first index, mode - 64) and, when
     k0 is above the first index of d.support, downward from k0 - 1, each
-    direction with its own tail certificate below series_tail_tol
+    direction with its own tail certificate below _SERIES_TAIL_TOL
     (_series).  A direction also ends at the end of a finite support.
     Before any evaluation, both directions' first batches are predicted
     (_reach) by walks that start from log p_k0 <= the plan's peak, and
@@ -752,14 +744,14 @@ def _mode_sum(d: Distribution, plan: _Plan, s: _Summand) -> SeriesResult:
     reads a contiguous slice in its summation order.  A direction
     evaluates a later batch only where its prediction fell short.
     last_k is the last index summed upward and tail_bound includes
-    rounding.  SeriesBudgetError is raised once max_terms terms (both
+    rounding.  SeriesBudgetError is raised once _MAX_TERMS terms (both
     directions together) are summed without a certificate.
     """
     if plan.mode > _EXACT_INDEX:
         raise SeriesBudgetError(
             f"the mass lies near index {float(plan.mode):g}, beyond 2**53 where indices are "
             "not exact floats")
-    start, budget = int(d.support[0]), _CONFIG.max_terms
+    start, budget = int(d.support[0]), _MAX_TERMS
     k0 = max(start, plan.mode - _FIRST_BLOCK)
     walk = (k0, plan.peak)
     up = _reach(plan, s, k0, 1, min(budget, int(d.support[1]) - k0 + 1), 0, _FIRST_BLOCK, walk)
@@ -782,7 +774,7 @@ def discrete_entropy_sum(d: Distribution, transform: str, alpha: float) -> Serie
     Summed from the mode outward by the driver shared with
     discrete_expectation; last_k is the last index summed upward and
     tail_bound covers truncation and rounding.  SeriesBudgetError is
-    raised once max_terms terms are summed without a certificate.
+    raised once _MAX_TERMS terms are summed without a certificate.
     """
     if not d.is_discrete:
         raise FamilyMismatchError("discrete_entropy_sum needs a discrete family")
@@ -857,8 +849,8 @@ def entropy_estimate(d: Distribution, measure: str, alpha: float | None = None,
     modified entropy).  Discrete families support shannon only.  An
     integral of p**alpha that underflows to 0 raises NonConvergenceError
     where the measure takes its log or divides by it.  alpha and beta
-    default to None, as shannon needs no order.  cfg is None or
-    OracleConfig() (_check_default).
+    default to None, as shannon needs no order.  cfg is None or an
+    OracleConfig, which holds no settings (_check_default).
     """
     _check_default(cfg)
     spec = EntropySpec(measure, alpha, beta)

@@ -19,7 +19,6 @@ from .distributions import (ChiSquared, Distribution, Exponential, Gamma, Laplac
 from .errors import ParameterError, as_integer
 from .measures import ORDERS, oracle_error
 
-CORE_FAMILIES = ("gamma", "exp", "chisq", "laplace", "lognormal")
 ORACLE_MEASURES = ("shannon", "renyi", "gr1", "tsallis", "gr2", "sm")
 
 

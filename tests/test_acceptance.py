@@ -16,10 +16,10 @@ from entrokit import (ChiSquared, CovMatrix, Exponential, Gamma, Laplace,
                       modified_shannon, nb_to_logarithmic, binomial_to_poisson,
                       poisson_entropy, poisson_entropy_derivative, renyi,
                       shannon)
-from entrokit.verification import (CORE_FAMILIES, ORACLE_MEASURES,
-                                   oracle_equivalence, random_distribution)
+from entrokit.verification import ORACLE_MEASURES, oracle_equivalence, random_distribution
 
 SEED = 42
+CORE_FAMILIES = ("gamma", "exp", "chisq", "laplace", "lognormal")  # criteria 1 and 3
 
 
 def _report(n, text):

@@ -77,6 +77,11 @@ class TestCovMatrix:
                 with pytest.raises(ParameterError, match="real numbers"):
                     CovMatrix(entries)
 
+    def test_n_is_the_order_of_dense_and_toeplitz_matrices(self, rng):
+        assert CovMatrix(random_psd(rng, 6)).n == 6
+        toeplitz_cov = fgn_covariance(50, 0.7)
+        assert toeplitz_cov.n == 50 and type(toeplitz_cov.n) is int
+
     def test_entries_read_only(self):
         a = CovMatrix(np.eye(2))
         with pytest.raises(ValueError):

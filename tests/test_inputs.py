@@ -20,7 +20,6 @@ from entrokit import (Binomial, ChiSquared, EntropySpec, Exponential, Gamma, Lap
                       integral_p_alpha_log_p, lognormal_moment, nb_to_logarithmic, poisson_entropy,
                       poisson_entropy_derivative, renyi, sharma_mittal, tsallis)
 from entrokit.errors import ParameterError
-from entrokit.oracle import OracleConfig
 from entrokit.verification import oracle_equivalence
 
 EXP = Exponential(1.0)
@@ -51,11 +50,6 @@ def spec_slot(i):
     return Slot(lambda v: EntropySpec("gr2", *((2.0, 3.0)[:i] + (v,) + (2.0, 3.0)[i + 1:])),
                 float, (2.0, 3.0)[i], (2, 3)[i],
                 stored=lambda s: (s.alpha, s.beta)[i])
-
-
-def config_slot(name, kind, good, whole):
-    return Slot(lambda v: OracleConfig(**{name: v}), kind, good, whole,
-                stored=lambda c: getattr(c, name))
 
 
 def table(t):
@@ -99,11 +93,6 @@ SLOTS = {
                                          float, 2.0, 2),
     "discrete_entropy_sum.alpha": Slot(
         lambda v: discrete_entropy_sum(Poisson(3.0), "p_alpha", v), float, 2.0, 2),
-    "OracleConfig.abs_tol": config_slot("abs_tol", float, 1e-9, 1),
-    "OracleConfig.rel_tol": config_slot("rel_tol", float, 1e-9, 1),
-    "OracleConfig.series_tail_tol": config_slot("series_tail_tol", float, 1e-13, 1),
-    "OracleConfig.max_subdivisions": config_slot("max_subdivisions", int, 500, None),
-    "OracleConfig.max_terms": config_slot("max_terms", int, 10**6, None),
     "poisson_entropy.lam": Slot(poisson_entropy, float, 3.0, 3),
     "poisson_entropy_derivative.lam": Slot(poisson_entropy_derivative, float, 3.0, 3),
     "appendix_series_growth.lam": Slot(lambda v: appendix_series_growth([v, 5.0]),

@@ -11,7 +11,6 @@ from entrokit import (Binomial, ConvergenceTable, ExperimentRow, Logarithmic,
                       nb_to_logarithmic, pmf, poisson_entropy,
                       poisson_entropy_derivative, shannon)
 from entrokit.errors import ParameterError
-from entrokit.oracle import OracleConfig
 
 
 def mpmath_poisson_sum(mpmath, lam, weight):
@@ -218,12 +217,11 @@ class TestTableTypes:
             ConvergenceTable("n", rows)
 
 
-def test_poisson_series_share_the_oracle_budget(monkeypatch):
+def test_poisson_series_share_the_oracle_budget(oracle_settings):
     """The oracle's one configuration is the budget: a tighter one reaches all three series."""
-    from entrokit import oracle  # noqa: PLC0415
     from entrokit.errors import SeriesBudgetError  # noqa: PLC0415
 
-    monkeypatch.setattr(oracle, "_CONFIG", OracleConfig(max_terms=20))
+    oracle_settings(max_terms=20)
     for fn in (poisson_entropy, poisson_entropy_derivative):
         with pytest.raises(SeriesBudgetError):
             fn(50.0)

@@ -145,7 +145,7 @@ def test_benchmark_integrals(family, params, want):
         lam, alpha = params
         d = Exponential(lam)
     res = integral_p_alpha(d, alpha)
-    tol = max(oracle._CONFIG.abs_tol, oracle._CONFIG.rel_tol * abs(want))
+    tol = max(oracle._ABS_TOL, oracle._REL_TOL * abs(want))
     assert res.error <= tol
     assert abs(res.value - want) <= 2.0 * tol
 
@@ -206,8 +206,8 @@ class TestQuadratureContracts:
         with pytest.raises(FamilyMismatchError):
             integral_p_alpha(Poisson(1.0), 2.0)
 
-    def test_nonconvergence_budget(self, monkeypatch):
-        monkeypatch.setattr(oracle, "_CONFIG", OracleConfig(max_subdivisions=4))
+    def test_nonconvergence_budget(self, oracle_settings):
+        oracle_settings(max_subdivisions=4)
 
         def wild(x):
             return np.cos(200.0 * x) * np.cos(3000.0 * x**2)
@@ -227,25 +227,6 @@ class TestQuadratureContracts:
         """A panel of width 0 adds 0: exp(-x) over [lo, hi] to within 1e-12."""
         res = integrate_interval(lambda x: np.exp(-x), oracle._first_pass(np.array(mesh)))
         assert abs(res.value - (math.exp(-mesh[0]) - math.exp(-mesh[-1]))) <= 1e-12
-
-    def test_config_validation(self):
-        with pytest.raises(ParameterError):
-            OracleConfig(abs_tol=0.0)
-        with pytest.raises(ParameterError):
-            OracleConfig(max_subdivisions=0)
-
-    @pytest.mark.parametrize("kwargs", [
-        {"max_terms": 1.5}, {"max_terms": True}, {"max_terms": 10.0}, {"max_terms": "10"},
-        {"max_subdivisions": 2.5}, {"max_subdivisions": True},
-        {"abs_tol": math.inf}, {"rel_tol": math.nan}, {"series_tail_tol": math.inf},
-        {"abs_tol": True}, {"rel_tol": "1e-10"},
-    ])
-    def test_config_rejects_wrong_types_and_non_finite_tolerances(self, kwargs):
-        with pytest.raises(ParameterError):
-            OracleConfig(**kwargs)
-
-    def test_config_accepts_numpy_integers(self):
-        assert OracleConfig(max_terms=np.int64(10), max_subdivisions=np.int32(8)).max_terms == 10
 
     @pytest.mark.parametrize("alpha", [math.inf, math.nan])
     @pytest.mark.parametrize("d", [Exponential(1.0), Exponential(5.0)])
@@ -396,8 +377,8 @@ class TestDiscreteSeries:
         with pytest.raises(ParameterError):
             discrete_entropy_sum(Poisson(3.0), transform, alpha)
 
-    def test_budget_exhausted(self, monkeypatch):
-        monkeypatch.setattr(oracle, "_CONFIG", OracleConfig(max_terms=10))
+    def test_budget_exhausted(self, oracle_settings):
+        oracle_settings(max_terms=10)
         with pytest.raises(SeriesBudgetError):
             discrete_entropy_sum(Logarithmic(0.01), "p_log_p", 1.0)
 
@@ -408,9 +389,9 @@ class TestDiscreteSeries:
         (Poisson(4.0), "p_alpha_log_p", 1.4),
         (NegBinomialConditional(0.05, 0.3), "p_log_p", 1.0),
     ])
-    def test_tail_bound_is_true_upper_bound(self, d, transform, alpha, monkeypatch):
+    def test_tail_bound_is_true_upper_bound(self, d, transform, alpha, oracle_settings):
         """Resumming ten times as many terms must stay inside the certificate."""
-        monkeypatch.setattr(oracle, "_CONFIG", OracleConfig(series_tail_tol=1e-6))
+        oracle_settings(series_tail_tol=1e-6)
         coarse = discrete_entropy_sum(d, transform, alpha)
         k0 = 0 if isinstance(d, Poisson) else 1
         ks = np.arange(k0, 10 * max(coarse.last_k, 2) + 1, dtype=float)
@@ -449,8 +430,8 @@ class TestDiscreteExpectation:
         assert res.last_k > 64
         assert abs(res.value - direct) <= res.tail_bound < 1e-12 * direct
 
-    def test_budget_exhausted(self, monkeypatch):
-        monkeypatch.setattr(oracle, "_CONFIG", OracleConfig(max_terms=10))
+    def test_budget_exhausted(self, oracle_settings):
+        oracle_settings(max_terms=10)
         with pytest.raises(SeriesBudgetError):
             discrete_expectation(Logarithmic(0.01), lambda k: np.log(k + 1.0))
 
@@ -540,8 +521,8 @@ class TestBinomialSeries:
             tracemalloc.stop()
         assert peak < 10e6
 
-    def test_budget_applies_to_binomial(self, monkeypatch):
-        monkeypatch.setattr(oracle, "_CONFIG", OracleConfig(max_terms=10**5))
+    def test_budget_applies_to_binomial(self, oracle_settings):
+        oracle_settings(max_terms=10**5)
         with pytest.raises(SeriesBudgetError):
             discrete_entropy_sum(Binomial(10**8, 0.5), "p_log_p", 1.0)
 
@@ -583,11 +564,11 @@ class TestSeriesFromTheMode:
         assert 10**6 < res.last_k < 10**6 + 20 * 1000
         assert sum(summed) < 40 * 1000
 
-    def test_max_terms_counts_terms_not_indices(self, monkeypatch):
-        monkeypatch.setattr(oracle, "_CONFIG", OracleConfig(max_terms=10**6))
+    def test_max_terms_counts_terms_not_indices(self, oracle_settings):
+        oracle_settings(max_terms=10**6)
         res = discrete_entropy_sum(Poisson(2e7), "p_log_p", 1.0)
         assert res.last_k > 2 * 10**7
-        monkeypatch.setattr(oracle, "_CONFIG", OracleConfig(max_terms=10**4))
+        oracle_settings(max_terms=10**4)
         with pytest.raises(SeriesBudgetError):
             discrete_entropy_sum(Poisson(2e7), "p_log_p", 1.0)
 
@@ -660,7 +641,7 @@ def per_block_shannon(d):
             summed += len(ks)
             q = oracle._tail_ratio(ratio(int(ks[-1])), float(lp[-1]), 1.0, True)
             tail = 2.0 * abs(float(t[-1])) * q / (1.0 - q)
-            certified = q < 1.0 and tail <= oracle._CONFIG.series_tail_tol
+            certified = q < 1.0 and tail <= oracle._SERIES_TAIL_TOL
             if end == last or certified:
                 break
             j, size = end + 1, min(2 * size, 65536)
@@ -768,28 +749,29 @@ class TestBatchedEvaluation:
         assert res.last_k == last_up
         assert abs(res.value - value) <= res.tail_bound
 
-    def test_a_first_batch_cut_by_the_shared_budget_is_evaluated_again(self, monkeypatch):
+    def test_a_first_batch_cut_by_the_shared_budget_is_evaluated_again(self, monkeypatch,
+                                                                        oracle_settings):
         """Poisson(1781.9) predicts 960 upward terms and sums 448.  At max_terms = 1060 the
         downward prediction has 100 terms left, so its first batch ends inside its second
         block; a later batch evaluates that block whole, and the sum is the default one."""
         d = Poisson(1781.9)
         want = discrete_entropy_sum(d, "p_log_p", 1.0)
         calls = self.logged_calls(monkeypatch)
-        monkeypatch.setattr(oracle, "_CONFIG", OracleConfig(max_terms=1060))
+        oracle_settings(max_terms=1060)
         assert discrete_entropy_sum(d, "p_log_p", 1.0) == want
         assert [len(ks) for ks in calls] == [1060, 384]
         assert calls[1][0] == calls[0][64]  # the downward block at position 64, from its start
 
-    def test_no_batch_asks_past_the_term_budget(self, monkeypatch):
+    def test_no_batch_asks_past_the_term_budget(self, monkeypatch, oracle_settings):
         calls = self.logged_calls(monkeypatch)
-        monkeypatch.setattr(oracle, "_CONFIG", OracleConfig(max_terms=10**4))
+        oracle_settings(max_terms=10**4)
         with pytest.raises(SeriesBudgetError):
             discrete_entropy_sum(Poisson(2e7), "p_log_p", 1.0)
         assert calls and sum(map(len, calls)) <= 10**4
 
     @pytest.mark.parametrize("d", [Poisson(5.0), Logarithmic(0.5)], ids=repr)
-    def test_a_one_term_budget_is_a_budget_error(self, d, monkeypatch):
-        monkeypatch.setattr(oracle, "_CONFIG", OracleConfig(max_terms=1))
+    def test_a_one_term_budget_is_a_budget_error(self, d, oracle_settings):
+        oracle_settings(max_terms=1)
         with pytest.raises(SeriesBudgetError):
             discrete_entropy_sum(d, "p_log_p", 1.0)
 
@@ -1059,7 +1041,6 @@ class TestVectorRuns:
         return runs
 
     def test_two_components_match_two_scalar_runs(self):
-        cfg = oracle._CONFIG
         d = Gamma(0.8, 0.6)  # p**1.9 ~ x**-0.76 at 0: the power map with k = 4/0.24
         rows = [(0.7, False), (1.9, True)]
 
@@ -1077,42 +1058,42 @@ class TestVectorRuns:
         for i, row in enumerate(rows):
             alone = oracle.integrate_halfline(weight(*row), scale=0.6, power_at_zero=-0.76)
             assert isinstance(alone.value, float) and isinstance(alone.error, float)
-            tol = max(cfg.abs_tol, cfg.rel_tol * abs(alone.value))
-            assert both.error[i] <= max(cfg.abs_tol, cfg.rel_tol * abs(both.value[i]))
+            tol = max(oracle._ABS_TOL, oracle._REL_TOL * abs(alone.value))
+            assert both.error[i] <= max(oracle._ABS_TOL, oracle._REL_TOL * abs(both.value[i]))
             assert abs(both.value[i] - alone.value) <= 2.0 * tol
 
     def test_each_component_meets_its_own_tolerance(self):
-        cfg = oracle._CONFIG
         # a large and a small integral: the large one's tolerance would starve the small one
         def f(x):
             return np.stack([1e6 * np.cos(x), np.exp(-x) * np.sqrt(x)])
 
         res = integrate_interval(f, oracle._first_pass(np.linspace(0.0, 2.0, 3)))
         big = 1e6 * math.sin(2.0)
-        assert abs(res.value[0] - big) <= 2.0 * cfg.rel_tol * abs(big)
+        assert abs(res.value[0] - big) <= 2.0 * oracle._REL_TOL * abs(big)
         for value, error in zip(res.value, res.error):
-            assert error <= max(cfg.abs_tol, cfg.rel_tol * abs(value))
+            assert error <= max(oracle._ABS_TOL, oracle._REL_TOL * abs(value))
         mpmath = pytest.importorskip("mpmath")
         exact = float(mpmath.quad(lambda t: mpmath.exp(-t) * mpmath.sqrt(t), [0, 2]))
-        assert abs(res.value[1] - exact) <= 2.0 * cfg.rel_tol * exact
+        assert abs(res.value[1] - exact) <= 2.0 * oracle._REL_TOL * exact
 
     @pytest.mark.parametrize("budget", [16, 40, 100])
-    def test_no_run_holds_more_than_max_subdivisions_panels(self, budget, monkeypatch):
+    def test_no_run_holds_more_than_max_subdivisions_panels(self, budget, monkeypatch,
+                                                             oracle_settings):
         runs = self.panel_counts(monkeypatch)
 
         def wild(x):
             return np.cos(200.0 * x) * np.cos(3000.0 * x**2)
 
-        monkeypatch.setattr(oracle, "_CONFIG", OracleConfig(max_subdivisions=budget))
+        oracle_settings(max_subdivisions=budget)
         with pytest.raises(NonConvergenceError):
             oracle.integrate_interval(wild, oracle._first_pass(np.linspace(0.0, 3.0, 3)))
         assert len(runs) == 1 and len(runs[0]) > 1
         assert max(runs[0]) <= budget
         assert max(runs[0]) > budget - 3  # the last split that fitted was made
 
-    def test_panel_budget_holds_for_the_oracle_values(self, monkeypatch):
+    def test_panel_budget_holds_for_the_oracle_values(self, monkeypatch, oracle_settings):
         runs = self.panel_counts(monkeypatch)
-        monkeypatch.setattr(oracle, "_CONFIG", OracleConfig(max_subdivisions=300))
+        oracle_settings(max_subdivisions=300)
         entropy_estimate(Gamma(0.5, 0.5), "gr2", 0.6, 1.3)
         kl_integral(Laplace(0.0, 1.0), Laplace(300.0, 2.0))
         kl_integral(Gamma(2.0, 1.05), Gamma(0.5, 3.0))
@@ -1187,7 +1168,7 @@ class TestVectorRuns:
 
         for interior in ([0.0, 1e3], [1e3, 0.0]):
             res = oracle.integrate_realline(g, interior, scale=1.0)
-            tol = max(oracle._CONFIG.abs_tol, oracle._CONFIG.rel_tol * 2.0)
+            tol = max(oracle._ABS_TOL, oracle._REL_TOL * 2.0)
             assert res.error <= tol
             assert abs(res.value - 2.0) <= tol
 
@@ -1200,7 +1181,7 @@ class TestVectorRuns:
 
         for interior in ([0.4], [-1.0, 0.4], [-3.0, -1.0, 0.4, 2.5], [0.4, 0.4]):
             res = oracle.integrate_realline(p, interior, scale=math.sqrt(2.0))
-            assert abs(res.value - 1.0) <= 2.0 * oracle._CONFIG.abs_tol
+            assert abs(res.value - 1.0) <= 2.0 * oracle._ABS_TOL
         assert len(runs) == 4
 
 
@@ -1370,7 +1351,7 @@ def reference_gk_apply(f, ends):
     return est, scalar
 
 
-def reference_integrate_interval(f, breakpoints, cfg):
+def reference_integrate_interval(f, breakpoints):
     bp = np.asarray(breakpoints, dtype=float)
     ends = np.stack([bp[:-1], bp[1:]])
     est, scalar = reference_gk_apply(f, ends)
@@ -1378,7 +1359,7 @@ def reference_integrate_interval(f, breakpoints, cfg):
         totals, errors = est.sum(axis=2).tolist()
         if not all(map(math.isfinite, totals + errors)):
             raise NonConvergenceError("non-finite quadrature result; integrand invalid")
-        tols = [max(cfg.abs_tol, cfg.rel_tol * abs(v)) for v in totals]
+        tols = [max(oracle._ABS_TOL, oracle._REL_TOL * abs(v)) for v in totals]
         unmet = [i for i, (e, t) in enumerate(zip(errors, tols)) if e > t]
         if not unmet:
             totals = [math.fsum(row) for row in est[0]]
@@ -1386,12 +1367,12 @@ def reference_integrate_interval(f, breakpoints, cfg):
                 return oracle.QuadResult(totals[0], errors[0])
             return oracle.QuadResult(np.array(totals), np.array(errors))
         n = ends.shape[1]
-        room = (cfg.max_subdivisions - n) // 3
+        room = (oracle._MAX_SUBDIVISIONS - n) // 3
         if room < 1:
             i = unmet[0]
             raise NonConvergenceError(
                 f"error estimate {errors[i]:.3e} still above tolerance {tols[i]:.3e} "
-                f"after {n} panels (max_subdivisions={cfg.max_subdivisions})")
+                f"after {n} panels (max_subdivisions={oracle._MAX_SUBDIVISIONS})")
         share = np.max([est[1, i] / tols[i] for i in unmet], axis=0)
         split = share > 0.5 / n
         if np.count_nonzero(split) > room:
@@ -1407,7 +1388,7 @@ def reference_integrate_interval(f, breakpoints, cfg):
         est = np.concatenate([est[:, :, keep], new_est], axis=2)
 
 
-def reference_halfline(g, cfg, scale=1.0, power_at_zero=3.0):
+def reference_halfline(g, scale=1.0, power_at_zero=3.0):
     k = max(1.0, 4.0 / (power_at_zero + 1.0))
 
     def f(t):
@@ -1416,10 +1397,10 @@ def reference_halfline(g, cfg, scale=1.0, power_at_zero=3.0):
         return np.where((gx == 0.0) | np.isinf(gx) & (x < 2.0**-1022), 0.0,
                         gx * (scale / (u * u) * (k * t ** (k - 1.0))))
 
-    return reference_integrate_interval(f, oracle._PLAIN_MESH, cfg)
+    return reference_integrate_interval(f, oracle._PLAIN_MESH)
 
 
-def reference_realline(g, cfg, interior, scale=1.0):
+def reference_realline(g, interior, scale=1.0):
     c = float(interior[0])
     knots = [(float(p) - c) / (scale + abs(float(p) - c)) for p in interior[1:]]
 
@@ -1429,18 +1410,18 @@ def reference_realline(g, cfg, interior, scale=1.0):
         return np.where(gx == 0.0, 0.0, gx * (scale / (v * v)))
 
     mesh = np.concatenate([-oracle._PLAIN_MESH[::-1], oracle._PLAIN_MESH, knots])
-    return reference_integrate_interval(f, np.unique(mesh), cfg)
+    return reference_integrate_interval(f, np.unique(mesh))
 
 
-def reference_integrate(g, d, plan, cfg):
+def reference_integrate(g, d, plan):
     if plan.map == "halfline":
-        return reference_halfline(g, cfg, scale=plan.scale, power_at_zero=plan.power_at_zero)
+        return reference_halfline(g, scale=plan.scale, power_at_zero=plan.power_at_zero)
     if plan.map == "realline":
-        return reference_realline(g, cfg, plan.splits, scale=plan.scale)
-    return reference_integrate_interval(g, np.linspace(*d.support, 17), cfg)
+        return reference_realline(g, plan.splits, scale=plan.scale)
+    return reference_integrate_interval(g, np.linspace(*d.support, 17))
 
 
-def reference_power_integrals(d, terms, cfg):
+def reference_power_integrals(d, terms):
     def g(x):
         lp = oracle.logpdf(d, x)
         rows = []
@@ -1450,10 +1431,10 @@ def reference_power_integrals(d, terms, cfg):
                 rows.append(np.where(np.isneginf(lp), 0.0, w * lp) if with_log else w)
         return rows[0] if len(rows) == 1 else np.stack(rows)
 
-    return reference_integrate(g, d, oracle._joint_plan(d, [alpha for alpha, _ in terms]), cfg)
+    return reference_integrate(g, d, oracle._joint_plan(d, [alpha for alpha, _ in terms]))
 
 
-def reference_kl(p, q, cfg):
+def reference_kl(p, q):
     def g(x):
         lp = oracle.logpdf(p, x)
         lq = oracle.logpdf(q, x)
@@ -1463,7 +1444,7 @@ def reference_kl(p, q, cfg):
 
     plan_p, plan_q = oracle._plan(p, 1.0), oracle._plan(q, 1.0)
     plan = plan_p._replace(splits=tuple(dict.fromkeys(plan_p.splits + plan_q.splits)))
-    return reference_integrate(g, p, plan, cfg)
+    return reference_integrate(g, p, plan)
 
 
 def measure_terms(spec):
@@ -1511,23 +1492,21 @@ class TestPassMatchesReference:
 
     def test_oracle_values_of_every_family_and_measure(self, compare):
         rng = np.random.default_rng(2020)
-        cfg = oracle._CONFIG
         for family in ORACLE_FAMILIES:
             for measure in ORACLE_MEASURES:
                 for _ in range(3):
                     d = random_distribution(family, rng)
                     terms = measure_terms(random_spec(measure, d, rng))
                     compare(lambda: oracle._power_integrals(d, terms),
-                            lambda: reference_power_integrals(d, terms, cfg))
+                            lambda: reference_power_integrals(d, terms))
 
     def test_kl_of_every_family(self, compare):
         rng = np.random.default_rng(2021)
-        cfg = oracle._CONFIG
         for family in ORACLE_FAMILIES:
             for _ in range(3):
                 p = random_distribution(family, rng)
                 q = p if family == "uniform" else random_distribution(family, rng)
-                compare(lambda: kl_integral(p, q), lambda: reference_kl(p, q, cfg))
+                compare(lambda: kl_integral(p, q), lambda: reference_kl(p, q))
 
     @pytest.mark.parametrize("interior", [[0.4], [-1.0, 0.4], [-3.0, -1.0, 2.5]],
                              ids=["one", "two", "three"])
@@ -1538,11 +1517,10 @@ class TestPassMatchesReference:
             return np.exp(oracle.logpdf(d, x)) * (1.0 + np.abs(x))
 
         compare(lambda: oracle.integrate_realline(g, interior, scale=1.5),
-                lambda: reference_realline(g, oracle._CONFIG, interior, scale=1.5))
+                lambda: reference_realline(g, interior, scale=1.5))
 
     @pytest.mark.parametrize("power", [3.0, 7.0, 1.5, -0.5, -0.9])  # k = 1, 1, 1.6, 8, 40
     def test_halfline_at_k_one_and_above(self, power, compare):
-        cfg = oracle._CONFIG
         d = Gamma(1.3, power + 1.0)
 
         def g(x):
@@ -1551,12 +1529,12 @@ class TestPassMatchesReference:
                 return np.where(lp == -np.inf, 0.0, np.exp(lp) * lp)
 
         compare(lambda: oracle.integrate_halfline(g, scale=2.0, power_at_zero=power),
-                lambda: reference_halfline(g, cfg, scale=2.0, power_at_zero=power))
+                lambda: reference_halfline(g, scale=2.0, power_at_zero=power))
         compare(lambda: integral_p_alpha_log_p(d, 1.0),
-                lambda: reference_power_integrals(d, [(1.0, True)], cfg))
+                lambda: reference_power_integrals(d, [(1.0, True)]))
 
     def test_runs_of_many_passes_and_a_multi_row_integrand(self, compare):
-        cfg, d = oracle._CONFIG, Normal(0.3, 0.5)
+        d = Normal(0.3, 0.5)
 
         def kink(x):  # |x - 1/3| and a density: neither is smooth on the mesh
             lp = oracle.logpdf(d, x)
@@ -1564,23 +1542,23 @@ class TestPassMatchesReference:
 
         two, one = np.array([0.0, 0.5, 1.0]), np.array([0.0, 1.0])
         passes = compare(lambda: integrate_interval(kink, oracle._first_pass(two)),
-                         lambda: reference_integrate_interval(kink, two, cfg))
+                         lambda: reference_integrate_interval(kink, two))
         assert passes >= 3
         single = compare(lambda: integrate_interval(lambda x: kink(x)[0], oracle._first_pass(one)),
-                         lambda: reference_integrate_interval(lambda x: kink(x)[0], one, cfg))
+                         lambda: reference_integrate_interval(lambda x: kink(x)[0], one))
         assert single >= 3
 
     @pytest.mark.parametrize("budget", [16, 40, 100])
-    def test_budget_exhaustion_says_the_same(self, budget, compare, monkeypatch):
+    def test_budget_exhaustion_says_the_same(self, budget, compare, oracle_settings):
         d = Normal(0.0, 1.0)
 
         def wild(x):  # the logpdf term is 0; its call records the nodes
             return np.cos(200.0 * x) * np.cos(3000.0 * x**2) + 0.0 * oracle.logpdf(d, x)
 
-        monkeypatch.setattr(oracle, "_CONFIG", OracleConfig(max_subdivisions=budget))
+        oracle_settings(max_subdivisions=budget)
         mesh = np.linspace(0.0, 3.0, 3)
         compare(lambda: integrate_interval(wild, oracle._first_pass(mesh)),
-                lambda: reference_integrate_interval(wild, mesh, oracle._CONFIG))
+                lambda: reference_integrate_interval(wild, mesh))
 
 
 # the two entry points that keep a trailing cfg, as the benchmark passes OracleConfig() there
@@ -1595,15 +1573,19 @@ DEFAULT_CONFIG_RUNS = {
 
 @pytest.mark.parametrize("run", DEFAULT_CONFIG_RUNS.values(), ids=DEFAULT_CONFIG_RUNS)
 def test_cfg_omitted_or_none_runs_the_default_config(run):
-    """The same bytes with cfg omitted, None and OracleConfig(); any other config raises.
+    """The same bytes with cfg omitted, None and OracleConfig(); any other value raises.
 
-    The oracle runs at one configuration, so a setting it would ignore is an error.
+    The oracle runs at one configuration, its module constants, so a setting it would
+    ignore is an error that names them.
     """
     want = pickle.dumps(run(OracleConfig()))
     assert pickle.dumps(run()) == want
     assert pickle.dumps(run(None)) == want
-    with pytest.raises(ParameterError, match=r"the oracle runs at OracleConfig\(.*max_terms=10\)"):
-        run(OracleConfig(max_terms=10))
+    for other in ({"max_terms": 10}, "default", 1e-10):
+        with pytest.raises(ParameterError, match=r"the oracle runs at abs_tol=1e-10, rel_tol="
+                           r"1e-10, max_subdivisions=2000, series_tail_tol=1e-14, "
+                           r"max_terms=10000000 only, got cfg="):
+            run(other)
 
 
 @pytest.mark.parametrize("width", [math.ulp(1.0) * k for k in (1, 2, 3, 5)] + [1e-14],

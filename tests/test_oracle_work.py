@@ -17,20 +17,26 @@ def load_tool():
 
 
 def test_one_row_per_family_and_the_all_row_pools_them(capsys):
-    """The tool wraps the oracle's panel rule, estimate, log-pmf and series, then puts them back."""
-    from entrokit import oracle
+    """The tool wraps the oracle's panel rule, estimate, log-pmf and series, and the closed
+    forms' evaluate, then puts them back."""
+    from entrokit import closed_form, oracle
 
     tool = load_tool()
-    before = oracle._gk_apply, oracle.entropy_estimate, oracle.logpmf, oracle._series
+    def wrapped():
+        return (oracle._gk_apply, oracle.entropy_estimate, oracle.logpmf, oracle._series,
+                closed_form.evaluate)
+
+    before = wrapped()
     assert tool.main([]) == 0
-    assert (oracle._gk_apply, oracle.entropy_estimate, oracle.logpmf, oracle._series) == before
-    continuous, kl, series = capsys.readouterr().out.split("\n\n")
+    assert wrapped() == before
+    continuous, kl, series, closed = capsys.readouterr().out.split("\n\n")
     per_family = 60 * len(ORACLE_MEASURES)  # selftest's draws per family at its default
     check_quadrature_table(continuous, "continuous", {f: per_family for f in ORACLE_FAMILIES})
     far = 2 * len(tool.FAR_UNITS)
-    check_quadrature_table(kl, "kl", {f: tool.KL_PAIRS + far * (f in ("laplace", "normal"))
-                                      for f in tool.KL_FAMILIES})
-    check_series_table(series)
+    kl_counts = {f: tool.KL_PAIRS + far * (f in ("laplace", "normal")) for f in tool.KL_FAMILIES}
+    check_quadrature_table(kl, "kl", kl_counts)
+    check_series_table(series, tool.RATES)
+    check_closed_table(closed, {f: kl_counts.get(f, 0) for f in ORACLE_FAMILIES})
 
 
 def check_quadrature_table(text, name, counts):
@@ -56,22 +62,37 @@ def check_quadrature_table(text, name, counts):
     assert len(set(digests)) == len(counts) + 1
 
 
-def check_series_table(text):
-    """Per discrete family: Shannon sums, mean log-pmf calls, points and terms per sum, digest."""
+def check_series_table(text, rates):
+    """Per discrete family, then per Poisson series of limits: values, mean log-pmf calls,
+    points and terms per value, digest."""
     header, *rows, total = text.splitlines()
     assert header.split() == ["discrete", "values", "calls", "points", "terms", "digest"]
     cells = {row.split()[0]: [float(v) for v in row.split()[1:-1]] for row in rows}
-    assert tuple(cells) == ("poisson", "binomial", "nbcond", "logarithmic")
-    for values, calls, points, terms in cells.values():
-        assert values == 40
+    assert tuple(cells) == ("poisson", "binomial", "nbcond", "logarithmic",
+                            "poisson_h", "poisson_dh")
+    for family, (values, calls, points, terms) in cells.items():
+        assert values == (rates if family.startswith("poisson_") else 40)
         assert 1.0 <= calls <= terms <= points
     name, values, calls, points, terms, digest = total.split()
-    assert (name, int(values)) == ("all", 40 * len(cells))
-    assert abs(float(calls) - sum(c[1] for c in cells.values()) / len(cells)) <= 1e-3
-    assert abs(float(points) - sum(c[2] for c in cells.values()) / len(cells)) <= 0.1
-    assert abs(float(terms) - sum(c[3] for c in cells.values()) / len(cells)) <= 0.1
+    assert (name, int(values)) == ("all", sum(c[0] for c in cells.values()))
+    for column, mean, tol in ((1, calls, 1e-3), (2, points, 0.1), (3, terms, 0.1)):
+        pooled = sum(c[0] * c[column] for c in cells.values()) / int(values)
+        assert abs(float(mean) - pooled) <= tol
     digests = [row.split()[-1] for row in rows] + [digest]
-    assert all(len(d) == 12 and int(d, 16) >= 0 for d in digests) and len(set(digests)) == 5
+    assert all(len(d) == 12 and int(d, 16) >= 0 for d in digests) and len(set(digests)) == 7
+
+
+def check_closed_table(text, kl_counts):
+    """Per family: closed-form values (selftest's evaluate results, then KL pairs), digest."""
+    header, *rows, total = text.splitlines()
+    assert header.split() == ["closed", "values", "digest"]
+    cells = {row.split()[0]: row.split()[1:] for row in rows}
+    assert tuple(cells) == tuple(kl_counts)
+    for family, (values, _) in cells.items():
+        assert int(values) >= 60 * len(ORACLE_MEASURES) + kl_counts[family]
+    name, values, digest = total.split()
+    assert (name, int(values)) == ("all", sum(int(c[0]) for c in cells.values()))
+    assert len({c[1] for c in cells.values()} | {digest}) == len(cells) + 1
 
 
 def test_series_counts_are_the_engines_calls(monkeypatch):
@@ -100,6 +121,62 @@ def test_series_counts_are_the_engines_calls(monkeypatch):
                        f"{res.value.hex()} {res.tail_bound.hex()}")
 
 
+def test_poisson_series_counts_are_the_engines_calls(monkeypatch):
+    """Each poisson_h and poisson_dh row holds the log-pmf calls and indices and the summed terms
+    of limits.poisson_entropy and poisson_entropy_derivative at a seeded rate, and its value."""
+    from entrokit import limits, oracle
+
+    tool = load_tool()
+    work = tool.poisson_series_work()
+    rates = tool.poisson_rates()
+    assert len(rates) == tool.RATES and all(0.1 <= lam <= 1e4 for lam in rates)
+    seen, summed, logpmf, series = [], [], oracle.logpmf, oracle._series
+
+    def counted_series(*args):
+        out = series(*args)
+        summed.append(out[2])
+        return out
+
+    monkeypatch.setattr(oracle, "logpmf", lambda d, ks: seen.append(len(ks)) or logpmf(d, ks))
+    monkeypatch.setattr(oracle, "_series", counted_series)
+    for name, fn in (("poisson_h", limits.poisson_entropy),
+                     ("poisson_dh", limits.poisson_entropy_derivative)):
+        assert len(work[name]) == tool.RATES
+        for lam, got in zip(rates, work[name]):
+            seen.clear()
+            summed.clear()
+            value = fn(lam)
+            assert got == (len(seen), sum(seen), sum(summed), value.hex())
+
+
+def test_closed_values_are_evaluate_then_kl_divergence(monkeypatch):
+    """Each closed row holds, per family, the evaluate results of the selftest run in order,
+    then kl_divergence on the KL pairs, a normal pair's by its error's class name."""
+    from entrokit import closed_form
+
+    seen, evaluate = {}, closed_form.evaluate
+
+    def recorded(spec, d):
+        value = evaluate(spec, d)
+        seen.setdefault(d.spec_name, []).append((value.hex(),))
+        return value
+
+    tool = load_tool()
+    monkeypatch.setattr(closed_form, "evaluate", recorded)
+    _, closed = tool.work()
+    assert closed == seen and tuple(closed) == ORACLE_FAMILIES
+    want = {}
+    for p, q in tool.kl_pairs():  # normal has no closed-form KL
+        want.setdefault(p.spec_name, []).append(
+            ("UnsupportedFamilyError",) if p.spec_name == "normal"
+            else (closed_form.kl_divergence(p, q).hex(),))
+    kl = tool.closed_kl()
+    assert kl == want and tuple(kl) == tool.KL_FAMILIES
+    values = kl["laplace"]
+    moved = [*values[:-1], (math.nextafter(float.fromhex(values[-1][0]), 0.0).hex(),)]
+    assert tool.digest(values) != tool.digest(moved)
+
+
 def test_quadrature_values_are_the_oracles_and_one_ulp_moves_their_digest(monkeypatch):
     """Each quadrature row holds the value entropy_estimate returned, in float.hex, in order."""
     from entrokit import oracle
@@ -113,7 +190,7 @@ def test_quadrature_values_are_the_oracles_and_one_ulp_moves_their_digest(monkey
 
     monkeypatch.setattr(oracle, "entropy_estimate", recorded)
     tool = load_tool()
-    work = tool.work()
+    work, _ = tool.work()
     assert {family: [v[2] for v in values] for family, values in work.items()} == seen
     assert tuple(seen) == ORACLE_FAMILIES
     values = work["lognormal"]
@@ -162,21 +239,25 @@ def test_kl_values_are_the_oracles_on_same_family_pairs(monkeypatch):
 
 
 def test_compare_names_the_families_whose_digest_or_work_moved(tmp_path, capsys):
-    """--compare reads two saved outputs table by table: digests, then passes or calls and points."""
+    """--compare reads two saved outputs table by table: digests, then passes or calls and points
+    for a table that has work columns."""
     tool = load_tool()
     old = ("discrete values calls points terms digest\n"
            "poisson 40 1.375 452.5 394.9 1e00d1d5e62b\n"
            "binomial 40 1.800 1980.2 1638.0 06d8c4b2cec4\n\n"
            "kl values passes points one_pass digest\n"
-           "gamma 40 1.025 513.0 0.975 1a1831ae43aa\n\n")
+           "gamma 40 1.025 513.0 0.975 1a1831ae43aa\n\n"
+           "closed values digest\n"
+           "gamma 650 4a5e12961851\n"
+           "normal 410 77c21ce03beb\n")
     new = (old.replace("1.375 452.5", "1.000 420.5")
-           .replace("06d8c4b2cec4", "0123456789ab"))
+           .replace("06d8c4b2cec4", "0123456789ab").replace("77c21ce03beb", "0123456789ab"))
     want = ["discrete values moved: binomial",
             "discrete work moved: poisson calls 1.375 -> 1.000, points 452.5 -> 420.5",
-            "kl values identical", "kl work identical"]
+            "kl values identical", "kl work identical", "closed values moved: normal"]
     assert tool.compare(old, new) == want
     assert tool.compare(old, old) == [f"{table} {what} identical" for table in ("discrete", "kl")
-                                      for what in ("values", "work")]
+                                      for what in ("values", "work")] + ["closed values identical"]
     (tmp_path / "old.txt").write_text(old)
     (tmp_path / "new.txt").write_text(new)
     assert tool.main(["--compare", str(tmp_path / "old.txt"), str(tmp_path / "new.txt")]) == 0

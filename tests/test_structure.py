@@ -1,6 +1,7 @@
 """Package structure: the closed-form/oracle wall and the public name list."""
 
 import ast
+import dataclasses
 import importlib
 import inspect
 from pathlib import Path
@@ -246,8 +247,8 @@ def test_only_the_oracle_builds_an_oracle_config():
 
 
 def test_only_two_oracle_functions_take_a_cfg():
-    """The engines read oracle._CONFIG; entropy_estimate and kl_integral keep a trailing cfg
-    that accepts only the default, for callers that pass OracleConfig() positionally."""
+    """The engines read the oracle's module constants; entropy_estimate and kl_integral keep a
+    trailing cfg that accepts only None or OracleConfig(), for callers that pass it positionally."""
     from entrokit import oracle
 
     taking = sorted(name for name, fn in oracle_functions().items()
@@ -263,7 +264,9 @@ def test_the_oracle_config_is_not_exported():
     assert "OracleConfig" not in entrokit.__all__
     with pytest.raises(AttributeError, match="no attribute 'OracleConfig'"):
         entrokit.OracleConfig  # noqa: B018
-    assert oracle.OracleConfig() == oracle._CONFIG
+    assert not dataclasses.fields(oracle.OracleConfig)  # the settings are module constants
+    assert (oracle._ABS_TOL, oracle._REL_TOL, oracle._MAX_SUBDIVISIONS, oracle._SERIES_TAIL_TOL,
+            oracle._MAX_TERMS) == (1e-10, 1e-10, 2000, 1e-14, 10**7)
 
 
 NUMERIC_TYPES = {"int", "float", "bool", "complex", "Real", "Integral", "Number", "Rational"}

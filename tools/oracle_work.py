@@ -3,7 +3,7 @@
 Each continuous oracle value is one adaptive Gauss-Kronrod run, and each
 pass of a run is one call of the oracle's panel rule on 15 nodes a panel;
 its points are counted where the rule hands them to the integrand, so the
-tool reads any revision's panel rule alike.  Three tables follow, each
+tool reads any revision's panel rule alike.  Four tables follow, each
 named by the first word of its header and ended by a blank line:
 
 * continuous: per family, the number of oracle values, the mean passes
@@ -19,7 +19,14 @@ named by the first word of its header and ended by a blank line:
   the benchmark's parameter ranges, the mean log-pmf calls, points
   (indices evaluated) and terms (indices summed, from the series
   engine's count) per sum, and a digest of the sums' values and tail
-  bounds (float.hex).
+  bounds (float.hex); then the same counts for the two Poisson series of
+  limits, the discrete_expectation weights log k! (poisson_h:
+  poisson_entropy) and log(k + 1) (poisson_dh: poisson_entropy_derivative),
+  at 10 seeded rates, with a digest of the values they return;
+* closed: per family, the number of closed-form values and their digest:
+  every closed_form.evaluate result of the selftest run above, then
+  kl_divergence on the KL pairs (an error, as for a normal pair, which
+  has no closed form, counts by its class name).
 
 Counts, not times: they repeat exactly on any machine, and a digest
 changes when any bit of a value (or of a sum or its bound) moves.
@@ -30,7 +37,8 @@ changes when any bit of a value (or of a sum or its bound) moves.
 
 Another revision's tree comes from `git archive REV src | tar -x -C DIR`.
 --compare prints two lines per table: whether its digests moved, and
-whether its work did (passes or calls, and points per value):
+whether its work did (passes or calls, and points per value); a table
+without work columns (closed) gets the first line only:
 
     discrete values identical
     discrete work moved: poisson calls 1.375 -> 1.000, points 452.5 -> 420.5
@@ -46,6 +54,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SEED, DRAWS = 42, 60  # selftest's --seed 42 and its default --draws
 SERIES_SEED, RECORDS = 7, 40  # the series grid: records per discrete family
+POISSON_SEED, RATES = 13, 10  # the rates of the limits' Poisson series
 KL_SEED, KL_PAIRS = 11, 40  # the KL pairs: desk draws per family
 KL_FAMILIES = ("gamma", "exp", "chisq", "laplace", "lognormal", "normal")
 FAR_UNITS = (1e3, 1e4, 1e5, 3e3, 3e4)  # of p's scale, between the centres of a far pair
@@ -74,11 +83,13 @@ def counted_passes():
         oracle._gk_apply = gk_apply
 
 
-def work() -> dict[str, list[tuple[int, int, str]]]:
-    """Family -> (passes, points, value in hex) of each oracle value on the selftest draws."""
-    from entrokit import cli, oracle  # the selftest command reads alike in every tree
+def work() -> tuple[dict[str, list[tuple[int, int, str]]], dict[str, list[tuple[str]]]]:
+    """Family -> (passes, points, value in hex) of each oracle value on the selftest draws, and
+    family -> (value in hex,) of each closed_form.evaluate result of the same run."""
+    from entrokit import cli, closed_form, oracle  # the selftest command reads alike in every tree
 
-    estimate, values = oracle.entropy_estimate, defaultdict(list)
+    estimate, evaluate = oracle.entropy_estimate, closed_form.evaluate
+    values, closed = defaultdict(list), defaultdict(list)
     with counted_passes() as count:
         def counted_estimate(d, *args):
             count[:] = 0, 0
@@ -86,12 +97,17 @@ def work() -> dict[str, list[tuple[int, int, str]]]:
             values[d.spec_name].append((*count, float(value).hex()))
             return value
 
-        oracle.entropy_estimate = counted_estimate
+        def recorded_evaluate(spec, d):
+            value = evaluate(spec, d)
+            closed[d.spec_name].append((float(value).hex(),))
+            return value
+
+        oracle.entropy_estimate, closed_form.evaluate = counted_estimate, recorded_evaluate
         try:
             cli.main(["selftest", "--seed", str(SEED), "--draws", str(DRAWS), "--out", os.devnull])
         finally:
-            oracle.entropy_estimate = estimate
-    return dict(values)
+            oracle.entropy_estimate, closed_form.evaluate = estimate, evaluate
+    return dict(values), dict(closed)
 
 
 def kl_pairs():
@@ -142,38 +158,84 @@ def series_records():
     return [draw() for draw in draws for _ in range(RECORDS)]
 
 
-def series_work() -> dict[str, list[tuple[int, int, int, str]]]:
-    """Family -> (logpmf calls, points, terms, value and bound in hex) of each Shannon sum.
+@contextlib.contextmanager
+def counted_series():
+    """[logpmf calls, points, terms] of the series engine, counted while the block runs.
 
     terms adds the third value each direction's oracle._series returns:
     the terms it summed.
     """
     from entrokit import oracle
 
-    logpmf, series = oracle.logpmf, oracle._series
-    calls = points = terms = 0
-    values = defaultdict(list)
+    logpmf, series, count = oracle.logpmf, oracle._series, [0, 0, 0]
 
     def counted_logpmf(d, ks):
-        nonlocal calls, points
-        calls, points = calls + 1, points + len(ks)
+        count[0] += 1
+        count[1] += len(ks)
         return logpmf(d, ks)
 
     def counted_series(*args):
-        nonlocal terms
         out = series(*args)
-        terms += out[2]
+        count[2] += out[2]
         return out
 
     oracle.logpmf, oracle._series = counted_logpmf, counted_series
     try:
-        for d in series_records():
-            calls = points = terms = 0
-            res = oracle.discrete_entropy_sum(d, "p_log_p", 1.0)
-            values[d.spec_name].append(
-                (calls, points, terms, f"{res.value.hex()} {res.tail_bound.hex()}"))
+        yield count
     finally:
         oracle.logpmf, oracle._series = logpmf, series
+
+
+def series_work() -> dict[str, list[tuple[int, int, int, str]]]:
+    """Family -> (logpmf calls, points, terms, value and bound in hex) of each Shannon sum."""
+    from entrokit import oracle
+
+    values = defaultdict(list)
+    with counted_series() as count:
+        for d in series_records():
+            count[:] = 0, 0, 0
+            res = oracle.discrete_entropy_sum(d, "p_log_p", 1.0)
+            values[d.spec_name].append((*count, f"{res.value.hex()} {res.tail_bound.hex()}"))
+    return dict(values)
+
+
+def poisson_rates() -> list[float]:
+    """RATES rates, log-uniform over the Poisson records' range."""
+    import numpy as np
+
+    rng = np.random.default_rng(POISSON_SEED)
+    return [float(lam) for lam in 10 ** rng.uniform(-1.0, 4.0, RATES)]
+
+
+def poisson_series_work() -> dict[str, list[tuple[int, int, int, str]]]:
+    """poisson_h and poisson_dh -> (logpmf calls, points, terms, value in hex) of
+    limits.poisson_entropy and poisson_entropy_derivative at each of poisson_rates()."""
+    from entrokit import limits
+
+    values = {}
+    with counted_series() as count:
+        for name, fn in (("poisson_h", limits.poisson_entropy),
+                         ("poisson_dh", limits.poisson_entropy_derivative)):
+            values[name] = []
+            for lam in poisson_rates():
+                count[:] = 0, 0, 0
+                value = fn(lam)
+                values[name].append((*count, value.hex()))
+    return values
+
+
+def closed_kl() -> dict[str, list[tuple[str]]]:
+    """Family -> (kl_divergence in hex, or the class name of its error,) on each of kl_pairs()."""
+    from entrokit import closed_form
+    from entrokit.errors import EntrokitError
+
+    values = defaultdict(list)
+    for p, q in kl_pairs():
+        try:
+            value = closed_form.kl_divergence(p, q).hex()
+        except EntrokitError as error:
+            value = type(error).__name__
+        values[p.spec_name].append((value,))
     return dict(values)
 
 
@@ -211,13 +273,16 @@ def tables(text) -> list[tuple[str, list[str], dict[str, list[str]]]]:
 
 
 def compare(old: str, new: str) -> list[str]:
-    """Per table of two saved outputs: the families whose digest moved, then those whose work
-    (the two columns after values: passes or calls, then points) moved, old -> new."""
+    """Per table of two saved outputs: the families whose digest moved, then, for a table with
+    work columns, those whose work (the two columns after values: passes or calls, then
+    points) moved, old -> new."""
     lines = []
     for (name, columns, before), (_, _, after) in zip(tables(old), tables(new)):
         moved = [family for family, cells in after.items()
                  if cells[-1] != before.get(family, [None])[-1]]
         lines.append(f"{name} values " + ("moved: " + " ".join(moved) if moved else "identical"))
+        if len(columns) == 2:  # values and digest only
+            continue
         work = [f"{family} " + ", ".join(f"{column} {a} -> {b}" for column, a, b in
                                          zip(columns[1:3], before[family][1:3], cells[1:3]))
                 for family, cells in after.items()
@@ -231,14 +296,21 @@ def main(argv) -> int:
         print("\n".join(compare(*(Path(path).read_text() for path in argv[1:3]))))
         return 0
     sys.path.insert(0, argv[0] if argv else str(ROOT / "src"))
-    print_quadrature("continuous", work())
+    quadrature, closed = work()
+    print_quadrature("continuous", quadrature)
     print_quadrature("kl", kl_work())
     print(f"{'discrete':<12} {'values':>6} {'calls':>7} {'points':>9} {'terms':>9} {'digest':>12}")
-    for family, values in pooled(series_work()).items():
+    for family, values in pooled({**series_work(), **poisson_series_work()}).items():
         n = len(values)
         print(f"{family:<12} {n:>6} {sum(v[0] for v in values) / n:>7.3f} "
               f"{sum(v[1] for v in values) / n:>9.1f} {sum(v[2] for v in values) / n:>9.1f} "
               f"{digest(values):>12}")
+    print()
+    print(f"{'closed':<12} {'values':>6} {'digest':>12}")
+    for family, kl in closed_kl().items():
+        closed[family] = closed.get(family, []) + kl
+    for family, values in pooled(closed).items():
+        print(f"{family:<12} {len(values):>6} {digest(values):>12}")
     return 0
 
 
