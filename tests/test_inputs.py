@@ -12,13 +12,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from entrokit import (Binomial, ChiSquared, EntropySpec, Exponential, Gamma, Laplace,
-                      Logarithmic, LogNormal, NegBinomialConditional, Normal,
+from entrokit import (Binomial, ChiSquared, CovMatrix, EntropySpec, Exponential, Gamma,
+                      Laplace, Logarithmic, LogNormal, NegBinomialConditional, Normal,
                       Poisson, Uniform, appendix_series_growth, binomial_to_poisson,
                       discrete_entropy_sum, entropy_estimate, fgn_covariance, fgn_det_sweep,
                       generalized_renyi1, generalized_renyi2, integral_p_alpha,
                       integral_p_alpha_log_p, lognormal_moment, nb_to_logarithmic, poisson_entropy,
-                      poisson_entropy_derivative, renyi, sharma_mittal, tsallis)
+                      poisson_entropy_derivative, rank1_extremal_vector, renyi, sharma_mittal,
+                      tsallis)
 from entrokit.errors import ParameterError
 from entrokit.verification import oracle_equivalence
 
@@ -54,6 +55,10 @@ def spec_slot(i):
 
 def table(t):
     return t.driver_name, t.rows
+
+
+def entries(cov):
+    return cov.entries.tolist()
 
 
 SLOTS = {
@@ -108,6 +113,15 @@ SLOTS = {
     "fgn_covariance.n": Slot(lambda v: fgn_covariance(v, 0.7).entries.tolist(), int, 4),
     "fgn_covariance.hurst": Slot(lambda v: fgn_covariance(4, v).entries.tolist(),
                                  float, 0.75, 1),
+    "CovMatrix.diagonal": Slot(lambda v: entries(CovMatrix([[v, 0.5], [0.5, 2.0]])),
+                               float, 1.5, 1, stored=lambda e: e[0][0]),
+    "CovMatrix.off_diagonal": Slot(lambda v: entries(CovMatrix([[2.0, v], [v, 2.0]])),
+                                   float, 0.5, 1, stored=lambda e: e[0][1]),
+    "rank1_extremal_vector.diag": Slot(
+        lambda v: entries(rank1_extremal_vector([v, 3.0], [1.0, -1.0])), float, 2.0, 2,
+        stored=lambda e: e[0][0]),
+    "rank1_extremal_vector.signs": Slot(
+        lambda v: entries(rank1_extremal_vector([2.0, 3.0], [v, 1.0])), float, -1.0, -1),
     "fgn_det_sweep.n": Slot(lambda v: fgn_det_sweep(v, [0.3]), int, 4),
     "fgn_det_sweep.hurst": Slot(lambda v: fgn_det_sweep(4, [v]), float, 0.75, 1),
     "lognormal_moment.p": Slot(lambda v: lognormal_moment(v, 0.5, 2.0), float, 1.5, 2),

@@ -1,8 +1,10 @@
 import math
 import pickle
+import re
 import sys
 import time
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -214,6 +216,13 @@ class TestQuadratureContracts:
 
         with pytest.raises(NonConvergenceError):
             integrate_interval(wild, oracle._first_pass(np.linspace(0.0, 3.0, 3)))
+
+    @pytest.mark.parametrize("name", ["abs_tol", "rel_tol", "max_subdivisions",
+                                      "series_tail_tol", "max_terms"])
+    def test_config_takes_no_setting(self, name):
+        """Each setting is a module constant, so OracleConfig has no field to set."""
+        with pytest.raises(TypeError):
+            OracleConfig(**{name: getattr(oracle, f"_{name.upper()}")})
 
     def test_non_finite_integrand(self):
         with pytest.raises(NonConvergenceError, match="non-finite"):
@@ -1561,6 +1570,9 @@ class TestPassMatchesReference:
                 lambda: reference_integrate_interval(wild, mesh))
 
 
+# what _check_default raises for a cfg that is not None or an OracleConfig
+NOT_THE_CONFIG = (r"the oracle runs at abs_tol=1e-10, rel_tol=1e-10, max_subdivisions=2000, "
+                  r"series_tail_tol=1e-14, max_terms=10000000 only, got cfg=")
 # the two entry points that keep a trailing cfg, as the benchmark passes OracleConfig() there
 DEFAULT_CONFIG_RUNS = {
     "entropy_estimate, continuous": lambda *cfg: entropy_estimate(
@@ -1582,10 +1594,25 @@ def test_cfg_omitted_or_none_runs_the_default_config(run):
     assert pickle.dumps(run()) == want
     assert pickle.dumps(run(None)) == want
     for other in ({"max_terms": 10}, "default", 1e-10):
-        with pytest.raises(ParameterError, match=r"the oracle runs at abs_tol=1e-10, rel_tol="
-                           r"1e-10, max_subdivisions=2000, series_tail_tol=1e-14, "
-                           r"max_terms=10000000 only, got cfg="):
+        with pytest.raises(ParameterError, match=NOT_THE_CONFIG):
             run(other)
+
+
+# a value that is neither None nor an OracleConfig instance, among them falsy ones and
+# look-alikes that carry the settings' values
+NOT_A_CONFIG = {
+    "settings_dict": {"max_terms": 10}, "string": "default", "float": 1e-10, "zero": 0,
+    "false": False, "the_class": OracleConfig,
+    "settings_tuple": (1e-10, 1e-10, 2000, 1e-14, 10**7),
+    "namespace": types.SimpleNamespace(max_terms=10**7),
+}
+
+
+@pytest.mark.parametrize("other", NOT_A_CONFIG.values(), ids=NOT_A_CONFIG)
+@pytest.mark.parametrize("run", DEFAULT_CONFIG_RUNS.values(), ids=DEFAULT_CONFIG_RUNS)
+def test_any_other_cfg_is_a_parameter_error_naming_the_settings(run, other):
+    with pytest.raises(ParameterError, match=NOT_THE_CONFIG + re.escape(repr(other))):
+        run(other)
 
 
 @pytest.mark.parametrize("width", [math.ulp(1.0) * k for k in (1, 2, 3, 5)] + [1e-14],
