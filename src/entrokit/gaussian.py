@@ -16,6 +16,15 @@ complement, updated by one BLAS-3 product.  O(n^3) flops, O(n^2) memory,
 no row or column swaps.  The two routines share no code, so the tests
 use the pivoted one as the reference for the recursion.
 
+The constructor reads a general matrix in memory order.  Its symmetry
+test takes max |a_ij - a_ji| over 64 x 64 tiles, each on or above the
+diagonal beside its transposed partner (the blocked transposition of
+Frigo, Leiserson, Prokop & Ramachandran, 1999), where a whole a - a.T
+would stride across the matrix; the bound is 1e-14 * max |a_ij| at every
+scale.  The factorization gathers each Schur complement with `take`, row
+panel then columns.  det, log det and entropy follow from the pivots
+once, at construction, and every function below reads them.
+
 Singularity is decided by rank alone.  A pivot at or below the relative
 floor 1e-12 * max(a_ii) ends the factorization: the matrix is singular
 (det 0, entropy -inf) if what remains is consistent with rank
@@ -38,7 +47,8 @@ from .errors import (NotPSDError, ParameterError, SingularCovarianceError, as_in
                      as_iterable, as_real)
 
 _PIVOT_REL_FLOOR = 1e-12
-_SYM_TOL = 1e-14
+_SYM_TOL = 1e-14  # relative to max |a_ij|
+_SYM_TILE = 64  # tile side of the symmetry test: 64 x 64 doubles are 32 KB
 _PANEL = 64  # pivoting steps per BLAS-3 update; at n = 256, 16-48 are slower, 96-128 no faster
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 # the largest fGn size; checked before anything of size n is allocated
@@ -76,13 +86,12 @@ class CovMatrix:
         a = _real_array(self.entries, "covariance entries")
         if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
             raise ParameterError(f"covariance must be square with n >= 1, got shape {a.shape}")
-        scale = max(float(a.max()), -float(a.min())) or 1.0
+        scale = max(float(a.max()), -float(a.min()))
         if not math.isfinite(scale):
             raise ParameterError(f"covariance entries must be finite, got max |a_ij| = {scale}")
-        asym = np.subtract(a, a.T)
-        max_asym = float(np.abs(asym, out=asym).max())
-        if max_asym > _SYM_TOL * max(1.0, scale):
-            raise ParameterError("covariance must be symmetric to 1e-14")
+        max_asym = _max_asymmetry(a)
+        if max_asym > _SYM_TOL * scale:
+            raise ParameterError("covariance must be symmetric to 1e-14 * max |a_ij|")
         if max_asym > 0.0:  # exactly symmetric input keeps its entries
             a = 0.5 * (a + a.T)
         if np.any(np.diag(a) <= 0.0):
@@ -93,7 +102,8 @@ class CovMatrix:
         # a is exactly symmetric here (a[0, 1] == a[1, 0]): a[0, 0] == a[1, 1] is the O(1)
         # test that turns most non-Toeplitz matrices away before the full comparison
         toeplitz = len(a) == 1 or a[0, 0] == a[1, 1] and np.array_equal(a[1:, 1:], a[:-1, :-1])
-        object.__setattr__(self, "_factor", _levinson(a[0]) if toeplitz else _pivoted_factor(a))
+        object.__setattr__(self, "_factor",
+                           _factored(_levinson(a[0]) if toeplitz else _pivoted_factor(a)))
 
     @classmethod
     def _toeplitz(cls, r: np.ndarray) -> CovMatrix:
@@ -111,7 +121,7 @@ class CovMatrix:
         cov = cls.__new__(cls)
         object.__setattr__(cov, "entries",
                            np.lib.stride_tricks.sliding_window_view(lags, r.shape[0])[::-1])
-        object.__setattr__(cov, "_factor", _levinson(r))
+        object.__setattr__(cov, "_factor", _factored(_levinson(r)))
         return cov
 
     @property
@@ -128,6 +138,18 @@ class DetResult(NamedTuple):
     singular: bool
 
 
+def _max_asymmetry(a: np.ndarray) -> float:
+    """max |a_ij - a_ji|, one tile on or above the diagonal against its transposed partner
+    at a time: the same max as np.abs(a - a.T).max(), with both reads inside two tiles."""
+    n, worst = a.shape[0], 0.0
+    for i in range(0, n, _SYM_TILE):
+        for j in range(i, n, _SYM_TILE):
+            tile = np.subtract(a[i:i + _SYM_TILE, j:j + _SYM_TILE],
+                               a[j:j + _SYM_TILE, i:i + _SYM_TILE].T)
+            worst = max(worst, float(np.abs(tile, out=tile).max()))
+    return worst
+
+
 def _pivoted_factor(a: np.ndarray):
     """Pivots of the diagonally pivoted Cholesky factorization of a.
 
@@ -138,9 +160,10 @@ def _pivoted_factor(a: np.ndarray):
     the start-of-panel Schur complement s minus the panel's own columns
     (at most _PANEL terms), lowers d by the column's squares and marks the
     index done.  At the end of the panel the unchosen indices are gathered
-    into a compact s, and the panel's columns are subtracted from it in one
-    BLAS-3 product.  No row or column is swapped.  d never increases, so
-    the pivots come out non-increasing.
+    into a compact s (`take` along rows, then columns: each reads its
+    source in memory order), and the panel's columns are subtracted from
+    it in one BLAS-3 product.  No row or column is swapped.  d never
+    increases, so the pivots come out non-increasing.
 
     Returns (pivots, singular).  The pivot list is in elimination order;
     a rank-deficient stop pads the remainder with zeros.
@@ -163,7 +186,7 @@ def _pivoted_factor(a: np.ndarray):
                 # PSD forces the remaining block s[rest, rest] - L L^T to vanish with its diagonal
                 rest = np.flatnonzero(d > -math.inf)
                 done = low[:t, rest]
-                rem = s[np.ix_(rest, rest)]
+                rem = s.take(rest, 0).take(rest, 1)
                 rem -= done.T @ done
                 if float(np.max(np.abs(rem))) > 1e4 * max(floor, 1e-300):
                     raise NotPSDError(
@@ -171,13 +194,13 @@ def _pivoted_factor(a: np.ndarray):
                 return pivots, True
             pivots[k0 + t] = piv
             col = low[t]
-            np.subtract(s[p], low[:t, p] @ low[:t], out=col)
+            np.subtract(s[p], np.dot(low[:t, p], low[:t]), out=col)
             col /= math.sqrt(piv)
             d -= col * col
             d[p] = -math.inf  # done; -inf stays below every remaining d
         rest = np.flatnonzero(d > -math.inf)
         d, low = d[rest], low[:, rest]
-        s = s[np.ix_(rest, rest)]
+        s = s.take(rest, 0).take(rest, 1)
         s -= low.T @ low
     return pivots, False
 
@@ -227,7 +250,7 @@ def cholesky_pivots(a: CovMatrix) -> np.ndarray:
     in natural order.  All pivots strictly positive certifies positive
     definiteness even when the determinant itself underflows.
     """
-    return a._factor[0].copy()
+    return a._factor.pivots.copy()
 
 
 def _exp(log_value: float) -> float:
@@ -251,14 +274,25 @@ def _prod_and_log(factors: np.ndarray) -> tuple[float, float]:
     return value, log_value
 
 
-def _det_and_entropy(factor) -> tuple[DetResult, float | None]:
-    """Determinant and Gaussian entropy (None if singular) from (pivots, singular)."""
+class _Factored(NamedTuple):
+    """A matrix's factorization and what follows from its pivots, computed once."""
+
+    pivots: np.ndarray
+    singular: bool
+    det: float
+    log_det: float  # -inf if singular
+    entropy: float | None  # None if singular
+
+
+def _factored(factor) -> _Factored:
+    """(pivots, singular) with the determinant, its log and the Gaussian entropy."""
     pivots, singular = factor
     if singular:
-        return DetResult(0.0, True), None
-    value, log_det = _prod_and_log(pivots)
+        return _Factored(pivots, True, 0.0, -math.inf, None)
+    det, log_det = _prod_and_log(pivots)
     n = pivots.shape[0]
-    return DetResult(value, False), 0.5 * n * (1.0 + math.log(2.0 * math.pi)) + 0.5 * log_det
+    return _Factored(pivots, False, det, log_det,
+                     0.5 * n * (1.0 + math.log(2.0 * math.pi)) + 0.5 * log_det)
 
 
 def det_psd(a: CovMatrix) -> DetResult:
@@ -270,7 +304,7 @@ def det_psd(a: CovMatrix) -> DetResult:
     range reports inf, both with the flag clear; gaussian_entropy stays
     finite for both.
     """
-    return _det_and_entropy(a._factor)[0]
+    return DetResult(a._factor.det, a._factor.singular)
 
 
 def gaussian_entropy(a: CovMatrix) -> float:
@@ -279,7 +313,7 @@ def gaussian_entropy(a: CovMatrix) -> float:
     (n/2)(1 + log 2 pi) + (1/2) sum log pivots; raises
     SingularCovarianceError when the matrix is rank-deficient.
     """
-    entropy = _det_and_entropy(a._factor)[1]
+    entropy = a._factor.entropy
     if entropy is None:
         raise SingularCovarianceError(
             "covariance determinant is 0; the entropy is -inf and not representable")
@@ -296,21 +330,13 @@ def hadamard_gap(a: CovMatrix) -> float:
     # a diagonal matrix pivots on its diagonal in descending order, so taking the
     # diagonal in that order makes both products (and both log sums) equal
     hadamard, log_hadamard = _prod_and_log(np.sort(np.diag(a.entries))[::-1])
-    pivots, singular = a._factor
-    if singular:
+    factor = a._factor
+    if factor.singular:
         return hadamard
-    det, log_det = _prod_and_log(pivots)
     if hadamard < math.inf:
-        return hadamard - det
-    rel = -math.expm1(log_det - log_hadamard)  # 1 - det / prod(a_ii)
+        return hadamard - factor.det
+    rel = -math.expm1(factor.log_det - log_hadamard)  # 1 - det / prod(a_ii)
     return 0.0 if rel == 0.0 else math.copysign(_exp(log_hadamard + math.log(abs(rel))), rel)
-
-
-def _pow_keep_zero(base: float, exponent: float) -> float:
-    # 0**(2H) is 0 for every H > 0; keeping that at H = 0 is the
-    # continuity convention that reproduces the independent-increment
-    # covariance of the H = 0 noise (lag-1 correlation -1/2)
-    return 0.0 if base == 0.0 else base**exponent
 
 
 def _fgn_autocovariance(n: int, hurst: float) -> np.ndarray:
@@ -323,8 +349,11 @@ def _fgn_autocovariance(n: int, hurst: float) -> np.ndarray:
     if not 0.0 <= hurst <= 1.0:
         raise ParameterError(f"hurst index must lie in [0, 1], got {hurst}")
     two_h = 2.0 * hurst
-    # j**2H for j = 0..n, one pow each; np.power can differ from pow by an ulp
-    pows = np.array([_pow_keep_zero(float(j), two_h) for j in range(n + 1)])
+    # j**2H for j = 0..n, one pow each; np.power can differ from pow by an ulp.
+    # 0**(2H) is 0 for every H > 0; keeping that at H = 0 is the continuity
+    # convention that reproduces the independent-increment covariance of the
+    # H = 0 noise (lag-1 correlation -1/2)
+    pows = np.array([0.0] + [float(j) ** two_h for j in range(1, n + 1)])
     rho = np.empty(n)
     rho[0] = 1.0
     rho[1:] = 0.5 * (pows[2:] - 2.0 * pows[1:n] + pows[:n - 1])
@@ -363,8 +392,8 @@ def fgn_det_sweep(n: int, hurst_grid) -> list[FgnSweepRow]:
     """
     rows = []
     for h in as_iterable(hurst_grid, "hurst_grid"):
-        det, entropy = _det_and_entropy(fgn_covariance(n, h)._factor)
-        rows.append(FgnSweepRow(float(h), det.value, det.singular, entropy))
+        factor = fgn_covariance(n, h)._factor
+        rows.append(FgnSweepRow(float(h), factor.det, factor.singular, factor.entropy))
     return rows
 
 

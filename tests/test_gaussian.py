@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -58,12 +59,21 @@ class TestCovMatrix:
                   np.diag([1e308, 0.5e308])):  # 0.5 * (a + a.T) would overflow here
             assert np.array_equal(CovMatrix(np.array(m)).entries, m)
 
-    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
-    def test_non_finite_entries_rejected(self, bad):
-        with pytest.raises(ParameterError, match="finite"):
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_entries_rejected(self, rng, bad):
+        # one message, wherever the entry sits among the symmetry test's tiles
+        message = re.escape(f"covariance entries must be finite, got max |a_ij| = {abs(bad)}")
+        message = f"^{message}$"
+        with pytest.raises(ParameterError, match=message):
             CovMatrix(np.array([[1.0, bad], [bad, 1.0]]))
-        with pytest.raises(ParameterError, match="finite"):
+        with pytest.raises(ParameterError, match=message):
             CovMatrix(np.diag([bad, 1.0]))
+        for n in (65, 300):
+            for i, j in ((0, 1), (n - 1, 0), (n - 1, n - 1)):
+                a = random_psd(rng, n)
+                a[i, j] = bad
+                with pytest.raises(ParameterError, match=message):
+                    CovMatrix(a)
 
     def test_string_entries_rejected(self):
         for entries in ([["a", "0"], ["0", "1"]], [["1", "0"], ["0", "1"]]):
@@ -110,6 +120,75 @@ class TestCovMatrix:
             assert paths == ["_levinson" if is_toeplitz else "_pivoted_factor"]
             assert got[1] == want[1]
             assert np.asarray(got[0]).tobytes() == np.asarray(want[0]).tobytes()
+
+
+def at_tolerance(y, bound):
+    """The largest double x with x - y <= bound, the difference rounded as floats round it."""
+    x = y + bound
+    while x - y > bound:
+        x = math.nextafter(x, -math.inf)
+    while math.nextafter(x, math.inf) - y <= bound:
+        x = math.nextafter(x, math.inf)
+    return x
+
+
+def untiled_reference(a):
+    """(entries, pivots) CovMatrix must give a, from np.abs(a - a.T).max(); None to reject."""
+    if np.abs(a - a.T).max() > 1e-14 * np.abs(a).max():
+        return None
+    sym = a if np.array_equal(a, a.T) else 0.5 * (a + a.T)
+    pivots = gaussian._levinson(sym[0]) if len(sym) == 1 else gaussian._pivoted_factor(sym)
+    return sym, pivots[0]
+
+
+class TestSymmetryTest:
+    """The tiled max |a_ij - a_ji| against the untiled one, at and past the tolerance."""
+
+    @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 129, 300])
+    def test_asymmetry_at_and_past_the_tolerance_in_each_tile(self, rng, n):
+        base = random_psd(rng, n)
+        scale = float(np.abs(base).max())
+        # the first tile, an off-diagonal tile (the first one's partner for n <= 64) and
+        # the last, partial tile, each on both sides of the diagonal
+        places = [(1, 0), (0, n - 1), (n - 1, n - 2), (0, 1), (n - 1, 0), (n - 2, n - 1)]
+        cases = [base]
+        for i, j in places if n > 1 else ():
+            x = at_tolerance(base[j, i], 1e-14 * scale)
+            for value in (x, math.nextafter(x, math.inf)):
+                a = base.copy()
+                a[i, j] = value
+                assert np.abs(a).max() == scale
+                cases.append(a)
+        accepted = 0
+        for a in cases:
+            want = untiled_reference(a)
+            if want is None:
+                with pytest.raises(ParameterError, match=re.escape("1e-14 * max |a_ij|")):
+                    CovMatrix(a)
+                continue
+            cov = CovMatrix(a)
+            assert cov.entries.tobytes() == want[0].tobytes()
+            assert cholesky_pivots(cov).tobytes() == want[1].tobytes()
+            accepted += 1
+        assert accepted == 1 + len(cases) // 2  # base, then each place at the tolerance
+
+    def test_accepts_or_rejects_alike_at_every_scale(self):
+        """The bound is 1e-14 * max |a_ij|: a matrix scaled by a power of two is accepted or
+        rejected as the matrix itself is, its entries scaled with it."""
+        base = np.array([[1.0, 0.25, 0.0], [0.25, 1.0, 0.5], [0.0, 0.5, 1.0]])
+        inside, at, past = base.copy(), base.copy(), base.copy()
+        inside[2, 0], at[2, 0], past[2, 0] = 0.5e-14, 1e-14, math.nextafter(1e-14, 1.0)
+        for a, accepted in ((base, True), (inside, True), (at, True), (past, False)):
+            entries = CovMatrix(a).entries if accepted else None
+            for k in range(-900, 901):
+                c = 2.0**k
+                if accepted:
+                    assert np.array_equal(CovMatrix(c * a).entries, c * entries)
+                else:
+                    with pytest.raises(ParameterError, match="symmetric"):
+                        CovMatrix(c * a)
+        with pytest.raises(ParameterError, match="symmetric"):
+            CovMatrix([[1e-20, 2e-21], [1e-21, 1e-20]])
 
 
 class TestDetPsd:
@@ -316,23 +395,33 @@ def test_int_and_float_entries_are_read_as_floats():
                           [[4.0, -6.0], [-6.0, 9.0]])
 
 
-def test_each_matrix_is_factored_once(monkeypatch):
+def test_each_matrix_is_factored_once(monkeypatch, rng):
+    """One factorization per matrix, and one product of its pivots: det_psd, gaussian_entropy
+    and hadamard_gap read the det and log det taken at construction."""
     from entrokit import gaussian
 
-    calls = []
+    calls, products, prod_and_log = [], [], gaussian._prod_and_log
     for name in ("_pivoted_factor", "_levinson"):
         factor = getattr(gaussian, name)
         monkeypatch.setattr(gaussian, name, lambda a, factor=factor: calls.append(1) or factor(a))
+    monkeypatch.setattr(gaussian, "_prod_and_log",
+                        lambda f: products.append(np.array(f)) or prod_and_log(f))
     fgn_det_sweep(6, [0.2, 0.5, 0.8, 1.0])
-    assert len(calls) == 4
-    a = fgn_covariance(6, 0.7)
-    before = det_psd(a)
-    pivots = cholesky_pivots(a)
-    pivots[:] = 0.0  # a copy: the kept factorization is unaffected
-    gaussian_entropy(a)
-    hadamard_gap(a)
-    assert det_psd(a) == before
-    assert len(calls) == 5
+    assert len(calls) == 4 and len(products) == 3  # H = 1 is singular: no product
+    for build in (lambda: fgn_covariance(6, 0.7), lambda: CovMatrix(random_psd(rng, 70))):
+        products.clear()
+        a = build()
+        before = det_psd(a)
+        pivots = cholesky_pivots(a)
+        pivots[:] = 0.0  # a copy: the kept factorization is unaffected
+        gaussian_entropy(a)
+        hadamard_gap(a)
+        assert det_psd(a) == before
+        # the pivots' product, taken at construction, then hadamard_gap's of the diagonal
+        assert len(products) == 2
+        assert np.array_equal(products[0], cholesky_pivots(a))
+        assert np.array_equal(products[1], np.sort(np.diag(a.entries))[::-1])
+    assert len(calls) == 6
 
 
 def toeplitz(r):

@@ -29,7 +29,7 @@ def test_one_row_per_family_and_the_all_row_pools_them(capsys):
     before = wrapped()
     assert tool.main([]) == 0
     assert wrapped() == before
-    continuous, kl, series, closed = capsys.readouterr().out.split("\n\n")
+    continuous, kl, series, closed, gauss = capsys.readouterr().out.split("\n\n")
     per_family = 60 * len(ORACLE_MEASURES)  # selftest's draws per family at its default
     check_quadrature_table(continuous, "continuous", {f: per_family for f in ORACLE_FAMILIES})
     far = 2 * len(tool.FAR_UNITS)
@@ -37,6 +37,7 @@ def test_one_row_per_family_and_the_all_row_pools_them(capsys):
     check_quadrature_table(kl, "kl", kl_counts)
     check_series_table(series, tool.RATES)
     check_closed_table(closed, {f: kl_counts.get(f, 0) for f in ORACLE_FAMILIES})
+    check_gaussian_table(gauss, tool)
 
 
 def check_quadrature_table(text, name, counts):
@@ -93,6 +94,64 @@ def check_closed_table(text, kl_counts):
     name, values, digest = total.split()
     assert (name, int(values)) == ("all", sum(int(c[0]) for c in cells.values()))
     assert len({c[1] for c in cells.values()} | {digest}) == len(cells) + 1
+
+
+def check_gaussian_table(text, tool):
+    """Per class of covariance: matrices, digest; one row per size and Hurst index, and one more
+    per size for general."""
+    header, *rows, total = text.splitlines()
+    assert header.split() == ["gaussian", "values", "digest"]
+    per_size = 3 + tool.GAUSS_HURST
+    sizes = len(tool.GAUSS_SIZES)
+    counts = {"toeplitz": per_size * sizes, "general": (per_size + 1) * sizes}
+    cells = {row.split()[0]: row.split()[1:] for row in rows}
+    assert {kind: int(c[0]) for kind, c in cells.items()} == counts
+    name, values, digest = total.split()
+    assert (name, int(values)) == ("all", sum(counts.values()))
+    assert len({c[1] for c in cells.values()} | {digest}) == 3
+
+
+def test_gaussian_values_are_the_packages_and_one_ulp_moves_their_digest():
+    """Each gaussian row holds det, the singular flag, the entropy or its error's class,
+    hadamard_gap and the pivots in float.hex, for fGn matrices, rescaled ones and rescaled ones
+    inside the symmetry tolerance, at every size over H = 0, 1/2, 1 and seeded indices."""
+    import numpy as np
+    from entrokit import CovMatrix, cholesky_pivots, fgn_covariance, gaussian_entropy, hadamard_gap
+
+    tool = load_tool()
+    inputs = tool.gaussian_inputs()
+    work = tool.gaussian_work()
+    assert tuple(work) == ("toeplitz", "general")
+    for kind in work:
+        assert work[kind] == [(tool.gaussian_values(build),)
+                              for k, _, _, build in inputs if k == kind]
+    for kind in work:
+        for n in tool.GAUSS_SIZES:
+            hursts = [h for k, size, h, _ in inputs if (k, size) == (kind, n)]
+            assert hursts[:3] == [0.0, 0.5, 1.0] and all(0.0 <= h <= 1.0 for h in hursts)
+    inside = 0
+    for kind, n, h, build in inputs:
+        a = build()
+        toeplitz = np.array_equal(a.entries[1:, 1:], a.entries[:-1, :-1])
+        assert a.n == n and toeplitz == (kind == "toeplitz")
+        if kind == "general":  # the entries handed to CovMatrix
+            m = build.args[0]
+            inside += not np.array_equal(m, m.T)
+            assert np.abs(m - m.T).max() <= 1e-14 * np.abs(m).max()
+    assert inside == len(tool.GAUSS_SIZES)
+    a = fgn_covariance(64, 1.0)
+    assert tool.gaussian_values(lambda: a) == (
+        f"0x0.0p+0 True SingularCovarianceError {hadamard_gap(a).hex()} "
+        + " ".join(p.hex() for p in cholesky_pivots(a).tolist()))
+    a = CovMatrix(np.diag([2.0, 3.0]))
+    assert tool.gaussian_values(lambda: a) == (
+        f"{(6.0).hex()} False {gaussian_entropy(a).hex()} {(0.0).hex()} "
+        f"{(3.0).hex()} {(2.0).hex()}")
+    assert tool.gaussian_values(lambda: CovMatrix([[1.0, 0.5], [0.0, 1.0]])) == "ParameterError"
+    values = work["general"]
+    det, *rest = values[-1][0].split(" ")
+    moved = [*values[:-1], (" ".join([math.nextafter(float.fromhex(det), 0.0).hex(), *rest]),)]
+    assert tool.digest(values) == tool.digest(list(values)) != tool.digest(moved)
 
 
 def test_series_counts_are_the_engines_calls(monkeypatch):

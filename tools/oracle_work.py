@@ -3,7 +3,7 @@
 Each continuous oracle value is one adaptive Gauss-Kronrod run, and each
 pass of a run is one call of the oracle's panel rule on 15 nodes a panel;
 its points are counted where the rule hands them to the integrand, so the
-tool reads any revision's panel rule alike.  Four tables follow, each
+tool reads any revision's panel rule alike.  Five tables follow, each
 named by the first word of its header and ended by a blank line:
 
 * continuous: per family, the number of oracle values, the mean passes
@@ -26,7 +26,13 @@ named by the first word of its header and ended by a blank line:
 * closed: per family, the number of closed-form values and their digest:
   every closed_form.evaluate result of the selftest run above, then
   kl_divergence on the KL pairs (an error, as for a normal pair, which
-  has no closed form, counts by its class name).
+  has no closed form, counts by its class name);
+* gaussian: per class of covariance, the number of matrices and a digest
+  of det, the singular flag, the entropy (or its error's class name),
+  hadamard_gap and cholesky_pivots (float.hex), at n = 64, 128, 256 and
+  512 over Hurst indices 0, 1/2, 1 and seeded ones: toeplitz is
+  fgn_covariance, general a rescaled, exactly symmetrized fGn matrix,
+  then per size one more whose asymmetry lies inside the tolerance.
 
 Counts, not times: they repeat exactly on any machine, and a digest
 changes when any bit of a value (or of a sum or its bound) moves.
@@ -38,7 +44,7 @@ changes when any bit of a value (or of a sum or its bound) moves.
 Another revision's tree comes from `git archive REV src | tar -x -C DIR`.
 --compare prints two lines per table: whether its digests moved, and
 whether its work did (passes or calls, and points per value); a table
-without work columns (closed) gets the first line only:
+without work columns (closed, gaussian) gets the first line only:
 
     discrete values identical
     discrete work moved: poisson calls 1.375 -> 1.000, points 452.5 -> 420.5
@@ -49,6 +55,7 @@ import hashlib
 import os
 import sys
 from collections import defaultdict
+from functools import partial
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -58,6 +65,8 @@ POISSON_SEED, RATES = 13, 10  # the rates of the limits' Poisson series
 KL_SEED, KL_PAIRS = 11, 40  # the KL pairs: desk draws per family
 KL_FAMILIES = ("gamma", "exp", "chisq", "laplace", "lognormal", "normal")
 FAR_UNITS = (1e3, 1e4, 1e5, 3e3, 3e4)  # of p's scale, between the centres of a far pair
+GAUSS_SEED, GAUSS_HURST = 17, 5  # the Gaussian inputs: seeded Hurst indices per size
+GAUSS_SIZES = (64, 128, 256, 512)
 
 
 @contextlib.contextmanager
@@ -239,10 +248,67 @@ def closed_kl() -> dict[str, list[tuple[str]]]:
     return dict(values)
 
 
+def gaussian_inputs():
+    """(class, n, hurst, build) of each Gaussian input; build() makes its covariance, a
+    partial of fgn_covariance (toeplitz) or of CovMatrix on the entries it is handed (general).
+
+    Per size in GAUSS_SIZES and Hurst index (0, 1/2, 1, then GAUSS_HURST
+    uniform draws): fgn_covariance (toeplitz), and D^1/2 R D^1/2 of its
+    entries R with variances D log-uniform over [0.1, 10], symmetrized
+    exactly (general).  Then per size one general input at a seeded Hurst
+    index whose upper triangle is raised by up to 0.5e-14 max |a_ij|.
+    """
+    import numpy as np
+    from entrokit import CovMatrix, fgn_covariance
+
+    rng = np.random.default_rng(GAUSS_SEED)
+    inputs = []
+    for n in GAUSS_SIZES:
+        for h in (0.0, 0.5, 1.0, *(float(h) for h in rng.uniform(0.0, 1.0, GAUSS_HURST))):
+            sd = np.sqrt(10.0 ** rng.uniform(-1.0, 1.0, n))
+            m = sd[:, None] * fgn_covariance(n, h).entries * sd[None, :]
+            m = 0.5 * (m + m.T)
+            inputs.append(("toeplitz", n, h, partial(fgn_covariance, n, h)))
+            inputs.append(("general", n, h, partial(CovMatrix, m)))
+        h, sd = float(rng.uniform(0.0, 1.0)), np.sqrt(10.0 ** rng.uniform(-1.0, 1.0, n))
+        m = sd[:, None] * fgn_covariance(n, h).entries * sd[None, :]
+        m = m + np.triu(rng.uniform(0.0, 0.5e-14 * float(np.abs(m).max()), (n, n)), 1)
+        inputs.append(("general", n, h, partial(CovMatrix, m)))
+    return inputs
+
+
+def gaussian_values(build) -> str:
+    """det, singular flag, entropy (or its error's class name), hadamard_gap and the pivots
+    of build()'s covariance in float.hex, or the class name of the error building it raised."""
+    from entrokit import cholesky_pivots, det_psd, gaussian_entropy, hadamard_gap
+    from entrokit.errors import EntrokitError
+
+    try:
+        a = build()
+    except EntrokitError as error:
+        return type(error).__name__
+    det = det_psd(a)
+    try:
+        entropy = gaussian_entropy(a).hex()
+    except EntrokitError as error:
+        entropy = type(error).__name__
+    pivots = " ".join(p.hex() for p in cholesky_pivots(a).tolist())
+    return f"{det.value.hex()} {det.singular} {entropy} {hadamard_gap(a).hex()} {pivots}"
+
+
+def gaussian_work() -> dict[str, list[tuple[str]]]:
+    """Class -> (gaussian_values,) of each of gaussian_inputs(), in order."""
+    values = defaultdict(list)
+    for kind, _, _, build in gaussian_inputs():
+        values[kind].append((gaussian_values(build),))
+    return dict(values)
+
+
 def digest(values) -> str:
     """The first 12 hex digits of the SHA-256 of each row's last field, one line each.
 
-    That field is an oracle value, or a sum and its bound, in float.hex.
+    That field is an oracle value, a sum and its bound, or a Gaussian matrix's values, in
+    float.hex.
     """
     return hashlib.sha256("".join(f"{v[-1]}\n" for v in values).encode()).hexdigest()[:12]
 
@@ -311,6 +377,10 @@ def main(argv) -> int:
         closed[family] = closed.get(family, []) + kl
     for family, values in pooled(closed).items():
         print(f"{family:<12} {len(values):>6} {digest(values):>12}")
+    print()
+    print(f"{'gaussian':<12} {'values':>6} {'digest':>12}")
+    for kind, values in pooled(gaussian_work()).items():
+        print(f"{kind:<12} {len(values):>6} {digest(values):>12}")
     return 0
 
 
