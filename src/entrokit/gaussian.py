@@ -16,14 +16,11 @@ complement, updated by one BLAS-3 product.  O(n^3) flops, O(n^2) memory,
 no row or column swaps.  The two routines share no code, so the tests
 use the pivoted one as the reference for the recursion.
 
-The constructor reads a general matrix in memory order.  Its symmetry
-test takes max |a_ij - a_ji| over 64 x 64 tiles, each on or above the
-diagonal beside its transposed partner (the blocked transposition of
-Frigo, Leiserson, Prokop & Ramachandran, 1999), where a whole a - a.T
-would stride across the matrix; the bound is 1e-14 * max |a_ij| at every
+The symmetry bound is max |a_ij - a_ji| <= 1e-14 * max |a_ij| at every
 scale.  The factorization gathers each Schur complement with `take`, row
-panel then columns.  det, log det and entropy follow from the pivots
-once, at construction, and every function below reads them.
+panel then columns, each read in memory order.  det, log det and entropy
+follow from the pivots once, at construction, and every function below
+reads them.
 
 Singularity is decided by rank alone.  A pivot at or below the relative
 floor 1e-12 * max(a_ii) ends the factorization: the matrix is singular
@@ -48,7 +45,6 @@ from .errors import (NotPSDError, ParameterError, SingularCovarianceError, as_in
 
 _PIVOT_REL_FLOOR = 1e-12
 _SYM_TOL = 1e-14  # relative to max |a_ij|
-_SYM_TILE = 64  # tile side of the symmetry test: 64 x 64 doubles are 32 KB
 _PANEL = 64  # pivoting steps per BLAS-3 update; at n = 256, 16-48 are slower, 96-128 no faster
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 # the largest fGn size; checked before anything of size n is allocated
@@ -89,7 +85,9 @@ class CovMatrix:
         scale = max(float(a.max()), -float(a.min()))
         if not math.isfinite(scale):
             raise ParameterError(f"covariance entries must be finite, got max |a_ij| = {scale}")
-        max_asym = _max_asymmetry(a)
+        asym = np.subtract(a, a.T)
+        max_asym = float(np.abs(asym, out=asym).max())
+        del asym  # n^2 doubles that would otherwise live through the factorization
         if max_asym > _SYM_TOL * scale:
             raise ParameterError("covariance must be symmetric to 1e-14 * max |a_ij|")
         if max_asym > 0.0:  # exactly symmetric input keeps its entries
@@ -98,7 +96,8 @@ class CovMatrix:
             raise ParameterError("covariance diagonal entries must be strictly positive")
         a.setflags(write=False)
         object.__setattr__(self, "entries", a)
-        # (pivots, singular), kept so each matrix is factored once; NotPSDError if not PSD.
+        # _Factored (pivots, singular, det, log det, entropy), kept so each matrix is factored
+        # and its pivots multiplied once; NotPSDError if not PSD.
         # a is exactly symmetric here (a[0, 1] == a[1, 0]): a[0, 0] == a[1, 1] is the O(1)
         # test that turns most non-Toeplitz matrices away before the full comparison
         toeplitz = len(a) == 1 or a[0, 0] == a[1, 1] and np.array_equal(a[1:, 1:], a[:-1, :-1])
@@ -136,18 +135,6 @@ _toeplitz_cov = CovMatrix._toeplitz
 class DetResult(NamedTuple):
     value: float
     singular: bool
-
-
-def _max_asymmetry(a: np.ndarray) -> float:
-    """max |a_ij - a_ji|, one tile on or above the diagonal against its transposed partner
-    at a time: the same max as np.abs(a - a.T).max(), with both reads inside two tiles."""
-    n, worst = a.shape[0], 0.0
-    for i in range(0, n, _SYM_TILE):
-        for j in range(i, n, _SYM_TILE):
-            tile = np.subtract(a[i:i + _SYM_TILE, j:j + _SYM_TILE],
-                               a[j:j + _SYM_TILE, i:i + _SYM_TILE].T)
-            worst = max(worst, float(np.abs(tile, out=tile).max()))
-    return worst
 
 
 def _pivoted_factor(a: np.ndarray):
@@ -194,13 +181,16 @@ def _pivoted_factor(a: np.ndarray):
                 return pivots, True
             pivots[k0 + t] = piv
             col = low[t]
+            # np.dot gives @'s doubles (the same strided gemv) with less dispatch; a contiguous
+            # copy of low[:t, p] would take another gemv kernel and change the last bits
             np.subtract(s[p], np.dot(low[:t, p], low[:t]), out=col)
             col /= math.sqrt(piv)
             d -= col * col
             d[p] = -math.inf  # done; -inf stays below every remaining d
         rest = np.flatnonzero(d > -math.inf)
         d, low = d[rest], low[:, rest]
-        s = s.take(rest, 0).take(rest, 1)
+        s = s.take(rest, 0)  # two statements: the old s is freed before the column gather
+        s = s.take(rest, 1)
         s -= low.T @ low
     return pivots, False
 

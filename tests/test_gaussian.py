@@ -61,7 +61,7 @@ class TestCovMatrix:
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_entries_rejected(self, rng, bad):
-        # one message, wherever the entry sits among the symmetry test's tiles
+        # one message, wherever the entry sits
         message = re.escape(f"covariance entries must be finite, got max |a_ij| = {abs(bad)}")
         message = f"^{message}$"
         with pytest.raises(ParameterError, match=message):
@@ -132,7 +132,7 @@ def at_tolerance(y, bound):
     return x
 
 
-def untiled_reference(a):
+def symmetry_reference(a):
     """(entries, pivots) CovMatrix must give a, from np.abs(a - a.T).max(); None to reject."""
     if np.abs(a - a.T).max() > 1e-14 * np.abs(a).max():
         return None
@@ -142,14 +142,14 @@ def untiled_reference(a):
 
 
 class TestSymmetryTest:
-    """The tiled max |a_ij - a_ji| against the untiled one, at and past the tolerance."""
+    """max |a_ij - a_ji| against a reference built on np.abs(a - a.T), at and past the tolerance."""
 
     @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 129, 300])
-    def test_asymmetry_at_and_past_the_tolerance_in_each_tile(self, rng, n):
+    def test_asymmetry_at_and_past_the_tolerance_at_each_corner(self, rng, n):
         base = random_psd(rng, n)
         scale = float(np.abs(base).max())
-        # the first tile, an off-diagonal tile (the first one's partner for n <= 64) and
-        # the last, partial tile, each on both sides of the diagonal
+        # next to the diagonal at the top-left and bottom-right and at the far corners, each
+        # on both sides of the diagonal
         places = [(1, 0), (0, n - 1), (n - 1, n - 2), (0, 1), (n - 1, 0), (n - 2, n - 1)]
         cases = [base]
         for i, j in places if n > 1 else ():
@@ -161,7 +161,7 @@ class TestSymmetryTest:
                 cases.append(a)
         accepted = 0
         for a in cases:
-            want = untiled_reference(a)
+            want = symmetry_reference(a)
             if want is None:
                 with pytest.raises(ParameterError, match=re.escape("1e-14 * max |a_ij|")):
                     CovMatrix(a)
