@@ -52,19 +52,21 @@ _PLANS:
   O(mean); a finite support (Binomial) ends at its last index at the
   latest, and _MAX_TERMS counts the terms summed.  The loop sums and
   certifies blocks of 64 doubling to 65536 terms.  Before anything is
-  evaluated, the plan's ratio bounds, walked from its peak (a bound on
-  log p at the mode: from the variance for Poisson and Binomial, 0 for
-  the others), predict the block where each direction's certificate
-  holds, and one log-pmf call evaluates both directions up to there, so
-  a sum mostly takes one call; a direction evaluates a later batch only
-  where that prediction fell short.  Memory is one batch (up to 32768
-  terms a direction, or one larger block).  The batch plan decides only
-  which call evaluates a term: a log p_k is the same double in any call
-  (but for the array-wide cut of stirlerr's series, an ulp of stirlerr
-  at most), so the blocks sum and certify alike.  A caller hands the
-  engine only what it sums (_Summand): its terms and error slopes on an
-  index array, a ratio bound past a term, and the size of a term under
-  a bound on log p.  There are two callers:
+  evaluated, each plan's scalar libm estimate of log p_k (lgamma, log
+  and log1p; no log-pmf call) is taken at the candidate block ends, and
+  the first end where the tail would certify is where each direction's
+  batch ends; one log-pmf call evaluates both directions up to there, so
+  a sum mostly takes one call holding exactly the terms it adds.  A
+  direction evaluates a later batch only where that prediction fell
+  short.  Memory is one batch (up to 32768 terms a direction, or one
+  larger block).  The batch plan decides only which call evaluates a
+  term: a log p_k is the same double in any call (but for the
+  array-wide cut of stirlerr's series, an ulp of stirlerr at most), so
+  the blocks sum and certify alike, and a wrong estimate costs a batch,
+  never a different sum.  A caller hands the engine only what it sums
+  (_Summand): its terms and error slopes on an index array, a ratio
+  bound past a term, and the size of a term at an estimate of log p
+  (times a weight, for discrete_expectation).  There are two callers:
   discrete_entropy_sum (p log p, p**alpha, p**alpha log p) and
   discrete_expectation (p_k w(k), which the Poisson series of limits
   use).
@@ -357,7 +359,7 @@ class _Plan(NamedTuple):
     mode: int = 0                  # index of the largest p_k; summation starts next to it
     down: Callable | None = None   # down(k) >= p_{j-1}/p_j for every j <= k
     mean: float | None = None      # log p_k is off by a few ulp of |k - mean| too
-    peak: float = 0.0              # >= log p at the mode, so at every k: where batch walks start
+    log_p: Callable | None = None  # log_p(k): a libm estimate of log p_k that sizes batches
 
 
 def _gamma_plan(d: Gamma | ChiSquared, alpha: float) -> _Plan:
@@ -378,19 +380,6 @@ def _exp_or_inf(x: float) -> float:
         return math.inf
 
 
-def _peak(var: float) -> float:
-    """A bound on log p at the mode of a Poisson or binomial law of variance var > 0.
-
-    The normal approximation's -log(2 pi var)/2 plus 1/(12 var), or 0.
-    On log-spaced grids (lambda in [1e-3, 1e8], n in [1, 1e9], p in
-    [1e-4, 1 - 1e-4]) log p at the mode exceeds the first part by at most
-    1/(24 var) once var >= 1, and stays below the sum at smaller var.  It
-    seeds only the batch prediction: a bound too low would cost calls,
-    never a different sum.
-    """
-    return min(0.0, -0.5 * math.log(2.0 * math.pi * var) + 1.0 / (12.0 * var))
-
-
 # plan(d, alpha) for the alpha-power integrand of d (alpha = 1 for KL)
 _PLANS = {
     Gamma: _gamma_plan,
@@ -404,15 +393,23 @@ _PLANS = {
     Uniform: lambda d, alpha: _Plan("interval"),
     Poisson: lambda d, alpha: _Plan(
         ratio=lambda k: d.lam / (k + 1.0), mode=math.floor(d.lam),
-        down=lambda k: k / d.lam, mean=d.lam, peak=_peak(d.lam)),
+        down=lambda k: k / d.lam, mean=d.lam,
+        log_p=lambda k: k * math.log(d.lam) - d.lam - math.lgamma(k + 1.0)),
     Binomial: lambda d, alpha: _Plan(
         ratio=lambda k: max(0, d.n - k) / (k + 1.0) * d.p / (1.0 - d.p),
         mode=math.floor((d.n + 1) * d.p),
         down=lambda k: k * (1.0 - d.p) / ((d.n - k + 1.0) * d.p), mean=d.n * d.p,
-        peak=_peak(d.n * d.p * (1.0 - d.p))),
+        log_p=lambda k: (math.lgamma(d.n + 1.0) - math.lgamma(k + 1.0)
+                         - math.lgamma(d.n - k + 1.0) + k * math.log(d.p)
+                         + (d.n - k) * math.log1p(-d.p))),
     NegBinomialConditional: lambda d, alpha: _Plan(
-        ratio=lambda k: (1.0 - d.p) * max(1.0, (k + d.r) / (k + 1.0))),
-    Logarithmic: lambda d, alpha: _Plan(ratio=lambda k: 1.0 - d.p),
+        ratio=lambda k: (1.0 - d.p) * max(1.0, (k + d.r) / (k + 1.0)),
+        log_p=lambda k: (math.lgamma(k + d.r) - math.lgamma(d.r) - math.lgamma(k + 1.0)
+                         + k * math.log1p(-d.p) + d.r * math.log(d.p)
+                         - math.log(-math.expm1(d.r * math.log(d.p))))),
+    Logarithmic: lambda d, alpha: _Plan(
+        ratio=lambda k: 1.0 - d.p,
+        log_p=lambda k: k * math.log1p(-d.p) - math.log(k) - math.log(-math.log(d.p))),
 }
 
 
@@ -547,7 +544,6 @@ _MAX_TERMS = 10**7  # the most terms a sum adds, both directions together
 # blocks at 32768 too doubles the running total's roundings past 65472 terms (Poisson(1e10)
 # 5.5e-15 -> 9.0e-15 off mpmath), and one block per call loosens the bounds (_series)
 _MAX_BATCH = 32768
-_WALK_PIECES = 4  # sub-steps per block in the walk that predicts where a batch ends
 _EXACT_INDEX = 2**53  # integer indices are exact floats up to here
 _MIN_NORMAL = 2.0**-1022  # below it a double rounds by 2**-1075 absolutely, not by _U relative
 
@@ -563,13 +559,15 @@ class _Summand(NamedTuple):
     all).  When rho bounds p_{j+step}/p_j for every j past a term with
     log p = lp in its direction (step +1 upward, -1 downward), ratio(rho,
     lp) times the term's grow bounds |t_{j+step}/t_j| there (grow inf: no
-    bound yet).  size(lp) is the |t_k| at log p_k <= lp that the batch
-    prediction assumes.
+    bound yet).  The batch prediction takes |t_k| to be w(k) size(lp) at
+    the estimate lp of log p_k, with w(k) from weights(list of indices),
+    or 1 where weights is None.
     """
 
     terms: Callable
     size: Callable
     ratio: Callable
+    weights: Callable | None = None
 
 
 def _geometric_tail(t: float, q: float) -> float:
@@ -596,41 +594,42 @@ def _tail_ratio(rho: float, lp_last: float, alpha: float, with_log: bool) -> flo
     return rho**alpha + 1.0 / (alpha * math.e * big_l)
 
 
-def _walk(rho: Callable, k: int, k_end: int, step: int, lp: float, top: float) -> float:
-    """A bound on log p at k_end from lp >= log p_k: n steps from j add n log rho(j), capped at top.
+def _ends(i: int, size: int, n: int) -> list[int]:
+    """The positions where a batch from the block at position i (size terms) may end.
 
-    top bounds every log p (the plan's peak); rho(j) bounds every step
-    from j on, so the walk takes _WALK_PIECES sub-steps.
+    The block ends up to position n, within 32768 terms of i or the
+    block at i, whichever is longer.
     """
-    piece = max(1, -(-abs(k_end - k) // _WALK_PIECES))
-    for j in range(k, k_end, step * piece):
-        r = rho(j)
-        lp = min(top, lp + min(piece, abs(k_end - j)) * math.log(r)) if r > 0.0 else -math.inf
-    return lp
+    cap, ends, end = min(n, i + max(_MAX_BATCH, size)), [], i
+    while (end := end + size) < cap:  # no block in the window reaches _MAX_BLOCK
+        ends.append(end)
+        size *= 2
+    if end == cap or cap == n:
+        ends.append(cap)
+    return ends
 
 
-def _reach(plan: _Plan, s: _Summand, first: int, step: int, n: int, i: int, size: int,
-           walk: tuple[int, float]) -> int:
-    """Where a batch from the block at position i (size terms) of a direction ends: a position.
+def _reach(plan: _Plan, s: _Summand, first: int, step: int, ends: list, weights=None) -> int:
+    """The first of ends (positions) where a direction's tail would certify; else the last.
 
-    The direction sums k = first + step j for j < n.  The batch ends at
-    the first block end, within 32768 terms (or the block at i) and n,
-    where the tail would certify under a bound on log p that walks by the
-    plan's ratio bound from walk = (index, bound on its log p) (_walk).
+    The direction sums k = first + step j.  At each end, the tail is
+    taken at the plan's libm estimate of log p there and at the weight
+    in the list weights (1 where it is None).  A wrong estimate costs a
+    batch, never a different sum.  An estimate above 0 or NaN reads 0,
+    as does one past libm's range (lgamma overflows, or a log of 0):
+    no certificate.
     """
     rho = plan.ratio if step > 0 else plan.down
-    (k, lp), end = walk, min(i + size, n)
-    have = end
-    while True:
-        k_end = first + step * (have - 1)
-        lp, k = _walk(rho, k, k_end, step, lp, plan.peak), k_end
+    for end, w in zip(ends[:-1], weights or [1.0] * len(ends)):  # the last end needs no test
+        k = first + step * (end - 1)
+        try:
+            lp = min(0.0, plan.log_p(k))
+        except (OverflowError, ValueError):
+            lp = 0.0
         if lp == -math.inf or _geometric_tail(
-                s.size(lp), s.ratio(rho(k_end), lp)) <= _SERIES_TAIL_TOL:
-            return have
-        size = min(2 * size, _MAX_BLOCK)
-        if have == n or min(have + size, n) > i + max(_MAX_BATCH, end - i):
-            return have
-        have = min(have + size, n)
+                w * s.size(lp), s.ratio(rho(k), lp)) <= _SERIES_TAIL_TOL:
+            return end
+    return ends[-1]
 
 
 def _evaluate(d: Distribution, plan: _Plan, s: _Summand, ks, down: int) -> tuple:
@@ -641,7 +640,7 @@ def _evaluate(d: Distribution, plan: _Plan, s: _Summand, ks, down: int) -> tuple
     absolute roundings (None where no term and no exp is below the
     smallest normal double).
     """
-    lp = np.asarray(logpmf(d, ks), dtype=float)
+    lp = logpmf(d, ks)
     lp_err = _LP_ULPS * _U * np.abs(lp)
     if plan.mean is not None:
         lp_err += _SHIFT_ULPS * _U * np.abs(ks - plan.mean)
@@ -654,13 +653,8 @@ def _evaluate(d: Distribution, plan: _Plan, s: _Summand, ks, down: int) -> tuple
     return lp, lp_err, t, slope, grow, halves
 
 
-def _slice(batch: tuple, lo: int, hi: int) -> tuple:
-    """The positions lo to hi of an _evaluate batch: contiguous views, a scalar grow as it is."""
-    return tuple(a[lo:hi] if isinstance(a, np.ndarray) else a for a in batch)
-
-
 def _series(d: Distribution, plan: _Plan, s: _Summand, first: int, step: int, budget: int,
-            batch: tuple) -> tuple[float, float, int]:
+            batch: tuple, base: int, have: int) -> tuple[float, float, int]:
     """Certified sum of t_k over k = first + step i, i < budget, ending at the support's end.
 
     Returns the sum, its bound (tail plus rounding) and the number of
@@ -682,31 +676,26 @@ def _series(d: Distribution, plan: _Plan, s: _Summand, first: int, step: int, bu
     2**-1075 |factor| for each nonzero e below it (the exp, carried into
     t by the factor).
 
-    batch is the direction's first batch, from position 0 on, as
-    _mode_sum evaluated it (_evaluate, in summation order; it may be
-    empty).  Where a block reaches past the batch, the engine evaluates
-    the next one, one logpmf call from that block on, to the position
-    _reach predicts by walking from the last term evaluated (from log p
-    <= the plan's peak at first, after an empty batch).  Where a batch
-    ends changes no block: a wrong prediction costs one more batch or
-    unused terms, never a different sum.  Making each batch one block
-    (one certificate per call) was measured on 720 seeded sums: it moved
-    505 values and loosened tail_bound by a median 2.2x (up to 244x), for
-    1-12% more sums per second.
+    batch is the _evaluate batch that _mode_sum made: position i of the
+    direction is its entry i - base, for the positions below have (in
+    summation order; none where have is 0).  Where a block reaches past
+    have, the engine evaluates the next batch, one logpmf call from that
+    block on, to the block end _reach picks.  Where a batch ends changes
+    no block: a wrong prediction costs one more batch or unused terms,
+    never a different sum.  Making each batch one block (one certificate
+    per call) was measured on 720 seeded sums: it moved 505 values and
+    loosened tail_bound by a median 2.2x (up to 244x), for 1-12% more
+    sums per second.
     """
     rho, stop = (plan.ratio, d.support[1]) if step > 0 else (plan.down, d.support[0])
     last = (int(stop) - first) * step  # past any budget where the support has no end
     n = min(budget, last + 1)
     total = rounding = 0.0
-    i = base = 0  # positions: this block's start and the batch's
-    have = len(batch[0])  # and the batch's end
-    size = _FIRST_BLOCK
+    i, size = 0, _FIRST_BLOCK
     while i < n:
         end = min(i + size, n)
         if end > have:  # the prediction fell short: a batch from this block on
-            lp = batch[0]
-            walk = (first + step * (have - 1), float(lp[-1])) if len(lp) else (first, plan.peak)
-            have = _reach(plan, s, first, step, n, i, size, walk)
+            have = _reach(plan, s, first, step, _ends(i, size, n))
             ks = first + step * np.arange(i, have)
             batch, base = _evaluate(d, plan, s, ks, len(ks) if step < 0 else 0), i
         lp, lp_err, t, slope, grow, halves = batch
@@ -720,9 +709,9 @@ def _series(d: Distribution, plan: _Plan, s: _Summand, first: int, step: int, bu
             rounding += 2.0**-1074 * math.ceil(0.5 * float(halves[a:b].sum()))
         if end - 1 == last:
             return total, rounding, end
-        q = s.ratio(rho(first + step * (end - 1)), float(lp[b - 1]))
-        q *= float(grow[b - 1]) if np.ndim(grow) else grow
-        tail = _geometric_tail(float(t[b - 1]), q)
+        q = s.ratio(rho(first + step * (end - 1)), lp.item(b - 1))
+        q *= grow.item(b - 1) if isinstance(grow, np.ndarray) else grow
+        tail = _geometric_tail(t.item(b - 1), q)
         if tail <= _SERIES_TAIL_TOL:
             return total, tail + rounding, end
         i, size = end, min(2 * size, _MAX_BLOCK)
@@ -737,15 +726,18 @@ def _mode_sum(d: Distribution, plan: _Plan, s: _Summand) -> SeriesResult:
     k0 is above the first index of d.support, downward from k0 - 1, each
     direction with its own tail certificate below _SERIES_TAIL_TOL
     (_series).  A direction also ends at the end of a finite support.
-    Before any evaluation, both directions' first batches are predicted
-    (_reach) by walks that start from log p_k0 <= the plan's peak, and
-    one logpmf call and one s.terms call evaluate them together: the
-    indices run from k0 - 1 down, then from k0 up, so that each direction
-    reads a contiguous slice in its summation order.  A direction
-    evaluates a later batch only where its prediction fell short.
-    last_k is the last index summed upward and tail_bound includes
-    rounding.  SeriesBudgetError is raised once _MAX_TERMS terms (both
-    directions together) are summed without a certificate.
+    Before any evaluation, _reach picks each direction's first batch from
+    the plan's estimate of log p at its block ends, under a weight of 1.
+    Where a summand has weights and either batch passes its first block,
+    one weights call on both directions' block ends decides them instead
+    (a sum that certifies within its first blocks pays no weight call).
+    One logpmf call and one s.terms call evaluate both batches together:
+    the indices run from k0 - 1 down, then from k0 up, so that each
+    direction reads a contiguous slice in its summation order.  A
+    direction evaluates a later batch only where its prediction fell
+    short.  last_k is the last index summed upward and tail_bound
+    includes rounding.  SeriesBudgetError is raised once _MAX_TERMS terms
+    (both directions together) are summed without a certificate.
     """
     if plan.mode > _EXACT_INDEX:
         raise SeriesBudgetError(
@@ -753,19 +745,27 @@ def _mode_sum(d: Distribution, plan: _Plan, s: _Summand) -> SeriesResult:
             "not exact floats")
     start, budget = int(d.support[0]), _MAX_TERMS
     k0 = max(start, plan.mode - _FIRST_BLOCK)
-    walk = (k0, plan.peak)
-    up = _reach(plan, s, k0, 1, min(budget, int(d.support[1]) - k0 + 1), 0, _FIRST_BLOCK, walk)
-    down = 0
-    if k0 > start and budget > up:
-        down = _reach(plan, s, k0 - 1, -1, min(budget - up, k0 - start), 0, _FIRST_BLOCK, walk)
+    ups = _ends(0, _FIRST_BLOCK, min(budget, int(d.support[1]) - k0 + 1))
+    downs = _ends(0, _FIRST_BLOCK, min(budget, k0 - start))  # [0] where k0 is the first index
+
+    def batches(weights=None):  # the budget left after the upward batch caps the downward one
+        up = _reach(plan, s, k0, 1, ups, weights)
+        down = _reach(plan, s, k0 - 1, -1, downs, weights and weights[len(ups):])
+        return up, min(down, budget - up)
+
+    up, down = batches()
+    if s.weights is not None and (up > ups[0] or down > downs[0]):
+        up, down = batches(s.weights([k0 + e - 1 for e in ups] + [k0 - e for e in downs]))
     ks = np.concatenate((np.arange(k0 - 1, k0 - 1 - down, -1), np.arange(k0, k0 + up)))
-    batch = _evaluate(d, plan, s, ks, down)
-    total, bound, n = _series(d, plan, s, k0, 1, budget, _slice(batch, down, down + up))
-    if k0 == start:
-        return SeriesResult(total, bound, k0 + n - 1)
-    below, below_bound, _ = _series(d, plan, s, k0 - 1, -1, budget - n, _slice(batch, 0, down))
-    total += below
-    return SeriesResult(total, bound + below_bound + _U * abs(total), k0 + n - 1)
+    # a log p_k of -inf (p_k past the float range) makes NaN terms or rounding bounds (0 * -inf,
+    # inf * 0), silently, as a NaN certifies no block; a weight of 0 divides by 0 in its grow
+    with np.errstate(divide="ignore", invalid="ignore"):
+        batch = _evaluate(d, plan, s, ks, down)
+        total, bound, n = _series(d, plan, s, k0, 1, budget, batch, -down, up)
+        if k0 > start:
+            below, below_bound, _ = _series(d, plan, s, k0 - 1, -1, budget - n, batch, 0, down)
+            total, bound = total + below, bound + below_bound + _U * abs(total + below)
+    return SeriesResult(total, bound, k0 + n - 1)
 
 
 def discrete_entropy_sum(d: Distribution, transform: str, alpha: float) -> SeriesResult:
@@ -804,32 +804,31 @@ def discrete_expectation(d: Distribution, weight: Callable) -> SeriesResult:
     weight maps an index array to w(k) >= 0, nondecreasing in k, with
     w(k+1)/w(k) nonincreasing where w > 0 (log k! and log(k+1) qualify);
     it is called once per batch of indices ks, on ks and ks[-1] + 1 (the
-    first batch holds both directions, the upward ones last: _mode_sum).
-    Then t_{j+1}/t_j <= rho w(k+1)/w(k) upward and <= rho downward past
-    an index k.  A block that ends on a zero weight gives no certificate
-    yet.  Summed from the mode outward like discrete_entropy_sum;
+    first batch holds both directions, the upward ones last: _mode_sum),
+    and, where a first batch may pass its first block, once before it on
+    the block ends where the two first batches may end (at most 20
+    indices), which size them.  Then t_{j+1}/t_j <= rho w(k+1)/w(k)
+    upward and <= rho downward past an index k.  A block that ends on a
+    zero weight gives no certificate yet.  Summed from the mode outward like discrete_entropy_sum;
     tail_bound covers truncation and the rounding of log p_k and of the
     sum, not the error of w.
     """
     if not d.is_discrete:
         raise FamilyMismatchError("discrete_expectation needs a discrete family")
-    scale = 1.0  # the largest weight evaluated yet: the w the next batch's prediction assumes
 
     def terms(ks, lp, down):
-        nonlocal scale
         w = np.asarray(weight(np.append(ks, ks[-1] + 1)), dtype=float)
-        scale = max(scale, float(w.max()))
         grow = np.empty(len(ks))
         grow[:down] = 1.0  # downward w does not increase; upward w(k+1)/w(k) joins the ratio
-        with np.errstate(divide="ignore", invalid="ignore"):
-            np.divide(w[down + 1:], w[down:-1], out=grow[down:])
+        np.divide(w[down + 1:], w[down:-1], out=grow[down:])  # _mode_sum silences x/0 and 0/0
         grow[w[:-1] == 0.0] = math.inf
         e = np.exp(lp)
         t = e * w[:-1]
         return t, t, grow, e, w[:-1]
 
     return _mode_sum(d, _plan(d, 1.0), _Summand(
-        terms, lambda lp: math.exp(lp) * scale, lambda rho, lp: rho))
+        terms, math.exp, lambda rho, lp: rho,
+        lambda ks: np.asarray(weight(np.array(ks)), dtype=float).tolist()))
 
 
 def _nonzero(j: float, alpha: float, measure: str) -> float:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import pytest
 
@@ -69,6 +70,17 @@ class TestEntropyVerb:
         code, _, _ = run(capsys, "entropy", "--dist", "exp:lambda=1",
                          "--measure", "shannon", "--frobnicate")
         assert code == 1
+
+    def test_a_series_past_the_float_range_is_one_error_line(self, capsys, oracle_settings):
+        """NBcond(0.5, 1e306) has log p_k = -inf: its NaN terms certify nothing, silently."""
+        oracle_settings(max_terms=10**5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "entropy", "--dist", "nbcond:p=0.5,r=1e306",
+                                 "--measure", "shannon")
+        assert (code, out) == (1, "")
+        assert err == ("entrokit: error: series tail not certified below 1e-14 within "
+                       "max_terms=100000\n")
 
     def test_verify_mode(self, capsys):
         code, out, _ = run(capsys, "entropy", "--dist", "lognormal:m=0,sigma2=1",

@@ -5,6 +5,7 @@ import sys
 import time
 import tracemalloc
 import types
+import warnings
 
 import numpy as np
 import pytest
@@ -742,11 +743,11 @@ class TestBatchedEvaluation:
         return calls
 
     @pytest.mark.parametrize("d", BATCHED, ids=repr)
-    def test_one_call_per_series_and_at_most_twice_the_terms(self, d, monkeypatch):
+    def test_one_call_per_series_holding_exactly_the_terms_summed(self, d, monkeypatch):
         _, _, summed = per_block_shannon(d)
         calls = self.logged_calls(monkeypatch)
         discrete_entropy_sum(d, "p_log_p", 1.0)
-        assert len(calls) == 1 and len(calls[0]) <= 2 * summed
+        assert len(calls) == 1 and len(calls[0]) == summed
 
     @pytest.mark.parametrize("d", BATCHED + [
         Poisson(0.1), Poisson(70.0), Poisson(2e5), Binomial(10, 0.2), Binomial(10**7, 1e-7),
@@ -760,11 +761,19 @@ class TestBatchedEvaluation:
 
     def test_a_first_batch_cut_by_the_shared_budget_is_evaluated_again(self, monkeypatch,
                                                                         oracle_settings):
-        """Poisson(1781.9) predicts 960 upward terms and sums 448.  At max_terms = 1060 the
-        downward prediction has 100 terms left, so its first batch ends inside its second
-        block; a later batch evaluates that block whole, and the sum is the default one."""
+        """Poisson(1781.9) sums 448 terms upward, which its estimate of log p predicts; one
+        10 nats high predicts 960.  At max_terms = 1060 the downward prediction then has 100
+        terms left, so its first batch ends inside its second block; a later batch evaluates
+        that block whole, and the sum is the default one."""
         d = Poisson(1781.9)
         want = discrete_entropy_sum(d, "p_log_p", 1.0)
+        plan = oracle._plan
+
+        def high(d, alpha):
+            exact = plan(d, alpha)
+            return exact._replace(log_p=lambda k: exact.log_p(k) + 10.0)
+
+        monkeypatch.setattr(oracle, "_plan", high)
         calls = self.logged_calls(monkeypatch)
         oracle_settings(max_terms=1060)
         assert discrete_entropy_sum(d, "p_log_p", 1.0) == want
@@ -798,34 +807,65 @@ class TestBatchedEvaluation:
             return np.log(ks + 1.0)
 
         discrete_expectation(Poisson(1e4), weight)
-        assert weights == [len(ks) + 1 for ks in calls]
-        # eight blocks; the first upward batch is predicted without the weight's size
-        assert len(calls) <= 3
+        # eight blocks in one call: before it, one weight call on the block ends where the
+        # two first batches may end (at most ten a direction) sizes them
+        assert len(calls) == 1 and weights[0] <= 20
+        assert weights[1:] == [len(ks) + 1 for ks in calls]
+        weights.clear()
+        calls.clear()
+        discrete_expectation(Poisson(5.0), weight)  # its first block certifies: no size call
+        assert weights == [len(ks) + 1 for ks in calls] == [65]
 
 
-class TestPeak:
-    """The plan's peak, where both first batches' predictions start, bounds log p at the mode."""
+class TestLogPEstimate:
+    """Each discrete plan's libm estimate of log p_k, which sizes batches only, tracks logpmf.
+
+    Within 1e-6 (1 + |log p_k|) at the support's first index, the mode and the mode +- 1, 3
+    and 10 sd: a tolerance, as libm's lgamma differs across platforms.
+    """
 
     @staticmethod
     def records():
-        yield from (Poisson(float(lam)) for lam in np.geomspace(1e-3, 1e8, 200))
+        """(record, mode, sd) over log-spaced grids of each family's parameters."""
+        for lam in np.geomspace(1e-3, 1e8, 200):
+            yield Poisson(float(lam)), math.floor(lam), math.sqrt(lam)
         ps = np.geomspace(1e-4, 0.5, 12)
         for n in np.unique(np.round(np.geomspace(1, 1e9, 40)).astype(int)):
             for p in np.concatenate([ps, 1.0 - ps]):
-                yield Binomial(int(n), float(p))
+                n, p = int(n), float(p)
+                yield Binomial(n, p), math.floor((n + 1) * p), math.sqrt(n * p * (1.0 - p))
+        for p in np.geomspace(1e-4, 0.9999, 12):
+            p = float(p)
+            for r in np.geomspace(1e-6, 1e3, 10):
+                # the negative binomial's mode and sd, r (1 - p) / p**2 its variance
+                r = float(r)
+                yield (NegBinomialConditional(p, r), math.floor((r - 1.0) * (1.0 - p) / p),
+                       math.sqrt(r * (1.0 - p)) / p)
+            var = -(1.0 - p) * ((1.0 - p) + math.log(p)) / (p * math.log(p)) ** 2
+            yield Logarithmic(p), 1, math.sqrt(var)
 
-    def test_poisson_and_binomial_within_a_quarter_nat(self):
-        for d in self.records():
-            plan = oracle._plan(d, 1.0)
-            lp = float(logpmf(d, float(plan.mode)))
-            assert lp <= plan.peak <= 0.0, d
-            var = d.lam if isinstance(d, Poisson) else d.n * d.p * (1.0 - d.p)
-            if var >= 1.0:  # Stirling's 1/(12 var) margin is small there, and 0.0 is far off
-                assert plan.peak - lp <= 0.25, d
+    def test_within_a_millionth_of_log_pmf(self):
+        for d, mode, sd in self.records():
+            lo, hi = d.support
+            ks = {lo, *(round(mode + m * sd) for m in (0, -1, 1, -3, 3, -10, 10))}
+            ks = sorted(float(k) for k in ks if lo <= k <= hi)
+            estimate = oracle._plan(d, 1.0).log_p
+            for k, lp in zip(ks, logpmf(d, np.array(ks))):
+                assert abs(estimate(int(k)) - lp) <= 1e-6 * (1.0 + abs(lp)), (d, k)
 
-    @pytest.mark.parametrize("d", [NegBinomialConditional(0.05, 0.3), Logarithmic(0.5)], ids=repr)
-    def test_the_other_families_start_at_zero(self, d):
-        assert oracle._plan(d, 1.0).peak == 0.0
+    def test_an_estimate_past_lgamma_and_nan_terms_warn_of_nothing(self, monkeypatch,
+                                                                    oracle_settings):
+        """At r = 1e306 lgamma(r) overflows in the estimate, which then predicts no
+        certificate (the first batch reaches its limit), and log p_k is -inf: the terms
+        0 * -inf are NaN, silently, and the NaN blocks every certificate."""
+        calls = []
+        monkeypatch.setattr(oracle, "logpmf", lambda d, ks: calls.append(len(ks)) or logpmf(d, ks))
+        oracle_settings(max_terms=10**5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SeriesBudgetError):
+                discrete_entropy_sum(NegBinomialConditional(0.5, 1e306), "p_log_p", 1.0)
+        assert calls[0] == 32704
 
 
 UNBATCHED = [Poisson(0.1), Poisson(70.0), Poisson(1e4), Poisson(436416.00320465304),
@@ -839,23 +879,32 @@ class TestBatchesDoNotChangeValues:
 
     @staticmethod
     def runs(monkeypatch, run):
-        batched = run()
+        """The default run, then runs whose batches are one block or reach their limit."""
+        results = [run()]
+        plan = oracle._plan
+        # an estimate of 0 certifies nowhere (each batch reaches its limit), one of -inf at
+        # once (each batch is one block)
+        for estimate in (0.0, -math.inf):
+            monkeypatch.setattr(oracle, "_plan", lambda d, alpha, estimate=estimate: plan(
+                d, alpha)._replace(log_p=lambda k: estimate))
+            results.append(run())
+        monkeypatch.setattr(oracle, "_plan", plan)
         monkeypatch.setattr(oracle, "_MAX_BATCH", 1)  # every batch is one block
-        return batched, run()
+        return results + [run()]
 
     @pytest.mark.parametrize("transform, alpha", [
         ("p_log_p", 1.0), ("p_alpha", 0.7), ("p_alpha_log_p", 1.6)])
     @pytest.mark.parametrize("d", UNBATCHED, ids=repr)
     def test_entropy_sums(self, d, transform, alpha, monkeypatch):
-        batched, blocks = self.runs(monkeypatch,
-                                    lambda: discrete_entropy_sum(d, transform, alpha))
-        assert batched == blocks
+        default, *others = self.runs(monkeypatch,
+                                     lambda: discrete_entropy_sum(d, transform, alpha))
+        assert others == [default] * 3
 
     @pytest.mark.parametrize("d", UNBATCHED, ids=repr)
     def test_expectations(self, d, monkeypatch):
-        batched, blocks = self.runs(monkeypatch, lambda: discrete_expectation(
+        default, *others = self.runs(monkeypatch, lambda: discrete_expectation(
             d, lambda ks: np.log(np.asarray(ks, dtype=float) + 1.0)))
-        assert batched == blocks
+        assert others == [default] * 3
 
 
 class TestGR1SharesOneExp:
