@@ -3,8 +3,8 @@
 Two engines live here and deliberately share nothing with the formula
 code they are used to check.  The support of a law is its record's
 (d.support); how the engines cover it (half-line, real-line or interval
-map, map scale, split points, power at x = 0, ratio bound) is one row of
-_PLANS:
+map, map scale, location and scale, power at x = 0, ratio bound) is one
+row of _PLANS:
 
 * adaptive panel quadrature with an embedded Gauss(7)/Kronrod(15) pair
   for the error estimate (QUADPACK's dqk15 rule and estimate), one run
@@ -13,15 +13,29 @@ _PLANS:
   p**alpha and p**alpha log p, GR2's J(alpha) and J(beta)), each row
   refined until it meets its own tolerance, with one log-density call
   per record and batch of nodes.  The Kullback-Leibler divergence is
-  the builder's log(p/q) row at alpha = 1, on p's plan with q's split
-  points added.  Half-line integrals are mapped
+  the builder's log(p/q) row at alpha = 1, on p's plan.
+  Each continuous row names the record as c + s X for a standard
+  record X.  Exponential, Laplace, normal and uniform records are
+  Exp(1), Laplace(0, 1), N(0, 1) and U(0, 1) moved by (0, 1/lam),
+  (mu, 1/lam), (mean, sigma) and (a, b - a), and the run integrates X:
+  by the scale law, the integral of p**alpha is s**(1 - alpha) J1 and
+  that of p**alpha log p is s**(1 - alpha) (J1' - log s J1), J1 and J1'
+  being X's, and error estimates scale alike.  The law is applied in
+  math and taken from log s (-log lam for a rate), so a location far
+  above the scale, or a scale past the doubles, costs no accuracy:
+  Renyi and GR2 add log s to their log J1 terms, GR1 and Shannon
+  subtract J1'/J1 from it.  A KL pair is integrated with q mapped by
+  p's (c, s), where log(p/q) is unchanged.  Gamma, chi-squared and
+  log-normal records stay in their own coordinates, at (c, s) = (0, 1),
+  where the law is exact.  Half-line integrals are mapped
   onto (0, 1) by x = scale * s / (1 - s) with s = t**k: an integrand
   that behaves like x**a or x**a log x at 0 gets k = max(1, 4/(a + 1)),
   so it vanishes like t**3 (log t) at t = 0 and the error estimate holds
   there as on a smooth integrand.  The real line is mapped onto (-1, 1)
-  by x = c + scale * t/(1 - |t|), centred on the first split point c (a
-  density's location; p's for a KL pair), and every other split point
-  is a breakpoint of the t-mesh.  A second mode far from c costs points
+  by x = c + scale * t/(1 - |t|), centred on the first split point c (0,
+  a standard record's location, from the builder), and every other
+  split point (a KL pair's q's location, mapped) is a breakpoint of the
+  t-mesh.  A second mode far from c costs points
   where the map stretches; the oracle's integrands have their mass near
   c.  A half-line run starts from one constant mesh on (0, 1), graded
   toward both ends of the map: three geometric panels next to t = 0
@@ -31,15 +45,22 @@ _PLANS:
   first pass.  A real-line run starts from that mesh, its mirror image
   and its breakpoints, and a flagged panel is split in four equal parts.
   There is one internal path per map: integrate_halfline,
-  integrate_realline and, for an interval, _power_integrals itself hand
+  integrate_realline and, for U(0, 1), _power_integrals itself hand
   integrate_interval a first pass (panels, nodes and half-widths).  The
-  half-line's, and the real line's without extra breakpoints, are built
-  once, at import, read-only and shared by every run; the others are
-  built per run.  The three integrators take the floats and split
-  points a plan built and check no argument; _power_integrals checks
-  the values the plan computed (a map scale outside the positive
-  doubles, an interval width past the float range), each error naming
-  the record.  A run whose density p is 0 at every node of its first
+  half-line's, the real line's without extra breakpoints and [0, 1]'s
+  16 equal panels are built once, at import, read-only and shared by
+  every run, with the points and Jacobians of their maps at centre 0,
+  scale 1 and k = 1 (and the half line's 1 - t and (1 - t)**2, for
+  other scales); a real line with a breakpoint is built per run.  On
+  its map's shared pass a standard record's log-density is a constant
+  too, computed on first use: such a value's first pass is one exp per
+  row and the panel rule.  The overflow masks of the maps run only
+  where a Jacobian overflows or a point is below the normal doubles.
+  The three integrators take the floats and split points a plan built
+  and check no argument; _power_integrals checks the values the plan
+  computed (a map scale outside the positive doubles; the uniform's
+  plan, a width past the float range), each error naming the record.
+  A run whose density p is 0 at every node of its first
   pass would "converge" to 0 there; it raises NonConvergenceError
   naming the record instead.
 
@@ -262,21 +283,41 @@ def integrate_interval(f: Callable, first: tuple) -> QuadResult:
             est = np.concatenate([est[:, :, keep], new_est], axis=2)
 
 
+def _mesh(points) -> np.ndarray:
+    """The distinct values of points, sorted: np.unique's result, without its numpy.ma import."""
+    mesh = np.sort(np.asarray(points, dtype=float))
+    return mesh[np.concatenate(([True], mesh[1:] != mesh[:-1]))]
+
+
 # the half-line's t-mesh on [0, 1]: geometric panels from t = 1e-3 to 0.05, steps of 0.05
 # to 0.9 (0.5 exact: the real line's t = +-1/2), then ratio 2.15 in 1 - t down to 1e-5
-_PLAIN_MESH = np.unique(np.concatenate([
+_PLAIN_MESH = _mesh(np.concatenate([
     np.geomspace(1e-3, 0.05, 4)[:-1],
     np.linspace(0.0, 0.9, 19),
     1.0 - np.geomspace(0.1, 1e-5, 13),
     [1.0],
 ]))
 # the real line's t-mesh on [-1, 1]: the half-line mesh and its mirror image
-_REALLINE_MESH = np.unique(np.concatenate([-_PLAIN_MESH[::-1], _PLAIN_MESH]))
-# their first passes, built once: read-only, like the meshes, as every run shares them
+_REALLINE_MESH = _mesh(np.concatenate([-_PLAIN_MESH[::-1], _PLAIN_MESH]))
+# their first passes and the unit interval's 16 equal panels, built once: read-only, like
+# the meshes, as every run shares them
 _PLAIN_PASS, _REALLINE_PASS = _first_pass(_PLAIN_MESH), _first_pass(_REALLINE_MESH)
-for _array in (_PLAIN_MESH, _REALLINE_MESH, *_PLAIN_PASS, *_REALLINE_PASS):
+_UNIT_PASS = _first_pass(np.linspace(0.0, 1.0, 17))
+# the maps' values on the shared nodes at scale 1, centre 0 and k = 1: 1 - t and (1 - t)**2 of
+# the half line, the points x and the Jacobians dx/dt of both lines
+_HALF_U = 1.0 - _PLAIN_PASS[1]
+_HALF_UU = _HALF_U * _HALF_U
+_HALF_X, _HALF_JAC = _PLAIN_PASS[1] / _HALF_U, 1.0 / _HALF_UU
+_REAL_V = 1.0 - np.abs(_REALLINE_PASS[1])
+_REAL_X, _REAL_JAC = _REALLINE_PASS[1] / _REAL_V, 1.0 / (_REAL_V * _REAL_V)
+for _array in (_PLAIN_MESH, _REALLINE_MESH, *_PLAIN_PASS, *_REALLINE_PASS, *_UNIT_PASS,
+               _HALF_U, _HALF_UU, _HALF_X, _HALF_JAC, _REAL_X, _REAL_JAC):
     _array.flags.writeable = False
-del _array
+del _array, _REAL_V
+# each map's shared nodes x, where a standard record's log-density is a constant
+_SHARED_X = {"halfline": _HALF_X, "realline": _REAL_X, "interval": _UNIT_PASS[1]}
+# family -> its standard record's log-density at _SHARED_X of its map, filled on first use
+_STANDARD_LOG_P: dict = {}
 
 
 def integrate_halfline(g: Callable, scale: float, power_at_zero: float) -> QuadResult:
@@ -289,7 +330,9 @@ def integrate_halfline(g: Callable, scale: float, power_at_zero: float) -> QuadR
     integrand.  a = 3 gives k = 1, the plain map, which also suits any g
     smooth at 0.  For a + 1 < 1/20, NonConvergenceError: about
     exp(-744 (a + 1)) of such a mass lies below the smallest double,
-    7e-17 at the floor and 5e-14 with the log weight.
+    7e-17 at the floor and 5e-14 with the log weight.  At k = 1 the
+    first pass reads 1 - t and (1 - t)**2 from constants, and at scale 1
+    its points and Jacobians too: the same doubles the map computes.
     """
     a1 = power_at_zero + 1.0
     if a1 < 1.0 / 20.0:
@@ -297,16 +340,23 @@ def integrate_halfline(g: Callable, scale: float, power_at_zero: float) -> QuadR
     k = max(1.0, 4.0 / a1)
 
     def f(t):
-        s = t if k == 1.0 else t**k  # at k = 1, t**k and k t**(k - 1) are t and 1 exactly
-        u = 1.0 - s
-        gx = g(x := scale * s / u)
-        jac = scale / (u * u)
         if k != 1.0:
+            u = 1.0 - (s := t**k)
+            x, jac = scale * s / u, scale / (u * u)
             jac *= k * t ** (k - 1.0)
+        elif t is not _PLAIN_PASS[1]:  # at k = 1, t**k and k t**(k - 1) are t and 1 exactly
+            u = 1.0 - t
+            x, jac = scale * t / u, scale / (u * u)
+        elif scale == 1.0:  # the shared pass: its points and Jacobians are constants
+            x, jac = _HALF_X, _HALF_JAC
+        else:
+            x, jac = scale * t / _HALF_U, scale / _HALF_UU
+        gx = g(x)
         out = gx * jac
         # a density that underflowed to 0 stays 0 where the Jacobian overflows to inf, and
         # so does an x**a that overflowed below the smallest normal double
-        out[(gx == 0.0) | np.isinf(gx) & (x < 2.0**-1022)] = 0.0
+        if jac is not _HALF_JAC and (jac.max() == math.inf or x.min() < 2.0**-1022):
+            out[(gx == 0.0) | np.isinf(gx) & (x < 2.0**-1022)] = 0.0
         return out
 
     return integrate_interval(f, _PLAIN_PASS)
@@ -319,7 +369,8 @@ def integrate_realline(g: Callable, splits, scale: float) -> QuadResult:
     plan built them.  Each other point p is a breakpoint of the t-mesh at
     t = (p - c)/(scale + |p - c|), so their order and repeats change
     nothing; a gap p - c past the float range raises ParameterError.
-    Without a second point the run starts from the constant first pass.
+    Without a second point the run starts from the constant first pass,
+    whose points and Jacobians at centre 0 and scale 1 are constants too.
     The map suits an integrand whose mass lies within a few scale units
     of c, as a density's does around its location: a second mode far
     from c is met where the map stretches, and takes more points (two
@@ -336,25 +387,40 @@ def integrate_realline(g: Callable, splits, scale: float) -> QuadResult:
         knots.append((p - c) / width)
 
     def f(t):
-        v = 1.0 - np.abs(t)
-        gx = g(c + scale * (t / v))
-        out = gx * (scale / (v * v))
-        out[gx == 0.0] = 0.0
+        if t is _REALLINE_PASS[1] and c == 0.0 and scale == 1.0:  # the shared pass at (0, 1)
+            x, jac = _REAL_X, _REAL_JAC
+        else:
+            v = 1.0 - np.abs(t)
+            x, jac = c + scale * (t / v), scale / (v * v)
+        gx = g(x)
+        out = gx * jac
+        if jac is not _REAL_JAC and jac.max() == math.inf:  # 0 stays 0 where jac overflows
+            out[gx == 0.0] = 0.0
         return out
 
-    first = _first_pass(np.union1d(_REALLINE_MESH, knots)) if knots else _REALLINE_PASS
+    first = _first_pass(_mesh(np.concatenate([_REALLINE_MESH, knots]))) if knots else _REALLINE_PASS
     return integrate_interval(f, first)
 
 
 # --- per-family plans ---------------------------------------------------------
 
 class _Plan(NamedTuple):
-    """How the engines cover the support of one record, which is the record's d.support."""
+    """How the engines cover the support of one record, which is the record's d.support.
+
+    A continuous record is that of c + s X, X the plan's standard record,
+    which the quadrature integrates (the record itself where that is None,
+    at c = 0 and s = 1).
+    """
 
     map: str = ""                  # "halfline", "realline" or "interval"; "" for a series
     scale: float = 1.0             # of the x = scale*t/(1-t) tail map
-    splits: tuple = ()             # real-line split points, centre first
     power_at_zero: float = 3.0     # a of the integrand's x**a (log x) at 0; 3: the plain map
+    c: float = 0.0                 # the location and scale of the record against X's
+    s: float = 1.0
+    rate: float = 1.0              # 1/s, exact where s is 1/lam, and finite where s is not
+    log_s: float = 0.0             # log s, a float also where s is not (1/lam of a subnormal lam)
+    standard: Distribution | None = None  # X: Exp(1), Laplace(0, 1), N(0, 1) or U(0, 1)
+    moved: Callable | None = None  # moved(plan): this record's law in the plan's (x - c)/s
     ratio: Callable | None = None  # ratio(k) >= p_{j+1}/p_j for every j >= k
     mode: int = 0                  # index of the largest p_k; summation starts next to it
     down: Callable | None = None   # down(k) >= p_{j-1}/p_j for every j <= k
@@ -369,28 +435,79 @@ def _gamma_plan(d: Gamma | ChiSquared, alpha: float) -> _Plan:
             f"integral of p**alpha diverges: alpha*(mu-1) + 1 = {a1:.6g} <= 0")
     # the scale is the escort mean (a + 1) / (alpha lam), or the mean if that is larger
     return _Plan("halfline", scale=max(a1 / (alpha * d.lam), d.mu / d.lam),
-                 power_at_zero=alpha * (d.mu - 1.0))
+                 power_at_zero=alpha * (d.mu - 1.0),
+                 moved=lambda p: Gamma(d.lam / p.rate, d.mu))
+
+
+def _uniform_plan(d: Uniform, alpha: float) -> _Plan:
+    s = d.b - d.a
+    if s == math.inf:  # no value past the doubles: the closed form has none either
+        raise ParameterError(f"the width b - a of {format_spec(d)} is past the float range")
+    return _Plan("interval", c=d.a, s=s, rate=1.0 / s, log_s=math.log(s), standard=_UNIFORM,
+                 moved=lambda p: Uniform((d.a - p.c) / p.s, (d.b - p.c) / p.s))
 
 
 def _exp_or_inf(x: float) -> float:
-    """exp(x), or inf past the float range: a scale that _power_integrals rejects."""
+    """exp(x), or inf past the float range."""
     try:
         return math.exp(x)
     except OverflowError:
         return math.inf
 
 
+def _stirling(m: int) -> float:
+    """log m! - log(sqrt(2 pi m) (m/e)**m), m >= 1: from lgamma below 15, else three terms
+    of Stirling's series (within 8e-12), as lgamma's own value cancels at large m."""
+    if m < 15:
+        return math.lgamma(m + 1.0) - (m + 0.5) * math.log(m) + m - 0.5 * math.log(2.0 * math.pi)
+    return (1.0 / 12.0 - (1.0 / 360.0 - 1.0 / (1260.0 * m * m)) / (m * m)) / m
+
+
+def _deviance(x: float, mean: float) -> float:
+    """x log(x/mean) + mean - x for x > 0, as mean ((1 + v) log1p(v) - v), v = x/mean - 1."""
+    v = (x - mean) / mean
+    if not -1.0 < v < math.inf:  # x below mean 2**-53, or a mean under 1 far below x
+        return x * (math.log(x) - math.log(mean)) - (x - mean)
+    return mean * ((1.0 + v) * math.log1p(v) - v)
+
+
+def _binomial_log_p(n: int, p: float, k: int) -> float:
+    """A libm estimate of log p_k of Binomial(n, p): Loader's saddle-point form in scalars.
+
+    No two terms of the size of log n! are subtracted, so the estimate
+    holds at the mode of any n: lgamma(n + 1) - lgamma(n - k + 1) reads
+    hundreds of nats off from n of about 1e15.
+    """
+    if k == 0:
+        return n * math.log1p(-p)
+    if k == n:
+        return n * math.log(p)
+    m = n - k
+    return (_stirling(n) - _stirling(k) - _stirling(m) - _deviance(k, n * p)
+            - _deviance(m, n * (1.0 - p)) + 0.5 * math.log(n / (2.0 * math.pi * k * m)))
+
+
+_EXP, _LAPLACE, _NORMAL, _UNIFORM = (Exponential(1.0), Laplace(0.0, 1.0), Normal(0.0, 1.0),
+                                     Uniform(0.0, 1.0))
 # plan(d, alpha) for the alpha-power integrand of d (alpha = 1 for KL)
 _PLANS = {
     Gamma: _gamma_plan,
     ChiSquared: _gamma_plan,  # its record reads lam = 1/2, mu = nu/2
-    Exponential: lambda d, alpha: _Plan("halfline", scale=1.0 / d.lam),
+    Exponential: lambda d, alpha: _Plan(
+        "halfline", s=1.0 / d.lam, rate=d.lam, log_s=-math.log(d.lam), standard=_EXP,
+        moved=lambda p: Exponential(d.lam / p.rate)),
     # centred on the mass of p**alpha (the escort is a lognormal itself)
     LogNormal: lambda d, alpha: _Plan(
-        "halfline", scale=_exp_or_inf(d.m + (1.0 - alpha) * d.sigma2 / alpha)),
-    Laplace: lambda d, alpha: _Plan("realline", scale=1.0 / d.lam, splits=(d.mu,)),
-    Normal: lambda d, alpha: _Plan("realline", scale=math.sqrt(d.sigma2), splits=(d.mean,)),
-    Uniform: lambda d, alpha: _Plan("interval"),
+        "halfline", scale=_exp_or_inf(d.m + (1.0 - alpha) * d.sigma2 / alpha),
+        moved=lambda p: LogNormal(d.m - p.log_s, d.sigma2)),
+    Laplace: lambda d, alpha: _Plan(
+        "realline", c=d.mu, s=1.0 / d.lam, rate=d.lam, log_s=-math.log(d.lam), standard=_LAPLACE,
+        moved=lambda p: Laplace((d.mu - p.c) * p.rate, d.lam / p.rate)),
+    Normal: lambda d, alpha: _Plan(
+        "realline", c=d.mean, s=math.sqrt(d.sigma2), rate=1.0 / math.sqrt(d.sigma2),
+        log_s=0.5 * math.log(d.sigma2), standard=_NORMAL,
+        moved=lambda p: Normal((d.mean - p.c) * p.rate, d.sigma2 * p.rate * p.rate)),
+    Uniform: _uniform_plan,
     Poisson: lambda d, alpha: _Plan(
         ratio=lambda k: d.lam / (k + 1.0), mode=math.floor(d.lam),
         down=lambda k: k / d.lam, mean=d.lam,
@@ -399,9 +516,7 @@ _PLANS = {
         ratio=lambda k: max(0, d.n - k) / (k + 1.0) * d.p / (1.0 - d.p),
         mode=math.floor((d.n + 1) * d.p),
         down=lambda k: k * (1.0 - d.p) / ((d.n - k + 1.0) * d.p), mean=d.n * d.p,
-        log_p=lambda k: (math.lgamma(d.n + 1.0) - math.lgamma(k + 1.0)
-                         - math.lgamma(d.n - k + 1.0) + k * math.log(d.p)
-                         + (d.n - k) * math.log1p(-d.p))),
+        log_p=lambda k: _binomial_log_p(d.n, d.p, k)),
     NegBinomialConditional: lambda d, alpha: _Plan(
         ratio=lambda k: (1.0 - d.p) * max(1.0, (k + d.r) / (k + 1.0)),
         log_p=lambda k: (math.lgamma(k + d.r) - math.lgamma(d.r) - math.lgamma(k + 1.0)
@@ -432,59 +547,97 @@ def _joint_plan(d: Distribution, orders) -> _Plan:
     return first._replace(scale=scale, power_at_zero=min(first.power_at_zero, second.power_at_zero))
 
 
-def _power_integrals(d: Distribution, terms, q: Distribution | None = None) -> QuadResult:
-    """Integrals of p**alpha, times log(p/q) where with_log, for each (alpha, with_log) of terms.
+def _power_integrals(d: Distribution, terms, q: Distribution | None = None) -> tuple:
+    """Integrals of p1**alpha, times log p or log(p/q) where with_log, for each (alpha, with_log).
 
-    p is the density of d.  Without a reference record q the reference
-    is Lebesgue measure and the log factor is log p; with one it is
-    log p - log q, on p's plan: q shares p's support (kl_integral checks
-    it), and on the real line q's split points join p's as breakpoints,
-    so the run stays centred on p's mass.  One run on one mesh, one
-    logpdf call per record and batch of nodes; one term gives a
-    QuadResult of floats, more give arrays in the order of terms.  A row
-    right after the p**alpha row of its order copies that row.  Each
-    alpha is a float order its caller checked: entropy_estimate as an
-    EntropySpec, integral_p_alpha and integral_p_alpha_log_p by
-    check_order, kl_integral's is 1.0.
+    Returns them as a QuadResult, and log s.  d is the record of c + s X
+    for its plan's (c, s) and standard record X of density p1 (d itself
+    at (0, 1)), and the run integrates X.  Without a reference record q
+    each log row comes back as the integral of p1**alpha (log p1 - log s),
+    from p1**alpha's row (added where log s != 0, but J1(1) = 1): times
+    s**(1 - alpha), the caller's factor, each row is d's own integral.
+    With q the log factor is log(p/q), invariant under the map: q is
+    mapped by p's (c, s) (ParameterError where that leaves the doubles),
+    it shares p's support (kl_integral checks it), and on the real line
+    its location is a breakpoint of p's run, which stays centred on p's
+    mass.  One run on one mesh, one logpdf call per record and batch of
+    nodes, but none for X on its map's shared first pass, where its
+    log-density is a constant computed once.  One term gives a QuadResult
+    of floats, more give arrays in the order of terms.  A row right after
+    the p**alpha row of its order copies that row.  Each alpha is a float
+    order its caller checked: entropy_estimate as an EntropySpec,
+    integral_p_alpha and integral_p_alpha_log_p by check_order,
+    kl_integral's is 1.0.
     """
     if d.is_discrete:
         raise FamilyMismatchError("power integrals are defined for continuous families")
-
-    mass = False  # whether p > 0 at some node of the first pass
-
-    def g(x):
-        nonlocal mass
-        lp = logpdf(d, x)
-        mass = mass or _some_mass(d, lp)
-        log_ratio = lp if q is None else lp - logpdf(q, x)
-        rows = np.empty((len(terms), len(lp)))
-        for i, (alpha, with_log) in enumerate(terms):
-            row = rows[i]
-            if i and terms[i - 1] == (alpha, False):  # GR1: the row above holds p**alpha
-                row[:] = rows[i - 1]
-            else:
-                np.exp(lp if alpha == 1.0 else alpha * lp, out=row)
-            if with_log:
-                row *= log_ratio
-                row[lp == -np.inf] = 0.0
-        return rows if len(terms) > 1 else rows[0]
-
     plan = _joint_plan(d, [alpha for alpha, _ in terms])
     # the plan's fields are floats; only its scale can leave the doubles (an exp or a ratio)
     if not 0.0 < plan.scale < math.inf:
         raise ParameterError(
             f"the map scale of {format_spec(d)} is {plan.scale}, outside the positive doubles")
+    x1, shared = d, None
+    if plan.standard is not None:
+        x1, shared = plan.standard, _SHARED_X[plan.map]
+        if q is not None:
+            try:
+                q = _plan(q, 1.0).moved(plan)
+            except ParameterError:
+                raise ParameterError(f"{format_spec(q)} in the coordinates of {format_spec(d)} "
+                                     "is past the float range") from None
+    law = q is None and plan.log_s != 0.0  # log s J1(alpha) leaves each log row
+    rows = []
+    for alpha, with_log in terms:
+        if law and with_log and alpha != 1.0 and (alpha, False) not in terms:
+            rows.append((alpha, False))
+        rows.append((alpha, with_log))
+
+    mass = False  # whether p > 0 at some node of the first pass
+
+    def g(x):
+        nonlocal mass
+        if x is shared:
+            lp = _STANDARD_LOG_P.get(type(x1))
+            if lp is None:
+                lp = _STANDARD_LOG_P[type(x1)] = logpdf(x1, x)
+                lp.flags.writeable = False
+        else:
+            lp = logpdf(x1, x)
+        mass = mass or _some_mass(d, lp)
+        log_ratio = lp if q is None else lp - logpdf(q, x)
+        out = np.empty((len(rows), len(lp)))
+        for i, (alpha, with_log) in enumerate(rows):
+            row = out[i]
+            if i and rows[i - 1] == (alpha, False):  # GR1: the row above holds p**alpha
+                row[:] = out[i - 1]
+            else:
+                np.exp(lp if alpha == 1.0 else alpha * lp, out=row)
+            if with_log:
+                row *= log_ratio
+                if lp.min() == -np.inf:  # p = 0: p**alpha log p is 0 * -inf there
+                    row[lp == -np.inf] = 0.0
+        return out if len(rows) > 1 else out[0]
+
     if plan.map == "halfline":  # p's power at 0 holds: log q adds only a log factor
-        return integrate_halfline(g, plan.scale, plan.power_at_zero)
-    if plan.map == "realline":  # centred on p's split point, with q's as breakpoints
-        splits = plan.splits if q is None else plan.splits + _plan(q, 1.0).splits
-        return integrate_realline(g, splits, plan.scale)
-    a, b = d.support
-    if not math.isfinite(b - a):  # np.linspace would build a mesh of inf and NaN
-        raise ParameterError(f"the width b - a of {format_spec(d)} is past the float range")
-    # a panel a few ulp wide has nodes that round to outside [a, b]
-    return integrate_interval(lambda x: g(np.minimum(np.maximum(x, a), b)),
-                              _first_pass(np.linspace(a, b, 17)))
+        res = integrate_halfline(g, plan.scale, plan.power_at_zero)
+    elif plan.map == "realline":  # a standard record, centred on 0, with q's centre a breakpoint
+        res = integrate_realline(g, (0.0,) if q is None else (0.0, _plan(q, 1.0).c), 1.0)
+    else:
+        res = integrate_interval(g, _UNIT_PASS)  # U(0, 1)
+    if not law:
+        return res, plan.log_s
+    found = dict(zip(rows, zip(np.atleast_1d(res.value).tolist(),
+                               np.atleast_1d(res.error).tolist())))
+    scaled = []
+    for alpha, with_log in terms:
+        value, error = found[alpha, with_log]
+        if with_log:
+            j, j_error = found.get((alpha, False), (1.0, 0.0))
+            value, error = value - plan.log_s * j, error + abs(plan.log_s) * j_error
+        scaled.append((value, error))
+    if len(scaled) == 1:
+        return QuadResult(*scaled[0]), plan.log_s
+    return QuadResult(*map(np.array, zip(*scaled))), plan.log_s
 
 
 def _some_mass(d: Distribution, lp) -> bool:
@@ -500,21 +653,32 @@ def _some_mass(d: Distribution, lp) -> bool:
     return True
 
 
+def _scaled(d: Distribution, alpha: float, res: QuadResult, log_s: float) -> QuadResult:
+    """res times s**(1 - alpha), the scale law's factor; ParameterError past the float range."""
+    factor = _exp_or_inf((1.0 - alpha) * log_s)
+    if factor == math.inf:
+        raise ParameterError(
+            f"the integral of p**{alpha:g} of {format_spec(d)} is past the float range")
+    return QuadResult(factor * res.value, factor * res.error)
+
+
 def integral_p_alpha(d: Distribution, alpha: float) -> QuadResult:
     """Numerical integral of p(x)**alpha over the support of d."""
-    return _power_integrals(d, [(check_order("alpha", alpha, exclude_one=False), False)])
+    alpha = check_order("alpha", alpha, exclude_one=False)
+    return _scaled(d, alpha, *_power_integrals(d, [(alpha, False)]))
 
 
 def integral_p_alpha_log_p(d: Distribution, alpha: float) -> QuadResult:
     """Numerical integral of p(x)**alpha * log p(x) over the support of d."""
-    return _power_integrals(d, [(check_order("alpha", alpha, exclude_one=False), True)])
+    alpha = check_order("alpha", alpha, exclude_one=False)
+    return _scaled(d, alpha, *_power_integrals(d, [(alpha, True)]))
 
 
 def kl_integral(p: Distribution, q: Distribution, cfg: OracleConfig | None = None) -> QuadResult:
     """Numerical Kullback-Leibler divergence of p from q (continuous pairs of one support).
 
     The integral of p log(p/q): the log(p/q) row of _power_integrals at
-    alpha = 1, on p's plan with q's split points added.
+    alpha = 1, on p's plan with q mapped alike and its location added.
     UnsupportedFamilyError unless p.support == q.support.  cfg is None
     or an OracleConfig, which holds no settings (_check_default).
     """
@@ -524,7 +688,7 @@ def kl_integral(p: Distribution, q: Distribution, cfg: OracleConfig | None = Non
     if p.support != q.support:
         raise UnsupportedFamilyError(
             f"supports differ: {format_spec(p)} on {p.support} vs {format_spec(q)} on {q.support}")
-    return _power_integrals(p, [(1.0, True)], q)
+    return _power_integrals(p, [(1.0, True)], q)[0]
 
 
 # --- series with certified truncation -------------------------------------------
@@ -861,21 +1025,28 @@ def entropy_estimate(d: Distribution, measure: str, alpha: float | None = None,
             raise UnsupportedFamilyError(
                 f"oracle for discrete families covers shannon only, not {measure}")
         return -discrete_entropy_sum(d, "p_log_p", 1.0).value
+    # each integral of p**alpha is s**(1 - alpha) times the standard record's j (_power_integrals)
     if measure == "shannon":
-        return -_power_integrals(d, [(1.0, True)]).value
-    if measure == "gr1":
-        j, j_log = _power_integrals(d, [(alpha, False), (alpha, True)]).value
+        return -_power_integrals(d, [(1.0, True)])[0].value
+    if measure == "gr1":  # s**(1 - alpha) cancels
+        j, j_log = _power_integrals(d, [(alpha, False), (alpha, True)])[0].value
         return float(-j_log / _nonzero(j, alpha, measure))
     if measure == "gr2":
-        j_alpha, j_beta = _power_integrals(d, [(alpha, False), (beta, False)]).value
+        res, log_s = _power_integrals(d, [(alpha, False), (beta, False)])
+        j_alpha, j_beta = res.value
         j_alpha, j_beta = _nonzero(j_alpha, alpha, measure), _nonzero(j_beta, beta, measure)
-        return (math.log(j_alpha) - math.log(j_beta)) / (beta - alpha)
-    j = _power_integrals(d, [(alpha, False)]).value
+        return log_s + (math.log(j_alpha) - math.log(j_beta)) / (beta - alpha)
+    res, log_s = _power_integrals(d, [(alpha, False)])
+    j = res.value
     if measure == "renyi":
-        return math.log(_nonzero(j, alpha, measure)) / (1.0 - alpha)
+        return log_s + math.log(_nonzero(j, alpha, measure)) / (1.0 - alpha)
     if measure == "tsallis":
-        return (j - 1.0) / (1.0 - alpha)
-    power = (1.0 - beta) / (1.0 - alpha)
-    if power < 0.0:  # 0.0 to a positive power is 0.0, which gives the right value
-        _nonzero(j, alpha, measure)
-    return (j ** power - 1.0) / (1.0 - beta)  # sm
+        value = (_exp_or_inf((1.0 - alpha) * log_s) * j - 1.0) / (1.0 - alpha)
+    else:  # sm, with J**power = s**(1 - beta) j**power
+        power = (1.0 - beta) / (1.0 - alpha)
+        if power < 0.0:  # 0.0 to a positive power is 0.0, which gives the right value
+            _nonzero(j, alpha, measure)
+        value = (_exp_or_inf((1.0 - beta) * log_s) * j ** power - 1.0) / (1.0 - beta)
+    if not math.isfinite(value):
+        raise ParameterError(f"the {measure} entropy of {format_spec(d)} is past the float range")
+    return value

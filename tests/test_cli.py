@@ -429,13 +429,30 @@ class TestVerifyContract:
          "the map scale of lognormal:m=800.0,sigma2=1.0 is inf, outside the positive doubles"),
         ("entropy --dist lognormal:m=-800,sigma2=1 --measure shannon",
          "the map scale of lognormal:m=-800.0,sigma2=1.0 is 0.0, outside the positive doubles"),
-        ("entropy --dist exp:lambda=1e-310 --measure shannon",
-         "the map scale of exp:lambda=1e-310 is inf, outside the positive doubles"),
-    ], ids=["lognormal-overflow", "kl-lognormal-overflow", "lognormal-underflow", "exp"])
+    ], ids=["lognormal-overflow", "kl-lognormal-overflow", "lognormal-underflow"])
     def test_tail_map_scale_past_the_float_range_exits_1(self, capsys, argv, message):
         """A plan scale beyond the doubles is one error line, not a traceback."""
         code, out, err = run(capsys, *argv.split(), "--verify")
         assert (code, out, err) == (1, "", f"entrokit: error: {message}\n")
+
+    @pytest.mark.parametrize("dist, closed", [
+        ("normal:mean=1e20,sigma2=1", 1.4189385332046727),
+        ("exp:lambda=1e-310", 714.8013788281542),
+        ("laplace:mu=0,lambda=1e-308", 710.889355822726),
+        ("laplace:mu=-3e18,lambda=0.011135857461024499", 6.1907321558681),
+        ("normal:mean=-1.9e17,sigma2=7.84e-20", -20.577292979554624),
+        ("uniform:a=1e300,b=1.0000000000000002e300", 654.3309384485884),
+    ], ids=["normal-far", "exp-subnormal-rate", "laplace-huge-scale", "laplace-far",
+            "normal-far-narrow", "uniform-far"])
+    def test_location_and_scale_leave_the_oracle(self, capsys, dist, closed):
+        """The oracle integrates the standard record: a location far above the scale, and a
+        scale past the doubles, verify like any other record."""
+        code, out, err = run(capsys, "entropy", "--dist", dist, "--measure", "shannon",
+                             "--verify")
+        assert (code, err) == (0, ""), err
+        value, est, _ = (float(v) for v in out.strip().splitlines()[1].split(","))
+        assert value == pytest.approx(closed, rel=1e-15)
+        assert abs(est - value) <= 1e-12 * (1.0 + abs(value))
 
     @pytest.mark.parametrize("argv, closed", [
         ("entropy --dist exp:lambda=1e-295 --measure shannon", 1.0 - math.log(1e-295)),

@@ -90,6 +90,22 @@ def test_converge_loads_no_closed_form():
                          "entrokit.verification"}
 
 
+@pytest.mark.parametrize("argv", [
+    ("entropy", "--dist", "exp:lambda=1", "--measure", "renyi", "--alpha", "2", "--verify"),
+    ("converge", "--lambda", "2", "--n", "10,100,1000,10000"),
+    ("kl", "--p", "laplace:mu=0,lambda=1", "--q", "laplace:mu=2,lambda=3", "--verify"),
+], ids=["entropy-verify", "converge", "kl-verify-realline-breakpoint"])
+def test_the_oracle_loads_no_numpy_ma(argv):
+    """The oracle builds its meshes without np.unique and np.union1d, which import numpy.ma."""
+    assert fresh(f"""
+import contextlib, io, json, sys
+from entrokit import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main({list(argv)!r})
+print(json.dumps([code, "entrokit.oracle" in sys.modules, "numpy.ma" in sys.modules]))
+""") == [0, True, False]
+
+
 def test_bare_import_loads_nothing_yet_resolves_everything():
     loaded, missing, same = fresh(f"""
 import importlib, json, sys

@@ -16,9 +16,9 @@ def load_tool():
     return tool
 
 
-def test_one_row_per_family_and_the_all_row_pools_them(capsys):
+def test_one_row_per_family_and_the_all_row_pools_them(capsys, tmp_path):
     """The tool wraps the oracle's panel rule, estimate, log-pmf and series, and the closed
-    forms' evaluate, then puts them back."""
+    forms' evaluate, then puts them back; --dump writes one line per value of each table."""
     from entrokit import closed_form, oracle
 
     tool = load_tool()
@@ -27,9 +27,20 @@ def test_one_row_per_family_and_the_all_row_pools_them(capsys):
                 closed_form.evaluate)
 
     before = wrapped()
-    assert tool.main([]) == 0
+    assert tool.main(["--dump", str(tmp_path / "values.txt")]) == 0
     assert wrapped() == before
-    continuous, kl, series, closed, gauss = capsys.readouterr().out.split("\n\n")
+    out = capsys.readouterr().out
+    continuous, kl, series, closed, gauss = out.split("\n\n")
+    header, *lines = (tmp_path / "values.txt").read_text().splitlines()
+    assert header == tool.DUMP_HEADER
+    counts = {}
+    for line in lines:
+        table, family, *fields = line.split(" ")
+        counts[table, family] = counts.get((table, family), 0) + 1
+        assert fields
+    for name, _, rows in tool.tables(out):
+        assert {family: int(cells[0]) for family, cells in rows.items() if family != "all"} == {
+            family: n for (table, family), n in counts.items() if table == name}
     per_family = 60 * len(ORACLE_MEASURES)  # selftest's draws per family at its default
     check_quadrature_table(continuous, "continuous", {f: per_family for f in ORACLE_FAMILIES})
     far = 2 * len(tool.FAR_UNITS)
@@ -317,6 +328,29 @@ def test_compare_names_the_families_whose_digest_or_work_moved(tmp_path, capsys)
     assert tool.compare(old, new) == want
     assert tool.compare(old, old) == [f"{table} {what} identical" for table in ("discrete", "kl")
                                       for what in ("values", "work")] + ["closed values identical"]
+    (tmp_path / "old.txt").write_text(old)
+    (tmp_path / "new.txt").write_text(new)
+    assert tool.main(["--compare", str(tmp_path / "old.txt"), str(tmp_path / "new.txt")]) == 0
+    assert capsys.readouterr().out.splitlines() == want
+
+
+def test_compare_on_dumps_counts_each_familys_moved_values_and_its_largest_move(tmp_path, capsys):
+    """A one-ulp move is one moved value, its size 2**-52 (1 + 1) / (1 + 1) relative to 1 + |old|;
+    a field that is no float moves by inf; a table with no move reads identical."""
+    tool = load_tool()
+    tables = {"continuous": {"exp": [(1, 510, (1.0).hex()), (1, 510, (2.5).hex())],
+                             "gamma": [(1, 510, (-3.0).hex())]},
+              "kl": {"normal": [(2, 1035, (0.125).hex())]},
+              "closed": {"normal": [("UnsupportedFamilyError",)]}}
+    old = "\n".join(tool.dump_lines(tables)) + "\n"
+    tables["continuous"]["exp"][1] = (1, 510, math.nextafter(2.5, 3.0).hex())
+    tables["closed"]["normal"] = [((0.5).hex(),)]
+    new = "\n".join(tool.dump_lines(tables)) + "\n"
+    ulp = math.ulp(2.5) / 3.5
+    want = [f"continuous exp: 1 of 2 values moved, largest {ulp:.2g}", "kl values identical",
+            "closed normal: 1 of 1 values moved, largest inf"]
+    assert tool.compare_dumps(old, new) == want
+    assert tool.moved_by("0x1.0p+0 0x1.0p+1", "0x1.0p+0 0x1.8p+1") == 1.0 / 3.0
     (tmp_path / "old.txt").write_text(old)
     (tmp_path / "new.txt").write_text(new)
     assert tool.main(["--compare", str(tmp_path / "old.txt"), str(tmp_path / "new.txt")]) == 0

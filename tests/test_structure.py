@@ -301,7 +301,9 @@ def test_each_oracle_value_is_one_traced_run(monkeypatch):
     The tracer counts a quadrature run where `integrate_interval` is
     entered and integrand points where the integrand it was handed is
     called; a run made any other way would read as 0 runs and 0 points.
-    Each entropy value evaluates the density once per batch of nodes.
+    Each entropy value evaluates the density once per batch of nodes, but
+    for a standard record's first pass on its map's shared nodes, whose
+    log-density is a constant.
     """
     from entrokit import oracle
     from entrokit.verification import (ORACLE_FAMILIES, ORACLE_MEASURES, random_distribution,
@@ -331,7 +333,7 @@ def test_each_oracle_value_is_one_traced_run(monkeypatch):
         counts.update(runs=0, batches=0, points=0, logpdf=0)
         value()
         assert counts["runs"] == 1 and counts["points"] > 0
-        assert counts["logpdf"] == densities * counts["batches"]
+        assert 0 <= densities * counts["batches"] - counts["logpdf"] <= 1
 
     cfg = oracle.OracleConfig()  # the benchmark's trailing argument
     rng = np.random.default_rng(12)

@@ -39,7 +39,8 @@ changes when any bit of a value (or of a sum or its bound) moves.
 
     python tools/oracle_work.py               # the package under src/ of this checkout
     python tools/oracle_work.py DIR/src       # the package under another source tree
-    python tools/oracle_work.py --compare OLD NEW   # two saved outputs, table by table
+    python tools/oracle_work.py --dump FILE   # also write each value to FILE
+    python tools/oracle_work.py --compare OLD NEW   # two saved outputs, or two dumps
 
 Another revision's tree comes from `git archive REV src | tar -x -C DIR`.
 --compare prints two lines per table: whether its digests moved, and
@@ -48,10 +49,21 @@ without work columns (closed, gaussian) gets the first line only:
 
     discrete values identical
     discrete work moved: poisson calls 1.375 -> 1.000, points 452.5 -> 420.5
+
+A dump holds one line per value, `table family field...`, the fields
+its digest reads (float.hex, or an error's class name), after a header
+line.  --compare on two dumps prints one line per table whose values
+are identical, and otherwise one per moved family: how many of its
+values moved and the largest |new - old| / (1 + |old|) over their
+floats (inf where a field that is no float changed):
+
+    closed values identical
+    continuous exp: 176 of 360 values moved, largest 3.3e-15
 """
 
 import contextlib
 import hashlib
+import math
 import os
 import sys
 from collections import defaultdict
@@ -357,30 +369,97 @@ def compare(old: str, new: str) -> list[str]:
     return lines
 
 
+DUMP_HEADER = "# oracle_work values: table family field..."
+
+
+def dump_lines(all_tables) -> list[str]:
+    """A dump of all_tables (table -> family -> rows): one line per value, its digest's field."""
+    return [DUMP_HEADER] + [f"{table} {family} {row[-1]}" for table, rows in all_tables.items()
+                            for family, values in rows.items() for row in values]
+
+
+def moved_by(old: str, new: str) -> float:
+    """The largest |new - old| / (1 + |old|) over the fields of a value; inf where a field that
+    is no float changed, or the number of fields did."""
+    before, after = old.split(), new.split()
+    if len(before) != len(after):
+        return math.inf
+    worst = 0.0
+    for a, b in zip(before, after):
+        if a == b:
+            continue
+        try:
+            x, y = float.fromhex(a), float.fromhex(b)
+        except ValueError:
+            return math.inf
+        worst = max(worst, abs(y - x) / (1.0 + abs(x)) if math.isfinite(y - x) else math.inf)
+    return worst
+
+
+def compare_dumps(old: str, new: str) -> list[str]:
+    """Per table of two dumps: `identical`, or per moved family its moved values and the
+    largest move (moved_by)."""
+    def values(text):
+        rows = defaultdict(lambda: defaultdict(list))
+        for line in text.splitlines()[1:]:
+            table, family, fields = line.split(" ", 2)
+            rows[table][family].append(fields)
+        return rows
+
+    before, after = values(old), values(new)
+    lines = []
+    for table, families in after.items():
+        moved = []
+        for family, rows in families.items():
+            old_rows = before[table][family]
+            if len(old_rows) != len(rows):
+                moved.append(f"{table} {family}: {len(old_rows)} -> {len(rows)} values")
+                continue
+            moves = [moved_by(a, b) for a, b in zip(old_rows, rows) if a != b]
+            if moves:
+                moved.append(f"{table} {family}: {len(moves)} of {len(rows)} values moved, "
+                             f"largest {max(moves):.2g}")
+        lines += moved or [f"{table} values identical"]
+    return lines
+
+
 def main(argv) -> int:
     if argv[:1] == ["--compare"]:
-        print("\n".join(compare(*(Path(path).read_text() for path in argv[1:3]))))
+        old, new = (Path(path).read_text() for path in argv[1:3])
+        dumps = old.startswith(DUMP_HEADER) and new.startswith(DUMP_HEADER)
+        print("\n".join((compare_dumps if dumps else compare)(old, new)))
         return 0
+    dump = None
+    if "--dump" in argv:
+        i = argv.index("--dump")
+        dump, argv = argv[i + 1], argv[:i] + argv[i + 2:]
     sys.path.insert(0, argv[0] if argv else str(ROOT / "src"))
     quadrature, closed = work()
+    kl = kl_work()
+    series = {**series_work(), **poisson_series_work()}
+    for family, values in closed_kl().items():
+        closed[family] = closed.get(family, []) + values
+    gaussian = gaussian_work()
     print_quadrature("continuous", quadrature)
-    print_quadrature("kl", kl_work())
+    print_quadrature("kl", kl)
     print(f"{'discrete':<12} {'values':>6} {'calls':>7} {'points':>9} {'terms':>9} {'digest':>12}")
-    for family, values in pooled({**series_work(), **poisson_series_work()}).items():
+    for family, values in pooled(series).items():
         n = len(values)
         print(f"{family:<12} {n:>6} {sum(v[0] for v in values) / n:>7.3f} "
               f"{sum(v[1] for v in values) / n:>9.1f} {sum(v[2] for v in values) / n:>9.1f} "
               f"{digest(values):>12}")
     print()
     print(f"{'closed':<12} {'values':>6} {'digest':>12}")
-    for family, kl in closed_kl().items():
-        closed[family] = closed.get(family, []) + kl
     for family, values in pooled(closed).items():
         print(f"{family:<12} {len(values):>6} {digest(values):>12}")
     print()
     print(f"{'gaussian':<12} {'values':>6} {'digest':>12}")
-    for kind, values in pooled(gaussian_work()).items():
+    for kind, values in pooled(gaussian).items():
         print(f"{kind:<12} {len(values):>6} {digest(values):>12}")
+    if dump is not None:
+        tables = {"continuous": quadrature, "kl": kl, "discrete": series, "closed": closed,
+                  "gaussian": gaussian}
+        Path(dump).write_text("\n".join(dump_lines(tables)) + "\n")
     return 0
 
 
